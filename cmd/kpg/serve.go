@@ -347,7 +347,7 @@ func serveDurable() {
 	fmt.Printf("batching: %d logical epochs in %d physical seals (max coalesced %d)\n",
 		st.LogicalSeals, st.PhysicalSeals, st.MaxCoalesced)
 
-	count, sum := durableResult(s, edges, rounds)
+	count, sum := durableResult(s, edges)
 	fmt.Printf("RESULT count=%d checksum=%016x\n", count, sum)
 
 	if *serveSpillB > 0 {
@@ -524,10 +524,16 @@ func durableRound(round, nodes uint64, churn int) []core.Update[uint64, uint64] 
 }
 
 // durableResult installs a query against the served arrangement (snapshot
-// import plus live batches, like any late subscriber), waits for it to
-// complete through the last sealed epoch, and reduces the collection to an
-// order-independent count and checksum.
-func durableResult(s *server.Server, edges *server.Source[uint64, uint64], epochs uint64) (int64, uint64) {
+// import plus live batches, like any late subscriber) and reduces the
+// collection to an order-independent count and checksum. The snapshot sits
+// at the arrangement's compaction frontier, the open epoch, so the probe can
+// only vouch for it once that epoch seals — and this is a read path: sealing
+// an epoch here would append it to the batch log and shift the round a later
+// -recover resumes from. So the dump waits on nothing new: once the probe has
+// left the sealed epochs behind, every worker's import has emitted its
+// snapshot (it holds epoch 0 until it does), and uninstalling then drains
+// the dataflow to quiescence, after which the capture holds all of it.
+func durableResult(s *server.Server, edges *server.Source[uint64, uint64]) (int64, uint64) {
 	captured := &dd.Captured[uint64, uint64]{}
 	q, err := s.Install("dump", func(w *timely.Worker, g *timely.Graph) server.Built {
 		imported := edges.ImportInto(g)
@@ -539,10 +545,11 @@ func durableResult(s *server.Server, edges *server.Source[uint64, uint64], epoch
 		fmt.Fprintf(os.Stderr, "serve: install dump: %v\n", err)
 		os.Exit(1)
 	}
-	if epochs > 0 && !q.WaitDone(lattice.Ts(epochs-1)) {
+	if open := edges.Epoch(); open > 0 && !q.WaitDone(lattice.Ts(open-1)) {
 		fmt.Fprintf(os.Stderr, "serve: server stopped before dump completed\n")
 		os.Exit(1)
 	}
+	q.Uninstall()
 	net := make(map[[2]uint64]core.Diff)
 	for _, u := range captured.Updates() {
 		k := [2]uint64{u.Key, u.Val}
@@ -557,6 +564,5 @@ func durableResult(s *server.Server, edges *server.Source[uint64, uint64], epoch
 		count += d
 		sum += uint64(d) * core.Mix64(core.Mix64(k[0])^k[1])
 	}
-	q.Uninstall()
 	return count, sum
 }

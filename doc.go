@@ -17,8 +17,10 @@
 //     indexed batches with galloping (exponential) key and value search,
 //     LSM-style traces maintained by fueled k-way merges of geometric batch
 //     runs (idle-aware budgets keep compaction off the latency-critical
-//     path), trace handles with logical/physical compaction frontiers, and
-//     cross-dataflow Import. Batch value storage is pluggable (ValStore):
+//     path), trace handles with logical/physical compaction frontiers (an
+//     arrangement's own handle trails its sealed upper, so every trace
+//     stays proportional to its live collection), and cross-dataflow
+//     Import. Batch value storage is pluggable (ValStore):
 //     row-major slices by default, or column-major uint64 word columns for
 //     types implementing Columnar — merges then compare in place, copy
 //     column-by-column only for histories that survive consolidation, and

@@ -8,29 +8,36 @@ import (
 )
 
 // BatchSink receives an arrangement's durability events: every sealed batch
-// as it enters the spine, and every compaction-frontier advance. Implemented
-// by wal.ShardLog; core stays free of any storage dependency. Sink methods
-// run on the owning worker's goroutine. A sink error is a durability failure
-// and is fatal (the arrange operator panics): continuing would silently
-// break the recovery contract.
+// as it enters the spine, and the compaction-frontier advance that follows
+// it (TraceAgent.maintain). Implemented by wal.ShardLog; core stays free of
+// any storage dependency. Sink methods run on the owning worker's goroutine.
+// A sink error is a durability failure and is fatal (the arrange operator
+// panics): continuing would silently break the recovery contract.
 type BatchSink[K, V any] interface {
 	AppendBatch(b *Batch[K, V]) error
 	AdvanceSince(f lattice.Frontier) error
 }
 
-// TraceAgent is the worker-local owner of one arrangement: the spine (while
-// readers exist), the frontier through which batches have been sealed, and
-// the list of same-worker subscriptions feeding imports of this trace into
-// other dataflows. The arrange operator holds the spine only through the
-// agent, mirroring the paper's weak reference: when every read handle drops,
-// the spine is released and the operator continues in stream-only mode.
+// TraceAgent is the worker-local owner of one arrangement: the spine (nil
+// for stream-only arrangements), the frontier through which batches have
+// been sealed, and the list of same-worker subscriptions feeding imports of
+// this trace into other dataflows.
+//
+// Compaction is decided here and nowhere else: an arrange operator's agent
+// holds the trace's primary handle, and maintain moves its logical frontier
+// to the trace's upper with every sealed batch. Times below the sealed upper
+// are complete, so no reader that attaches later can tell them apart;
+// readers that attached earlier hold the meet back through their own
+// handles. An agent created by NewAgentForOperator has no primary handle:
+// the operator's own handle on its output plays that part.
 type TraceAgent[K, V any] struct {
-	Fn    Funcs[K, V]
-	spine *Spine[K, V]
-	upper lattice.Frontier
-	depth int
-	subs  []*importSub[K, V]
-	sink  BatchSink[K, V] // non-nil for durable arrangements
+	Fn      Funcs[K, V]
+	spine   *Spine[K, V]
+	primary *Handle[K, V]
+	upper   lattice.Frontier
+	depth   int
+	subs    []*importSub[K, V]
+	sink    BatchSink[K, V] // non-nil for durable arrangements
 }
 
 type importSub[K, V any] struct {
@@ -43,32 +50,27 @@ func (a *TraceAgent[K, V]) Upper() lattice.Frontier { return a.upper }
 // Closed reports whether the upstream collection has finished (empty upper).
 func (a *TraceAgent[K, V]) Closed() bool { return a.upper.Empty() }
 
-// NewHandle returns a fresh read handle on the trace. It panics if the trace
-// has already been released (all prior handles dropped) — as with the
-// paper's weak references, a dropped trace cannot be revived.
+// NewHandle returns a fresh read handle on the trace, starting at the
+// trace's current compaction frontier. It panics on a stream-only
+// arrangement, which has no trace.
 func (a *TraceAgent[K, V]) NewHandle() *Handle[K, V] {
 	if a.spine == nil {
-		panic("core: trace already released (all handles dropped)")
+		panic("core: a stream-only arrangement has no trace to read")
 	}
 	return a.spine.NewHandle()
 }
 
-// Spine exposes the spine for stats; nil once released.
+// Spine exposes the spine for stats; nil for stream-only arrangements.
 func (a *TraceAgent[K, V]) Spine() *Spine[K, V] { return a.spine }
 
 // CompactionFrontier returns the trace's current compaction frontier — the
 // meet of all live readers' logical frontiers, the promise a run-chain
-// checkpoint manifest records. Minimum frontier when no reader constrains
-// compaction yet; panics on a released trace.
+// checkpoint manifest records. Panics on a stream-only arrangement.
 func (a *TraceAgent[K, V]) CompactionFrontier() lattice.Frontier {
 	if a.spine == nil {
-		panic("core: cannot read the frontier of a released trace")
+		panic("core: a stream-only arrangement has no compaction frontier")
 	}
-	f := a.spine.logicalFrontier()
-	if f.Empty() {
-		return lattice.MinFrontier(a.depth)
-	}
-	return f
+	return a.spine.compactionFrontier()
 }
 
 // NewAgentForOperator creates a trace agent for an operator that maintains
@@ -84,14 +86,19 @@ func NewAgentForOperator[K, V any](fn Funcs[K, V], depth int) *TraceAgent[K, V] 
 	return agent
 }
 
-// Maintain inserts a sealed batch into the trace, releasing the spine when
-// no readers remain, and feeds every same-worker subscription.
+// Maintain inserts a sealed batch into the trace and feeds every same-worker
+// subscription.
 func (a *TraceAgent[K, V]) Maintain(b *Batch[K, V]) { a.maintain(b) }
 
-// maintain inserts a sealed batch, dropping the spine if no readers remain.
+// maintain seals b into the arrangement. The primary handle moves to b's
+// upper before the append, so merges that append starts already consolidate
+// behind it, and a durable arrangement logs the same frontier right behind
+// the batch it follows. A closing batch (empty upper) advances nothing: the
+// finished trace stays readable where it was last compacted.
 func (a *TraceAgent[K, V]) maintain(b *Batch[K, V]) {
-	if a.spine != nil && !a.spine.HasReaders() {
-		a.spine = nil // weak-reference behaviour: stream-only from here on
+	trail := !b.Upper.Empty()
+	if trail && a.primary != nil {
+		a.primary.SetLogical(b.Upper)
 	}
 	if a.spine != nil {
 		a.spine.Append(b)
@@ -99,6 +106,11 @@ func (a *TraceAgent[K, V]) maintain(b *Batch[K, V]) {
 	if a.sink != nil {
 		if err := a.sink.AppendBatch(b); err != nil {
 			panic(fmt.Sprintf("core: durable sink append: %v", err))
+		}
+		if trail {
+			if err := a.sink.AdvanceSince(b.Upper); err != nil {
+				panic(fmt.Sprintf("core: durable sink advance: %v", err))
+			}
 		}
 	}
 	for _, sub := range a.subs {
@@ -108,13 +120,12 @@ func (a *TraceAgent[K, V]) maintain(b *Batch[K, V]) {
 }
 
 // Arranged is an arrangement: the stream of shared indexed batches plus the
-// trace agent granting same-worker read access. Trace is the user-held read
-// handle; drop it (and every operator handle) to release the index while
-// keeping the batch stream alive.
+// trace agent granting same-worker read access. It carries no read handle:
+// readers (join, reduce) take their own from the agent, and the trace
+// compacts behind the meet of theirs and the agent's primary handle.
 type Arranged[K, V any] struct {
 	Stream *timely.Stream[*Batch[K, V]]
 	Agent  *TraceAgent[K, V]
-	Trace  *Handle[K, V]
 	// Shift counts how many iteration scopes this arrangement has been
 	// entered into: batch and trace times are in the base (outer) domain and
 	// must be interpreted with Shift trailing zero coordinates appended.
@@ -128,64 +139,28 @@ type Arranged[K, V any] struct {
 	Cancel func()
 }
 
-// AdvanceSince advances the arrangement's primary compaction frontier: the
-// user-held trace handle's logical frontier moves to f, and for durable
-// arrangements the advance is logged so recovery resumes compaction where
-// the live system had promised it. Must run on the owning worker's
-// goroutine, like all trace mutation.
-func (a *Arranged[K, V]) AdvanceSince(f lattice.Frontier) {
-	if a.Trace != nil && !a.Trace.Dropped() {
-		a.Trace.SetLogical(f)
-	}
-	if a.Agent.sink != nil {
-		if err := a.Agent.sink.AdvanceSince(f); err != nil {
-			panic(fmt.Sprintf("core: durable sink advance: %v", err))
-		}
-	}
-}
-
-// Restore pre-loads a recovered batch chain into a freshly built
+// RestoreRuns pre-loads a recovered run chain into a freshly built
 // arrangement's trace, bypassing both the output stream and the durable sink
-// (the batches are already on disk; re-emitting them would double-log, and
-// late subscribers receive them through snapshot imports instead). The trace
-// upper advances to the last batch's upper, so the arrange operator seals
-// nothing until the input frontier passes the recovered point, and the
-// primary handle's logical frontier moves to since. Must run on the owning
-// worker's goroutine before any updates are ingested and before any reader
-// imports the trace.
-func (a *Arranged[K, V]) Restore(batches []*Batch[K, V], since lattice.Frontier) {
-	agent := a.Agent
-	if agent.spine == nil {
-		panic("core: cannot restore a stream-only or released arrangement")
-	}
-	if len(agent.spine.entries) != 0 {
-		panic("core: cannot restore into a non-empty trace")
-	}
-	if a.Trace != nil && !a.Trace.Dropped() {
-		a.Trace.SetLogical(since)
-	}
-	for _, b := range batches {
-		agent.spine.Append(b)
-		agent.upper = b.Upper.Clone()
-	}
-}
-
-// RestoreRuns is Restore for a run chain that mixes resident batches and
-// spilled (cold) runs: cold runs enter the spine as readers without being
-// loaded, so restoring a disk-tiered arrangement costs I/O proportional to
-// the resident tier, not the full history. The spine's spill tier must be
-// attached (via ArrangeOptions.Spill) before calling with cold runs.
+// (the runs are already on disk; re-emitting them would double-log, and late
+// subscribers receive them through snapshot imports instead). The trace upper
+// advances to the last run's upper, so the arrange operator seals nothing
+// until the input frontier passes the recovered point; the primary handle
+// starts at since and resumes trailing the upper at the next seal. The chain
+// may mix resident batches and spilled (cold) runs: cold runs enter the
+// spine as readers without being loaded, so restoring a disk-tiered
+// arrangement costs I/O proportional to the resident tier, not the full
+// history (the spill tier must be attached via ArrangeOptions.Spill). Must
+// run on the owning worker's goroutine before any updates are ingested and
+// before any reader imports the trace.
 func (a *Arranged[K, V]) RestoreRuns(runs []TraceRun[K, V], since lattice.Frontier) {
 	agent := a.Agent
 	if agent.spine == nil {
-		panic("core: cannot restore a stream-only or released arrangement")
+		panic("core: cannot restore a stream-only arrangement")
 	}
 	if len(agent.spine.entries) != 0 {
 		panic("core: cannot restore into a non-empty trace")
 	}
-	if a.Trace != nil && !a.Trace.Dropped() {
-		a.Trace.SetLogical(since)
-	}
+	agent.primary.SetLogical(since)
 	for _, r := range runs {
 		if r.Cold != nil {
 			agent.spine.appendCold(r.Cold)
@@ -248,9 +223,9 @@ type ArrangeOptions struct {
 	// Durable, when non-nil, must be a BatchSink[K, V] for the arrangement's
 	// key/value types (ArrangeOptions is not generic, so the field is typed
 	// any and asserted at Arrange time; a mismatched sink panics). Every
-	// sealed batch is appended to the sink as it enters the spine, and
-	// compaction-frontier advances are logged through Arranged.AdvanceSince,
-	// so a restarted process can rebuild the trace from the log alone.
+	// sealed batch is appended to the sink as it enters the spine, followed
+	// by the compaction frontier the seal advanced to, so a restarted process
+	// can rebuild the trace from the log alone.
 	Durable any
 	// Spill, when non-nil, attaches a cold storage tier: maintenance evicts
 	// the oldest completed runs to Spill.Store (a SpillStore[K, V], asserted
@@ -278,6 +253,7 @@ func Arrange[K, V any](s *timely.Stream[Update[K, V]], fn Funcs[K, V],
 	if !opt.StreamOnly {
 		agent.spine = NewSpine[K, V](fn, opt.MergeCoef)
 		agent.spine.SetUpperDepth(depth)
+		agent.primary = agent.spine.NewHandle()
 		if opt.Spill != nil {
 			store, ok := opt.Spill.Store.(SpillStore[K, V])
 			if !ok {
@@ -308,11 +284,7 @@ func Arrange[K, V any](s *timely.Stream[Update[K, V]], fn Funcs[K, V],
 		func(ctx *timely.Ctx, in *timely.In[Update[K, V]], out *timely.Out[*Batch[K, V]]) {
 			st.schedule(ctx, in, out)
 		})
-	out := &Arranged[K, V]{Stream: stream, Agent: agent}
-	if !opt.StreamOnly {
-		out.Trace = agent.NewHandle()
-	}
-	return out
+	return &Arranged[K, V]{Stream: stream, Agent: agent}
 }
 
 // arrangeState is the per-shard state of one arrange operator.
@@ -452,8 +424,8 @@ func (st *arrangeState[K, V]) seal(ctx *timely.Ctx,
 	}
 
 	since := lattice.MinFrontier(st.agent.depth)
-	if sp := st.agent.spine; sp != nil && sp.HasReaders() {
-		since = sp.logicalFrontier()
+	if sp := st.agent.spine; sp != nil {
+		since = sp.compactionFrontier()
 	}
 	b := BuildBatch(st.fn, sealed, st.agent.upper.Clone(), frontier.Clone(), since)
 
@@ -497,15 +469,16 @@ type ImportOptions struct {
 	// every raw historical batch. This is the late-subscriber fast path
 	// (§6.2, Fig 5): a query installed against a long-running arrangement
 	// receives state proportional to the live collection, not to the full
-	// update history. Snapshot imports carry no user trace handle (Trace is
-	// nil); shells such as JoinCore acquire their own handles from the agent.
+	// update history.
 	Snapshot bool
 }
 
 // Import mirrors an existing trace into a new dataflow on the same worker
 // (§4.3): the source first emits the consolidated historical batches, then
 // every newly minted batch, with its capability tracking the trace's upper
-// frontier. The returned arrangement shares the original trace.
+// frontier. The returned arrangement shares the original trace and, like
+// every arrangement, holds no handle on it: shells such as JoinCore acquire
+// their own from the agent.
 func Import[K, V any](g *timely.Graph, agent *TraceAgent[K, V], name string) *Arranged[K, V] {
 	return ImportOpts(g, agent, name, ImportOptions{})
 }
@@ -520,17 +493,13 @@ func Import[K, V any](g *timely.Graph, agent *TraceAgent[K, V], name string) *Ar
 // frontiers, joined with every visible batch's own Since: stored times are
 // only exact at or beyond the frontier they were already compacted to, so
 // the snapshot may (and, for self-consistency of its bounds, must) advance
-// at least that far — even when a freshly created reader handle still sits
-// at the minimum.
+// at least that far, whatever the readers currently say.
 func (a *TraceAgent[K, V]) SnapshotBatch() *Batch[K, V] {
 	if a.spine == nil {
-		panic("core: cannot snapshot a released trace")
+		panic("core: cannot snapshot a stream-only arrangement")
 	}
 	visible := a.spine.visibleReaders()
-	since := a.spine.logicalFrontier()
-	if since.Empty() {
-		since = lattice.MinFrontier(a.depth)
-	}
+	since := a.spine.compactionFrontier()
 	for _, r := range visible {
 		_, _, bs := r.Bounds()
 		since = lattice.JoinFrontiers(since, bs)
@@ -557,14 +526,10 @@ func ImportOpts[K, V any](g *timely.Graph, agent *TraceAgent[K, V], name string,
 	opt ImportOptions) *Arranged[K, V] {
 
 	if agent.spine == nil {
-		panic("core: cannot import a released trace")
+		panic("core: cannot import a stream-only arrangement")
 	}
 	sub := &importSub[K, V]{}
 	agent.subs = append(agent.subs, sub)
-	var handle *Handle[K, V]
-	if !opt.Snapshot {
-		handle = agent.NewHandle()
-	}
 
 	// Snapshot the history now: batches minted after this point arrive
 	// through the subscription, so the replay-then-live sequence has no gap
@@ -595,9 +560,6 @@ func ImportOpts[K, V any](g *timely.Graph, agent *TraceAgent[K, V], name string,
 			}
 		}
 		sub.queue = nil
-		if handle != nil && !handle.Dropped() {
-			handle.Drop()
-		}
 		detached = true
 	}
 
@@ -635,7 +597,7 @@ func ImportOpts[K, V any](g *timely.Graph, agent *TraceAgent[K, V], name string,
 				capSet = upper.Clone()
 			}
 		})
-	out := &Arranged[K, V]{Stream: stream, Agent: agent, Trace: handle}
+	out := &Arranged[K, V]{Stream: stream, Agent: agent}
 	out.Cancel = func() { cancelled = true }
 	return out
 }

@@ -98,7 +98,7 @@ func TestArrangeTraceReadable(t *testing.T) {
 			w.StepUntil(func() bool { return probe.Done(lattice.Ts(epoch)) })
 		}
 		// Key 2 got vals {2, 7, 12, 17}.
-		cur := arr.Trace.Cursor()
+		cur := arr.Agent.NewHandle().Cursor()
 		if !cur.SeekKey(2) {
 			t.Errorf("key 2 missing from trace")
 		}
@@ -149,8 +149,9 @@ func TestImportMirrorsTrace(t *testing.T) {
 			probe2 = timely.NewProbe(imported.Stream)
 		})
 		w.StepUntil(func() bool { return probe2.Done(lattice.Ts(4)) })
-		// Historical accumulation visible in the import.
-		if got := log.accumulate(1, 3, lattice.Ts(4)); got != 1 {
+		// Historical accumulation visible in the import, from the trace's
+		// compaction frontier (the sealed upper, epoch 5) onwards.
+		if got := log.accumulate(1, 3, lattice.Ts(5)); got != 1 {
 			t.Errorf("import missed history: %d", got)
 		}
 		// New updates flow to the import too.
@@ -165,10 +166,12 @@ func TestImportMirrorsTrace(t *testing.T) {
 	})
 }
 
-// TestArrangeStreamOnlyAfterDrop: dropping every read handle releases the
-// spine; the batch stream continues (weak-reference behaviour).
-func TestArrangeStreamOnlyAfterDrop(t *testing.T) {
-	log := &batchLog{}
+// TestArrangeCompactsBehindSealedUpper: the arrangement's own handle trails
+// the sealed upper, so with no other reader a churned trace stays
+// proportional to the live collection, a closing seal leaves the finished
+// trace readable, and a reader attaching late starts at the compaction
+// frontier rather than behind it.
+func TestArrangeCompactsBehindSealedUpper(t *testing.T) {
 	timely.Execute(1, func(w *timely.Worker) {
 		var input *timely.Input[Update[uint64, uint64]]
 		var probe *timely.Probe
@@ -177,30 +180,37 @@ func TestArrangeStreamOnlyAfterDrop(t *testing.T) {
 			in, s := timely.NewInput[Update[uint64, uint64]](g)
 			input = in
 			arr = Arrange(s, U64(), "arrange", ArrangeOptions{})
-			timely.Sink(arr.Stream, "log", nil, func(ctx *timely.Ctx, in *timely.In[*Batch[uint64, uint64]]) {
-				in.ForEach(func(stamp []lattice.Time, data []*Batch[uint64, uint64]) {
-					log.add(data)
-				})
-			})
 			probe = timely.NewProbe(arr.Stream)
 		})
-		input.Send(Update[uint64, uint64]{Key: 1, Val: 1, Time: lattice.Ts(0), Diff: 1})
-		input.AdvanceTo(1)
-		w.StepUntil(func() bool { return probe.Done(lattice.Ts(0)) })
-
-		arr.Trace.Drop()
-		input.Send(Update[uint64, uint64]{Key: 2, Val: 2, Time: lattice.Ts(1), Diff: 1})
-		input.AdvanceTo(2)
-		w.StepUntil(func() bool { return probe.Done(lattice.Ts(1)) })
-
-		if arr.Agent.Spine() != nil {
-			t.Errorf("spine must be released after all handles drop")
+		const epochs = 400
+		for e := uint64(0); e < epochs; e++ {
+			input.Send(Update[uint64, uint64]{Key: 1, Val: e, Time: lattice.Ts(e), Diff: 1})
+			if e > 0 {
+				input.Send(Update[uint64, uint64]{Key: 1, Val: e - 1, Time: lattice.Ts(e), Diff: -1})
+			}
+			input.AdvanceTo(e + 1)
+			w.StepUntil(func() bool { return probe.Done(lattice.Ts(e)) })
+			if got := arr.Agent.CompactionFrontier(); !got.Equal(arr.Agent.Upper()) {
+				t.Fatalf("epoch %d: compaction frontier %v, want the sealed upper %v", e, got, arr.Agent.Upper())
+			}
 		}
-		if got := log.accumulate(2, 2, lattice.Ts(1)); got != 1 {
-			t.Errorf("stream must stay live after trace release: %d", got)
+		if n := arr.Agent.Spine().UpdateCount(); n > 32 {
+			t.Errorf("one live record after %d epochs of churn holds %d updates", epochs, n)
+		}
+		h := arr.Agent.NewHandle()
+		if !h.Logical().Equal(arr.Agent.Upper()) {
+			t.Errorf("late handle starts at %v, want the compaction frontier %v", h.Logical(), arr.Agent.Upper())
 		}
 		input.Close()
 		w.Drain()
+		sum := Diff(0)
+		cur := h.Cursor()
+		if cur.SeekKey(1) {
+			cur.ForUpdates(1, func(v uint64, tm lattice.Time, d Diff) { sum += d })
+		}
+		if sum != 1 {
+			t.Errorf("closed trace accumulates key 1 to %d, want 1", sum)
+		}
 	})
 }
 
@@ -230,7 +240,7 @@ func TestArrangeMultiWorkerPartition(t *testing.T) {
 		}
 		input.Close()
 		w.StepUntil(func() bool { return probe.Frontier().Empty() })
-		cur := arr.Trace.Cursor()
+		cur := arr.Agent.NewHandle().Cursor()
 		n := 0
 		for k := uint64(0); k < keys; k++ {
 			if Mix64(k)%peers != uint64(w.Index()) {

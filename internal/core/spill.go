@@ -115,10 +115,10 @@ func (s *Spine[K, V]) Runs() []TraceRun[K, V] {
 }
 
 // Runs exposes the trace's runs in chain order (worker-local use only); it
-// panics if the trace has been released.
+// panics on a stream-only arrangement.
 func (a *TraceAgent[K, V]) Runs() []TraceRun[K, V] {
 	if a.spine == nil {
-		panic("core: cannot list runs of a released trace")
+		panic("core: a stream-only arrangement has no runs")
 	}
 	return a.spine.Runs()
 }

@@ -291,6 +291,11 @@ func (s *Spine[K, V]) startMergeAt(i int) { s.startMergeRange(i, i+1) }
 // tuple, so the merge machinery (tupleCursor, batchBuilder) stays concrete
 // over resident batches; the on-disk artifacts are retired when the merge
 // lands.
+//
+// The merge consolidates behind the readers' logical frontier joined with
+// each input's own Since (as SnapshotBatch does): an input's times are only
+// exact at or beyond what it was already compacted to, so the output's
+// Since is never behind any input's, whatever the readers currently say.
 func (s *Spine[K, V]) startMergeRange(i, j int) {
 	m := &mergeState[K, V]{
 		batches: make([]*Batch[K, V], 0, j-i+1),
@@ -304,6 +309,7 @@ func (s *Spine[K, V]) startMergeRange(i, j int) {
 			b = s.unspill(r)
 			m.retired = append(m.retired, r)
 		}
+		m.since = lattice.JoinFrontiers(m.since, b.Since)
 		m.batches = append(m.batches, b)
 		m.cs = append(m.cs, newTupleCursor(b))
 		total += b.Len()
@@ -388,6 +394,16 @@ func (s *Spine[K, V]) logicalFrontier() lattice.Frontier {
 	return f
 }
 
+// compactionFrontier is the frontier the trace is currently permitted to
+// consolidate behind: the readers' logical frontier, or the minimum when no
+// reader has said anything yet.
+func (s *Spine[K, V]) compactionFrontier() lattice.Frontier {
+	if f := s.logicalFrontier(); !f.Empty() {
+		return f
+	}
+	return lattice.MinFrontier(s.depth)
+}
+
 // physicalFrontier is the meet of readers' physical frontiers; constrained
 // is false when no reader imposes one (merging is unrestricted).
 func (s *Spine[K, V]) physicalFrontier() (lattice.Frontier, bool) {
@@ -436,30 +452,21 @@ func (s *Spine[K, V]) UpdateCount() int {
 }
 
 // NewHandle creates a read handle whose logical frontier starts at the
-// minimum time (full history) and whose physical frontier is unconstrained.
-// Dropped handles are pruned here, so the reader list stays proportional to
-// live readers across install/uninstall cycles of importing dataflows.
+// trace's current compaction frontier — a new reader can ask for nothing the
+// trace has already been permitted to forget, and cannot drag the frontier
+// back — and whose physical frontier is unconstrained. Dropped handles are
+// pruned here, so the reader list stays proportional to live readers across
+// install/uninstall cycles of importing dataflows.
 func (s *Spine[K, V]) NewHandle() *Handle[K, V] {
+	h := &Handle[K, V]{spine: s, logical: s.compactionFrontier()}
 	live := s.handles[:0]
 	for _, h := range s.handles {
 		if !h.dropped {
 			live = append(live, h)
 		}
 	}
-	s.handles = live
-	h := &Handle[K, V]{spine: s, logical: lattice.MinFrontier(s.depth)}
-	s.handles = append(s.handles, h)
+	s.handles = append(live, h)
 	return h
-}
-
-// HasReaders reports whether any non-dropped handle remains.
-func (s *Spine[K, V]) HasReaders() bool {
-	for _, h := range s.handles {
-		if !h.dropped {
-			return true
-		}
-	}
-	return false
 }
 
 // Handle is a per-reader view of a spine (the paper's trace handle). The
@@ -475,9 +482,13 @@ type Handle[K, V any] struct {
 }
 
 // SetLogical advances the handle's logical compaction frontier. Frontiers
-// may only advance.
+// only advance: a request from behind the current frontier (a reader whose
+// own inputs lag the compaction frontier it started at) leaves the handle
+// where it is, since the trace may already have forgotten what lies behind.
 func (h *Handle[K, V]) SetLogical(f lattice.Frontier) {
-	h.logical = f.Clone()
+	if !h.logical.Equal(f) { // shells call this every schedule; most change nothing
+		h.logical = lattice.JoinFrontiers(h.logical, f)
+	}
 }
 
 // SetPhysical advances the handle's physical compaction frontier.
@@ -489,8 +500,7 @@ func (h *Handle[K, V]) SetPhysical(f lattice.Frontier) {
 // Logical returns the handle's logical frontier.
 func (h *Handle[K, V]) Logical() lattice.Frontier { return h.logical }
 
-// Drop releases the handle; when the last handle drops, the trace's updates
-// become collectable (the arrange operator stops maintaining the spine).
+// Drop releases the handle: its frontiers no longer hold compaction back.
 func (h *Handle[K, V]) Drop() { h.dropped = true }
 
 // Dropped reports whether the handle has been dropped.

@@ -264,3 +264,61 @@ func TestTraceCursorAlternatingSeek(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeNeverRegressesSince: a merge consolidates behind the readers'
+// frontier joined with its inputs' own Since. Here the only reader that
+// advanced the frontier goes away and a fresh one takes its place at the
+// minimum (no live handle remembers the old frontier); the next merge must
+// keep the inputs' compaction rather than claim the minimum over times that
+// have already moved past the merged upper — which used to panic in the
+// batch builder.
+func TestMergeNeverRegressesSince(t *testing.T) {
+	fn := U64()
+	s := NewSpine[uint64, uint64](fn, MergeEager)
+	h := s.NewHandle()
+	lower := lattice.MinFrontier(1)
+	push := func(epoch uint64) {
+		upper := lattice.NewFrontier(lattice.Ts(epoch + 1))
+		s.Append(BuildBatch(fn, []Update[uint64, uint64]{u64upd(1, epoch, lattice.Ts(epoch), 1)},
+			lower, upper, lattice.MinFrontier(1)))
+		lower = upper
+	}
+	// The reader runs ahead of the sealed upper, so the first merge stores
+	// times (5) beyond its own upper (2).
+	h.SetLogical(lattice.NewFrontier(lattice.Ts(5)))
+	push(0)
+	push(1)
+	h.Drop()
+	late := s.NewHandle()
+	if !late.Logical().Equal(lattice.MinFrontier(1)) {
+		t.Fatalf("a handle on a trace with no live reader starts at %v, want the minimum", late.Logical())
+	}
+	push(2)
+	push(3)
+	for s.Work(1 << 30) {
+	}
+	first := s.visibleReaders()[0]
+	if _, upper, since := first.Bounds(); upper.LessEqual(lattice.Ts(2)) || since.LessEqual(lattice.Ts(4)) {
+		t.Fatalf("oldest run [.., %v) has since %v: want the compacted pair merged onwards, still at 5", upper, since)
+	}
+	if got := spineAccumulate(late, 1, 0, lattice.Ts(5)); got != 1 {
+		t.Fatalf("accumulate(1,0)@5 = %d, want 1", got)
+	}
+}
+
+// TestHandleStartsAtCompactionFrontier: a reader attaching to a trace other
+// readers have already advanced starts where they are, and cannot move the
+// frontier back from there.
+func TestHandleStartsAtCompactionFrontier(t *testing.T) {
+	s := NewSpine[uint64, uint64](U64(), MergeDefault)
+	h := s.NewHandle()
+	h.SetLogical(lattice.NewFrontier(lattice.Ts(7)))
+	late := s.NewHandle()
+	if want := lattice.NewFrontier(lattice.Ts(7)); !late.Logical().Equal(want) {
+		t.Fatalf("late handle starts at %v, want %v", late.Logical(), want)
+	}
+	late.SetLogical(lattice.NewFrontier(lattice.Ts(3)))
+	if want := lattice.NewFrontier(lattice.Ts(7)); !s.logicalFrontier().Equal(want) {
+		t.Fatalf("a lagging request moved the frontier back to %v", s.logicalFrontier())
+	}
+}

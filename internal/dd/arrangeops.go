@@ -62,11 +62,7 @@ func EnterArranged[K, V any](a *core.Arranged[K, V], name string) *core.Arranged
 				out.SendSlice(entered, data)
 			})
 		})
-	var trace *core.Handle[K, V]
-	if a.Agent.Spine() != nil {
-		trace = a.Agent.NewHandle()
-	}
-	return &core.Arranged[K, V]{Stream: s, Agent: a.Agent, Trace: trace, Shift: a.Shift + 1}
+	return &core.Arranged[K, V]{Stream: s, Agent: a.Agent, Shift: a.Shift + 1}
 }
 
 // ImportArranged mirrors a maintained trace into a new dataflow on the same

@@ -47,12 +47,12 @@ func accumulate(upds []core.Update[uint64, uint64], t lattice.Time) map[[2]uint6
 	return out
 }
 
-// TestLateImportSnapshotMatchesFromScratch pre-populates an arrangement,
-// advances its compaction frontier, then imports it into a brand-new
-// dataflow with snapshot replay. The replayed collection must accumulate to
-// exactly the same consolidated collection as a from-scratch arrangement of
-// the full history — while replaying far fewer raw updates than the history
-// contains (the compaction actually happened).
+// TestLateImportSnapshotMatchesFromScratch pre-populates an arrangement
+// (whose compaction frontier follows the sealed epochs), then imports it
+// into a brand-new dataflow with snapshot replay. The replayed collection
+// must accumulate to exactly the same consolidated collection as a
+// from-scratch arrangement of the full history — while replaying far fewer
+// raw updates than the history contains (the compaction actually happened).
 func TestLateImportSnapshotMatchesFromScratch(t *testing.T) {
 	const epochs = uint64(6)
 	workload := importWorkload(40, 10, epochs)
@@ -78,10 +78,6 @@ func TestLateImportSnapshotMatchesFromScratch(t *testing.T) {
 				}
 				in.AdvanceTo(epochs)
 				w.StepUntil(func() bool { return probe.Done(lattice.Ts(epochs - 1)) })
-
-				// Readers promise accumulation at times >= epochs only, so
-				// the whole history may compact to the frontier.
-				arr.Trace.SetLogical(lattice.NewFrontier(lattice.Ts(epochs)))
 
 				// The late arrival: a new dataflow importing the trace via
 				// snapshot replay.

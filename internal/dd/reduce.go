@@ -50,7 +50,7 @@ func ReduceCore[K comparable, V, V2 any](a *core.Arranged[K, V],
 		func(ctx *timely.Ctx, in *timely.In[*core.Batch[K, V]], out *timely.Out[*core.Batch[K, V2]]) {
 			st.schedule(ctx, in, out)
 		})
-	return &core.Arranged[K, V2]{Stream: stream, Agent: outAgent, Trace: outAgent.NewHandle()}
+	return &core.Arranged[K, V2]{Stream: stream, Agent: outAgent}
 }
 
 type reduceState[K comparable, V, V2 any] struct {
@@ -211,26 +211,21 @@ func (st *reduceState[K, V, V2]) schedule(ctx *timely.Ctx,
 	}
 
 	// Compaction frontiers: input and output traces may consolidate up to
-	// the meet of the frontier and all pending work times.
+	// the meet of the frontier and all pending work times. Once the input has
+	// closed and nothing is pending, the input handle drops; hOut is the
+	// output trace's primary handle and stays where it last stood, so the
+	// finished trace remains readable.
 	logical := frontier.Clone()
 	for _, times := range st.pending {
 		for t := range times {
 			logical.Insert(t)
 		}
 	}
-	if !st.hIn.Dropped() {
-		if frontier.Empty() && len(st.pending) == 0 {
-			st.hIn.Drop()
-		} else {
-			st.hIn.SetLogical(logical)
-		}
-	}
-	if !st.hOut.Dropped() {
-		if frontier.Empty() && len(st.pending) == 0 {
-			st.hOut.Drop()
-		} else {
-			st.hOut.SetLogical(logical)
-		}
+	if logical.Empty() {
+		st.hIn.Drop()
+	} else {
+		st.hIn.SetLogical(logical)
+		st.hOut.SetLogical(logical)
 	}
 	// Idle-aware output trace maintenance: schedules that ingested or
 	// emitted spend the small budget; quiet schedules drain compaction

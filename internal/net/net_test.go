@@ -649,9 +649,19 @@ func TestConcurrentClients(t *testing.T) {
 				return
 			default:
 			}
-			upds := make([]Delta, 20)
-			for i := range upds {
-				upds[i] = Delta{Key: uint64(i % 11), Val: uint64(e), Diff: 1}
+			// A sliding window: epoch e inserts 20 records and retracts the
+			// 20 that epoch e-window inserted, so the live collection stays
+			// at window*20 records however fast the socket runs. (Without
+			// the retractions every key's history grows without bound and
+			// the reducers' per-key rescans, not install/uninstall, become
+			// what the test measures.)
+			const window = 8
+			upds := make([]Delta, 0, 40)
+			for i := 0; i < 20; i++ {
+				upds = append(upds, Delta{Key: uint64(i % 11), Val: uint64(e), Diff: 1})
+				if e >= window {
+					upds = append(upds, Delta{Key: uint64(i % 11), Val: uint64(e - window), Diff: -1})
+				}
 			}
 			if err := ctl.Update("edges", upds); err != nil {
 				t.Errorf("update: %v", err)

@@ -12,11 +12,11 @@ import (
 )
 
 // captureSource installs a dump query over the source (snapshot import plus
-// live batches) and returns the shared accumulator.
-func captureSource(t *testing.T, s *Server, src *Source[uint64, uint64]) *dd.Captured[uint64, uint64] {
+// live batches) and returns the shared accumulator and the query.
+func captureSource(t *testing.T, s *Server, src *Source[uint64, uint64]) (*dd.Captured[uint64, uint64], *Query) {
 	t.Helper()
 	cap := &dd.Captured[uint64, uint64]{}
-	_, err := s.Install("capture-"+src.Name(), func(w *timely.Worker, g *timely.Graph) Built {
+	q, err := s.Install("capture-"+src.Name(), func(w *timely.Worker, g *timely.Graph) Built {
 		imported := src.ImportInto(g)
 		col := dd.Flatten(imported)
 		dd.Capture(col, cap)
@@ -25,7 +25,7 @@ func captureSource(t *testing.T, s *Server, src *Source[uint64, uint64]) *dd.Cap
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cap
+	return cap, q
 }
 
 // TestAdvanceToConservesCollection: sealing epochs one at a time versus
@@ -45,7 +45,7 @@ func TestAdvanceToConservesCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	capF := captureSource(t, fine, srcF)
+	capF, qF := captureSource(t, fine, srcF)
 
 	coarse := New(2)
 	defer coarse.Close()
@@ -53,7 +53,7 @@ func TestAdvanceToConservesCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	capC := captureSource(t, coarse, srcC)
+	capC, qC := captureSource(t, coarse, srcC)
 
 	bi := 0
 	for e := uint64(0); e < epochs; e++ {
@@ -78,6 +78,10 @@ func TestAdvanceToConservesCollection(t *testing.T) {
 	}
 	if err := srcC.Sync(); err != nil {
 		t.Fatal(err)
+	}
+	// Sync answers for the sources; the dump queries trail them.
+	if !qF.WaitDone(lattice.Ts(epochs-1)) || !qC.WaitDone(lattice.Ts(epochs-1)) {
+		t.Fatal("server closed before the dump queries caught up")
 	}
 
 	for _, b := range boundaries {
@@ -124,7 +128,7 @@ func TestBatcherCoalescesUnderLag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap := captureSource(t, s, src)
+	cap, capQ := captureSource(t, s, src)
 
 	// Block every worker goroutine (the blocker occupies the action drain).
 	block := make(chan struct{})
@@ -184,6 +188,9 @@ func TestBatcherCoalescesUnderLag(t *testing.T) {
 		t.Fatalf("MaxCoalesced %d, want >= 2", st.MaxCoalesced)
 	}
 
+	if !capQ.WaitDone(lattice.Ts(epochs - 1)) {
+		t.Fatal("server closed before the dump query caught up")
+	}
 	got := cap.At(lattice.Ts(epochs - 1))
 	want := make(map[[2]any]core.Diff)
 	for k, d := range historyOracle(hist) {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dd"
-	"repro/internal/lattice"
 	"repro/internal/timely"
 )
 
@@ -17,29 +16,24 @@ import (
 // queries share (a transitive closure, a filtered join) is built and indexed
 // once, and every consumer attaches to the maintained index.
 type Derived[K, V any] struct {
-	s   *Server
-	nm  string
-	q   *Query
-	arr []*core.Arranged[K, V]
-
-	mu        sync.Mutex
-	stopped   bool
-	compacted uint64         // compaction frontier the pump has applied
-	wg        sync.WaitGroup // compaction pump
+	nm        string
+	q         *Query
+	arr       []*core.Arranged[K, V]
+	uninstall sync.Once
 }
 
 // InstallDerived installs a query dataflow whose output is arranged and
 // maintained on every worker. The build closure runs once per worker on that
 // worker's goroutine and returns the output collection plus a teardown to run
 // on the same worker at uninstall (cancel imports, close worker-local
-// inputs); nil teardowns are fine. A compaction pump advances the
-// arrangement's frontier behind the completion probe, so late-importing
-// queries receive a snapshot proportional to the live derived collection, not
-// its update history.
+// inputs); nil teardowns are fine. Like every arrangement, the output
+// compacts behind the epochs it has sealed, so late-importing queries receive
+// a snapshot proportional to the live derived collection, not its update
+// history.
 func InstallDerived[K, V any](s *Server, name string, fn core.Funcs[K, V],
 	build func(w *timely.Worker, g *timely.Graph) (dd.Collection[K, V], func())) (*Derived[K, V], error) {
 
-	d := &Derived[K, V]{s: s, nm: name, arr: make([]*core.Arranged[K, V], s.c.Peers())}
+	d := &Derived[K, V]{nm: name, arr: make([]*core.Arranged[K, V], s.c.Peers())}
 	q, err := s.Install(name, func(w *timely.Worker, g *timely.Graph) Built {
 		col, teardown := build(w, g)
 		a := dd.Arrange(col, fn, name)
@@ -50,8 +44,6 @@ func InstallDerived[K, V any](s *Server, name string, fn core.Funcs[K, V],
 		return nil, err
 	}
 	d.q = q
-	d.wg.Add(1)
-	go d.pump()
 	return d, nil
 }
 
@@ -70,72 +62,7 @@ func (d *Derived[K, V]) ImportInto(g *timely.Graph) *core.Arranged[K, V] {
 	return core.ImportOpts(g, a.Agent, d.nm+"-import", core.ImportOptions{Snapshot: true})
 }
 
-// pump advances the derived arrangement's compaction frontier behind its
-// completion probe: once results through epoch e are final on every worker,
-// no current or future reader can distinguish history below e+1, so each
-// worker's spine may consolidate it. Sources get this from Advance (the
-// driver owns their epoch clock); a derived arrangement's clock is implicit
-// in its inputs' progress, so the pump tracks the probe instead.
-func (d *Derived[K, V]) pump() {
-	defer d.wg.Done()
-	e := uint64(0)
-	for {
-		if !d.s.WaitFor(func() bool { return d.isStopped() || d.q.Done(e) }) {
-			return // server closed
-		}
-		if d.isStopped() {
-			return
-		}
-		for d.q.Done(e + 1) {
-			e++ // jump past epochs that completed while we slept
-		}
-		f := lattice.NewFrontier(lattice.Ts(e + 1))
-		p := d.s.c.PostEach(func(w *timely.Worker) {
-			d.arr[w.Index()].AdvanceSince(f)
-		})
-		p.Wait()
-		if p.Aborted() {
-			return // server closed under the posts
-		}
-		d.mu.Lock()
-		d.compacted = e + 1
-		d.mu.Unlock()
-		d.s.Wake() // WaitCompacted observers re-evaluate
-		e++
-	}
-}
-
-// WaitCompacted blocks until the pump has advanced the compaction frontier
-// beyond the given epoch on every worker — from then on, snapshot imports
-// consolidate everything at or below it. Returns false if the server closed
-// first.
-func (d *Derived[K, V]) WaitCompacted(epoch uint64) bool {
-	return d.s.WaitFor(func() bool {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return d.compacted > epoch
-	})
-}
-
-func (d *Derived[K, V]) isStopped() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stopped
-}
-
-// Uninstall stops the compaction pump, then tears the query down. Uninstall
-// queries importing this arrangement first: a consumer's snapshot import
-// holds a reader on the trace, and tearing the producer down under it would
-// sever a live dataflow. Idempotent.
-func (d *Derived[K, V]) Uninstall() {
-	d.mu.Lock()
-	if d.stopped {
-		d.mu.Unlock()
-		return
-	}
-	d.stopped = true
-	d.mu.Unlock()
-	d.s.Wake() // unpark the pump's WaitFor
-	d.wg.Wait()
-	d.q.Uninstall()
-}
+// Uninstall tears the query down. Uninstall queries importing this
+// arrangement first: tearing the producer down under a consumer's import
+// would sever a live dataflow. Idempotent.
+func (d *Derived[K, V]) Uninstall() { d.uninstall.Do(d.q.Uninstall) }

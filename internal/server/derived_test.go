@@ -26,7 +26,7 @@ func TestDerivedImportMatchesDirect(t *testing.T) {
 	}
 
 	// The derived relation: edges reversed (dst -> src), arranged on every
-	// worker under its own compaction pump.
+	// worker, compacting behind its own sealed epochs.
 	rev, err := InstallDerived(s, "rev", core.U64(),
 		func(w *timely.Worker, g *timely.Graph) (dd.Collection[uint64, uint64], func()) {
 			imported := edges.ImportInto(g)
@@ -95,9 +95,9 @@ func TestDerivedImportMatchesDirect(t *testing.T) {
 	rev.Uninstall() // idempotent
 }
 
-// TestDerivedCompaction: the pump advances the derived trace's compaction
-// frontier behind the probe, so a late import's snapshot reflects the
-// consolidated collection, not per-epoch history.
+// TestDerivedCompaction: the derived trace's compaction frontier follows its
+// sealed epochs, so a late import's snapshot reflects the consolidated
+// collection, not per-epoch history.
 func TestDerivedCompaction(t *testing.T) {
 	s := New(1)
 	defer s.Close()
@@ -128,10 +128,18 @@ func TestDerivedCompaction(t *testing.T) {
 	if err := edges.Sync(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
-	// Wait until the pump has actually applied the compaction (not just
-	// until the epochs completed): the late import below must observe it.
-	if !ident.WaitCompacted(49) {
-		t.Fatalf("server closed before derived compacted")
+	// Once the derived output is complete through epoch 49 its arrangement
+	// has sealed — and therefore compacted — through it: the late import
+	// below must observe that.
+	if !ident.Query().WaitDone(lattice.Ts(49)) {
+		t.Fatalf("server closed before derived completed")
+	}
+	var since lattice.Frontier
+	s.c.PostEach(func(w *timely.Worker) {
+		since = ident.arr[w.Index()].Agent.CompactionFrontier()
+	}).Wait()
+	if want := lattice.NewFrontier(lattice.Ts(50)); !since.Equal(want) {
+		t.Fatalf("derived compaction frontier %v, want %v", since, want)
 	}
 
 	cap := &dd.Captured[uint64, uint64]{}
@@ -144,7 +152,13 @@ func TestDerivedCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("install late: %v", err)
 	}
-	if !late.WaitDone(lattice.Ts(49)) {
+	// The snapshot sits at the compaction frontier, epoch 50: it is complete
+	// once that (empty) epoch seals.
+	sealed, err := edges.Advance()
+	if err != nil {
+		t.Fatalf("advance: %v", err)
+	}
+	if !late.WaitDone(lattice.Ts(sealed)) {
 		t.Fatalf("server closed before late query completed")
 	}
 	net := collect(cap)

@@ -51,7 +51,7 @@ func dumpShards(src *Source[uint64, uint64]) []shardDump {
 				delete(m, key)
 			}
 		})
-		out[i] = shardDump{Upds: m, Upper: a.Agent.Upper().String(), Since: a.Trace.Logical().String()}
+		out[i] = shardDump{Upds: m, Upper: a.Agent.Upper().String(), Since: a.Agent.CompactionFrontier().String()}
 	}).Wait()
 	return out
 }

@@ -498,12 +498,10 @@ func (src *Source[K, V]) Remove(k K, v V) error {
 }
 
 // Advance seals the current epoch on every worker's input handle and
-// returns it. Behind the new epoch it advances the arrangement's primary
-// compaction frontier (on each owning worker), permitting the spine to
-// consolidate history that no current or future reader can distinguish —
-// which is exactly what keeps late-subscriber snapshots small. Returns
-// ErrClosed once the server has been closed, and ErrRecovering or
-// ErrOutOfService per Update.
+// returns it. Each worker's arrangement compacts behind the epochs it has
+// sealed (core.TraceAgent), which is what keeps late-subscriber snapshots
+// small. Returns ErrClosed once the server has been closed, and
+// ErrRecovering or ErrOutOfService per Update.
 func (src *Source[K, V]) Advance() (uint64, error) {
 	src.mu.Lock()
 	defer src.mu.Unlock()
@@ -544,27 +542,16 @@ func (src *Source[K, V]) AdvanceTo(epoch uint64) error {
 }
 
 // advanceToLocked jumps the epoch clock to epoch (> src.epoch) on every
-// worker and advances the compaction frontier behind it. Caller holds
-// src.mu and has passed the closed/restored checks.
+// worker. Caller holds src.mu and has passed the closed/restored checks.
 func (src *Source[K, V]) advanceToLocked(epoch uint64) {
 	src.epoch = epoch
-	// Only this process's shard holds handles and arrangements; the slices
-	// are indexed by global worker with remote slots nil. Remote processes
-	// advance their own shards (drivers run the same schedule everywhere).
+	// Only this process's shard holds handles; the slice is indexed by
+	// global worker with remote slots nil. Remote processes advance their
+	// own shards (drivers run the same schedule everywhere).
 	for _, in := range src.inputs {
 		if in != nil {
 			in.AdvanceTo(epoch)
 		}
-	}
-	f := lattice.NewFrontier(lattice.Ts(epoch))
-	for i := range src.arr {
-		if src.arr[i] == nil {
-			continue
-		}
-		a := src.arr[i]
-		src.s.c.Post(i, func(w *timely.Worker) {
-			a.AdvanceSince(f)
-		})
 	}
 }
 

@@ -236,8 +236,10 @@ func TestUninstallWhileStreaming(t *testing.T) {
 	edges.Advance()
 	edges.Sync()
 
+	// The reinstalled query's snapshot sits at the compaction frontier, the
+	// open epoch: it is complete once that (empty) epoch seals.
 	q2, captured := installOneHop(t, s, edges, "q", queries)
-	sealed := edges.Epoch() - 1
+	sealed, _ := edges.Advance()
 	if !q2.WaitDone(lattice.Ts(sealed)) {
 		t.Fatal("server stopped before q2 results")
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/timely"
 )
 
 func spillOpts(budget int64) SourceOptions[uint64, uint64] {
@@ -34,6 +35,14 @@ func TestSpillCheckpointRestoreRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			runDurable(t, src, hist, 0, epochs/2)
+			// Files and refs agree after a quiescent checkpoint: run the
+			// merges the last seals left in progress to their end first, or
+			// one landing between the checkpoint and the count retires a
+			// file the checkpoint's collection has already passed over.
+			src.s.c.PostEach(func(w *timely.Worker) {
+				for src.arr[w.Index()].Agent.Spine().Work(1 << 30) {
+				}
+			}).Wait()
 			if err := src.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}

@@ -112,9 +112,20 @@ func (w *Worker) runActions() bool {
 // Remove unschedules a dataflow from this worker: its operators are no
 // longer stepped. The dataflow must be quiescent (use Graph.Complete); any
 // undrained messages would otherwise be counted but never consumed.
+//
+// The operators are scheduled one last time on the way out. Quiescence is a
+// fact about the shared progress tracker, which this worker's shards may not
+// have been stepped since; operators let go of what they hold outside the
+// dataflow (read handles on imported traces) only when they see their inputs
+// closed, and a handle left behind would hold that trace's compaction back
+// for good. One pass in any order is enough: a quiescent tracker holds no
+// capability and no message, so every input frontier it reports is empty.
 func (w *Worker) Remove(g *Graph) {
 	for i, h := range w.graphs {
 		if h == g {
+			for _, op := range g.ops {
+				op.schedule()
+			}
 			w.graphs = append(w.graphs[:i], w.graphs[i+1:]...)
 			return
 		}

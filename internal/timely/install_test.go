@@ -132,3 +132,49 @@ func TestClusterPost(t *testing.T) {
 		}
 	}
 }
+
+// TestRemoveSchedulesOnceMore: a dataflow can go quiescent without this
+// worker stepping it again (closing an input acts on the shared tracker
+// directly; on a cluster, another worker's step may be what drains the last
+// message). An operator that lets go of something outside the dataflow when
+// it sees its input closed must still get to see that, so Remove schedules
+// every operator one last time. Driven by hand on one worker so the "not
+// stepped since quiescence" schedule is certain rather than likely.
+func TestRemoveSchedulesOnceMore(t *testing.T) {
+	Execute(1, func(w *Worker) {
+		var in *Input[int]
+		var probe *Probe
+		released := false
+		g := w.Dataflow(func(g *Graph) {
+			h, s := NewInput[int](g)
+			in = h
+			probe = NewProbe(s)
+			Sink[int](s, "holder", nil, func(ctx *Ctx, in *In[int]) {
+				in.ForEach(func([]lattice.Time, []int) {})
+				if in.Frontier().Empty() {
+					released = true
+				}
+			})
+		})
+		in.Send(1, 2, 3)
+		in.AdvanceTo(1)
+		w.StepUntil(func() bool { return probe.Done(lattice.Ts(0)) })
+		if released {
+			t.Fatal("operator saw its input closed while the input was open")
+		}
+		in.Close()
+		if !g.Complete() {
+			t.Fatal("closing the only input of a drained dataflow should leave it quiescent")
+		}
+		if released {
+			t.Fatal("operator was scheduled by Close; the test no longer covers Remove")
+		}
+		w.Remove(g)
+		if !released {
+			t.Fatal("Remove dropped the dataflow without letting its operator see the closed input")
+		}
+		if w.Step() {
+			t.Fatal("a removed dataflow was stepped")
+		}
+	})
+}

@@ -5,7 +5,7 @@
 # uninterrupted run's. Also asserts the restart actually resumed from the
 # batch log (recovered epoch >= 1) rather than replaying from scratch.
 #
-# Three legs share the harness:
+# Three crash legs share the harness:
 #   default       buffered appends (no fsync), the original coverage;
 #   group-commit  -fsync -group-commit-ms 5, so the SIGKILL lands between
 #                 group fsyncs — the process dies with appends the committer
@@ -19,6 +19,11 @@
 #                 and leave zero orphans: the final `SPILL files=N refs=M`
 #                 line must have files == refs > 0, and the on-disk *.blk
 #                 census must equal N.
+#
+# A fourth leg needs no kill: a run that finishes cleanly at 150 rounds is
+# resumed with -recover to the full 400. Reporting the RESULT is a read; it
+# must leave the log where the last round left it (recovered epoch == 150
+# exactly), or the resumed run starts a round late and serves other answers.
 #
 # "sealed epoch N" prints on completion, not submission, so the kill point
 # guarantees epoch N's batches are in the log before the signal lands.
@@ -120,8 +125,32 @@ leg() {
     fi
 }
 
-mkdir -p "$tmp/buffered" "$tmp/group-commit" "$tmp/spill"
+# extend: finish cleanly at 150 rounds, resume to 400, compare with the
+# buffered leg's uninterrupted reference.
+extend() {
+    dir="$tmp/extend"
+    short="-workers 2 -nodes 500 -churn 4000 -rounds 150"
+    $bin $short -data-dir "$dir/c" serve > "$dir.c1.out" 2>&1
+    $bin $run -data-dir "$dir/c" -recover serve > "$dir.c2.out" 2>&1
+    rec=$(sed -n 's/^recovered "edges" through epoch \([0-9][0-9]*\).*/\1/p' "$dir.c2.out")
+    if [ "$rec" != 150 ]; then
+        echo "FAIL(extend): resumed from epoch '$rec', want 150 (the finished run's rounds)" >&2
+        cat "$dir.c2.out" >&2
+        exit 1
+    fi
+    grep '^RESULT' "$dir.c2.out" > "$dir.c.result"
+    if ! cmp -s "$tmp/buffered.a.result" "$dir.c.result"; then
+        echo "FAIL(extend): resumed results differ from uninterrupted run" >&2
+        echo "  uninterrupted: $(cat "$tmp/buffered.a.result")" >&2
+        echo "  resumed:       $(cat "$dir.c.result")" >&2
+        exit 1
+    fi
+    echo "extend: OK: finished at 150, resumed to 400: $(cat "$dir.c.result") matches uninterrupted run"
+}
+
+mkdir -p "$tmp/buffered" "$tmp/group-commit" "$tmp/spill" "$tmp/extend"
 leg buffered
 leg group-commit -fsync -group-commit-ms 5
 leg spill -spill-bytes 2048
-echo "OK: crash-recovery smoke passed (buffered + group-commit + spill)"
+extend
+echo "OK: crash-recovery smoke passed (buffered + group-commit + spill + extend)"
