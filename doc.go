@@ -20,7 +20,11 @@
 //     path), trace handles with logical/physical compaction frontiers (an
 //     arrangement's own handle trails its sealed upper, so every trace
 //     stays proportional to its live collection), and cross-dataflow
-//     Import. Batch value storage is pluggable (ValStore):
+//     Import: a query arriving late receives the trace's immutable runs by
+//     reference, presented as of the compaction frontier (an as-of view
+//     over the run's own columns), then the live batches — installing it
+//     copies nothing and costs what the query reads, not what the
+//     arrangement holds. Batch value storage is pluggable (ValStore):
 //     row-major slices by default, or column-major uint64 word columns for
 //     types implementing Columnar — merges then compare in place, copy
 //     column-by-column only for histories that survive consolidation, and

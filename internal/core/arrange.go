@@ -464,51 +464,64 @@ func contains(f lattice.Frontier, t lattice.Time) bool {
 
 // ImportOptions tunes a cross-dataflow trace import.
 type ImportOptions struct {
-	// Snapshot replays the trace's history as a single consolidated batch
-	// advanced to the trace's compaction frontier, instead of re-emitting
-	// every raw historical batch. This is the late-subscriber fast path
-	// (§6.2, Fig 5): a query installed against a long-running arrangement
-	// receives state proportional to the live collection, not to the full
-	// update history.
+	// Snapshot presents the replayed history as of the trace's compaction
+	// frontier (§6.2, Fig 5): every visible run is emitted as an as-of view,
+	// so a query installed against a long-running arrangement sees the
+	// history at the open epoch and its first results complete when that
+	// epoch seals. Without it the runs are emitted as they are stored, at
+	// whatever historical times merges have not yet advanced. That is not a
+	// cheaper mode — both emit the same runs by reference — but a different
+	// contract: raw times put the importing dataflow's first evaluation
+	// behind times the server has long sealed, and a front-end waiting for a
+	// query to be complete through the loaded epoch then waits for every
+	// standing plan's first evaluation too (measured: wire_datalog set-up
+	// 0.018 s to 0.05 s). Server imports therefore always set it.
 	Snapshot bool
 }
 
 // Import mirrors an existing trace into a new dataflow on the same worker
-// (§4.3): the source first emits the consolidated historical batches, then
-// every newly minted batch, with its capability tracking the trace's upper
-// frontier. The returned arrangement shares the original trace and, like
-// every arrangement, holds no handle on it: shells such as JoinCore acquire
-// their own from the agent.
+// (§4.3): the source first emits the trace's visible runs, then every newly
+// minted batch, with its capability tracking the trace's upper frontier. The
+// returned arrangement shares the original trace and, like every
+// arrangement, holds no handle on it: shells such as JoinCore acquire their
+// own from the agent.
 func Import[K, V any](g *timely.Graph, agent *TraceAgent[K, V], name string) *Arranged[K, V] {
 	return ImportOpts(g, agent, name, ImportOptions{})
 }
 
-// SnapshotBatch consolidates the trace's visible batches into one batch
-// covering [min, upper) with every time advanced to the compaction frontier.
-// Updates that cancel below that frontier disappear entirely, so the result
-// is proportional to the live collection. Worker-local, like all trace
-// access.
-//
-// The compaction frontier is the meet of all live readers' logical
-// frontiers, joined with every visible batch's own Since: stored times are
-// only exact at or beyond the frontier they were already compacted to, so
-// the snapshot may (and, for self-consistency of its bounds, must) advance
-// at least that far, whatever the readers currently say.
-func (a *TraceAgent[K, V]) SnapshotBatch() *Batch[K, V] {
-	if a.spine == nil {
-		panic("core: cannot snapshot a stream-only arrangement")
-	}
-	visible := a.spine.visibleReaders()
+// snapshotFrontier is the frontier a snapshot of the trace sits at: the meet
+// of all live readers' logical frontiers, joined with every visible run's own
+// Since. Stored times are only exact at or beyond the frontier they were
+// already compacted to, so a snapshot may (and, for self-consistency of its
+// bounds, must) advance at least that far, whatever the readers currently
+// say.
+func (a *TraceAgent[K, V]) snapshotFrontier() lattice.Frontier {
 	since := a.spine.compactionFrontier()
-	for _, r := range visible {
+	for _, r := range a.spine.visibleReaders() {
 		_, _, bs := r.Bounds()
 		since = lattice.JoinFrontiers(since, bs)
 	}
 	if since.Empty() {
 		since = lattice.MinFrontier(a.depth)
 	}
+	return since
+}
+
+// SnapshotBatch consolidates the trace's visible batches into one batch
+// covering [min, upper) with every time advanced to the snapshot frontier.
+// Updates that cancel below that frontier disappear entirely, so the result
+// is proportional to the live collection — at the price of reading, sorting
+// and copying every visible update. That price buys a self-contained batch,
+// which only a checkpoint of a trace with no cold tier needs (it rewrites
+// the log as that one batch); imports share the runs instead. Worker-local,
+// like all trace access.
+func (a *TraceAgent[K, V]) SnapshotBatch() *Batch[K, V] {
+	if a.spine == nil {
+		panic("core: cannot snapshot a stream-only arrangement")
+	}
+	since := a.snapshotFrontier()
 	var upds []Update[K, V]
-	for _, r := range visible {
+	for _, r := range a.spine.visibleReaders() {
 		r.ForEach(func(k K, v V, t lattice.Time, d Diff) {
 			if rep, ok := lattice.Compact(t, since); ok {
 				upds = append(upds, Update[K, V]{Key: k, Val: v, Time: rep, Diff: d})
@@ -522,6 +535,12 @@ func (a *TraceAgent[K, V]) SnapshotBatch() *Batch[K, V] {
 // Cancel tears the import down on its owning worker (run it via a posted
 // worker action): capabilities drop, the subscription detaches, and the
 // source emits nothing further — the mechanism behind live query uninstall.
+//
+// The history is the trace's visible runs, shared by reference: runs are
+// immutable, so the importing dataflow reads the very columns the spine
+// holds, and installing it costs a header per run, not a pass over the
+// updates (a spilled run is the exception: it is loaded once, as a merge
+// would load it). Nobody may write through an emitted batch.
 func ImportOpts[K, V any](g *timely.Graph, agent *TraceAgent[K, V], name string,
 	opt ImportOptions) *Arranged[K, V] {
 
@@ -531,18 +550,18 @@ func ImportOpts[K, V any](g *timely.Graph, agent *TraceAgent[K, V], name string,
 	sub := &importSub[K, V]{}
 	agent.subs = append(agent.subs, sub)
 
-	// Snapshot the history now: batches minted after this point arrive
-	// through the subscription, so the replay-then-live sequence has no gap
-	// and no overlap. (Import runs on the worker goroutine that also
-	// schedules the arrange operator, so this cut is consistent.)
-	var history []*Batch[K, V]
+	// Take the history now: batches minted after this point arrive through
+	// the subscription, so the replay-then-live sequence has no gap and no
+	// overlap. (Import runs on the worker goroutine that also schedules the
+	// arrange operator, so this cut is consistent.)
+	history := agent.spine.visibleBatches()
 	if opt.Snapshot {
-		history = []*Batch[K, V]{agent.SnapshotBatch()}
-	} else {
-		history = agent.spine.visibleBatches()
+		asOf := agent.snapshotFrontier()
+		for i, b := range history {
+			history[i] = b.viewAsOf(asOf)
+		}
 	}
 
-	emitted := false
 	cancelled := false
 	detached := false
 	var capSet lattice.Frontier
@@ -560,6 +579,7 @@ func ImportOpts[K, V any](g *timely.Graph, agent *TraceAgent[K, V], name string,
 			}
 		}
 		sub.queue = nil
+		history = nil
 		detached = true
 	}
 
@@ -571,15 +591,17 @@ func ImportOpts[K, V any](g *timely.Graph, agent *TraceAgent[K, V], name string,
 				}
 				return
 			}
-			if !emitted {
-				for _, b := range history {
-					out.SendSlice(b.MinTimes(), []*Batch[K, V]{b})
-				}
-				emitted = true
+			// The history goes out once and is let go: this closure lives as
+			// long as the import, and must not pin runs the spine has since
+			// merged away.
+			for _, b := range history {
+				out.SendSlice(b.MinTimes(), []*Batch[K, V]{b})
 			}
+			history = nil
 			for _, b := range sub.queue {
 				out.SendSlice(b.MinTimes(), []*Batch[K, V]{b})
 			}
+			clear(sub.queue)
 			sub.queue = sub.queue[:0]
 			// Downgrade capabilities to the trace's upper frontier.
 			upper := agent.upper

@@ -17,8 +17,16 @@ import (
 // advance of Upper. Since records the compaction frontier the times have
 // been advanced to (times are exact for readers at or beyond Since). A batch
 // sequence with matching upper/lower frontiers is self-describing (§4.1).
+//
+// A batch with a non-empty AsOf is an as-of view (viewAsOf): it shares every
+// column with the trace run it was taken from and presents that run's times
+// advanced to AsOf. The stream-side read paths — ForEach, ForKey, UpdTime,
+// MinTimes — apply the advance as they read; Upds itself holds the run's
+// stored times. A view travels on an arranged stream and nowhere else: it is
+// never appended to a spine, logged or spilled.
 type Batch[K, V any] struct {
 	Lower, Upper, Since lattice.Frontier
+	AsOf                lattice.Frontier
 
 	Keys   []K
 	KeyOff []int32     // len(Keys)+1; value range of key i is Vals[KeyOff[i]:KeyOff[i+1]]
@@ -116,10 +124,39 @@ func (b *Batch[K, V]) ForEach(f func(k K, v V, t lattice.Time, d Diff)) {
 			v := b.Vals.At(vi)
 			ul, uh := b.UpdRange(vi)
 			for ui := ul; ui < uh; ui++ {
-				f(b.Keys[ki], v, b.Upds[ui].Time, b.Upds[ui].Diff)
+				f(b.Keys[ki], v, b.UpdTime(ui), b.Upds[ui].Diff)
 			}
 		}
 	}
+}
+
+// UpdTime returns the time of update ui as the batch presents it: the stored
+// time, advanced to AsOf on a view.
+func (b *Batch[K, V]) UpdTime(ui int) lattice.Time {
+	t := b.Upds[ui].Time
+	if !b.AsOf.Empty() {
+		t, _ = lattice.Compact(t, b.AsOf)
+	}
+	return t
+}
+
+// viewAsOf returns a view of b as of the non-empty frontier asOf: a new batch
+// header over b's own columns, with Since and AsOf set to asOf. Nothing is
+// copied, sorted or consolidated — the cost is independent of b.Len() — so
+// updates whose advanced times coincide stay separate entries that accumulate
+// as one; consolidating them is the job of the trace's merges. The view's
+// minimal times are the advance of b's: rep is monotone, so every advanced
+// time is in advance of the advance of some minimal time.
+func (b *Batch[K, V]) viewAsOf(asOf lattice.Frontier) *Batch[K, V] {
+	v := *b
+	v.Since, v.AsOf = asOf, asOf
+	var mins lattice.Frontier
+	for _, t := range b.MinTimes() {
+		rep, _ := lattice.Compact(t, asOf)
+		mins.Insert(rep)
+	}
+	v.minTimes = mins.Elements()
+	return &v
 }
 
 // MinTimes returns the antichain of minimal update times in the batch: the

@@ -171,9 +171,10 @@ func (s *Spine[K, V]) unspill(r BatchReader[K, V]) *Batch[K, V] {
 	return b
 }
 
-// visibleBatches returns the visible runs materialized as resident batches:
-// cold runs are loaded as copies (the spine's own tiering is unchanged).
-// Used by raw-history imports, which re-emit the history on a batch stream.
+// visibleBatches returns the visible runs as resident batches: resident runs
+// are the spine's own batches, by reference; cold runs are loaded as copies
+// (the spine's own tiering is unchanged). Used by imports, which emit the
+// history on a batch stream.
 func (s *Spine[K, V]) visibleBatches() []*Batch[K, V] {
 	readers := s.visibleReaders()
 	out := make([]*Batch[K, V], 0, len(readers))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/lattice"
 )
@@ -262,7 +263,7 @@ func (s *Spine[K, V]) considerMerges() {
 				widened.Upper = upper
 				s.entries[i] = spineEntry[K, V]{batch: &widened}
 			}
-			s.entries = append(s.entries[:i+1], s.entries[i+2:]...)
+			s.entries = slices.Delete(s.entries, i+1, i+2)
 			i--
 			continue
 		}
@@ -317,7 +318,9 @@ func (s *Spine[K, V]) startMergeRange(i, j int) {
 	m.bld = newBatchBuilder(s.fn, total)
 	s.MergesStarted++
 	s.entries[i] = spineEntry[K, V]{merge: m}
-	s.entries = append(s.entries[:i+1], s.entries[j+1:]...)
+	// slices.Delete zeroes the vacated tail: a stale slot would keep a run
+	// alive after its merge has retired it.
+	s.entries = slices.Delete(s.entries, i+1, j+1)
 }
 
 // Recompact forces all possible maintenance to completion: it finishes every

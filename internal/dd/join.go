@@ -280,7 +280,7 @@ func matchBatch[K, VX, VY any](fnX core.Funcs[K, VX], fnY core.Funcs[K, VY],
 				vx := bt.Vals.At(vi)
 				ul, uh := bt.UpdRange(vi)
 				for ui := ul; ui < uh; ui++ {
-					tx := core.ShiftTime(bt.Upds[ui].Time, shiftX)
+					tx := core.ShiftTime(bt.UpdTime(ui), shiftX)
 					dx := bt.Upds[ui].Diff
 					for i := range scratch {
 						pair(k, vx, tx, dx, scratch[i].v, scratch[i].t, scratch[i].d)

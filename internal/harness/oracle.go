@@ -90,6 +90,16 @@ func NetAt(h History, e uint64) map[[2]uint64]core.Diff {
 	return out
 }
 
+// sendEpoch sends the history's updates of epoch e on in, at in's current
+// epoch.
+func (h History) sendEpoch(in *dd.InputCollection[uint64, uint64], e int) {
+	for _, op := range h.Ops {
+		if op.Epoch == uint64(e) {
+			in.UpdateAt(op.Key, op.Val, op.Diff)
+		}
+	}
+}
+
 // feed streams a history's epochs through an input collection on worker 0,
 // waiting on the probe after every epoch so per-epoch outputs consolidate.
 func feed(w *timely.Worker, in *dd.InputCollection[uint64, uint64], h History, probe *timely.Probe) {
@@ -99,11 +109,7 @@ func feed(w *timely.Worker, in *dd.InputCollection[uint64, uint64], h History, p
 		return
 	}
 	for e := 0; e < h.Epochs; e++ {
-		for _, op := range h.Ops {
-			if op.Epoch == uint64(e) {
-				in.UpdateAt(op.Key, op.Val, op.Diff)
-			}
-		}
+		h.sendEpoch(in, e)
 		in.AdvanceTo(uint64(e) + 1)
 		w.StepUntil(func() bool { return probe.Done(lattice.Ts(uint64(e))) })
 	}
@@ -157,16 +163,8 @@ func CollectEpochs2[K2, V2 comparable](workers int, ha, hb History,
 			return
 		}
 		for e := 0; e < ha.Epochs; e++ {
-			for _, op := range ha.Ops {
-				if op.Epoch == uint64(e) {
-					inA.UpdateAt(op.Key, op.Val, op.Diff)
-				}
-			}
-			for _, op := range hb.Ops {
-				if op.Epoch == uint64(e) {
-					inB.UpdateAt(op.Key, op.Val, op.Diff)
-				}
-			}
+			ha.sendEpoch(inA, e)
+			hb.sendEpoch(inB, e)
 			inA.AdvanceTo(uint64(e) + 1)
 			inB.AdvanceTo(uint64(e) + 1)
 			w.StepUntil(func() bool { return probe.Done(lattice.Ts(uint64(e))) })

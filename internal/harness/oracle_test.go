@@ -30,24 +30,31 @@ func diffMaps(t *testing.T, tag string, e int, got, want map[[2]any]core.Diff) {
 	}
 }
 
+// mapOracle applies f to every record of a net collection.
+func mapOracle(net map[[2]uint64]core.Diff, f func(k, v uint64) (uint64, uint64)) map[[2]any]core.Diff {
+	want := map[[2]any]core.Diff{}
+	for kv, d := range net {
+		k, v := f(kv[0], kv[1])
+		want[[2]any{k, v}] += d
+	}
+	for k, d := range want {
+		if d == 0 {
+			delete(want, k)
+		}
+	}
+	return want
+}
+
 func TestOracleMap(t *testing.T) {
 	h := RandomHistory(rand.New(rand.NewSource(11)), 8, 24, 6, 12, 0.3)
+	f := func(k, v uint64) (uint64, uint64) { return v % 5, k + v }
 	for _, workers := range oracleWorkers {
 		got := CollectEpochs(workers, h,
 			func(g *timely.Graph, c dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-				return dd.Map(c, func(k, v uint64) (uint64, uint64) { return v % 5, k + v })
+				return dd.Map(c, f)
 			})
 		for e := 0; e < h.Epochs; e++ {
-			want := map[[2]any]core.Diff{}
-			for kv, d := range NetAt(h, uint64(e)) {
-				want[[2]any{kv[1] % 5, kv[0] + kv[1]}] += d
-			}
-			for k, d := range want {
-				if d == 0 {
-					delete(want, k)
-				}
-			}
-			diffMaps(t, fmt.Sprintf("map/w%d", workers), e, got[e], want)
+			diffMaps(t, fmt.Sprintf("map/w%d", workers), e, got[e], mapOracle(NetAt(h, uint64(e)), f))
 		}
 	}
 }
@@ -97,31 +104,38 @@ func TestOracleConcat(t *testing.T) {
 	}
 }
 
+// joinEnc packs a joined value pair into one value.
+const joinEnc = 1 << 20
+
+// joinOracle is the product oracle: two net collections joined on key.
+func joinOracle(na, nb map[[2]uint64]core.Diff) map[[2]any]core.Diff {
+	want := map[[2]any]core.Diff{}
+	for ka, da := range na {
+		for kb, db := range nb {
+			if ka[0] != kb[0] {
+				continue
+			}
+			key := [2]any{ka[0], ka[1]*joinEnc + kb[1]}
+			want[key] += da * db
+			if want[key] == 0 {
+				delete(want, key)
+			}
+		}
+	}
+	return want
+}
+
 // checkJoinOracle is shared with FuzzJoinOracle: join two histories on key,
 // encoding the value pair, and compare per-epoch with the product oracle.
 func checkJoinOracle(t *testing.T, workers int, ha, hb History) {
 	t.Helper()
-	const enc = 1 << 20
 	got := CollectEpochs2(workers, ha, hb,
 		func(g *timely.Graph, a, b dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
 			return dd.Join(a, core.U64(), b, core.U64(), "join",
-				func(k, v1, v2 uint64) (uint64, uint64) { return k, v1*enc + v2 })
+				func(k, v1, v2 uint64) (uint64, uint64) { return k, v1*joinEnc + v2 })
 		})
 	for e := 0; e < ha.Epochs; e++ {
-		na, nb := NetAt(ha, uint64(e)), NetAt(hb, uint64(e))
-		want := map[[2]any]core.Diff{}
-		for ka, da := range na {
-			for kb, db := range nb {
-				if ka[0] != kb[0] {
-					continue
-				}
-				key := [2]any{ka[0], ka[1]*enc + kb[1]}
-				want[key] += da * db
-				if want[key] == 0 {
-					delete(want, key)
-				}
-			}
-		}
+		want := joinOracle(NetAt(ha, uint64(e)), NetAt(hb, uint64(e)))
 		diffMaps(t, fmt.Sprintf("join/w%d", workers), e, got[e], want)
 	}
 }
@@ -133,6 +147,22 @@ func TestOracleJoin(t *testing.T) {
 	for _, workers := range oracleWorkers {
 		checkJoinOracle(t, workers, ha, hb)
 	}
+}
+
+// countDistinctOracle recomputes Count and Distinct over a net collection.
+func countDistinctOracle(net map[[2]uint64]core.Diff) (count, distinct map[[2]any]core.Diff) {
+	count, distinct = map[[2]any]core.Diff{}, map[[2]any]core.Diff{}
+	totals := map[uint64]core.Diff{}
+	for kv, d := range net {
+		totals[kv[0]] += d
+		if d > 0 {
+			distinct[[2]any{kv[0], kv[1]}] = 1
+		}
+	}
+	for k, n := range totals {
+		count[[2]any{k, n}] = 1
+	}
+	return count, distinct
 }
 
 // checkCountDistinctOracle is shared with FuzzReduceOracle: Count and
@@ -148,21 +178,7 @@ func checkCountDistinctOracle(t *testing.T, workers int, h History) {
 			return dd.Distinct(c, core.U64())
 		})
 	for e := 0; e < h.Epochs; e++ {
-		net := NetAt(h, uint64(e))
-		wantCount := map[[2]any]core.Diff{}
-		totals := map[uint64]core.Diff{}
-		hasVals := map[uint64]bool{}
-		wantDistinct := map[[2]any]core.Diff{}
-		for kv, d := range net {
-			totals[kv[0]] += d
-			hasVals[kv[0]] = true
-			if d > 0 {
-				wantDistinct[[2]any{kv[0], kv[1]}] = 1
-			}
-		}
-		for k := range hasVals {
-			wantCount[[2]any{k, totals[k]}] = 1
-		}
+		wantCount, wantDistinct := countDistinctOracle(NetAt(h, uint64(e)))
 		diffMaps(t, fmt.Sprintf("count/w%d", workers), e, gotCount[e], wantCount)
 		diffMaps(t, fmt.Sprintf("distinct/w%d", workers), e, gotDistinct[e], wantDistinct)
 	}

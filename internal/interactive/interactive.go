@@ -31,20 +31,17 @@ func fnPairU64() core.Funcs[[2]uint64, uint64] {
 	}
 }
 
-func fnU64I64() core.Funcs[uint64, int64] {
-	return core.Funcs[uint64, int64]{
-		LessK: func(a, b uint64) bool { return a < b },
-		LessV: func(a, b int64) bool { return a < b },
-		HashK: core.Mix64,
-	}
-}
-
 // Lookup builds the point look-up class over an edges arrangement: the
-// out-degree of each queried vertex.
+// out-degree of each queried vertex. It restricts before it aggregates — the
+// count runs over the queried vertices' edges only — so installing a look-up
+// against a shared arrangement reads what its arguments touch, and a standing
+// look-up maintains degrees for its arguments, not for every vertex.
 func Lookup(aE *core.Arranged[uint64, uint64],
 	qc dd.Collection[uint64, core.Unit]) dd.Collection[uint64, int64] {
-	degrees := dd.CountCore(aE)
-	return dd.SemiJoin(degrees, fnU64I64(), qc, core.U64Key())
+	aQ := dd.DistinctCore(dd.Arrange(qc, core.U64Key(), "ql"))
+	hits := dd.JoinCore(aE, aQ, "lookup",
+		func(q, nbr uint64, _ core.Unit) (uint64, uint64) { return q, nbr })
+	return dd.Count(hits, core.U64())
 }
 
 // OneHop builds the 1-hop neighbourhood class: (query, neighbour) pairs.

@@ -1,6 +1,7 @@
 package interactive
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/core"
@@ -179,5 +180,49 @@ func TestInteractiveEvolvingGraph(t *testing.T) {
 	}
 	if acc := cap1.At(lattice.Ts(1)); acc[[2]any{uint64(1), uint64(3)}] != 1 || len(acc) != 1 {
 		t.Fatalf("epoch 1: %v", acc)
+	}
+}
+
+// TestLookupDegrees pins the look-up class's output on the cases its
+// restrict-then-count shape has to get right: an argument given twice counts
+// once, a vertex with no out-edges yields no record, a multi-edge counts its
+// multiplicity, and a degree that falls to zero is retracted, not reported
+// as zero.
+func TestLookupDegrees(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		capL := &dd.Captured[uint64, int64]{}
+		timely.Execute(workers, func(w *timely.Worker) {
+			var sys *System
+			w.Dataflow(func(g *timely.Graph) {
+				sys = BuildSystem(g, true)
+				dd.Capture(sys.Lookup, capL)
+			})
+			if w.Index() == 0 {
+				for _, q := range []uint64{1, 1, 2, 3} {
+					sys.QLookup.Insert(q, core.Unit{})
+				}
+				for _, e := range [][2]uint64{{1, 10}, {1, 11}, {3, 12}, {4, 13}} {
+					sys.Edges.Insert(e[0], e[1])
+				}
+			}
+			sys.AdvanceAll(1)
+			w.StepUntil(func() bool { return sys.ProbeLookup.Done(lattice.Ts(0)) })
+			if w.Index() == 0 {
+				sys.Edges.Remove(3, 12)
+				sys.Edges.Insert(2, 14)
+				sys.Edges.Insert(1, 10)
+			}
+			sys.CloseAll()
+			w.Drain()
+		})
+		want := []map[[2]any]core.Diff{
+			{{uint64(1), int64(2)}: 1, {uint64(3), int64(1)}: 1},
+			{{uint64(1), int64(3)}: 1, {uint64(2), int64(1)}: 1},
+		}
+		for e := range want {
+			if got := capL.At(lattice.Ts(uint64(e))); !maps.Equal(got, want[e]) {
+				t.Errorf("w%d: degrees at epoch %d are %v, want %v", workers, e, got, want[e])
+			}
+		}
 	}
 }

@@ -20,7 +20,7 @@ const argFuture = uint64(1) << 40
 // Live hosts the interactive query classes on a server: the edge graph is a
 // named, continuously maintained source, and every query is a dataflow
 // installed — and uninstalled — while edge updates stream. Whether a query
-// shares the server's edges arrangement (importing a compacted snapshot) or
+// shares the server's edges arrangement (importing its runs by reference) or
 // rebuilds a private one from the replayed edge log is an install-time
 // choice per query, turning Fig 5's static shared/not-shared configurations
 // into a live decision.
@@ -160,13 +160,13 @@ func (q *LiveQuery[K, V]) Close() {
 // dataflow over an edges arrangement (per worker); seed sends the query
 // arguments on worker 0's handles; args lists every worker's argument
 // handles (valid once the install returns). With shared=true the dataflow
-// imports the server's edges arrangement (compacted snapshot + live
-// batches). Otherwise it rebuilds a private arrangement by replaying
-// history — the raw edge-update log — which is what a system without shared
-// arrangements pays on query arrival: it has no index, only the input
-// stream, so the full log is re-exchanged, re-sorted, and re-indexed (the
-// cancelling pairs the shared arrangement already consolidated away
-// included). The private arrangement then follows all future edge updates.
+// imports the server's edges arrangement (its runs as of the compaction
+// frontier + live batches). Otherwise it rebuilds a private arrangement by
+// replaying history — the raw edge-update log — which is what a system
+// without shared arrangements pays on query arrival: it has no index, only
+// the input stream, so the full log is re-exchanged, re-sorted, and
+// re-indexed (the cancelling pairs the shared arrangement already
+// consolidated away included). The private arrangement then follows all future edge updates.
 // The call returns once the query's results through the epoch sealed at
 // install are complete, with the measured latency recorded.
 func install[K comparable, V comparable](l *Live, name string, shared bool,
@@ -228,8 +228,8 @@ func install[K comparable, V comparable](l *Live, name string, shared bool,
 	}
 
 	// Register before sealing so the private arrangement follows the epoch
-	// cycle, then flush one epoch: snapshot times compact to the open epoch,
-	// so first results complete when it seals.
+	// cycle, then flush one epoch: the import presents history as of the open
+	// epoch, so first results complete when it seals.
 	l.queries[name] = lq
 	sealed := l.advanceLocked()
 	if !q.WaitDone(lattice.Ts(sealed)) {

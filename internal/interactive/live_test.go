@@ -1,6 +1,7 @@
 package interactive
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -171,4 +172,64 @@ func TestLiveClassesMatchStartup(t *testing.T) {
 	got := asAny(q1.Results.Snapshot())
 	want1[[2]any{hopKeys[0], uint64(77)}]++
 	requireEqual(t, "one-hop after uninstalls", got, want1)
+}
+
+// installAlloc preloads a graph of the given scale into a one-worker live
+// server, churns it a little so the shared trace holds several runs, and
+// returns the bytes allocated — by the whole process, which is otherwise at
+// rest — across one shared install.
+func installAlloc(t *testing.T, scale uint64, install func(l *Live) error) uint64 {
+	t.Helper()
+	live, err := StartLive(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	var preload []core.Update[uint64, uint64]
+	for _, e := range graphs.Random(500*scale, 2500*scale, 7) {
+		preload = append(preload, core.Update[uint64, uint64]{Key: e.Src, Val: e.Dst, Diff: 1})
+	}
+	live.UpdateEdges(preload)
+	live.Advance()
+	for e := 0; e < 6; e++ {
+		live.RemoveEdge(preload[e].Key, preload[e].Val)
+		live.InsertEdge(uint64(e), uint64(e+1))
+		live.Advance()
+	}
+	live.Sync()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := install(live); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSharedInstallAllocIndependentOfGraphSize: installing a query against
+// the shared arrangement allocates for what the query touches, not for what
+// the arrangement holds — eight times the graph (at the same degree) is
+// nowhere near twice the bytes. A count, not a timing.
+func TestSharedInstallAllocIndependentOfGraphSize(t *testing.T) {
+	classes := map[string]func(l *Live) error{
+		"1-hop": func(l *Live) error {
+			_, err := l.InstallOneHop("q", hopKeys, true, nil)
+			return err
+		},
+		"look-up": func(l *Live) error {
+			_, err := l.InstallLookup("q", lookupKeys, true, nil)
+			return err
+		},
+	}
+	for class, install := range classes {
+		small := installAlloc(t, 1, install)
+		large := installAlloc(t, 8, install)
+		t.Logf("%s: %d bytes over 2500 edges, %d bytes over 20000", class, small, large)
+		if large >= 2*small {
+			t.Errorf("%s install allocated %d bytes over 2500 edges and %d over 20000: it grows with the arrangement",
+				class, small, large)
+		}
+	}
 }

@@ -27,9 +27,9 @@ type Derived[K, V any] struct {
 // worker's goroutine and returns the output collection plus a teardown to run
 // on the same worker at uninstall (cancel imports, close worker-local
 // inputs); nil teardowns are fine. Like every arrangement, the output
-// compacts behind the epochs it has sealed, so late-importing queries receive
-// a snapshot proportional to the live derived collection, not its update
-// history.
+// compacts behind the epochs it has sealed, so the trace late-importing
+// queries share is proportional to the live derived collection, not its
+// update history.
 func InstallDerived[K, V any](s *Server, name string, fn core.Funcs[K, V],
 	build func(w *timely.Worker, g *timely.Graph) (dd.Collection[K, V], func())) (*Derived[K, V], error) {
 
@@ -54,9 +54,9 @@ func (d *Derived[K, V]) Name() string { return d.nm }
 func (d *Derived[K, V]) Query() *Query { return d.q }
 
 // ImportInto attaches the calling worker's shard of the derived arrangement
-// to a new dataflow under construction, replaying a compacted snapshot before
-// live batches — the same contract as Source.ImportInto. Call only from
-// inside an Install build closure.
+// to a new dataflow under construction: the trace's runs as of its compaction
+// frontier, then live batches — the same contract as Source.ImportInto. Call
+// only from inside an Install build closure.
 func (d *Derived[K, V]) ImportInto(g *timely.Graph) *core.Arranged[K, V] {
 	a := d.arr[g.Worker().Index()]
 	return core.ImportOpts(g, a.Agent, d.nm+"-import", core.ImportOptions{Snapshot: true})

@@ -4,14 +4,14 @@
 //
 // This is the paper's headline interactive scenario (§6.2, Fig 5) made
 // operational: a newly arriving query attaches to an existing in-memory
-// arrangement — receiving a snapshot compacted to the trace's compaction
-// frontier followed by the live batch stream — instead of rebuilding its own
-// index from the raw history.
+// arrangement — receiving the trace's runs by reference, presented as of the
+// trace's compaction frontier, followed by the live batch stream — instead of
+// rebuilding its own index from the raw history.
 //
 // Durability: a server started with Options.DataDir logs each durable
 // source's sealed batches and compaction-frontier advances to per-worker
-// shard logs (internal/wal). Checkpoint compacts a log to the same snapshot
-// batch a late subscriber imports; a restarted server (Options.Recover plus
+// shard logs (internal/wal). Checkpoint compacts a log to one consolidated
+// snapshot batch of the trace; a restarted server (Options.Recover plus
 // Source.Restore or Server.Restore) rebuilds every trace directly from the
 // logged batches — no source replay — and resumes epoch advancement from
 // the logged frontier. With Options.Fsync, Options.GroupCommitEvery batches
@@ -271,8 +271,8 @@ func (s *Server) sourcesByName() []sourceHandle {
 // Source is a named input collection maintained as a shared arrangement on
 // every worker. Updates stream in through Update/Insert/Remove at the
 // current epoch; Advance seals the epoch on every worker and advances the
-// arrangement's compaction frontier behind it, so late-arriving queries
-// import a snapshot proportional to the live collection.
+// arrangement's compaction frontier behind it, so the trace late-arriving
+// queries import stays proportional to the live collection.
 type Source[K, V any] struct {
 	s  *Server
 	nm string
@@ -499,8 +499,8 @@ func (src *Source[K, V]) Remove(k K, v V) error {
 
 // Advance seals the current epoch on every worker's input handle and
 // returns it. Each worker's arrangement compacts behind the epochs it has
-// sealed (core.TraceAgent), which is what keeps late-subscriber snapshots
-// small. Returns ErrClosed once the server has been closed, and
+// sealed (core.TraceAgent), which is what keeps the trace late subscribers
+// import small. Returns ErrClosed once the server has been closed, and
 // ErrRecovering or ErrOutOfService per Update.
 func (src *Source[K, V]) Advance() (uint64, error) {
 	src.mu.Lock()
@@ -623,8 +623,9 @@ func (src *Source[K, V]) Sync() error {
 }
 
 // ImportInto attaches the calling worker's shard of the arrangement to a new
-// dataflow under construction, replaying a compacted snapshot before live
-// batches. Call only from inside an Install build closure.
+// dataflow under construction: the trace's runs as of its compaction
+// frontier (shared, not copied), then live batches. Call only from inside an
+// Install build closure.
 func (src *Source[K, V]) ImportInto(g *timely.Graph) *core.Arranged[K, V] {
 	a := src.arr[g.Worker().Index()]
 	return core.ImportOpts(g, a.Agent, src.nm+"-import", core.ImportOptions{Snapshot: true})
@@ -857,10 +858,9 @@ func (src *Source[K, V]) restore() (uint64, bool, error) {
 }
 
 // Checkpoint compacts the source's shard logs to a snapshot of the live
-// trace, exactly the batch a late-subscribing query would import (snapshot
-// imports double as checkpoint emission): updates cancelled below the
-// compaction frontier vanish, so the new log is proportional to the live
-// collection. Safe while updates stream: each shard snapshots and rotates
+// trace: one batch consolidated at the frontier a late-subscribing query's
+// import sits at. Updates cancelled below that frontier vanish, so the new
+// log is proportional to the live collection. Safe while updates stream: each shard snapshots and rotates
 // atomically on its own worker, and batches sealed after that shard's
 // snapshot simply land in the new generation behind it.
 func (src *Source[K, V]) Checkpoint() error {
