@@ -30,12 +30,15 @@
 //     column-by-column only for histories that survive consolidation, and
 //     assemble merged batches directly without materializing wide tuples.
 //   - internal/dd — differential dataflow operators (map, filter, concat,
-//     join, reduce/count/distinct, iterate with mutually recursive
+//     join, reduce/count/distinct, sum, iterate with mutually recursive
 //     Variables) built as thin shells over arrangements; join and reduce
 //     gallop over sorted batch and trace runs rather than scanning, join
 //     products suspend at value boundaries under fuel (resuming via
 //     SeekVal), and reduce accumulates through borrow-free (store, index)
-//     cursor views.
+//     cursor views. Sum is the linear aggregate: outside iteration it adds
+//     each epoch's updates into the accumulator row its own output trace
+//     holds, so an epoch costs its delta, not the group; FlattenKey reads
+//     one key of an arrangement with a seek per batch.
 //   - internal/wal — durability: per-worker append-only logs of sealed
 //     batches (length-prefixed, CRC-checksummed records with
 //     lower/upper/since framing) plus compaction-frontier advances;

@@ -99,7 +99,8 @@ func (b *Batch[K, V]) SeekVal(fn Funcs[K, V], v V, from, hi int) int {
 	return b.Vals.SeekGE(fn.LessV, v, from, hi)
 }
 
-// ForKey invokes f for every (val, time, diff) of key k, if present.
+// ForKey invokes f for every (val, time, diff) of key k, if present, with the
+// times the batch presents (UpdTime), like ForEach.
 func (b *Batch[K, V]) ForKey(fn Funcs[K, V], k K, f func(v V, t lattice.Time, d Diff)) {
 	ki := b.SeekKey(fn, k, 0)
 	if ki >= len(b.Keys) || !fn.EqK(b.Keys[ki], k) {
@@ -110,7 +111,7 @@ func (b *Batch[K, V]) ForKey(fn Funcs[K, V], k K, f func(v V, t lattice.Time, d 
 		v := b.Vals.At(vi)
 		ul, uh := b.UpdRange(vi)
 		for ui := ul; ui < uh; ui++ {
-			f(v, b.Upds[ui].Time, b.Upds[ui].Diff)
+			f(v, b.UpdTime(ui), b.Upds[ui].Diff)
 		}
 	}
 }

@@ -89,6 +89,19 @@ func TestBatchForKeyAndSeek(t *testing.T) {
 	if ki := b.SeekKey(fn, 43, 0); b.Keys[ki] != 44 {
 		t.Fatalf("seek 43 landed on %d", b.Keys[ki])
 	}
+
+	// On an as-of view ForKey presents the advanced times, as ForEach does.
+	view := b.viewAsOf(lattice.NewFrontier(lattice.Ts(7)))
+	count = 0
+	view.ForKey(fn, 42, func(v uint64, tm lattice.Time, d Diff) {
+		count++
+		if tm != lattice.Ts(7) {
+			t.Fatalf("view shows key 42 at %v, want the as-of time %v", tm, lattice.Ts(7))
+		}
+	})
+	if count != 1 {
+		t.Fatalf("view visited key 42 %d times", count)
+	}
 }
 
 func TestEmptyBatch(t *testing.T) {

@@ -21,13 +21,34 @@ func ArrangeOpts[K, V any](c Collection[K, V], fn core.Funcs[K, V], name string,
 // Flatten turns an arranged stream of batches back into a stream of update
 // triples (reducing an arrangement to a collection, §5.1).
 func Flatten[K, V any](a *core.Arranged[K, V]) Collection[K, V] {
+	return flatten(a, "Flatten", func(b *core.Batch[K, V], f func(K, V, lattice.Time, core.Diff)) {
+		b.ForEach(f)
+	})
+}
+
+// FlattenKey is Flatten restricted to the records of key k: one seek per
+// batch — replayed as-of views and live batches alike — instead of a pass
+// over it, so a look-up against a large arrangement costs what it returns.
+// It equals Filter(Flatten(a), key == k), time for time.
+func FlattenKey[K, V any](a *core.Arranged[K, V], k K) Collection[K, V] {
+	fn := a.Agent.Fn
+	return flatten(a, "FlattenKey", func(b *core.Batch[K, V], f func(K, V, lattice.Time, core.Diff)) {
+		b.ForKey(fn, k, func(v V, t lattice.Time, d core.Diff) { f(k, v, t, d) })
+	})
+}
+
+// flatten emits, per batch, the updates visit enumerates, at the times the
+// arrangement's scope reads them.
+func flatten[K, V any](a *core.Arranged[K, V], name string,
+	visit func(b *core.Batch[K, V], f func(K, V, lattice.Time, core.Diff))) Collection[K, V] {
+
 	shift := a.Shift
-	s := timely.Unary[*core.Batch[K, V], core.Update[K, V]](a.Stream, "Flatten", nil, timely.SumID, nil,
+	s := timely.Unary[*core.Batch[K, V], core.Update[K, V]](a.Stream, name, nil, timely.SumID, nil,
 		func(ctx *timely.Ctx, in *timely.In[*core.Batch[K, V]], out *timely.Out[core.Update[K, V]]) {
 			in.ForEach(func(stamp []lattice.Time, data []*core.Batch[K, V]) {
 				var upds []core.Update[K, V]
 				for _, b := range data {
-					b.ForEach(func(k K, v V, t lattice.Time, d core.Diff) {
+					visit(b, func(k K, v V, t lattice.Time, d core.Diff) {
 						upds = append(upds, core.Update[K, V]{
 							Key: k, Val: v, Time: core.ShiftTime(t, shift), Diff: d,
 						})

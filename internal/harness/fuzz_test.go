@@ -5,8 +5,8 @@ import (
 )
 
 // Fuzz targets decoding arbitrary byte strings into small multi-epoch
-// histories and cross-checking join and reduce (count + distinct) against
-// the recompute oracles. Run with go test -fuzz; CI runs a short smoke
+// histories and cross-checking join, reduce (count + distinct) and sum
+// against the recompute oracles. Run with go test -fuzz; CI runs a short smoke
 // (-fuzztime) on every PR.
 
 func FuzzJoinOracle(f *testing.F) {
@@ -27,5 +27,16 @@ func FuzzReduceOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := DecodeHistory(data, 4, 5, 8)
 		checkCountDistinctOracle(t, 2, h)
+	})
+}
+
+func FuzzSumOracle(f *testing.F) {
+	f.Add([]byte{1, 2, 0, 1, 4, 0, 1, 2, 3}) // a sum cancelling over two records, then one retracted
+	f.Add([]byte{0, 0, 1, 0, 0, 2, 0, 5, 4}) // a retraction ahead of its insertion
+	f.Add([]byte{7, 3, 0, 7, 3, 3, 7, 6, 4}) // a key that empties and refills
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h := DecodeHistory(data, 4, 5, 8)
+		checkSumOracle(t, 1, h)
+		checkSumOracle(t, 3, h)
 	})
 }

@@ -191,6 +191,51 @@ func TestOracleCountDistinct(t *testing.T) {
 	}
 }
 
+// sumOracle recomputes Sum over a net collection: per key the sum of its
+// values read as v-3 (so sums cancel while records remain), present iff the
+// key's net record count is non-zero — multiplicities a fuzzed history drives
+// negative included.
+func sumOracle(net map[[2]uint64]core.Diff) map[[2]any]core.Diff {
+	sums, counts := map[uint64]int64{}, map[uint64]core.Diff{}
+	for kv, d := range net {
+		sums[kv[0]] += (int64(kv[1]) - 3) * d
+		counts[kv[0]] += d
+	}
+	want := map[[2]any]core.Diff{}
+	for k, n := range counts {
+		if n != 0 {
+			want[[2]any{k, sums[k]}] = 1
+		}
+	}
+	return want
+}
+
+// checkSumOracle is shared with FuzzSumOracle: Sum over one history,
+// per-epoch, against the recompute oracle.
+func checkSumOracle(t *testing.T, workers int, h History) {
+	t.Helper()
+	fnOut := core.Funcs[uint64, int64]{
+		LessK: func(a, b uint64) bool { return a < b },
+		LessV: func(a, b int64) bool { return a < b },
+		HashK: core.Mix64,
+	}
+	got := CollectEpochs(workers, h,
+		func(g *timely.Graph, c dd.Collection[uint64, uint64]) dd.Collection[uint64, int64] {
+			return dd.Sum(c, core.U64(), fnOut, "Sum",
+				func(acc *int64, v uint64, d core.Diff) { *acc += (int64(v) - 3) * d })
+		})
+	for e := 0; e < h.Epochs; e++ {
+		diffMaps(t, fmt.Sprintf("sum/w%d", workers), e, got[e], sumOracle(NetAt(h, uint64(e))))
+	}
+}
+
+func TestOracleSum(t *testing.T) {
+	h := RandomHistory(rand.New(rand.NewSource(18)), 12, 24, 5, 8, 0.4)
+	for _, workers := range oracleWorkers {
+		checkSumOracle(t, workers, h)
+	}
+}
+
 func TestOracleReduceCustom(t *testing.T) {
 	// A custom reducer: emit the maximum present value of each key.
 	h := RandomHistory(rand.New(rand.NewSource(16)), 8, 24, 5, 12, 0.35)

@@ -3,6 +3,7 @@ package net
 import (
 	"errors"
 	stdnet "net"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -477,5 +478,71 @@ func TestProtocolVersionNegotiation(t *testing.T) {
 		if _, err := NewClientVersion(conn, v); !errors.As(err, &remote) {
 			t.Fatalf("hello at version %d: err %v, want remote protocol mismatch", v, err)
 		}
+	}
+}
+
+// keyLookupInstallAlloc loads a random graph of the given scale into a
+// one-worker server behind a frontend, churns it a little so the trace holds
+// several runs, and returns the bytes allocated — by the whole process, which
+// is otherwise at rest — from installing the look-up edges(c, y) to its first
+// complete result.
+func keyLookupInstallAlloc(t *testing.T, scale uint64) uint64 {
+	t.Helper()
+	srv := server.New(1)
+	defer srv.Close()
+	fe := NewFrontend(srv)
+	defer fe.Close()
+	src, err := server.NewSource(srv, "edges", core.U64())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.RegisterSource(src); err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	edges := graphs.Random(500*scale, 2500*scale, 7)
+	load := make([]Delta, len(edges))
+	for i, e := range edges {
+		load[i] = Delta{Key: e.Src, Val: e.Dst, Diff: 1}
+	}
+	must(fe.Update("edges", load))
+	for e := 0; e < 6; e++ {
+		_, err := fe.Advance("edges")
+		must(err)
+		must(fe.Update("edges", []Delta{{Key: load[e].Key, Val: load[e].Val, Diff: -1}, {Key: uint64(e), Val: uint64(e + 1), Diff: 1}}))
+	}
+	_, err = fe.Advance("edges")
+	must(err)
+	must(fe.SyncSource("edges"))
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	must(fe.InstallPlan("q", "", plan.Scan("edges").KeyEq(load[10].Key)))
+	sealed, err := fe.Advance("edges")
+	must(err)
+	must(fe.SyncSource("edges"))
+	if !fe.WaitComplete("q", sealed) {
+		t.Fatal("server stopped before the look-up was complete")
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestKeyLookupInstallAllocIndependentOfRelationSize: a plan that restricts a
+// resident arrangement to one key seeks that key in each of its runs, so
+// installing it allocates for what it returns, not for the relation — eight
+// times the edges is nowhere near twice the bytes. A count, not a timing.
+func TestKeyLookupInstallAllocIndependentOfRelationSize(t *testing.T) {
+	small := keyLookupInstallAlloc(t, 1)
+	large := keyLookupInstallAlloc(t, 8)
+	t.Logf("look-up install: %d bytes over 2500 edges, %d bytes over 20000", small, large)
+	if large >= 2*small {
+		t.Errorf("look-up install allocated %d bytes over 2500 edges and %d over 20000: it grows with the relation", small, large)
 	}
 }

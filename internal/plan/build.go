@@ -58,20 +58,46 @@ func (b *buildCtx) build(n *Node) (dd.Collection[uint64, uint64], error) {
 	if c, ok := b.cols[key]; ok {
 		return c, nil
 	}
-	if n.Stateful() && b.env.Shared != nil {
-		if a := b.env.Shared(key); a != nil {
-			b.arrs[key] = a
-			c := dd.Flatten(a)
-			b.cols[key] = c
-			return c, nil
-		}
-	}
-	c, err := b.buildOp(n)
+	a, err := b.resident(n)
 	if err != nil {
+		return dd.Collection[uint64, uint64]{}, err
+	}
+	var c dd.Collection[uint64, uint64]
+	if a != nil {
+		c = dd.Flatten(a)
+	} else if c, err = b.buildOp(n); err != nil {
 		return c, err
 	}
 	b.cols[key] = c
 	return c, nil
+}
+
+// resident returns n's output as an arrangement that exists without building
+// n: one already at hand, a shared installation of a stateful sub-plan, or a
+// base relation's import. Nil means n has to be built. Each is resolved once
+// per plan, whether it is then flattened, joined or looked up.
+func (b *buildCtx) resident(n *Node) (*core.Arranged[uint64, uint64], error) {
+	key := n.Key()
+	if a, ok := b.arrs[key]; ok {
+		return a, nil
+	}
+	var a *core.Arranged[uint64, uint64]
+	switch {
+	case n.Op == OpScan:
+		if b.env.Source == nil {
+			return nil, buildErrf("no source resolver for relation %q", n.Rel)
+		}
+		var err error
+		if a, err = b.env.Source(n.Rel); err != nil {
+			return nil, err
+		}
+	case n.Stateful() && b.env.Shared != nil:
+		a = b.env.Shared(key)
+	}
+	if a != nil {
+		b.arrs[key] = a
+	}
+	return a, nil
 }
 
 // arranged returns an arrangement of n's output, preferring (in order) one
@@ -97,17 +123,18 @@ func (b *buildCtx) arranged(n *Node) (*core.Arranged[uint64, uint64], error) {
 func (b *buildCtx) buildOp(n *Node) (dd.Collection[uint64, uint64], error) {
 	var zero dd.Collection[uint64, uint64]
 	switch n.Op {
-	case OpScan:
-		if b.env.Source == nil {
-			return zero, buildErrf("no source resolver for relation %q", n.Rel)
-		}
-		a, err := b.env.Source(n.Rel)
-		if err != nil {
-			return zero, err
-		}
-		b.arrs[n.Key()] = a
-		return dd.Flatten(a), nil
 	case OpFilter:
+		if n.FOp == FKeyEq {
+			// A look-up into something already arranged seeks the key in each
+			// batch instead of flattening the relation and filtering it.
+			a, err := b.resident(n.In)
+			if err != nil {
+				return zero, err
+			}
+			if a != nil {
+				return dd.FlattenKey(a, n.A), nil
+			}
+		}
 		in, err := b.build(n.In)
 		if err != nil {
 			return zero, err

@@ -1,6 +1,8 @@
 package tpch
 
 import (
+	"sort"
+
 	"repro/internal/core"
 	"repro/internal/dd"
 	"repro/internal/lattice"
@@ -311,20 +313,21 @@ func (in *Inputs) LoadStatic(d *Data) {
 	in.PartSupp.SendSlice(psu)
 }
 
-// LoadOrders sends a range [lo, hi) of orders plus their lineitems.
+// LoadOrders sends a range [lo, hi) of orders plus their lineitems, found by
+// binary search (order i has key i+1): a call costs the range it sends, not a
+// pass over every lineitem.
 func (in *Inputs) LoadOrders(d *Data, lo, hi int) {
 	ep := in.Orders.Epoch()
-	var ou []core.Update[uint64, Order]
-	for _, r := range d.Orders[lo:min(hi, len(d.Orders))] {
+	hi = min(hi, len(d.Orders))
+	ou := make([]core.Update[uint64, Order], 0, hi-lo)
+	for _, r := range d.Orders[lo:hi] {
 		ou = append(ou, core.Update[uint64, Order]{Key: r.OrderKey, Val: r, Time: lattice.Ts(ep), Diff: 1})
 	}
 	in.Orders.SendSlice(ou)
-	loKey, hiKey := uint64(lo+1), uint64(hi+1)
-	var iu []core.Update[uint64, LineItem]
-	for _, r := range d.Items {
-		if r.OrderKey >= loKey && r.OrderKey < hiKey {
-			iu = append(iu, core.Update[uint64, LineItem]{Key: r.OrderKey, Val: r, Time: lattice.Ts(ep), Diff: 1})
-		}
+	items := d.Items[d.itemsFrom(uint64(lo+1)):d.itemsFrom(uint64(hi+1))]
+	iu := make([]core.Update[uint64, LineItem], 0, len(items))
+	for _, r := range items {
+		iu = append(iu, core.Update[uint64, LineItem]{Key: r.OrderKey, Val: r, Time: lattice.Ts(ep), Diff: 1})
 	}
 	in.Items.SendSlice(iu)
 }
@@ -362,33 +365,21 @@ func sumBy[K0 comparable, V any](c dd.Collection[K0, V],
 	f func(K0, V) (uint64, Vals)) dd.Collection[uint64, Vals] {
 
 	mapped := dd.Map(c, f)
-	return dd.Reduce(mapped, FnOut(), FnOut(), "sumBy",
-		func(k uint64, in []dd.ValDiff[Vals], out *[]dd.ValDiff[Vals]) {
-			var acc Vals
-			for _, e := range in {
-				for i := range acc {
-					acc[i] += e.Val[i] * e.Diff
-				}
+	return dd.Sum(mapped, FnOut(), FnOut(), "sumBy",
+		func(acc *Vals, v Vals, d core.Diff) {
+			for i := range acc {
+				acc[i] += v[i] * d
 			}
-			*out = append(*out, dd.ValDiff[Vals]{Val: acc, Diff: 1})
 		})
 }
 
-// LineItem scan iteration for the Items slice (shared by oracles).
+// itemsFrom returns the index of the first lineitem whose order key is at
+// least orderKey: items are generated grouped by order, in order-key order.
+func (d *Data) itemsFrom(orderKey uint64) int {
+	return sort.Search(len(d.Items), func(i int) bool { return d.Items[i].OrderKey >= orderKey })
+}
+
+// itemsOf returns the lineitems of one order (shared by oracles).
 func (d *Data) itemsOf(orderKey uint64) []LineItem {
-	// Items are generated grouped by order and in order-key order.
-	lo, hi := 0, len(d.Items)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d.Items[mid].OrderKey < orderKey {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	start := lo
-	for lo < len(d.Items) && d.Items[lo].OrderKey == orderKey {
-		lo++
-	}
-	return d.Items[start:lo]
+	return d.Items[d.itemsFrom(orderKey):d.itemsFrom(orderKey+1)]
 }

@@ -90,18 +90,11 @@ func TestQ15HierarchicalMatchesFlat(t *testing.T) {
 
 // prefix returns a copy of d with only the first n orders (and their items).
 func prefix(d *Data, n int) *Data {
-	p := &Data{
+	return &Data{
 		Suppliers: d.Suppliers, Customers: d.Customers,
 		Parts: d.Parts, PartSupps: d.PartSupps,
-		Orders: d.Orders[:n],
+		Orders: d.Orders[:n], Items: d.Items[:d.itemsFrom(uint64(n+1))],
 	}
-	hi := uint64(n + 1)
-	for _, l := range d.Items {
-		if l.OrderKey < hi {
-			p.Items = append(p.Items, l)
-		}
-	}
-	return p
 }
 
 // TestIncrementalStreaming: orders arrive in chunks across epochs; at every
