@@ -19,12 +19,12 @@ var (
 
 const clientUsage = `usage: kpg client <verb> [args]  (server chosen with -addr)
 
-  install <name> <query...>   install a named query from the pipeline
-                              grammar, e.g.
+  install <name> <query...>   parse a pipeline-grammar query client-side
+                              and ship the plan, e.g.
                                 kpg client install big 'edges | keymod 2 0 | count'
   install <name> -datalog <program>
                               compile a Datalog program client-side and ship
-                              the plan (requires a protocol v3 server), e.g.
+                              the plan, e.g.
                                 kpg client install tc -datalog \
                                   'tc(x,y) :- edges(x,y). tc(x,z) :- tc(x,y), edges(y,z).'
                               "_" is a wildcard (fresh per occurrence). Rule
@@ -217,11 +217,7 @@ func watch(c *knet.Client, queries []string) error {
 		}
 		switch {
 		case ev.End():
-			if ev.Reason != "" && ev.Reason != knet.EndReasonClosed {
-				fmt.Printf("%s: stream ended (%s)\n", ev.Query, ev.Reason)
-			} else {
-				fmt.Printf("%s: stream ended\n", ev.Query)
-			}
+			fmt.Printf("%s: stream ended\n", ev.Query)
 			done[ev.Query] = true
 		case ev.Frontier():
 			fmt.Printf("%s: complete through epoch %d\n", ev.Query, ev.Epoch)

@@ -87,7 +87,7 @@ func validatePeerFlags() error {
 	var bad []string
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "listen", "spill-bytes", "sub-lag", "kick-lagging", "edges":
+		case "listen", "spill-bytes", "sub-lag", "edges":
 			bad = append(bad, "-"+f.Name)
 		}
 	})

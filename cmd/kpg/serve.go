@@ -38,7 +38,6 @@ var (
 	serveCkptB   = flag.Int64("checkpoint-bytes", 0, "serve: additionally checkpoint whenever the batch log exceeds this many bytes (requires -data-dir; 0 disables)")
 	serveMaxLag  = flag.Uint64("max-lag", 0, "serve: adaptive batching bound — pending epochs coalesce into one physical seal while completion lags this many seals behind (0 = default)")
 	serveSubLag  = flag.Int("sub-lag", 0, "serve: pinned-delta backlog bound per subscriber before snapshot-reset (requires -listen; 0 = default, negative = unbounded)")
-	serveKick    = flag.Bool("kick-lagging", false, "serve: disconnect subscribers that breach -sub-lag instead of snapshot-resetting them (requires -listen)")
 	serveSpillB  = flag.Int64("spill-bytes", 0, "serve: per-worker resident budget for the edges arrangement — older runs spill to block files under the shard directory when resident bytes exceed this (requires -data-dir; 0 disables)")
 )
 
@@ -50,7 +49,8 @@ var (
 //   - a negative -checkpoint-every would silently disable checkpointing;
 //   - durability knobs (-fsync, -group-commit-ms, -checkpoint-bytes) without
 //     the layer they tune would be silently inert;
-//   - subscriber-lag knobs only mean anything when remote subscribers exist;
+//   - the subscriber-lag bound only means anything when remote subscribers
+//     exist;
 //   - -listen hands the epoch cycle to remote clients, so combining it with
 //     the built-in churn scenario's flags is contradictory.
 func validateServeFlags() error {
@@ -84,17 +84,8 @@ func validateServeFlags() error {
 	if *serveSpillB > 0 && *serveDataDir == "" {
 		return errors.New("-spill-bytes requires -data-dir (block files need a manifest to own their lifecycle)")
 	}
-	if *serveListen == "" {
-		var subs []string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "sub-lag", "kick-lagging":
-				subs = append(subs, "-"+f.Name)
-			}
-		})
-		if len(subs) > 0 {
-			return fmt.Errorf("%v bound remote subscribers and require -listen", subs)
-		}
+	if *serveListen == "" && flagWasSet("sub-lag") {
+		return errors.New("-sub-lag bounds remote subscribers and requires -listen")
 	}
 	if *serveListen != "" {
 		var scenario []string
@@ -372,8 +363,8 @@ func serveDurable() {
 // wire protocol. Remote kpg clients install and uninstall queries, stream
 // updates, seal epochs, and watch per-epoch result deltas; the process runs
 // until SIGINT/SIGTERM. Remote epoch seals route through per-source adaptive
-// batchers (-max-lag) and subscriber backlogs are bounded (-sub-lag,
-// -kick-lagging). On the durable path a background ticker checkpoints every
+// batchers (-max-lag) and subscriber backlogs are bounded (-sub-lag). On the
+// durable path a background ticker checkpoints every
 // -checkpoint-every seconds and whenever the log passes -checkpoint-bytes;
 // shutdown stops the ticker, drains the frontend, then takes one final
 // checkpoint so a clean exit never leaves an unbounded replay tail. Any
@@ -416,7 +407,6 @@ func serveNet() {
 
 	fe := knet.NewFrontendOpts(s, knet.FrontendOptions{
 		SubscriberMaxLag: *serveSubLag,
-		KickLagging:      *serveKick,
 		BatchMaxLag:      *serveMaxLag,
 	})
 	if err := fe.RegisterSource(edges); err != nil {

@@ -268,7 +268,11 @@ func (st *reduceState[K, V, V2]) evaluate(ctx *timely.Ctx, k K, t lattice.Time,
 		// replaces collect-and-sort. Along the way, discover lub-induced
 		// future work. The join ut ∨ t equals t when ut ≤ t and ut when
 		// t ≤ ut, so only genuinely incomparable times (never at depth 1)
-		// pay for the Join.
+		// pay for the Join. A later ut still counts: an update no longer
+		// pending at a time after t is history that compaction advanced
+		// there (say round 1 of an earlier epoch, now round 1 of t's), and
+		// t's change moves the accumulation at ut even when no new update
+		// lands on ut itself.
 		// The view cursor yields (store, index) pairs: the running group is
 		// tracked as a view and compared in place, so a wide value
 		// materializes once per value group (at flush), never per update.
@@ -290,10 +294,10 @@ func (st *reduceState[K, V, V2]) evaluate(ctx *timely.Ctx, k K, t lattice.Time,
 				curAcc += d
 				return
 			}
-			if t.LessEqual(ut) {
-				return
+			lub := ut
+			if !t.LessEqual(ut) {
+				lub = ut.Join(t)
 			}
-			lub := ut.Join(t)
 			if !pendingHas(st.pending, k, lub) {
 				st.pend(ctx, k, lub)
 				if !frontier.LessEqual(lub) {

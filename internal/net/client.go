@@ -20,7 +20,6 @@ type Client struct {
 	r         *bufio.Reader
 	w         *bufio.Writer
 	workers   int
-	version   uint32
 	streaming bool
 }
 
@@ -35,62 +34,31 @@ type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return e.Msg }
 
-// Dial connects and performs the hello handshake, offering the current
-// protocol version. A server that refuses it (an older deployment speaking
-// only v2) is redialled at v2: the pipeline grammar and the full streaming
-// surface work either way, only InstallPlan needs v3.
+// Dial connects and performs the hello handshake.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewClient(conn)
-	var remote *RemoteError
-	if errors.As(err, &remote) {
-		// The hello was refused (and the server disconnected): redial at the
-		// compatibility version.
-		conn, derr := net.Dial("tcp", addr)
-		if derr != nil {
-			return nil, err
-		}
-		if c, cerr := NewClientVersion(conn, MinVersion); cerr == nil {
-			return c, nil
-		}
-		return nil, err
-	}
-	return c, err
+	return NewClient(conn)
 }
 
 // NewClient performs the handshake over an established connection (tests
-// use in-memory pipes), offering the current protocol version.
+// use in-memory pipes). A server speaking another protocol version refuses
+// it with a RemoteError naming the version it wants.
 func NewClient(conn net.Conn) (*Client, error) {
-	return NewClientVersion(conn, Version)
-}
-
-// NewClientVersion performs the handshake offering an explicit protocol
-// version (compatibility tests pin v2 to prove old clients keep working).
-func NewClientVersion(conn net.Conn, version uint32) (*Client, error) {
 	c := &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
-	resp, err := c.call(request{kind: reqHello, magic: Magic, version: version})
+	resp, err := c.call(request{kind: reqHello, magic: Magic, version: Version})
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	// The v2 reply carries the worker count alone; v3 echoes the negotiated
-	// version in the high half (a v2 server leaves it zero).
-	c.workers = int(resp.value & 0xffffffff)
-	c.version = uint32(resp.value >> 32)
-	if c.version == 0 {
-		c.version = MinVersion
-	}
+	c.workers = int(resp.value & 0xffffffff) // the high half echoes the version
 	return c, nil
 }
 
 // Workers returns the server's worker count (learned at handshake).
 func (c *Client) Workers() int { return c.workers }
-
-// ProtoVersion returns the protocol version negotiated at handshake.
-func (c *Client) ProtoVersion() uint32 { return c.version }
 
 // Close severs the connection (ending any subscription server-side).
 func (c *Client) Close() error { return c.conn.Close() }
@@ -128,24 +96,23 @@ func (c *Client) call(req request) (response, error) {
 	return resp, nil
 }
 
-// Install installs a named query from the pipeline grammar (see ParseQuery)
-// against the server's shared arrangements. The text desugars server-side to
-// the same plan IR InstallPlan ships directly; prefer the programmatic
-// builder (internal/plan) with InstallPlan for anything beyond a quick
-// pipeline.
+// Install installs a named query from the pipeline grammar (see ParseQuery):
+// sugar that parses the text here and ships the plan with InstallPlan, the
+// text as typed being its listing. Prefer the programmatic builder
+// (internal/plan) for anything beyond a quick pipeline.
 func (c *Client) Install(name, query string) error {
-	_, err := c.call(request{kind: reqInstall, name: name, text: query})
-	return err
+	root, err := ParseQuery(query)
+	if err != nil {
+		return err
+	}
+	return c.InstallPlan(name, query, root)
 }
 
 // InstallPlan installs a named query from a relational plan built with the
 // internal/plan API (or compiled from Datalog with plan.Compile). The display
-// text accompanies the query in listings. Requires a v3 session; the plan is
-// validated locally before anything goes on the wire.
+// text accompanies the query in listings. The plan is validated locally
+// before anything goes on the wire.
 func (c *Client) InstallPlan(name, text string, root *plan.Node) error {
-	if c.version < 3 {
-		return fmt.Errorf("net: InstallPlan requires protocol v3 (negotiated v%d)", c.version)
-	}
 	if err := root.Validate(); err != nil {
 		return err
 	}
@@ -202,10 +169,9 @@ func (c *Client) Subscribe(queries ...string) error {
 // Next reads one stream event. It blocks at the subscriber's own pace —
 // which is exactly the protocol's backpressure: a client that stops calling
 // Next stalls only its own stream. A client that lags past the server's
-// bound sees either a Resync event (drop accumulated state, adopt the
-// carried collection) or an End with reason "lagged" (resubscribe for a
-// fresh snapshot). Returns io.EOF (or the transport error) when the
-// connection ends.
+// bound sees a Resync event (drop accumulated state, adopt the carried
+// collection). Returns io.EOF (or the transport error) when the connection
+// ends.
 func (c *Client) Next() (Event, error) {
 	if !c.streaming {
 		return Event{}, fmt.Errorf("net: Next before Subscribe")

@@ -19,14 +19,13 @@ import (
 )
 
 // Frontend exposes a server.Server over the wire protocol: remote clients
-// install and uninstall named queries from the query grammar, send source
+// install named queries as relational plans and uninstall them, send source
 // updates, seal epochs, and subscribe to per-epoch result deltas. All
 // methods are also callable in-process (the CLI serve path and tests drive
 // them directly).
 type Frontend struct {
-	srv    *server.Server
-	opt    FrontendOptions
-	hubOpt hubOptions
+	srv *server.Server
+	opt FrontendOptions // SubscriberMaxLag has its default applied
 
 	mu       sync.Mutex
 	sources  map[string]*server.Source[uint64, uint64]
@@ -39,7 +38,7 @@ type Frontend struct {
 	// The shared sub-plan registry: every stateful sub-plan a query installs
 	// becomes a refcounted derived arrangement keyed by its canonical form
 	// (plan.Node.Key), so a second query containing the same sub-plan — from
-	// any client, in either surface syntax — imports the existing arrangement
+	// any client, in any surface syntax — imports the existing arrangement
 	// instead of building its own. instMu serializes installs and uninstalls
 	// end to end: concurrent installs of the same sub-plan must observe each
 	// other, not race to build it twice.
@@ -66,13 +65,9 @@ type FrontendOptions struct {
 	// SubscriberMaxLag bounds the completed-but-undelivered result deltas a
 	// single subscriber may pin in a query's hub. A subscriber past the bound
 	// is reset: its backlog is dropped and its next event is a streamResync
-	// carrying the consolidated collection — or, under KickLagging, its
-	// stream ends with reason "lagged". Zero means the default (1<<20
+	// carrying the consolidated collection. Zero means the default (1<<20
 	// deltas); negative disables the bound.
 	SubscriberMaxLag int
-	// KickLagging disconnects a lagging subscriber (streamEnd, reason
-	// "lagged") instead of resetting it.
-	KickLagging bool
 	// BatchMaxLag is the adaptive batcher's bound on sealed-but-incomplete
 	// epochs per registered source (server.BatcherOptions.MaxLag). Zero
 	// means the batcher's default.
@@ -104,14 +99,12 @@ func NewFrontend(srv *server.Server) *Frontend {
 
 // NewFrontendOpts wraps a server with explicit lag-control options.
 func NewFrontendOpts(srv *server.Server, opt FrontendOptions) *Frontend {
-	hubOpt := hubOptions{maxLag: opt.SubscriberMaxLag, kick: opt.KickLagging}
 	if opt.SubscriberMaxLag == 0 {
-		hubOpt.maxLag = DefaultSubscriberMaxLag
+		opt.SubscriberMaxLag = DefaultSubscriberMaxLag
 	}
 	return &Frontend{
 		srv:      srv,
 		opt:      opt,
-		hubOpt:   hubOpt,
 		sources:  make(map[string]*server.Source[uint64, uint64]),
 		batchers: make(map[string]*server.Batcher[uint64, uint64]),
 		queries:  make(map[string]*netQuery),
@@ -120,7 +113,7 @@ func NewFrontendOpts(srv *server.Server, opt FrontendOptions) *Frontend {
 	}
 }
 
-// RegisterSource makes a server source visible to the query grammar and the
+// RegisterSource makes a server source visible to installed plans and the
 // update/advance requests under its registered name. The frontend wraps the
 // source in an adaptive batcher: remote advances seal logical epochs, and
 // the batcher decides when to physically seal, coalescing under probe lag
@@ -138,17 +131,6 @@ func (fe *Frontend) RegisterSource(src *server.Source[uint64, uint64]) error {
 	fe.sources[src.Name()] = src
 	fe.batchers[src.Name()] = server.NewBatcher(src, server.BatcherOptions{MaxLag: fe.opt.BatchMaxLag})
 	return nil
-}
-
-// Install parses a pipeline query text (the v2 grammar), desugars it to the
-// plan IR, and installs it — the same path InstallPlan takes, so a pipeline
-// and a Datalog program with identical sub-plans share arrangements.
-func (fe *Frontend) Install(name, text string) error {
-	root, err := ParseQuery(text)
-	if err != nil {
-		return err
-	}
-	return fe.InstallPlan(name, text, root)
 }
 
 // InstallPlan installs a relational plan under the given name: its stateful
@@ -196,7 +178,7 @@ func (fe *Frontend) InstallPlan(name, text string, root *plan.Node) error {
 	}
 	resolve := fe.resolveSnapshot()
 
-	h := newHub(fe.hubOpt)
+	h := newHub(fe.opt.SubscriberMaxLag)
 	berrs := make([]error, fe.srv.Workers())
 	q, err := fe.srv.Install(name, func(w *timely.Worker, g *timely.Graph) server.Built {
 		out, imports, err := buildInto(root, g, srcs, resolve)
@@ -625,20 +607,13 @@ func (fe *Frontend) handleConn(conn net.Conn) {
 		write(encodeErr("net: expected hello"))
 		return
 	}
-	if req.magic != Magic || req.version < MinVersion || req.version > Version {
-		write(encodeErr(fmt.Sprintf("net: protocol mismatch (want magic %08x version %d-%d)",
-			Magic, MinVersion, Version)))
+	if req.magic != Magic || req.version != Version {
+		write(encodeErr(fmt.Sprintf("net: protocol mismatch (want magic %08x version %d)",
+			Magic, Version)))
 		return
 	}
-	// The session speaks the client's version. A v2 hello reply keeps its
-	// exact historical shape (the worker count alone); v3 echoes the
-	// negotiated version in the reply's high half.
-	version := req.version
-	reply := uint64(fe.srv.Workers())
-	if version >= 3 {
-		reply |= uint64(version) << 32
-	}
-	if err := write(encodeOK(reply)); err != nil {
+	// The reply carries the worker count, with the version in its high half.
+	if err := write(encodeOK(uint64(fe.srv.Workers()) | uint64(Version)<<32)); err != nil {
 		return
 	}
 
@@ -659,18 +634,14 @@ func (fe *Frontend) handleConn(conn net.Conn) {
 			if write(encodeErr("net: duplicate hello")) != nil {
 				return
 			}
-		case reqInstall:
-			if fe.reply(write, 0, fe.Install(req.name, req.text)) != nil {
-				return
-			}
 		case reqInstallPlan:
-			if version < 3 {
-				if write(encodeErr("net: install-plan requires a protocol v3 session")) != nil {
-					return
-				}
-				continue
+			// Decode never panics and validates the plan, so arbitrary bytes
+			// yield a clean respErr.
+			root, err := plan.Decode(req.blob)
+			if err == nil {
+				err = fe.InstallPlan(req.name, req.text, root)
 			}
-			if fe.reply(write, 0, fe.installPlanBytes(req.name, req.text, req.blob)) != nil {
+			if fe.reply(write, 0, err) != nil {
 				return
 			}
 		case reqUninstall:
@@ -724,16 +695,6 @@ func (fe *Frontend) handleConn(conn net.Conn) {
 	}
 }
 
-// installPlanBytes decodes a wire-encoded plan and installs it. Decode never
-// panics and validates the plan, so arbitrary bytes yield a clean respErr.
-func (fe *Frontend) installPlanBytes(name, text string, blob []byte) error {
-	root, err := plan.Decode(blob)
-	if err != nil {
-		return err
-	}
-	return fe.InstallPlan(name, text, root)
-}
-
 // reply writes respOK (with a value) or respErr; its return value is only
 // the connection's health.
 func (fe *Frontend) reply(write func([]byte) error, value uint64, err error) error {
@@ -765,12 +726,11 @@ func streamTo(nq *netQuery, sub *subscriber, snap []Delta, start uint64,
 		}
 	}
 	for {
-		ev, reason, ok := sub.next()
+		ev, ok := sub.next()
 		if !ok {
-			// Query uninstalled, server closing, or the subscriber was
-			// kicked for lagging: tell the client its stream is over (and
-			// why) rather than leaving it blocked on a read.
-			write(encodeEvent(Event{Kind: streamEnd, Query: nq.name, Reason: reason}))
+			// Query uninstalled or server closing: tell the client its
+			// stream is over rather than leaving it blocked on a read.
+			write(encodeEvent(Event{Kind: streamEnd, Query: nq.name, Reason: EndReasonClosed}))
 			return
 		}
 		if ev.resync {

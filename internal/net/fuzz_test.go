@@ -2,6 +2,7 @@ package net
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	stdnet "net"
 	"testing"
@@ -15,13 +16,14 @@ import (
 
 // FuzzFrameDecode: malformed, truncated, or bit-flipped bytes must never
 // panic any layer of the receive path — the frame reader, the request
-// decoder, the response decoder, or the query parser. Every outcome is a
+// decoder, the response decoder, or the plan decoder. Every outcome is a
 // typed error or a valid value.
 func FuzzFrameDecode(f *testing.F) {
 	// Seed with every request shape, valid stream frames, and framings.
 	reqs := []request{
 		{kind: reqHello, magic: Magic, version: Version},
-		{kind: reqInstall, name: "q", text: "edges | keymod 3 1 | count"},
+		{kind: reqInstallPlan, name: "q", text: "edges | keymod 3 1 | count",
+			blob: plan.Encode(plan.Scan("edges").KeyMod(3, 1).Count())},
 		{kind: reqUninstall, name: "q"},
 		{kind: reqUpdate, name: "edges", upds: []Delta{{Key: 1, Val: 2, Diff: 1}, {Key: 3, Val: 4, Diff: -1}}},
 		{kind: reqAdvance, name: "edges"},
@@ -59,18 +61,33 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		// Decoders over the raw bytes directly (bit-flipped payloads that
 		// never had a valid frame).
-		if req, err := decodeRequest(data); err == nil {
-			switch req.kind {
-			case reqInstall:
-				// Parsed install requests feed the query parser.
-				ParseQuery(req.text)
-			case reqInstallPlan:
-				// Parsed install-plan requests feed the plan decoder.
-				plan.Decode(req.blob)
-			}
+		if req, err := decodeRequest(data); err == nil && req.kind == reqInstallPlan {
+			// Parsed install-plan requests feed the plan decoder.
+			plan.Decode(req.blob)
 		}
 		decodeResponse(data)
-		ParseQuery(string(data))
+	})
+}
+
+// FuzzParseQuery: the pipeline grammar no longer arrives in a frame, but it
+// still takes whatever text a shell hands `kpg client install`; any input
+// must yield a plan that validates or an error, never a panic or a stack
+// overflow.
+func FuzzParseQuery(f *testing.F) {
+	for _, q := range []string{
+		"edges", "edges | keymod 3 1 | count", "edges | keyeq 5 | swap | join edges",
+		"(edges | distinct) | join (edges | valeq 2)", "edges | keymod 0 0", "edges |", "((((",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		root, err := ParseQuery(text)
+		if err != nil {
+			return
+		}
+		if err := root.Validate(); err != nil {
+			t.Fatalf("ParseQuery(%q) returned a plan that does not validate: %v", text, err)
+		}
 	})
 }
 
@@ -98,13 +115,17 @@ func TestMalformedFramesDisconnectCleanly(t *testing.T) {
 
 	hello := wal.AppendRecord(nil, encodeRequest(request{
 		kind: reqHello, magic: Magic, version: Version}))
+	// The retired text-install frame, exactly as an old client would send it
+	// after a good hello: an unknown kind now, whatever its body.
+	retired := wal.AppendString(wal.AppendString([]byte{reqInstallRetired}, "q"), "edges | count")
 	payloads := [][]byte{
 		[]byte("not a frame at all"),
-		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0},            // absurd length prefix
-		wal.AppendRecord(nil, []byte{}),                 // empty payload
-		wal.AppendRecord(nil, []byte{99, 1, 2, 3}),      // unknown kind
-		wal.AppendRecord(nil, []byte{reqInstall, 0xff}), // truncated body
-		append(append([]byte{}, hello...), 0x01, 0x02),  // valid hello, torn tail
+		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0},           // absurd length prefix
+		wal.AppendRecord(nil, []byte{}),                // empty payload
+		wal.AppendRecord(nil, []byte{99, 1, 2, 3}),     // unknown kind
+		wal.AppendRecord(nil, []byte{reqUpdate, 0xff}), // truncated body
+		append(append([]byte{}, hello...), 0x01, 0x02), // valid hello, torn tail
+		wal.AppendRecord(append([]byte{}, hello...), retired),
 	}
 	for i, p := range payloads {
 		conn, err := stdnet.Dial("tcp", addr)
@@ -119,16 +140,17 @@ func TestMalformedFramesDisconnectCleanly(t *testing.T) {
 		// The server must either reply (typed error or handshake ack) and
 		// disconnect, or just disconnect: the read must reach EOF without
 		// the deadline firing.
-		buf := make([]byte, 4096)
-		for {
-			if _, err := conn.Read(buf); err != nil {
-				if err != io.EOF {
-					t.Fatalf("case %d: read ended with %v, want EOF", i, err)
-				}
-				break
-			}
+		replies, err := io.ReadAll(conn)
+		if err != nil {
+			t.Fatalf("case %d: read ended with %v, want EOF", i, err)
 		}
 		conn.Close()
+		if i == len(payloads)-1 {
+			want := fmt.Sprintf("unknown request kind %d", reqInstallRetired)
+			if !bytes.Contains(replies, []byte(want)) {
+				t.Fatalf("retired install frame: server replied %q, want a typed error saying %q", replies, want)
+			}
+		}
 	}
 
 	// After all that abuse the frontend still serves real clients.

@@ -5,17 +5,6 @@ import (
 	"sync"
 )
 
-// hubOptions bounds what a single subscriber may pin in a hub.
-type hubOptions struct {
-	// maxLag bounds the completed-but-undelivered deltas one subscriber may
-	// pin (buckets behind its cursor cannot fold). Zero or negative means
-	// unbounded.
-	maxLag int
-	// kick ends a breaching subscriber's stream (reason "lagged") instead of
-	// resetting it onto the consolidated collection.
-	kick bool
-}
-
 // hub collects one installed query's result deltas and fans them out to
 // subscribers, decoupling the epoch cycle from connection speed:
 //
@@ -35,16 +24,19 @@ type hubOptions struct {
 // arrives late receives that base as a snapshot, then the live epochs: the
 // network analogue of the shared-arrangement import.
 //
-// The backlog itself is bounded by opt.maxLag: completion's enforcement sweep
-// resets (or, under opt.kick, ends) any subscriber pinning more than that
-// many completed deltas, releasing its buckets to fold. A reset subscriber's
+// The backlog itself is bounded by maxLag: completion's enforcement sweep
+// resets any subscriber pinning more than that many completed deltas,
+// releasing its buckets to fold. A reset subscriber's
 // next read is a resync — the consolidated collection again, replacing
 // whatever state it had accumulated — so even a subscriber that never drains
 // cannot grow hub memory past the bound.
 type hub struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	opt  hubOptions
+	// maxLag bounds the completed-but-undelivered deltas one subscriber may
+	// pin (buckets behind its cursor cannot fold). Zero or negative means
+	// unbounded.
+	maxLag int
 
 	base       map[[2]uint64]int64 // net collection of epochs < baseEpoch
 	baseEpoch  uint64
@@ -55,19 +47,18 @@ type hub struct {
 }
 
 // subscriber is one attachment to a hub. cursor is the next epoch it has not
-// yet received; it only ever advances to completed epochs. resync and kicked
-// are set by the enforcement sweep when the subscriber's pinned backlog
-// breaches the hub's bound, and observed at its next read.
+// yet received; it only ever advances to completed epochs. resync is set by
+// the enforcement sweep when the subscriber's pinned backlog breaches the
+// hub's bound, and observed at its next read.
 type subscriber struct {
 	h      *hub
 	cursor uint64
 	resync bool
-	kicked bool
 }
 
-func newHub(opt hubOptions) *hub {
+func newHub(maxLag int) *hub {
 	h := &hub{
-		opt:     opt,
+		maxLag:  maxLag,
 		base:    make(map[[2]uint64]int64),
 		buckets: make(map[uint64][]Delta),
 		subs:    make(map[*subscriber]struct{}),
@@ -99,24 +90,20 @@ func (h *hub) complete(to uint64) {
 
 // enforceLocked sweeps subscribers against the lag bound: any subscriber
 // pinning more than maxLag completed deltas has its cursor jumped to the
-// frontier (releasing its buckets to fold) and is marked for resync — or for
-// disconnection under the kick policy. Counting stops at the bound, so the
-// sweep costs O(bound) per laggard, not O(backlog).
+// frontier (releasing its buckets to fold) and is marked for resync. Counting
+// stops at the bound, so the sweep costs O(bound) per laggard, not
+// O(backlog).
 func (h *hub) enforceLocked() {
-	if h.opt.maxLag <= 0 {
+	if h.maxLag <= 0 {
 		return
 	}
 	for s := range h.subs {
 		backlog := 0
-		for e := s.cursor; e < h.completeTo && backlog <= h.opt.maxLag; e++ {
+		for e := s.cursor; e < h.completeTo && backlog <= h.maxLag; e++ {
 			backlog += len(h.buckets[e])
 		}
-		if backlog > h.opt.maxLag {
-			if h.opt.kick {
-				s.kicked = true
-			} else {
-				s.resync = true
-			}
+		if backlog > h.maxLag {
+			s.resync = true
 			s.cursor = h.completeTo
 		}
 	}
@@ -243,17 +230,13 @@ type subEvent struct {
 
 // next blocks until the subscriber has something to deliver (a completed
 // epoch past its cursor, a pending resync, or its end), then returns it. ok
-// is false when the stream is over; reason then says why (EndReasonClosed
-// for a clean close, EndReasonLagged when the kick policy disconnected it).
-func (s *subscriber) next() (ev subEvent, reason string, ok bool) {
+// is false when the stream is over: the hub closed with nothing new.
+func (s *subscriber) next() (ev subEvent, ok bool) {
 	h := s.h
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for !s.kicked && !s.resync && h.completeTo <= s.cursor && !h.closed {
+	for !s.resync && h.completeTo <= s.cursor && !h.closed {
 		h.cond.Wait()
-	}
-	if s.kicked {
-		return subEvent{}, EndReasonLagged, false
 	}
 	if s.resync {
 		s.resync = false
@@ -261,10 +244,10 @@ func (s *subscriber) next() (ev subEvent, reason string, ok bool) {
 		ev = subEvent{resync: true, snapshot: h.consolidatedLocked(), start: h.completeTo}
 		ev.frontier = h.completeTo - 1 // a breach implies completeTo > 0
 		h.trimLocked()
-		return ev, "", true
+		return ev, true
 	}
 	if h.completeTo <= s.cursor { // closed with nothing new
-		return subEvent{}, EndReasonClosed, false
+		return subEvent{}, false
 	}
 	for e := s.cursor; e < h.completeTo; e++ {
 		if b := h.buckets[e]; len(b) > 0 {
@@ -274,5 +257,5 @@ func (s *subscriber) next() (ev subEvent, reason string, ok bool) {
 	s.cursor = h.completeTo
 	ev.frontier = h.completeTo - 1
 	h.trimLocked()
-	return ev, "", true
+	return ev, true
 }

@@ -23,7 +23,7 @@ func foldDeltas(acc map[[2]uint64]int64, upds []Delta) {
 // collection.
 func TestHubLagResetBoundsMemory(t *testing.T) {
 	const maxLag, epochs, per = 50, 40, 20
-	h := newHub(hubOptions{maxLag: maxLag})
+	h := newHub(maxLag)
 	sub, snap, start := h.subscribe()
 	if len(snap) != 0 || start != 0 {
 		t.Fatalf("fresh hub snapshot = %d deltas at %d, want empty at 0", len(snap), start)
@@ -51,9 +51,9 @@ func TestHubLagResetBoundsMemory(t *testing.T) {
 
 	// The subscriber's next read is a resync: the full consolidated
 	// collection below the frontier, replacing everything it missed.
-	ev, reason, ok := sub.next()
-	if !ok || reason != "" {
-		t.Fatalf("next after reset: ok=%v reason=%q, want a resync event", ok, reason)
+	ev, ok := sub.next()
+	if !ok {
+		t.Fatal("next after reset: stream over, want a resync event")
 	}
 	if !ev.resync || ev.start != epochs || ev.frontier != epochs-1 {
 		t.Fatalf("resync = %v start=%d frontier=%d, want true/%d/%d",
@@ -68,38 +68,16 @@ func TestHubLagResetBoundsMemory(t *testing.T) {
 	// Live continuation after the resync: ordinary per-epoch deltas again.
 	h.add(epochs, 999, 999, 1)
 	h.complete(epochs + 1)
-	ev, reason, ok = sub.next()
+	ev, ok = sub.next()
 	if !ok || ev.resync || len(ev.ds) != 1 || ev.ds[0].epoch != epochs || ev.frontier != epochs {
-		t.Fatalf("post-resync event = %+v reason=%q ok=%v, want one live epoch %d", ev, reason, ok, epochs)
-	}
-}
-
-// TestHubKickPolicy: under the disconnect policy a lagging subscriber's
-// stream ends with the typed "lagged" reason instead of a resync, and its
-// buckets fold so hub memory stays bounded.
-func TestHubKickPolicy(t *testing.T) {
-	h := newHub(hubOptions{maxLag: 5, kick: true})
-	sub, _, _ := h.subscribe()
-	for e := uint64(0); e < 4; e++ {
-		for i := uint64(0); i < 3; i++ {
-			h.add(e, i, e, 1)
-		}
-		h.complete(e + 1)
-	}
-	if ev, reason, ok := sub.next(); ok || reason != EndReasonLagged {
-		t.Fatalf("next on kicked subscriber = (%+v, %q, %v), want end with %q",
-			ev, reason, ok, EndReasonLagged)
-	}
-	h.unsubscribe(sub)
-	if p := h.pinned(); p != 0 {
-		t.Fatalf("hub still pins %d deltas after kick+unsubscribe", p)
+		t.Fatalf("post-resync event = %+v ok=%v, want one live epoch %d", ev, ok, epochs)
 	}
 }
 
 // TestHubUnboundedKeepsBacklog: with the bound disabled a laggard pins its
 // whole backlog (the pre-existing behavior) and reads it all back.
 func TestHubUnboundedKeepsBacklog(t *testing.T) {
-	h := newHub(hubOptions{})
+	h := newHub(0)
 	sub, _, _ := h.subscribe()
 	const epochs = 30
 	for e := uint64(0); e < epochs; e++ {
@@ -109,10 +87,10 @@ func TestHubUnboundedKeepsBacklog(t *testing.T) {
 	if p := h.pinned(); p != epochs {
 		t.Fatalf("unbounded hub pins %d, want %d", p, epochs)
 	}
-	ev, reason, ok := sub.next()
+	ev, ok := sub.next()
 	if !ok || ev.resync || len(ev.ds) != epochs || ev.frontier != epochs-1 {
-		t.Fatalf("unbounded read = %d epochs resync=%v reason=%q ok=%v, want all %d",
-			len(ev.ds), ev.resync, reason, ok, epochs)
+		t.Fatalf("unbounded read = %d epochs resync=%v ok=%v, want all %d",
+			len(ev.ds), ev.resync, ok, epochs)
 	}
 }
 
@@ -121,7 +99,6 @@ func TestHubUnboundedKeepsBacklog(t *testing.T) {
 // encode/decode.
 func TestStreamFrameRoundTrip(t *testing.T) {
 	events := []Event{
-		{Kind: streamEnd, Query: "q", Reason: EndReasonLagged},
 		{Kind: streamEnd, Query: "q", Reason: EndReasonClosed},
 		{Kind: streamResync, Query: "q", Epoch: 17,
 			Upds: []Delta{{Key: 1, Val: 2, Diff: 3}, {Key: 4, Val: 5, Diff: -6}}},
@@ -136,7 +113,7 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 			t.Fatalf("round trip:\n got %+v\nwant %+v", resp.event, want)
 		}
 	}
-	if !events[0].End() || events[0].Resync() || !events[2].Resync() {
+	if !events[0].End() || events[0].Resync() || !events[1].Resync() {
 		t.Fatal("event kind predicates disagree with kinds")
 	}
 }

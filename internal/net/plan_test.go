@@ -1,7 +1,9 @@
 package net
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
 	stdnet "net"
 	"runtime"
 	"strings"
@@ -402,82 +404,29 @@ func TestGraspanReachabilityAsDatalog(t *testing.T) {
 	sameSet(t, "graspan wire vs hand-built", setOf(t, "reach", st), hand)
 }
 
-// TestProtocolVersionNegotiation pins the compatibility contract: a v2
-// client handshakes against the historical reply shape and keeps the whole
-// v2 surface; plan installation is refused at both ends of a v2 session
-// without disturbing it; out-of-range versions are refused at hello.
-func TestProtocolVersionNegotiation(t *testing.T) {
+// TestProtocolVersionMismatchRefused: a hello at any version but Version —
+// older, the retired v2 included, or newer — draws a typed error naming the
+// version the server speaks, and the connection ends.
+func TestProtocolVersionMismatchRefused(t *testing.T) {
 	_, _, addr := startFrontend(t, 1)
-
-	// A current client negotiates v3 and can ship plans.
-	c3, err := Dial(addr)
-	if err != nil {
-		t.Fatalf("dial v3: %v", err)
-	}
-	defer c3.Close()
-	if v := c3.ProtoVersion(); v != 3 {
-		t.Fatalf("negotiated version %d, want 3", v)
-	}
-	if err := c3.InstallPlan("k3", "count(edges)", plan.Scan("edges").Count()); err != nil {
-		t.Fatalf("v3 InstallPlan: %v", err)
-	}
-	if err := c3.Uninstall("k3"); err != nil {
-		t.Fatalf("uninstall: %v", err)
-	}
-
-	// A pinned v2 client: the old grammar and control surface all work.
-	conn, err := stdnet.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial raw: %v", err)
-	}
-	c2, err := NewClientVersion(conn, 2)
-	if err != nil {
-		t.Fatalf("v2 handshake: %v", err)
-	}
-	defer c2.Close()
-	if v := c2.ProtoVersion(); v != 2 {
-		t.Fatalf("negotiated version %d, want 2", v)
-	}
-	if c2.Workers() != 1 {
-		t.Fatalf("v2 handshake workers = %d, want 1", c2.Workers())
-	}
-	if err := c2.Install("q2", "edges | count"); err != nil {
-		t.Fatalf("v2 grammar install: %v", err)
-	}
-
-	// Client-side refusal: InstallPlan never reaches the wire on v2.
-	err = c2.InstallPlan("p2", "count(edges)", plan.Scan("edges").Count())
-	if err == nil || !strings.Contains(err.Error(), "v3") {
-		t.Fatalf("v2 InstallPlan error = %v, want a local v3-required error", err)
-	}
-	var remote *RemoteError
-	if errors.As(err, &remote) {
-		t.Fatalf("v2 InstallPlan reached the server: %v", err)
-	}
-
-	// Server-side refusal: a raw install-plan frame on a v2 session draws a
-	// typed error and the session survives.
-	_, err = c2.call(request{kind: reqInstallPlan, name: "p2", text: "t",
-		blob: plan.Encode(plan.Scan("edges").Count())})
-	if !errors.As(err, &remote) || !strings.Contains(err.Error(), "v3") {
-		t.Fatalf("raw install-plan on v2 session: err %v, want remote v3-required error", err)
-	}
-	if l, err := c2.List(); err != nil || len(l.Queries) != 1 {
-		t.Fatalf("v2 session after refusal: listing %+v, err %v; want it intact with q2", l, err)
-	}
-	if err := c2.Uninstall("q2"); err != nil {
-		t.Fatalf("v2 uninstall: %v", err)
-	}
-
-	// Hello with a version outside [MinVersion, Version] is refused.
-	for _, v := range []uint32{0, 1, Version + 1} {
+	for v := uint32(0); v <= Version+1; v++ {
+		if v == Version {
+			continue
+		}
 		conn, err := stdnet.Dial("tcp", addr)
 		if err != nil {
 			t.Fatalf("dial raw: %v", err)
 		}
-		if _, err := NewClientVersion(conn, v); !errors.As(err, &remote) {
-			t.Fatalf("hello at version %d: err %v, want remote protocol mismatch", v, err)
+		c := &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+		_, err = c.call(request{kind: reqHello, magic: Magic, version: v})
+		var remote *RemoteError
+		if !errors.As(err, &remote) || !strings.Contains(remote.Msg, fmt.Sprintf("version %d)", Version)) {
+			t.Fatalf("hello at version %d: err %v, want a remote mismatch error naming version %d", v, err, Version)
 		}
+		if _, err := c.read(); err == nil {
+			t.Fatalf("hello at version %d: connection still open after the refusal", v)
+		}
+		conn.Close()
 	}
 }
 

@@ -18,12 +18,16 @@
 // therefore lags and pins only its own backlog; it never blocks the workers
 // or other subscribers. That backlog is itself bounded
 // (FrontendOptions.SubscriberMaxLag): a subscriber pinning more completed
-// deltas than the bound is either reset — its stream continues with a
-// streamResync frame carrying the consolidated collection, exactly what a
-// fresh subscriber would receive — or, under KickLagging, ended with a
-// typed "lagged" end-of-stream reason. Remote epoch seals route through
-// per-source server.Batchers (FrontendOptions.BatchMaxLag), so a client
-// hammering advance cannot queue unbounded per-update epochs either.
+// deltas than the bound is reset — its stream continues with a streamResync
+// frame carrying the consolidated collection, exactly what a fresh
+// subscriber would receive. Remote epoch seals route through per-source
+// server.Batchers (FrontendOptions.BatchMaxLag), so a client hammering
+// advance cannot queue unbounded per-update epochs either.
+//
+// Queries cross the wire in one form: a relational plan in the internal/plan
+// encoding (reqInstallPlan). The pipeline grammar (ParseQuery) and Datalog
+// (plan.Compile) are client-side surface syntax over it; the server never
+// parses query text.
 package net
 
 import (
@@ -37,17 +41,14 @@ import (
 const (
 	// Magic opens every connection's hello frame ("kpg1").
 	Magic uint32 = 0x6b706731
-	// Version is the protocol version the server speaks natively. Version 2
-	// added streamResync (a lag-bounded subscriber's state is replaced
-	// wholesale) and the typed reason on streamEnd. Version 3 added
-	// reqInstallPlan (install a relational plan shipped in the internal/plan
-	// wire encoding) and the version echo in the hello reply's high bits.
+	// Version is the one protocol version either end speaks; a hello at any
+	// other is refused with a typed error naming it. Version 2 added
+	// streamResync (a lag-bounded subscriber's state is replaced wholesale)
+	// and the typed reason on streamEnd. Version 3 added reqInstallPlan
+	// (install a relational plan shipped in the internal/plan wire encoding)
+	// and the version echo in the hello reply's high bits, and retired
+	// reqInstall.
 	Version uint32 = 3
-	// MinVersion is the oldest version the server still accepts at hello: a
-	// v2 client negotiates a v2 session (the hello reply keeps its exact v2
-	// shape, and reqInstallPlan is refused) while the pipeline grammar and
-	// every streaming frame work unchanged.
-	MinVersion uint32 = 2
 	// MaxFrame bounds a single frame's payload in both directions.
 	MaxFrame uint32 = 1 << 24
 )
@@ -55,15 +56,18 @@ const (
 // Request kinds (client to server).
 const (
 	reqHello byte = iota + 1
-	reqInstall
+	// reqInstallRetired carried pipeline query text for the server to parse.
+	// Nothing sends or accepts it; the byte stays reserved so that no other
+	// kind renumbers.
+	reqInstallRetired
 	reqUninstall
 	reqUpdate
 	reqAdvance
 	reqSync
 	reqList
 	reqSubscribe
-	// reqInstallPlan (v3) installs a relational plan: a display text for
-	// listings plus the plan's canonical wire encoding (plan.Encode).
+	// reqInstallPlan installs a relational plan: a display text for listings
+	// plus the plan's canonical wire encoding (plan.Encode).
 	reqInstallPlan
 )
 
@@ -81,9 +85,7 @@ const (
 	// been delivered (sent even when the epoch's delta is empty).
 	streamFrontier
 	// streamEnd announces that a subscription is over; no further events for
-	// this query will follow. Its Reason distinguishes a clean end (the
-	// query was uninstalled or the server is shutting down) from a
-	// disconnect the hub imposed on a subscriber past its lag bound.
+	// this query will follow. Its Reason says why.
 	streamEnd
 	// streamResync replaces the subscriber's accumulated state wholesale:
 	// the hub reset a subscriber whose pinned backlog exceeded its bound,
@@ -92,16 +94,10 @@ const (
 	streamResync
 )
 
-// End-of-stream reasons carried on streamEnd events.
-const (
-	// EndReasonClosed: the query was uninstalled or the server is shutting
-	// down; the stream delivered everything published.
-	EndReasonClosed = "closed"
-	// EndReasonLagged: the subscriber's pinned backlog exceeded the hub's
-	// bound under the disconnect policy; deltas were dropped, so the client
-	// must resubscribe for a fresh snapshot if it still wants the feed.
-	EndReasonLagged = "lagged"
-)
+// EndReasonClosed is the reason carried on streamEnd events: the query was
+// uninstalled or the server is shutting down; the stream delivered
+// everything published.
+const EndReasonClosed = "closed"
 
 // Delta is one result or input change on the wire.
 type Delta struct {
@@ -114,8 +110,8 @@ type request struct {
 	kind    byte
 	magic   uint32 // hello
 	version uint32 // hello
-	name    string // install/uninstall/update/advance/sync: query or source
-	text    string // install: query text; installPlan: display text
+	name    string // installPlan/uninstall/update/advance/sync: query or source
+	text    string // installPlan: display text
 	blob    []byte // installPlan: plan wire encoding
 	upds    []Delta
 	names   []string // subscribe
@@ -197,9 +193,6 @@ func encodeRequest(r request) []byte {
 	case reqHello:
 		dst = wal.AppendU32(dst, r.magic)
 		dst = wal.AppendU32(dst, r.version)
-	case reqInstall:
-		dst = wal.AppendString(dst, r.name)
-		dst = wal.AppendString(dst, r.text)
 	case reqInstallPlan:
 		dst = wal.AppendString(dst, r.name)
 		dst = wal.AppendString(dst, r.text)
@@ -236,13 +229,6 @@ func decodeRequest(payload []byte) (request, error) {
 			return r, err
 		}
 		if r.version, err = d.U32(); err != nil {
-			return r, err
-		}
-	case reqInstall:
-		if r.name, err = d.String(); err != nil {
-			return r, err
-		}
-		if r.text, err = d.String(); err != nil {
 			return r, err
 		}
 	case reqInstallPlan:

@@ -8,10 +8,10 @@ import (
 	"repro/internal/plan"
 )
 
-// Query grammar (protocol v2, kept as sugar). A query is a pipeline over
-// registered sources; every stage maps a (uint64, uint64) collection to
-// another, so plans compose freely and every result streams over the wire in
-// the same delta encoding:
+// Query grammar (client-side sugar: Client.Install parses it and ships the
+// plan). A query is a pipeline over registered sources; every stage maps a
+// (uint64, uint64) collection to another, so plans compose freely and every
+// result streams over the wire in the same delta encoding:
 //
 //	query  := term { '|' stage }
 //	term   := SOURCE | '(' query ')'
@@ -37,12 +37,12 @@ import (
 //
 // The grammar is pure surface syntax: ParseQuery desugars a pipeline into the
 // same relational plan IR (internal/plan) that Datalog programs compile to
-// and protocol-v3 clients ship directly, so a v2 pipeline and a v3 plan that
+// and the programmatic builder composes, so a pipeline and a plan that
 // describe the same computation share one canonical form — and therefore one
 // set of installed arrangements.
 
-// maxPlanDepth bounds parenthesis nesting: the parser recurses, and plans
-// arrive over the network, so unbounded nesting would be a remote stack
+// maxPlanDepth bounds parenthesis nesting: the parser recurses, and the text
+// comes from whoever holds a shell, so unbounded nesting would be a stack
 // overflow.
 const maxPlanDepth = 64
 
@@ -106,7 +106,7 @@ func (p *parser) num(what string) (uint64, error) {
 }
 
 // ParseQuery parses a pipeline query text into a relational plan. It never
-// panics, whatever the input: queries arrive over the network.
+// panics, whatever the input.
 func ParseQuery(text string) (*plan.Node, error) {
 	p := &parser{toks: tokenize(text)}
 	pl, err := p.query(0)

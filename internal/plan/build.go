@@ -39,95 +39,148 @@ func Build(root *Node, env Env) (dd.Collection[uint64, uint64], error) {
 	if err := root.Validate(); err != nil {
 		return dd.Collection[uint64, uint64]{}, err
 	}
-	b := &buildCtx{
-		env:  env,
-		cols: map[string]dd.Collection[uint64, uint64]{},
-		arrs: map[string]*core.Arranged[uint64, uint64]{},
+	top := &scope{
+		env:   env,
+		label: "plan",
+		cols:  map[string]dd.Collection[uint64, uint64]{},
+		arrs:  map[string]*core.Arranged[uint64, uint64]{},
 	}
-	return b.build(root)
+	return top.build(root)
 }
 
-type buildCtx struct {
-	env  Env
-	cols map[string]dd.Collection[uint64, uint64] // by canonical key
+// scope builds nodes at one nesting level: the top level (parent == nil) or
+// the iteration scope of one Fixpoint. Collections and arrangements are
+// memoized per scope by canonical key, since a stream belongs to the scope
+// it was built in.
+type scope struct {
+	env    Env
+	parent *scope
+	label  string // operator-name prefix for what this scope arranges
+
+	// An iteration scope's definitions: their names, the containsRec memo
+	// for them, and one loop variable each. All nil at top level.
+	defs map[string]bool
+	crm  map[*Node]bool
+	vars map[string]*dd.Variable[uint64, uint64]
+
+	cols map[string]dd.Collection[uint64, uint64]
 	arrs map[string]*core.Arranged[uint64, uint64]
 }
 
-func (b *buildCtx) build(n *Node) (dd.Collection[uint64, uint64], error) {
+// outer reports whether n belongs to the enclosing scope: inside a Fixpoint,
+// a sub-plan that references none of its definitions is built (or resolved)
+// outside the loop and brought in with Enter/EnterArranged, so its
+// arrangements stay shared with everything outside.
+func (s *scope) outer(n *Node) bool {
+	return s.parent != nil && !containsRec(n, s.defs, s.crm)
+}
+
+func (s *scope) build(n *Node) (dd.Collection[uint64, uint64], error) {
 	key := n.Key()
-	if c, ok := b.cols[key]; ok {
+	if c, ok := s.cols[key]; ok {
 		return c, nil
 	}
-	a, err := b.resident(n)
-	if err != nil {
-		return dd.Collection[uint64, uint64]{}, err
-	}
 	var c dd.Collection[uint64, uint64]
-	if a != nil {
-		c = dd.Flatten(a)
-	} else if c, err = b.buildOp(n); err != nil {
-		return c, err
+	if s.outer(n) {
+		oc, err := s.parent.build(n)
+		if err != nil {
+			return c, err
+		}
+		c = dd.Enter(oc)
+	} else {
+		a, err := s.resident(n)
+		if err != nil {
+			return c, err
+		}
+		if a != nil {
+			c = dd.Flatten(a)
+		} else if c, err = s.buildOp(n); err != nil {
+			return c, err
+		}
 	}
-	b.cols[key] = c
+	s.cols[key] = c
 	return c, nil
 }
 
 // resident returns n's output as an arrangement that exists without building
 // n: one already at hand, a shared installation of a stateful sub-plan, or a
-// base relation's import. Nil means n has to be built. Each is resolved once
-// per plan, whether it is then flattened, joined or looked up.
-func (b *buildCtx) resident(n *Node) (*core.Arranged[uint64, uint64], error) {
+// base relation's import. Nil means n has to be built — always so inside a
+// loop, where n depends on the loop's variables. Each is resolved once per
+// plan, whether it is then flattened, joined or looked up.
+func (s *scope) resident(n *Node) (*core.Arranged[uint64, uint64], error) {
+	if s.parent != nil {
+		return nil, nil
+	}
 	key := n.Key()
-	if a, ok := b.arrs[key]; ok {
+	if a, ok := s.arrs[key]; ok {
 		return a, nil
 	}
 	var a *core.Arranged[uint64, uint64]
 	switch {
 	case n.Op == OpScan:
-		if b.env.Source == nil {
+		if s.env.Source == nil {
 			return nil, buildErrf("no source resolver for relation %q", n.Rel)
 		}
 		var err error
-		if a, err = b.env.Source(n.Rel); err != nil {
+		if a, err = s.env.Source(n.Rel); err != nil {
 			return nil, err
 		}
-	case n.Stateful() && b.env.Shared != nil:
-		a = b.env.Shared(key)
+	case n.Stateful() && s.env.Shared != nil:
+		a = s.env.Shared(key)
 	}
 	if a != nil {
-		b.arrs[key] = a
+		s.arrs[key] = a
 	}
 	return a, nil
 }
 
 // arranged returns an arrangement of n's output, preferring (in order) one
-// already at hand, a shared installation, a source import, the arranged
-// output a Distinct reduce produces anyway, and only then arranging afresh.
-func (b *buildCtx) arranged(n *Node) (*core.Arranged[uint64, uint64], error) {
+// already at hand, the enclosing scope's, a shared installation, a source
+// import, the arranged output a Distinct reduce produces anyway, and only
+// then arranging afresh.
+func (s *scope) arranged(n *Node) (*core.Arranged[uint64, uint64], error) {
 	key := n.Key()
-	if a, ok := b.arrs[key]; ok {
+	if a, ok := s.arrs[key]; ok {
 		return a, nil
 	}
-	c, err := b.build(n) // may register an arrangement as a side effect
+	if s.outer(n) {
+		oa, err := s.parent.arranged(n)
+		if err != nil {
+			return nil, err
+		}
+		a := dd.EnterArranged(oa, nodeName("plan-enter", n))
+		s.arrs[key] = a
+		return a, nil
+	}
+	c, err := s.build(n) // may register an arrangement as a side effect
 	if err != nil {
 		return nil, err
 	}
-	if a, ok := b.arrs[key]; ok {
+	if a, ok := s.arrs[key]; ok {
 		return a, nil
 	}
-	a := dd.Arrange(c, core.U64(), nodeName("plan", n))
-	b.arrs[key] = a
+	a := dd.Arrange(c, core.U64(), nodeName(s.label, n))
+	s.arrs[key] = a
 	return a, nil
 }
 
-func (b *buildCtx) buildOp(n *Node) (dd.Collection[uint64, uint64], error) {
+func (s *scope) buildOp(n *Node) (dd.Collection[uint64, uint64], error) {
 	var zero dd.Collection[uint64, uint64]
+	if s.parent != nil && (n.Op == OpCount || n.Op == OpFixpoint) {
+		return zero, buildErrf("%s on a recursive path", n.Op)
+	}
 	switch n.Op {
+	case OpRec:
+		v, ok := s.vars[n.Rel]
+		if !ok {
+			return zero, buildErrf("recursive reference %q outside its fixpoint", n.Rel)
+		}
+		return v.Collection(), nil
 	case OpFilter:
 		if n.FOp == FKeyEq {
 			// A look-up into something already arranged seeks the key in each
 			// batch instead of flattening the relation and filtering it.
-			a, err := b.resident(n.In)
+			a, err := s.resident(n.In)
 			if err != nil {
 				return zero, err
 			}
@@ -135,13 +188,13 @@ func (b *buildCtx) buildOp(n *Node) (dd.Collection[uint64, uint64], error) {
 				return dd.FlattenKey(a, n.A), nil
 			}
 		}
-		in, err := b.build(n.In)
+		in, err := s.build(n.In)
 		if err != nil {
 			return zero, err
 		}
 		return dd.Filter(in, func(k, v uint64) bool { return filterKeep(n, k, v) }), nil
 	case OpProject:
-		in, err := b.build(n.In)
+		in, err := s.build(n.In)
 		if err != nil {
 			return zero, err
 		}
@@ -151,86 +204,84 @@ func (b *buildCtx) buildOp(n *Node) (dd.Collection[uint64, uint64], error) {
 			return projCol(c0, rec), projCol(c1, rec)
 		}), nil
 	case OpUnion:
-		l, err := b.build(n.In)
+		l, err := s.build(n.In)
 		if err != nil {
 			return zero, err
 		}
-		r, err := b.build(n.Right)
+		r, err := s.build(n.Right)
 		if err != nil {
 			return zero, err
 		}
 		return dd.Concat(l, r), nil
 	case OpJoin:
-		la, err := b.arranged(n.In)
+		la, err := s.arranged(n.In)
 		if err != nil {
 			return zero, err
 		}
-		ra, err := b.arranged(n.Right)
+		ra, err := s.arranged(n.Right)
 		if err != nil {
 			return zero, err
 		}
 		return joinNode(la, ra, n), nil
 	case OpCount:
-		ia, err := b.arranged(n.In)
+		ia, err := s.arranged(n.In)
 		if err != nil {
 			return zero, err
 		}
 		cnt := dd.CountCore(ia)
 		return dd.Map(cnt, func(k uint64, c int64) (uint64, uint64) { return k, uint64(c) }), nil
 	case OpDistinct:
-		ia, err := b.arranged(n.In)
+		ia, err := s.arranged(n.In)
 		if err != nil {
 			return zero, err
 		}
 		da := dd.DistinctCore(ia)
-		b.arrs[n.Key()] = da
+		s.arrs[n.Key()] = da
 		return dd.Flatten(da), nil
 	case OpFixpoint:
-		return b.buildFix(n)
+		return s.buildFix(n)
 	}
 	return zero, buildErrf("unknown op %d", n.Op)
 }
 
-// buildFix builds a Fixpoint: an iteration scope with one Variable per
-// definition. Recursion-free sub-plans are built in the outer scope and
-// brought in with Enter/EnterArranged, so their arrangements stay shared
-// with everything outside the loop.
-func (b *buildCtx) buildFix(n *Node) (dd.Collection[uint64, uint64], error) {
+// buildFix builds a Fixpoint: an iteration scope under s with one Variable
+// per definition.
+func (s *scope) buildFix(n *Node) (dd.Collection[uint64, uint64], error) {
 	var zero dd.Collection[uint64, uint64]
-	defs := map[string]bool{}
-	for _, d := range n.Defs {
-		defs[d.Name] = true
+	in := &scope{
+		env:    s.env,
+		parent: s,
+		label:  "plan-iter",
+		defs:   map[string]bool{},
+		crm:    map[*Node]bool{},
+		vars:   map[string]*dd.Variable[uint64, uint64]{},
+		cols:   map[string]dd.Collection[uint64, uint64]{},
+		arrs:   map[string]*core.Arranged[uint64, uint64]{},
 	}
-	crm := map[*Node]bool{}
-	base := findBase(n, defs, crm)
+	for _, d := range n.Defs {
+		in.defs[d.Name] = true
+	}
+	base := findBase(n, in.defs, in.crm)
 	if base == nil {
 		return zero, buildErrf("fixpoint %q has no recursion-free sub-plan to seed its scope", n.Out)
 	}
-	baseCol, err := b.build(base)
+	baseCol, err := s.build(base)
 	if err != nil {
 		return zero, err
 	}
 	// Variables start empty; each definition's body feeds its variable, so
 	// the loop carries exactly the derived facts.
 	empty := dd.Filter(dd.Enter(baseCol), func(uint64, uint64) bool { return false })
-	f := &fixCtx{
-		outer: b,
-		defs:  defs,
-		crm:   crm,
-		vars:  map[string]*dd.Variable[uint64, uint64]{},
-		cols:  map[string]dd.Collection[uint64, uint64]{},
-		arrs:  map[string]*core.Arranged[uint64, uint64]{},
-	}
 	for _, d := range n.Defs {
-		f.vars[d.Name] = dd.NewVariable(empty)
+		in.vars[d.Name] = dd.NewVariable(empty)
 	}
 	var out dd.Collection[uint64, uint64]
 	for _, d := range n.Defs {
-		val, err := f.build(d.Body)
+		val, err := in.build(d.Body)
 		if err != nil {
 			return zero, err
 		}
-		f.vars[d.Name].Set(val)
+		in.vars[d.Name].Set(val)
 		if d.Name == n.Out {
 			out = val
 		}
@@ -263,121 +314,6 @@ func findBase(n *Node, defs map[string]bool, crm map[*Node]bool) *Node {
 		}
 	}
 	return nil
-}
-
-// fixCtx builds nodes inside one iteration scope.
-type fixCtx struct {
-	outer *buildCtx
-	defs  map[string]bool
-	crm   map[*Node]bool // containsRec memo for defs
-	vars  map[string]*dd.Variable[uint64, uint64]
-	cols  map[string]dd.Collection[uint64, uint64] // in-scope, by canonical key
-	arrs  map[string]*core.Arranged[uint64, uint64]
-}
-
-func (f *fixCtx) build(n *Node) (dd.Collection[uint64, uint64], error) {
-	key := n.Key()
-	if c, ok := f.cols[key]; ok {
-		return c, nil
-	}
-	c, err := f.buildOp(n)
-	if err != nil {
-		return c, err
-	}
-	f.cols[key] = c
-	return c, nil
-}
-
-func (f *fixCtx) buildOp(n *Node) (dd.Collection[uint64, uint64], error) {
-	var zero dd.Collection[uint64, uint64]
-	if !containsRec(n, f.defs, f.crm) {
-		c, err := f.outer.build(n)
-		if err != nil {
-			return zero, err
-		}
-		return dd.Enter(c), nil
-	}
-	switch n.Op {
-	case OpRec:
-		v, ok := f.vars[n.Rel]
-		if !ok {
-			return zero, buildErrf("recursive reference %q outside its fixpoint", n.Rel)
-		}
-		return v.Collection(), nil
-	case OpFilter:
-		in, err := f.build(n.In)
-		if err != nil {
-			return zero, err
-		}
-		return dd.Filter(in, func(k, v uint64) bool { return filterKeep(n, k, v) }), nil
-	case OpProject:
-		in, err := f.build(n.In)
-		if err != nil {
-			return zero, err
-		}
-		c0, c1 := n.Cols[0], n.Cols[1]
-		return dd.Map(in, func(k, v uint64) (uint64, uint64) {
-			rec := [2]uint64{k, v}
-			return projCol(c0, rec), projCol(c1, rec)
-		}), nil
-	case OpUnion:
-		l, err := f.build(n.In)
-		if err != nil {
-			return zero, err
-		}
-		r, err := f.build(n.Right)
-		if err != nil {
-			return zero, err
-		}
-		return dd.Concat(l, r), nil
-	case OpJoin:
-		la, err := f.arranged(n.In)
-		if err != nil {
-			return zero, err
-		}
-		ra, err := f.arranged(n.Right)
-		if err != nil {
-			return zero, err
-		}
-		return joinNode(la, ra, n), nil
-	case OpDistinct:
-		ia, err := f.arranged(n.In)
-		if err != nil {
-			return zero, err
-		}
-		da := dd.DistinctCore(ia)
-		f.arrs[n.Key()] = da
-		return dd.Flatten(da), nil
-	}
-	return zero, buildErrf("%s on a recursive path", n.Op)
-}
-
-// arranged returns an in-scope arrangement of n. Recursion-free inputs
-// arrange (or resolve) outside the loop and are shared into the scope.
-func (f *fixCtx) arranged(n *Node) (*core.Arranged[uint64, uint64], error) {
-	key := n.Key()
-	if a, ok := f.arrs[key]; ok {
-		return a, nil
-	}
-	if !containsRec(n, f.defs, f.crm) {
-		oa, err := f.outer.arranged(n)
-		if err != nil {
-			return nil, err
-		}
-		a := dd.EnterArranged(oa, nodeName("plan-enter", n))
-		f.arrs[key] = a
-		return a, nil
-	}
-	c, err := f.build(n)
-	if err != nil {
-		return nil, err
-	}
-	if a, ok := f.arrs[key]; ok {
-		return a, nil
-	}
-	a := dd.Arrange(c, core.U64(), nodeName("plan-iter", n))
-	f.arrs[key] = a
-	return a, nil
 }
 
 // joinNode applies a Join node to two arrangements. A value-equality join

@@ -524,7 +524,7 @@ func (v *validator) validateBody(n *Node, s *vscope) error {
 //	plan.Scan("edges").KeyEq(5).Swap().JoinRight(plan.Scan("edges")).Count()
 //
 // instead of concatenating query-grammar strings; the grammar remains as
-// protocol-v2 sugar that parses into exactly these nodes.
+// client-side sugar that parses into exactly these nodes.
 // ---------------------------------------------------------------------------
 
 // Scan reads a named base relation (a registered server source).

@@ -49,6 +49,13 @@ echo "server on $addr"
 kpgc() { $bin -addr "$addr" "$@"; }
 
 kpgc client install counts 'edges | count'
+# The client parsed that text and shipped a plan; the listing must still show
+# the text exactly as typed.
+if ! kpgc client list | grep -qx 'query counts = edges | count'; then
+    echo "FAIL: listing does not show the query text as typed" >&2
+    kpgc client list >&2
+    exit 1
+fi
 kpgc client update edges 1:10 2:20 3:30
 kpgc client advance edges
 kpgc client sync edges
