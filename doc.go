@@ -8,7 +8,11 @@
 //   - internal/lattice — partially ordered timestamps, frontiers, and the
 //     compaction function rep_F(t) with the paper's Appendix A theorems.
 //   - internal/timely — a timely-dataflow runtime: workers, typed streams,
-//     capability-based progress tracking, cyclic graphs. Hash exchange is
+//     capability-based progress tracking, cyclic graphs. The progress
+//     tracker compiles each dataflow's topology into dense port locations
+//     with successor lists, keeps pointstamp counts per location, and
+//     publishes the closure's frontiers as an immutable table that
+//     operators and probes read without a lock. Hash exchange is
 //     batched and pooled: senders radix-partition records into
 //     per-destination buffers flushed as single mailbox messages per
 //     schedule, recycled through sync.Pool arenas so steady-state routing

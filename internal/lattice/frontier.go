@@ -71,6 +71,12 @@ func (f *Frontier) Insert(t Time) bool {
 	return true
 }
 
+// Clear empties f in place, keeping its storage for the inserts that follow:
+// scratch frontiers rebuilt on a hot path (an operator's justified times, the
+// progress tracker's closure) are cleared and refilled instead of reallocated.
+// Only for frontiers the caller owns outright.
+func (f *Frontier) Clear() { f.elems = f.elems[:0] }
+
 // Clone returns an independent copy of f.
 func (f Frontier) Clone() Frontier {
 	return Frontier{elems: append([]Time(nil), f.elems...)}

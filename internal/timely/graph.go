@@ -217,7 +217,8 @@ type opState struct {
 	nIn, nOut int
 	summaries [][]Summary
 	caps      []map[lattice.Time]int64 // persistent capabilities, per out port
-	justif    []lattice.Frontier       // per out port: times we may send at, this schedule
+	justif    []lattice.Frontier       // per out port: times we may send at, this schedule (storage reused)
+	ctx       Ctx                      // handed to run; lives here so a schedule allocates nothing
 	batch     progressBatch
 	flushers  []func() // staged exchange channels to flush after run
 	activity  bool
@@ -229,14 +230,14 @@ func (o *opState) schedule() bool {
 	o.activity = o.reactive
 	o.reactive = false
 	for p := 0; p < o.nOut; p++ {
-		var f lattice.Frontier
+		f := &o.justif[p]
+		f.Clear()
 		for t := range o.caps[p] {
 			f.Insert(t)
 		}
-		o.justif[p] = f
 	}
 	if o.run != nil {
-		o.run(&Ctx{o})
+		o.run(&o.ctx)
 	}
 	// Flush staged exchange buffers before publishing the progress batch:
 	// messages must be counted before the capabilities (or input messages)
@@ -259,6 +260,7 @@ func newOpState(g *Graph, name string, nIn, nOut int, summaries [][]Summary) *op
 		caps:   make([]map[lattice.Time]int64, nOut),
 		justif: make([]lattice.Frontier, nOut),
 	}
+	st.ctx.o = st
 	for i := range st.caps {
 		st.caps[i] = make(map[lattice.Time]int64)
 	}

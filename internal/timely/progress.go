@@ -3,6 +3,7 @@ package timely
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/lattice"
 )
@@ -50,11 +51,6 @@ type portKey struct {
 	out  bool
 }
 
-type portTime struct {
-	key portKey
-	t   lattice.Time
-}
-
 // nodeSpec describes one operator's progress-relevant shape. All workers
 // build identical dataflows, so the first worker to register wins and later
 // registrations are ignored.
@@ -66,6 +62,7 @@ type nodeSpec struct {
 	// initialCaps[out] times at which every worker's shard initially holds
 	// one capability (seeded at registration, worker count many).
 	initialCaps []lattice.Frontier
+	registered  bool // set by registerNode; the zero nodeSpec is a gap
 }
 
 type edgeSpec struct {
@@ -73,12 +70,92 @@ type edgeSpec struct {
 	dstOp, dstPort int
 }
 
+// location is one operator port in the tracker's dense numbering: the
+// pointstamps outstanding there and where a time at it could next appear.
+type location struct {
+	counts []timeCount // nonzero pointstamp counts, unordered, one per time
+	succ   []successor // compiled could-result-in steps out of this port
+}
+
+type timeCount struct {
+	t lattice.Time
+	n int64
+}
+
+// successor is one step of the could-result-in relation: an output port
+// reaches the input ports its edges lead to unchanged (SumID), an input port
+// reaches its operator's outputs through the operator's summaries.
+type successor struct {
+	to  int32
+	sum Summary
+}
+
+// pointstamp is one entry of the closure's work list.
+type pointstamp struct {
+	loc int32
+	t   lattice.Time
+}
+
+// closureScratch is the storage one run of the closure works in: an
+// antichain per location and the work list. It belongs to the runtime, not
+// to a tracker, and is lent out for the length of one closure, so a standing
+// dataflow that is not changing holds none: the runtime keeps as many as
+// closures have ever run at once, each grown to the largest graph it served.
+type closureScratch struct {
+	reach []lattice.Frontier
+	work  []pointstamp
+}
+
+func (rt *runtime) borrowScratch() *closureScratch {
+	rt.scratchMu.Lock()
+	defer rt.scratchMu.Unlock()
+	if n := len(rt.scratch); n > 0 {
+		sc := rt.scratch[n-1]
+		rt.scratch = rt.scratch[:n-1]
+		return sc
+	}
+	return &closureScratch{}
+}
+
+func (rt *runtime) returnScratch(sc *closureScratch) {
+	rt.scratchMu.Lock()
+	rt.scratch = append(rt.scratch, sc)
+	rt.scratchMu.Unlock()
+}
+
+// frontierTable is one published result of the closure: the frontier at
+// every input port, at fronts[base[op]+port]. A table is immutable once
+// published. base changes only with the topology; a closure that moves some
+// frontier publishes a copy of fronts sharing every frontier that held.
+type frontierTable struct {
+	base   []int32 // len(ops)+1 prefix sums of input-port counts
+	fronts []lattice.Frontier
+}
+
+// Bounds on the operator and port numbers a pointstamp delta may name. Local
+// deltas come from registered operators; a peer's may arrive before the
+// operator registers here, and the dense tables grow to hold it, so a
+// corrupt frame must not be able to size them.
+const (
+	maxTrackedOps   = 1 << 20
+	maxTrackedPorts = 1 << 10
+)
+
 // tracker is the per-dataflow progress tracker shared by all workers. It
 // maintains global counts of message pointstamps (at input ports) and
 // capability pointstamps (at output ports) and computes, on demand, the
 // frontier of times that might still arrive at every input port, via an
 // antichain closure over the dataflow topology (the could-result-in
 // relation).
+//
+// The topology is compiled into dense locations, one per port, each with its
+// own short list of counts and its successor list; the closure runs over
+// scratch borrowed from the runtime and publishes an immutable
+// frontierTable, which frontierAt reads without the mutex whenever no count
+// has crossed zero since. A reader on another goroutine may therefore see
+// the table of an earlier closure: frontiers only advance, so that is a
+// conservative answer. A goroutine always sees its own mutations, which
+// raise dirty before they return.
 type tracker struct {
 	rt  *runtime
 	seq int // dataflow sequence number (the fabric's dataflow address)
@@ -87,26 +164,59 @@ type tracker struct {
 	// negative (a message consumed before the sender's increment arrives).
 	dist bool
 
-	mu        sync.Mutex
-	nodes     []nodeSpec
-	outEdges  map[[2]int][][2]int // (op, outPort) -> list of (dstOp, dstPort)
-	msgs      map[portTime]int64  // input-port pointstamps
-	caps      map[portTime]int64  // output-port pointstamps
-	dirty     bool
-	frontiers map[[2]int]lattice.Frontier // (op, inPort) -> frontier
-	version   uint64
+	mu    sync.Mutex
+	nodes []nodeSpec
+	edges []edgeSpec
+	ports [2][][]int32 // [side][op][port] -> location; side 1 is outputs
+	locs  []location
+	// relink: nodes, edges or the set of locations changed since successor
+	// lists and table layout were compiled. moved: some count became or
+	// ceased to be positive since the last commit (nothing else can move a
+	// frontier). nlive counts nonzero entries across all locations.
+	relink bool
+	moved  bool
+	nlive  int64
+
+	dirty atomic.Bool  // table is behind the counts or the topology
+	live  atomic.Int64 // nlive as of the last completed mutation
+	table atomic.Pointer[frontierTable]
 }
 
 func newTracker(rt *runtime, seq int) *tracker {
-	return &tracker{
-		rt:        rt,
-		seq:       seq,
-		dist:      rt.remote(),
-		outEdges:  make(map[[2]int][][2]int),
-		msgs:      make(map[portTime]int64),
-		caps:      make(map[portTime]int64),
-		frontiers: make(map[[2]int]lattice.Frontier),
+	tr := &tracker{rt: rt, seq: seq, dist: rt.remote()}
+	tr.table.Store(&frontierTable{})
+	return tr
+}
+
+// locate returns the location of a port, allocating it on first sight along
+// with any lower-numbered port on the same side of the operator, so that an
+// operator's ports stay dense. ok is false, and the fabric is failed, for a
+// port number no dataflow could have.
+func (tr *tracker) locate(k portKey) (id int32, ok bool) {
+	side := &tr.ports[0]
+	if k.out {
+		side = &tr.ports[1]
 	}
+	if k.op < len(*side) && k.port < len((*side)[k.op]) {
+		return (*side)[k.op][k.port], true
+	}
+	if uint(k.op) >= maxTrackedOps || uint(k.port) >= maxTrackedPorts {
+		tr.rt.fab.Fail(fmt.Errorf("timely: dataflow %d: progress delta names op %d port %d out=%v",
+			tr.seq, k.op, k.port, k.out))
+		return 0, false
+	}
+	for k.op >= len(*side) {
+		*side = append(*side, nil)
+	}
+	ports := make([]int32, k.port+1)
+	n := copy(ports, (*side)[k.op])
+	for p := n; p < len(ports); p++ {
+		ports[p] = int32(len(tr.locs))
+		tr.locs = append(tr.locs, location{})
+	}
+	(*side)[k.op] = ports
+	tr.relink = true
+	return ports[k.port], true
 }
 
 // registerNode installs the spec for operator op if not yet present, seeding
@@ -118,36 +228,43 @@ func (tr *tracker) registerNode(op int, spec nodeSpec) {
 	for op >= len(tr.nodes) {
 		tr.nodes = append(tr.nodes, nodeSpec{})
 	}
-	if tr.nodes[op].summaries != nil || tr.nodes[op].name != "" {
+	if tr.nodes[op].registered {
 		return // already registered by another worker
 	}
+	spec.registered = true
 	tr.nodes[op] = spec
+	if spec.inPorts > 0 {
+		tr.locate(portKey{op, spec.inPorts - 1, false})
+	}
+	if spec.outPorts > 0 {
+		tr.locate(portKey{op, spec.outPorts - 1, true})
+	}
 	// Seed one capability per global worker. Seeding is deliberately not
 	// broadcast: every process builds the same dataflow and seeds the same
 	// full global count into its own replica, so the replicas agree without
 	// a registration protocol.
 	for out, f := range spec.initialCaps {
 		for _, t := range f.Elements() {
-			tr.caps[portTime{portKey{op, out, true}, t}] += int64(tr.rt.peers)
+			tr.bump(delta{portKey{op, out, true}, t, int64(tr.rt.peers)})
 		}
 	}
-	tr.dirty = true
-	tr.version++
+	tr.relink = true
+	tr.commit()
 }
 
 func (tr *tracker) registerEdge(e edgeSpec) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	key := [2]int{e.srcOp, e.srcPort}
-	dst := [2]int{e.dstOp, e.dstPort}
-	for _, d := range tr.outEdges[key] {
-		if d == dst {
+	for _, have := range tr.edges {
+		if have == e {
 			return
 		}
 	}
-	tr.outEdges[key] = append(tr.outEdges[key], dst)
-	tr.dirty = true
-	tr.version++
+	tr.edges = append(tr.edges, e)
+	tr.locate(portKey{e.srcOp, e.srcPort, true})
+	tr.locate(portKey{e.dstOp, e.dstPort, false})
+	tr.relink = true
+	tr.commit()
 }
 
 // delta is one pointstamp change.
@@ -188,10 +305,9 @@ func (tr *tracker) msgArrived(op, port int, stamp []lattice.Time, n int64) {
 	}
 	tr.mu.Lock()
 	for _, t := range stamp {
-		tr.msgs[portTime{portKey{op, port, false}, t}] += n
+		tr.bump(delta{portKey{op, port, false}, t, n})
 	}
-	tr.dirty = true
-	tr.version++
+	tr.commit()
 	if tr.dist {
 		ds := make([]ProgressDelta, 0, len(stamp))
 		for _, t := range stamp {
@@ -219,8 +335,7 @@ func (tr *tracker) apply(pb *progressBatch) {
 	for _, d := range pb.minus {
 		tr.bump(d)
 	}
-	tr.dirty = true
-	tr.version++
+	tr.commit()
 	if tr.dist {
 		ds := make([]ProgressDelta, 0, len(pb.plus)+len(pb.minus))
 		for _, d := range pb.plus {
@@ -236,7 +351,10 @@ func (tr *tracker) apply(pb *progressBatch) {
 	pb.minus = pb.minus[:0]
 }
 
-// applyRemote commits one peer's broadcast batch to this replica.
+// applyRemote commits one peer's broadcast batch to this replica. The batch
+// may name an operator this replica has not registered yet (peers install
+// without a barrier): locate gives it a location with no successors, where
+// its times stall until registration links it.
 func (tr *tracker) applyRemote(ds []ProgressDelta) {
 	if len(ds) == 0 {
 		return
@@ -245,8 +363,7 @@ func (tr *tracker) applyRemote(ds []ProgressDelta) {
 	for _, d := range ds {
 		tr.bump(delta{portKey{d.Op, d.Port, d.Out}, d.Time, d.Diff})
 	}
-	tr.dirty = true
-	tr.version++
+	tr.commit()
 	tr.mu.Unlock()
 	tr.rt.wake()
 }
@@ -263,49 +380,79 @@ func (tr *tracker) applyRemote(ds []ProgressDelta) {
 func (tr *tracker) snapshot() []ProgressDelta {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	ds := make([]ProgressDelta, 0, len(tr.msgs)+len(tr.caps))
-	for pt, n := range tr.msgs {
-		if n > 0 {
-			ds = append(ds, ProgressDelta{Op: pt.key.op, Port: pt.key.port, Out: pt.key.out, Time: pt.t, Diff: n})
-		}
-	}
-	for pt, n := range tr.caps {
-		if n > 0 {
-			ds = append(ds, ProgressDelta{Op: pt.key.op, Port: pt.key.port, Out: pt.key.out, Time: pt.t, Diff: n})
+	ds := make([]ProgressDelta, 0, tr.nlive)
+	for k, c := range tr.eachCount {
+		if c.n > 0 {
+			ds = append(ds, ProgressDelta{Op: k.op, Port: k.port, Out: k.out, Time: c.t, Diff: c.n})
 		}
 	}
 	return ds
 }
 
-// reseed replaces the tracker's count tables with a peer's snapshot. The
-// rejoining replica calls it after re-registering its (identical) dataflow
-// topology and before consuming any post-resync delta: registration's
-// initial capabilities are superseded by the snapshot, and subsequent
-// broadcast deltas apply on top, keeping plus-before-minus across the
-// resync boundary.
+// eachCount iterates over every nonzero pointstamp count with the port it sits
+// at. Must be called with tr.mu held.
+func (tr *tracker) eachCount(yield func(portKey, timeCount) bool) {
+	for side, ops := range tr.ports {
+		for op, ports := range ops {
+			for port, id := range ports {
+				for _, c := range tr.locs[id].counts {
+					if !yield(portKey{op, port, side == 1}, c) {
+						return
+					}
+				}
+			}
+		}
+	}
+}
+
+// reseed replaces the tracker's counts with a peer's snapshot. The rejoining
+// replica calls it after re-registering its (identical) dataflow topology
+// and before consuming any post-resync delta: registration's initial
+// capabilities are superseded by the snapshot, and subsequent broadcast
+// deltas apply on top, keeping plus-before-minus across the resync boundary.
 func (tr *tracker) reseed(ds []ProgressDelta) {
 	tr.mu.Lock()
-	tr.msgs = make(map[portTime]int64)
-	tr.caps = make(map[portTime]int64)
+	for i := range tr.locs {
+		tr.locs[i].counts = nil
+	}
+	tr.nlive = 0
+	tr.moved = true
 	for _, d := range ds {
 		tr.bump(delta{portKey{d.Op, d.Port, d.Out}, d.Time, d.Diff})
 	}
-	tr.dirty = true
-	tr.version++
+	tr.commit()
 	tr.mu.Unlock()
 	tr.rt.wake()
 }
 
+// bump adds one delta to its location's counts. Must be called with tr.mu
+// held, and followed by commit before the mutex is released.
 func (tr *tracker) bump(d delta) {
-	m := tr.msgs
-	if d.key.out {
-		m = tr.caps
+	id, ok := tr.locate(d.key)
+	if !ok {
+		return
 	}
-	pt := portTime{d.key, d.t}
-	m[pt] += d.diff
-	if m[pt] == 0 {
-		delete(m, pt)
-	} else if m[pt] < 0 && !tr.dist {
+	l := &tr.locs[id]
+	i := 0
+	for i < len(l.counts) && l.counts[i].t != d.t {
+		i++
+	}
+	if i == len(l.counts) {
+		l.counts = append(l.counts, timeCount{t: d.t})
+		tr.nlive++
+	}
+	was := l.counts[i].n
+	now := was + d.diff
+	l.counts[i].n = now
+	if (was > 0) != (now > 0) {
+		tr.moved = true
+	}
+	if now == 0 {
+		last := len(l.counts) - 1
+		l.counts[i] = l.counts[last]
+		l.counts = l.counts[:last]
+		tr.nlive--
+	} else if now < 0 && !tr.dist {
 		// A negative count in a single-process tracker is a progress-protocol
 		// bug. Across processes it is a legal transient: a local worker may
 		// consume a remote message (or drop a capability justified by one)
@@ -316,100 +463,128 @@ func (tr *tracker) bump(d delta) {
 	}
 }
 
-// frontierAt returns the frontier of times that may still arrive at the
-// given input port. The returned value must be treated as immutable.
-func (tr *tracker) frontierAt(op, inPort int) lattice.Frontier {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if tr.dirty {
-		tr.recompute()
+// commit publishes what one mutation did to lock-free readers, once, so that
+// quiescent never observes the middle of a batch. Must be called with tr.mu
+// held.
+func (tr *tracker) commit() {
+	tr.live.Store(tr.nlive)
+	if tr.moved || tr.relink {
+		tr.moved = false
+		tr.dirty.Store(true)
 	}
-	return tr.frontiers[[2]int{op, inPort}]
+}
+
+// frontierAt returns the frontier of times that may still arrive at the
+// given input port. The returned value must be treated as immutable. With
+// nothing changed since the last closure it takes no lock.
+func (tr *tracker) frontierAt(op, inPort int) lattice.Frontier {
+	if tr.dirty.Load() {
+		tr.mu.Lock()
+		if tr.dirty.Load() {
+			tr.recompute()
+		}
+		tr.mu.Unlock()
+	}
+	tab := tr.table.Load()
+	if op+1 < len(tab.base) {
+		if slot := int(tab.base[op]) + inPort; slot < int(tab.base[op+1]) {
+			return tab.fronts[slot]
+		}
+	}
+	return lattice.Frontier{}
 }
 
 // quiescent reports whether no pointstamps remain: the dataflow is complete.
-func (tr *tracker) quiescent() bool {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return len(tr.msgs) == 0 && len(tr.caps) == 0
-}
+func (tr *tracker) quiescent() bool { return tr.live.Load() == 0 }
 
-func (tr *tracker) snapshotVersion() uint64 {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.version
-}
-
-// recompute performs the antichain closure: starting from every message and
-// capability pointstamp, propagate times along edges (identity) and through
-// operators (per-port summaries), maintaining at every location the
-// antichain of minimal reachable times. Cycles terminate because inserting a
-// time that is greater or equal to an existing element is a no-op, and every
-// dataflow cycle passes through a feedback summary that strictly increases
-// its coordinate. Must be called with tr.mu held.
-func (tr *tracker) recompute() {
-	reach := make(map[portKey]*lattice.Frontier, len(tr.nodes)*2)
-	type item struct {
-		key portKey
-		t   lattice.Time
+// compile rebuilds what depends on the topology alone: every location's
+// successor list and the layout of the frontier table.
+// It returns an unpublished table of that layout with every frontier empty.
+// Must be called with tr.mu held.
+func (tr *tracker) compile() *frontierTable {
+	for i := range tr.locs {
+		tr.locs[i].succ = tr.locs[i].succ[:0]
 	}
-	var work []item
-
-	insert := func(key portKey, t lattice.Time) {
-		f := reach[key]
-		if f == nil {
-			f = &lattice.Frontier{}
-			reach[key] = f
-		}
-		if f.Insert(t) {
-			work = append(work, item{key, t})
-		}
-	}
-
-	for pt, n := range tr.msgs {
-		if n > 0 {
-			insert(pt.key, pt.t)
-		}
-	}
-	for pt, n := range tr.caps {
-		if n > 0 {
-			insert(pt.key, pt.t)
-		}
-	}
-
-	for len(work) > 0 {
-		it := work[len(work)-1]
-		work = work[:len(work)-1]
-		if it.key.out {
-			// Output port: times flow unchanged along every outgoing edge.
-			for _, dst := range tr.outEdges[[2]int{it.key.op, it.key.port}] {
-				insert(portKey{dst[0], dst[1], false}, it.t)
-			}
-		} else {
-			// Input port: times flow through the operator via its summaries.
-			// Remote deltas can reference operators this replica has not yet
-			// registered (peers install without a barrier); their times stall
-			// here, conservatively, until registration recomputes.
-			if it.key.op >= len(tr.nodes) {
-				continue
-			}
-			spec := tr.nodes[it.key.op]
-			if spec.summaries == nil {
-				continue
-			}
-			for out := 0; out < spec.outPorts; out++ {
-				if t2, ok := spec.summaries[it.key.port][out].Apply(it.t); ok {
-					insert(portKey{it.key.op, out, true}, t2)
+	for op, spec := range tr.nodes {
+		for in, sums := range spec.summaries {
+			l := &tr.locs[tr.ports[0][op][in]]
+			for out, sum := range sums {
+				if sum != SumNone {
+					l.succ = append(l.succ, successor{tr.ports[1][op][out], sum})
 				}
 			}
 		}
 	}
+	for _, e := range tr.edges {
+		l := &tr.locs[tr.ports[1][e.srcOp][e.srcPort]]
+		l.succ = append(l.succ, successor{tr.ports[0][e.dstOp][e.dstPort], SumID})
+	}
+	ins := tr.ports[0]
+	base := make([]int32, len(ins)+1)
+	for op, ports := range ins {
+		base[op+1] = base[op] + int32(len(ports))
+	}
+	tr.relink = false
+	return &frontierTable{base: base, fronts: make([]lattice.Frontier, base[len(ins)])}
+}
 
-	tr.frontiers = make(map[[2]int]lattice.Frontier, len(tr.frontiers))
-	for key, f := range reach {
-		if !key.out {
-			tr.frontiers[[2]int{key.op, key.port}] = *f
+// recompute performs the antichain closure: starting from every message and
+// capability pointstamp with a positive count, propagate times along each
+// location's successors, maintaining at every location the antichain of
+// minimal reachable times. Cycles terminate because inserting a time that is
+// greater or equal to an existing element is a no-op, and every dataflow
+// cycle passes through a feedback summary that strictly increases its
+// coordinate. The input-port antichains that differ from the published
+// table's are copied into a new table; in steady state nothing else
+// allocates. Must be called with tr.mu held.
+func (tr *tracker) recompute() {
+	// owned: tab.fronts is not the published array, so it may be written.
+	tab, owned := tr.table.Load(), false
+	if tr.relink {
+		tab, owned = tr.compile(), true
+	}
+	sc := tr.rt.borrowScratch()
+	defer tr.rt.returnScratch(sc)
+	if short := len(tr.locs) - len(sc.reach); short > 0 {
+		sc.reach = append(sc.reach, make([]lattice.Frontier, short)...)
+	}
+	reach, work := sc.reach[:len(tr.locs)], sc.work[:0]
+	for i := range reach {
+		reach[i].Clear()
+	}
+	for i := range tr.locs {
+		for _, c := range tr.locs[i].counts {
+			if c.n > 0 && reach[i].Insert(c.t) {
+				work = append(work, pointstamp{int32(i), c.t})
+			}
 		}
 	}
-	tr.dirty = false
+	for len(work) > 0 {
+		it := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, s := range tr.locs[it.loc].succ {
+			if t, _ := s.sum.Apply(it.t); reach[s.to].Insert(t) {
+				work = append(work, pointstamp{s.to, t})
+			}
+		}
+	}
+	sc.work = work
+
+	fronts := tab.fronts
+	for op, ports := range tr.ports[0] {
+		for port, id := range ports {
+			slot := int(tab.base[op]) + port
+			if reach[id].Equal(fronts[slot]) {
+				continue
+			}
+			if !owned {
+				fronts, owned = append([]lattice.Frontier(nil), fronts...), true
+			}
+			fronts[slot] = reach[id].Clone()
+		}
+	}
+	if owned {
+		tr.table.Store(&frontierTable{base: tab.base, fronts: fronts})
+	}
+	tr.dirty.Store(false)
 }

@@ -34,6 +34,8 @@ type runtime struct {
 	activity uint64 // bumped whenever anything happens; wakes idle workers
 
 	trackers  []*tracker // per dataflow sequence number
+	scratchMu sync.Mutex
+	scratch   []*closureScratch // idle progress-closure scratch (progress.go)
 	mailboxes map[mailboxKey]any
 
 	// inbound maps (dataflow, channel) to the decode-and-enqueue handler for

@@ -284,6 +284,32 @@ func TestRetainedCapability(t *testing.T) {
 	})
 }
 
+// TestIdleScheduleDoesNotAllocate: an operator that holds a capability and
+// has nothing to do is scheduled every step of every worker for as long as
+// its dataflow stands, so a step over it (and over the idle sink it feeds)
+// must not touch the heap.
+func TestIdleScheduleDoesNotAllocate(t *testing.T) {
+	Execute(1, func(w *Worker) {
+		drop := false
+		w.Dataflow(func(g *Graph) {
+			s := Source[int](g, "idle", 1, lattice.Ts(0), func(ctx *Ctx, out *Out[int]) {
+				if drop {
+					ctx.Drop(0, lattice.Ts(0))
+					drop = false
+				}
+			})
+			Sink(s, "sink", nil, func(ctx *Ctx, in *In[int]) {
+				in.ForEach(func([]lattice.Time, []int) {})
+			})
+		})
+		if n := testing.AllocsPerRun(100, func() { w.Step() }); n != 0 {
+			t.Errorf("a step over an idle capability holder allocates %v times", n)
+		}
+		drop = true
+		w.Drain()
+	})
+}
+
 func TestUnjustifiedSendPanics(t *testing.T) {
 	panicked := make(chan bool, 1)
 	Execute(1, func(w *Worker) {
