@@ -314,13 +314,7 @@ func collectRuns(t *testing.T, s *core.Spine[uint64, tup]) []upd {
 	t.Helper()
 	var out []upd
 	for _, run := range s.Runs() {
-		var r core.BatchReader[uint64, tup]
-		if run.Batch != nil {
-			r = run.Batch
-		} else {
-			r = run.Cold
-		}
-		out = append(out, collectReader(r)...)
+		out = append(out, collectReader(run)...)
 	}
 	return out
 }
@@ -429,10 +423,13 @@ func TestBlockSkipping(t *testing.T) {
 	st.OnBlockRead = func(_ string, idx int) { reads = append(reads, idx) }
 
 	runs := s.Runs()
-	if len(runs) != 1 || runs[0].Cold == nil {
+	if len(runs) != 1 {
 		t.Fatalf("expected one cold run, got %+v", runs)
 	}
-	bb := core.UnwrapReader(runs[0].Cold).(*blockBatch[uint64, tup])
+	bb, ok := core.UnwrapReader(runs[0]).(*blockBatch[uint64, tup])
+	if !ok {
+		t.Fatalf("expected one cold run, got %+v", runs)
+	}
 	nBlocks := len(bb.im.blocks)
 	if nBlocks < 8 {
 		t.Fatalf("expected many blocks, got %d", nBlocks)

@@ -108,9 +108,6 @@ func Open[K, V any](dir string, fn core.Funcs[K, V], kc wal.Codec[K], vc wal.Cod
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store[K, V]) Dir() string { return s.dir }
-
 // Spill writes b as a new block file and returns a lazy reader over it
 // (core.SpillStore). The write is atomic: encode, write name.tmp, rename.
 func (s *Store[K, V]) Spill(b *core.Batch[K, V]) (core.BatchReader[K, V], error) {

@@ -152,7 +152,7 @@ type Arranged[K, V any] struct {
 // history (the spill tier must be attached via ArrangeOptions.Spill). Must
 // run on the owning worker's goroutine before any updates are ingested and
 // before any reader imports the trace.
-func (a *Arranged[K, V]) RestoreRuns(runs []TraceRun[K, V], since lattice.Frontier) {
+func (a *Arranged[K, V]) RestoreRuns(runs []BatchReader[K, V], since lattice.Frontier) {
 	agent := a.Agent
 	if agent.spine == nil {
 		panic("core: cannot restore a stream-only arrangement")
@@ -162,12 +162,13 @@ func (a *Arranged[K, V]) RestoreRuns(runs []TraceRun[K, V], since lattice.Fronti
 	}
 	agent.primary.SetLogical(since)
 	for _, r := range runs {
-		if r.Cold != nil {
-			agent.spine.appendCold(r.Cold)
+		if b, ok := r.(*Batch[K, V]); ok {
+			agent.spine.Append(b)
 		} else {
-			agent.spine.Append(r.Batch)
+			agent.spine.appendCold(r)
 		}
-		agent.upper = r.Upper().Clone()
+		_, upper, _ := r.Bounds()
+		agent.upper = upper.Clone()
 	}
 }
 
@@ -210,13 +211,6 @@ type ArrangeOptions struct {
 	// MergeCoef is the merge effort coefficient (MergeLazy, MergeDefault,
 	// MergeEager); zero means MergeDefault.
 	MergeCoef int
-	// MaintenanceFuel is the Work budget applied per busy schedule (zero
-	// means DefaultMaintenanceFuel). Idle schedules — no ingest, no seal —
-	// apply IdleFuelFactor times as much, keeping compaction off the
-	// latency-critical path while still draining when the operator quiesces.
-	MaintenanceFuel int
-	// NoExchange skips the hash exchange (input already partitioned).
-	NoExchange bool
 	// StreamOnly builds no trace at all: the operator mints and emits
 	// batches but maintains no index (used by Consolidate).
 	StreamOnly bool
@@ -270,16 +264,8 @@ func Arrange[K, V any](s *timely.Stream[Update[K, V]], fn Funcs[K, V],
 		agent.sink = sink
 	}
 
-	var exch func(Update[K, V]) uint64
-	if !opt.NoExchange {
-		exch = func(u Update[K, V]) uint64 { return fn.HashK(u.Key) }
-	}
-
-	fuel := opt.MaintenanceFuel
-	if fuel <= 0 {
-		fuel = DefaultMaintenanceFuel
-	}
-	st := &arrangeState[K, V]{fn: fn, agent: agent, fuel: fuel}
+	exch := func(u Update[K, V]) uint64 { return fn.HashK(u.Key) }
+	st := &arrangeState[K, V]{fn: fn, agent: agent}
 	stream := timely.Unary[Update[K, V], *Batch[K, V]](s, name, exch, timely.SumID, nil,
 		func(ctx *timely.Ctx, in *timely.In[Update[K, V]], out *timely.Out[*Batch[K, V]]) {
 			st.schedule(ctx, in, out)
@@ -298,9 +284,6 @@ type arrangeState[K, V any] struct {
 	// capSet mirrors the retained capabilities: the antichain of minimal
 	// pending update times.
 	capSet lattice.Frontier
-	// fuel is the per-schedule maintenance budget on busy schedules; idle
-	// schedules apply IdleFuelFactor times as much.
-	fuel int
 }
 
 func (st *arrangeState[K, V]) schedule(ctx *timely.Ctx,
@@ -329,7 +312,7 @@ func (st *arrangeState[K, V]) schedule(ctx *timely.Ctx,
 	// while data (or an install replay) is in flight, a large one once the
 	// operator goes quiet, so compaction stays off the critical path.
 	if sp := st.agent.spine; sp != nil {
-		fuel := st.fuel
+		fuel := DefaultMaintenanceFuel
 		if !busy {
 			fuel *= IdleFuelFactor
 		}
@@ -497,7 +480,7 @@ func Import[K, V any](g *timely.Graph, agent *TraceAgent[K, V], name string) *Ar
 // say.
 func (a *TraceAgent[K, V]) snapshotFrontier() lattice.Frontier {
 	since := a.spine.compactionFrontier()
-	for _, r := range a.spine.visibleReaders() {
+	for _, r := range a.spine.Runs() {
 		_, _, bs := r.Bounds()
 		since = lattice.JoinFrontiers(since, bs)
 	}
@@ -505,30 +488,6 @@ func (a *TraceAgent[K, V]) snapshotFrontier() lattice.Frontier {
 		since = lattice.MinFrontier(a.depth)
 	}
 	return since
-}
-
-// SnapshotBatch consolidates the trace's visible batches into one batch
-// covering [min, upper) with every time advanced to the snapshot frontier.
-// Updates that cancel below that frontier disappear entirely, so the result
-// is proportional to the live collection — at the price of reading, sorting
-// and copying every visible update. That price buys a self-contained batch,
-// which only a checkpoint of a trace with no cold tier needs (it rewrites
-// the log as that one batch); imports share the runs instead. Worker-local,
-// like all trace access.
-func (a *TraceAgent[K, V]) SnapshotBatch() *Batch[K, V] {
-	if a.spine == nil {
-		panic("core: cannot snapshot a stream-only arrangement")
-	}
-	since := a.snapshotFrontier()
-	var upds []Update[K, V]
-	for _, r := range a.spine.visibleReaders() {
-		r.ForEach(func(k K, v V, t lattice.Time, d Diff) {
-			if rep, ok := lattice.Compact(t, since); ok {
-				upds = append(upds, Update[K, V]{Key: k, Val: v, Time: rep, Diff: d})
-			}
-		})
-	}
-	return BuildBatch(a.Fn, upds, lattice.MinFrontier(a.depth), a.upper.Clone(), since.Clone())
 }
 
 // ImportOpts is Import with explicit options. The returned arrangement's

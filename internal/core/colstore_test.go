@@ -201,7 +201,7 @@ func TestBatchSeekVal(t *testing.T) {
 // storage order.
 func collectSpine(s *Spine[uint64, wideVal]) []Update[uint64, wideVal] {
 	var out []Update[uint64, wideVal]
-	for _, b := range s.visibleReaders() {
+	for _, b := range s.Runs() {
 		b.ForEach(func(k uint64, v wideVal, tm lattice.Time, d Diff) {
 			out = append(out, Update[uint64, wideVal]{Key: k, Val: v, Time: tm, Diff: d})
 		})

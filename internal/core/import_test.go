@@ -95,7 +95,7 @@ func TestImportSharesColumns(t *testing.T) {
 				t.Fatalf("snapshot=%v: import emitted %d batches for %d runs", snapshot, len(got), len(runs))
 			}
 			for i, v := range got {
-				run := runs[i].Batch
+				run := runs[i].(*Batch[uint64, uint64])
 				if !snapshot {
 					if v != run {
 						t.Errorf("raw import: batch %d is not the spine's run", i)
@@ -149,7 +149,7 @@ func TestImportReleasesHistory(t *testing.T) {
 			c.seal(3)
 			var retired []weak.Pointer[TimeDiff]
 			for _, r := range c.arr.Agent.Runs() {
-				retired = append(retired, weak.Make(&r.Batch.Upds[0]))
+				retired = append(retired, weak.Make(&r.(*Batch[uint64, uint64]).Upds[0]))
 			}
 			if emitted != len(retired) {
 				t.Fatalf("import emitted %d batches, the trace holds %d runs", emitted, len(retired))

@@ -196,7 +196,7 @@ func TestSpineBatchContiguity(t *testing.T) {
 		s.Append(BuildBatch(fn, upds, lower, upper, lattice.MinFrontier(1)))
 		lower = upper
 		s.Work(r.Intn(100))
-		vis := s.visibleReaders()
+		vis := s.Runs()
 		for i := 1; i < len(vis); i++ {
 			_, prevUpper, _ := vis[i-1].Bounds()
 			lower, _, _ := vis[i].Bounds()

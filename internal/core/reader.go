@@ -76,6 +76,3 @@ func (b *Batch[K, V]) ApproxBytes() int64 {
 	}
 	return n
 }
-
-// readerEmpty reports whether a reader carries no updates.
-func readerEmpty[K, V any](r BatchReader[K, V]) bool { return r.Len() == 0 }

@@ -25,9 +25,6 @@ type SpillStore[K, V any] interface {
 
 // SpillOptions configures the disk tier of an arrangement.
 type SpillOptions struct {
-	// Dir is the directory block files live in (informational here; the
-	// Store is constructed over it).
-	Dir string
 	// MaxResidentBytes bounds the approximate resident bytes of completed
 	// runs: maintenance evicts the oldest runs to the store while the spine
 	// exceeds it. Merges temporarily re-materialize their source runs, so
@@ -77,46 +74,12 @@ func UnwrapReader[K, V any](r BatchReader[K, V]) BatchReader[K, V] {
 	}
 }
 
-// TraceRun is one run of a trace in chain order: resident (Batch) or spilled
-// (Cold). Checkpoints walk runs so cold runs are referenced by name in the
-// manifest instead of being re-read and rewritten into the WAL.
-type TraceRun[K, V any] struct {
-	Batch *Batch[K, V]
-	Cold  BatchReader[K, V]
-}
-
-// Upper returns the run's upper frontier.
-func (r TraceRun[K, V]) Upper() lattice.Frontier {
-	if r.Batch != nil {
-		return r.Batch.Upper
-	}
-	_, upper, _ := r.Cold.Bounds()
-	return upper
-}
-
-// Runs returns the trace's runs in chain order: completed batches (resident
-// or cold) plus the source batches of in-progress merges.
-func (s *Spine[K, V]) Runs() []TraceRun[K, V] {
-	out := make([]TraceRun[K, V], 0, len(s.entries)+2)
-	for i := range s.entries {
-		e := &s.entries[i]
-		switch {
-		case e.merge != nil:
-			for _, b := range e.merge.batches {
-				out = append(out, TraceRun[K, V]{Batch: b})
-			}
-		case e.cold != nil:
-			out = append(out, TraceRun[K, V]{Cold: e.cold})
-		default:
-			out = append(out, TraceRun[K, V]{Batch: e.batch})
-		}
-	}
-	return out
-}
-
-// Runs exposes the trace's runs in chain order (worker-local use only); it
-// panics on a stream-only arrangement.
-func (a *TraceAgent[K, V]) Runs() []TraceRun[K, V] {
+// Runs exposes the trace's runs in chain order (worker-local use only): a
+// resident run is a *Batch, a spilled one the store's reader. Checkpoints
+// walk them so cold runs are referenced by name in the manifest instead of
+// being re-read and rewritten into the WAL. It panics on a stream-only
+// arrangement.
+func (a *TraceAgent[K, V]) Runs() []BatchReader[K, V] {
 	if a.spine == nil {
 		panic("core: a stream-only arrangement has no runs")
 	}
@@ -176,7 +139,7 @@ func (s *Spine[K, V]) unspill(r BatchReader[K, V]) *Batch[K, V] {
 // (the spine's own tiering is unchanged). Used by imports, which emit the
 // history on a batch stream.
 func (s *Spine[K, V]) visibleBatches() []*Batch[K, V] {
-	readers := s.visibleReaders()
+	readers := s.Runs()
 	out := make([]*Batch[K, V], 0, len(readers))
 	for _, r := range readers {
 		if b, ok := r.(*Batch[K, V]); ok {

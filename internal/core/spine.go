@@ -294,9 +294,9 @@ func (s *Spine[K, V]) startMergeAt(i int) { s.startMergeRange(i, i+1) }
 // lands.
 //
 // The merge consolidates behind the readers' logical frontier joined with
-// each input's own Since (as SnapshotBatch does): an input's times are only
-// exact at or beyond what it was already compacted to, so the output's
-// Since is never behind any input's, whatever the readers currently say.
+// each input's own Since (as an import's as-of frontier is): an input's
+// times are only exact at or beyond what it was already compacted to, so the
+// output's Since is never behind any input's, whatever the readers say.
 func (s *Spine[K, V]) startMergeRange(i, j int) {
 	m := &mergeState[K, V]{
 		batches: make([]*Batch[K, V], 0, j-i+1),
@@ -421,10 +421,10 @@ func (s *Spine[K, V]) physicalFrontier() (lattice.Frontier, bool) {
 	return f, constrained
 }
 
-// visibleReaders returns the runs a full-trace cursor navigates: completed
-// runs (resident batches or cold readers) plus the sources of in-progress
-// merges, oldest first.
-func (s *Spine[K, V]) visibleReaders() []BatchReader[K, V] {
+// Runs returns the runs a full-trace cursor navigates: completed runs
+// (resident batches or cold readers) plus the sources of in-progress merges,
+// oldest first.
+func (s *Spine[K, V]) Runs() []BatchReader[K, V] {
 	out := make([]BatchReader[K, V], 0, len(s.entries)+2)
 	for i := range s.entries {
 		e := &s.entries[i]
@@ -443,12 +443,12 @@ func (s *Spine[K, V]) visibleReaders() []BatchReader[K, V] {
 }
 
 // BatchCount returns the number of visible runs (for tests and stats).
-func (s *Spine[K, V]) BatchCount() int { return len(s.visibleReaders()) }
+func (s *Spine[K, V]) BatchCount() int { return len(s.Runs()) }
 
 // UpdateCount returns the total updates across visible runs.
 func (s *Spine[K, V]) UpdateCount() int {
 	n := 0
-	for _, r := range s.visibleReaders() {
+	for _, r := range s.Runs() {
 		n += r.Len()
 	}
 	return n
@@ -514,7 +514,7 @@ func (h *Handle[K, V]) Spine() *Spine[K, V] { return h.spine }
 
 // Cursor returns a cursor over the full trace contents.
 func (h *Handle[K, V]) Cursor() *TraceCursor[K, V] {
-	return newTraceCursor(h.spine.fn, h.spine.visibleReaders())
+	return newTraceCursor(h.spine.fn, h.spine.Runs())
 }
 
 // CursorThrough returns a cursor over exactly the batches with upper ≤ f.
@@ -522,7 +522,7 @@ func (h *Handle[K, V]) Cursor() *TraceCursor[K, V] {
 // frontier; it panics otherwise (an operator logic error).
 func (h *Handle[K, V]) CursorThrough(f lattice.Frontier) *TraceCursor[K, V] {
 	var sel []BatchReader[K, V]
-	for _, r := range h.spine.visibleReaders() {
+	for _, r := range h.spine.Runs() {
 		lower, upper, _ := r.Bounds()
 		if frontierCovered(upper, f) {
 			sel = append(sel, r)

@@ -40,7 +40,7 @@ func spineOracleProgram(t *testing.T, prog []byte) {
 				}
 			}
 			got := make(map[[2]uint64]Diff)
-			for _, b := range s.visibleReaders() {
+			for _, b := range s.Runs() {
 				b.ForEach(func(k, v uint64, ut lattice.Time, d Diff) {
 					if ut.LessEqual(at) {
 						got[[2]uint64{k, v}] += d

@@ -297,7 +297,7 @@ func TestMergeNeverRegressesSince(t *testing.T) {
 	push(3)
 	for s.Work(1 << 30) {
 	}
-	first := s.visibleReaders()[0]
+	first := s.Runs()[0]
 	if _, upper, since := first.Bounds(); upper.LessEqual(lattice.Ts(2)) || since.LessEqual(lattice.Ts(4)) {
 		t.Fatalf("oldest run [.., %v) has since %v: want the compacted pair merged onwards, still at 5", upper, since)
 	}

@@ -6,11 +6,7 @@
 // a worker.
 package core
 
-import (
-	"math"
-
-	"repro/internal/lattice"
-)
+import "repro/internal/lattice"
 
 // Diff is the commutative group of update multiplicities ("often the
 // integers", per the paper).
@@ -88,16 +84,6 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// HashString hashes a string with FNV-1a followed by mixing.
-func HashString(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return Mix64(h)
-}
-
 // U64 returns Funcs for collections keyed and valued by uint64.
 func U64() Funcs[uint64, uint64] {
 	return Funcs[uint64, uint64]{
@@ -114,24 +100,4 @@ func U64Key() Funcs[uint64, Unit] {
 		LessV: func(a, b Unit) bool { return false },
 		HashK: Mix64,
 	}
-}
-
-// I64 returns Funcs for collections keyed and valued by int64.
-func I64() Funcs[int64, int64] {
-	return Funcs[int64, int64]{
-		LessK: func(a, b int64) bool { return a < b },
-		LessV: func(a, b int64) bool { return a < b },
-		HashK: func(k int64) uint64 { return Mix64(uint64(k)) },
-	}
-}
-
-// F64Less orders float64s totally (NaN first) for use in value orders.
-func F64Less(a, b float64) bool {
-	if math.IsNaN(a) {
-		return !math.IsNaN(b)
-	}
-	if math.IsNaN(b) {
-		return false
-	}
-	return a < b
 }

@@ -80,24 +80,6 @@ func Map[K1, V1, K2, V2 any](c Collection[K1, V1], f func(K1, V1) (K2, V2)) Coll
 	return Collection[K2, V2]{S: s}
 }
 
-// FlatMap maps each record to zero or more records.
-func FlatMap[K1, V1, K2, V2 any](c Collection[K1, V1],
-	f func(K1, V1, func(K2, V2))) Collection[K2, V2] {
-	s := timely.Unary[core.Update[K1, V1], core.Update[K2, V2]](c.S, "FlatMap", nil, timely.SumID, nil,
-		func(ctx *timely.Ctx, in *timely.In[core.Update[K1, V1]], out *timely.Out[core.Update[K2, V2]]) {
-			in.ForEach(func(stamp []lattice.Time, data []core.Update[K1, V1]) {
-				var mapped []core.Update[K2, V2]
-				for _, u := range data {
-					f(u.Key, u.Val, func(k2 K2, v2 V2) {
-						mapped = append(mapped, core.Update[K2, V2]{Key: k2, Val: v2, Time: u.Time, Diff: u.Diff})
-					})
-				}
-				out.SendSlice(stamp, mapped)
-			})
-		})
-	return Collection[K2, V2]{S: s}
-}
-
 // Filter keeps records satisfying the predicate (a "key-preserving"
 // operator, §5.1).
 func Filter[K, V any](c Collection[K, V], pred func(K, V) bool) Collection[K, V] {

@@ -2,7 +2,6 @@ package dd
 
 import (
 	"repro/internal/core"
-	"repro/internal/lattice"
 	"repro/internal/timely"
 )
 
@@ -78,9 +77,4 @@ func IterateFrom[K, V any](seed Collection[K, V],
 	result := body(enteredSeed, v.Collection())
 	v.Set(result)
 	return Leave(result)
-}
-
-// LoopFrontier builds the frontier {(epoch, round)} used in tests.
-func LoopFrontier(epoch, round uint64) lattice.Frontier {
-	return lattice.NewFrontier(lattice.Ts(epoch, round))
 }

@@ -83,7 +83,7 @@ func OutOfCoreJoin(epochs, perEpoch int, budgetFrac float64, waves, probesPerWav
 	mem := core.NewSpine[uint64, uint64](fn, core.MergeDefault)
 	memH := load(mem)
 	for _, run := range mem.Runs() {
-		res.TotalBytes += run.Batch.ApproxBytes()
+		res.TotalBytes += run.(*core.Batch[uint64, uint64]).ApproxBytes()
 	}
 	// The fraction budgets everything the spilled twin keeps in memory:
 	// resident runs plus the decoded-block cache. A point-lookup workload
@@ -111,11 +111,11 @@ func OutOfCoreJoin(epochs, perEpoch int, budgetFrac float64, waves, probesPerWav
 	ooc.SetSpill(st, res.BudgetBytes)
 	oocH := load(ooc)
 	for _, run := range ooc.Runs() {
-		if run.Cold != nil {
+		if b, ok := run.(*core.Batch[uint64, uint64]); ok {
+			res.ResidentBytes += b.ApproxBytes()
+		} else {
 			res.SpilledRuns++
-			continue
 		}
-		res.ResidentBytes += run.Batch.ApproxBytes()
 	}
 	if res.SpilledRuns == 0 {
 		return res, fmt.Errorf("oocore: budget %d spilled nothing of %d bytes; the probe measures nothing",

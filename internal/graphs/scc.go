@@ -19,20 +19,6 @@ func fnU64Pair() core.Funcs[uint64, [2]uint64] {
 	}
 }
 
-// fnPairBool orders ([2]uint64, bool) collections.
-func fnPairBool() core.Funcs[[2]uint64, bool] {
-	return core.Funcs[[2]uint64, bool]{
-		LessK: func(a, b [2]uint64) bool {
-			if a[0] != b[0] {
-				return a[0] < b[0]
-			}
-			return a[1] < b[1]
-		},
-		LessV: func(a, b bool) bool { return !a && b },
-		HashK: func(k [2]uint64) uint64 { return core.Mix64(k[0]*0x9e3779b97f4a7c15 + k[1]) },
-	}
-}
-
 // PropagateMin labels every node with the least node id that reaches it
 // along the arranged edges (an inner iteration usable at any depth).
 func PropagateMin(aEdges *core.Arranged[uint64, uint64],

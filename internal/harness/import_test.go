@@ -138,7 +138,7 @@ func runLateImport(t *testing.T, tag string, workers int, shape importShape,
 		}
 		for _, r := range arr.Agent.Runs() {
 			runs.Add(1)
-			if r.Cold != nil {
+			if _, resident := r.(*core.Batch[uint64, uint64]); !resident {
 				cold.Add(1)
 			}
 		}

@@ -90,6 +90,24 @@ func NetAt(h History, e uint64) map[[2]uint64]core.Diff {
 	return out
 }
 
+// TraceAt is a trace's contents as a reader attaching now sees them: every
+// run's updates with times advanced to the compaction frontier, consolidated.
+// Two traces of the same history at the same compaction frontier agree on it
+// however differently their runs are cut and merged. Worker-local, like all
+// trace access.
+func TraceAt[K, V any](agent *core.TraceAgent[K, V]) []core.Update[K, V] {
+	since := agent.CompactionFrontier()
+	var upds []core.Update[K, V]
+	for _, r := range agent.Runs() {
+		r.ForEach(func(k K, v V, t lattice.Time, d core.Diff) {
+			if rep, ok := lattice.Compact(t, since); ok {
+				upds = append(upds, core.Update[K, V]{Key: k, Val: v, Time: rep, Diff: d})
+			}
+		})
+	}
+	return core.SortUpdates(agent.Fn, upds)
+}
+
 // sendEpoch sends the history's updates of epoch e on in, at in's current
 // epoch.
 func (h History) sendEpoch(in *dd.InputCollection[uint64, uint64], e int) {

@@ -79,13 +79,13 @@ func watch[K, V comparable](tr *traces, name string, a *core.Arranged[K, V]) *co
 
 func dumpTrace[K, V comparable](agent *core.TraceAgent[K, V]) traceDump {
 	d := traceDump{size: agent.Spine().UpdateCount(), contents: map[[2]any]core.Diff{}}
-	agent.SnapshotBatch().ForEach(func(k K, v V, _ lattice.Time, diff core.Diff) {
-		kv := [2]any{k, v}
-		d.contents[kv] += diff
+	for _, u := range TraceAt(agent) {
+		kv := [2]any{u.Key, u.Val}
+		d.contents[kv] += u.Diff
 		if d.contents[kv] == 0 {
 			delete(d.contents, kv)
 		}
-	})
+	}
 	return d
 }
 

@@ -80,9 +80,9 @@
 // response carries (incarnation, received-count, generation) so senders can
 // splice their replay queues to exactly the frames the receiver has not
 // seen, and acks are generation-tagged so a predecessor's acks cannot
-// shrink a successor's replay. The restarted replica's progress tracker is
-// re-seeded from a survivor's snapshot of the positive count table, then
-// catches up on deltas — preserving plus-before-minus across the resync.
+// shrink a successor's replay. No progress state crosses the resync: every
+// rank's driver rebuilds its dataflows for the new generation, with fresh
+// trackers and traces restored from their logged run chains.
 // WaitResynced blocks until every link has spliced past its barrier;
 // Options.OnResync tells the driver which generation to rebuild against.
 //

@@ -846,9 +846,3 @@ func (ob *outbox) kick() {
 	ob.mu.Unlock()
 	ob.cond.Broadcast()
 }
-
-func (ob *outbox) isDead() bool {
-	ob.mu.Lock()
-	defer ob.mu.Unlock()
-	return ob.dead
-}

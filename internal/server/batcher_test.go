@@ -133,12 +133,10 @@ func TestBatcherCoalescesUnderLag(t *testing.T) {
 	// Block every worker goroutine (the blocker occupies the action drain).
 	block := make(chan struct{})
 	started := make(chan struct{}, workers)
-	for i := 0; i < workers; i++ {
-		s.c.Post(i, func(w *timely.Worker) {
-			started <- struct{}{}
-			<-block
-		})
-	}
+	s.c.PostEach(func(w *timely.Worker) {
+		started <- struct{}{}
+		<-block
+	})
 	for i := 0; i < workers; i++ {
 		<-started
 	}

@@ -7,10 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/lattice"
 	"repro/internal/timely"
 	"repro/internal/wal"
@@ -43,17 +46,32 @@ func dumpShards(src *Source[uint64, uint64]) []shardDump {
 		i := w.Index()
 		a := src.arr[i]
 		m := make(map[string]core.Diff)
-		snap := a.Agent.SnapshotBatch()
-		snap.ForEach(func(k, v uint64, t lattice.Time, d core.Diff) {
-			key := fmt.Sprintf("%d/%d@%v", k, v, t)
-			m[key] += d
-			if m[key] == 0 {
-				delete(m, key)
-			}
-		})
+		for _, u := range harness.TraceAt(a.Agent) {
+			m[fmt.Sprintf("%d/%d@%v", u.Key, u.Val, u.Time)] = u.Diff
+		}
 		out[i] = shardDump{Upds: m, Upper: a.Agent.Upper().String(), Since: a.Agent.CompactionFrontier().String()}
 	}).Wait()
 	return out
+}
+
+// netContents sums every worker's shard of the source, as TraceAt reads it,
+// into one collection keyed by (key, val).
+func netContents(src *Source[uint64, uint64]) map[[2]uint64]core.Diff {
+	var mu sync.Mutex
+	net := make(map[[2]uint64]core.Diff)
+	src.s.c.PostEach(func(w *timely.Worker) {
+		upds := harness.TraceAt(src.arr[w.Index()].Agent)
+		mu.Lock()
+		defer mu.Unlock()
+		for _, u := range upds {
+			kv := [2]uint64{u.Key, u.Val}
+			net[kv] += u.Diff
+			if net[kv] == 0 {
+				delete(net, kv)
+			}
+		}
+	}).Wait()
+	return net
 }
 
 // randomHistory derives a deterministic multi-epoch update history from a
@@ -167,22 +185,7 @@ func TestRestartVsOracle(t *testing.T) {
 				extra := randomHistory(seed+100, 2)
 				full := append(append([][]core.Update[uint64, uint64]{}, hist...), extra...)
 				runDurable(t, src2, full, uint64(epochs), 0)
-				merged := make(map[[2]uint64]core.Diff)
-				for _, d := range dumpShards(src2) {
-					for ks, diff := range d.Upds {
-						var k, v uint64
-						var ts string
-						if _, err := fmt.Sscanf(ks, "%d/%d@%s", &k, &v, &ts); err != nil {
-							t.Fatalf("bad dump key %q", ks)
-						}
-						kk := [2]uint64{k, v}
-						merged[kk] += diff
-						if merged[kk] == 0 {
-							delete(merged, kk)
-						}
-					}
-				}
-				if want := historyOracle(full); !reflect.DeepEqual(merged, want) {
+				if merged, want := netContents(src2), historyOracle(full); !reflect.DeepEqual(merged, want) {
 					t.Fatalf("post-restore stream diverged from oracle:\n got %v\nwant %v", merged, want)
 				}
 			})
@@ -236,24 +239,183 @@ func TestRestoreTornLogReappliesTail(t *testing.T) {
 		t.Fatalf("torn log recovered through %d, want a strict prefix of %d", from, epochs)
 	}
 	runDurable(t, src2, hist, from, 0)
+	if merged, want := netContents(src2), historyOracle(hist); !reflect.DeepEqual(merged, want) {
+		t.Fatalf("recovered run diverged from oracle:\n got %v\nwant %v", merged, want)
+	}
+}
 
-	merged := make(map[[2]uint64]core.Diff)
-	for _, d := range dumpShards(src2) {
-		for ks, diff := range d.Upds {
-			var k, v uint64
-			var ts string
-			if _, err := fmt.Sscanf(ks, "%d/%d@%s", &k, &v, &ts); err != nil {
-				t.Fatalf("bad dump key %q", ks)
-			}
-			kk := [2]uint64{k, v}
-			merged[kk] += diff
-			if merged[kk] == 0 {
-				delete(merged, kk)
+// chainHistory churns live records with retractions, one replacement value
+// per key per epoch, so spine merges run and consolidate; then it inserts
+// fresh keys in batches each far smaller than the last, so the geometric
+// merge rule leaves several runs standing behind the consolidated one.
+func chainHistory(churn int) [][]core.Update[uint64, uint64] {
+	const live = 200
+	var hist [][]core.Update[uint64, uint64]
+	for e := uint64(0); e < uint64(churn); e++ {
+		var upds []core.Update[uint64, uint64]
+		for k := uint64(0); k < live; k++ {
+			upds = append(upds, core.Update[uint64, uint64]{Key: k, Val: e, Diff: 1})
+			if e > 0 {
+				upds = append(upds, core.Update[uint64, uint64]{Key: k, Val: e - 1, Diff: -1})
 			}
 		}
+		hist = append(hist, upds)
 	}
-	if want := historyOracle(hist); !reflect.DeepEqual(merged, want) {
-		t.Fatalf("recovered run diverged from oracle:\n got %v\nwant %v", merged, want)
+	next := uint64(live)
+	for _, n := range []int{64, 8, 1} {
+		var upds []core.Update[uint64, uint64]
+		for ; n > 0; n-- {
+			upds = append(upds, core.Update[uint64, uint64]{Key: next, Val: 0, Diff: 1})
+			next++
+		}
+		hist = append(hist, upds)
+	}
+	return hist
+}
+
+// TestCheckpointWritesRunChain: a checkpoint of an unspilled durable source
+// writes each shard's run chain as the spine holds it — the same runs with
+// the same frontiers, not one consolidated snapshot — and a server restored
+// from that chain keeps computing the from-scratch answer.
+func TestCheckpointWritesRunChain(t *testing.T) {
+	const workers = 2
+	hist := append(chainHistory(24), randomHistory(11, 6)...)
+	ckpt := len(hist) - 6 // checkpoint once the tapering inserts have sealed
+	dir := t.TempDir()
+
+	live := NewOpts(workers, Options{DataDir: dir})
+	src, err := NewSourceOpts(live, "edges", core.U64(), durableOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One seal per epoch: a driver running ahead would fold epochs into one
+	// batch and the chain's shape with them.
+	step := func(src *Source[uint64, uint64], e int) {
+		t.Helper()
+		if err := src.Update(hist[e]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := src.Advance(); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for e := 0; e < ckpt; e++ {
+		step(src, e)
+	}
+
+	// Once every shard has sealed the last epoch (Sync does not wait for a
+	// shard with nothing to seal), finish every merge in flight: nothing
+	// changes the spines until the checkpoint, so the chains recorded here
+	// are the ones it writes.
+	type runBounds struct {
+		lower, upper, since string
+		len                 int
+	}
+	chains := make([][]runBounds, workers)
+	sinces := make([]string, workers)
+	sealed := lattice.NewFrontier(lattice.Ts(uint64(ckpt)))
+	for behind := []bool{true}; slices.Contains(behind, true); {
+		behind = make([]bool, workers)
+		src.s.c.PostEach(func(w *timely.Worker) {
+			agent := src.arr[w.Index()].Agent
+			if !agent.Upper().Equal(sealed) {
+				behind[w.Index()] = true
+				return
+			}
+			for agent.Spine().Work(1 << 30) {
+			}
+			chains[w.Index()] = nil
+			for _, r := range agent.Runs() {
+				lower, upper, since := r.Bounds()
+				chains[w.Index()] = append(chains[w.Index()], runBounds{lower.String(), upper.String(), since.String(), r.Len()})
+			}
+			sinces[w.Index()] = agent.CompactionFrontier().String()
+		}).Wait()
+	}
+	if len(chains[0])+len(chains[1]) <= workers {
+		t.Fatalf("churn left one run per shard (%v); the chain under test is trivial", chains)
+	}
+	if err := src.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	live.Close()
+
+	for i := 0; i < workers; i++ {
+		lg, st, err := wal.OpenShard(wal.ShardDir(dir, "edges", i), wal.U64Codec(), wal.U64Codec(), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lg.Close()
+		var logged []runBounds
+		for _, r := range st.Runs {
+			if r.Batch == nil {
+				t.Fatalf("shard %d: an unspilled source logged a block reference", i)
+			}
+			logged = append(logged, runBounds{r.Batch.Lower.String(), r.Batch.Upper.String(), r.Batch.Since.String(), r.Batch.Len()})
+		}
+		if !reflect.DeepEqual(logged, chains[i]) {
+			t.Fatalf("shard %d logged runs\n %v\nthe spine held\n %v", i, logged, chains[i])
+		}
+		if st.Since.String() != sinces[i] {
+			t.Fatalf("shard %d logged since %v, the spine compacted to %s", i, st.Since, sinces[i])
+		}
+	}
+
+	restored := NewOpts(workers, Options{DataDir: dir, Recover: true})
+	defer restored.Close()
+	src2, err := NewSourceOpts(restored, "edges", core.U64(), durableOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if from, err := src2.Restore(); err != nil || from != uint64(ckpt) {
+		t.Fatalf("restored through epoch %d (%v), want %d", from, err, ckpt)
+	}
+	for e := ckpt; ; e++ {
+		if got, want := netContents(src2), historyOracle(hist[:e]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after epoch %d the restored trace holds\n %v\nfrom scratch\n %v", e, got, want)
+		}
+		if e == len(hist) {
+			break
+		}
+		step(src2, e)
+	}
+}
+
+// TestCheckpointSkipsRunsPastBound pins checkpointRuns' guard: a shard whose
+// runs are compacted beyond the epoch every shard is known to have logged
+// keeps its current generation, byte for byte, and rotates once the bound
+// covers them.
+func TestCheckpointSkipsRunsPastBound(t *testing.T) {
+	s := NewOpts(1, Options{DataDir: t.TempDir()})
+	defer s.Close()
+	src, err := NewSourceOpts(s, "edges", core.U64(), durableOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, upds := range randomHistory(3, 6) { // one seal per epoch
+		src.Update(upds)
+		src.Advance()
+		src.Sync()
+	}
+	before := src.logs[0].Size()
+	for _, c := range []struct {
+		bound        uint64
+		skipped      bool
+		sameLogBytes bool
+	}{{0, true, true}, {6, false, false}} {
+		var skipped bool
+		src.s.c.PostEach(func(w *timely.Worker) {
+			skipped, err = src.checkpointRuns(0, lattice.NewFrontier(lattice.Ts(c.bound)))
+		}).Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if skipped != c.skipped || (src.logs[0].Size() == before) != c.sameLogBytes {
+			t.Fatalf("bound %d: skipped=%v, log %d -> %d bytes", c.bound, skipped, before, src.logs[0].Size())
+		}
 	}
 }
 

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -407,7 +408,6 @@ func NewSourceOpts[K, V any](s *Server, name string, fn core.Funcs[K, V],
 				} else {
 					src.stores[i] = bs
 					aopt.Spill = &core.SpillOptions{
-						Dir:              bs.Dir(),
 						MaxResidentBytes: opt.SpillBytes,
 						Store:            bs,
 					}
@@ -600,26 +600,33 @@ func (src *Source[K, V]) Lag() uint64 {
 // arrangement on all workers. Returns ErrClosed if the server closed before
 // (or while) the epochs completed.
 func (src *Source[K, V]) Sync() error {
+	_, err := src.sync()
+	return err
+}
+
+// sync is Sync returning the epoch it waited for: every shard had sealed
+// (and, if durable, logged) every update below it when sync returned.
+func (src *Source[K, V]) sync() (uint64, error) {
 	src.mu.Lock()
 	if src.s.Closed() {
 		src.mu.Unlock()
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if err := src.checkRestored(); err != nil {
 		src.mu.Unlock()
-		return err
+		return 0, err
 	}
 	e := src.epoch
 	src.mu.Unlock()
 	if e == 0 {
-		return nil
+		return 0, nil
 	}
 	t := lattice.Ts(e - 1)
 	probe := src.probes[src.s.c.FirstLocal()]
 	if !src.s.c.WaitUntil(func() bool { return probe.Done(t) }) {
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	return nil
+	return e, nil
 }
 
 // ImportInto attaches the calling worker's shard of the arrangement to a new
@@ -771,11 +778,11 @@ func (src *Source[K, V]) restoreClamped(clamp *lattice.Frontier) (uint64, error)
 			perr[i] = err
 			return
 		}
-		runs := make([]core.TraceRun[K, V], 0, len(clamped))
+		runs := make([]core.BatchReader[K, V], 0, len(clamped))
 		referenced := map[string]bool{}
 		for _, r := range clamped {
 			if r.Ref == nil {
-				runs = append(runs, core.TraceRun[K, V]{Batch: r.Batch})
+				runs = append(runs, r.Batch)
 				continue
 			}
 			if src.stores[i] == nil {
@@ -787,7 +794,7 @@ func (src *Source[K, V]) restoreClamped(clamp *lattice.Frontier) (uint64, error)
 				perr[i] = fmt.Errorf("reopening spilled run %s: %w", r.Ref.Name, oerr)
 				return
 			}
-			runs = append(runs, core.TraceRun[K, V]{Cold: cold})
+			runs = append(runs, cold)
 			referenced[r.Ref.Name] = true
 		}
 		src.arr[i].RestoreRuns(runs, since)
@@ -802,10 +809,7 @@ func (src *Source[K, V]) restoreClamped(clamp *lattice.Frontier) (uint64, error)
 			// fresh runs under the restore-time budget; they are referenced by
 			// the live trace, not the manifest, and must survive the sweep.
 			for _, r := range src.arr[i].Agent.Runs() {
-				if r.Cold == nil {
-					continue
-				}
-				if ref, ok := block.Ref[K, V](r.Cold); ok {
+				if ref, ok := block.Ref(r); ok {
 					referenced[ref.Name] = true
 				}
 			}
@@ -857,12 +861,15 @@ func (src *Source[K, V]) restore() (uint64, bool, error) {
 	return epoch, true, err
 }
 
-// Checkpoint compacts the source's shard logs to a snapshot of the live
-// trace: one batch consolidated at the frontier a late-subscribing query's
-// import sits at. Updates cancelled below that frontier vanish, so the new
-// log is proportional to the live collection. Safe while updates stream: each shard snapshots and rotates
-// atomically on its own worker, and batches sealed after that shard's
-// snapshot simply land in the new generation behind it.
+// Checkpoint rotates the source's shard logs to the traces' run chains: each
+// shard's new log generation holds its spine's runs as they stand — resident
+// runs as batch records, spilled runs as block references — so a checkpoint
+// neither consolidates (compaction is the spine's job) nor re-reads the cold
+// tier, and a restore rebuilds the spine from the same runs. Safe while
+// updates stream: each shard rotates atomically on its own worker, and
+// batches sealed after that shard's rotation land in the new generation
+// behind it. A shard that a racing seal made skip (see checkpointRuns) gets
+// one more pass, behind a Sync that covers that seal too.
 func (src *Source[K, V]) Checkpoint() error {
 	src.mu.Lock()
 	if !src.durable {
@@ -874,53 +881,72 @@ func (src *Source[K, V]) Checkpoint() error {
 		return fmt.Errorf("server: source %q is not serving (recovering or failed); cannot checkpoint", src.nm)
 	}
 	src.mu.Unlock()
-	if err := src.Sync(); err != nil {
-		return err
-	}
 
-	perr := make([]error, len(src.logs))
-	p := src.s.c.PostEach(func(w *timely.Worker) {
-		i := w.Index()
-		if src.stores[i] != nil {
-			perr[i] = src.checkpointRuns(i)
-			return
+	var skipped []bool // nil: every shard is due
+	for pass := 0; pass < 2; pass++ {
+		synced, err := src.sync()
+		if err != nil {
+			return err
 		}
-		snap := src.arr[i].Agent.SnapshotBatch()
-		perr[i] = src.logs[i].Rotate(snap.Since.Clone(), []*core.Batch[K, V]{snap})
-	})
-	p.Wait()
-	if p.Aborted() {
-		return ErrClosed
+		bound := lattice.NewFrontier(lattice.Ts(synced))
+		skip := make([]bool, len(src.logs))
+		perr := make([]error, len(src.logs))
+		p := src.s.c.PostEach(func(w *timely.Worker) {
+			if i := w.Index(); skipped == nil || skipped[i] {
+				skip[i], perr[i] = src.checkpointRuns(i, bound)
+			}
+		})
+		p.Wait()
+		if p.Aborted() {
+			return ErrClosed
+		}
+		if err := errors.Join(perr...); err != nil || !slices.Contains(skip, true) {
+			return err
+		}
+		skipped = skip
 	}
-	return errors.Join(perr...)
+	return nil
 }
 
-// checkpointRuns rotates worker i's shard log from the trace's run chain:
-// resident runs are rewritten as batch records, spilled runs become block
-// references — the checkpoint never re-reads the cold tier, so its I/O is
-// proportional to the resident tier. Once the new generation is durable, no
-// manifest names the runs retired by earlier merges, so their dead-listed
-// files are collected. Runs on worker i's goroutine.
-func (src *Source[K, V]) checkpointRuns(i int) error {
+// checkpointRuns rotates worker i's shard log from the trace's run chain.
+// Once the new generation is durable, no manifest names the runs retired by
+// earlier merges, so their dead-listed block files are collected. Runs on
+// worker i's goroutine.
+//
+// Every shard had sealed, and so logged, every update below bound when the
+// checkpoint began, so a later recovery cut is at or beyond it, and a run
+// compacted no further than bound can be clamped to that cut: its times
+// below the cut are still below it. A run compacted beyond bound — a merge
+// that landed after a seal raced the checkpoint — cannot be, so a shard
+// holding one keeps its current generation (still a valid log) and reports
+// the skip. (One gap remains: a shard with nothing to seal below bound may
+// not have closed that empty interval yet, so its log upper, and a cut
+// taken in that window, can trail bound; DESIGN.md §Recovery.)
+func (src *Source[K, V]) checkpointRuns(i int, bound lattice.Frontier) (skipped bool, err error) {
 	runs := src.arr[i].Agent.Runs()
 	walRuns := make([]wal.Run[K, V], 0, len(runs))
 	for _, r := range runs {
-		if r.Cold == nil {
-			walRuns = append(walRuns, wal.Run[K, V]{Batch: r.Batch})
+		if _, _, since := r.Bounds(); !since.Dominates(bound) {
+			return true, nil
+		}
+		if b, ok := r.(*core.Batch[K, V]); ok {
+			walRuns = append(walRuns, wal.Run[K, V]{Batch: b})
 			continue
 		}
-		ref, ok := block.Ref[K, V](r.Cold)
+		ref, ok := block.Ref(r)
 		if !ok {
-			return fmt.Errorf("server: source %q holds a cold run of unknown origin", src.nm)
+			return false, fmt.Errorf("server: source %q holds a cold run of unknown origin", src.nm)
 		}
 		walRuns = append(walRuns, wal.Run[K, V]{Ref: ref})
 	}
 	since := src.arr[i].Agent.CompactionFrontier()
 	if err := src.logs[i].RotateRuns(since.Clone(), walRuns); err != nil {
-		return err
+		return false, err
 	}
-	src.stores[i].GCDead()
-	return nil
+	if src.stores[i] != nil {
+		src.stores[i].GCDead()
+	}
+	return false, nil
 }
 
 // SpillStats reports the cold tier's state summed across workers: block
@@ -948,7 +974,7 @@ func (src *Source[K, V]) SpillStats() (files, refs int, err error) {
 		}
 		pf[i] = len(names)
 		for _, r := range src.arr[i].Agent.Runs() {
-			if r.Cold != nil {
+			if _, resident := r.(*core.Batch[K, V]); !resident {
 				pr[i]++
 			}
 		}

@@ -55,19 +55,6 @@ type FabricHost interface {
 	DeliverProgress(df int, deltas []ProgressDelta)
 }
 
-// ProgressReseeder is the optional FabricHost extension for crash recovery:
-// a host that implements it can export a dataflow's positive pointstamp
-// count table (SnapshotProgress) and replace its own from a peer's export
-// (ReseedProgress). A rejoining replica reseeds after re-registering its
-// topology and before applying any post-resync broadcast delta, so the
-// plus-before-minus invariant holds across the resync boundary — every
-// snapshot diff is positive, and later decrements land on counts the
-// snapshot already established. The cluster runtime implements it.
-type ProgressReseeder interface {
-	SnapshotProgress(df int) []ProgressDelta
-	ReseedProgress(df int, ds []ProgressDelta)
-}
-
 // Fabric is the pluggable transport beneath a runtime. Workers 0..Workers()-1
 // are sharded across processes; this process owns the contiguous range
 // [FirstLocal(), FirstLocal()+LocalWorkers()).

@@ -312,15 +312,6 @@ func (c *Ctx) Drop(port int, t lattice.Time) {
 	o.activity = true
 }
 
-// HeldCaps returns the times of persistent capabilities held on port.
-func (c *Ctx) HeldCaps(port int) []lattice.Time {
-	out := make([]lattice.Time, 0, len(c.o.caps[port]))
-	for t := range c.o.caps[port] {
-		out = append(out, t)
-	}
-	return out
-}
-
 // In is a typed operator input endpoint.
 type In[A any] struct {
 	o    *opState

@@ -66,9 +66,6 @@ func (c *Cluster) FirstLocal() int { return c.rt.first }
 // LocalWorkers returns the number of workers this process runs.
 func (c *Cluster) LocalWorkers() int { return c.rt.nlocal }
 
-// Local reports whether global worker index w runs in this process.
-func (c *Cluster) Local(w int) bool { return c.rt.localWorker(w) }
-
 // serve is the servant loop: drain posted actions, step every installed
 // dataflow, and park when neither produced activity. Exits when the cluster
 // has been stopped and the worker is idle. One final action drain runs after
@@ -206,34 +203,11 @@ func (p *Pending) Wait() { p.wg.Wait() }
 // already shut down (the action never ran). Call only after Wait.
 func (p *Pending) Aborted() bool { return p.aborted }
 
-// Post schedules f to run on the given (local) worker's goroutine. Use it
+// PostEach schedules f to run once on every local worker's goroutine. Use it
 // for any mutation of worker-local state (trace handles, import
 // cancellation) from a driver goroutine. Posting to a cluster that has
-// already shut down does not wedge: the action is dropped and the returned
+// already shut down does not wedge: the actions are dropped and the returned
 // Pending is marked Aborted.
-func (c *Cluster) Post(worker int, f func(w *Worker)) *Pending {
-	if !c.rt.localWorker(worker) {
-		panic("timely: Post to non-local worker")
-	}
-	p := &Pending{}
-	c.rt.mu.Lock()
-	if c.rt.stopped {
-		p.aborted = true
-		c.rt.mu.Unlock()
-		return p
-	}
-	p.wg.Add(1)
-	c.rt.actions[worker] = append(c.rt.actions[worker], func(w *Worker) {
-		f(w)
-		p.wg.Done()
-	})
-	c.rt.mu.Unlock()
-	c.rt.wake()
-	return p
-}
-
-// PostEach schedules f to run once on every local worker's goroutine. Like
-// Post, it aborts rather than wedges on a stopped cluster.
 func (c *Cluster) PostEach(f func(w *Worker)) *Pending {
 	p := &Pending{}
 	c.rt.mu.Lock()
@@ -299,7 +273,7 @@ func (c *Cluster) Uninstall(in *Installed) {
 func (c *Cluster) Wake() { c.rt.wake() }
 
 // Shutdown stops the workers and blocks until they exit. Dataflows that are
-// not yet complete are abandoned in place. Install, Post, and PostEach calls
+// not yet complete are abandoned in place. Install and PostEach calls
 // racing or following Shutdown are refused with an Aborted result rather
 // than wedged; WaitUntil returns false.
 func (c *Cluster) Shutdown() {

@@ -284,9 +284,6 @@ type progressBatch struct {
 
 func (pb *progressBatch) empty() bool { return len(pb.plus) == 0 && len(pb.minus) == 0 }
 
-func (pb *progressBatch) msgPlus(op, port int, t lattice.Time, n int64) {
-	pb.plus = append(pb.plus, delta{portKey{op, port, false}, t, n})
-}
 func (pb *progressBatch) msgMinus(op, port int, t lattice.Time, n int64) {
 	pb.minus = append(pb.minus, delta{portKey{op, port, false}, t, -n})
 }
@@ -360,63 +357,6 @@ func (tr *tracker) applyRemote(ds []ProgressDelta) {
 		return
 	}
 	tr.mu.Lock()
-	for _, d := range ds {
-		tr.bump(delta{portKey{d.Op, d.Port, d.Out}, d.Time, d.Diff})
-	}
-	tr.commit()
-	tr.mu.Unlock()
-	tr.rt.wake()
-}
-
-// snapshot captures the tracker's positive pointstamp counts as one delta
-// batch: the state a rejoining replica needs to rebuild its view of the
-// cluster's outstanding work. Negative transients (legal in dist mode while
-// a consume races its increment) are deliberately excluded — the snapshot is
-// taken from a quiesced survivor, where a transient would mean in-flight
-// traffic that the resync barrier has already discarded, and re-seeding a
-// negative would hand the replica a minus before its plus. Every emitted
-// diff is positive, so a receiver may apply the batch in any order without
-// violating plus-before-minus.
-func (tr *tracker) snapshot() []ProgressDelta {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	ds := make([]ProgressDelta, 0, tr.nlive)
-	for k, c := range tr.eachCount {
-		if c.n > 0 {
-			ds = append(ds, ProgressDelta{Op: k.op, Port: k.port, Out: k.out, Time: c.t, Diff: c.n})
-		}
-	}
-	return ds
-}
-
-// eachCount iterates over every nonzero pointstamp count with the port it sits
-// at. Must be called with tr.mu held.
-func (tr *tracker) eachCount(yield func(portKey, timeCount) bool) {
-	for side, ops := range tr.ports {
-		for op, ports := range ops {
-			for port, id := range ports {
-				for _, c := range tr.locs[id].counts {
-					if !yield(portKey{op, port, side == 1}, c) {
-						return
-					}
-				}
-			}
-		}
-	}
-}
-
-// reseed replaces the tracker's counts with a peer's snapshot. The rejoining
-// replica calls it after re-registering its (identical) dataflow topology
-// and before consuming any post-resync delta: registration's initial
-// capabilities are superseded by the snapshot, and subsequent broadcast
-// deltas apply on top, keeping plus-before-minus across the resync boundary.
-func (tr *tracker) reseed(ds []ProgressDelta) {
-	tr.mu.Lock()
-	for i := range tr.locs {
-		tr.locs[i].counts = nil
-	}
-	tr.nlive = 0
-	tr.moved = true
 	for _, d := range ds {
 		tr.bump(delta{portKey{d.Op, d.Port, d.Out}, d.Time, d.Diff})
 	}

@@ -63,8 +63,14 @@ func countsOf(tr *tracker) map[portTime]int64 {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	m := make(map[portTime]int64)
-	for k, c := range tr.eachCount {
-		m[portTime{k, c.t}] += c.n
+	for side, ops := range tr.ports {
+		for op, ports := range ops {
+			for port, id := range ports {
+				for _, c := range tr.locs[id].counts {
+					m[portTime{portKey{op, port, side == 1}, c.t}] += c.n
+				}
+			}
+		}
 	}
 	return m
 }
@@ -476,93 +482,6 @@ func FuzzProgressClosure(f *testing.F) {
 		}
 		sim.runToQuiescence(t, tr, 0, "fuzz drain")
 	})
-}
-
-// TestProgressReseedConverges simulates the crash-recovery path: two replicas
-// run a legal execution, one is torn down mid-stream, and a fresh replica is
-// re-seeded from the survivor's positive-count snapshot (SnapshotProgress →
-// ReseedProgress) before the execution continues. After every post-reseed
-// batch lands, both the survivor and the rejoined replica must match the
-// sequential reference exactly — counts and frontiers. This is the tracker
-// half of the mesh resync protocol: the snapshot is applicable in any state
-// (all diffs positive), and later decrements land on counts the snapshot
-// already established, preserving plus-before-minus across the boundary.
-func TestProgressReseedConverges(t *testing.T) {
-	for seed := int64(0); seed < 15; seed++ {
-		when := fmt.Sprintf("seed %d", seed)
-		r := rand.New(rand.NewSource(2000 + seed))
-		sim := newPropSim(r, 2)
-
-		fab0 := &recordingFabric{workers: 2, first: 0}
-		fab1 := &recordingFabric{workers: 2, first: 1}
-		tr0 := newTracker(newRuntime(fab0), 0)
-		tr1 := newTracker(newRuntime(fab1), 0)
-		sim.register(tr0)
-		sim.register(tr1)
-		ref := newTracker(newRuntime(NewLocalFabric(2)), 0)
-		sim.register(ref)
-		deliver := func(tr *tracker, batches [][]ProgressDelta) {
-			for _, b := range batches {
-				tr.applyRemote(b)
-				checkReference(t, when, tr)
-			}
-		}
-
-		// Phase 1: both replicas live.
-		for i := 0; i < 120; i++ {
-			p := r.Intn(2)
-			targets := []*tracker{[]*tracker{tr0, tr1}[p], ref}
-			sim.step(p, targets)
-			checkReference(t, when, targets...)
-		}
-		// Quiesce: deliver all in-flight broadcasts (the mesh holds frontiers
-		// and drains links before a snapshot is taken).
-		deliver(tr0, fab1.batches)
-		deliver(tr1, fab0.batches)
-
-		// Replica 1 dies. Its successor registers the same topology, then
-		// replaces its counts with the survivor's snapshot.
-		fab1b := &recordingFabric{workers: 2, first: 1}
-		tr1b := newTracker(newRuntime(fab1b), 0)
-		sim.register(tr1b)
-		tr1b.reseed(tr0.snapshot())
-		checkReference(t, when, tr1b)
-
-		// The snapshot must already agree with the survivor.
-		for op := range sim.ops {
-			if !tr0.frontierAt(op, 0).Equal(tr1b.frontierAt(op, 0)) {
-				t.Fatalf("seed %d: reseeded frontier at op %d differs from snapshot source", seed, op)
-			}
-		}
-
-		// Phase 2: execution continues across survivor + successor.
-		mark0 := len(fab0.batches)
-		for i := 0; i < 120; i++ {
-			p := r.Intn(2)
-			targets := []*tracker{[]*tracker{tr0, tr1b}[p], ref}
-			sim.step(p, targets)
-			checkReference(t, when, targets...)
-		}
-		for p := 0; p < 2; p++ {
-			sim.drainMsgs(p, []*tracker{[]*tracker{tr0, tr1b}[p], ref})
-			sim.dropCaps(p, 0.5, []*tracker{[]*tracker{tr0, tr1b}[p], ref})
-		}
-		// Deliver the post-reseed streams, each in its sender's order.
-		deliver(tr1b, fab0.batches[mark0:])
-		deliver(tr0, fab1b.batches)
-
-		for q, tr := range []*tracker{tr0, tr1b} {
-			for op := range sim.ops {
-				want := ref.frontierAt(op, 0)
-				got := tr.frontierAt(op, 0)
-				if !want.Equal(got) {
-					t.Fatalf("seed %d: replica %d frontier at op %d diverged after reseed: got %v want %v",
-						seed, q, op, got, want)
-				}
-			}
-			checkCounts(t, fmt.Sprintf("seed %d: replica %d after reseed", seed, q), tr, ref)
-		}
-	}
 }
 
 // TestProgressInterleavedDeltasConverge runs one legal execution across three

@@ -141,18 +141,6 @@ func (rt *runtime) DeliverProgress(df int, deltas []ProgressDelta) {
 	rt.trackerFor(df).applyRemote(deltas)
 }
 
-// SnapshotProgress captures dataflow df's positive pointstamp counts as a
-// delta batch a rejoining replica can re-seed from (ProgressReseeder).
-func (rt *runtime) SnapshotProgress(df int) []ProgressDelta {
-	return rt.trackerFor(df).snapshot()
-}
-
-// ReseedProgress replaces dataflow df's count tables with a peer's snapshot
-// (ProgressReseeder).
-func (rt *runtime) ReseedProgress(df int, ds []ProgressDelta) {
-	rt.trackerFor(df).reseed(ds)
-}
-
 // trackerFor returns (creating if needed) the progress tracker for the given
 // dataflow sequence number. Slots of uninstalled dataflows are nil; sequence
 // numbers are never reused, so a nil slot is only ever re-filled here if a

@@ -7,8 +7,9 @@ import "repro/internal/core"
 // arrangements of these relations store batches column-major — merges move
 // word columns instead of memmoving 9–15-field structs, and comparisons read
 // only the leading columns they need. Everything here is explicit per-field
-// code, mirroring the less* orderings in inputs.go; the columnar/slice oracle
-// tests assert the agreement.
+// code, mirroring the less* orderings in inputs.go (lexicographic over the
+// fields). Only customer, partsupp and lineitem are arranged whole today, so
+// only they have a store factory below.
 
 // colCmp is one step of a CmpCols comparison: which column to compare next
 // and whether its words carry int64s.
@@ -266,11 +267,8 @@ func (LineItem) CmpCols(a [][]uint64, i int, b [][]uint64, j int) int {
 
 // Store factories, built once per process and shared by every Funcs value.
 var (
-	supplierStore = core.NewColumnarStore[Supplier]()
 	customerStore = core.NewColumnarStore[Customer]()
-	partStore     = core.NewColumnarStore[Part]()
 	partSuppStore = core.NewColumnarStore[PartSupp]()
-	orderStore    = core.NewColumnarStore[Order]()
 	lineItemStore = core.NewColumnarStore[LineItem]()
 )
 

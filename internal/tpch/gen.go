@@ -47,14 +47,12 @@ const (
 
 // Date bounds (days since 1992-01-01).
 const (
-	DateMin     = 0
 	DateMax     = 2405 // ~1998-08-02
 	Year1993    = 366  // 1992 was a leap year
 	Year1994    = 731
 	Year1995    = 1096
 	Year1996    = 1461
 	Year1997    = 1827
-	Year1998    = 2192
 	OneYearDays = 365
 )
 

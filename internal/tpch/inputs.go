@@ -76,22 +76,6 @@ func fnUnit() core.Funcs[uint64, core.Unit] { return core.U64Key() }
 // Row orderings (total, lexicographic over all fields) so relations can be
 // arranged directly.
 
-func lessSupplier(a, b Supplier) bool {
-	if a.SuppKey != b.SuppKey {
-		return a.SuppKey < b.SuppKey
-	}
-	if a.NationKey != b.NationKey {
-		return a.NationKey < b.NationKey
-	}
-	if a.AcctBal != b.AcctBal {
-		return a.AcctBal < b.AcctBal
-	}
-	if a.Complaint != b.Complaint {
-		return !a.Complaint
-	}
-	return a.NameCode < b.NameCode
-}
-
 func lessCustomer(a, b Customer) bool {
 	if a.CustKey != b.CustKey {
 		return a.CustKey < b.CustKey
@@ -108,28 +92,6 @@ func lessCustomer(a, b Customer) bool {
 	return a.Phone < b.Phone
 }
 
-func lessPart(a, b Part) bool {
-	if a.PartKey != b.PartKey {
-		return a.PartKey < b.PartKey
-	}
-	if a.Brand != b.Brand {
-		return a.Brand < b.Brand
-	}
-	if a.TypeCode != b.TypeCode {
-		return a.TypeCode < b.TypeCode
-	}
-	if a.Size != b.Size {
-		return a.Size < b.Size
-	}
-	if a.Container != b.Container {
-		return a.Container < b.Container
-	}
-	if a.Color != b.Color {
-		return a.Color < b.Color
-	}
-	return a.RetailPrice < b.RetailPrice
-}
-
 func lessPartSupp(a, b PartSupp) bool {
 	if a.PartKey != b.PartKey {
 		return a.PartKey < b.PartKey
@@ -141,34 +103,6 @@ func lessPartSupp(a, b PartSupp) bool {
 		return a.AvailQty < b.AvailQty
 	}
 	return a.SupplyCost < b.SupplyCost
-}
-
-func lessOrder(a, b Order) bool {
-	if a.OrderKey != b.OrderKey {
-		return a.OrderKey < b.OrderKey
-	}
-	if a.CustKey != b.CustKey {
-		return a.CustKey < b.CustKey
-	}
-	if a.Status != b.Status {
-		return a.Status < b.Status
-	}
-	if a.TotalPrice != b.TotalPrice {
-		return a.TotalPrice < b.TotalPrice
-	}
-	if a.OrderDate != b.OrderDate {
-		return a.OrderDate < b.OrderDate
-	}
-	if a.Priority != b.Priority {
-		return a.Priority < b.Priority
-	}
-	if a.ShipPriority != b.ShipPriority {
-		return a.ShipPriority < b.ShipPriority
-	}
-	if a.SpecialRequest != b.SpecialRequest {
-		return !a.SpecialRequest
-	}
-	return a.Clerk < b.Clerk
 }
 
 func lessLineItem(a, b LineItem) bool {
@@ -220,21 +154,9 @@ func lessLineItem(a, b LineItem) bool {
 // The relation Funcs carry columnar store factories (columnar.go): every
 // arrangement of a relation stores its wide tuples column-major.
 
-func fnSupplier() core.Funcs[uint64, Supplier] {
-	f := fnU64T(lessSupplier)
-	f.NewStore = supplierStore
-	return f
-}
-
 func fnCustomer() core.Funcs[uint64, Customer] {
 	f := fnU64T(lessCustomer)
 	f.NewStore = customerStore
-	return f
-}
-
-func fnPart() core.Funcs[uint64, Part] {
-	f := fnU64T(lessPart)
-	f.NewStore = partStore
 	return f
 }
 
@@ -243,14 +165,6 @@ func fnPartSupp() core.Funcs[uint64, PartSupp] {
 	f.NewStore = partSuppStore
 	return f
 }
-
-func fnOrder() core.Funcs[uint64, Order] {
-	f := fnU64T(lessOrder)
-	f.NewStore = orderStore
-	return f
-}
-
-func fnLineItem() core.Funcs[uint64, LineItem] { return LineItemFuncs(true) }
 
 // Inputs is one worker's update handles for the six mutable relations
 // (region and nation are derivable from the integer codes).

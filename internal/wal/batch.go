@@ -329,37 +329,3 @@ func monotone(off []int32, last int, what string) error {
 	}
 	return nil
 }
-
-// ClampBatches restricts a replayed batch chain to the updates at times not
-// in advance of cut. Workers seal batches independently, so after a crash
-// the shards' log uppers generally differ; recovery clamps every shard to
-// the meet of those uppers — the globally consistent prefix. Batches wholly
-// behind the cut pass through shared; the batch straddling it is rebuilt
-// from its updates' original (uncompacted — only checkpoint snapshots store
-// compacted times, and those are written at a globally synced frontier, so
-// they are never cut) times with upper = cut; everything beyond is dropped.
-func ClampBatches[K, V any](fn core.Funcs[K, V], batches []*core.Batch[K, V],
-	cut lattice.Frontier) []*core.Batch[K, V] {
-
-	out := make([]*core.Batch[K, V], 0, len(batches))
-	for _, b := range batches {
-		if b.Upper.Dominates(cut) {
-			// Upper ≤ cut: the whole batch lies behind the consistent prefix.
-			out = append(out, b)
-			continue
-		}
-		var kept []core.Update[K, V]
-		b.ForEach(func(k K, v V, t lattice.Time, d core.Diff) {
-			if !cut.LessEqual(t) {
-				kept = append(kept, core.Update[K, V]{Key: k, Val: v, Time: t, Diff: d})
-			}
-		})
-		if len(kept) == 0 && b.Lower.Equal(cut) {
-			break // chain already ends exactly at the cut
-		}
-		since := lattice.MeetAll(b.Since, cut)
-		out = append(out, core.BuildBatch(fn, kept, b.Lower.Clone(), cut.Clone(), since))
-		break // later batches lie entirely at or beyond the cut
-	}
-	return out
-}

@@ -33,18 +33,19 @@ type Options struct {
 }
 
 // ShardState is the recovered contents of one worker's shard log: the
-// contiguous chain of logged batches, the last logged compaction frontier,
-// and the frontier through which the shard had sealed.
+// contiguous run chain, the last logged compaction frontier, and the
+// frontier through which the shard had sealed.
 type ShardState[K, V any] struct {
-	Batches []*core.Batch[K, V] // decoded batch records only, oldest first
-	// Runs is the full recovered chain in order, including spilled runs
-	// recovered as block references. For a log without references it
-	// parallels Batches; restore paths that understand the disk tier use
-	// Runs, legacy paths use Batches.
-	Runs  []Run[K, V]
-	Since lattice.Frontier // last logged compaction-frontier advance
-	Upper lattice.Frontier // upper of the last logged batch
-	Torn  bool             // a torn/corrupt tail was discarded on replay
+	// Runs is the recovered chain in order — the last checkpoint's runs, then
+	// every batch sealed since — with spilled runs as block references.
+	// Restore rebuilds the trace from it.
+	Runs []Run[K, V]
+	// Batches is the chain's batch records alone, oldest first: all of it
+	// for a log without block references.
+	Batches []*core.Batch[K, V]
+	Since   lattice.Frontier // last logged compaction-frontier advance
+	Upper   lattice.Frontier // upper of the last logged batch
+	Torn    bool             // a torn/corrupt tail was discarded on replay
 }
 
 // ShardLog is the append-only log of one worker's shard of one arrangement.
@@ -247,7 +248,7 @@ func (l *ShardLog[K, V]) append(payload []byte) error {
 }
 
 // Size reports the byte length of the current generation (the replayed
-// prefix plus everything appended since the last Rotate). It is safe to call
+// prefix plus everything appended since the last checkpoint). It is safe to call
 // from any goroutine — drivers poll it to trigger checkpoints on log growth.
 func (l *ShardLog[K, V]) Size() int64 { return l.size.Load() }
 
@@ -286,28 +287,17 @@ func (l *ShardLog[K, V]) AdvanceSince(f lattice.Frontier) error {
 	return l.append(l.pbuf)
 }
 
-// Rotate checkpoints the log: it writes a fresh generation holding the given
-// compaction frontier and batch chain (typically one compacted snapshot of
-// the trace — the same artifact a late-subscribing query imports), atomically
-// renames it into place, and deletes the superseded generation. Subsequent
-// appends extend the new generation, so the log stays proportional to the
-// live collection plus the tail sealed since the last checkpoint.
+// Rotate is RotateRuns over a chain of resident batches.
 func (l *ShardLog[K, V]) Rotate(since lattice.Frontier, batches []*core.Batch[K, V]) error {
-	var data []byte
-	l.pbuf = append(l.pbuf[:0], recSince)
-	l.pbuf = appendFrontier(l.pbuf, since)
-	data = appendRecord(data, l.pbuf)
-	for _, b := range batches {
-		l.pbuf = append(l.pbuf[:0], recBatch)
-		l.pbuf = appendBatch(l.pbuf, l.kc, l.vc, b)
-		data = appendRecord(data, l.pbuf)
+	runs := make([]Run[K, V], len(batches))
+	for i, b := range batches {
+		runs[i].Batch = b
 	}
-	return l.installGeneration(data)
+	return l.RotateRuns(since, runs)
 }
 
 // installGeneration writes data as the next generation, atomically renames
-// it into place, and deletes the superseded generation (the shared tail of
-// Rotate and RotateRuns).
+// it into place, and deletes the superseded generation.
 func (l *ShardLog[K, V]) installGeneration(data []byte) error {
 	next := l.gen + 1
 	tmp := filepath.Join(l.dir, fmt.Sprintf("gen-%08d.tmp", next))
@@ -353,9 +343,6 @@ func (l *ShardLog[K, V]) Close() error {
 	}
 	return l.f.Close()
 }
-
-// Dir returns the shard's directory.
-func (l *ShardLog[K, V]) Dir() string { return l.dir }
 
 // ShardDir is the conventional location of one worker's shard of one named
 // arrangement under a server data directory.

@@ -8,13 +8,13 @@ import (
 	"repro/internal/lattice"
 )
 
-// Disk-tiered manifests. A spine with a cold tier checkpoints as a chain of
-// runs: resident runs are written into the generation as ordinary batch
-// records, spilled runs as block references — the block file already holds
-// the columns, so the checkpoint records only its name and framing
-// frontiers. The record frontiers are authoritative: a run whose bounds were
-// widened by absorbing empty batches keeps its original block file, and the
-// manifest carries the widened frontiers.
+// Run-chain manifests. A spine checkpoints as its chain of runs: resident
+// runs are written into the generation as ordinary batch records, spilled
+// runs as block references — the block file already holds the columns, so
+// the checkpoint records only its name and framing frontiers. The record
+// frontiers are authoritative: a run whose bounds were widened by absorbing
+// empty batches keeps its original block file, and the manifest carries the
+// widened frontiers.
 
 // BlockRef names one spilled run inside a shard's block directory.
 type BlockRef struct {
@@ -41,14 +41,6 @@ func (r Run[K, V]) RunUpper() lattice.Frontier {
 		return r.Ref.Upper
 	}
 	return r.Batch.Upper
-}
-
-// RunLower returns the run's lower frontier.
-func (r Run[K, V]) RunLower() lattice.Frontier {
-	if r.Ref != nil {
-		return r.Ref.Lower
-	}
-	return r.Batch.Lower
 }
 
 // validRefName rejects names that could escape the shard's block directory.
@@ -108,11 +100,14 @@ func decodeBlockRef(c *cursor) (*BlockRef, error) {
 	return ref, nil
 }
 
-// RotateRuns checkpoints the log from a run chain: resident runs are written
-// as batch records, spilled runs as block references, after the leading
-// since record. It is Rotate generalized to a disk-tiered trace; the block
+// RotateRuns checkpoints the log from a run chain: it writes a fresh
+// generation holding the given compaction frontier, then the runs — resident
+// runs as batch records, spilled runs as block references — atomically
+// renames it into place, and deletes the superseded generation. The block
 // files themselves are not touched (they are durable already), so checkpoint
-// I/O stays proportional to the resident tier.
+// I/O stays proportional to the resident tier. Subsequent appends extend the
+// new generation, so the log stays proportional to the trace plus the tail
+// sealed since the last checkpoint.
 func (l *ShardLog[K, V]) RotateRuns(since lattice.Frontier, runs []Run[K, V]) error {
 	var data []byte
 	l.pbuf = append(l.pbuf[:0], recSince)
@@ -138,13 +133,18 @@ func (l *ShardLog[K, V]) RotateRuns(since lattice.Frontier, runs []Run[K, V]) er
 }
 
 // ClampRuns restricts a replayed run chain to the updates at times not in
-// advance of cut, the run-chain analogue of ClampBatches. Runs wholly behind
+// advance of cut. Workers seal batches independently, so after a crash the
+// shards' log uppers generally differ; recovery clamps every shard to the
+// meet of those uppers — the globally consistent prefix. Runs wholly behind
 // the cut pass through untouched — a spilled run stays a reference, costing
-// no I/O. The run straddling the cut must be rebuilt from its updates, so a
-// straddling reference is materialized through load (the caller opens the
-// block file); everything beyond the cut is dropped. Checkpoint snapshots
-// are written at a globally synced frontier, so in steady state only tail
-// batches — resident by construction — straddle.
+// no I/O. The run straddling the cut is rebuilt from its updates with upper
+// = cut, so a straddling reference is materialized through load (the caller
+// opens the block file); everything beyond the cut is dropped. Rebuilding
+// is exact only if no run's times were compacted past the cut: a sealed
+// batch's since is at most its own lower, and a checkpoint writes only runs
+// compacted no further than an epoch below which every shard had logged
+// every update (DESIGN.md §Recovery names the one window this leaves). In
+// steady state only tail batches — resident by construction — straddle.
 func ClampRuns[K, V any](fn core.Funcs[K, V], runs []Run[K, V], cut lattice.Frontier,
 	load func(*BlockRef) (*core.Batch[K, V], error)) ([]Run[K, V], error) {
 

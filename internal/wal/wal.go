@@ -12,12 +12,12 @@
 //	<data-dir>/<arrangement>/shard-<worker>/gen-<n>.wal
 //
 // Each shard log is a sequence of generations. Appends extend the highest
-// generation; a checkpoint writes generation n+1 — a compacted snapshot of
-// the trace — to a temp file, atomically renames it into place, and deletes
-// generation n, so superseded runs are discarded exactly the way an LSM
-// discards merged-away sorted runs. Recovery replays only the highest
-// complete generation (a crash mid-checkpoint leaves at worst a *.tmp file,
-// which is ignored).
+// generation; a checkpoint writes generation n+1 — the trace's current run
+// chain, as the spine's merges have left it — to a temp file, atomically
+// renames it into place, and deletes generation n, so superseded runs are
+// discarded exactly the way an LSM manifest drops merged-away sorted runs.
+// Recovery replays only the highest complete generation (a crash
+// mid-checkpoint leaves at worst a *.tmp file, which is ignored).
 //
 // Syncing: appends are single unbuffered writes, which survive process
 // death; Options.Fsync extends durability to machine crashes. With
@@ -32,7 +32,7 @@
 //	payload = u8 kind | body      (kind 1 = batch, kind 2 = since,
 //	                               kind 3 = block reference)
 //
-// Kind 3 records make a generation a manifest for disk-tiered traces: a
+// Kind 3 records let a generation name the runs of a disk-tiered trace: a
 // spilled run's columns already live in a CRC-framed block file (see
 // internal/block), so the checkpoint references it by name instead of
 // rewriting it into the log.
@@ -53,7 +53,7 @@ import (
 
 // Record kinds.
 const (
-	recBatch    byte = 1 // one sealed (or snapshot) batch
+	recBatch    byte = 1 // one sealed batch or resident run
 	recSince    byte = 2 // a compaction-frontier advance
 	recBlockRef byte = 3 // a spilled run, referenced by block-file name
 )

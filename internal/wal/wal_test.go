@@ -210,35 +210,65 @@ func TestFreshDiscardsExistingLog(t *testing.T) {
 	}
 }
 
-func TestClampBatches(t *testing.T) {
+func TestClampRuns(t *testing.T) {
 	fn := core.U64()
 	chain := []*core.Batch[uint64, uint64]{
 		mkBatch(t, 0, 1, [4]int64{1, 10, 0, 1}),
 		mkBatch(t, 1, 4, [4]int64{2, 20, 1, 1}, [4]int64{3, 30, 2, 1}, [4]int64{4, 40, 3, 1}),
 		mkBatch(t, 4, 5, [4]int64{5, 50, 4, 1}),
 	}
-	cut := lattice.NewFrontier(lattice.Ts(3))
-	out := ClampBatches(fn, chain, cut)
-	if len(out) != 2 {
-		t.Fatalf("clamp: want 2 batches, got %d", len(out))
+	// The same chain with its middle run spilled: a reference the clamp must
+	// load only when it straddles the cut.
+	ref := &BlockRef{Name: "run-00000001.blk", Lower: chain[1].Lower, Upper: chain[1].Upper, Since: chain[1].Since}
+	loads := 0
+	load := func(r *BlockRef) (*core.Batch[uint64, uint64], error) {
+		if r != ref {
+			t.Fatalf("loaded %s, want %s", r.Name, ref.Name)
+		}
+		loads++
+		b := *chain[1]
+		return &b, nil
 	}
-	if out[0] != chain[0] {
-		t.Fatal("clamp: fully covered batch should pass through shared")
-	}
-	if !out[1].Upper.Equal(cut) {
-		t.Fatalf("clamp: straddler upper = %v, want %v", out[1].Upper, cut)
-	}
-	got := map[[2]uint64]core.Diff{}
-	out[1].ForEach(func(k, v uint64, _ lattice.Time, d core.Diff) { got[[2]uint64{k, v}] += d })
-	want := map[[2]uint64]core.Diff{{2, 20}: 1, {3, 30}: 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("clamp contents = %v, want %v", got, want)
-	}
+	for _, spilled := range []bool{false, true} {
+		runs := []Run[uint64, uint64]{{Batch: chain[0]}, {Batch: chain[1]}, {Batch: chain[2]}}
+		if spilled {
+			runs[1] = Run[uint64, uint64]{Ref: ref}
+		}
+		loads = 0
+		cut := lattice.NewFrontier(lattice.Ts(3))
+		out, err := ClampRuns(fn, runs, cut, load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 2 {
+			t.Fatalf("spilled=%v: clamp: want 2 runs, got %d", spilled, len(out))
+		}
+		if out[0].Batch != chain[0] {
+			t.Fatalf("spilled=%v: fully covered run should pass through shared", spilled)
+		}
+		if out[1].Batch == nil || !out[1].Batch.Upper.Equal(cut) {
+			t.Fatalf("spilled=%v: straddler = %+v, want a resident run with upper %v", spilled, out[1], cut)
+		}
+		if want := map[bool]int{false: 0, true: 1}[spilled]; loads != want {
+			t.Fatalf("spilled=%v: %d loads, want %d", spilled, loads, want)
+		}
+		got := map[[2]uint64]core.Diff{}
+		out[1].Batch.ForEach(func(k, v uint64, _ lattice.Time, d core.Diff) { got[[2]uint64{k, v}] += d })
+		want := map[[2]uint64]core.Diff{{2, 20}: 1, {3, 30}: 1}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("spilled=%v: clamp contents = %v, want %v", spilled, got, want)
+		}
 
-	// A cut on an existing boundary passes batches through and drops the rest.
-	out = ClampBatches(fn, chain, lattice.NewFrontier(lattice.Ts(4)))
-	if len(out) != 2 || out[0] != chain[0] || out[1] != chain[1] {
-		t.Fatalf("boundary clamp: got %d batches", len(out))
+		// A cut on an existing boundary passes runs through — a reference
+		// stays one, unloaded — and drops the rest.
+		loads = 0
+		out, err = ClampRuns(fn, runs, lattice.NewFrontier(lattice.Ts(4)), load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 2 || out[0] != runs[0] || out[1] != runs[1] || loads != 0 {
+			t.Fatalf("spilled=%v: boundary clamp: got %d runs after %d loads", spilled, len(out), loads)
+		}
 	}
 }
 
