@@ -14,24 +14,25 @@
 // arrangement and report install-to-first-result latencies for the shared
 // versus rebuilt configurations.
 //
-// kpg serve -data-dir <dir> runs the durable serve path instead: the edges
-// arrangement logs every sealed batch to a write-ahead log under <dir>,
-// checkpointing every -checkpoint-every epochs. Restarted with -recover,
-// the server rebuilds the arrangement from the logged batches (no source
-// replay), resumes the deterministic churn from the recovered epoch, and
-// prints a RESULT line identical to an uninterrupted run's — even after
-// SIGKILL mid-stream (scripts/crash_recovery_check.sh asserts exactly
-// that).
+// kpg -workers W -peers a:p0,b:p1,... -process N serve runs one process of
+// the cluster scenario (internal/cluster): W workers sharded evenly across
+// the listed processes, exchanging data partitions and progress deltas over
+// a TCP mesh (internal/mesh). Every process runs the same command line apart
+// from its -process rank; the run streams a deterministic churn workload,
+// installs a transitive-closure query against the shared edges arrangement,
+// and rank 0 prints a RESULT line bit-identical to a single-process run's
+// (scripts/peer_smoke.sh asserts exactly that). Losing a peer exits with
+// status 3 and a "peer loss" error.
 //
-// kpg -workers W -peers a:p0,b:p1,... -process N serve runs one process of a
-// multi-process cluster: W workers sharded evenly across the listed
-// processes, exchanging data partitions and progress deltas over a TCP mesh
-// (internal/mesh). Every process runs the same command line apart from its
-// -process rank; the run streams a deterministic churn workload, installs a
-// transitive-closure query against the shared edges arrangement, and rank 0
-// prints a RESULT line bit-identical to a single-process run's
-// (scripts/peer_smoke.sh asserts exactly that). Losing a peer exits with a
-// typed mesh error.
+// kpg serve -data-dir <dir> without -peers is the one-process cluster: the
+// edges arrangement logs every sealed batch to a write-ahead log under
+// <dir>, checkpointing every -checkpoint-every rounds. Restarted with
+// -recover, it rebuilds the arrangement from the logged batches (no source
+// replay), resumes the churn from the recovered epoch, and prints a RESULT
+// line identical to an uninterrupted run's — after SIGKILL mid-stream, or
+// after finishing and being resumed with more rounds
+// (scripts/crash_recovery_check.sh asserts both). -max-lag and -spill-bytes
+// are one-process flags: a -peers list of several processes rejects them.
 //
 // kpg serve -listen <addr> serves the wire protocol instead of a built-in
 // scenario: external clients drive the "edges" source and attach live

@@ -1,131 +1,215 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	stdnet "net"
 	"os"
 	"os/signal"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/dd"
 	"repro/internal/graphs"
 	"repro/internal/harness"
 	"repro/internal/interactive"
-	"repro/internal/lattice"
+	"repro/internal/mesh"
 	knet "repro/internal/net"
 	"repro/internal/server"
-	"repro/internal/timely"
 	"repro/internal/wal"
 )
 
-var (
-	serveNodes   = flag.Uint64("nodes", 20000, "serve: graph node count")
-	serveEdges   = flag.Uint64("edges", 64000, "serve: initial edge count")
-	serveChurn   = flag.Int("churn", 4000, "serve: edge updates per round")
-	serveRounds  = flag.Int("rounds", 25, "serve: churn rounds between installs")
-	serveDataDir = flag.String("data-dir", "", "serve: durable WAL directory (enables the durable serve path)")
-	serveRecover = flag.Bool("recover", false, "serve: restore arrangements from the -data-dir logs before streaming")
-	serveCkpt    = flag.Int("checkpoint-every", 10, "serve: checkpoint interval on the durable path — epochs for the scenario driver, seconds under -listen (0 disables)")
-	serveListen  = flag.String("listen", "", "serve: address to serve the wire protocol on (e.g. 127.0.0.1:7071); clients drive sources and queries remotely")
-	serveFsync   = flag.Bool("fsync", false, "serve: fsync WAL appends on the durable path (requires -data-dir)")
-	serveGroupMs = flag.Int("group-commit-ms", 0, "serve: group-commit interval in milliseconds for WAL fsyncs — one fsync per dirty log per interval instead of per append (requires -fsync; 0 syncs every append)")
-	serveCkptB   = flag.Int64("checkpoint-bytes", 0, "serve: additionally checkpoint whenever the batch log exceeds this many bytes (requires -data-dir; 0 disables)")
-	serveMaxLag  = flag.Uint64("max-lag", 0, "serve: adaptive batching bound — pending epochs coalesce into one physical seal while completion lags this many seals behind (0 = default)")
-	serveSubLag  = flag.Int("sub-lag", 0, "serve: pinned-delta backlog bound per subscriber before snapshot-reset (requires -listen; 0 = default, negative = unbounded)")
-	serveSpillB  = flag.Int64("spill-bytes", 0, "serve: per-worker resident budget for the edges arrangement — older runs spill to block files under the shard directory when resident bytes exceed this (requires -data-dir; 0 disables)")
-)
+// serveConfig is the serve command line, parsed. validate checks it
+// without consulting the flag package, so a table test can drive it.
+type serveConfig struct {
+	workers, churn, rounds, process int
+	ckptEvery, groupMs, subLag      int
+	nodes, edges, maxLag            uint64
+	ckptBytes, spillBytes           int64
+	dataDir, listen, peers          string
+	recover, fsync                  bool
+	peerGrace                       time.Duration
+	set                             map[string]bool // flags given on the command line
+}
 
-// validateServeFlags rejects flag combinations up front, before any server
-// state (or on-disk log) is touched, instead of silently accepting them:
-//
-//   - -recover without -data-dir would run the in-memory demo and ignore the
-//     logs the operator asked to recover;
-//   - a negative -checkpoint-every would silently disable checkpointing;
-//   - durability knobs (-fsync, -group-commit-ms, -checkpoint-bytes) without
-//     the layer they tune would be silently inert;
-//   - the subscriber-lag bound only means anything when remote subscribers
-//     exist;
-//   - -listen hands the epoch cycle to remote clients, so combining it with
-//     the built-in churn scenario's flags is contradictory.
-func validateServeFlags() error {
-	if err := validatePeerFlags(); err != nil {
-		return err
+var serveFlags serveConfig
+
+func init() { serveFlags.register(flag.CommandLine) }
+
+func (c *serveConfig) register(fs *flag.FlagSet) {
+	fs.Uint64Var(&c.nodes, "nodes", 20000, "serve: graph node count")
+	fs.Uint64Var(&c.edges, "edges", 64000, "serve: initial edge count of the interactive demo")
+	fs.IntVar(&c.churn, "churn", 4000, "serve: edge updates per round")
+	fs.IntVar(&c.rounds, "rounds", 25, "serve: churn rounds (between installs, in the interactive demo)")
+	fs.StringVar(&c.dataDir, "data-dir", "", "serve: durable WAL directory; without -listen, runs the cluster scenario")
+	fs.BoolVar(&c.recover, "recover", false, "serve: restore arrangements from the -data-dir logs before streaming")
+	fs.IntVar(&c.ckptEvery, "checkpoint-every", 10, "serve: checkpoint interval on the durable path — rounds for the cluster scenario, seconds under -listen (0 disables)")
+	fs.StringVar(&c.listen, "listen", "", "serve: address to serve the wire protocol on (e.g. 127.0.0.1:7071); clients drive sources and queries remotely")
+	fs.BoolVar(&c.fsync, "fsync", false, "serve: fsync WAL appends on the durable path (requires -data-dir)")
+	fs.IntVar(&c.groupMs, "group-commit-ms", 0, "serve: group-commit interval in milliseconds for WAL fsyncs — one fsync per dirty log per interval instead of per append (requires -fsync; 0 syncs every append)")
+	fs.Int64Var(&c.ckptBytes, "checkpoint-bytes", 0, "serve: additionally checkpoint whenever the batch log exceeds this many bytes (requires -data-dir; 0 disables)")
+	fs.Uint64Var(&c.maxLag, "max-lag", 0, "serve: adaptive batching bound — pending epochs coalesce into one physical seal while completion lags this many seals behind (one process, with -listen or -data-dir; 0 = default)")
+	fs.IntVar(&c.subLag, "sub-lag", 0, "serve: pinned-delta backlog bound per subscriber before snapshot-reset (requires -listen; 0 = default, negative = unbounded)")
+	fs.Int64Var(&c.spillBytes, "spill-bytes", 0, "serve: per-worker resident budget for the edges arrangement — older runs spill to block files under the shard directory when resident bytes exceed this (one process, requires -data-dir; 0 disables)")
+	fs.StringVar(&c.peers, "peers", "", "serve: comma-separated mesh address of every process in rank order; runs the cluster scenario")
+	fs.IntVar(&c.process, "process", 0, "serve: this process's rank within -peers (0-based)")
+	fs.DurationVar(&c.peerGrace, "peer-grace", 0, "serve: how long to quiesce and redial after losing a peer before failing the cluster (0 = fail-stop immediately, the default)")
+}
+
+// setFlags names the flags given on fs's command line.
+func setFlags(fs *flag.FlagSet) map[string]bool {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	return set
+}
+
+func (c serveConfig) peerAddrs() []string {
+	if c.peers == "" {
+		return nil
 	}
-	if *serveRecover && *serveDataDir == "" {
-		return errors.New("-recover requires -data-dir (there is no log to recover without one)")
-	}
-	if *serveCkpt < 0 {
-		return fmt.Errorf("-checkpoint-every must be >= 0 (got %d); use 0 to disable", *serveCkpt)
-	}
-	if *serveFsync && *serveDataDir == "" {
-		return errors.New("-fsync requires -data-dir (there is no log to sync without one)")
-	}
-	if *serveGroupMs < 0 {
-		return fmt.Errorf("-group-commit-ms must be >= 0 (got %d)", *serveGroupMs)
-	}
-	if *serveGroupMs > 0 && !*serveFsync {
-		return errors.New("-group-commit-ms batches fsyncs and requires -fsync")
-	}
-	if *serveCkptB < 0 {
-		return fmt.Errorf("-checkpoint-bytes must be >= 0 (got %d); use 0 to disable", *serveCkptB)
-	}
-	if *serveCkptB > 0 && *serveDataDir == "" {
-		return errors.New("-checkpoint-bytes requires -data-dir (there is no log to bound without one)")
-	}
-	if *serveSpillB < 0 {
-		return fmt.Errorf("-spill-bytes must be >= 0 (got %d); use 0 to disable", *serveSpillB)
-	}
-	if *serveSpillB > 0 && *serveDataDir == "" {
-		return errors.New("-spill-bytes requires -data-dir (block files need a manifest to own their lifecycle)")
-	}
-	if *serveListen == "" && flagWasSet("sub-lag") {
-		return errors.New("-sub-lag bounds remote subscribers and requires -listen")
-	}
-	if *serveListen != "" {
-		var scenario []string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "nodes", "edges", "churn", "rounds":
-				scenario = append(scenario, "-"+f.Name)
-			}
-		})
-		if len(scenario) > 0 {
-			return fmt.Errorf("-listen serves remote clients; the scenario flags %v drive the built-in churn demo and are incompatible", scenario)
+	return strings.Split(c.peers, ",")
+}
+
+// validate rejects flag combinations up front, before any socket is bound
+// or on-disk log touched: a flag nothing on the chosen path reads, a knob
+// without the layer it tunes, or a mis-ranked process that would otherwise
+// wedge its whole cluster's startup barrier.
+func (c serveConfig) validate() error {
+	addrs := c.peerAddrs()
+	for i, a := range addrs {
+		if strings.TrimSpace(a) == "" {
+			return fmt.Errorf("-peers entry %d is empty", i)
 		}
+	}
+	var demo []string
+	for _, f := range []string{"nodes", "edges", "churn", "rounds"} {
+		if c.set[f] {
+			demo = append(demo, "-"+f)
+		}
+	}
+	switch {
+	case c.workers < 1:
+		return fmt.Errorf("-workers must be positive (got %d)", c.workers)
+	case c.peers == "" && c.set["process"]:
+		return errors.New("-process names a rank within -peers and requires it")
+	case c.peers == "" && c.set["peer-grace"]:
+		return errors.New("-peer-grace tunes the mesh failure mode and requires -peers")
+	case c.peers != "" && c.listen != "":
+		return errors.New("-listen serves remote clients from one process and is incompatible with -peers")
+	case len(addrs) > 1 && (c.set["spill-bytes"] || c.set["max-lag"]):
+		return fmt.Errorf("-spill-bytes and -max-lag tune a one-process run; a cluster of %d processes "+
+			"keeps its spines resident and seals every round", len(addrs))
+	case c.peerGrace < 0:
+		return fmt.Errorf("-peer-grace must be >= 0 (got %v); 0 fails stop on first peer loss", c.peerGrace)
+	case c.peers != "" && (c.process < 0 || c.process >= len(addrs)):
+		return fmt.Errorf("-process %d out of range for %d peers", c.process, len(addrs))
+	case c.peers != "" && c.workers%len(addrs) != 0:
+		return fmt.Errorf("-workers %d must be a positive multiple of the %d processes in -peers "+
+			"(every process hosts an equal shard)", c.workers, len(addrs))
+	case c.recover && c.dataDir == "":
+		return errors.New("-recover requires -data-dir (there is no log to recover without one)")
+	case c.ckptEvery < 0:
+		return fmt.Errorf("-checkpoint-every must be >= 0 (got %d); use 0 to disable", c.ckptEvery)
+	case c.fsync && c.dataDir == "":
+		return errors.New("-fsync requires -data-dir (there is no log to sync without one)")
+	case c.groupMs < 0:
+		return fmt.Errorf("-group-commit-ms must be >= 0 (got %d)", c.groupMs)
+	case c.groupMs > 0 && !c.fsync:
+		return errors.New("-group-commit-ms batches fsyncs and requires -fsync")
+	case c.ckptBytes < 0:
+		return fmt.Errorf("-checkpoint-bytes must be >= 0 (got %d); use 0 to disable", c.ckptBytes)
+	case c.ckptBytes > 0 && c.dataDir == "":
+		return errors.New("-checkpoint-bytes requires -data-dir (there is no log to bound without one)")
+	case c.spillBytes < 0:
+		return fmt.Errorf("-spill-bytes must be >= 0 (got %d); use 0 to disable", c.spillBytes)
+	case c.spillBytes > 0 && c.dataDir == "":
+		return errors.New("-spill-bytes requires -data-dir (block files need a manifest to own their lifecycle)")
+	case c.set["sub-lag"] && c.listen == "":
+		return errors.New("-sub-lag bounds remote subscribers and requires -listen")
+	case c.set["max-lag"] && c.listen == "" && c.dataDir == "":
+		return errors.New("-max-lag bounds the seal queue of -listen or a -data-dir run; nothing else reads it")
+	case c.listen != "" && len(demo) > 0:
+		return fmt.Errorf("-listen serves remote clients; the scenario flags %v drive the built-in workloads and are incompatible", demo)
+	case c.set["edges"] && (c.peers != "" || c.dataDir != ""):
+		return errors.New("-edges sizes the interactive demo's initial graph; the cluster scenario starts empty")
 	}
 	return nil
 }
 
-// serve demonstrates live query installation (§6.2, Fig 5): it starts a
+func (c serveConfig) serverOptions() server.Options {
+	return server.Options{
+		DataDir:          c.dataDir,
+		Recover:          c.recover,
+		Fsync:            c.fsync,
+		GroupCommitEvery: time.Duration(c.groupMs) * time.Millisecond,
+	}
+}
+
+// serve dispatches on the validated flags: -listen serves the wire
+// protocol, -peers or -data-dir runs the cluster scenario, and anything
+// else the interactive installation demo.
+func serve() {
+	c := serveFlags
+	c.workers = *workers
+	c.set = setFlags(flag.CommandLine)
+	if err := c.validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
+		os.Exit(2)
+	}
+	switch {
+	case c.listen != "":
+		serveNet(c)
+	case c.peers != "" || c.dataDir != "":
+		serveCluster(c)
+	default:
+		serveDemo(c)
+	}
+}
+
+// serveCluster runs this process's part of the cluster scenario
+// (internal/cluster). Losing a peer for good exits with status 3 and the
+// text "peer loss"; any other failure exits 1.
+func serveCluster(c serveConfig) {
+	_, err := cluster.Run(context.Background(), cluster.Config{
+		Peers:           c.peerAddrs(),
+		Rank:            c.process,
+		Workers:         c.workers,
+		Nodes:           c.nodes,
+		Churn:           c.churn,
+		Rounds:          uint64(c.rounds),
+		PeerGrace:       c.peerGrace,
+		Server:          c.serverOptions(),
+		CheckpointEvery: uint64(c.ckptEvery),
+		CheckpointBytes: c.ckptBytes,
+		MaxLag:          c.maxLag,
+		SpillBytes:      c.spillBytes,
+		Out:             os.Stdout,
+	})
+	var perr *mesh.PeerError
+	switch {
+	case errors.As(err, &perr):
+		fmt.Fprintf(os.Stderr, "serve: peer loss: %v\n", err)
+		os.Exit(3)
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// serveDemo demonstrates live query installation (§6.2, Fig 5): it starts a
 // server hosting a continuously churned edges arrangement, then installs
 // each interactive query class against it — first attached to the shared
 // arrangement via a compacted snapshot import, then rebuilding a private
 // arrangement by replaying the raw edge-update log (what a system without
 // shared arrangements pays) — and reports the install-to-first-complete-
 // result latency of both configurations.
-func serve() {
-	if err := validateServeFlags(); err != nil {
-		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-		os.Exit(2)
-	}
-	if *servePeersList != "" {
-		servePeers()
-		return
-	}
-	if *serveListen != "" {
-		serveNet()
-		return
-	}
-	if *serveDataDir != "" {
-		serveDurable()
-		return
-	}
+func serveDemo(c serveConfig) {
 	w := clampWorkers(4)
 	live, err := interactive.StartLive(w)
 	if err != nil {
@@ -134,8 +218,8 @@ func serve() {
 	}
 	defer live.Close()
 
-	fmt.Printf("serving on %d workers: loading %d nodes / %d edges\n", w, *serveNodes, *serveEdges)
-	liveEdges := graphs.Random(*serveNodes, *serveEdges, 5)
+	fmt.Printf("serving on %d workers: loading %d nodes / %d edges\n", w, c.nodes, c.edges)
+	liveEdges := graphs.Random(c.nodes, c.edges, 5)
 	var history []core.Update[uint64, uint64] // the full edge-update log
 	initial := make([]core.Update[uint64, uint64], len(liveEdges))
 	for i, e := range liveEdges {
@@ -149,11 +233,11 @@ func serve() {
 	fmt.Printf("arrangement ready in %v\n\n", time.Since(start).Round(time.Millisecond))
 
 	churn := func() {
-		for round := 0; round < *serveRounds; round++ {
-			upds := make([]core.Update[uint64, uint64], 0, *serveChurn)
-			for i := 0; i < *serveChurn/2; i++ {
-				src := uint64((round*7919 + i*104729) % int(*serveNodes))
-				dst := uint64((round*31 + i*13) % int(*serveNodes))
+		for round := 0; round < c.rounds; round++ {
+			upds := make([]core.Update[uint64, uint64], 0, c.churn)
+			for i := 0; i < c.churn/2; i++ {
+				src := uint64((round*7919 + i*104729) % int(c.nodes))
+				dst := uint64((round*31 + i*13) % int(c.nodes))
 				upds = append(upds, core.Update[uint64, uint64]{Key: src, Val: dst, Diff: 1})
 				liveEdges = append(liveEdges, graphs.Edge{Src: src, Dst: dst})
 				vi := (round*17 + i*29) % len(liveEdges)
@@ -170,7 +254,7 @@ func serve() {
 	}
 
 	type installer func(name string, shared bool) (time.Duration, func(), error)
-	key := []uint64{uint64(*serveNodes / 3)}
+	key := []uint64{c.nodes / 3}
 	classes := []struct {
 		name string
 		inst installer
@@ -225,139 +309,6 @@ func serve() {
 	fmt.Println("\nqueries attached to the running arrangement; uninstalled cleanly; server shutting down")
 }
 
-// serveServerOptions assembles the durable server configuration the serve
-// flags describe; both durable paths (scenario driver and -listen) share it.
-func serveServerOptions() server.Options {
-	return server.Options{
-		DataDir:          *serveDataDir,
-		Recover:          *serveRecover,
-		Fsync:            *serveFsync,
-		GroupCommitEvery: time.Duration(*serveGroupMs) * time.Millisecond,
-	}
-}
-
-// serveDurable is the durable serve path (kpg serve -data-dir [-recover]):
-// a server hosting a WAL-backed edges arrangement streams a deterministic
-// churn workload, checkpointing periodically. Killed at any point — even
-// SIGKILL mid-epoch — and restarted with -recover, it rebuilds the
-// arrangement from the logged batches (no source replay), resumes the churn
-// from the recovered epoch, and serves exactly the results an uninterrupted
-// run serves; the final RESULT line is the comparison artifact the CI
-// crash-recovery smoke asserts on.
-//
-// Epochs are sealed through a server.Batcher: every round still gets its own
-// logical epoch (so recovery round arithmetic is unchanged), but when the
-// dataflow falls behind the driver, pending rounds coalesce into one
-// physical seal instead of queueing per-round seals. "sealed epoch" lines
-// print on completion, not submission, so the crash smoke's kill point
-// ("sealed epoch N" observed) guarantees epoch N really is in the log.
-func serveDurable() {
-	w := clampWorkers(4)
-	s := server.NewOpts(w, serveServerOptions())
-	defer s.Close()
-	fmt.Printf("durable serve: %d workers, data-dir %s\n", w, *serveDataDir)
-
-	edges, err := server.NewSourceOpts(s, "edges", core.U64(), server.SourceOptions[uint64, uint64]{
-		Durable:    true,
-		KeyCodec:   wal.U64Codec(),
-		ValCodec:   wal.U64Codec(),
-		SpillBytes: *serveSpillB,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-		os.Exit(1)
-	}
-
-	start := uint64(0)
-	if *serveRecover {
-		rec, err := s.Restore()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve: restore: %v\n", err)
-			os.Exit(1)
-		}
-		start = rec["edges"]
-		fmt.Printf("recovered \"edges\" through epoch %d from the batch log (no source replay)\n", start)
-	}
-
-	b := server.NewBatcher(edges, server.BatcherOptions{MaxLag: *serveMaxLag})
-	defer b.Close()
-
-	rounds := uint64(*serveRounds)
-
-	// Completion tracker: the driver below no longer waits per round, so
-	// "sealed epoch" lines stream from here as the probe frontier passes each
-	// logical epoch — a printed epoch is durably in the batch log.
-	trackerDone := make(chan struct{})
-	go func() {
-		defer close(trackerDone)
-		reported := start
-		for reported < rounds {
-			if !s.WaitFor(func() bool { return edges.CompletedEpochs() > reported }) {
-				return
-			}
-			for c := edges.CompletedEpochs(); reported < c && reported < rounds; reported++ {
-				fmt.Printf("sealed epoch %d\n", reported)
-			}
-		}
-	}()
-
-	checkpoint := func(round uint64) {
-		due := *serveCkpt > 0 && (round+1)%uint64(*serveCkpt) == 0
-		grown := *serveCkptB > 0 && s.LogBytes() >= *serveCkptB
-		if !due && !grown {
-			return
-		}
-		if err := s.Checkpoint(); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: checkpoint: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("checkpointed after round %d (log %d bytes)\n", round, s.LogBytes())
-	}
-
-	for round := start; round < rounds; round++ {
-		if err := b.Offer(durableRound(round, *serveNodes, *serveChurn)); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: update: %v\n", err)
-			os.Exit(1)
-		}
-		if _, err := b.Seal(); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: advance: %v\n", err)
-			os.Exit(1)
-		}
-		checkpoint(round)
-	}
-	if err := b.Flush(); err != nil {
-		fmt.Fprintf(os.Stderr, "serve: flush: %v\n", err)
-		os.Exit(1)
-	}
-	if err := edges.Sync(); err != nil {
-		fmt.Fprintf(os.Stderr, "serve: sync: %v\n", err)
-		os.Exit(1)
-	}
-	<-trackerDone
-	st := b.Stats()
-	fmt.Printf("batching: %d logical epochs in %d physical seals (max coalesced %d)\n",
-		st.LogicalSeals, st.PhysicalSeals, st.MaxCoalesced)
-
-	count, sum := durableResult(s, edges)
-	fmt.Printf("RESULT count=%d checksum=%016x\n", count, sum)
-
-	if *serveSpillB > 0 {
-		// A final checkpoint collects every dead-listed block file, so at exit
-		// the on-disk file count must equal the manifest's reference count —
-		// the crash-recovery smoke asserts on this line.
-		if err := s.Checkpoint(); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: final checkpoint: %v\n", err)
-			os.Exit(1)
-		}
-		files, refs, err := edges.SpillStats()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve: spill stats: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("SPILL files=%d refs=%d\n", files, refs)
-	}
-}
-
 // serveNet is the network serve path (kpg serve -listen): a server hosting
 // an "edges" arrangement (durable when -data-dir is also given) serves the
 // wire protocol. Remote kpg clients install and uninstall queries, stream
@@ -369,34 +320,23 @@ func serveDurable() {
 // shutdown stops the ticker, drains the frontend, then takes one final
 // checkpoint so a clean exit never leaves an unbounded replay tail. Any
 // failed checkpoint — ticker or final — makes the process exit non-zero.
-func serveNet() {
+func serveNet(c serveConfig) {
 	w := clampWorkers(4)
-	durable := *serveDataDir != ""
-	var s *server.Server
-	if durable {
-		s = server.NewOpts(w, serveServerOptions())
-	} else {
-		s = server.New(w)
-	}
+	durable := c.dataDir != ""
+	s := server.NewOpts(w, c.serverOptions())
 	defer s.Close()
 
-	var edges *server.Source[uint64, uint64]
-	var err error
-	if durable {
-		edges, err = server.NewSourceOpts(s, "edges", core.U64(), server.SourceOptions[uint64, uint64]{
-			Durable:    true,
-			KeyCodec:   wal.U64Codec(),
-			ValCodec:   wal.U64Codec(),
-			SpillBytes: *serveSpillB,
-		})
-	} else {
-		edges, err = server.NewSource(s, "edges", core.U64())
-	}
+	edges, err := server.NewSourceOpts(s, "edges", core.U64(), server.SourceOptions[uint64, uint64]{
+		Durable:    durable,
+		KeyCodec:   wal.U64Codec(),
+		ValCodec:   wal.U64Codec(),
+		SpillBytes: c.spillBytes,
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		os.Exit(1)
 	}
-	if *serveRecover {
+	if c.recover {
 		rec, err := s.Restore()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "serve: restore: %v\n", err)
@@ -406,14 +346,14 @@ func serveNet() {
 	}
 
 	fe := knet.NewFrontendOpts(s, knet.FrontendOptions{
-		SubscriberMaxLag: *serveSubLag,
-		BatchMaxLag:      *serveMaxLag,
+		SubscriberMaxLag: c.subLag,
+		BatchMaxLag:      c.maxLag,
 	})
 	if err := fe.RegisterSource(edges); err != nil {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		os.Exit(1)
 	}
-	ln, err := stdnet.Listen("tcp", *serveListen)
+	ln, err := stdnet.Listen("tcp", c.listen)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve: listen: %v\n", err)
 		os.Exit(1)
@@ -427,7 +367,7 @@ func serveNet() {
 	stopCkpt := make(chan struct{})
 	var ckptWG sync.WaitGroup
 	var ckptFailed atomic.Bool
-	if durable && (*serveCkpt > 0 || *serveCkptB > 0) {
+	if durable && (c.ckptEvery > 0 || c.ckptBytes > 0) {
 		ckptWG.Add(1)
 		go func() {
 			defer ckptWG.Done()
@@ -439,8 +379,8 @@ func serveNet() {
 				case <-stopCkpt:
 					return
 				case <-tick.C:
-					due := *serveCkpt > 0 && time.Since(last) >= time.Duration(*serveCkpt)*time.Second
-					grown := *serveCkptB > 0 && s.LogBytes() >= *serveCkptB
+					due := c.ckptEvery > 0 && time.Since(last) >= time.Duration(c.ckptEvery)*time.Second
+					grown := c.ckptBytes > 0 && s.LogBytes() >= c.ckptBytes
 					if !due && !grown {
 						continue
 					}
@@ -489,70 +429,4 @@ func serveNet() {
 		s.Close()
 		os.Exit(1)
 	}
-}
-
-// durableRound derives round r's updates from r alone — no accumulated
-// state — so a recovered process re-issues exactly the rounds the crash
-// lost. Each round inserts churn edges and retracts the edges round r-5
-// inserted, keeping the live collection bounded.
-func durableRound(round, nodes uint64, churn int) []core.Update[uint64, uint64] {
-	edge := func(r uint64, i int) (uint64, uint64) {
-		return (r*104729 + uint64(i)*7919 + 11) % nodes, (r*31 + uint64(i)*13 + 7) % nodes
-	}
-	upds := make([]core.Update[uint64, uint64], 0, 2*churn)
-	for i := 0; i < churn; i++ {
-		src, dst := edge(round, i)
-		upds = append(upds, core.Update[uint64, uint64]{Key: src, Val: dst, Diff: 1})
-	}
-	if round >= 5 {
-		for i := 0; i < churn; i++ {
-			src, dst := edge(round-5, i)
-			upds = append(upds, core.Update[uint64, uint64]{Key: src, Val: dst, Diff: -1})
-		}
-	}
-	return upds
-}
-
-// durableResult installs a query against the served arrangement (snapshot
-// import plus live batches, like any late subscriber) and reduces the
-// collection to an order-independent count and checksum. The snapshot sits
-// at the arrangement's compaction frontier, the open epoch, so the probe can
-// only vouch for it once that epoch seals — and this is a read path: sealing
-// an epoch here would append it to the batch log and shift the round a later
-// -recover resumes from. So the dump waits on nothing new: once the probe has
-// left the sealed epochs behind, every worker's import has emitted its
-// snapshot (it holds epoch 0 until it does), and uninstalling then drains
-// the dataflow to quiescence, after which the capture holds all of it.
-func durableResult(s *server.Server, edges *server.Source[uint64, uint64]) (int64, uint64) {
-	captured := &dd.Captured[uint64, uint64]{}
-	q, err := s.Install("dump", func(w *timely.Worker, g *timely.Graph) server.Built {
-		imported := edges.ImportInto(g)
-		col := dd.Flatten(imported)
-		dd.Capture(col, captured)
-		return server.Built{Probe: dd.Probe(col), Teardown: func() { imported.Cancel() }}
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "serve: install dump: %v\n", err)
-		os.Exit(1)
-	}
-	if open := edges.Epoch(); open > 0 && !q.WaitDone(lattice.Ts(open-1)) {
-		fmt.Fprintf(os.Stderr, "serve: server stopped before dump completed\n")
-		os.Exit(1)
-	}
-	q.Uninstall()
-	net := make(map[[2]uint64]core.Diff)
-	for _, u := range captured.Updates() {
-		k := [2]uint64{u.Key, u.Val}
-		net[k] += u.Diff
-		if net[k] == 0 {
-			delete(net, k)
-		}
-	}
-	var count int64
-	var sum uint64
-	for k, d := range net {
-		count += d
-		sum += uint64(d) * core.Mix64(core.Mix64(k[0])^k[1])
-	}
-	return count, sum
 }

@@ -59,6 +59,14 @@ type Batcher[K, V any] struct {
 // NewBatcher wraps a source in an adaptive batcher. The caller must stop
 // driving the source's Advance/AdvanceTo directly (Update and Sync remain
 // fine) and must Close the batcher before the server.
+//
+// A Batcher is for a single-process server. Over a multi-process fabric
+// each rank would coalesce on its own lag: rank A can stamp round 7 at
+// physical epoch 5 while rank B seals 5, 6 and 7 separately, so the
+// arrangement can log a batch [5,7) that already holds A's round 7.
+// Restoring to the minimum cut 7 and re-driving from round 7 would then
+// apply that round twice. Multi-process drivers seal every round with
+// Advance instead.
 func NewBatcher[K, V any](src *Source[K, V], opt BatcherOptions) *Batcher[K, V] {
 	if opt.MaxLag == 0 {
 		opt.MaxLag = 4

@@ -1,9 +1,12 @@
 #!/bin/sh
-# Crash-recovery smoke: SIGKILL a durable `kpg serve -data-dir` mid-stream,
-# restart it with -recover, and require the final RESULT line (an
-# order-independent count + checksum of the served collection) to equal an
-# uninterrupted run's. Also asserts the restart actually resumed from the
-# batch log (recovered epoch >= 1) rather than replaying from scratch.
+# Crash-recovery smoke: SIGKILL a durable `kpg serve -data-dir` (the
+# one-process cluster scenario) mid-stream, restart it with -recover, and
+# require the final RESULT line (an order-independent count + checksum of the
+# transitive closure over the served edges) to equal an uninterrupted run's.
+# Also asserts the restart actually resumed from the batch log (recovered
+# epoch >= 1) rather than replaying from scratch. -nodes is large enough that
+# the closure stays far from complete in every component, so a lost or
+# doubled round changes it.
 #
 # Three crash legs share the harness:
 #   default       buffered appends (no fsync), the original coverage;
@@ -35,7 +38,7 @@ trap 'rm -rf "$tmp"' EXIT
 bin="$tmp/kpg"
 go build -o "$bin" ./cmd/kpg
 
-run="-workers 2 -nodes 500 -churn 4000 -rounds 400"
+run="-workers 2 -nodes 16000 -churn 4000 -rounds 400"
 
 # leg <name> <extra flags...>: reference run, crashy run, recovery, compare.
 leg() {
@@ -129,7 +132,7 @@ leg() {
 # buffered leg's uninterrupted reference.
 extend() {
     dir="$tmp/extend"
-    short="-workers 2 -nodes 500 -churn 4000 -rounds 150"
+    short="-workers 2 -nodes 16000 -churn 4000 -rounds 150"
     $bin $short -data-dir "$dir/c" serve > "$dir.c1.out" 2>&1
     $bin $run -data-dir "$dir/c" -recover serve > "$dir.c2.out" 2>&1
     rec=$(sed -n 's/^recovered "edges" through epoch \([0-9][0-9]*\).*/\1/p' "$dir.c2.out")

@@ -1,9 +1,11 @@
 #!/bin/sh
 # Multi-process peer smoke: run the churning transitive-closure workload as a
 # two-process cluster over loopback TCP and require its RESULT line to be
-# bit-identical to the single-process run's. Then SIGKILL one peer mid-run and
-# require the survivor to exit non-zero with a typed peer-loss error within a
-# bounded time.
+# bit-identical to the single-process run's. A durable single-process run
+# finished early and resumed with -recover must restore exactly where it
+# ended and reach the same RESULT. Then SIGKILL one peer mid-run and require
+# the survivor to exit non-zero with a typed peer-loss error within a bounded
+# time.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -25,6 +27,7 @@ for bad in "-process 1 serve" \
     "-peers 127.0.0.1:7601,127.0.0.1:7602 -listen 127.0.0.1:0 serve" \
     "-peers 127.0.0.1:7601,127.0.0.1:7602 -spill-bytes 1000000 serve" \
     "-peers 127.0.0.1:7601,127.0.0.1:7602 -peer-grace -1s serve" \
+    "-peers 127.0.0.1:7601,127.0.0.1:7602 -max-lag 4 serve" \
     "-peer-grace 5s serve"; do
     if $bin $bad >/dev/null 2>&1; then
         echo "FAIL: 'kpg $bad' was accepted" >&2
@@ -64,6 +67,22 @@ if grep -q '^RESULT ' "$tmp/peer1.out"; then
     exit 1
 fi
 echo "two-process RESULT bit-identical"
+
+# Resume a finished durable run: reading the RESULT must seal nothing, so a
+# run finished at 6 rounds and resumed with -recover to 10 restores exactly
+# epoch 6 and ends with the uninterrupted 10-round RESULT.
+$bin -workers 4 -nodes 1024 -churn 256 -rounds 6 -peers 127.0.0.1:7611 -process 0 \
+    -data-dir "$tmp/resume" serve > "$tmp/resume1.out" 2>&1
+$bin $workload -peers 127.0.0.1:7611 -process 0 -data-dir "$tmp/resume" -recover serve \
+    > "$tmp/resume2.out" 2>&1
+rec=$(sed -n 's/^recovered "edges" through epoch \([0-9][0-9]*\).*/\1/p' "$tmp/resume2.out")
+resumed="$(grep '^RESULT ' "$tmp/resume2.out" || true)"
+if [ "$rec" != 6 ] || [ "$resumed" != "$single" ]; then
+    echo "FAIL: finished at 6 rounds, resumed to 10: recovered epoch '$rec' (want 6), '$resumed' (want '$single')" >&2
+    cat "$tmp/resume2.out" >&2
+    exit 1
+fi
+echo "resumed finished run: recovered epoch 6, RESULT matches"
 
 # Peer loss under fail-stop (-peer-grace 0, the default, made explicit here):
 # a long run, SIGKILL rank 1 once the mesh is up, and the survivor must exit
