@@ -119,17 +119,35 @@ type upd = core.Update[uint64, tup]
 // randBatch builds one sealed batch over [lo, hi) epochs with n raw updates
 // (consolidation may shrink it).
 func randBatch(r *rand.Rand, fn core.Funcs[uint64, tup], lo, hi uint64, n, keySpace int) *core.Batch[uint64, tup] {
+	return randBatchAt(r, fn, 1, lo, hi, n, keySpace)
+}
+
+// randBatchAt is randBatch at time depth 1 or 2. A depth-2 time's round
+// falls as its epoch rises, so the batch's minimal times form a true
+// antichain.
+func randBatchAt(r *rand.Rand, fn core.Funcs[uint64, tup], depth int, lo, hi uint64, n, keySpace int) *core.Batch[uint64, tup] {
+	at := func(epoch uint64) lattice.Time {
+		if depth == 1 {
+			return lattice.Ts(epoch)
+		}
+		return lattice.Ts(epoch, hi-epoch+uint64(r.Intn(2)))
+	}
 	var upds []upd
 	for i := 0; i < n; i++ {
 		upds = append(upds, upd{
 			Key:  uint64(r.Intn(keySpace)),
 			Val:  randTup(r),
-			Time: lattice.Ts(lo + uint64(r.Intn(int(hi-lo)))),
+			Time: at(lo + uint64(r.Intn(int(hi-lo)))),
 			Diff: int64(r.Intn(5) - 2),
 		})
 	}
-	return core.BuildBatch(fn, upds, lattice.NewFrontier(lattice.Ts(lo)),
-		lattice.NewFrontier(lattice.Ts(hi)), lattice.NewFrontier(lattice.Ts(lo)))
+	lower := lattice.NewFrontier(lattice.Ts(lo))
+	upper := lattice.NewFrontier(lattice.Ts(hi))
+	if depth == 2 {
+		lower = lattice.NewFrontier(lattice.Ts(lo, 0))
+		upper = lattice.NewFrontier(lattice.Ts(hi, 0))
+	}
+	return core.BuildBatch(fn, upds, lower, upper, lower.Clone())
 }
 
 func collectReader(r core.BatchReader[uint64, tup]) []upd {
@@ -140,37 +158,49 @@ func collectReader(r core.BatchReader[uint64, tup]) []upd {
 	return out
 }
 
-// TestRoundTrip: encode → decode must reproduce the batch exactly, on both
-// value layouts and at block sizes that force many blocks.
+// TestRoundTrip: encode → decode must reproduce the batch exactly — tuples,
+// frontiers and MinTimes — on both value layouts, at block sizes that force
+// many blocks, and at time depths 1 and 2 (the decoder reads times at the
+// file's depth).
 func TestRoundTrip(t *testing.T) {
 	for _, columnar := range []bool{true, false} {
-		r := rand.New(rand.NewSource(7))
-		fn := fnTup(columnar)
-		cfg, err := newCodecs[uint64, tup](fn, nil, tupCodec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, blockUpdates := range []int{1, 7, 100000} {
-			b := randBatch(r, fn, 0, 4, 300, 40)
-			img, err := encodeImage(cfg, b, blockUpdates)
+		for _, depth := range []int{1, 2} {
+			r := rand.New(rand.NewSource(7))
+			fn := fnTup(columnar)
+			cfg, err := newCodecs[uint64, tup](fn, nil, tupCodec{})
 			if err != nil {
-				t.Fatalf("columnar=%v encode: %v", columnar, err)
+				t.Fatal(err)
 			}
-			got, err := DecodeImage[uint64, tup](fn, nil, tupCodec{}, img)
-			if err != nil {
-				t.Fatalf("columnar=%v blockUpdates=%d decode: %v", columnar, blockUpdates, err)
-			}
-			want, have := collectReader(b), collectReader(got)
-			if len(want) != len(have) {
-				t.Fatalf("columnar=%v %d tuples round-tripped to %d", columnar, len(want), len(have))
-			}
-			for i := range want {
-				if want[i] != have[i] {
-					t.Fatalf("columnar=%v tuple %d: %+v became %+v", columnar, i, want[i], have[i])
+			antichain := false
+			for _, blockUpdates := range []int{1, 7, 100000} {
+				b := randBatchAt(r, fn, depth, 0, 4, 300, 40)
+				antichain = antichain || len(b.MinTimes()) > 1
+				img, err := encodeImage(cfg, b, blockUpdates)
+				if err != nil {
+					t.Fatalf("columnar=%v depth=%d encode: %v", columnar, depth, err)
+				}
+				got, err := DecodeImage[uint64, tup](fn, nil, tupCodec{}, img)
+				if err != nil {
+					t.Fatalf("columnar=%v depth=%d blockUpdates=%d decode: %v", columnar, depth, blockUpdates, err)
+				}
+				want, have := collectReader(b), collectReader(got)
+				if len(want) != len(have) {
+					t.Fatalf("columnar=%v depth=%d: %d tuples round-tripped to %d", columnar, depth, len(want), len(have))
+				}
+				for i := range want {
+					if want[i] != have[i] {
+						t.Fatalf("columnar=%v depth=%d tuple %d: %+v became %+v", columnar, depth, i, want[i], have[i])
+					}
+				}
+				if !got.Lower.Equal(b.Lower) || !got.Upper.Equal(b.Upper) || !got.Since.Equal(b.Since) {
+					t.Fatalf("columnar=%v depth=%d: frontiers drifted in round trip", columnar, depth)
+				}
+				if w, h := lattice.NewFrontier(b.MinTimes()...), lattice.NewFrontier(got.MinTimes()...); !w.Equal(h) {
+					t.Fatalf("columnar=%v depth=%d: MinTimes %v became %v", columnar, depth, w, h)
 				}
 			}
-			if !got.Lower.Equal(b.Lower) || !got.Upper.Equal(b.Upper) || !got.Since.Equal(b.Since) {
-				t.Fatalf("columnar=%v frontiers drifted in round trip", columnar)
+			if depth == 2 && !antichain {
+				t.Fatalf("columnar=%v: no depth-2 batch had more than one minimal time", columnar)
 			}
 		}
 	}

@@ -2,7 +2,9 @@ package block
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/lattice"
@@ -28,10 +30,25 @@ type image[K, V any] struct {
 	blocks              []blockMeta[K]
 }
 
+// Size floors that bound what an index may claim by the bytes behind it.
+const (
+	// minUpdateBytes is the fewest payload bytes one update occupies: a
+	// depth byte, one 8-byte coordinate and a one-byte diff varint. A block
+	// holds at least as many updates as values and values as keys, so every
+	// count a block claims is at most its frame length over this.
+	minUpdateBytes = 10
+	// minBlockEntryBytes is the fewest index bytes one block entry occupies:
+	// three u32 counts and the u64 frame offset and length.
+	minBlockEntryBytes = 28
+)
+
 // openImage reads and validates the header and index of a block file.
 // Every failure is a *CorruptError (I/O faults excepted); successfully
 // opened images have internally consistent counts, ordered key stats, and
-// uniform time depths, so lazy block loads can trust the index.
+// uniform time depths, so lazy block loads can trust the index. In
+// particular no block claims more updates than its frame length can hold
+// (minUpdateBytes), so the decoder sizes every column from the counts
+// exactly and no allocation exceeds a small multiple of the file.
 func openImage[K, V any](cfg *codecs[K, V], src source, size int64, path string) (*image[K, V], error) {
 	fail := func(off int64, format string, args ...any) (*image[K, V], error) {
 		err := corrupt(off, format, args...)
@@ -142,6 +159,10 @@ func openImage[K, V any](cfg *codecs[K, V], src source, size int64, path string)
 	if err != nil {
 		return bad("block count", err)
 	}
+	if nBlocks > d.Remaining()/minBlockEntryBytes {
+		return fail(indexOff, "%d blocks in %d index bytes", nBlocks, d.Remaining())
+	}
+	im.blocks = make([]blockMeta[K], 0, nBlocks)
 	keyBase, valBase, updBase := 0, 0, 0
 	end := int64(headerLen)
 	for i := 0; i < nBlocks; i++ {
@@ -169,6 +190,9 @@ func openImage[K, V any](cfg *codecs[K, V], src source, size int64, path string)
 		m.off, m.length = int64(off), int64(length)
 		if m.off < end || m.length < 9 || m.length > maxFrameLen || m.off+m.length > indexOff {
 			return fail(indexOff, "block %d frame [%d,+%d) outside data region", i, m.off, m.length)
+		}
+		if int64(m.nUpds) > m.length/minUpdateBytes {
+			return fail(indexOff, "block %d claims %d updates in %d bytes", i, m.nUpds, m.length)
 		}
 		end = m.off + m.length
 		if m.firstKey, err = readKey(cfg, d); err != nil {
@@ -199,17 +223,6 @@ func openImage[K, V any](cfg *codecs[K, V], src source, size int64, path string)
 	return im, nil
 }
 
-// capHint clamps an as-yet-unvalidated element count to a safe slice
-// capacity: decoded data may legitimately be large (append grows), but a
-// corrupt count must not drive a huge allocation before validation fails.
-func capHint(n int) int {
-	const limit = 1 << 16
-	if n > limit {
-		return limit
-	}
-	return n
-}
-
 // readCount reads a u32 element count bounded by maxElems.
 func readCount(d *wal.Dec) (int, error) {
 	n, err := d.U32()
@@ -234,149 +247,260 @@ func readKey[K, V any](cfg *codecs[K, V], d *wal.Dec) (K, error) {
 	return wal.DecValue(d, cfg.kc)
 }
 
-// loadedBlock is one decoded block: the batch's columns restricted to the
-// block's key range, with block-local offset arrays.
-type loadedBlock[K, V any] struct {
-	keys   []K
-	keyOff []int32 // len nKeys+1, indices into vals
-	vals   core.ValStore[V]
-	valOff []int32 // len nVals+1, indices into upds
-	upds   []core.TimeDiff
-	bytes  int64 // approximate resident size (cache accounting)
+// corrupt returns a *CorruptError at off in the image's file.
+func (im *image[K, V]) corrupt(off int64, format string, args ...any) error {
+	err := corrupt(off, format, args...)
+	err.(*CorruptError).Path = im.path
+	return err
 }
 
-// loadBlock reads and decodes block bi from the image's source. All decoded
-// content is validated against the index entry: counts, key order, and the
-// resident first/last key stats, so a block that decodes is exactly what
-// the index promised.
-func (im *image[K, V]) loadBlock(cfg *codecs[K, V], bi int) (*loadedBlock[K, V], error) {
+// columns is a decode destination: one batch's arrays, allocated once at
+// their exact final size so the kernel writes every element in place — one
+// block's worth for the read cache, a whole run's for Unspill.
+type columns[K, V any] struct {
+	keys   []K
+	keyOff []int32 // len(keys)+1, indices into vals
+	vals   core.ValStore[V]
+	valOff []int32 // len(vals)+1, indices into upds
+	upds   []core.TimeDiff
+
+	// words, for a columnar file, are vals' word columns, which the kernel
+	// fills in place; nil for the row layout, whose values it appends.
+	words [][]uint64
+}
+
+// newColumns sizes columns for nKeys keys, nVals values and nUpds updates.
+// The counts come from a validated index, which holds them to the bytes
+// behind them (openImage), so sizing by them is safe.
+func (im *image[K, V]) newColumns(cfg *codecs[K, V], nKeys, nVals, nUpds int) (columns[K, V], error) {
+	var c columns[K, V]
+	if im.colWidth == 0 && cfg.vc == nil {
+		return c, im.corrupt(0, "row-layout file but the store has no value codec")
+	}
+	if im.colWidth > 0 && !cfg.proto.IsColumnar() {
+		return c, im.corrupt(0, "columnar file but the store has no columnar layout")
+	}
+	c.keys = make([]K, nKeys)
+	c.keyOff = make([]int32, nKeys+1)
+	c.valOff = make([]int32, nVals+1)
+	c.upds = make([]core.TimeDiff, nUpds)
+	if im.colWidth == 0 {
+		c.vals.Grow(nVals)
+		return c, nil
+	}
+	arena := make([]uint64, im.colWidth*nVals)
+	c.words = make([][]uint64, im.colWidth)
+	for f := range c.words {
+		c.words[f] = arena[f*nVals : (f+1)*nVals : (f+1)*nVals]
+	}
+	vs, ok := cfg.proto.WithCols(c.words)
+	if !ok {
+		return c, im.corrupt(0, "%d value columns do not fit the store layout", im.colWidth)
+	}
+	c.vals = vs
+	return c, nil
+}
+
+// decodeBlock is the decode kernel: one pass over block bi's payload that
+// validates it against the block's index entry — counts, key order, the
+// resident first/last key stats, the file's time depth, no trailing bytes —
+// and writes its keys, offsets, values and updates straight into dst. With
+// inRun, dst holds the whole run and the block lands at its global bases;
+// otherwise dst holds the block alone. With mins non-nil the kernel also
+// folds every update time into that antichain of minimal times.
+func (im *image[K, V]) decodeBlock(cfg *codecs[K, V], bi int, dst *columns[K, V], inRun bool, mins *lattice.Frontier) error {
 	m := &im.blocks[bi]
-	fail := func(format string, args ...any) (*loadedBlock[K, V], error) {
-		err := corrupt(m.off, format, args...)
-		err.(*CorruptError).Path = im.path
-		return nil, err
+	fail := func(format string, args ...any) error {
+		return im.corrupt(m.off, "block %d %s", bi, fmt.Sprintf(format, args...))
 	}
 	frame, err := im.src.view(m.off, m.length)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	payload, rest, ferr := wal.SplitRecord(frame, maxFrameLen)
+	p, rest, ferr := wal.SplitRecord(frame, maxFrameLen)
 	if ferr != nil {
-		return fail("block %d frame: %v", bi, ferr)
+		return fail("frame: %v", ferr)
 	}
 	if len(rest) != 0 {
-		return fail("%d trailing bytes after block %d frame", len(rest), bi)
+		return fail("frame has %d trailing bytes", len(rest))
 	}
-	d := wal.NewDec(payload)
-	kind, derr := d.U8()
-	if derr != nil {
-		return fail("block %d kind: %v", bi, derr)
+	if len(p) == 0 || p[0] != kindBlock {
+		return fail("record is not a block")
 	}
-	if kind != kindBlock {
-		return fail("block %d record has kind %d", bi, kind)
+	pos := 1
+	k0, v0, u0 := 0, 0, 0
+	if inRun {
+		k0, v0, u0 = m.keyBase, m.valBase, m.updBase
 	}
 
-	// Capacity hints are clamped: a hostile index can claim huge counts
-	// that only fail validation after allocation would have happened.
-	lb := &loadedBlock[K, V]{keys: make([]K, 0, capHint(m.nKeys))}
+	keys := dst.keys[k0 : k0+m.nKeys]
 	if cfg.u64Keys {
+		ks := any(keys).([]uint64)
 		prev := uint64(0)
-		for i := 0; i < m.nKeys; i++ {
-			u, derr := d.Uvarint()
-			if derr != nil {
-				return fail("block %d key %d: %v", bi, i, derr)
+		for i := range ks {
+			u, n := uvarint(p, pos)
+			if n <= 0 {
+				return fail("key %d: bad varint at byte %d", i, pos)
 			}
+			pos += n
 			if i > 0 {
 				if u == 0 {
-					return fail("block %d key %d repeats its predecessor", bi, i)
+					return fail("key %d repeats its predecessor", i)
 				}
-				next := prev + u
-				if next < prev {
-					return fail("block %d key %d overflows", bi, i)
+				if u += prev; u < prev {
+					return fail("key %d overflows", i)
 				}
-				u = next
 			}
-			prev = u
-			lb.keys = append(lb.keys, any(u).(K))
+			ks[i], prev = u, u
 		}
 	} else {
-		for i := 0; i < m.nKeys; i++ {
-			k, derr := wal.DecValue(d, cfg.kc)
-			if derr != nil {
-				return fail("block %d key %d: %v", bi, i, derr)
+		for i := range keys {
+			k, n, err := cfg.kc.Read(p[pos:])
+			if err != nil || n < 0 || n > len(p)-pos {
+				return fail("key %d at byte %d: %v", i, pos, err)
 			}
-			if i > 0 && !cfg.fn.LessK(lb.keys[i-1], k) {
-				return fail("block %d key %d out of order", bi, i)
+			pos += n
+			if i > 0 && !cfg.fn.LessK(keys[i-1], k) {
+				return fail("key %d out of order", i)
 			}
-			lb.keys = append(lb.keys, k)
+			keys[i] = k
 		}
 	}
-	if !cfg.fn.EqK(lb.keys[0], m.firstKey) || !cfg.fn.EqK(lb.keys[m.nKeys-1], m.lastKey) {
-		return fail("block %d keys disagree with index stats", bi)
+	if !cfg.fn.EqK(keys[0], m.firstKey) || !cfg.fn.EqK(keys[m.nKeys-1], m.lastKey) {
+		return fail("keys disagree with index stats")
+	}
+	if pos, err = readCounts(p, pos, dst.keyOff[k0:k0+m.nKeys+1], v0, m.nVals); err != nil {
+		return fail("key offsets: %v", err)
 	}
 
-	if lb.keyOff, err = readCounts(d, m.nKeys, m.nVals); err != nil {
-		return fail("block %d key offsets: %v", bi, err)
-	}
-
-	if im.colWidth > 0 {
-		if cfg.fn.NewStore == nil {
-			return fail("columnar file but the store has no columnar layout")
-		}
-		cols := make([][]uint64, im.colWidth)
-		for f := range cols {
-			col := make([]uint64, 0, capHint(m.nVals))
+	if dst.words != nil {
+		for f, col := range dst.words {
+			col = col[v0 : v0+m.nVals]
 			prev := uint64(0)
-			for i := 0; i < m.nVals; i++ {
-				u, derr := d.Uvarint()
-				if derr != nil {
-					return fail("block %d column %d word %d: %v", bi, f, i, derr)
+			for i := range col {
+				u, n := uvarint(p, pos)
+				if n <= 0 {
+					return fail("column %d word %d: bad varint at byte %d", f, i, pos)
 				}
+				pos += n
 				w := uint64(zag(u))
 				if i > 0 {
-					w = prev + w
+					w += prev
 				}
-				prev = w
-				col = append(col, w)
+				col[i], prev = w, w
 			}
-			cols[f] = col
 		}
-		proto := cfg.fn.NewStore(0)
-		vs, ok := proto.WithCols(cols)
-		if !ok {
-			return fail("block %d: %d columns do not fit the store layout", bi, im.colWidth)
-		}
-		lb.vals = vs
 	} else {
 		for i := 0; i < m.nVals; i++ {
-			v, derr := wal.DecValue(d, cfg.vc)
-			if derr != nil {
-				return fail("block %d value %d: %v", bi, i, derr)
+			v, n, err := cfg.vc.Read(p[pos:])
+			if err != nil || n < 0 || n > len(p)-pos {
+				return fail("value %d at byte %d: %v", i, pos, err)
 			}
-			lb.vals.Append(v)
+			pos += n
+			dst.vals.Append(v)
 		}
+	}
+	if pos, err = readCounts(p, pos, dst.valOff[v0:v0+m.nVals+1], u0, m.nUpds); err != nil {
+		return fail("value offsets: %v", err)
 	}
 
-	if lb.valOff, err = readCounts(d, m.nVals, m.nUpds); err != nil {
-		return fail("block %d value offsets: %v", bi, err)
+	// Updates: each time is a depth byte, which must be the file's, then
+	// that many coordinates, read in place.
+	depth := im.depth
+	timeLen := 1 + 8*depth
+	var coords [lattice.MaxDepth]uint64
+	min1 := uint64(math.MaxUint64) // depth 1 is totally ordered: one minimum
+	upds := dst.upds[u0 : u0+m.nUpds]
+	for i := range upds {
+		if len(p)-pos < timeLen {
+			return fail("update %d time: truncated at byte %d", i, pos)
+		}
+		if int(p[pos]) != depth {
+			return fail("update %d at depth %d in depth-%d file", i, p[pos], depth)
+		}
+		for j := 0; j < depth; j++ {
+			coords[j] = binary.LittleEndian.Uint64(p[pos+1+8*j:])
+		}
+		pos += timeLen
+		u, n := uvarint(p, pos)
+		if n <= 0 {
+			return fail("update %d diff: bad varint at byte %d", i, pos)
+		}
+		pos += n
+		ud := &upds[i]
+		ud.Diff = zag(u)
+		if depth == 1 {
+			// A constant depth lets the inlined constructor drop its loops.
+			ud.Time = lattice.FromCoords(1, [lattice.MaxDepth]uint64{coords[0]})
+			min1 = min(min1, coords[0])
+		} else {
+			ud.Time = lattice.FromCoords(depth, coords)
+			if mins != nil {
+				mins.Insert(ud.Time)
+			}
+		}
 	}
-	lb.upds = make([]core.TimeDiff, 0, capHint(m.nUpds))
-	for i := 0; i < m.nUpds; i++ {
-		t, derr := d.Time()
-		if derr != nil {
-			return fail("block %d update %d time: %v", bi, i, derr)
-		}
-		if t.Depth() != im.depth {
-			return fail("block %d update %d at depth %d in depth-%d file", bi, i, t.Depth(), im.depth)
-		}
-		u, derr := d.Uvarint()
-		if derr != nil {
-			return fail("block %d update %d diff: %v", bi, i, derr)
-		}
-		lb.upds = append(lb.upds, core.TimeDiff{Time: t, Diff: zag(u)})
+	if mins != nil && depth == 1 {
+		mins.Insert(lattice.Ts(min1)) // a block holds at least one update
 	}
-	if d.Remaining() != 0 {
-		return fail("%d trailing bytes after block %d body", d.Remaining(), bi)
+	if pos != len(p) {
+		return fail("has %d trailing bytes", len(p)-pos)
+	}
+	return nil
+}
+
+// uvarint decodes the varint at p[pos:] as binary.Uvarint does (n ≤ 0 when
+// malformed or truncated), taking single-byte varints — most counts, diffs
+// and key deltas — without entering the general loop.
+func uvarint(p []byte, pos int) (v uint64, n int) {
+	if pos < len(p) && p[pos] < 0x80 {
+		return uint64(p[pos]), 1
+	}
+	return binary.Uvarint(p[pos:])
+}
+
+// readCounts decodes len(off)-1 per-group counts, each ≥ 1, from p at pos
+// into the offset array off, rebased: off[i] = base + the first i counts'
+// sum (off[0] already holds base). The counts must sum to total. It returns
+// the position after the last count.
+func readCounts(p []byte, pos int, off []int32, base, total int) (int, error) {
+	sum := 0
+	for i := 1; i < len(off); i++ {
+		u, n := uvarint(p, pos)
+		if n <= 0 {
+			return pos, fmt.Errorf("bad varint at byte %d", pos)
+		}
+		pos += n
+		if u == 0 || u > uint64(total-sum) {
+			return pos, fmt.Errorf("group of %d elements with %d of %d left", u, total-sum, total)
+		}
+		sum += int(u)
+		off[i] = int32(base + sum)
+	}
+	if sum != total {
+		return pos, fmt.Errorf("groups sum to %d, want %d", sum, total)
+	}
+	return pos, nil
+}
+
+// loadedBlock is one decoded block in the read cache: the run's columns
+// restricted to the block's key range, with block-local offset arrays.
+type loadedBlock[K, V any] struct {
+	columns[K, V]
+	bytes int64 // approximate resident size (cache accounting)
+}
+
+// loadBlock decodes block bi into fresh block-local columns: the cached
+// read path.
+func (im *image[K, V]) loadBlock(cfg *codecs[K, V], bi int) (*loadedBlock[K, V], error) {
+	m := &im.blocks[bi]
+	lb := &loadedBlock[K, V]{}
+	var err error
+	if lb.columns, err = im.newColumns(cfg, m.nKeys, m.nVals, m.nUpds); err != nil {
+		return nil, err
+	}
+	if err := im.decodeBlock(cfg, bi, &lb.columns, false, nil); err != nil {
+		return nil, err
 	}
 	lb.bytes = int64(m.nKeys)*8 + int64(m.nKeys+m.nVals+2)*4 +
 		int64(im.colWidth)*int64(m.nVals)*8 + int64(m.nUpds)*24
@@ -386,75 +510,35 @@ func (im *image[K, V]) loadBlock(cfg *codecs[K, V], bi int) (*loadedBlock[K, V],
 	return lb, nil
 }
 
-// readCounts reads n per-group counts (each ≥ 1) and returns the prefix-sum
-// offset array of length n+1; the sum must equal total.
-func readCounts(d *wal.Dec, n, total int) ([]int32, error) {
-	off := make([]int32, n+1)
-	sum := 0
-	for i := 0; i < n; i++ {
-		u, err := d.Uvarint()
-		if err != nil {
+// assemble materializes the whole image as one resident batch (the unspill
+// path: merges and imports consume entire runs). Each block decodes straight
+// into the run's columns at its global bases, and the same pass folds the
+// update times into their antichain of minimal times, which must agree with
+// the stored MinTimes: disagreement means the stored stats lie about the
+// contents and is corruption.
+func (im *image[K, V]) assemble(cfg *codecs[K, V]) (*core.Batch[K, V], error) {
+	c, err := im.newColumns(cfg, im.numKeys, im.numVals, im.numUpds)
+	if err != nil {
+		return nil, err
+	}
+	var mins lattice.Frontier
+	for bi := range im.blocks {
+		if err := im.decodeBlock(cfg, bi, &c, true, &mins); err != nil {
 			return nil, err
 		}
-		if u == 0 || u > maxElems {
-			return nil, corrupt(0, "group of %d elements", u)
-		}
-		sum += int(u)
-		if sum > total {
-			return nil, corrupt(0, "group sums past total %d", total)
-		}
-		off[i+1] = int32(sum)
 	}
-	if sum != total {
-		return nil, corrupt(0, "groups sum to %d, want %d", sum, total)
+	if !mins.Equal(lattice.NewFrontier(im.minTimes...)) {
+		return nil, im.corrupt(0, "stored min-times %v disagree with contents %v", im.minTimes, mins.Elements())
 	}
-	return off, nil
-}
-
-// assemble materializes the whole image as one resident batch (the unspill
-// path: merges consume entire runs). The rebuilt batch's recomputed
-// MinTimes cache must agree with the stored antichain; disagreement means
-// the stored stats lie about the contents and is corruption.
-func (im *image[K, V]) assemble(cfg *codecs[K, V]) (*core.Batch[K, V], error) {
 	b := &core.Batch[K, V]{
 		Lower: im.lower.Clone(),
 		Upper: im.upper.Clone(),
 		Since: im.since.Clone(),
+		Keys:  c.keys, KeyOff: c.keyOff,
+		Vals: c.vals, ValOff: c.valOff,
+		Upds: c.upds,
 	}
-	b.Keys = make([]K, 0, capHint(im.numKeys))
-	b.KeyOff = make([]int32, 1, capHint(im.numKeys+1))
-	b.ValOff = make([]int32, 1, capHint(im.numVals+1))
-	b.Upds = make([]core.TimeDiff, 0, capHint(im.numUpds))
-	if im.colWidth > 0 {
-		if cfg.fn.NewStore == nil {
-			err := corrupt(0, "columnar file but the store has no columnar layout")
-			err.(*CorruptError).Path = im.path
-			return nil, err
-		}
-		b.Vals = cfg.fn.NewStore(capHint(im.numVals))
-	}
-	for bi := range im.blocks {
-		m := &im.blocks[bi]
-		lb, err := im.loadBlock(cfg, bi)
-		if err != nil {
-			return nil, err
-		}
-		b.Keys = append(b.Keys, lb.keys...)
-		for i := 1; i <= m.nKeys; i++ {
-			b.KeyOff = append(b.KeyOff, int32(m.valBase)+lb.keyOff[i])
-		}
-		b.Vals.AppendRange(&lb.vals, 0, m.nVals)
-		for i := 1; i <= m.nVals; i++ {
-			b.ValOff = append(b.ValOff, int32(m.updBase)+lb.valOff[i])
-		}
-		b.Upds = append(b.Upds, lb.upds...)
-	}
-	b.CacheMinTimes()
-	if !lattice.NewFrontier(b.MinTimes()...).Equal(lattice.NewFrontier(im.minTimes...)) {
-		err := corrupt(0, "stored min-times %v disagree with contents %v", im.minTimes, b.MinTimes())
-		err.(*CorruptError).Path = im.path
-		return nil, err
-	}
+	b.SetMinTimes(mins.Elements())
 	return b, nil
 }
 

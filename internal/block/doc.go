@@ -31,6 +31,21 @@
 // the index totals on decode, so arbitrary bytes yield either a valid batch
 // or a typed *CorruptError — never a panic, never silently wrong counts.
 //
+// # Decoding
+//
+// One kernel decodes every block in a single pass, writing keys, offsets,
+// values and updates straight into their destination columns: fresh
+// block-local columns for the read cache, or the whole run's columns, at
+// the block's global offsets, when Unspill materializes a run. Columns are
+// allocated once at exact size from the index counts. That is safe because
+// opening a file rejects any block claiming more updates than its frame
+// length can hold at 10 bytes each (a depth byte, one coordinate, one diff
+// varint), so no allocation exceeds a small multiple of the file. Times are
+// read in place at the file's depth without allocating, and the same pass
+// folds them into the run's minimal-time antichain, which must equal the
+// index's stored MinTimes. Decoding a run allocates a fixed number of
+// objects whatever its length.
+//
 // The Store wires the format to the spine: Spill writes a batch as a block
 // file (atomic tmp+rename), Unspill re-materializes one for merging, Retire
 // releases a merged-away run — immediately, or onto a dead list until the

@@ -67,10 +67,16 @@ type codecs[K, V any] struct {
 	kc      wal.Codec[K] // nil iff u64Keys
 	vc      wal.Codec[V] // required for row-layout values
 	u64Keys bool
+	// proto is an empty store of fn's layout; columnar decodes wrap their
+	// word columns with its type spec (WithCols).
+	proto core.ValStore[V]
 }
 
 func newCodecs[K, V any](fn core.Funcs[K, V], kc wal.Codec[K], vc wal.Codec[V]) (*codecs[K, V], error) {
 	c := &codecs[K, V]{fn: fn, kc: kc, vc: vc}
+	if fn.NewStore != nil {
+		c.proto = fn.NewStore(0)
+	}
 	var zk K
 	if _, ok := any(zk).(uint64); ok {
 		c.u64Keys = true

@@ -32,6 +32,13 @@ func frameAsIndex(data []byte, flags uint16) []byte {
 // stats). Everything up to block decode passes, so the fuzzer exercises
 // the block payload parser with raw input.
 func frameAsBlock(data []byte, flags uint16, colWidth byte) []byte {
+	return frameBlockClaiming(data, flags, colWidth, 2, 3, 4)
+}
+
+// frameBlockClaiming is frameAsBlock with the block's key, value and update
+// counts (and the index totals, which must sum to them) chosen by the
+// caller.
+func frameBlockClaiming(data []byte, flags uint16, colWidth byte, nKeys, nVals, nUpds uint32) []byte {
 	img := make([]byte, headerLen)
 	blockOff := int64(len(img))
 	img = wal.AppendRecord(img, data)
@@ -41,16 +48,16 @@ func frameAsBlock(data []byte, flags uint16, colWidth byte) []byte {
 	p = wal.AppendFrontier(p, lattice.MinFrontier(1))
 	p = wal.AppendFrontier(p, lattice.NewFrontier(lattice.Ts(1)))
 	p = wal.AppendFrontier(p, lattice.MinFrontier(1))
-	p = wal.AppendU32(p, 2) // keys
-	p = wal.AppendU32(p, 3) // vals
-	p = wal.AppendU32(p, 4) // upds
+	p = wal.AppendU32(p, nKeys)
+	p = wal.AppendU32(p, nVals)
+	p = wal.AppendU32(p, nUpds)
 	p = append(p, colWidth)
 	p = wal.AppendU32(p, 1) // one min time
 	p = wal.AppendTime(p, lattice.Ts(0))
 	p = wal.AppendU32(p, 1) // one block
-	p = wal.AppendU32(p, 2)
-	p = wal.AppendU32(p, 3)
-	p = wal.AppendU32(p, 4)
+	p = wal.AppendU32(p, nKeys)
+	p = wal.AppendU32(p, nVals)
+	p = wal.AppendU32(p, nUpds)
 	p = wal.AppendU64(p, uint64(blockOff))
 	p = wal.AppendU64(p, uint64(blockLen))
 	p = wal.AppendU64(p, 5) // firstKey
@@ -142,6 +149,9 @@ func FuzzBlockDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("KPGB"))
+	// Indexes whose block claims more updates than its frame can hold.
+	f.Add(hostileImage(3))
+	f.Add(hostileImage(maxElems))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeBoth(t, data)

@@ -35,8 +35,8 @@ type Batch[K, V any] struct {
 	Upds   []TimeDiff
 
 	// minTimes caches MinTimes, computed once at construction (builders and
-	// decoders stream the times anyway). Nil for hand-assembled batches,
-	// which fall back to computing per call.
+	// decoders stream the times anyway; SetMinTimes, CacheMinTimes). Nil for
+	// hand-assembled batches, which fall back to computing per call.
 	minTimes []lattice.Time
 }
 
@@ -175,6 +175,15 @@ func (b *Batch[K, V]) MinTimes() []lattice.Time {
 // it inline.
 func (b *Batch[K, V]) CacheMinTimes() {
 	b.minTimes = computeMinTimes(b.Upds)
+}
+
+// SetMinTimes installs a MinTimes cache its caller computed: the block
+// decoder folds every time into the antichain as it decodes it, and
+// cross-checks the result against the file's stored stats, so a second
+// walk over the updates would only repeat the work. ts must be exactly the
+// antichain of minimal update times.
+func (b *Batch[K, V]) SetMinTimes(ts []lattice.Time) {
+	b.minTimes = ts
 }
 
 // computeMinTimes finds the minimal antichain of the update times. Depth-1

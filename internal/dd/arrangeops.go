@@ -21,7 +21,7 @@ func ArrangeOpts[K, V any](c Collection[K, V], fn core.Funcs[K, V], name string,
 // Flatten turns an arranged stream of batches back into a stream of update
 // triples (reducing an arrangement to a collection, §5.1).
 func Flatten[K, V any](a *core.Arranged[K, V]) Collection[K, V] {
-	return flatten(a, "Flatten", func(b *core.Batch[K, V], f func(K, V, lattice.Time, core.Diff)) {
+	return flatten(a, "Flatten", true, func(b *core.Batch[K, V], f func(K, V, lattice.Time, core.Diff)) {
 		b.ForEach(f)
 	})
 }
@@ -32,14 +32,19 @@ func Flatten[K, V any](a *core.Arranged[K, V]) Collection[K, V] {
 // It equals Filter(Flatten(a), key == k), time for time.
 func FlattenKey[K, V any](a *core.Arranged[K, V], k K) Collection[K, V] {
 	fn := a.Agent.Fn
-	return flatten(a, "FlattenKey", func(b *core.Batch[K, V], f func(K, V, lattice.Time, core.Diff)) {
+	return flatten(a, "FlattenKey", false, func(b *core.Batch[K, V], f func(K, V, lattice.Time, core.Diff)) {
 		b.ForKey(fn, k, func(v V, t lattice.Time, d core.Diff) { f(k, v, t, d) })
 	})
 }
 
 // flatten emits, per batch, the updates visit enumerates, at the times the
-// arrangement's scope reads them.
-func flatten[K, V any](a *core.Arranged[K, V], name string,
+// arrangement's scope reads them. With whole, visit enumerates every update
+// of a batch, and the output is sized once from the batches' lengths
+// instead of grown. Only Flatten passes it: FlattenKey's visit yields one
+// key's few updates, and allocating (and zeroing) a whole batch's worth per
+// look-up costs more than the growth it would save — it slowed Datalog
+// look-up installs measurably.
+func flatten[K, V any](a *core.Arranged[K, V], name string, whole bool,
 	visit func(b *core.Batch[K, V], f func(K, V, lattice.Time, core.Diff))) Collection[K, V] {
 
 	shift := a.Shift
@@ -47,6 +52,13 @@ func flatten[K, V any](a *core.Arranged[K, V], name string,
 		func(ctx *timely.Ctx, in *timely.In[*core.Batch[K, V]], out *timely.Out[core.Update[K, V]]) {
 			in.ForEach(func(stamp []lattice.Time, data []*core.Batch[K, V]) {
 				var upds []core.Update[K, V]
+				if whole {
+					n := 0
+					for _, b := range data {
+						n += b.Len()
+					}
+					upds = make([]core.Update[K, V], 0, n)
+				}
 				for _, b := range data {
 					visit(b, func(k K, v V, t lattice.Time, d core.Diff) {
 						upds = append(upds, core.Update[K, V]{

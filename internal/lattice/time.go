@@ -45,6 +45,20 @@ func Ts(coords ...uint64) Time {
 	return t
 }
 
+// FromCoords constructs the depth-coordinate Time whose coordinates are the
+// first depth entries of c: Ts's non-variadic form for decoders that read
+// coordinates into a fixed array, cheap enough to inline into a per-update
+// loop.
+func FromCoords(depth int, c [MaxDepth]uint64) Time {
+	if depth < 1 || depth > MaxDepth {
+		panic("lattice: FromCoords depth out of range")
+	}
+	for i := depth; i < MaxDepth; i++ {
+		c[i] = 0 // equal Times compare equal coordinate for coordinate
+	}
+	return Time{depth: uint8(depth - 1), c: c}
+}
+
 // Depth reports the number of coordinates in t (at least 1).
 func (t Time) Depth() int { return int(t.depth) + 1 }
 

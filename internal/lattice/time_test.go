@@ -21,6 +21,14 @@ func TestTsAndAccessors(t *testing.T) {
 	if zero != (Time{}) {
 		t.Fatalf("Ts() should be zero value")
 	}
+	// FromCoords ignores whatever c holds past depth, so its Times equal
+	// Ts's coordinate for coordinate (Time is compared and hashed whole).
+	if got := FromCoords(3, [MaxDepth]uint64{3, 1, 4, 9}); got != ts {
+		t.Fatalf("FromCoords(3, {3,1,4,9}) = %v, want %v", got, ts)
+	}
+	if got := FromCoords(1, [MaxDepth]uint64{7, 7, 7, 7}); got != Ts(7) {
+		t.Fatalf("FromCoords(1, {7,7,7,7}) = %v, want (7)", got)
+	}
 }
 
 func TestPartialOrder(t *testing.T) {

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -147,6 +148,10 @@ func TestSpillOrphanFilesCollectedOnRecovery(t *testing.T) {
 		t.Fatal("no cold runs in the live trace")
 	}
 	live.Close()
+	orphans, err := src.stores[0].LiveFiles()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	restored := NewOpts(1, Options{DataDir: dir, Recover: true})
 	defer restored.Close()
@@ -157,15 +162,37 @@ func TestSpillOrphanFilesCollectedOnRecovery(t *testing.T) {
 	if _, err := restored.Restore(); err != nil {
 		t.Fatal(err)
 	}
+	// The pre-crash manifest references no blocks, so recovery's sweep must
+	// remove every orphan. Nothing else can: no run of the restored process
+	// names them, so none is ever retired or dead-listed, and the restore's
+	// own spills take fresh names.
+	after, err := src2.stores[0].LiveFiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range after {
+		if slices.Contains(orphans, name) {
+			t.Fatalf("after recovery: orphan %s survived the sweep", name)
+		}
+	}
+	// Whatever is on disk after a quiescent checkpoint was spilled by the
+	// restore itself and is referenced by the live trace. Count only then,
+	// as kpg's SPILL line does: a merge the restore scheduled may retire a
+	// spilled run after Restore returns, and its file stays dead-listed
+	// until a checkpoint collects it.
+	src2.s.c.PostEach(func(w *timely.Worker) {
+		for src2.arr[w.Index()].Agent.Spine().Work(1 << 30) {
+		}
+	}).Wait()
+	if err := src2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	files2, refs2, err := src2.SpillStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The pre-crash manifest references no blocks, so recovery's sweep must
-	// remove every orphan; whatever is on disk afterwards was spilled by the
-	// restore itself and is referenced by the live trace.
 	if files2 != refs2 {
-		t.Fatalf("after recovery: %d block files on disk, %d referenced (orphans leaked)", files2, refs2)
+		t.Fatalf("after recovery and a checkpoint: %d block files on disk, %d referenced (orphans leaked)", files2, refs2)
 	}
 
 	merged := make(map[[2]uint64]core.Diff)

@@ -78,6 +78,8 @@ func appendTime(dst []byte, t lattice.Time) []byte {
 	return dst
 }
 
+// time decodes a Time into a fixed-size array: a slice made at the decoded
+// depth would escape to the heap once per time read.
 func (c *cursor) time() (lattice.Time, error) {
 	d, err := c.u8()
 	if err != nil {
@@ -86,13 +88,13 @@ func (c *cursor) time() (lattice.Time, error) {
 	if d < 1 || int(d) > lattice.MaxDepth {
 		return lattice.Time{}, c.fail("time depth %d out of range", d)
 	}
-	coords := make([]uint64, d)
-	for i := range coords {
+	var coords [lattice.MaxDepth]uint64
+	for i := 0; i < int(d); i++ {
 		if coords[i], err = c.u64(); err != nil {
 			return lattice.Time{}, err
 		}
 	}
-	return lattice.Ts(coords...), nil
+	return lattice.FromCoords(int(d), coords), nil
 }
 
 // appendFrontier encodes an antichain in sorted order (deterministic bytes

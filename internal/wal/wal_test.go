@@ -296,6 +296,37 @@ func TestCodecs(t *testing.T) {
 	}
 }
 
+// TestTimeDecodeAllocations: decoding a time allocates nothing, at any
+// depth, and decoding a one-element frontier allocates only the antichain's
+// own storage — WAL replay, frame decode and block index reads call both
+// once per record.
+func TestTimeDecodeAllocations(t *testing.T) {
+	for _, want := range []lattice.Time{lattice.Ts(5), lattice.Ts(5, 7), lattice.Ts(1, 2, 3, 4)} {
+		timeBuf := AppendTime(nil, want)
+		frontierBuf := AppendFrontier(nil, lattice.NewFrontier(want))
+		if got, err := NewDec(timeBuf).Time(); err != nil || got != want {
+			t.Fatalf("Time decoded %v, %v; want %v", got, err, want)
+		}
+		if got, err := NewDec(frontierBuf).Frontier(); err != nil || !got.Equal(lattice.NewFrontier(want)) {
+			t.Fatalf("Frontier decoded %v, %v; want {%v}", got, err, want)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := NewDec(timeBuf).Time(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("Dec.Time of %v allocates %v times, want 0", want, n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := NewDec(frontierBuf).Frontier(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("Dec.Frontier of {%v} allocates %v times, want 1 (its element storage)", want, n)
+		}
+	}
+}
+
 func TestListAndCount(t *testing.T) {
 	data := t.TempDir()
 	for _, w := range []int{0, 1, 2} {
