@@ -197,14 +197,32 @@ func ProjectFrontier(f lattice.Frontier, n int) lattice.Frontier {
 	return out
 }
 
-// DefaultMaintenanceFuel is the per-schedule trace maintenance budget
-// applied on busy schedules (ones that ingested or sealed data). Idle
-// schedules apply IdleFuelFactor times as much, so compaction drains off the
-// critical path of live data and query installs.
+// maintenanceFuel is the per-schedule trace maintenance budget applied on
+// busy schedules (ones that ingested or sealed data). Idle schedules apply
+// idleFuelFactor times as much, so compaction drains off the critical path
+// of live data and query installs.
 const (
-	DefaultMaintenanceFuel = 256
-	IdleFuelFactor         = 8
+	maintenanceFuel = 256
+	idleFuelFactor  = 8
 )
+
+// Work spends one schedule's maintenance budget on the trace's merges — the
+// small one if the operator was busy this schedule, the idle one otherwise —
+// and reactivates the operator while merge work remains owed. Every operator
+// that owns a trace calls it once per schedule; a stream-only arrangement has
+// nothing to maintain.
+func (a *TraceAgent[K, V]) Work(ctx *timely.Ctx, busy bool) {
+	if a.spine == nil {
+		return
+	}
+	fuel := maintenanceFuel
+	if !busy {
+		fuel *= idleFuelFactor
+	}
+	if a.spine.Work(fuel) {
+		ctx.Activate()
+	}
+}
 
 // ArrangeOptions tunes an arrangement.
 type ArrangeOptions struct {
@@ -281,58 +299,29 @@ type arrangeState[K, V any] struct {
 	// increasing size, merged when adjacent runs are within 2x in length, so
 	// buffered memory stays linear in distinct (data, time) pairs.
 	runs [][]Update[K, V]
-	// capSet mirrors the retained capabilities: the antichain of minimal
-	// pending update times.
-	capSet lattice.Frontier
 }
 
 func (st *arrangeState[K, V]) schedule(ctx *timely.Ctx,
 	in *timely.In[Update[K, V]], out *timely.Out[*Batch[K, V]]) {
 
-	// Ingest new updates, extending capability coverage to their times.
+	// Ingest new updates; the held capabilities cover their times.
 	busy := false
 	in.ForEach(func(stamp []lattice.Time, data []Update[K, V]) {
 		busy = true
 		run := make([]Update[K, V], len(data))
 		copy(run, data)
 		st.pushRun(SortUpdates(st.fn, run))
-		for _, t := range stamp {
-			st.extendCap(ctx, t)
-		}
+		out.Caps().Insert(stamp...)
 	})
 
-	// Seal a batch when the input frontier has advanced past the trace upper.
+	// Seal a batch when the input frontier has advanced past the trace upper
+	// (and not merely moved to an incomparable frontier: wait for more).
 	frontier := in.Frontier()
-	if !frontier.Equal(st.agent.upper) && frontierAdvanced(st.agent.upper, frontier) {
-		st.seal(ctx, out, frontier)
+	if !frontier.Equal(st.agent.upper) && st.agent.upper.Dominates(frontier) {
+		st.seal(out, frontier)
 		busy = true
 	}
-
-	// Fueled trace maintenance continues across schedules: a small budget
-	// while data (or an install replay) is in flight, a large one once the
-	// operator goes quiet, so compaction stays off the critical path.
-	if sp := st.agent.spine; sp != nil {
-		fuel := DefaultMaintenanceFuel
-		if !busy {
-			fuel *= IdleFuelFactor
-		}
-		if sp.Work(fuel) {
-			ctx.Activate()
-		}
-	}
-}
-
-// frontierAdvanced reports whether new is strictly beyond old for at least
-// one element (i.e. sealing [old, new) is non-trivial and legal).
-func frontierAdvanced(old, new lattice.Frontier) bool {
-	// new must dominate nothing before old: every element of new must be in
-	// advance of old, or the frontiers are incomparable (wait for more).
-	for _, t := range new.Elements() {
-		if !old.LessEqual(t) {
-			return false
-		}
-	}
-	return true
+	st.agent.Work(ctx, busy)
 }
 
 // pushRun adds a sorted run, merging geometrically comparable neighbours.
@@ -356,26 +345,10 @@ func (st *arrangeState[K, V]) pushRun(run []Update[K, V]) {
 	}
 }
 
-// extendCap retains a capability at t unless already covered.
-func (st *arrangeState[K, V]) extendCap(ctx *timely.Ctx, t lattice.Time) {
-	if st.capSet.LessEqual(t) {
-		return
-	}
-	ctx.Retain(0, t)
-	// Drop any capabilities the new one dominates.
-	for _, e := range st.capSet.Elements() {
-		if t.LessEqual(e) {
-			ctx.Drop(0, e)
-		}
-	}
-	st.capSet.Insert(t)
-}
-
 // seal extracts all buffered updates not in advance of the new frontier,
 // mints one immutable batch covering [upper, frontier), maintains the trace,
-// emits the batch, and rebuilds capability coverage for what remains.
-func (st *arrangeState[K, V]) seal(ctx *timely.Ctx,
-	out *timely.Out[*Batch[K, V]], frontier lattice.Frontier) {
+// emits the batch, and downgrades the capabilities to what remains.
+func (st *arrangeState[K, V]) seal(out *timely.Out[*Batch[K, V]], frontier lattice.Frontier) {
 
 	// Split every run in order: both halves inherit the run's sort order, so
 	// the sealed updates fold together with linear merges (BuildBatch's sort
@@ -411,38 +384,17 @@ func (st *arrangeState[K, V]) seal(ctx *timely.Ctx,
 		since = sp.compactionFrontier()
 	}
 	b := BuildBatch(st.fn, sealed, st.agent.upper.Clone(), frontier.Clone(), since)
-
-	// New capability coverage: minimal times of remaining updates. Retain
-	// before dropping old caps so every retention is justified.
-	var newCaps lattice.Frontier
-	for _, r := range rests {
-		for _, u := range r {
-			newCaps.Insert(u.Time)
-		}
-	}
-	for _, t := range newCaps.Elements() {
-		if !contains(st.capSet, t) {
-			ctx.Retain(0, t)
-		}
-	}
-	for _, t := range st.capSet.Elements() {
-		if !contains(newCaps, t) {
-			ctx.Drop(0, t)
-		}
-	}
-	st.capSet = newCaps
-
 	st.agent.maintain(b)
 	out.SendSlice(b.MinTimes(), []*Batch[K, V]{b})
-}
 
-func contains(f lattice.Frontier, t lattice.Time) bool {
-	for _, e := range f.Elements() {
-		if e == t {
-			return true
+	// Hold the minimal times of the remaining updates.
+	var pending lattice.Frontier
+	for _, r := range rests {
+		for _, u := range r {
+			pending.Insert(u.Time)
 		}
 	}
-	return false
+	out.Caps().Downgrade(pending)
 }
 
 // ImportOptions tunes a cross-dataflow trace import.
@@ -523,14 +475,9 @@ func ImportOpts[K, V any](g *timely.Graph, agent *TraceAgent[K, V], name string,
 
 	cancelled := false
 	detached := false
-	var capSet lattice.Frontier
-	capSet.Insert(lattice.Ts(0))
 
-	detach := func(ctx *timely.Ctx) {
-		for _, t := range capSet.Elements() {
-			ctx.Drop(0, t)
-		}
-		capSet = lattice.Frontier{}
+	detach := func(caps *timely.CapSet) {
+		caps.Downgrade(lattice.Frontier{})
 		for i, s := range agent.subs {
 			if s == sub {
 				agent.subs = append(agent.subs[:i], agent.subs[i+1:]...)
@@ -546,7 +493,7 @@ func ImportOpts[K, V any](g *timely.Graph, agent *TraceAgent[K, V], name string,
 		func(ctx *timely.Ctx, out *timely.Out[*Batch[K, V]]) {
 			if cancelled {
 				if !detached {
-					detach(ctx)
+					detach(out.Caps())
 				}
 				return
 			}
@@ -562,21 +509,8 @@ func ImportOpts[K, V any](g *timely.Graph, agent *TraceAgent[K, V], name string,
 			}
 			clear(sub.queue)
 			sub.queue = sub.queue[:0]
-			// Downgrade capabilities to the trace's upper frontier.
-			upper := agent.upper
-			if !capSet.Equal(upper) {
-				for _, t := range upper.Elements() {
-					if !contains(capSet, t) {
-						ctx.Retain(0, t)
-					}
-				}
-				for _, t := range capSet.Elements() {
-					if !contains(upper, t) {
-						ctx.Drop(0, t)
-					}
-				}
-				capSet = upper.Clone()
-			}
+			// Trail the trace's upper, from the initial capability at 0 on.
+			out.Caps().Downgrade(agent.upper)
 		})
 	out := &Arranged[K, V]{Stream: stream, Agent: agent}
 	out.Cancel = func() { cancelled = true }

@@ -240,7 +240,7 @@ func (s *Spine[K, V]) considerMerges() {
 			continue
 		}
 		n1, n2 := e1.size(), e2.size()
-		if constrained && !frontierCovered(e2.upperF(), phys) {
+		if constrained && !e2.upperF().Dominates(phys) {
 			continue
 		}
 		// Absorbing an empty batch only widens the neighbour's bounds: share
@@ -276,7 +276,7 @@ func (s *Spine[K, V]) considerMerges() {
 		j := i + 1
 		for j+1 < len(s.entries) && s.entries[j+1].done() &&
 			s.entries[j].size() <= 2*s.entries[j+1].size() &&
-			(!constrained || frontierCovered(s.entries[j+1].upperF(), phys)) {
+			(!constrained || s.entries[j+1].upperF().Dominates(phys)) {
 			j++
 		}
 		s.startMergeRange(i, j)
@@ -338,7 +338,7 @@ func (s *Spine[K, V]) Recompact() {
 			if !s.entries[i].done() || !s.entries[i+1].done() {
 				continue
 			}
-			if constrained && !frontierCovered(s.entries[i+1].upperF(), phys) {
+			if constrained && !s.entries[i+1].upperF().Dominates(phys) {
 				continue
 			}
 			s.startMergeAt(i)
@@ -362,7 +362,7 @@ func (s *Spine[K, V]) Recompact() {
 		}
 		phys, constrained := s.physicalFrontier()
 		if !since.Equal(s.logicalFrontier()) &&
-			(!constrained || frontierCovered(upper, phys)) {
+			(!constrained || upper.Dominates(phys)) {
 			empty := EmptyBatch[K, V](upper, upper, since)
 			s.entries = append(s.entries, spineEntry[K, V]{batch: empty})
 			s.startMergeAt(0)
@@ -370,18 +370,6 @@ func (s *Spine[K, V]) Recompact() {
 			}
 		}
 	}
-}
-
-// frontierCovered reports whether reader frontier f is at or beyond batch
-// upper u: every element of f is in advance of u, so no reader can ask for a
-// cursor cut inside the batch.
-func frontierCovered(u, f lattice.Frontier) bool {
-	for _, t := range f.Elements() {
-		if !u.LessEqual(t) {
-			return false
-		}
-	}
-	return true
 }
 
 // logicalFrontier is the meet of all live readers' logical frontiers: times
@@ -524,10 +512,10 @@ func (h *Handle[K, V]) CursorThrough(f lattice.Frontier) *TraceCursor[K, V] {
 	var sel []BatchReader[K, V]
 	for _, r := range h.spine.Runs() {
 		lower, upper, _ := r.Bounds()
-		if frontierCovered(upper, f) {
+		if upper.Dominates(f) {
 			sel = append(sel, r)
 		} else {
-			if frontierCovered(lower, f) && !lower.Equal(f) {
+			if lower.Dominates(f) && !lower.Equal(f) {
 				panic(fmt.Sprintf("core: CursorThrough(%v) cuts inside batch [%v, %v)",
 					f, lower, upper))
 			}

@@ -1,6 +1,8 @@
 package dd
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/lattice"
 	"repro/internal/timely"
@@ -62,7 +64,7 @@ type joinTask[K, V any] struct {
 	// increasing, so the seek is exact) instead of redoing the whole key.
 	resume  V
 	resumed bool
-	caps    []lattice.Time // retained capability times
+	stamp   []lattice.Time // the batch's stamp: held until the task is done
 }
 
 // traceUpd is one trace-side update of the key under match, collected once
@@ -88,6 +90,7 @@ type joinState[K, V1, V2, K2, VO any] struct {
 	// per-side scratch for the trace updates of the key under match
 	scratchA []traceUpd[V1]
 	scratchB []traceUpd[V2]
+	held     lattice.Frontier // scratch: the antichain of pending tasks' stamps
 	f        func(K, V1, V2) (K2, VO)
 }
 
@@ -96,15 +99,13 @@ func (st *joinState[K, V1, V2, K2, VO]) schedule(ctx *timely.Ctx,
 	out *timely.Out[core.Update[K2, VO]]) {
 
 	// Ingest: arrival order fixes each batch's view of the opposite trace.
+	caps := out.Caps()
 	inA.ForEach(func(stamp []lattice.Time, data []*core.Batch[K, V1]) {
 		for _, bt := range data {
 			if !bt.Empty() {
-				task := &joinTask[K, V1]{batch: bt, snap: st.ackB.Clone()}
-				for _, t := range stamp {
-					ctx.Retain(0, t)
-					task.caps = append(task.caps, t)
-				}
+				task := &joinTask[K, V1]{batch: bt, snap: st.ackB.Clone(), stamp: slices.Clone(stamp)}
 				st.pendA = append(st.pendA, task)
+				caps.Insert(stamp...)
 			}
 			st.ackA = shiftFrontier(bt.Upper, st.shiftA)
 		}
@@ -112,12 +113,9 @@ func (st *joinState[K, V1, V2, K2, VO]) schedule(ctx *timely.Ctx,
 	inB.ForEach(func(stamp []lattice.Time, data []*core.Batch[K, V2]) {
 		for _, bt := range data {
 			if !bt.Empty() {
-				task := &joinTask[K, V2]{batch: bt, snap: st.ackA.Clone()}
-				for _, t := range stamp {
-					ctx.Retain(0, t)
-					task.caps = append(task.caps, t)
-				}
+				task := &joinTask[K, V2]{batch: bt, snap: st.ackA.Clone(), stamp: slices.Clone(stamp)}
 				st.pendB = append(st.pendB, task)
+				caps.Insert(stamp...)
 			}
 			st.ackB = shiftFrontier(bt.Upper, st.shiftB)
 		}
@@ -140,7 +138,6 @@ func (st *joinState[K, V1, V2, K2, VO]) schedule(ctx *timely.Ctx,
 			break
 		}
 		st.pendA = st.pendA[1:]
-		defer dropCaps(ctx, task.caps)
 	}
 	for len(st.pendB) > 0 && fuel > 0 {
 		task := st.pendB[0]
@@ -156,11 +153,10 @@ func (st *joinState[K, V1, V2, K2, VO]) schedule(ctx *timely.Ctx,
 			break
 		}
 		st.pendB = st.pendB[1:]
-		defer dropCaps(ctx, task.caps)
 	}
 
-	// Emit buffered output (justified by the tasks' retained capabilities,
-	// which are dropped only after this send).
+	// Emit buffered output, justified by the finished tasks' stamps, and only
+	// then let those go: hold exactly the stamps of the tasks still pending.
 	if len(outBuf) > 0 {
 		var min lattice.Frontier
 		for _, u := range outBuf {
@@ -168,6 +164,18 @@ func (st *joinState[K, V1, V2, K2, VO]) schedule(ctx *timely.Ctx,
 		}
 		out.SendSlice(min.Elements(), outBuf)
 	}
+	st.held.Clear()
+	for _, t := range st.pendA {
+		for _, c := range t.stamp {
+			st.held.Insert(c)
+		}
+	}
+	for _, t := range st.pendB {
+		for _, c := range t.stamp {
+			st.held.Insert(c)
+		}
+	}
+	caps.Downgrade(st.held)
 	if len(st.pendA) > 0 || len(st.pendB) > 0 {
 		ctx.Activate()
 	}
@@ -182,7 +190,7 @@ func (st *joinState[K, V1, V2, K2, VO]) schedule(ctx *timely.Ctx,
 		} else {
 			logical := fB.Clone()
 			for _, t := range st.pendB {
-				for _, c := range t.caps {
+				for _, c := range t.stamp {
 					logical.Insert(c)
 				}
 			}
@@ -200,7 +208,7 @@ func (st *joinState[K, V1, V2, K2, VO]) schedule(ctx *timely.Ctx,
 		} else {
 			logical := fA.Clone()
 			for _, t := range st.pendA {
-				for _, c := range t.caps {
+				for _, c := range t.stamp {
 					logical.Insert(c)
 				}
 			}
@@ -211,12 +219,6 @@ func (st *joinState[K, V1, V2, K2, VO]) schedule(ctx *timely.Ctx,
 			st.hB.SetLogical(core.ProjectFrontier(logical, st.shiftB))
 			st.hB.SetPhysical(core.ProjectFrontier(phys, st.shiftB))
 		}
-	}
-}
-
-func dropCaps(ctx *timely.Ctx, caps []lattice.Time) {
-	for _, t := range caps {
-		ctx.Drop(0, t)
 	}
 }
 

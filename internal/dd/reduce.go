@@ -62,7 +62,6 @@ type reduceState[K comparable, V, V2 any] struct {
 	reducer  Reducer[K, V, V2]
 
 	pending map[K]map[lattice.Time]bool
-	capSet  lattice.Frontier
 
 	outScratch []core.AccumEntry[V2]
 	inVals     []ValDiff[V]
@@ -84,7 +83,7 @@ type reduceState[K comparable, V, V2 any] struct {
 	curLastK K
 }
 
-func (st *reduceState[K, V, V2]) pend(ctx *timely.Ctx, k K, t lattice.Time) {
+func (st *reduceState[K, V, V2]) pend(caps *timely.CapSet, k K, t lattice.Time) {
 	m := st.pending[k]
 	if m == nil {
 		m = make(map[lattice.Time]bool)
@@ -94,15 +93,7 @@ func (st *reduceState[K, V, V2]) pend(ctx *timely.Ctx, k K, t lattice.Time) {
 		return
 	}
 	m[t] = true
-	if !st.capSet.LessEqual(t) {
-		ctx.Retain(0, t)
-		for _, e := range st.capSet.Elements() {
-			if t.LessEqual(e) {
-				ctx.Drop(0, e)
-			}
-		}
-		st.capSet.Insert(t)
-	}
+	caps.Insert(t)
 }
 
 type keyTime[K comparable] struct {
@@ -114,12 +105,13 @@ func (st *reduceState[K, V, V2]) schedule(ctx *timely.Ctx,
 	in *timely.In[*core.Batch[K, V]], out *timely.Out[*core.Batch[K, V2]]) {
 
 	// Ingest: every (key, time) in a new batch is future work.
+	caps := out.Caps()
 	busy := false
 	in.ForEach(func(stamp []lattice.Time, data []*core.Batch[K, V]) {
 		busy = true
 		for _, b := range data {
 			b.ForEach(func(k K, v V, t lattice.Time, d core.Diff) {
-				st.pend(ctx, k, t)
+				st.pend(caps, k, t)
 			})
 		}
 	})
@@ -173,39 +165,31 @@ func (st *reduceState[K, V, V2]) schedule(ctx *timely.Ctx,
 			if len(st.pending[kt.k]) == 0 {
 				delete(st.pending, kt.k)
 			}
-			newWork := st.evaluate(ctx, kt.k, kt.t, frontier, &emitted)
+			newWork := st.evaluate(caps, kt.k, kt.t, frontier, &emitted)
 			ready = append(ready, newWork...)
 		}
 	}
 
-	// Seal an output batch when the frontier advanced. Sealing counts as
-	// busy: the progress batch that propagates the epoch downstream applies
-	// only after this schedule returns, so it must not wait on a boosted
-	// maintenance budget.
-	if !frontier.Equal(st.outAgent.Upper()) && frontierDominates(st.outAgent.Upper(), frontier) {
+	// The minimal times of the remaining work: what the operator must still
+	// be able to emit at, and what its traces must stay readable at.
+	var pending lattice.Frontier
+	for _, times := range st.pending {
+		for t := range times {
+			pending.Insert(t)
+		}
+	}
+
+	// Seal an output batch when the frontier advanced, then hold only the
+	// remaining work. Sealing counts as busy: the progress batch that
+	// propagates the epoch downstream applies only after this schedule
+	// returns, so it must not wait on a boosted maintenance budget.
+	if !frontier.Equal(st.outAgent.Upper()) && st.outAgent.Upper().Dominates(frontier) {
 		busy = true
 		b := core.BuildBatch(st.fnOut, emitted, st.outAgent.Upper().Clone(), frontier.Clone(),
 			st.hOut.Logical().Clone())
-		// Rebuild capability coverage for remaining pending work.
-		var newCaps lattice.Frontier
-		for _, times := range st.pending {
-			for t := range times {
-				newCaps.Insert(t)
-			}
-		}
-		for _, t := range newCaps.Elements() {
-			if !frontierContains(st.capSet, t) {
-				ctx.Retain(0, t)
-			}
-		}
-		for _, t := range st.capSet.Elements() {
-			if !frontierContains(newCaps, t) {
-				ctx.Drop(0, t)
-			}
-		}
-		st.capSet = newCaps
 		st.outAgent.Maintain(b)
 		out.SendSlice(b.MinTimes(), []*core.Batch[K, V2]{b})
+		caps.Downgrade(pending)
 	} else if len(emitted) > 0 {
 		panic("dd: reduce emitted output without a sealable frontier")
 	}
@@ -216,35 +200,20 @@ func (st *reduceState[K, V, V2]) schedule(ctx *timely.Ctx,
 	// output trace's primary handle and stays where it last stood, so the
 	// finished trace remains readable.
 	logical := frontier.Clone()
-	for _, times := range st.pending {
-		for t := range times {
-			logical.Insert(t)
-		}
-	}
+	logical.Extend(pending)
 	if logical.Empty() {
 		st.hIn.Drop()
 	} else {
 		st.hIn.SetLogical(logical)
 		st.hOut.SetLogical(logical)
 	}
-	// Idle-aware output trace maintenance: schedules that ingested or
-	// emitted spend the small budget; quiet schedules drain compaction
-	// faster (same busy classification as arrange).
-	if sp := st.outAgent.Spine(); sp != nil {
-		fuel := core.DefaultMaintenanceFuel
-		if !busy && len(emitted) == 0 {
-			fuel *= core.IdleFuelFactor
-		}
-		if sp.Work(fuel) {
-			ctx.Activate()
-		}
-	}
+	st.outAgent.Work(ctx, busy || len(emitted) > 0)
 }
 
 // evaluate re-forms the input of key k at time t, applies the reducer,
 // compares with the re-formed current output, and appends corrective output
 // updates. It returns lub-induced work that became ready.
-func (st *reduceState[K, V, V2]) evaluate(ctx *timely.Ctx, k K, t lattice.Time,
+func (st *reduceState[K, V, V2]) evaluate(caps *timely.CapSet, k K, t lattice.Time,
 	frontier lattice.Frontier, emitted *[]core.Update[K, V2]) []keyTime[K] {
 
 	var newReady []keyTime[K]
@@ -299,7 +268,7 @@ func (st *reduceState[K, V, V2]) evaluate(ctx *timely.Ctx, k K, t lattice.Time,
 				lub = ut.Join(t)
 			}
 			if !pendingHas(st.pending, k, lub) {
-				st.pend(ctx, k, lub)
+				st.pend(caps, k, lub)
 				if !frontier.LessEqual(lub) {
 					newReady = append(newReady, keyTime[K]{k, lub})
 				}
@@ -374,26 +343,6 @@ func accumGet[V any](entries []core.AccumEntry[V], eq func(a, b V) bool, v V) co
 	return 0
 }
 
-func frontierContains(f lattice.Frontier, t lattice.Time) bool {
-	for _, e := range f.Elements() {
-		if e == t {
-			return true
-		}
-	}
-	return false
-}
-
-// frontierDominates reports whether every element of new is in advance of
-// old (the seal-legality check).
-func frontierDominates(old, new lattice.Frontier) bool {
-	for _, t := range new.Elements() {
-		if !old.LessEqual(t) {
-			return false
-		}
-	}
-	return true
-}
-
 // Reduce arranges the input and applies ReduceCore, returning the flattened
 // output collection.
 func Reduce[K comparable, V, V2 any](c Collection[K, V], fnIn core.Funcs[K, V],
@@ -404,19 +353,7 @@ func Reduce[K comparable, V, V2 any](c Collection[K, V], fnIn core.Funcs[K, V],
 
 // Count yields, for each key, the total multiplicity of its records.
 func Count[K comparable, V any](c Collection[K, V], fnIn core.Funcs[K, V]) Collection[K, int64] {
-	fnOut := core.Funcs[K, int64]{
-		LessK: fnIn.LessK,
-		LessV: func(a, b int64) bool { return a < b },
-		HashK: fnIn.HashK,
-	}
-	return Reduce(c, fnIn, fnOut, "Count",
-		func(k K, in []ValDiff[V], out *[]ValDiff[int64]) {
-			var total core.Diff
-			for _, e := range in {
-				total += e.Diff
-			}
-			*out = append(*out, ValDiff[int64]{Val: total, Diff: 1})
-		})
+	return CountCore(Arrange(c, fnIn, "Count-arrange"))
 }
 
 // CountCore is Count over an existing arrangement.

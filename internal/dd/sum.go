@@ -39,7 +39,7 @@ func Sum[K comparable, V, A any](c Collection[K, V], fnIn core.Funcs[K, V],
 				// Exchanged slices go back to the channel's pool when this
 				// callback returns: held updates are copies.
 				st.held = append(st.held, data...)
-				st.cover(ctx, stamp)
+				out.Caps().Insert(stamp...)
 			})
 			st.fold(ctx, in.Frontier(), out)
 		})
@@ -76,7 +76,7 @@ func SumCore[K comparable, V, A any](a *core.Arranged[K, V],
 						st.held = append(st.held, core.Update[K, V]{Key: k, Val: v, Time: t, Diff: d})
 					})
 				}
-				st.cover(ctx, stamp)
+				out.Caps().Insert(stamp...)
 			})
 			st.fold(ctx, in.Frontier(), out)
 		})
@@ -101,10 +101,9 @@ type sumState[K comparable, V, A any] struct {
 	hOut  *core.Handle[K, sumRow[A]]
 
 	held []core.Update[K, V]
-	// capT is the one capability held while updates are: the least time among
-	// them (depth-1 times are totally ordered).
-	capT   lattice.Time
-	hasCap bool
+	// least is the capability fold downgrades to: the least time still held
+	// (depth-1 times are totally ordered, so it is one time or none).
+	least lattice.Frontier
 
 	// Per-fold scratch, reused so a steady epoch allocates only what it emits.
 	group map[K]int32 // key -> index into runs
@@ -145,20 +144,6 @@ func newSumState[K comparable, V, A any](fnOut core.Funcs[K, A],
 	}
 }
 
-// cover extends the held capability down to a consumed message's stamp.
-func (st *sumState[K, V, A]) cover(ctx *timely.Ctx, stamp []lattice.Time) {
-	for _, t := range stamp {
-		if st.hasCap && !t.TotalLess(st.capT) {
-			continue
-		}
-		ctx.Retain(0, t)
-		if st.hasCap {
-			ctx.Drop(0, st.capT)
-		}
-		st.capT, st.hasCap = t, true
-	}
-}
-
 // fold retires every held update whose time the input frontier has passed,
 // then lets the output trace compact behind the frontier.
 func (st *sumState[K, V, A]) fold(ctx *timely.Ctx, frontier lattice.Frontier,
@@ -193,19 +178,11 @@ func (st *sumState[K, V, A]) fold(ctx *timely.Ctx, frontier lattice.Frontier,
 		clear(st.held[n:])
 		st.held = st.held[:n]
 
-		// The capability moves up to the least time still held: retained
-		// before the old one drops, so it is always justified.
-		old := st.capT
-		st.hasCap = n > 0
+		st.least.Clear()
 		for i := range st.held {
-			if t := st.held[i].Time; i == 0 || t.TotalLess(st.capT) {
-				st.capT = t
-			}
+			st.least.Insert(st.held[i].Time)
 		}
-		if st.hasCap {
-			ctx.Retain(0, st.capT)
-		}
-		ctx.Drop(0, old)
+		out.Caps().Downgrade(st.least)
 	}
 
 	// Rows are only ever read at times the frontier has not passed, so the
@@ -214,13 +191,7 @@ func (st *sumState[K, V, A]) fold(ctx *timely.Ctx, frontier lattice.Frontier,
 	if !frontier.Empty() {
 		st.hOut.SetLogical(frontier)
 	}
-	fuel := core.DefaultMaintenanceFuel
-	if !busy {
-		fuel *= core.IdleFuelFactor
-	}
-	if st.agent.Spine().Work(fuel) {
-		ctx.Activate()
-	}
+	st.agent.Work(ctx, busy)
 }
 
 // emit adds the ready updates (ordered by time, least first) into their keys'

@@ -73,9 +73,6 @@ func (t Time) Coord(i int) uint64 {
 // Epoch returns coordinate 0, the input epoch.
 func (t Time) Epoch() uint64 { return t.c[0] }
 
-// Inner returns the last coordinate (the innermost loop counter).
-func (t Time) Inner() uint64 { return t.c[t.depth] }
-
 func (t Time) checkDepth(o Time) {
 	if t.depth != o.depth {
 		panic(fmt.Sprintf("lattice: comparing times of depth %d and %d", t.Depth(), o.Depth()))
@@ -161,13 +158,6 @@ func (t Time) Leave() Time {
 func (t Time) Step() Time {
 	r := t
 	r.c[r.depth]++
-	return r
-}
-
-// StepEpoch returns t with coordinate 0 incremented by one.
-func (t Time) StepEpoch() Time {
-	r := t
-	r.c[0]++
 	return r
 }
 

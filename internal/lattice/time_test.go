@@ -11,7 +11,7 @@ func TestTsAndAccessors(t *testing.T) {
 	if ts.Depth() != 3 {
 		t.Fatalf("depth = %d, want 3", ts.Depth())
 	}
-	if ts.Epoch() != 3 || ts.Coord(1) != 1 || ts.Inner() != 4 {
+	if ts.Epoch() != 3 || ts.Coord(1) != 1 || ts.Coord(2) != 4 {
 		t.Fatalf("coords wrong: %v", ts)
 	}
 	if got := ts.String(); got != "(3,1,4)" {
@@ -70,9 +70,6 @@ func TestEnterLeaveStep(t *testing.T) {
 	}
 	if in.Step().Leave() != Ts(7) {
 		t.Fatalf("leave = %v", in.Step().Leave())
-	}
-	if a.StepEpoch() != Ts(8) {
-		t.Fatalf("stepEpoch = %v", a.StepEpoch())
 	}
 }
 

@@ -576,7 +576,6 @@ type outbox struct {
 	progSeq     map[int]uint64
 
 	budget  int64
-	paused  bool // explicit Fabric.Pause
 	gated   bool // peer incarnation bumped; hold all output until local resync
 	kicked  bool // inbound conn died; unpark the writer to force a re-handshake
 	closing bool // drain then stop
@@ -654,7 +653,7 @@ func (ob *outbox) pop() ([][]byte, bool) {
 			ob.kicked = false
 			return nil, true
 		}
-		if len(ob.queue) > 0 && !ob.paused && !ob.gated {
+		if len(ob.queue) > 0 && !ob.gated {
 			e := ob.queue[0]
 			ob.queue[0] = nil
 			ob.queue = ob.queue[1:]
@@ -803,20 +802,11 @@ func (ob *outbox) clearAndGate() {
 	ob.cond.Broadcast()
 }
 
-func (ob *outbox) setPaused(p bool) {
-	ob.mu.Lock()
-	ob.paused = p
-	ob.mu.Unlock()
-	ob.cond.Broadcast()
-}
-
 // beginClose starts a drain: the writer flushes what is queued, then stops.
-// A paused outbox unpauses (shutdown outranks flow control); a gated one
-// discards its junk instead of draining it.
+// A gated outbox discards its junk instead of draining it.
 func (ob *outbox) beginClose() {
 	ob.mu.Lock()
 	ob.closing = true
-	ob.paused = false
 	if ob.gated {
 		ob.queue = nil
 		ob.queuedBytes = 0

@@ -11,6 +11,7 @@ import (
 	"repro/internal/graphs"
 	"repro/internal/lattice"
 	"repro/internal/timely"
+	"repro/internal/wal"
 )
 
 // startPair builds a fully connected two-process mesh over loopback with the
@@ -414,58 +415,56 @@ func TestLinkDropSeqContinuity(t *testing.T) {
 	nodes[1].Close()
 }
 
-// TestProgressCoalescing pauses a peer's outbox, offers it a burst of
-// pointstamp batches, and checks that adjacent batches coalesced into far
-// fewer wire frames while the delta stream is preserved exactly, in order.
+// TestProgressCoalescing offers an outbox whose writer has not yet come for
+// it a burst of pointstamp batches, and checks that adjacent batches coalesce
+// into far fewer wire frames while the delta stream is preserved exactly, in
+// order.
 func TestProgressCoalescing(t *testing.T) {
-	nodes := startPair(t, 2, [2]func(error){})
-	host := &collectHost{}
-	nodes[0].Start(stubHost{})
-	nodes[1].Start(host)
-
+	st := &statCounters{}
+	ob := newOutbox(1<<30, st)
 	const batches = 200
-	nodes[0].Pause(1)
 	for i := 0; i < batches; i++ {
-		nodes[0].BroadcastProgress(0, []timely.ProgressDelta{
+		if !ob.enqueueProgress(0, []timely.ProgressDelta{
 			{Op: 1, Port: 0, Time: lattice.Ts(uint64(i)), Diff: 1},
 			{Op: 1, Port: 0, Time: lattice.Ts(uint64(i)), Diff: -1},
-		})
+		}) {
+			t.Fatalf("batch %d exceeded the replay budget", i)
+		}
 	}
-	nodes[0].Resume(1)
+	ob.beginClose()
 
-	deadline := time.Now().Add(10 * time.Second)
+	var deltas []timely.ProgressDelta
 	for {
-		host.mu.Lock()
-		n := len(host.deltas)
-		host.mu.Unlock()
-		if n >= 2*batches {
+		recs, ok := ob.pop()
+		if !ok {
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("received %d of %d deltas", n, 2*batches)
+		for _, rec := range recs {
+			payload, rest, err := wal.SplitRecord(rec, MaxFrame)
+			if err != nil || len(rest) != 0 {
+				t.Fatalf("popped record does not frame one payload: %v (%d bytes left)", err, len(rest))
+			}
+			f, err := DecodeFrame(payload)
+			if err != nil || f.Kind != KindProgress {
+				t.Fatalf("popped frame %q: %v", f.Kind, err)
+			}
+			deltas = append(deltas, f.Deltas...)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 
-	host.mu.Lock()
+	if len(deltas) != 2*batches {
+		t.Fatalf("popped %d deltas, want %d", len(deltas), 2*batches)
+	}
 	for i := 0; i < batches; i++ {
-		plus, minus := host.deltas[2*i], host.deltas[2*i+1]
+		plus, minus := deltas[2*i], deltas[2*i+1]
 		if plus.Time != lattice.Ts(uint64(i)) || plus.Diff != 1 || minus.Diff != -1 {
 			t.Fatalf("delta pair %d out of order: %+v / %+v", i, plus, minus)
 		}
 	}
-	host.mu.Unlock()
-
-	st := nodes[0].Stats()
-	if st.ProgressBatches != batches {
-		t.Fatalf("stats count %d offered batches, want %d", st.ProgressBatches, batches)
+	if st.progressFrames >= batches {
+		t.Fatalf("%d frames for %d batches: coalescing had no effect", st.progressFrames, batches)
 	}
-	if st.ProgressFrames >= st.ProgressBatches {
-		t.Fatalf("%d frames for %d batches: coalescing had no effect", st.ProgressFrames, st.ProgressBatches)
-	}
-	t.Logf("%d batches coalesced into %d frames", st.ProgressBatches, st.ProgressFrames)
-	nodes[0].Close()
-	nodes[1].Close()
+	t.Logf("%d batches coalesced into %d frames", batches, st.progressFrames)
 }
 
 // TestPeerRejoinResync is the full crash-recovery cycle at the mesh layer:

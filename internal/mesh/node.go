@@ -475,22 +475,6 @@ func (n *Node) BroadcastProgress(df int, deltas []timely.ProgressDelta) {
 	}
 }
 
-// Pause suspends outbound traffic to the given peer: frames buffer in the
-// outbox (bounded by ReplayBudget) until Resume. The node pauses links
-// internally while a peer is down; this is the explicit driver/test hook.
-func (n *Node) Pause(peer int) {
-	if l := n.links[peer]; l != nil {
-		l.ob.setPaused(true)
-	}
-}
-
-// Resume releases a Pause: the writer drains the buffered frames in order.
-func (n *Node) Resume(peer int) {
-	if l := n.links[peer]; l != nil {
-		l.ob.setPaused(false)
-	}
-}
-
 // SendUser ships an opaque payload to one peer, for coordination outside the
 // dataflow (result gathering, recovery cut exchange). Delivery is ordered
 // with respect to data and progress frames on the same link.

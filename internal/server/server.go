@@ -10,11 +10,11 @@
 //
 // Durability: a server started with Options.DataDir logs each durable
 // source's sealed batches and compaction-frontier advances to per-worker
-// shard logs (internal/wal). Checkpoint compacts a log to one consolidated
-// snapshot batch of the trace; a restarted server (Options.Recover plus
-// Source.Restore or Server.Restore) rebuilds every trace directly from the
-// logged batches — no source replay — and resumes epoch advancement from
-// the logged frontier. With Options.Fsync, Options.GroupCommitEvery batches
+// shard logs (internal/wal). Checkpoint rotates a log to the trace's run
+// chain as the spine holds it (spilled runs by reference); a restarted server
+// (Options.Recover plus Source.Restore or Server.Restore) rebuilds every trace
+// directly from the logged runs — no source replay — and resumes epoch
+// advancement from the logged frontier. With Options.Fsync, Options.GroupCommitEvery batches
 // fsyncs across epochs and shards through one shared committer, so
 // durability against machine crashes costs one sync per interval instead of
 // one per append.
@@ -193,10 +193,9 @@ func (s *Server) Closed() bool {
 	return s.closed
 }
 
-// Checkpoint compacts every durable source's log to a snapshot of its trace
-// (the same artifact a late-subscribing query imports), discarding the
-// superseded batch runs. Safe to call while updates stream. Returns
-// ErrClosed if the server has been closed.
+// Checkpoint rotates every durable source's log to its traces' run chains
+// (Source.Checkpoint), discarding the superseded log generation. Safe to call
+// while updates stream. Returns ErrClosed if the server has been closed.
 func (s *Server) Checkpoint() error {
 	if s.Closed() {
 		return ErrClosed
@@ -211,7 +210,7 @@ func (s *Server) Checkpoint() error {
 }
 
 // LogBytes reports the total on-disk size of every durable source's current
-// log generation (the checkpointed snapshot plus the tail appended since).
+// log generation (the checkpointed run chain plus the tail appended since).
 // Drivers poll it to trigger checkpoints on log growth, not just time.
 func (s *Server) LogBytes() int64 {
 	var n int64
@@ -845,7 +844,6 @@ func (src *Source[K, V]) restoreClamped(clamp *lattice.Frontier) (uint64, error)
 			}
 		}
 	}
-	src.pending = false
 	return epoch, nil
 }
 

@@ -80,12 +80,6 @@ type Fabric interface {
 	// runtime (an undecodable stashed payload); the fabric surfaces it like
 	// a peer failure.
 	Fail(err error)
-	// Pause suspends outbound traffic to one peer process: frames buffer in
-	// the fabric (bounded) until Resume. Drivers use it to hold a rejoining
-	// peer's traffic while it restores; fabrics without peers ignore it.
-	Pause(peer int)
-	// Resume releases a Pause, draining buffered frames in order.
-	Resume(peer int)
 	// Close releases the transport. Idempotent.
 	Close() error
 }
@@ -115,9 +109,7 @@ func (f localFabric) BroadcastProgress(df int, deltas []ProgressDelta) {}
 func (f localFabric) Fail(err error) {
 	panic(fmt.Sprintf("timely: local fabric failure: %v", err))
 }
-func (f localFabric) Pause(peer int)  {}
-func (f localFabric) Resume(peer int) {}
-func (f localFabric) Close() error    { return nil }
+func (f localFabric) Close() error { return nil }
 
 // WireCodec serializes exchanged records of one element type for transport
 // between processes. Append encodes a partition onto dst; Decode parses one

@@ -3,6 +3,7 @@ package timely
 import (
 	"fmt"
 	"reflect"
+	"slices"
 
 	"repro/internal/lattice"
 )
@@ -19,9 +20,6 @@ type Worker struct {
 
 // Index returns this worker's index in 0..Peers()-1.
 func (w *Worker) Index() int { return w.index }
-
-// Peers returns the total number of workers.
-func (w *Worker) Peers() int { return w.rt.peers }
 
 // Dataflow constructs a new dataflow. Every worker must call Dataflow the
 // same number of times with structurally identical build closures (operator
@@ -216,9 +214,9 @@ type opState struct {
 	name      string
 	nIn, nOut int
 	summaries [][]Summary
-	caps      []map[lattice.Time]int64 // persistent capabilities, per out port
-	justif    []lattice.Frontier       // per out port: times we may send at, this schedule (storage reused)
-	ctx       Ctx                      // handed to run; lives here so a schedule allocates nothing
+	caps      []CapSet           // per out port: the capabilities the shard holds
+	consumed  []lattice.Frontier // per out port: images of the messages consumed this schedule (storage reused)
+	ctx       Ctx                // handed to run; lives here so a schedule allocates nothing
 	batch     progressBatch
 	flushers  []func() // staged exchange channels to flush after run
 	activity  bool
@@ -226,15 +224,17 @@ type opState struct {
 	run       func(ctx *Ctx)
 }
 
+// justified reports whether the operator may send or retain at t on port p:
+// t is past a capability held now or a message consumed this schedule.
+func (o *opState) justified(p int, t lattice.Time) bool {
+	return o.caps[p].covers(t) || o.consumed[p].LessEqual(t)
+}
+
 func (o *opState) schedule() bool {
 	o.activity = o.reactive
 	o.reactive = false
-	for p := 0; p < o.nOut; p++ {
-		f := &o.justif[p]
-		f.Clear()
-		for t := range o.caps[p] {
-			f.Insert(t)
-		}
+	for p := range o.consumed {
+		o.consumed[p].Clear()
 	}
 	if o.run != nil {
 		o.run(&o.ctx)
@@ -257,15 +257,28 @@ func newOpState(g *Graph, name string, nIn, nOut int, summaries [][]Summary) *op
 	st := &opState{
 		g: g, id: g.allocOp(), name: name,
 		nIn: nIn, nOut: nOut, summaries: summaries,
-		caps:   make([]map[lattice.Time]int64, nOut),
-		justif: make([]lattice.Frontier, nOut),
+		caps:     make([]CapSet, nOut),
+		consumed: make([]lattice.Frontier, nOut),
 	}
 	st.ctx.o = st
 	for i := range st.caps {
-		st.caps[i] = make(map[lattice.Time]int64)
+		st.caps[i] = CapSet{o: st, port: i}
 	}
 	g.ops = append(g.ops, st)
 	return st
+}
+
+// register declares the operator to the progress tracker once its inputs are
+// attached. initial holds, per output port, the capabilities each worker's
+// shard starts with, which the port's CapSet then holds.
+func (o *opState) register(initial ...lattice.Frontier) {
+	for p, f := range initial {
+		o.caps[p].held = slices.Clone(f.Elements())
+	}
+	o.g.tracker.registerNode(o.id, nodeSpec{
+		name: o.name, inPorts: o.nIn, outPorts: o.nOut,
+		summaries: o.summaries, initialCaps: initial,
+	})
 }
 
 // Ctx is the operator-facing view of its shard during one schedule call.
@@ -273,43 +286,78 @@ type Ctx struct {
 	o *opState
 }
 
-// Worker returns the index of the worker scheduling the operator.
-func (c *Ctx) Worker() int { return c.o.g.w.index }
-
-// Peers returns the number of workers.
-func (c *Ctx) Peers() int { return c.o.g.w.rt.peers }
-
 // Activate requests that the operator be rescheduled even if no new input
 // arrives (used for fueled, amortized work such as trace merging).
 func (c *Ctx) Activate() { c.o.reactive = true; c.o.activity = true }
 
-// Retain acquires a persistent capability to send at times ≥ t on the given
-// output port. The time must currently be justified (≥ a held capability or
-// ≥ the summary-image of a message consumed in this schedule call).
-func (c *Ctx) Retain(port int, t lattice.Time) {
-	o := c.o
-	if !o.justif[port].LessEqual(t) {
-		panic(fmt.Sprintf("timely: op %q retains unjustified capability %v (justified: %v)",
-			o.name, t, o.justif[port]))
-	}
-	o.caps[port][t]++
-	o.batch.capPlus(o.id, port, t, 1)
-	o.justif[port].Insert(t)
-	o.activity = true
+// CapSet is the set of capabilities an operator shard holds on one output
+// port: an antichain, so each time is held once and never beside a time that
+// covers it. It is the only way an operator holds capabilities. A port's set
+// comes from its Out and changes only while the operator is scheduled; every
+// change retains what it adds before it releases what it replaces.
+type CapSet struct {
+	o    *opState
+	port int
+	// held is exactly what the shard holds at every step, so a capability
+	// released earlier in a schedule justifies nothing later in it.
+	held []lattice.Time
 }
 
-// Drop releases one persistent capability at t on the given output port.
-func (c *Ctx) Drop(port int, t lattice.Time) {
+// Insert holds each of ts that the set does not already cover, then releases
+// the held times it dominates. Each time must be justified: in advance of a
+// held capability or of a message consumed in this schedule.
+func (c *CapSet) Insert(ts ...lattice.Time) {
+	for _, t := range ts {
+		if !c.covers(t) {
+			c.retain(t)
+			c.release(func(e lattice.Time) bool { return e != t && t.LessEqual(e) })
+		}
+	}
+}
+
+// Downgrade makes the held set exactly f (empty releases everything): it
+// retains every new element of f, each of which must be justified as for
+// Insert, before it releases any element not in f.
+func (c *CapSet) Downgrade(f lattice.Frontier) {
+	for _, t := range f.Elements() {
+		if !slices.Contains(c.held, t) {
+			c.retain(t)
+		}
+	}
+	c.release(func(e lattice.Time) bool { return !slices.Contains(f.Elements(), e) })
+}
+
+func (c *CapSet) covers(t lattice.Time) bool {
+	for _, e := range c.held {
+		if e.LessEqual(t) {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *CapSet) retain(t lattice.Time) {
 	o := c.o
-	if o.caps[port][t] <= 0 {
-		panic(fmt.Sprintf("timely: op %q drops capability %v it does not hold", o.name, t))
+	if !o.justified(c.port, t) {
+		panic(fmt.Sprintf("timely: op %q retains unjustified capability %v (held: %v, consumed: %v)",
+			o.name, t, c.held, o.consumed[c.port]))
 	}
-	o.caps[port][t]--
-	if o.caps[port][t] == 0 {
-		delete(o.caps[port], t)
-	}
-	o.batch.capMinus(o.id, port, t, 1)
+	o.batch.capPlus(o.id, c.port, t, 1)
 	o.activity = true
+	c.held = append(c.held, t)
+}
+
+func (c *CapSet) release(gone func(lattice.Time) bool) {
+	kept := c.held[:0]
+	for _, e := range c.held {
+		if gone(e) {
+			c.o.batch.capMinus(c.o.id, c.port, e, 1)
+			c.o.activity = true
+		} else {
+			kept = append(kept, e)
+		}
+	}
+	c.held = kept
 }
 
 // In is a typed operator input endpoint.
@@ -332,7 +380,7 @@ func (in *In[A]) ForEach(f func(stamp []lattice.Time, data []A)) {
 			in.o.batch.msgMinus(in.o.id, in.port, t, 1)
 			for out := 0; out < in.o.nOut; out++ {
 				if t2, ok := in.o.summaries[in.port][out].Apply(t); ok {
-					in.o.justif[out].Insert(t2)
+					in.o.consumed[out].Insert(t2)
 				}
 			}
 		}
@@ -357,33 +405,31 @@ type Out[B any] struct {
 	reg  *outReg[B]
 }
 
+// Caps returns the set of capabilities the operator holds on this port.
+func (o *Out[B]) Caps() *CapSet { return &o.o.caps[o.port] }
+
 // SendSlice emits data stamped with the given antichain of minimal logical
 // times. Ownership of both slices passes to the runtime; the data slice may
 // be shared with multiple consumers and must not be mutated afterwards.
-// Every stamp element must be justified by a held capability or by an input
-// message consumed in the current schedule call. Exchanged channels copy the
-// records into staged per-destination buffers delivered when the schedule
-// call ends; pipeline channels enqueue the slice itself immediately.
+// Every stamp element must be justified as for CapSet.Insert, so send before
+// downgrading past it. Exchanged channels copy the records into staged
+// per-destination buffers delivered when the schedule call ends; pipeline
+// channels enqueue the slice itself immediately.
 func (o *Out[B]) SendSlice(stamp []lattice.Time, data []B) {
 	if len(data) == 0 {
 		return
 	}
 	st := o.o
 	for _, t := range stamp {
-		if !st.justif[o.port].LessEqual(t) {
-			panic(fmt.Sprintf("timely: op %q sends at unjustified time %v (justified: %v)",
-				st.name, t, st.justif[o.port]))
+		if !st.justified(o.port, t) {
+			panic(fmt.Sprintf("timely: op %q sends at unjustified time %v (held: %v, consumed: %v)",
+				st.name, t, st.caps[o.port].held, st.consumed[o.port]))
 		}
 	}
 	st.activity = true
 	for _, ch := range o.reg.channels {
 		ch.stage(st, stamp, data)
 	}
-}
-
-// Send emits data at a single logical time.
-func (o *Out[B]) Send(t lattice.Time, data ...B) {
-	o.SendSlice([]lattice.Time{t}, data)
 }
 
 func depthAfter(sum Summary, depth int) int {
@@ -410,15 +456,7 @@ func Unary[A, B any](s *Stream[A], name string, exch func(A) uint64, sum Summary
 	in := attachIn(s, st, 0, exch)
 	out := &Out[B]{o: st, port: 0, reg: reg}
 	st.run = func(ctx *Ctx) { logic(ctx, in, out) }
-	var ic lattice.Frontier
-	for _, t := range initCaps {
-		ic.Insert(t)
-	}
-	g.tracker.registerNode(st.id, nodeSpec{
-		name: name, inPorts: 1, outPorts: 1,
-		summaries:   [][]Summary{{sum}},
-		initialCaps: []lattice.Frontier{ic},
-	})
+	st.register(lattice.NewFrontier(initCaps...))
 	return &Stream[B]{g: g, srcOp: st.id, srcPort: 0, depth: depthAfter(sum, s.depth), reg: reg}
 }
 
@@ -434,24 +472,19 @@ func Binary[A, B, C any](sa *Stream[A], sb *Stream[B], name string,
 		panic("timely: Binary inputs at different depths")
 	}
 	g := sa.g
-	sums := [][]Summary{{SumID}, {SumID}}
-	st := newOpState(g, name, 2, 1, sums)
+	st := newOpState(g, name, 2, 1, [][]Summary{{SumID}, {SumID}})
 	reg := &outReg[C]{}
 	inA := attachIn(sa, st, 0, exchA)
 	inB := attachIn(sb, st, 1, exchB)
 	out := &Out[C]{o: st, port: 0, reg: reg}
 	st.run = func(ctx *Ctx) { logic(ctx, inA, inB, out) }
-	g.tracker.registerNode(st.id, nodeSpec{
-		name: name, inPorts: 2, outPorts: 1,
-		summaries:   sums,
-		initialCaps: []lattice.Frontier{{}},
-	})
+	st.register()
 	return &Stream[C]{g: g, srcOp: st.id, srcPort: 0, depth: sa.depth, reg: reg}
 }
 
 // Source constructs a zero-input single-output operator holding an initial
 // capability at initCap on every worker; logic runs every schedule and
-// manages the capability through ctx.
+// manages the capability through out.Caps().
 func Source[B any](g *Graph, name string, depth int, initCap lattice.Time,
 	logic func(ctx *Ctx, out *Out[B])) *Stream[B] {
 
@@ -459,12 +492,7 @@ func Source[B any](g *Graph, name string, depth int, initCap lattice.Time,
 	reg := &outReg[B]{}
 	out := &Out[B]{o: st, port: 0, reg: reg}
 	st.run = func(ctx *Ctx) { logic(ctx, out) }
-	st.caps[0][initCap]++ // worker-local record of the pre-seeded capability
-	g.tracker.registerNode(st.id, nodeSpec{
-		name: name, inPorts: 0, outPorts: 1,
-		summaries:   nil,
-		initialCaps: []lattice.Frontier{lattice.NewFrontier(initCap)},
-	})
+	st.register(lattice.NewFrontier(initCap))
 	return &Stream[B]{g: g, srcOp: st.id, srcPort: 0, depth: depth, reg: reg}
 }
 
@@ -476,8 +504,5 @@ func Sink[A any](s *Stream[A], name string, exch func(A) uint64,
 	st := newOpState(g, name, 1, 0, [][]Summary{{}})
 	in := attachIn(s, st, 0, exch)
 	st.run = func(ctx *Ctx) { logic(ctx, in) }
-	g.tracker.registerNode(st.id, nodeSpec{
-		name: name, inPorts: 1, outPorts: 0,
-		summaries: [][]Summary{{}},
-	})
+	st.register()
 }

@@ -110,8 +110,7 @@ func NewProbe[D any](s *Stream[D]) *Probe {
 	st.run = func(ctx *Ctx) {
 		in.ForEach(func(stamp []lattice.Time, data []D) {})
 	}
-	g.tracker.registerNode(st.id, nodeSpec{name: "Probe", inPorts: 1, outPorts: 0,
-		summaries: [][]Summary{{}}})
+	st.register()
 	return &Probe{g: g, op: st.id, port: 0}
 }
 
@@ -144,11 +143,7 @@ func NewFeedback[D any](g *Graph, depth int, adjust func(D) D) *Feedback[D] {
 	}
 	st := newOpState(g, "Feedback", 1, 1, [][]Summary{{SumStep}})
 	reg := &outReg[D]{}
-	g.tracker.registerNode(st.id, nodeSpec{
-		name: "Feedback", inPorts: 1, outPorts: 1,
-		summaries:   [][]Summary{{SumStep}},
-		initialCaps: []lattice.Frontier{{}},
-	})
+	st.register()
 	fb := &Feedback[D]{st: st, adjust: adjust}
 	fb.out = &Stream[D]{g: g, srcOp: st.id, srcPort: 0, depth: depth, reg: reg}
 	return fb

@@ -131,7 +131,6 @@ func (w *Worker) Remove(g *Graph) {
 
 // Installed tracks one live installation across this process's workers.
 type Installed struct {
-	peers   int
 	first   int
 	wg      sync.WaitGroup
 	graphs  []*Graph // indexed by global worker; local slots valid after Wait
@@ -146,9 +145,6 @@ func (in *Installed) Wait() { in.wg.Wait() }
 // had already shut down (no dataflow was built; Graph returns nil). Call
 // only after Wait.
 func (in *Installed) Aborted() bool { return in.aborted }
-
-// Graph returns the given (local) worker's shard. Call only after Wait.
-func (in *Installed) Graph(worker int) *Graph { return in.graphs[worker] }
 
 // Complete reports whether the installed dataflow has finished everywhere
 // (every process's replica of the tracker converges to the same counts, so
@@ -167,7 +163,7 @@ func (in *Installed) Complete() bool { return in.graphs[in.first].Complete() }
 // Calling Install on a cluster that has already shut down does not wedge:
 // the returned Installed is marked Aborted and its Wait returns immediately.
 func (c *Cluster) Install(build func(w *Worker, g *Graph)) *Installed {
-	in := &Installed{peers: c.rt.peers, first: c.rt.first, graphs: make([]*Graph, c.rt.peers)}
+	in := &Installed{first: c.rt.first, graphs: make([]*Graph, c.rt.peers)}
 	c.rt.mu.Lock()
 	if c.rt.stopped {
 		in.aborted = true
@@ -252,7 +248,7 @@ func (c *Cluster) WaitUntil(cond func() bool) bool {
 // first tear the dataflow down (close inputs, cancel imports) and wait for
 // Complete.
 func (c *Cluster) Uninstall(in *Installed) {
-	c.PostEach(func(w *Worker) { w.Remove(in.Graph(w.Index())) }).Wait()
+	c.PostEach(func(w *Worker) { w.Remove(in.graphs[w.index]) }).Wait()
 	c.rt.mu.Lock()
 	for k := range c.rt.mailboxes {
 		if k.dataflow == in.seq {

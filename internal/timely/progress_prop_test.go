@@ -48,8 +48,6 @@ func (f *recordingFabric) BroadcastProgress(df int, deltas []ProgressDelta) {
 	f.batches = append(f.batches, append([]ProgressDelta(nil), deltas...))
 }
 func (f *recordingFabric) Fail(err error) { f.failed = append(f.failed, err) }
-func (f *recordingFabric) Pause(int)      {}
-func (f *recordingFabric) Resume(int)     {}
 func (f *recordingFabric) Close() error   { return nil }
 
 type portTime struct {
@@ -352,7 +350,7 @@ func (s *propSim) step(p int, targets []*tracker) bool {
 }
 
 // drainMsgs consumes every outstanding message owned by replica p, without
-// minting, and dropCaps drops each held capability with the given probability.
+// minting, and releaseCaps drops each held capability with the given probability.
 func (s *propSim) drainMsgs(p int, targets []*tracker) {
 	st := s.states[p]
 	for _, m := range st.msgs {
@@ -363,7 +361,7 @@ func (s *propSim) drainMsgs(p int, targets []*tracker) {
 	st.msgs = nil
 }
 
-func (s *propSim) dropCaps(p int, prob float64, targets []*tracker) {
+func (s *propSim) releaseCaps(p int, prob float64, targets []*tracker) {
 	st := s.states[p]
 	kept := st.caps[:0]
 	for _, c := range st.caps {
@@ -411,7 +409,7 @@ func (s *propSim) runToQuiescence(t testing.TB, tr *tracker, steps int, when str
 	for i := 0; i < steps && s.step(0, targets); i++ {
 		check(when)
 	}
-	s.dropCaps(0, 1.0, targets)
+	s.releaseCaps(0, 1.0, targets)
 	check(when)
 	// Consumption only removes pointstamps, so the frontiers keep advancing,
 	// to empty.
@@ -521,7 +519,7 @@ func TestProgressInterleavedDeltasConverge(t *testing.T) {
 		// empty).
 		for p := 0; p < replicas; p++ {
 			sim.drainMsgs(p, []*tracker{trs[p], ref})
-			sim.dropCaps(p, 0.7, []*tracker{trs[p], ref})
+			sim.releaseCaps(p, 0.7, []*tracker{trs[p], ref})
 		}
 
 		// Deliver every peer's stream to every replica, merged in a random

@@ -167,14 +167,12 @@ func (rt *runtime) wake() {
 
 // waitActivity parks the calling worker until the activity counter moves
 // past the provided generation.
-func (rt *runtime) waitActivity(gen uint64) uint64 {
+func (rt *runtime) waitActivity(gen uint64) {
 	rt.mu.Lock()
 	for rt.activity == gen {
 		rt.cond.Wait()
 	}
-	g := rt.activity
 	rt.mu.Unlock()
-	return g
 }
 
 func (rt *runtime) activityGen() uint64 {
@@ -235,13 +233,6 @@ func (m *mailbox[D]) recycle(q []message[D]) {
 		m.free = q[:0]
 	}
 	m.mu.Unlock()
-}
-
-func (m *mailbox[D]) empty() bool {
-	m.mu.Lock()
-	e := len(m.queue) == 0
-	m.mu.Unlock()
-	return e
 }
 
 // mailboxFor returns (creating if needed) the typed mailbox for a

@@ -125,11 +125,11 @@ func TestMultiWorkerExchange(t *testing.T) {
 				func(ctx *Ctx, in *In[int], out *Out[int]) {
 					in.ForEach(func(stamp []lattice.Time, data []int) {
 						for _, d := range data {
-							if d%peers != ctx.Worker() {
-								t.Errorf("value %d routed to worker %d", d, ctx.Worker())
+							if d%peers != w.Index() {
+								t.Errorf("value %d routed to worker %d", d, w.Index())
 							}
 						}
-						perWorker[ctx.Worker()] = append(perWorker[ctx.Worker()], data...)
+						perWorker[w.Index()] = append(perWorker[w.Index()], data...)
 						total.Add(int64(len(data)))
 						// Exchanged slices are pooled: copy before forwarding.
 						out.SendSlice(stamp, append([]int(nil), data...))
@@ -243,22 +243,17 @@ func TestRetainedCapability(t *testing.T) {
 			in, s := NewInput[int](g)
 			input = in
 			var pending []int
-			var capTime *lattice.Time
 			buffered := Unary[int, int](s, "buffer", nil, SumID, nil,
 				func(ctx *Ctx, in *In[int], out *Out[int]) {
+					caps := out.Caps()
 					in.ForEach(func(stamp []lattice.Time, data []int) {
-						if capTime == nil {
-							tc := stamp[0]
-							ctx.Retain(0, tc)
-							capTime = &tc
-						}
+						caps.Insert(stamp...)
 						pending = append(pending, data...)
 					})
-					if capTime != nil && !in.Frontier().LessEqual(*capTime) {
-						out.Send(*capTime, pending...)
-						ctx.Drop(0, *capTime)
+					if len(caps.held) > 0 && !in.Frontier().LessEqual(caps.held[0]) {
+						out.SendSlice([]lattice.Time{caps.held[0]}, pending)
+						caps.Downgrade(lattice.Frontier{})
 						pending = nil
-						capTime = nil
 					}
 				})
 			Sink(buffered, "collect", nil, func(ctx *Ctx, in *In[int]) {
@@ -294,7 +289,7 @@ func TestIdleScheduleDoesNotAllocate(t *testing.T) {
 		w.Dataflow(func(g *Graph) {
 			s := Source[int](g, "idle", 1, lattice.Ts(0), func(ctx *Ctx, out *Out[int]) {
 				if drop {
-					ctx.Drop(0, lattice.Ts(0))
+					out.Caps().Downgrade(lattice.Frontier{})
 					drop = false
 				}
 			})
@@ -324,7 +319,7 @@ func TestUnjustifiedSendPanics(t *testing.T) {
 				func(ctx *Ctx, in *In[int], out *Out[int]) {
 					in.ForEach(func(stamp []lattice.Time, data []int) {
 						// Try to send in the past.
-						out.Send(lattice.Ts(stamp[0].Epoch()-1), data...)
+						out.SendSlice([]lattice.Time{lattice.Ts(stamp[0].Epoch() - 1)}, data)
 					})
 				})
 		})
