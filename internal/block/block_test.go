@@ -150,6 +150,35 @@ func randBatchAt(r *rand.Rand, fn core.Funcs[uint64, tup], depth int, lo, hi uin
 	return core.BuildBatch(fn, upds, lower, upper, lower.Clone())
 }
 
+// memSink is an in-memory sink: what a runWriter writes, as one image.
+type memSink struct{ buf []byte }
+
+func (m *memSink) Write(p []byte) (int, error) {
+	m.buf = append(m.buf, p...)
+	return len(p), nil
+}
+
+func (m *memSink) WriteAt(p []byte, off int64) (int, error) {
+	return copy(m.buf[off:], p), nil
+}
+
+// encodeImage is b as a complete block-file image: the store's writer over
+// an in-memory sink.
+func encodeImage[K, V any](cfg *codecs[K, V], b *core.Batch[K, V], blockUpdates int) ([]byte, error) {
+	var m memSink
+	w, err := newRunWriter(cfg, blockUpdates, &m)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.append(b); err != nil {
+		return nil, err
+	}
+	if err := w.finish(b.Lower, b.Upper, b.Since); err != nil {
+		return nil, err
+	}
+	return m.buf, nil
+}
+
 func collectReader(r core.BatchReader[uint64, tup]) []upd {
 	var out []upd
 	r.ForEach(func(k uint64, v tup, t lattice.Time, d core.Diff) {
@@ -258,8 +287,12 @@ func TestRoundTripCodecKeys(t *testing.T) {
 // tiny, and asserts they stay observationally identical: same runs and
 // tuples in the same order, same cursor walks, seeks and accumulations,
 // same batch/update counts. Spilling must change where bytes live and
-// nothing else.
+// nothing else. And the spilled spine's resident bytes never exceed the
+// budget by more than one block per merge input plus one output block:
+// merges read cold inputs, and write output bound for disk, a block at a
+// time.
 func TestOutOfCoreSpineOracle(t *testing.T) {
+	const budget = 64 // nearly everything completed must spill
 	for _, columnar := range []bool{true, false} {
 		for trial := 0; trial < 12; trial++ {
 			r := rand.New(rand.NewSource(int64(400 + trial)))
@@ -275,7 +308,7 @@ func TestOutOfCoreSpineOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ooc.SetSpill(st, 64) // nearly everything completed must spill
+			ooc.SetSpill(st, budget)
 			hm := mem.NewHandle()
 			ho := ooc.NewHandle()
 			var observeAfter uint64
@@ -314,6 +347,10 @@ func TestOutOfCoreSpineOracle(t *testing.T) {
 				case 2:
 					mem.Recompact()
 					ooc.Recompact()
+				}
+				if bytes, inputs, block := ooc.Residency(); bytes > budget+int64(inputs+1)*block {
+					t.Fatalf("columnar=%v trial %d epoch %d: %d resident bytes, over %d + (%d inputs + 1) × %d-byte blocks",
+						columnar, trial, epoch, bytes, budget, inputs, block)
 				}
 				if mem.BatchCount() != ooc.BatchCount() || mem.UpdateCount() != ooc.UpdateCount() {
 					t.Fatalf("columnar=%v trial %d epoch %d: counts diverge (%d/%d batches, %d/%d updates)",

@@ -256,7 +256,7 @@ func (im *image[K, V]) corrupt(off int64, format string, args ...any) error {
 
 // columns is a decode destination: one batch's arrays, allocated once at
 // their exact final size so the kernel writes every element in place — one
-// block's worth for the read cache, a whole run's for Unspill.
+// block's worth for the read cache or a merge, a whole run's for Unspill.
 type columns[K, V any] struct {
 	keys   []K
 	keyOff []int32 // len(keys)+1, indices into vals
@@ -299,6 +299,15 @@ func (im *image[K, V]) newColumns(cfg *codecs[K, V], nKeys, nVals, nUpds int) (c
 	}
 	c.vals = vs
 	return c, nil
+}
+
+// batch wraps the decoded columns as a batch, framing left unset.
+func (c *columns[K, V]) batch() *core.Batch[K, V] {
+	return &core.Batch[K, V]{
+		Keys: c.keys, KeyOff: c.keyOff,
+		Vals: c.vals, ValOff: c.valOff,
+		Upds: c.upds,
+	}
 }
 
 // decodeBlock is the decode kernel: one pass over block bi's payload that
@@ -511,11 +520,11 @@ func (im *image[K, V]) loadBlock(cfg *codecs[K, V], bi int) (*loadedBlock[K, V],
 }
 
 // assemble materializes the whole image as one resident batch (the unspill
-// path: merges and imports consume entire runs). Each block decodes straight
-// into the run's columns at its global bases, and the same pass folds the
-// update times into their antichain of minimal times, which must agree with
-// the stored MinTimes: disagreement means the stored stats lie about the
-// contents and is corruption.
+// path: imports, restore and probes consume entire runs). Each block
+// decodes straight into the run's columns at its global bases, and the
+// same pass folds the update times into their antichain of minimal times,
+// which must agree with the stored MinTimes: disagreement means the stored
+// stats lie about the contents and is corruption.
 func (im *image[K, V]) assemble(cfg *codecs[K, V]) (*core.Batch[K, V], error) {
 	c, err := im.newColumns(cfg, im.numKeys, im.numVals, im.numUpds)
 	if err != nil {
@@ -530,14 +539,8 @@ func (im *image[K, V]) assemble(cfg *codecs[K, V]) (*core.Batch[K, V], error) {
 	if !mins.Equal(lattice.NewFrontier(im.minTimes...)) {
 		return nil, im.corrupt(0, "stored min-times %v disagree with contents %v", im.minTimes, mins.Elements())
 	}
-	b := &core.Batch[K, V]{
-		Lower: im.lower.Clone(),
-		Upper: im.upper.Clone(),
-		Since: im.since.Clone(),
-		Keys:  c.keys, KeyOff: c.keyOff,
-		Vals: c.vals, ValOff: c.valOff,
-		Upds: c.upds,
-	}
+	b := c.batch()
+	b.Lower, b.Upper, b.Since = im.lower.Clone(), im.upper.Clone(), im.since.Clone()
 	b.SetMinTimes(mins.Elements())
 	return b, nil
 }

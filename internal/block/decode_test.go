@@ -2,6 +2,8 @@ package block
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -11,21 +13,24 @@ import (
 )
 
 // u64Run builds one sealed u64/u64 run of exactly n updates in the shape a
-// spilled durable arrangement holds: sparse keys, two values per key, two
-// epochs per value.
-func u64Run(n int) *core.Batch[uint64, uint64] {
-	r := rand.New(rand.NewSource(int64(n)))
+// spilled durable arrangement holds: sparse keys, four values per key, each
+// value at one of two epochs.
+func u64Run(n int) *core.Batch[uint64, uint64] { return u64RunAt(n, 0) }
+
+// u64RunAt is u64Run over epochs [lo, lo+2).
+func u64RunAt(n int, lo uint64) *core.Batch[uint64, uint64] {
+	r := rand.New(rand.NewSource(int64(n) + int64(lo)))
 	upds := make([]core.Update[uint64, uint64], 0, n)
 	for i := 0; i < n; i++ {
 		upds = append(upds, core.Update[uint64, uint64]{
 			Key:  uint64(i/4)*5 + 1,
 			Val:  uint64(i/2%2)<<40 | uint64(r.Int63n(1<<40)),
-			Time: lattice.Ts(uint64(i % 2)),
+			Time: lattice.Ts(lo + uint64(i%2)),
 			Diff: 1,
 		})
 	}
-	return core.BuildBatch(core.U64(), upds, lattice.MinFrontier(1),
-		lattice.NewFrontier(lattice.Ts(2)), lattice.MinFrontier(1))
+	return core.BuildBatch(core.U64(), upds, lattice.NewFrontier(lattice.Ts(lo)),
+		lattice.NewFrontier(lattice.Ts(lo+2)), lattice.MinFrontier(1))
 }
 
 // spillU64 spills run into a fresh mmap-backed store and returns the store,
@@ -135,6 +140,117 @@ func TestLayoutMismatchIsCorrupt(t *testing.T) {
 			t.Fatalf("columnar=%v file decoded by the other layout: got %v, want a *CorruptError", columnar, err)
 		}
 	}
+}
+
+// coldMerge spills two adjacent n-update u64/u64 runs under a zero budget
+// and returns the spine about to merge them: both runs are cold, and the
+// merge starts, with no fuel applied, at the next Work. Its output, twice
+// the size of the budget, streams into a cold run.
+func coldMerge(tb testing.TB, n int) (*core.Spine[uint64, uint64], *Store[uint64, uint64]) {
+	tb.Helper()
+	st, err := Open[uint64, uint64](tb.TempDir(), core.U64(), nil, wal.U64Codec(), StoreOptions{Mmap: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := core.NewSpine(core.U64(), core.MergeDefault)
+	s.SetSpill(st, 0)
+	h := s.NewHandle()
+	h.SetPhysical(lattice.NewFrontier(lattice.Ts(0))) // hold merges back until both runs are cold
+	s.Append(u64RunAt(n, 0))
+	s.Append(u64RunAt(n, 2))
+	h.SetPhysical(lattice.NewFrontier(lattice.Ts(4)))
+	if st.Spills != 2 {
+		tb.Fatalf("%d runs spilled, want both", st.Spills)
+	}
+	return s, st
+}
+
+// mergedCold checks that the spine holds the two runs' merge as one cold
+// run of 2n updates, and returns it.
+func mergedCold(tb testing.TB, s *core.Spine[uint64, uint64], n int) core.BatchReader[uint64, uint64] {
+	tb.Helper()
+	runs := s.Runs()
+	if len(runs) != 1 || runs[0].Len() != 2*n {
+		tb.Fatalf("merge left %d runs", len(runs))
+	}
+	if _, resident := runs[0].(*core.Batch[uint64, uint64]); resident {
+		tb.Fatal("a merge of cold runs produced a resident run")
+	}
+	return runs[0]
+}
+
+// liveHeap is the live heap in bytes, just after a collection.
+func liveHeap() int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestColdMergeBytesIndependentOfRunSize: a merge of two cold runs into a
+// cold output holds one decoded block per input and the output block it is
+// filling, never a run, so the peak live heap of merging two 10 k-update
+// runs and of merging two 100 k-update runs is the same, up to the output's
+// index (a few dozen bytes a block) and collector noise.
+func TestColdMergeBytesIndependentOfRunSize(t *testing.T) {
+	const slack = 32 << 10
+	var peak [2]int64
+	for i, n := range []int{10_000, 100_000} {
+		s, _ := coldMerge(t, n)
+		base := liveHeap()
+		for s.Work(1000) {
+			peak[i] = max(peak[i], liveHeap()-base)
+		}
+		mergedCold(t, s, n)
+	}
+	t.Logf("peak bytes held by the merge: %d at 10k updates a run, %d at 100k", peak[0], peak[1])
+	if peak[1] > peak[0]+slack {
+		t.Errorf("merging 100 k-update runs holds %d bytes at its peak, 10 k-update runs %d", peak[1], peak[0])
+	}
+}
+
+// TestGCSparesRunsBeingWritten: recovery's sweep, which restore runs while
+// restore-time merges may be streaming, removes an abandoned temporary file
+// but not the one a merge in flight is still writing.
+func TestGCSparesRunsBeingWritten(t *testing.T) {
+	const n = 10_000
+	s, st := coldMerge(t, n)
+	s.Work(n) // starts the merge
+	s.Work(n) // and writes at least one block of its output
+	stray := filepath.Join(st.dir, "run-99999999.blk.tmp")
+	if err := os.WriteFile(stray, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	referenced := map[string]bool{}
+	for _, r := range s.Runs() {
+		ref, _ := Ref(r)
+		referenced[ref.Name] = true
+	}
+	if removed, err := st.GC(referenced); err != nil || removed != 1 {
+		t.Fatalf("GC removed %d files (%v), want the stray temporary file alone", removed, err)
+	}
+	for s.Work(1 << 30) {
+	}
+	mergedCold(t, s, n)
+}
+
+// BenchmarkSpineMergeCold merges two spilled 100 k-update u64/u64 runs into
+// a cold output through the spine: what the merge allocates (B/op,
+// allocs/op) when its inputs and its output live on disk.
+func BenchmarkSpineMergeCold(b *testing.B) {
+	const n = 100_000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, st := coldMerge(b, n)
+		b.StartTimer()
+		for s.Work(1 << 30) {
+		}
+		b.StopTimer()
+		st.Retire(mergedCold(b, s, n))
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(2*n)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
 }
 
 // BenchmarkUnspill materializes one spilled 100 k-update u64/u64 run: the

@@ -31,26 +31,43 @@
 // the index totals on decode, so arbitrary bytes yield either a valid batch
 // or a typed *CorruptError — never a panic, never silently wrong counts.
 //
+// # Writing
+//
+// One encoder writes every file. It takes a run's keys in order, in as many
+// batches as the caller likes, closes a block at the first key boundary at
+// or past BlockUpdates update triples, and writes each block's frame the
+// moment it closes. It keeps only the index — totals, the MinTimes
+// antichain folded block by block, per-block counts, locations and first
+// and last keys — and at the end writes the index, then the header at
+// offset 0, then syncs, renames name.tmp into place and syncs the
+// directory. Spill feeds it a whole batch; a streaming merge feeds it one
+// block at a time through the core.RunWriter NewRun returns, so a merge
+// bound for disk never holds its output whole. The file is created by the
+// first block.
+//
 // # Decoding
 //
 // One kernel decodes every block in a single pass, writing keys, offsets,
 // values and updates straight into their destination columns: fresh
-// block-local columns for the read cache, or the whole run's columns, at
-// the block's global offsets, when Unspill materializes a run. Columns are
-// allocated once at exact size from the index counts. That is safe because
-// opening a file rejects any block claiming more updates than its frame
-// length can hold at 10 bytes each (a depth byte, one coordinate, one diff
-// varint), so no allocation exceeds a small multiple of the file. Times are
-// read in place at the file's depth without allocating, and the same pass
-// folds them into the run's minimal-time antichain, which must equal the
-// index's stored MinTimes. Decoding a run allocates a fixed number of
-// objects whatever its length.
+// block-local columns for the read cache and for the segments a merge reads
+// (Segment), or the whole run's columns, at the block's global offsets,
+// when Unspill materializes a run. Columns are allocated once at exact size
+// from the index counts. That is safe because opening a file rejects any
+// block claiming more updates than its frame length can hold at 10 bytes
+// each (a depth byte, one coordinate, one diff varint), so no allocation
+// exceeds a small multiple of the file. Times are read in place at the
+// file's depth without allocating, and the same pass folds them into the
+// run's minimal-time antichain, which must equal the index's stored
+// MinTimes. Decoding a run allocates a fixed number of objects whatever its
+// length.
 //
 // The Store wires the format to the spine: Spill writes a batch as a block
-// file (atomic tmp+rename), Unspill re-materializes one for merging, Retire
-// releases a merged-away run — immediately, or onto a dead list until the
-// next checkpoint stops referencing it (Manifest mode) — and OpenRef
-// reopens a run named by a wal.BlockRef manifest record on recovery. Loaded
-// blocks are shared through a small clock-style resident cache. Like spines,
-// a Store is worker-local: no locking.
+// file, NewRun writes a merge's output, Segment feeds a merge one block of a
+// cold input at a time, Unspill re-materializes a whole run (for imports,
+// restore and probes; merges never call it), Retire releases a merged-away
+// run — immediately, or onto a dead list until the next checkpoint stops
+// referencing it (Manifest mode) — and OpenRef reopens a run named by a
+// wal.BlockRef manifest record on recovery. Loaded blocks are shared
+// through a small clock-style resident cache. Like spines, a Store is
+// worker-local: no locking.
 package block

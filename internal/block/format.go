@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 
 	"repro/internal/core"
+	"repro/internal/lattice"
 	"repro/internal/wal"
 )
 
@@ -86,9 +88,10 @@ func newCodecs[K, V any](fn core.Funcs[K, V], kc wal.Codec[K], vc wal.Codec[V]) 
 	return c, nil
 }
 
-// blockMeta is the resident per-block index entry: global bases, counts,
-// the framed record's location, and the min/max key stats that make
-// skipping and boundary probes free of I/O.
+// blockMeta is the resident per-block index entry: global bases (derived on
+// open; the file stores only counts), counts, the framed record's location,
+// and the min/max key stats that make skipping and boundary probes free of
+// I/O.
 type blockMeta[K any] struct {
 	keyBase, valBase, updBase int
 	nKeys, nVals, nUpds       int
@@ -96,28 +99,59 @@ type blockMeta[K any] struct {
 	firstKey, lastKey         K
 }
 
-// encodeImage serializes a sealed batch into a complete block-file image.
-// Blocks split at key boundaries after accumulating at least blockUpdates
+// sink is where a runWriter puts a file: appended in order, with the
+// header written last at offset 0. An *os.File is one.
+type sink interface {
+	io.Writer
+	io.WriterAt
+}
+
+// runWriter is the one block-file encoder. It takes a run's keys in order,
+// in as many batches as the caller likes, and writes each block the moment
+// it closes: blocks split at the first key boundary at or past blockUpdates
 // update triples, so one key's values and histories never straddle blocks.
-func encodeImage[K, V any](cfg *codecs[K, V], b *core.Batch[K, V], blockUpdates int) ([]byte, error) {
+// It keeps only the index — totals, MinTimes, per-block counts, locations
+// and first/last keys — and at finish writes that, then the header. Spill
+// feeds it a whole batch; a streaming merge feeds it one block at a time.
+type runWriter[K, V any] struct {
+	cfg          *codecs[K, V]
+	blockUpdates int
+	out          sink
+	off          int64 // bytes written, header included
+	width        int   // value columns of the blocks written; -1 before the first
+	frame        []byte
+	metas        []blockMeta[K]
+	numKeys      int
+	numVals      int
+	numUpds      int
+	mins         lattice.Frontier
+}
+
+// newRunWriter starts a file on out by reserving its header.
+func newRunWriter[K, V any](cfg *codecs[K, V], blockUpdates int, out sink) (*runWriter[K, V], error) {
 	if blockUpdates <= 0 {
 		blockUpdates = DefaultBlockUpdates
 	}
+	if _, err := out.Write(make([]byte, headerLen)); err != nil {
+		return nil, err
+	}
+	return &runWriter[K, V]{cfg: cfg, blockUpdates: blockUpdates, out: out, off: headerLen, width: -1}, nil
+}
+
+// append encodes b's keys, which must follow every key appended before, as
+// blocks, writing each with one call, and folds b's minimal times into the
+// run's.
+func (w *runWriter[K, V]) append(b *core.Batch[K, V]) error {
 	cols := b.Vals.Columns()
-	flags := uint16(0)
-	if cols != nil {
-		flags |= flagColumnar
-	} else if cfg.vc == nil {
-		return nil, fmt.Errorf("block: value codec required for row-layout values")
+	if len(b.Keys) > 0 {
+		if cols == nil && w.cfg.vc == nil {
+			return fmt.Errorf("block: value codec required for row-layout values")
+		}
+		if w.width >= 0 && len(cols) != w.width {
+			return fmt.Errorf("block: run mixes %d- and %d-column values", w.width, len(cols))
+		}
+		w.width = len(cols)
 	}
-	if cfg.u64Keys {
-		flags |= flagU64Keys
-	}
-
-	img := make([]byte, headerLen) // header filled in last
-	var metas []blockMeta[K]
-	var payload []byte
-
 	ki := 0
 	for ki < len(b.Keys) {
 		start := ki
@@ -125,79 +159,99 @@ func encodeImage[K, V any](cfg *codecs[K, V], b *core.Batch[K, V], blockUpdates 
 		uLo := int(b.ValOff[vLo])
 		for ki < len(b.Keys) {
 			ki++
-			if int(b.ValOff[b.KeyOff[ki]])-uLo >= blockUpdates {
+			if int(b.ValOff[b.KeyOff[ki]])-uLo >= w.blockUpdates {
 				break
 			}
 		}
 		vHi := int(b.KeyOff[ki])
 		uHi := int(b.ValOff[vHi])
 
-		payload = payload[:0]
-		payload = append(payload, kindBlock)
-		payload = encodeKeys(cfg, payload, b.Keys[start:ki])
+		p := wal.OpenRecord(w.frame[:0], kindBlock)
+		p = encodeKeys(w.cfg, p, b.Keys[start:ki])
 		for i := start; i < ki; i++ {
-			payload = wal.AppendUvarint(payload, uint64(b.KeyOff[i+1]-b.KeyOff[i]))
+			p = wal.AppendUvarint(p, uint64(b.KeyOff[i+1]-b.KeyOff[i]))
 		}
-		payload = encodeVals(cfg, payload, &b.Vals, cols, vLo, vHi)
+		p = encodeVals(w.cfg, p, &b.Vals, cols, vLo, vHi)
 		for vi := vLo; vi < vHi; vi++ {
-			payload = wal.AppendUvarint(payload, uint64(b.ValOff[vi+1]-b.ValOff[vi]))
+			p = wal.AppendUvarint(p, uint64(b.ValOff[vi+1]-b.ValOff[vi]))
 		}
 		for ui := uLo; ui < uHi; ui++ {
-			payload = wal.AppendTime(payload, b.Upds[ui].Time)
-			payload = wal.AppendUvarint(payload, zig(b.Upds[ui].Diff))
+			p = wal.AppendTime(p, b.Upds[ui].Time)
+			p = wal.AppendUvarint(p, zig(b.Upds[ui].Diff))
 		}
-
-		off := int64(len(img))
-		img = wal.AppendRecord(img, payload)
-		metas = append(metas, blockMeta[K]{
-			keyBase: start, valBase: vLo, updBase: uLo,
+		wal.SealRecord(p)
+		w.frame = p
+		if _, err := w.out.Write(p); err != nil {
+			return err
+		}
+		w.metas = append(w.metas, blockMeta[K]{
 			nKeys: ki - start, nVals: vHi - vLo, nUpds: uHi - uLo,
-			off: off, length: int64(len(img)) - off,
+			off: w.off, length: int64(len(p)),
 			firstKey: b.Keys[start], lastKey: b.Keys[ki-1],
 		})
+		w.off += int64(len(p))
+		w.numKeys += ki - start
+		w.numVals += vHi - vLo
+		w.numUpds += uHi - uLo
 	}
+	for _, t := range b.MinTimes() {
+		w.mins.Insert(t)
+	}
+	return nil
+}
 
-	// Index: frontiers, totals, MinTimes, then the per-block table.
-	payload = payload[:0]
-	payload = append(payload, kindIndex)
-	payload = wal.AppendFrontier(payload, b.Lower)
-	payload = wal.AppendFrontier(payload, b.Upper)
-	payload = wal.AppendFrontier(payload, b.Since)
-	payload = wal.AppendU32(payload, uint32(len(b.Keys)))
-	payload = wal.AppendU32(payload, uint32(b.Vals.Len()))
-	payload = wal.AppendU32(payload, uint32(len(b.Upds)))
-	width := 0
-	if cols != nil {
-		width = len(cols)
+// finish writes the index — frontiers, totals, MinTimes, then the per-block
+// table — and then the header at offset 0, which locates it.
+func (w *runWriter[K, V]) finish(lower, upper, since lattice.Frontier) error {
+	width := w.width
+	if width < 0 { // no block: the store's own layout
+		width = len(w.cfg.proto.Columns())
 	}
-	payload = append(payload, byte(width))
-	mins := b.MinTimes()
-	payload = wal.AppendU32(payload, uint32(len(mins)))
+	flags := uint16(0)
+	if width > 0 {
+		flags |= flagColumnar
+	}
+	if w.cfg.u64Keys {
+		flags |= flagU64Keys
+	}
+	p := wal.OpenRecord(w.frame[:0], kindIndex)
+	p = wal.AppendFrontier(p, lower)
+	p = wal.AppendFrontier(p, upper)
+	p = wal.AppendFrontier(p, since)
+	p = wal.AppendU32(p, uint32(w.numKeys))
+	p = wal.AppendU32(p, uint32(w.numVals))
+	p = wal.AppendU32(p, uint32(w.numUpds))
+	p = append(p, byte(width))
+	mins := w.mins.Elements()
+	p = wal.AppendU32(p, uint32(len(mins)))
 	for _, t := range mins {
-		payload = wal.AppendTime(payload, t)
+		p = wal.AppendTime(p, t)
 	}
-	payload = wal.AppendU32(payload, uint32(len(metas)))
-	for i := range metas {
-		m := &metas[i]
-		payload = wal.AppendU32(payload, uint32(m.nKeys))
-		payload = wal.AppendU32(payload, uint32(m.nVals))
-		payload = wal.AppendU32(payload, uint32(m.nUpds))
-		payload = wal.AppendU64(payload, uint64(m.off))
-		payload = wal.AppendU64(payload, uint64(m.length))
-		payload = appendKey(cfg, payload, m.firstKey)
-		payload = appendKey(cfg, payload, m.lastKey)
+	p = wal.AppendU32(p, uint32(len(w.metas)))
+	for i := range w.metas {
+		m := &w.metas[i]
+		p = wal.AppendU32(p, uint32(m.nKeys))
+		p = wal.AppendU32(p, uint32(m.nVals))
+		p = wal.AppendU32(p, uint32(m.nUpds))
+		p = wal.AppendU64(p, uint64(m.off))
+		p = wal.AppendU64(p, uint64(m.length))
+		p = appendKey(w.cfg, p, m.firstKey)
+		p = appendKey(w.cfg, p, m.lastKey)
 	}
-	indexOff := int64(len(img))
-	img = wal.AppendRecord(img, payload)
+	wal.SealRecord(p)
+	if _, err := w.out.Write(p); err != nil {
+		return err
+	}
 
-	copy(img[0:4], magic)
-	binary.LittleEndian.PutUint16(img[4:6], version)
-	binary.LittleEndian.PutUint16(img[6:8], flags)
-	binary.LittleEndian.PutUint64(img[8:16], uint64(indexOff))
-	binary.LittleEndian.PutUint64(img[16:24], uint64(int64(len(img))-indexOff))
-	binary.LittleEndian.PutUint32(img[24:28], 0)
-	binary.LittleEndian.PutUint32(img[28:32], crc32.Checksum(img[0:28], crcTable))
-	return img, nil
+	var hdr [headerLen]byte
+	copy(hdr[0:4], magic)
+	binary.LittleEndian.PutUint16(hdr[4:6], version)
+	binary.LittleEndian.PutUint16(hdr[6:8], flags)
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(w.off))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(p)))
+	binary.LittleEndian.PutUint32(hdr[28:32], crc32.Checksum(hdr[0:28], crcTable))
+	_, err := w.out.WriteAt(hdr[:], 0)
+	return err
 }
 
 func appendKey[K, V any](cfg *codecs[K, V], dst []byte, k K) []byte {

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/lattice"
 	"repro/internal/wal"
 )
 
@@ -42,6 +43,9 @@ type Store[K, V any] struct {
 	opt  StoreOptions
 	seq  uint64
 	dead []string // retired but possibly still manifest-referenced
+	// writing names the temporary files of runs still being written, which
+	// GC must leave alone.
+	writing map[string]bool
 
 	cache map[cacheKey]*cacheEntry[K, V]
 	ring  []*cacheEntry[K, V]
@@ -82,7 +86,8 @@ func Open[K, V any](dir string, fn core.Funcs[K, V], kc wal.Codec[K], vc wal.Cod
 	if opt.CacheBytes <= 0 {
 		opt.CacheBytes = 1 << 20
 	}
-	s := &Store[K, V]{dir: dir, cfg: cfg, opt: opt, cache: map[cacheKey]*cacheEntry[K, V]{}}
+	s := &Store[K, V]{dir: dir, cfg: cfg, opt: opt, writing: map[string]bool{},
+		cache: map[cacheKey]*cacheEntry[K, V]{}}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -109,49 +114,117 @@ func Open[K, V any](dir string, fn core.Funcs[K, V], kc wal.Codec[K], vc wal.Cod
 }
 
 // Spill writes b as a new block file and returns a lazy reader over it
-// (core.SpillStore). The write is atomic: encode, write name.tmp, rename.
+// (core.SpillStore): b's blocks go through the same writer a streaming
+// merge uses.
 func (s *Store[K, V]) Spill(b *core.Batch[K, V]) (core.BatchReader[K, V], error) {
-	img, err := encodeImage(s.cfg, b, s.opt.BlockUpdates)
+	w := s.newRun()
+	if err := w.Append(b); err != nil {
+		return nil, err
+	}
+	r, err := w.Finish(b.Lower, b.Upper, b.Since)
 	if err != nil {
 		return nil, err
 	}
-	name := fmt.Sprintf("run-%08d.blk", s.seq)
+	s.Spills++
+	return r, nil
+}
+
+// NewRun starts a run written block by block (core.SpillStore; a streaming
+// merge's output).
+func (s *Store[K, V]) NewRun() core.RunWriter[K, V] { return s.newRun() }
+
+func (s *Store[K, V]) newRun() *runFile[K, V] { return &runFile[K, V]{st: s} }
+
+// runFile is a run being written into the store (core.RunWriter). Its file,
+// name.tmp until Finish renames it, is created by the first block, so a
+// merge whose output turns out smaller than a block never touches the disk.
+// The write is atomic: blocks, index, header, then fsync, rename and a
+// directory sync (the syncs under StoreOptions.Fsync).
+type runFile[K, V any] struct {
+	st   *Store[K, V]
+	name string
+	f    *os.File
+	w    *runWriter[K, V]
+}
+
+// BlockUpdates is the store's block split target.
+func (r *runFile[K, V]) BlockUpdates() int {
+	if n := r.st.opt.BlockUpdates; n > 0 {
+		return n
+	}
+	return DefaultBlockUpdates
+}
+
+// create opens the run's temporary file on first use.
+func (r *runFile[K, V]) create() error {
+	if r.f != nil {
+		return nil
+	}
+	s := r.st
+	r.name = fmt.Sprintf("run-%08d.blk", s.seq)
 	s.seq++
-	path := filepath.Join(s.dir, name)
-	tmp := path + ".tmp"
-	if err := s.writeFile(tmp, img); err != nil {
-		os.Remove(tmp)
+	tmp := r.name + ".tmp"
+	f, err := os.OpenFile(filepath.Join(s.dir, tmp), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	r.f = f
+	s.writing[tmp] = true
+	if r.w, err = newRunWriter(s.cfg, r.BlockUpdates(), f); err != nil {
+		return r.abort(err)
+	}
+	return nil
+}
+
+// abort drops the temporary file after a failed write and returns err.
+func (r *runFile[K, V]) abort(err error) error {
+	tmp := r.name + ".tmp"
+	r.f.Close()
+	os.Remove(filepath.Join(r.st.dir, tmp))
+	delete(r.st.writing, tmp)
+	return err
+}
+
+// Append writes b's keys as blocks (core.RunWriter).
+func (r *runFile[K, V]) Append(b *core.Batch[K, V]) error {
+	if err := r.create(); err != nil {
+		return err
+	}
+	if err := r.w.append(b); err != nil {
+		return r.abort(err)
+	}
+	return nil
+}
+
+// Finish writes the index and header, makes the file durable, renames it
+// into place and opens a reader over it (core.RunWriter).
+func (r *runFile[K, V]) Finish(lower, upper, since lattice.Frontier) (core.BatchReader[K, V], error) {
+	if err := r.create(); err != nil {
 		return nil, err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return nil, err
+	s := r.st
+	if err := r.w.finish(lower, upper, since); err != nil {
+		return nil, r.abort(err)
 	}
+	if s.opt.Fsync {
+		if err := r.f.Sync(); err != nil {
+			return nil, r.abort(err)
+		}
+	}
+	if err := r.f.Close(); err != nil {
+		return nil, r.abort(err)
+	}
+	tmp := r.name + ".tmp"
+	if err := os.Rename(filepath.Join(s.dir, tmp), filepath.Join(s.dir, r.name)); err != nil {
+		return nil, r.abort(err)
+	}
+	delete(s.writing, tmp)
 	if s.opt.Fsync {
 		if err := syncDir(s.dir); err != nil {
 			return nil, err
 		}
 	}
-	s.Spills++
-	return s.open(name)
-}
-
-func (s *Store[K, V]) writeFile(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if s.opt.Fsync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
+	return s.open(r.name)
 }
 
 func syncDir(dir string) error {
@@ -197,9 +270,34 @@ func (s *Store[K, V]) OpenRef(ref *wal.BlockRef) (core.BatchReader[K, V], error)
 	return bb, nil
 }
 
+// Segment decodes block i of the spilled run r into a fresh block-local
+// batch, or returns nil past the last block (core.SpillStore; the merge
+// path). It bypasses the clock cache: a merge reads each block once, and
+// caching it would only evict the blocks reads want.
+func (s *Store[K, V]) Segment(r core.BatchReader[K, V], i int) (*core.Batch[K, V], error) {
+	bb, ok := core.UnwrapReader(r).(*blockBatch[K, V])
+	if !ok {
+		return nil, fmt.Errorf("block: reader %T is not from this store", r)
+	}
+	if i >= len(bb.im.blocks) {
+		return nil, nil
+	}
+	m := &bb.im.blocks[i]
+	c, err := bb.im.newColumns(s.cfg, m.nKeys, m.nVals, m.nUpds)
+	if err != nil {
+		return nil, err
+	}
+	if err := bb.im.decodeBlock(s.cfg, i, &c, false, nil); err != nil {
+		return nil, err
+	}
+	return c.batch(), nil
+}
+
 // Unspill re-materializes a spilled run as a resident batch
-// (core.SpillStore; the merge path). It bypasses the clock cache — a merge
-// consumes every block exactly once.
+// (core.SpillStore). Merges never call it — they read cold runs a block at
+// a time (Segment) — so it serves imports, the restore path's clamp of a
+// straddling run, and probes. It bypasses the clock cache: it consumes
+// every block exactly once.
 func (s *Store[K, V]) Unspill(r core.BatchReader[K, V]) (*core.Batch[K, V], error) {
 	bb, ok := core.UnwrapReader(r).(*blockBatch[K, V])
 	if !ok {
@@ -256,9 +354,9 @@ func (s *Store[K, V]) GCDead() int {
 }
 
 // GC removes every block file not in referenced (plus abandoned .tmp
-// files) and returns how many it deleted. Recovery calls this with the
-// manifest's reference set to collect runs orphaned by a crash between
-// spill and checkpoint.
+// files, but not those of runs still being written) and returns how many it
+// deleted. Recovery calls this with the manifest's reference set to collect
+// runs orphaned by a crash between spill and checkpoint.
 func (s *Store[K, V]) GC(referenced map[string]bool) (int, error) {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -267,7 +365,7 @@ func (s *Store[K, V]) GC(referenced map[string]bool) (int, error) {
 	n := 0
 	for _, e := range ents {
 		name := e.Name()
-		drop := strings.HasSuffix(name, ".tmp") ||
+		drop := (strings.HasSuffix(name, ".tmp") && !s.writing[name]) ||
 			(strings.HasSuffix(name, ".blk") && !referenced[name])
 		if !drop {
 			continue

@@ -23,9 +23,20 @@ import (
 // The merge order also makes group detection one-sided: the open group's key
 // and value are ≤ every later tuple's, so a single LessK/Less decides "same
 // group or new" (equality needs no second compare).
+//
+// A builder with an output writer streams: each time a closed key brings the
+// assembled columns to the writer's block size, they go to the writer as one
+// key-aligned block and are reused for the next, so the output is never
+// resident whole — the block split is the one Spill applies to a whole batch.
 type batchBuilder[K, V any] struct {
-	fn Funcs[K, V]
-	b  *Batch[K, V]
+	fn                  Funcs[K, V]
+	b                   *Batch[K, V] // the output, or its open block when streaming
+	lower, upper, since lattice.Frontier
+
+	out      RunWriter[K, V] // nil: the output stays resident
+	flushAt  int             // out's block size
+	flushed  bool            // some block has gone to out
+	maxBlock int64           // largest block handed to out (ApproxBytes)
 
 	openKey  bool
 	openVal  bool
@@ -36,7 +47,17 @@ type batchBuilder[K, V any] struct {
 	unsorted bool         // compaction reordered the pending history
 }
 
-func newBatchBuilder[K, V any](fn Funcs[K, V], capHint int) *batchBuilder[K, V] {
+// newBatchBuilder starts the output of a merge framed by (lower, upper,
+// since). With out nil the output is assembled resident, sized for capHint
+// updates; otherwise it streams to out a block at a time.
+func newBatchBuilder[K, V any](fn Funcs[K, V], lower, upper, since lattice.Frontier,
+	capHint int, out RunWriter[K, V]) *batchBuilder[K, V] {
+
+	bl := &batchBuilder[K, V]{fn: fn, lower: lower, upper: upper, since: since, out: out}
+	if out != nil {
+		bl.flushAt = out.BlockUpdates()
+		capHint = bl.flushAt
+	}
 	b := &Batch[K, V]{
 		KeyOff: []int32{0},
 		ValOff: []int32{0},
@@ -45,7 +66,8 @@ func newBatchBuilder[K, V any](fn Funcs[K, V], capHint int) *batchBuilder[K, V] 
 	if capHint > 0 {
 		b.Upds = make([]TimeDiff, 0, capHint)
 	}
-	return &batchBuilder[K, V]{fn: fn, b: b}
+	bl.b = b
+	return bl
 }
 
 // push appends one update whose key and value live at (ki, vi) of src.
@@ -111,6 +133,7 @@ func (bl *batchBuilder[K, V]) closeVal() {
 }
 
 // closeKey seals the open key, retracting it when every value cancelled.
+// A streaming builder hands the columns over once they reach a block.
 func (bl *batchBuilder[K, V]) closeKey() {
 	if !bl.openKey {
 		return
@@ -123,30 +146,74 @@ func (bl *batchBuilder[K, V]) closeKey() {
 	}
 	b.KeyOff = append(b.KeyOff, int32(b.Vals.Len()))
 	bl.keyVals = 0
+	if bl.out != nil && len(b.Upds) >= bl.flushAt {
+		bl.flush()
+	}
 }
 
-// finish seals any open groups and stamps the batch's framing frontiers.
-// It re-checks BuildBatch's containment invariants over the assembled
-// histories — one linear pass per merged batch, so a compaction or cursor
-// bug still panics at the merge instead of leaking a malformed batch into
-// the spine (and the WAL).
-func (bl *batchBuilder[K, V]) finish(lower, upper, since lattice.Frontier) *Batch[K, V] {
-	bl.closeVal()
-	bl.closeKey()
+// flush writes the assembled block to the output writer and empties the
+// columns for the next one, keeping their capacity.
+func (bl *batchBuilder[K, V]) flush() {
 	b := bl.b
-	b.Lower, b.Upper, b.Since = lower, upper, since
-	checkLower := !lower.Empty()
-	checkUpper := sinceIsMinimal(since)
-	if checkLower || checkUpper {
-		for _, u := range b.Upds {
-			if checkLower && !lower.LessEqual(u.Time) {
-				panic(fmt.Sprintf("core: merged update time %v not in advance of batch lower %v", u.Time, lower))
-			}
-			if checkUpper && upper.LessEqual(u.Time) {
-				panic(fmt.Sprintf("core: merged update time %v in advance of batch upper %v", u.Time, upper))
+	bl.check()
+	bl.maxBlock = max(bl.maxBlock, b.ApproxBytes())
+	if err := bl.out.Append(b); err != nil {
+		panic("core: spill store write: " + err.Error())
+	}
+	bl.flushed = true
+	b.Keys = b.Keys[:0]
+	b.KeyOff = b.KeyOff[:1]
+	b.Vals.Reset()
+	b.ValOff = b.ValOff[:1]
+	b.Upds = b.Upds[:0]
+	b.minTimes = nil
+}
+
+// check caches the assembled histories' minimal times and re-checks
+// BuildBatch's containment invariants over them, so a compaction or cursor
+// bug still panics at the merge instead of leaking a malformed batch into
+// the spine (and the WAL, or a block file). Every time is in advance of
+// some minimal one, so the lower bound needs checking only against those;
+// an uncompacted output checks every time against its upper.
+func (bl *batchBuilder[K, V]) check() {
+	b := bl.b
+	b.minTimes = computeMinTimes(b.Upds)
+	if !bl.lower.Empty() {
+		for _, t := range b.minTimes {
+			if !bl.lower.LessEqual(t) {
+				panic(fmt.Sprintf("core: merged update time %v not in advance of batch lower %v", t, bl.lower))
 			}
 		}
 	}
-	b.minTimes = computeMinTimes(b.Upds)
-	return b
+	if sinceIsMinimal(bl.since) {
+		for _, u := range b.Upds {
+			if bl.upper.LessEqual(u.Time) {
+				panic(fmt.Sprintf("core: merged update time %v in advance of batch upper %v", u.Time, bl.upper))
+			}
+		}
+	}
+}
+
+// finish seals any open groups and returns the merged run: a resident batch
+// stamped with the framing frontiers, or — once a streaming builder has
+// written a block — the cold run its writer finishes. A streaming merge
+// whose whole output fits below one block stays resident, so the writer
+// never creates a file for it.
+func (bl *batchBuilder[K, V]) finish() BatchReader[K, V] {
+	bl.closeVal()
+	bl.closeKey()
+	if !bl.flushed {
+		bl.check()
+		b := bl.b
+		b.Lower, b.Upper, b.Since = bl.lower, bl.upper, bl.since
+		return b
+	}
+	if len(bl.b.Keys) > 0 {
+		bl.flush()
+	}
+	r, err := bl.out.Finish(bl.lower, bl.upper, bl.since)
+	if err != nil {
+		panic("core: spill store write: " + err.Error())
+	}
+	return r
 }

@@ -76,3 +76,18 @@ func (b *Batch[K, V]) ApproxBytes() int64 {
 	}
 	return n
 }
+
+// approxBytes is ApproxBytes for any run: exact for a resident batch and,
+// for a cold one, an upper bound from its resident counts (one value per
+// update), so a merge can tell whether its output fits the resident budget
+// without reading a block.
+func approxBytes[K, V any](r BatchReader[K, V]) int64 {
+	if b, ok := r.(*Batch[K, V]); ok {
+		return b.ApproxBytes()
+	}
+	var k K
+	var v V
+	keys, upds := int64(r.NumKeys()), int64(r.Len())
+	return keys*int64(unsafe.Sizeof(k)) + (keys+upds+2)*4 +
+		upds*int64(unsafe.Sizeof(TimeDiff{})+unsafe.Sizeof(v))
+}

@@ -12,9 +12,17 @@ type SpillStore[K, V any] interface {
 	// Spill writes the batch to the cold tier and returns a reader serving
 	// the same contents through lazy block loads.
 	Spill(b *Batch[K, V]) (BatchReader[K, V], error)
+	// NewRun starts a run written to the cold tier block by block: a
+	// merge's output, handed over as it is produced.
+	NewRun() RunWriter[K, V]
+	// Segment decodes the i-th key-aligned segment (block) of the spilled
+	// run r into a fresh block-local batch, bypassing any read cache: a
+	// merge reads each segment once, in order. It returns nil past the last
+	// segment.
+	Segment(r BatchReader[K, V], i int) (*Batch[K, V], error)
 	// Unspill materializes a previously spilled run back into a resident
-	// batch (merges consume whole runs; reading block-at-a-time would only
-	// re-buffer the same bytes with extra seams).
+	// batch. Merges never call it; it serves imports (and, through the
+	// store's own API, restore and probes).
 	Unspill(r BatchReader[K, V]) (*Batch[K, V], error)
 	// Retire marks the run's on-disk artifact superseded (its contents have
 	// merged into a newer run). The store decides when the file actually
@@ -23,12 +31,28 @@ type SpillStore[K, V any] interface {
 	Retire(r BatchReader[K, V])
 }
 
+// RunWriter writes one run into the cold tier block by block, so a merge
+// whose output is bound for disk never holds that output whole.
+type RunWriter[K, V any] interface {
+	// BlockUpdates is the block split target: a block closes at the first
+	// key boundary at or past this many updates.
+	BlockUpdates() int
+	// Append writes b's keys, which follow every key appended before, as
+	// blocks under the split rule. The writer keeps nothing of b: its
+	// columns may be reused once Append returns.
+	Append(b *Batch[K, V]) error
+	// Finish frames the run with its frontiers, makes it durable and
+	// visible, and returns a reader over it.
+	Finish(lower, upper, since lattice.Frontier) (BatchReader[K, V], error)
+}
+
 // SpillOptions configures the disk tier of an arrangement.
 type SpillOptions struct {
-	// MaxResidentBytes bounds the approximate resident bytes of completed
-	// runs: maintenance evicts the oldest runs to the store while the spine
-	// exceeds it. Merges temporarily re-materialize their source runs, so
-	// the bound is a target for quiescent state, not a hard cap.
+	// MaxResidentBytes bounds the approximate resident bytes of the spine:
+	// maintenance evicts the oldest completed runs to the store while the
+	// spine exceeds it. Merges read cold inputs a block at a time and write
+	// output bound for disk a block at a time, so the bound holds up to one
+	// block per merge input plus the one output block being filled.
 	MaxResidentBytes int64
 	// Store is the SpillStore[K, V] for the arrangement's types
 	// (ArrangeOptions is not generic, so the field is typed any and
@@ -87,11 +111,13 @@ func (a *TraceAgent[K, V]) Runs() []BatchReader[K, V] {
 }
 
 // maybeSpill evicts the oldest completed resident runs to the cold tier
-// while the spine's approximate resident bytes exceed the budget. Runs being
-// merged are skipped (their sources are consumed imminently); empty batches
-// are skipped (nothing to store). Readers holding cursors over an evicted
-// batch are unaffected: batches are immutable, eviction only changes what
-// future cursors navigate.
+// while the spine's approximate resident bytes — completed resident runs and
+// resident merge inputs; a cold merge input is read a block at a time and
+// holds no run in memory — exceed the budget. Runs being merged are skipped
+// (their sources are consumed imminently); empty batches are skipped
+// (nothing to store). Readers holding cursors over an evicted batch are
+// unaffected: batches are immutable, eviction only changes what future
+// cursors navigate.
 func (s *Spine[K, V]) maybeSpill() {
 	if s.spill == nil {
 		return
@@ -102,8 +128,10 @@ func (s *Spine[K, V]) maybeSpill() {
 			resident += b.ApproxBytes()
 		}
 		if m := s.entries[i].merge; m != nil {
-			for _, b := range m.batches {
-				resident += b.ApproxBytes()
+			for _, r := range m.runs {
+				if b, ok := r.(*Batch[K, V]); ok {
+					resident += b.ApproxBytes()
+				}
 			}
 		}
 	}
@@ -122,33 +150,60 @@ func (s *Spine[K, V]) maybeSpill() {
 	}
 }
 
-// unspill materializes a cold run for merging, stamping the batch with the
-// reader's (possibly widened) bounds.
-func (s *Spine[K, V]) unspill(r BatchReader[K, V]) *Batch[K, V] {
-	b, err := s.spill.Unspill(r)
-	if err != nil {
-		panic("core: spill store load: " + err.Error())
-	}
-	b.Lower, b.Upper, b.Since = r.Bounds()
-	s.RunsUnspilled++
-	return b
-}
-
 // visibleBatches returns the visible runs as resident batches: resident runs
 // are the spine's own batches, by reference; cold runs are loaded as copies
-// (the spine's own tiering is unchanged). Used by imports, which emit the
-// history on a batch stream.
+// stamped with the reader's (possibly widened) bounds (the spine's own
+// tiering is unchanged). Used by imports, which emit the history on a batch
+// stream.
 func (s *Spine[K, V]) visibleBatches() []*Batch[K, V] {
 	readers := s.Runs()
 	out := make([]*Batch[K, V], 0, len(readers))
 	for _, r := range readers {
-		if b, ok := r.(*Batch[K, V]); ok {
-			out = append(out, b)
-		} else {
-			out = append(out, s.unspill(r))
+		b, ok := r.(*Batch[K, V])
+		if !ok {
+			var err error
+			if b, err = s.spill.Unspill(r); err != nil {
+				panic("core: spill store load: " + err.Error())
+			}
+			b.Lower, b.Upper, b.Since = r.Bounds()
 		}
+		out = append(out, b)
 	}
 	return out
+}
+
+// Residency reports what the spine holds in memory, in ApproxBytes: bytes
+// sums completed resident runs, resident merge inputs, the blocks merges
+// hold decoded from cold inputs and the output blocks streaming merges are
+// filling; inputs counts the merge inputs in flight; block is the largest
+// block a merge has decoded, written or is filling. Maintenance keeps bytes
+// within the spill budget plus (inputs + 1) × block.
+func (s *Spine[K, V]) Residency() (bytes int64, inputs int, block int64) {
+	block = s.maxBlock
+	for i := range s.entries {
+		e := &s.entries[i]
+		if e.batch != nil {
+			bytes += e.batch.ApproxBytes()
+		}
+		m := e.merge
+		if m == nil {
+			continue
+		}
+		inputs += len(m.runs)
+		for k, r := range m.runs {
+			if b, ok := r.(*Batch[K, V]); ok {
+				bytes += b.ApproxBytes()
+			} else {
+				bytes += m.cs[k].b.ApproxBytes()
+			}
+		}
+		if m.bld.out != nil {
+			open := m.bld.b.ApproxBytes()
+			bytes += open
+			block = max(block, open, m.bld.maxBlock)
+		}
+	}
+	return bytes, inputs, block
 }
 
 // appendCold appends a restored spilled run to the spine without loading it

@@ -34,13 +34,13 @@ type Spine[K, V any] struct {
 	// cold tier (nil spill = purely resident; see SetSpill)
 	spill       SpillStore[K, V]
 	maxResident int64
+	maxBlock    int64 // largest block a finished merge read or wrote (Residency)
 
 	// stats
 	MergesStarted   int
 	MergesCompleted int
 	UpdatesMerged   int
 	RunsSpilled     int
-	RunsUnspilled   int
 }
 
 // spineEntry is one slot of the spine: a completed resident batch, a
@@ -90,22 +90,49 @@ func (e *spineEntry[K, V]) upperF() lattice.Frontier {
 // pop in (key, val, time) order, so the merged batch assembles column-by-
 // column in place — no []Update materialization and no re-sort of an already
 // sorted sequence, and wide values move as column words rather than structs.
+//
+// Each input is a sequence of key-aligned segments. A resident input is one
+// segment, the batch itself; a cold input is its blocks, each decoded when
+// the previous one runs out, so the merge holds one block per cold input
+// and the cursors and builder stay concrete over *Batch.
 type mergeState[K, V any] struct {
-	batches []*Batch[K, V] // oldest first
-	cs      []tupleCursor[K, V]
-	bld     *batchBuilder[K, V]
-	since   lattice.Frontier // compaction frontier captured at merge start
-	// retired holds cold readers whose runs were re-materialized as merge
-	// sources; their on-disk artifacts are released when the merge lands.
-	retired []BatchReader[K, V]
+	runs  []BatchReader[K, V] // the inputs as the spine held them, oldest first
+	cs    []tupleCursor[K, V] // per input, over its current segment
+	next  []int               // per input, the next segment to decode; -1 once none is left
+	bld   *batchBuilder[K, V]
+	since lattice.Frontier // compaction frontier captured at merge start
 }
 
-func (m *mergeState[K, V]) remaining() int {
-	n := 0
+// exhausted reports whether every input has run out: a cursor is left
+// invalid only once its input has no segment left.
+func (m *mergeState[K, V]) exhausted() bool {
 	for i := range m.cs {
-		n += m.batches[i].Len() - m.cs[i].ui
+		if m.cs[i].valid() {
+			return false
+		}
 	}
-	return n
+	return true
+}
+
+// nextSegment moves input i's cursor to its next non-empty segment,
+// decoding it from the cold tier, or marks the input finished.
+func (s *Spine[K, V]) nextSegment(m *mergeState[K, V], i int) {
+	for m.next[i] >= 0 {
+		seg, err := s.spill.Segment(m.runs[i], m.next[i])
+		if err != nil {
+			panic("core: spill store load: " + err.Error())
+		}
+		if seg == nil {
+			m.next[i] = -1
+			m.cs[i] = newTupleCursor(&Batch[K, V]{}) // let the last segment go
+			return
+		}
+		m.next[i]++
+		s.maxBlock = max(s.maxBlock, seg.ApproxBytes())
+		if m.cs[i] = newTupleCursor(seg); m.cs[i].valid() {
+			return
+		}
+	}
 }
 
 // NewSpine creates an empty spine with the given merge effort coefficient.
@@ -172,7 +199,8 @@ func (s *Spine[K, V]) Work(fuel int) bool {
 // advanceMerge applies fuel to the merge at entry idx, installing the result
 // when it completes; returns leftover fuel. Each step extracts the minimum
 // tuple across the run's cursors (k is small — a geometric run — so a linear
-// scan beats heap bookkeeping).
+// scan beats heap bookkeeping). The only work segments add is the check when
+// a cursor runs out.
 func (s *Spine[K, V]) advanceMerge(idx, fuel int) int {
 	m := s.entries[idx].merge
 	for fuel > 0 {
@@ -189,21 +217,30 @@ func (s *Spine[K, V]) advanceMerge(idx, fuel int) int {
 			break
 		}
 		c := &m.cs[min]
-		td := m.batches[min].Upds[c.ui]
+		td := c.b.Upds[c.ui]
 		if rep, ok := lattice.Compact(td.Time, m.since); ok {
 			td.Time = rep
-			m.bld.push(m.batches[min], c.ki, c.vi, td)
+			m.bld.push(c.b, c.ki, c.vi, td)
 		}
 		c.next()
+		if !c.valid() && m.next[min] >= 0 {
+			s.nextSegment(m, min)
+		}
 		fuel--
 		s.UpdatesMerged++
 	}
-	if m.remaining() == 0 {
-		first, last := m.batches[0], m.batches[len(m.batches)-1]
-		merged := m.bld.finish(first.Lower, last.Upper, m.since.Clone())
-		s.entries[idx] = spineEntry[K, V]{batch: merged}
-		for _, r := range m.retired {
-			s.spill.Retire(r)
+	if m.exhausted() {
+		merged := m.bld.finish()
+		if b, ok := merged.(*Batch[K, V]); ok {
+			s.entries[idx] = spineEntry[K, V]{batch: b}
+		} else {
+			s.entries[idx] = spineEntry[K, V]{cold: merged}
+		}
+		s.maxBlock = max(s.maxBlock, m.bld.maxBlock)
+		for _, r := range m.runs {
+			if _, resident := r.(*Batch[K, V]); !resident {
+				s.spill.Retire(r)
+			}
 		}
 		s.MergesCompleted++
 	}
@@ -288,34 +325,46 @@ func (s *Spine[K, V]) considerMerges() {
 func (s *Spine[K, V]) startMergeAt(i int) { s.startMergeRange(i, i+1) }
 
 // startMergeRange begins a k-way merge of completed entries i..j inclusive.
-// Cold entries are re-materialized first: merges consume whole runs tuple by
-// tuple, so the merge machinery (tupleCursor, batchBuilder) stays concrete
-// over resident batches; the on-disk artifacts are retired when the merge
-// lands.
+// A cold entry stays on disk and is read a block at a time (nextSegment); its
+// file is retired when the merge lands. When the spine has a cold tier and
+// the inputs together exceed the resident budget, the output is bound for
+// disk anyway, so the builder streams it to a run writer block by block
+// instead of assembling it resident.
 //
 // The merge consolidates behind the readers' logical frontier joined with
 // each input's own Since (as an import's as-of frontier is): an input's
 // times are only exact at or beyond what it was already compacted to, so the
 // output's Since is never behind any input's, whatever the readers say.
 func (s *Spine[K, V]) startMergeRange(i, j int) {
+	n := j - i + 1
 	m := &mergeState[K, V]{
-		batches: make([]*Batch[K, V], 0, j-i+1),
-		cs:      make([]tupleCursor[K, V], 0, j-i+1),
-		since:   s.logicalFrontier(),
+		runs:  make([]BatchReader[K, V], n),
+		cs:    make([]tupleCursor[K, V], n),
+		next:  make([]int, n),
+		since: s.logicalFrontier(),
 	}
-	total := 0
-	for x := i; x <= j; x++ {
-		b := s.entries[x].batch
-		if r := s.entries[x].cold; r != nil {
-			b = s.unspill(r)
-			m.retired = append(m.retired, r)
+	total, bytes := 0, int64(0)
+	for k := range m.runs {
+		e := &s.entries[i+k]
+		if e.batch != nil {
+			m.runs[k], m.next[k] = e.batch, -1
+			m.cs[k] = newTupleCursor(e.batch)
+		} else {
+			m.runs[k] = e.cold
+			s.nextSegment(m, k)
 		}
-		m.since = lattice.JoinFrontiers(m.since, b.Since)
-		m.batches = append(m.batches, b)
-		m.cs = append(m.cs, newTupleCursor(b))
-		total += b.Len()
+		_, _, since := m.runs[k].Bounds()
+		m.since = lattice.JoinFrontiers(m.since, since)
+		total += m.runs[k].Len()
+		bytes += approxBytes(m.runs[k])
 	}
-	m.bld = newBatchBuilder(s.fn, total)
+	lower, _, _ := m.runs[0].Bounds()
+	_, upper, _ := m.runs[n-1].Bounds()
+	var out RunWriter[K, V]
+	if s.spill != nil && bytes > s.maxResident {
+		out = s.spill.NewRun()
+	}
+	m.bld = newBatchBuilder(s.fn, lower, upper, m.since.Clone(), total, out)
 	s.MergesStarted++
 	s.entries[i] = spineEntry[K, V]{merge: m}
 	// slices.Delete zeroes the vacated tail: a stale slot would keep a run
@@ -410,17 +459,16 @@ func (s *Spine[K, V]) physicalFrontier() (lattice.Frontier, bool) {
 }
 
 // Runs returns the runs a full-trace cursor navigates: completed runs
-// (resident batches or cold readers) plus the sources of in-progress merges,
-// oldest first.
+// (resident batches or cold readers) plus the inputs of in-progress merges
+// as the spine held them — a cold input is its original reader — oldest
+// first.
 func (s *Spine[K, V]) Runs() []BatchReader[K, V] {
 	out := make([]BatchReader[K, V], 0, len(s.entries)+2)
 	for i := range s.entries {
 		e := &s.entries[i]
 		switch {
 		case e.merge != nil:
-			for _, b := range e.merge.batches {
-				out = append(out, b)
-			}
+			out = append(out, e.merge.runs...)
 		case e.cold != nil:
 			out = append(out, e.cold)
 		default:

@@ -188,6 +188,19 @@ func (s *ValStore[V]) AppendRange(src *ValStore[V], lo, hi int) {
 	}
 }
 
+// Reset empties the store and keeps its capacity: a streaming merge refills
+// one block's columns over and over.
+func (s *ValStore[V]) Reset() {
+	if c := s.col; c != nil {
+		for f := range c.cols {
+			c.cols[f] = c.cols[f][:0]
+		}
+		c.n = 0
+		return
+	}
+	s.rows = s.rows[:0]
+}
+
 // Grow reserves capacity for n further values.
 func (s *ValStore[V]) Grow(n int) {
 	if c := s.col; c != nil {

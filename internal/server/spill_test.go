@@ -6,8 +6,11 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/core"
+	"repro/internal/lattice"
 	"repro/internal/timely"
+	"repro/internal/wal"
 )
 
 func spillOpts(budget int64) SourceOptions[uint64, uint64] {
@@ -119,6 +122,95 @@ func TestSpillCheckpointRestoreRoundTrip(t *testing.T) {
 				t.Fatalf("restored contents diverge from oracle:\n got %v\nwant %v", merged, want)
 			}
 		})
+	}
+}
+
+// TestCheckpointMidMergeNamesColdInputs: a checkpoint taken while a merge of
+// cold runs is in flight names those runs by block reference, exactly as it
+// would once they are at rest — it never rewrites spilled data into the WAL.
+// During the merge, Runs returns each cold input's own reader, not a
+// resident copy of it.
+func TestCheckpointMidMergeNamesColdInputs(t *testing.T) {
+	const epochs = 6
+	dir := t.TempDir()
+	live := NewOpts(1, Options{DataDir: dir})
+	defer live.Close()
+	src, err := NewSourceOpts(live, "edges", core.U64(), spillOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A reader whose physical frontier holds every merge back, so each
+	// sealed run lands cold and stays a run of its own.
+	var h *core.Handle[uint64, uint64]
+	src.s.c.PostEach(func(w *timely.Worker) {
+		h = src.arr[0].Agent.NewHandle()
+		h.SetPhysical(lattice.NewFrontier(lattice.Ts(0)))
+	}).Wait()
+	for _, upds := range randomHistory(5, epochs) { // one seal, so one run, per epoch
+		src.Update(upds)
+		src.Advance()
+		if err := src.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var before, during []core.BatchReader[uint64, uint64]
+	var started, completed int
+	var skipped bool
+	var cerr error
+	src.s.c.PostEach(func(w *timely.Worker) {
+		spine := src.arr[0].Agent.Spine()
+		before = spine.Runs()
+		started, completed = spine.MergesStarted, spine.MergesCompleted
+		h.Drop()
+		spine.Work(0) // starts the merges, applies no fuel
+		during = spine.Runs()
+		started, completed = spine.MergesStarted-started, spine.MergesCompleted-completed
+		skipped, cerr = src.checkpointRuns(0, lattice.NewFrontier(lattice.Ts(epochs)))
+	}).Wait()
+	if cerr != nil || skipped {
+		t.Fatalf("mid-merge checkpoint: skipped=%v err=%v", skipped, cerr)
+	}
+	var cold []string
+	for _, r := range before {
+		if ref, ok := block.Ref(r); ok {
+			cold = append(cold, ref.Name)
+			if !slices.ContainsFunc(during, func(d core.BatchReader[uint64, uint64]) bool {
+				return core.UnwrapReader(d) == core.UnwrapReader(r)
+			}) {
+				t.Fatalf("cold run %s is not among the runs during the merge", ref.Name)
+			}
+		}
+	}
+	if len(cold) < 2 || started == 0 || completed != 0 {
+		t.Fatalf("%d cold runs, %d merges started, %d completed: no cold merge in flight to test",
+			len(cold), started, completed)
+	}
+	live.Close()
+
+	lg, st, err := wal.OpenShard(wal.ShardDir(dir, "edges", 0), wal.U64Codec(), wal.U64Codec(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg.Close()
+	for _, name := range cold {
+		if !slices.ContainsFunc(st.Runs, func(r wal.Run[uint64, uint64]) bool { return r.Ref != nil && r.Ref.Name == name }) {
+			t.Fatalf("checkpoint holds no reference to merge input %s: its updates went into the WAL", name)
+		}
+	}
+	if len(st.Runs) != len(during) {
+		t.Fatalf("checkpoint logged %d runs, the spine held %d", len(st.Runs), len(during))
+	}
+	for i, r := range during {
+		ref, cold := block.Ref(r)
+		switch {
+		case cold && st.Runs[i].Ref == nil:
+			t.Fatalf("run %d (%s) was logged as a batch record: spilled data rewritten into the WAL", i, ref.Name)
+		case cold && st.Runs[i].Ref.Name != ref.Name:
+			t.Fatalf("run %d logged as %s, the spine holds %s", i, st.Runs[i].Ref.Name, ref.Name)
+		case !cold && st.Runs[i].Batch == nil:
+			t.Fatalf("resident run %d logged as a block reference", i)
+		}
 	}
 }
 

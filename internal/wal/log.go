@@ -61,10 +61,15 @@ type ShardLog[K, V any] struct {
 	gc    *GroupCommitter
 	gen   uint64
 	f     *os.File
-	pbuf  []byte       // payload staging
-	rbuf  []byte       // framed-record staging
+	pbuf  []byte       // record staging: a reserved frame header, then the payload
 	size  atomic.Int64 // bytes in the current generation (drivers poll it)
 }
+
+// maxStagingBytes bounds the staging buffer a log keeps between appends. A
+// record staged in a larger buffer (a set-up preload's, say) drops it once
+// written, so one outsized record does not pin its high-water mark for the
+// life of the log.
+const maxStagingBytes = 1 << 20
 
 func genName(gen uint64) string { return fmt.Sprintf("gen-%08d.wal", gen) }
 
@@ -228,13 +233,18 @@ func replayBytes[K, V any](kc Codec[K], vc Codec[V],
 	return st, good, nil
 }
 
-// append frames payload and writes it as one record.
-func (l *ShardLog[K, V]) append(payload []byte) error {
-	l.rbuf = appendRecord(l.rbuf[:0], payload)
-	if _, err := l.f.Write(l.rbuf); err != nil {
+// append seals the record staged in pbuf and writes it in one call.
+func (l *ShardLog[K, V]) append() error {
+	sealRecord(l.pbuf)
+	n := len(l.pbuf)
+	_, err := l.f.Write(l.pbuf)
+	if cap(l.pbuf) > maxStagingBytes {
+		l.pbuf = nil
+	}
+	if err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	l.size.Add(int64(len(l.rbuf)))
+	l.size.Add(int64(n))
 	if l.fsync {
 		if l.gc != nil {
 			if err := l.gc.mark(l.f); err != nil {
@@ -274,17 +284,15 @@ func (l *ShardLog[K, V]) AppendBatch(b *core.Batch[K, V]) error {
 	if b.Empty() && b.Upper.Empty() {
 		return nil
 	}
-	l.pbuf = append(l.pbuf[:0], recBatch)
-	l.pbuf = appendBatch(l.pbuf, l.kc, l.vc, b)
-	return l.append(l.pbuf)
+	l.pbuf = appendBatch(openRecord(l.pbuf[:0], recBatch), l.kc, l.vc, b)
+	return l.append()
 }
 
 // AdvanceSince logs a compaction-frontier advance (core.BatchSink), letting
 // recovery resume compaction where the live system had promised it.
 func (l *ShardLog[K, V]) AdvanceSince(f lattice.Frontier) error {
-	l.pbuf = append(l.pbuf[:0], recSince)
-	l.pbuf = appendFrontier(l.pbuf, f)
-	return l.append(l.pbuf)
+	l.pbuf = appendFrontier(openRecord(l.pbuf[:0], recSince), f)
+	return l.append()
 }
 
 // Rotate is RotateRuns over a chain of resident batches.

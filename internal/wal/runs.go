@@ -109,25 +109,22 @@ func decodeBlockRef(c *cursor) (*BlockRef, error) {
 // new generation, so the log stays proportional to the trace plus the tail
 // sealed since the last checkpoint.
 func (l *ShardLog[K, V]) RotateRuns(since lattice.Frontier, runs []Run[K, V]) error {
-	var data []byte
-	l.pbuf = append(l.pbuf[:0], recSince)
-	l.pbuf = appendFrontier(l.pbuf, since)
-	data = appendRecord(data, l.pbuf)
+	data := appendFrontier(openRecord(nil, recSince), since)
+	sealRecord(data)
 	for _, r := range runs {
+		start := len(data)
 		if r.Ref != nil {
 			if err := validRefName(r.Ref.Name); err != nil {
 				return fmt.Errorf("wal: rotate: %v", err)
 			}
-			l.pbuf = append(l.pbuf[:0], recBlockRef)
-			l.pbuf = appendBlockRef(l.pbuf, r.Ref)
+			data = appendBlockRef(openRecord(data, recBlockRef), r.Ref)
 		} else {
 			if r.Batch.Empty() && r.Batch.Upper.Empty() {
 				continue
 			}
-			l.pbuf = append(l.pbuf[:0], recBatch)
-			l.pbuf = appendBatch(l.pbuf, l.kc, l.vc, r.Batch)
+			data = appendBatch(openRecord(data, recBatch), l.kc, l.vc, r.Batch)
 		}
-		data = appendRecord(data, l.pbuf)
+		sealRecord(data[start:])
 	}
 	return l.installGeneration(data)
 }

@@ -83,11 +83,25 @@ func (e *CorruptError) Error() string {
 
 // appendRecord frames payload onto dst: length, checksum, bytes.
 func appendRecord(dst, payload []byte) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	start := len(dst)
+	dst = append(append(dst, 0, 0, 0, 0, 0, 0, 0, 0), payload...)
+	sealRecord(dst[start:])
+	return dst
+}
+
+// openRecord appends a zeroed frame header and the kind byte onto dst: the
+// body is then encoded straight behind them, and sealRecord fills the header
+// in, so a record is framed without copying its payload.
+func openRecord(dst []byte, kind byte) []byte {
+	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0, kind)
+}
+
+// sealRecord fills in the 8-byte header at the front of frame: the length
+// and CRC32-C of frame[8:].
+func sealRecord(frame []byte) {
+	p := frame[8:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(p)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(p, crcTable))
 }
 
 // scanRecords iterates the framed records of data, invoking f with each

@@ -87,6 +87,39 @@ func TestShardRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStagingBufferBounded: a log does not keep the staging buffer of the
+// largest record it ever wrote. After a 100 k-update batch and a small one,
+// the staging capacity it retains is at most maxStagingBytes, and both
+// records replay.
+func TestStagingBufferBounded(t *testing.T) {
+	dir := t.TempDir()
+	lg, _ := openU64(t, dir, Options{})
+	quads := make([][4]int64, 100_000)
+	for i := range quads {
+		quads[i] = [4]int64{int64(i), int64(i) * 7, 0, 1}
+	}
+	big := mkBatch(t, 0, 1, quads...)
+	small := mkBatch(t, 1, 2, [4]int64{1, 10, 1, 1})
+	if err := lg.AppendBatch(big); err != nil {
+		t.Fatal(err)
+	}
+	if lg.Size() <= maxStagingBytes {
+		t.Fatalf("the big record is %d bytes, not above the %d-byte bound; the test is vacuous", lg.Size(), maxStagingBytes)
+	}
+	if err := lg.AppendBatch(small); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(lg.pbuf); c > maxStagingBytes {
+		t.Fatalf("log retains %d bytes of staging, bound %d", c, maxStagingBytes)
+	}
+	lg.Close()
+	lg2, st := openU64(t, dir, Options{})
+	defer lg2.Close()
+	if !reflect.DeepEqual(st.Batches, []*core.Batch[uint64, uint64]{big, small}) {
+		t.Fatalf("replayed %d batches, want the big and the small one", len(st.Batches))
+	}
+}
+
 func TestTornTailTruncatedAndAppendable(t *testing.T) {
 	dir := t.TempDir()
 	lg, _ := openU64(t, dir, Options{})

@@ -31,6 +31,15 @@ func AppendRecord(dst, payload []byte) []byte {
 	return appendRecord(dst, payload)
 }
 
+// OpenRecord appends a zeroed frame header and the kind byte onto dst, for
+// a payload encoded in place behind them; SealRecord then fills the header
+// in — the length and checksum of frame[8:] — so a record is framed
+// without copying its payload.
+func OpenRecord(dst []byte, kind byte) []byte { return openRecord(dst, kind) }
+
+// SealRecord fills in the header OpenRecord reserved at the front of frame.
+func SealRecord(frame []byte) { sealRecord(frame) }
+
 // ReadRecord reads one framed record from r, verifying length and checksum,
 // and returns the payload. io.EOF at a frame boundary is returned as-is
 // (clean end of stream); a short header or payload becomes
