@@ -17,7 +17,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/graphs"
-	"repro/internal/harness"
 	"repro/internal/interactive"
 	"repro/internal/mesh"
 	knet "repro/internal/net"
@@ -289,7 +288,7 @@ func serveDemo(c serveConfig) {
 		}},
 	}
 
-	t := &harness.Table{Header: []string{"query class", "shared install", "rebuilt install"}}
+	t := &table{header: []string{"query class", "shared install", "rebuilt install"}}
 	for _, cl := range classes {
 		churn() // keep updates streaming between arrivals
 		lat := map[bool]time.Duration{}
@@ -303,9 +302,9 @@ func serveDemo(c serveConfig) {
 			lat[shared] = d
 			closeQ()
 		}
-		t.Add(cl.name, lat[true].Round(time.Microsecond), lat[false].Round(time.Microsecond))
+		t.add(cl.name, lat[true].Round(time.Microsecond), lat[false].Round(time.Microsecond))
 	}
-	t.Write(os.Stdout)
+	t.write(os.Stdout)
 	fmt.Println("\nqueries attached to the running arrangement; uninstalled cleanly; server shutting down")
 }
 

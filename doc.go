@@ -65,21 +65,20 @@
 //     deltas over TCP. Frames reuse the WAL's CRC32-C record format and
 //     codecs; per-query hubs tie backpressure to the epoch cycle, so a
 //     slow subscriber lags only its own stream, never the workers.
-//   - workload substrates (internal/tpch, graphs, datalog, graspan,
-//     interactive with its live installation wiring) and the experiment
-//     drivers (internal/experiments) regenerating every table and figure of
-//     the paper's evaluation.
+//   - workload substrates (internal/tpch, graphs, datalog, graspan, and
+//     interactive with its live installation wiring), which the examples
+//     and the bench/ module drive.
 //
-// internal/harness carries the measurement machinery plus the
-// operator-oracle property harness: randomized multi-epoch insert/delete
-// histories driven through every dd operator and cross-checked per epoch
-// against naive recompute oracles (also exposed as go test -fuzz targets).
+// internal/harness carries the operator-oracle property harness:
+// randomized multi-epoch insert/delete histories driven through every dd
+// operator and cross-checked per epoch against naive recompute oracles
+// (also exposed as go test -fuzz targets).
 //
 // See the examples/ directory for runnable programs (examples/live-queries
 // demonstrates queries attaching to a running arrangement in-process,
 // examples/remote-queries the same over the network), cmd/kpg for the
-// experiment CLI and the serve, client, and bench subcommands (serve
-// -listen hosts the wire protocol, client drives it, bench records and
-// gates the tier-1 throughput baseline in BENCH_baseline.json), and
+// serve and client subcommands (serve -listen hosts the wire protocol,
+// client drives it), the bench/ module for the paper's measurements
+// (bench/run.sh; scripts/bench_pair.sh compares two commits), and
 // DESIGN.md for the system inventory and testing strategy.
 package kpg

@@ -1,10 +1,11 @@
+// Package harness holds the operator oracles: randomized multi-epoch
+// insert/delete histories are driven through a dd dataflow (at any worker
+// count) and every epoch's consolidated output is cross-checked against a
+// naive from-scratch recompute. The generators and runners here are shared
+// by the property tests in oracle_test.go, the go test -fuzz targets in
+// fuzz_test.go, the import-view and trace-size properties, and tests in
+// other packages that read a trace back (TraceAt).
 package harness
-
-// Operator-oracle property harness: randomized multi-epoch insert/delete
-// histories are driven through a dd dataflow (at any worker count) and every
-// epoch's consolidated output is cross-checked against a naive from-scratch
-// recompute. The generators and runners here are shared by the property
-// tests in oracle_test.go and the go test -fuzz targets in fuzz_test.go.
 
 import (
 	"math/rand"

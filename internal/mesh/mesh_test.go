@@ -565,8 +565,8 @@ func TestPeerRejoinResync(t *testing.T) {
 		t.Fatalf("survivor delivered %q across the resync", got)
 	}
 	host0.mu.Unlock()
-	if st := n0.Stats(); st.Resyncs != 1 || st.LastResyncNs <= 0 {
-		t.Fatalf("survivor stats %+v after one resync", st)
+	if st := n0.Stats(); st.Resyncs != 1 || st.LastResyncNs <= 0 || st.Redials < 1 {
+		t.Fatalf("survivor stats %+v after one resync, want one resync and at least one redial", st)
 	}
 	n0.Close()
 	n1b.Close()

@@ -155,8 +155,9 @@ type stashed struct {
 	deltas  []timely.ProgressDelta
 }
 
-// Stats is a snapshot of the node's informational counters (kpg bench
-// surfaces some of these; none gate anything).
+// Stats is a snapshot of the node's informational counters; nothing in the
+// node reads them back. Tests pin the redial and resync counts
+// (TestLinkDropSeqContinuity, TestPeerRejoinResync).
 type Stats struct {
 	RedialAttempts  uint64 // dial attempts made after a link dropped
 	Redials         uint64 // successful re-handshakes (link restored)

@@ -44,6 +44,53 @@ func TestGroupCommitRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGroupCommitSyncsOncePerGroup: fsync-mode appends on logs sharing a
+// committer only mark their file dirty — however many appends land, the
+// dirty set holds one entry per log — and one Commit syncs them all and
+// empties it, after which every record replays.
+func TestGroupCommitSyncsOncePerGroup(t *testing.T) {
+	const appends = 50
+	gc := NewGroupCommitter(time.Hour) // ticker never fires: Commit drives it
+	dirs := []string{t.TempDir(), t.TempDir()}
+	var logs []*ShardLog[uint64, uint64]
+	for _, dir := range dirs {
+		lg, _ := openU64(t, dir, Options{Fsync: true, Commit: gc})
+		logs = append(logs, lg)
+	}
+	dirty := func() int {
+		gc.mu.Lock()
+		defer gc.mu.Unlock()
+		return len(gc.dirty)
+	}
+	for e := uint64(0); e < appends; e++ {
+		for i, lg := range logs {
+			if err := lg.AppendBatch(mkBatch(t, e, e+1, [4]int64{int64(i), int64(e), int64(e), 1})); err != nil {
+				t.Fatalf("log %d append %d: %v", i, e, err)
+			}
+		}
+	}
+	if n := dirty(); n != len(logs) {
+		t.Fatalf("%d dirty files after %d appends to each of %d logs, want %d",
+			n, appends, len(logs), len(logs))
+	}
+	if err := gc.Commit(); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	if n := dirty(); n != 0 {
+		t.Fatalf("%d dirty files after Commit, want 0", n)
+	}
+	if err := gc.Close(); err != nil {
+		t.Fatalf("Close committer: %v", err)
+	}
+	for i, lg := range logs {
+		lg.Close()
+		_, st := openU64(t, dirs[i], Options{})
+		if len(st.Batches) != appends {
+			t.Fatalf("log %d replayed %d batches, want %d", i, len(st.Batches), appends)
+		}
+	}
+}
+
 // TestGroupCommitStickyError: once the committer is closed, further appends
 // through it are refused rather than silently left unsynced.
 func TestGroupCommitClosedRefusesAppends(t *testing.T) {

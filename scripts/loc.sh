@@ -1,9 +1,9 @@
 #!/bin/sh
 # Prints the non-test Go lines of every package (one directory each), the
 # benchmark module under bench/ excluded, then their total: the size figure
-# a change reports beside its benchmark table. Counts tracked files plus
-# untracked ones git does not ignore, so build and benchmark scratch
-# directories never count.
+# a change reports beside its benchmark table. Counts tracked files that
+# still exist plus untracked ones git does not ignore, so build and
+# benchmark scratch directories never count.
 #
 # Given a git ref, prints each package's lines at that ref, in the working
 # tree and the difference, then the same three totals: the before/after
@@ -17,6 +17,7 @@ cd "$(dirname "$0")/.."
 worktree() {
     git ls-files -co --exclude-standard -- '*.go' ':!:*_test.go' ':!:bench/**' |
         while IFS= read -r f; do
+            [ -e "$f" ] || continue # tracked, but deleted in the working tree
             echo "$(dirname "$f") $(wc -l < "$f")"
         done
 }
