@@ -38,6 +38,11 @@ type Batch[K, V any] struct {
 	// decoders stream the times anyway; SetMinTimes, CacheMinTimes). Nil for
 	// hand-assembled batches, which fall back to computing per call.
 	minTimes []lattice.Time
+
+	// oneTime marks a view that presents every update at AsOf's one element
+	// (viewAsOf proves it from the run's bounds): the read paths return that
+	// time instead of advancing each stored one.
+	oneTime bool
 }
 
 // Len returns the number of update triples in the batch.
@@ -106,10 +111,20 @@ func (b *Batch[K, V]) ForKey(fn Funcs[K, V], k K, f func(v V, t lattice.Time, d 
 	if ki >= len(b.Keys) || !fn.EqK(b.Keys[ki], k) {
 		return
 	}
+	var at lattice.Time
+	if b.oneTime {
+		at = b.AsOf.Elements()[0]
+	}
 	lo, hi := b.ValRange(ki)
 	for vi := lo; vi < hi; vi++ {
 		v := b.Vals.At(vi)
 		ul, uh := b.UpdRange(vi)
+		if b.oneTime {
+			for _, u := range b.Upds[ul:uh] {
+				f(v, at, u.Diff)
+			}
+			continue
+		}
 		for ui := ul; ui < uh; ui++ {
 			f(v, b.UpdTime(ui), b.Upds[ui].Diff)
 		}
@@ -119,13 +134,23 @@ func (b *Batch[K, V]) ForKey(fn Funcs[K, V], k K, f func(v V, t lattice.Time, d 
 // ForEach invokes f for every update triple in the batch, in (key, val,
 // time) order. Values materialize once per value group, not once per update.
 func (b *Batch[K, V]) ForEach(f func(k K, v V, t lattice.Time, d Diff)) {
-	for ki := range b.Keys {
+	var at lattice.Time
+	if b.oneTime {
+		at = b.AsOf.Elements()[0]
+	}
+	for ki, k := range b.Keys {
 		lo, hi := b.ValRange(ki)
 		for vi := lo; vi < hi; vi++ {
 			v := b.Vals.At(vi)
 			ul, uh := b.UpdRange(vi)
+			if b.oneTime {
+				for _, u := range b.Upds[ul:uh] {
+					f(k, v, at, u.Diff)
+				}
+				continue
+			}
 			for ui := ul; ui < uh; ui++ {
-				f(b.Keys[ki], v, b.UpdTime(ui), b.Upds[ui].Diff)
+				f(k, v, b.UpdTime(ui), b.Upds[ui].Diff)
 			}
 		}
 	}
@@ -134,6 +159,9 @@ func (b *Batch[K, V]) ForEach(f func(k K, v V, t lattice.Time, d Diff)) {
 // UpdTime returns the time of update ui as the batch presents it: the stored
 // time, advanced to AsOf on a view.
 func (b *Batch[K, V]) UpdTime(ui int) lattice.Time {
+	if b.oneTime {
+		return b.AsOf.Elements()[0]
+	}
 	t := b.Upds[ui].Time
 	if !b.AsOf.Empty() {
 		t, _ = lattice.Compact(t, b.AsOf)
@@ -148,9 +176,27 @@ func (b *Batch[K, V]) UpdTime(ui int) lattice.Time {
 // as one; consolidating them is the job of the trace's merges. The view's
 // minimal times are the advance of b's: rep is monotone, so every advanced
 // time is in advance of the advance of some minimal time.
+//
+// Often the view presents a single time, and it says so in constant time:
+// with depth-1 times, asOf = {a}, Upper = {u} and Since = {s}, every stored
+// time is below u or was advanced to s, so when u ≤ a and s ≤ a each is at
+// most a and advances to exactly a (rep_{a}(t) = t ∨ a). The snapshot
+// frontier joins every run's Since, but s ≤ a is checked, not assumed.
 func (b *Batch[K, V]) viewAsOf(asOf lattice.Frontier) *Batch[K, V] {
 	v := *b
 	v.Since, v.AsOf = asOf, asOf
+	if asOf.Len() == 1 && b.Upper.Len() == 1 && b.Since.Len() == 1 {
+		a := asOf.Elements()[0]
+		v.oneTime = a.Depth() == 1 &&
+			b.Upper.Elements()[0].LessEqual(a) && b.Since.Elements()[0].LessEqual(a)
+	}
+	if v.oneTime {
+		v.minTimes = nil
+		if !b.Empty() {
+			v.minTimes = []lattice.Time{asOf.Elements()[0]}
+		}
+		return &v
+	}
 	var mins lattice.Frontier
 	for _, t := range b.MinTimes() {
 		rep, _ := lattice.Compact(t, asOf)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -101,6 +102,103 @@ func TestBatchForKeyAndSeek(t *testing.T) {
 	})
 	if count != 1 {
 		t.Fatalf("view visited key 42 %d times", count)
+	}
+}
+
+// randAntichain returns an antichain of one or two random times of the given
+// depth with coordinates in [lo, hi]; at depth 1 it is a single time.
+func randAntichain(r *rand.Rand, depth int, lo, hi uint64) lattice.Frontier {
+	var f lattice.Frontier
+	for n := 1 + r.Intn(2); n > 0; n-- {
+		c := make([]uint64, depth)
+		for i := range c {
+			c[i] = lo + uint64(r.Int63n(int64(hi-lo+1)))
+		}
+		f.Insert(lattice.Ts(c...))
+	}
+	return f
+}
+
+// TestAsOfViewMatchesCompact: every as-of view presents each update at
+// rep_AsOf of its stored time, whether or not viewAsOf found that the view
+// presents one time and skips the per-update advance. Random runs cover
+// depth-1 and depth-2 times, multi-element frontiers, runs compacted to a
+// since past their upper, and as-of times below the upper or the since, so
+// both the one-time path and every case that must stay off it are reached.
+func TestAsOfViewMatchesCompact(t *testing.T) {
+	fn := U64()
+	r := rand.New(rand.NewSource(11))
+	const bound = 8
+	oneTime, sinceAhead := 0, 0
+	for iter := 0; iter < 4000; iter++ {
+		depth := 1 + r.Intn(2)
+		upper := randAntichain(r, depth, 1, bound)
+		since := lattice.MinFrontier(depth)
+		if r.Intn(3) > 0 {
+			since = randAntichain(r, depth, 0, bound+2)
+		}
+		var upds []Update[uint64, uint64]
+		for n := r.Intn(20); len(upds) < n; {
+			c := make([]uint64, depth)
+			for i := range c {
+				c[i] = uint64(r.Intn(bound))
+			}
+			tm := lattice.Ts(c...)
+			if upper.LessEqual(tm) {
+				continue
+			}
+			tm, _ = lattice.Compact(tm, since)
+			upds = append(upds, u64upd(uint64(r.Intn(4)), uint64(r.Intn(3)), tm, int64(r.Intn(5)-2)))
+		}
+		b := BuildBatch(fn, upds, lattice.MinFrontier(depth), upper, since)
+		asOf := randAntichain(r, depth, 0, bound+2)
+		view := b.viewAsOf(asOf)
+		a := asOf.Elements()[0]
+		if view.oneTime {
+			oneTime++
+		} else if depth == 1 && upper.LessEqual(a) && !since.LessEqual(a) && !b.Empty() {
+			sinceAhead++
+		}
+
+		want := make([]lattice.Time, b.Len())
+		var wantMins lattice.Frontier
+		for ui, u := range b.Upds {
+			want[ui], _ = lattice.Compact(u.Time, asOf)
+			wantMins.Insert(want[ui])
+		}
+		desc := func() string {
+			return fmt.Sprintf("run [%v, %v) since %v, times %v, as of %v", b.Lower, b.Upper, b.Since, b.Upds, asOf)
+		}
+		for ui := range b.Upds {
+			if got := view.UpdTime(ui); got != want[ui] {
+				t.Fatalf("%s: UpdTime(%d) = %v, want %v", desc(), ui, got, want[ui])
+			}
+		}
+		ui := 0
+		view.ForEach(func(_, _ uint64, tm lattice.Time, d Diff) {
+			if tm != want[ui] || d != b.Upds[ui].Diff {
+				t.Fatalf("%s: ForEach update %d at %v (diff %d), want %v (diff %d)", desc(), ui, tm, d, want[ui], b.Upds[ui].Diff)
+			}
+			ui++
+		})
+		for ki, k := range b.Keys {
+			ui := int(b.ValOff[b.KeyOff[ki]])
+			view.ForKey(fn, k, func(_ uint64, tm lattice.Time, _ Diff) {
+				if tm != want[ui] {
+					t.Fatalf("%s: ForKey(%d) update %d at %v, want %v", desc(), k, ui, tm, want[ui])
+				}
+				ui++
+			})
+		}
+		if got := lattice.NewFrontier(view.MinTimes()...); !got.Equal(wantMins) {
+			t.Fatalf("%s: MinTimes %v, want %v", desc(), got, wantMins)
+		}
+	}
+	// The draw must reach both the one-time path and views kept off it only
+	// by s ≤ a.
+	t.Logf("%d one-time views, %d kept off only by their since", oneTime, sinceAhead)
+	if oneTime < 100 || sinceAhead < 100 {
+		t.Fatalf("%d one-time views and %d kept off only by their since; the draw is too narrow", oneTime, sinceAhead)
 	}
 }
 

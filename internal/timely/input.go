@@ -10,6 +10,7 @@ import (
 // receives its own handle for the same logical input; the input's frontier
 // is the minimum over all workers' handle epochs, so every worker must
 // advance and eventually close its handle (even if it never sends data).
+// An input no operator reads (Connected is false) drops what it is sent.
 type Input[D any] struct {
 	g      *Graph
 	op     int
@@ -33,6 +34,11 @@ func NewInput[D any](g *Graph) (*Input[D], *Stream[D]) {
 
 // Epoch returns the handle's current epoch.
 func (h *Input[D]) Epoch() uint64 { return h.epoch }
+
+// Connected reports whether any operator has attached to the input's
+// stream. Until one does, everything sent is dropped, so a caller can skip
+// building data nobody reads.
+func (h *Input[D]) Connected() bool { return len(h.reg.channels) > 0 }
 
 // SendSlice introduces data at the handle's current epoch. Ownership of the
 // slice passes to the runtime.

@@ -109,6 +109,46 @@ func TestProbeTracksEpochs(t *testing.T) {
 	})
 }
 
+// TestInputConnected: an input is connected once any operator reads its
+// stream, whether over a pipeline channel (what dd.Map attaches) or an
+// exchanged one (what core.Arrange attaches), and not before.
+func TestInputConnected(t *testing.T) {
+	pass := func(ctx *Ctx, in *In[int], out *Out[int]) {
+		in.ForEach(func(stamp []lattice.Time, data []int) {})
+	}
+	for _, tc := range []struct {
+		name string
+		exch func(int) uint64
+	}{
+		{"pipeline", nil},
+		{"exchanged", func(d int) uint64 { return uint64(d) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			Execute(2, func(w *Worker) {
+				var read, unread *Input[int]
+				w.Dataflow(func(g *Graph) {
+					var s *Stream[int]
+					read, s = NewInput[int](g)
+					unread, _ = NewInput[int](g)
+					if read.Connected() {
+						t.Errorf("worker %d: a fresh input reports connected", w.Index())
+					}
+					Unary[int, int](s, tc.name, tc.exch, SumID, nil, pass)
+				})
+				if !read.Connected() {
+					t.Errorf("worker %d: input read by a %s operator reports unconnected", w.Index(), tc.name)
+				}
+				if unread.Connected() {
+					t.Errorf("worker %d: input nobody reads reports connected", w.Index())
+				}
+				read.Close()
+				unread.Close()
+				w.Drain()
+			})
+		})
+	}
+}
+
 func TestMultiWorkerExchange(t *testing.T) {
 	const peers = 4
 	const n = 1000

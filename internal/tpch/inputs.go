@@ -201,49 +201,39 @@ func NewInputs(g *timely.Graph) (*Inputs, *Collections) {
 	return in, c
 }
 
-// LoadStatic sends every relation except orders and lineitems at the current
-// epoch (those two are typically streamed by the benchmarks).
+// LoadStatic sends every relation except orders and lineitems (those two are
+// typically streamed by the benchmarks), each at its own input's current
+// epoch. A relation the dataflow does not read is never built.
 func (in *Inputs) LoadStatic(d *Data) {
-	ep := in.Supplier.Epoch()
-	var su []core.Update[uint64, Supplier]
-	for _, r := range d.Suppliers {
-		su = append(su, core.Update[uint64, Supplier]{Key: r.SuppKey, Val: r, Time: lattice.Ts(ep), Diff: 1})
-	}
-	in.Supplier.SendSlice(su)
-	var cu []core.Update[uint64, Customer]
-	for _, r := range d.Customers {
-		cu = append(cu, core.Update[uint64, Customer]{Key: r.CustKey, Val: r, Time: lattice.Ts(ep), Diff: 1})
-	}
-	in.Customer.SendSlice(cu)
-	var pu []core.Update[uint64, Part]
-	for _, r := range d.Parts {
-		pu = append(pu, core.Update[uint64, Part]{Key: r.PartKey, Val: r, Time: lattice.Ts(ep), Diff: 1})
-	}
-	in.Part.SendSlice(pu)
-	var psu []core.Update[uint64, PartSupp]
-	for _, r := range d.PartSupps {
-		psu = append(psu, core.Update[uint64, PartSupp]{Key: r.PartKey, Val: r, Time: lattice.Ts(ep), Diff: 1})
-	}
-	in.PartSupp.SendSlice(psu)
+	load(in.Supplier, d.Suppliers, func(r Supplier) uint64 { return r.SuppKey })
+	load(in.Customer, d.Customers, func(r Customer) uint64 { return r.CustKey })
+	load(in.Part, d.Parts, func(r Part) uint64 { return r.PartKey })
+	load(in.PartSupp, d.PartSupps, func(r PartSupp) uint64 { return r.PartKey })
 }
 
 // LoadOrders sends a range [lo, hi) of orders plus their lineitems, found by
 // binary search (order i has key i+1): a call costs the range it sends, not a
 // pass over every lineitem.
 func (in *Inputs) LoadOrders(d *Data, lo, hi int) {
-	ep := in.Orders.Epoch()
 	hi = min(hi, len(d.Orders))
-	ou := make([]core.Update[uint64, Order], 0, hi-lo)
-	for _, r := range d.Orders[lo:hi] {
-		ou = append(ou, core.Update[uint64, Order]{Key: r.OrderKey, Val: r, Time: lattice.Ts(ep), Diff: 1})
+	load(in.Orders, d.Orders[lo:hi], func(r Order) uint64 { return r.OrderKey })
+	load(in.Items, d.Items[d.itemsFrom(uint64(lo+1)):d.itemsFrom(uint64(hi+1))],
+		func(r LineItem) uint64 { return r.OrderKey })
+}
+
+// load sends rows as insertions at the input's current epoch, built into a
+// slice of exactly their length. An input no operator reads would drop
+// them, so for one of those nothing is built at all.
+func load[V any](in *dd.InputCollection[uint64, V], rows []V, key func(V) uint64) {
+	if !in.H.Connected() {
+		return
 	}
-	in.Orders.SendSlice(ou)
-	items := d.Items[d.itemsFrom(uint64(lo+1)):d.itemsFrom(uint64(hi+1))]
-	iu := make([]core.Update[uint64, LineItem], 0, len(items))
-	for _, r := range items {
-		iu = append(iu, core.Update[uint64, LineItem]{Key: r.OrderKey, Val: r, Time: lattice.Ts(ep), Diff: 1})
+	t := lattice.Ts(in.Epoch())
+	upds := make([]core.Update[uint64, V], len(rows))
+	for i, r := range rows {
+		upds[i] = core.Update[uint64, V]{Key: key(r), Val: r, Time: t, Diff: 1}
 	}
-	in.Items.SendSlice(iu)
+	in.SendSlice(upds)
 }
 
 // AdvanceAll moves every handle to the given epoch.
