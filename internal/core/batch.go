@@ -337,19 +337,50 @@ func coalesceSorted[K, V any](fn Funcs[K, V], upds []Update[K, V]) []Update[K, V
 // BuildBatch consolidates updates (sorting them in place) and assembles the
 // columnar representation. The updates must all be at times in advance of
 // lower and not in advance of upper; this is checked.
+//
+// A counting pass over the sorted updates finds the distinct keys and
+// values first, so every column is made once at its exact size instead of
+// doubling its way up (one arena for a columnar value store).
 func BuildBatch[K, V any](fn Funcs[K, V], upds []Update[K, V],
 	lower, upper, since lattice.Frontier) *Batch[K, V] {
 
 	upds = SortUpdates(fn, upds)
-	b := &Batch[K, V]{Lower: lower, Upper: upper, Since: since}
-	b.Vals = fn.newStore(0)
-	b.KeyOff = append(b.KeyOff, 0)
-	b.ValOff = append(b.ValOff, 0)
+	// opens reports what update i opens: a key and its first value (2), a
+	// value under the same key (1), or neither (0). Sorted, a key or value
+	// starts wherever it is greater than its predecessor's, so one Less
+	// decides each boundary.
+	opens := func(i int) int {
+		switch {
+		case i == 0 || fn.LessK(upds[i-1].Key, upds[i].Key):
+			return 2
+		case fn.LessV(upds[i-1].Val, upds[i].Val):
+			return 1
+		}
+		return 0
+	}
+	nk, nv := 0, 0
+	for i := range upds {
+		switch opens(i) {
+		case 2:
+			nk++
+			nv++
+		case 1:
+			nv++
+		}
+	}
+	b := &Batch[K, V]{
+		Lower: lower, Upper: upper, Since: since,
+		Keys:   make([]K, 0, nk),
+		KeyOff: make([]int32, 1, nk+1),
+		Vals:   fn.newStore(nv),
+		ValOff: make([]int32, 1, nv+1),
+		Upds:   make([]TimeDiff, 0, len(upds)),
+	}
 	// Times compacted toward a non-minimal since may legitimately land at or
 	// beyond upper, so the upper containment check only applies to
 	// uncompacted batches.
 	checkUpper := sinceIsMinimal(since)
-	for i := 0; i < len(upds); i++ {
+	for i := range upds {
 		u := &upds[i]
 		if !lower.LessEqual(u.Time) && !lower.Empty() {
 			panic(fmt.Sprintf("core: update time %v not in advance of batch lower %v", u.Time, lower))
@@ -357,13 +388,12 @@ func BuildBatch[K, V any](fn Funcs[K, V], upds []Update[K, V],
 		if checkUpper && upper.LessEqual(u.Time) {
 			panic(fmt.Sprintf("core: update time %v in advance of batch upper %v", u.Time, upper))
 		}
-		newKey := i == 0 || !fn.EqK(upds[i-1].Key, u.Key)
-		newVal := newKey || !fn.EqV(upds[i-1].Val, u.Val)
-		if newKey {
+		opened := opens(i)
+		if opened == 2 {
 			b.Keys = append(b.Keys, u.Key)
 			b.KeyOff = append(b.KeyOff, b.KeyOff[len(b.KeyOff)-1])
 		}
-		if newVal {
+		if opened > 0 {
 			b.Vals.Append(u.Val)
 			b.ValOff = append(b.ValOff, b.ValOff[len(b.ValOff)-1])
 			b.KeyOff[len(b.KeyOff)-1]++

@@ -26,15 +26,20 @@ type Reducer[K, V, V2 any] func(k K, in []ValDiff[V], out *[]ValDiff[V2])
 // of input times that never appear in the input themselves.
 func ReduceCore[K comparable, V, V2 any](a *core.Arranged[K, V],
 	fnOut core.Funcs[K, V2], name string, reducer Reducer[K, V, V2]) *core.Arranged[K, V2] {
+	out, _ := reduceCore(a, fnOut, name, reducer)
+	return out
+}
 
+// reduceCore is ReduceCore, also returning the operator's state.
+func reduceCore[K comparable, V, V2 any](a *core.Arranged[K, V],
+	fnOut core.Funcs[K, V2], name string, reducer Reducer[K, V, V2]) (*core.Arranged[K, V2], *reduceState[K, V, V2]) {
 	if a.Shift != 0 {
 		panic("dd: ReduceCore requires an un-entered arrangement (arrange inside the scope)")
 	}
 	if a.Agent.Spine() == nil {
 		panic("dd: ReduceCore requires a live input trace")
 	}
-	depth := a.Stream.Depth()
-	outAgent := core.NewAgentForOperator[K, V2](fnOut, depth)
+	outAgent := core.NewAgentForOperator[K, V2](fnOut, a.Stream.Depth())
 
 	st := &reduceState[K, V, V2]{
 		fnIn:     a.Agent.Fn,
@@ -42,7 +47,6 @@ func ReduceCore[K comparable, V, V2 any](a *core.Arranged[K, V],
 		hIn:      a.Agent.NewHandle(),
 		outAgent: outAgent,
 		reducer:  reducer,
-		pending:  make(map[K]map[lattice.Time]bool),
 	}
 	st.hOut = outAgent.NewHandle()
 
@@ -50,7 +54,7 @@ func ReduceCore[K comparable, V, V2 any](a *core.Arranged[K, V],
 		func(ctx *timely.Ctx, in *timely.In[*core.Batch[K, V]], out *timely.Out[*core.Batch[K, V2]]) {
 			st.schedule(ctx, in, out)
 		})
-	return &core.Arranged[K, V2]{Stream: stream, Agent: outAgent}
+	return &core.Arranged[K, V2]{Stream: stream, Agent: outAgent}, st
 }
 
 type reduceState[K comparable, V, V2 any] struct {
@@ -61,39 +65,23 @@ type reduceState[K comparable, V, V2 any] struct {
 	outAgent *core.TraceAgent[K, V2]
 	reducer  Reducer[K, V, V2]
 
-	pending map[K]map[lattice.Time]bool
+	// work is the future work: (key, time) pairs sorted by key (fnIn) and
+	// then time (TotalLess), each once.
+	work []keyTime[K]
+
+	// One schedule's state, released when it returns: the cursor pair that
+	// serves its ascending keys, the corrections emitted so far, the current
+	// key's ready times in evaluation order, and the lubs found for later
+	// schedules.
+	inCur   *core.TraceCursor[K, V]
+	outCur  *core.TraceCursor[K, V2]
+	emitted []core.Update[K, V2]
+	ready   []lattice.Time
+	later   []keyTime[K]
 
 	outScratch []core.AccumEntry[V2]
 	inVals     []ValDiff[V]
 	outVals    []ValDiff[V2]
-	// emittedIdx indexes the current round's output buffer by key, so
-	// re-forming a key's output stays linear in that key's corrections.
-	emittedIdx map[K][]int32
-
-	// Trace cursors are forward-only, so consecutive evaluations at one time
-	// with ascending keys (the worklist order) can share a cursor pair and
-	// gallop forward instead of re-walking the trace from the start per key.
-	// The cache invalidates when the time changes, the key regresses (a later
-	// wave revisiting the same time), or a new schedule begins (the traces
-	// may have grown).
-	curValid bool
-	curT     lattice.Time
-	curIn    *core.TraceCursor[K, V]
-	curOut   *core.TraceCursor[K, V2]
-	curLastK K
-}
-
-func (st *reduceState[K, V, V2]) pend(caps *timely.CapSet, k K, t lattice.Time) {
-	m := st.pending[k]
-	if m == nil {
-		m = make(map[lattice.Time]bool)
-		st.pending[k] = m
-	}
-	if m[t] {
-		return
-	}
-	m[t] = true
-	caps.Insert(t)
 }
 
 type keyTime[K comparable] struct {
@@ -101,98 +89,132 @@ type keyTime[K comparable] struct {
 	t lattice.Time
 }
 
+func (st *reduceState[K, V, V2]) cmpWork(a, b keyTime[K]) int {
+	if st.fnIn.LessK(a.k, b.k) {
+		return -1
+	}
+	if st.fnIn.LessK(b.k, a.k) {
+		return 1
+	}
+	return cmpTime(a.t, b.t)
+}
+
+func cmpTime(a, b lattice.Time) int {
+	if a == b {
+		return 0
+	}
+	if a.TotalLess(b) {
+		return -1
+	}
+	return 1
+}
+
+// settle restores the worklist's order after work[from:] was appended to
+// its sorted prefix, and drops repeats.
+func (st *reduceState[K, V, V2]) settle(from int) {
+	if len(st.work) == from {
+		return
+	}
+	slices.SortFunc(st.work[from:], st.cmpWork)
+	if from > 0 && st.cmpWork(st.work[from-1], st.work[from]) >= 0 {
+		slices.SortFunc(st.work, st.cmpWork)
+	}
+	st.work = slices.CompactFunc(st.work, func(a, b keyTime[K]) bool { return st.cmpWork(a, b) == 0 })
+}
+
 func (st *reduceState[K, V, V2]) schedule(ctx *timely.Ctx,
 	in *timely.In[*core.Batch[K, V]], out *timely.Out[*core.Batch[K, V2]]) {
 
-	// Ingest: every (key, time) in a new batch is future work.
+	// Ingest: every (key, time) in a new batch is future work. A batch's
+	// minimal times cover all of its times, so they are the capabilities it
+	// needs; its keys ascend, so a key's repeated times drop as they append.
 	caps := out.Caps()
 	busy := false
+	held := len(st.work)
 	in.ForEach(func(stamp []lattice.Time, data []*core.Batch[K, V]) {
 		busy = true
 		for _, b := range data {
-			b.ForEach(func(k K, v V, t lattice.Time, d core.Diff) {
-				st.pend(caps, k, t)
-			})
+			caps.Insert(b.MinTimes()...)
+			st.work = slices.Grow(st.work, b.NumKeys())
+			for ki, k := range b.Keys {
+				lo, hi := b.ValRange(ki)
+				first := len(st.work)
+				for ui := b.ValOff[lo]; ui < b.ValOff[hi]; ui++ {
+					t := b.UpdTime(int(ui))
+					if n := len(st.work); n == first || st.work[n-1].t != t {
+						st.work = append(st.work, keyTime[K]{k, t})
+					}
+				}
+			}
 		}
 	})
+	st.settle(held)
 
+	// Evaluate key by key: a key's ready times (those the input frontier has
+	// passed) in TotalLess order, so every time's predecessors come first.
+	// The rest of the work stays, compacted in place, for a later schedule.
 	frontier := in.Frontier()
-
-	// Collect ready work: pending (key, time) pairs whose input is complete.
-	var ready []keyTime[K]
-	for k, times := range st.pending {
-		for t := range times {
-			if !frontier.LessEqual(t) {
-				ready = append(ready, keyTime[K]{k, t})
+	var last K
+	kept := 0
+	for i := 0; i < len(st.work); {
+		k := st.work[i].k
+		st.ready = st.ready[:0]
+		for ; i < len(st.work) && !st.fnIn.LessK(k, st.work[i].k); i++ {
+			if frontier.LessEqual(st.work[i].t) {
+				st.work[kept] = st.work[i]
+				kept++
+			} else {
+				st.ready = append(st.ready, st.work[i].t)
 			}
 		}
-	}
-	var emitted []core.Update[K, V2]
-	if st.emittedIdx == nil {
-		st.emittedIdx = make(map[K][]int32)
-	} else {
-		clear(st.emittedIdx)
-	}
-	// Invalidate AND release the cached cursors: they pin the previous
-	// schedule's batch snapshot, which compaction may since have superseded.
-	st.curValid = false
-	st.curIn, st.curOut = nil, nil
-	// Process in a time-respecting order; lubs discovered along the way that
-	// are also ready join the worklist.
-	for len(ready) > 0 {
-		slices.SortFunc(ready, func(a, b keyTime[K]) int {
-			if a.t != b.t {
-				if a.t.TotalLess(b.t) {
-					return -1
-				}
-				return 1
-			}
-			if st.fnIn.LessK(a.k, b.k) {
-				return -1
-			}
-			if st.fnIn.LessK(b.k, a.k) {
-				return 1
-			}
-			return 0
-		})
-		work := ready
-		ready = nil
-		for _, kt := range work {
-			if !st.pending[kt.k][kt.t] {
-				continue // processed via an earlier duplicate
-			}
-			delete(st.pending[kt.k], kt.t)
-			if len(st.pending[kt.k]) == 0 {
-				delete(st.pending, kt.k)
-			}
-			newWork := st.evaluate(caps, kt.k, kt.t, frontier, &emitted)
-			ready = append(ready, newWork...)
+		if len(st.ready) == 0 {
+			continue
+		}
+		// Keys ascend under fnIn, so one cursor pair gallops forward through
+		// the schedule. The output trace is ordered by fnOut; where that
+		// order disagrees and the key regresses, it takes a fresh cursor.
+		if st.inCur == nil {
+			st.inCur, st.outCur = st.hIn.Cursor(), st.hOut.Cursor()
+		} else if st.fnOut.LessK(k, last) {
+			st.outCur = st.hOut.Cursor()
+		}
+		last = k
+		for r, start := 0, len(st.emitted); r < len(st.ready); r++ {
+			st.evaluate(caps, frontier, k, r, start)
 		}
 	}
+	st.work = append(st.work[:kept], st.later...)
+	st.settle(kept)
 
 	// The minimal times of the remaining work: what the operator must still
 	// be able to emit at, and what its traces must stay readable at.
 	var pending lattice.Frontier
-	for _, times := range st.pending {
-		for t := range times {
-			pending.Insert(t)
-		}
+	for _, kt := range st.work {
+		pending.Insert(kt.t)
 	}
 
 	// Seal an output batch when the frontier advanced, then hold only the
 	// remaining work. Sealing counts as busy: the progress batch that
 	// propagates the epoch downstream applies only after this schedule
 	// returns, so it must not wait on a boosted maintenance budget.
+	emitted := len(st.emitted) > 0
 	if !frontier.Equal(st.outAgent.Upper()) && st.outAgent.Upper().Dominates(frontier) {
 		busy = true
-		b := core.BuildBatch(st.fnOut, emitted, st.outAgent.Upper().Clone(), frontier.Clone(),
+		b := core.BuildBatch(st.fnOut, st.emitted, st.outAgent.Upper().Clone(), frontier.Clone(),
 			st.hOut.Logical().Clone())
 		st.outAgent.Maintain(b)
 		out.SendSlice(b.MinTimes(), []*core.Batch[K, V2]{b})
 		caps.Downgrade(pending)
-	} else if len(emitted) > 0 {
+	} else if emitted {
 		panic("dd: reduce emitted output without a sealable frontier")
 	}
+
+	// The schedule's scratch goes, and so does worklist capacity well beyond
+	// what remains: an empty worklist holds none.
+	if cap(st.work) > 4*len(st.work) {
+		st.work = slices.Clone(st.work)
+	}
+	st.inCur, st.outCur, st.emitted, st.ready, st.later = nil, nil, nil, nil, nil
 
 	// Compaction frontiers: input and output traces may consolidate up to
 	// the meet of the frontier and all pending work times. Once the input has
@@ -207,31 +229,17 @@ func (st *reduceState[K, V, V2]) schedule(ctx *timely.Ctx,
 		st.hIn.SetLogical(logical)
 		st.hOut.SetLogical(logical)
 	}
-	st.outAgent.Work(ctx, busy || len(emitted) > 0)
+	st.outAgent.Work(ctx, busy || emitted)
 }
 
-// evaluate re-forms the input of key k at time t, applies the reducer,
-// compares with the re-formed current output, and appends corrective output
-// updates. It returns lub-induced work that became ready.
-func (st *reduceState[K, V, V2]) evaluate(caps *timely.CapSet, k K, t lattice.Time,
-	frontier lattice.Frontier, emitted *[]core.Update[K, V2]) []keyTime[K] {
-
-	var newReady []keyTime[K]
-	// The shared cursors seek two traces ordered by fnIn and fnOut
-	// respectively, so reuse requires the key to be non-regressing under
-	// BOTH orders (they normally agree; checking both keeps a divergent
-	// fnOut correct at the cost of a fresh cursor pair per key).
-	if !st.curValid || st.curT != t ||
-		st.fnIn.LessK(k, st.curLastK) || st.fnOut.LessK(k, st.curLastK) {
-		st.curIn = st.hIn.Cursor()
-		st.curOut = st.hOut.Cursor()
-		st.curT = t
-		st.curValid = true
-	}
-	st.curLastK = k
-	inCur := st.curIn
+// evaluate re-forms the input of key k at time st.ready[r], applies the
+// reducer, compares with the re-formed current output, and appends
+// corrective output updates to st.emitted, where k's corrections at the
+// times evaluated before this one start at index start.
+func (st *reduceState[K, V, V2]) evaluate(caps *timely.CapSet, frontier lattice.Frontier, k K, r, start int) {
+	t := st.ready[r]
 	st.inVals = st.inVals[:0]
-	if inCur.SeekKey(k) {
+	if st.inCur.SeekKey(k) {
 		// Accumulate input at t via the cursor's ordered k-way value merge:
 		// equal values arrive adjacent, so a running (value, sum) pair
 		// replaces collect-and-sort. Along the way, discover lub-induced
@@ -254,7 +262,7 @@ func (st *reduceState[K, V, V2]) evaluate(caps *timely.CapSet, k K, t lattice.Ti
 				st.inVals = append(st.inVals, ValDiff[V]{curS.At(curIdx), curAcc})
 			}
 		}
-		inCur.ForUpdatesOrderedView(k, func(s *core.ValStore[V], vi int, ut lattice.Time, d core.Diff) {
+		st.inCur.ForUpdatesOrderedView(k, func(s *core.ValStore[V], vi int, ut lattice.Time, d core.Diff) {
 			if ut.LessEqual(t) {
 				if !curHas || curS.Less(st.fnIn.LessV, curIdx, s, vi) {
 					flush()
@@ -267,12 +275,7 @@ func (st *reduceState[K, V, V2]) evaluate(caps *timely.CapSet, k K, t lattice.Ti
 			if !t.LessEqual(ut) {
 				lub = ut.Join(t)
 			}
-			if !pendingHas(st.pending, k, lub) {
-				st.pend(caps, k, lub)
-				if !frontier.LessEqual(lub) {
-					newReady = append(newReady, keyTime[K]{k, lub})
-				}
-			}
+			st.discover(caps, frontier, k, r, lub)
 		})
 		flush()
 	}
@@ -282,56 +285,52 @@ func (st *reduceState[K, V, V2]) evaluate(caps *timely.CapSet, k K, t lattice.Ti
 		st.reducer(k, st.inVals, &st.outVals)
 	}
 
-	// Re-form the current output at t: sealed output trace plus updates
-	// emitted earlier in this round.
+	// Re-form the current output at t: the sealed output trace plus the
+	// corrections already emitted for k in this schedule.
 	st.outScratch = st.outScratch[:0]
-	outCur := st.curOut
-	if outCur.SeekKey(k) {
-		outCur.ForUpdates(k, func(v V2, ut lattice.Time, d core.Diff) {
+	if st.outCur.SeekKey(k) {
+		st.outCur.ForUpdates(k, func(v V2, ut lattice.Time, d core.Diff) {
 			if ut.LessEqual(t) {
 				st.outScratch = core.AccumInto(st.outScratch, st.fnOut.EqV, v, d)
 			}
 		})
 	}
-	for _, idx := range st.emittedIdx[k] {
-		u := (*emitted)[idx]
+	for _, u := range st.emitted[start:] {
 		if u.Time.LessEqual(t) {
 			st.outScratch = core.AccumInto(st.outScratch, st.fnOut.EqV, u.Val, u.Diff)
 		}
 	}
 
 	// Corrections: want minus have.
-	emit := func(u core.Update[K, V2]) {
-		st.emittedIdx[k] = append(st.emittedIdx[k], int32(len(*emitted)))
-		*emitted = append(*emitted, u)
-	}
 	for _, w := range st.outVals {
-		cur := accumGet(st.outScratch, st.fnOut.EqV, w.Val)
-		if w.Diff != cur {
-			emit(core.Update[K, V2]{Key: k, Val: w.Val, Time: t, Diff: w.Diff - cur})
+		if cur := accumGet(st.outScratch, st.fnOut.EqV, w.Val); w.Diff != cur {
+			st.emitted = append(st.emitted, core.Update[K, V2]{Key: k, Val: w.Val, Time: t, Diff: w.Diff - cur})
 		}
 	}
 	for _, h := range st.outScratch {
-		if h.Diff == 0 {
-			continue
-		}
-		found := false
-		for _, w := range st.outVals {
-			if st.fnOut.EqV(w.Val, h.Val) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			emit(core.Update[K, V2]{Key: k, Val: h.Val, Time: t, Diff: -h.Diff})
+		wanted := func(w ValDiff[V2]) bool { return st.fnOut.EqV(w.Val, h.Val) }
+		if h.Diff != 0 && !slices.ContainsFunc(st.outVals, wanted) {
+			st.emitted = append(st.emitted, core.Update[K, V2]{Key: k, Val: h.Val, Time: t, Diff: -h.Diff})
 		}
 	}
-	return newReady
 }
 
-func pendingHas[K comparable](p map[K]map[lattice.Time]bool, k K, t lattice.Time) bool {
-	m, ok := p[k]
-	return ok && m[t]
+// discover files lub, a time strictly later than the one under evaluation
+// (st.ready[r]) at which k's output may change: among k's times still to
+// evaluate when the frontier has passed it, else with the work for a later
+// schedule.
+func (st *reduceState[K, V, V2]) discover(caps *timely.CapSet, frontier lattice.Frontier, k K, r int, lub lattice.Time) {
+	if frontier.LessEqual(lub) {
+		if n := len(st.later); n == 0 || st.later[n-1].t != lub || st.fnIn.LessK(st.later[n-1].k, k) {
+			caps.Insert(lub)
+			st.later = append(st.later, keyTime[K]{k, lub})
+		}
+		return
+	}
+	if i, found := slices.BinarySearchFunc(st.ready[r+1:], lub, cmpTime); !found {
+		caps.Insert(lub)
+		st.ready = slices.Insert(st.ready, r+1+i, lub)
+	}
 }
 
 func accumGet[V any](entries []core.AccumEntry[V], eq func(a, b V) bool, v V) core.Diff {
@@ -347,8 +346,7 @@ func accumGet[V any](entries []core.AccumEntry[V], eq func(a, b V) bool, v V) co
 // output collection.
 func Reduce[K comparable, V, V2 any](c Collection[K, V], fnIn core.Funcs[K, V],
 	fnOut core.Funcs[K, V2], name string, reducer Reducer[K, V, V2]) Collection[K, V2] {
-	arr := Arrange(c, fnIn, name+"-arrange")
-	return Flatten(ReduceCore(arr, fnOut, name, reducer))
+	return Flatten(ReduceCore(Arrange(c, fnIn, name+"-arrange"), fnOut, name, reducer))
 }
 
 // Count yields, for each key, the total multiplicity of its records.
@@ -382,14 +380,16 @@ func Distinct[K comparable, V any](c Collection[K, V], fn core.Funcs[K, V]) Coll
 // DistinctCore is Distinct over an existing arrangement, returning the
 // arranged output for reuse.
 func DistinctCore[K comparable, V any](a *core.Arranged[K, V]) *core.Arranged[K, V] {
-	return ReduceCore(a, a.Agent.Fn, "Distinct",
-		func(k K, in []ValDiff[V], out *[]ValDiff[V]) {
-			for _, e := range in {
-				if e.Diff > 0 {
-					*out = append(*out, ValDiff[V]{Val: e.Val, Diff: 1})
-				}
-			}
-		})
+	return ReduceCore(a, a.Agent.Fn, "Distinct", distinct[K, V])
+}
+
+// distinct is Distinct's reducer: each present value, once.
+func distinct[K, V any](_ K, in []ValDiff[V], out *[]ValDiff[V]) {
+	for _, e := range in {
+		if e.Diff > 0 {
+			*out = append(*out, ValDiff[V]{Val: e.Val, Diff: 1})
+		}
+	}
 }
 
 // Threshold maps each (key, value) multiplicity through f (zero drops it).

@@ -27,6 +27,10 @@ func FuzzReduceOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := DecodeHistory(data, 4, 5, 8)
 		checkCountDistinctOracle(t, 2, h)
+		// All four epochs sealed in one step: each key's times in one schedule.
+		h.SealEvery = h.Epochs
+		checkCountDistinctOracle(t, 1, h)
+		checkCountDistinctOracle(t, 3, h)
 	})
 }
 

@@ -27,6 +27,10 @@ type HistOp struct {
 type History struct {
 	Epochs int
 	Ops    []HistOp
+	// SealEvery is how many epochs the feed seals before it steps the
+	// workers (0 means 1): with several, one schedule of an operator
+	// downstream sees several complete epochs at once.
+	SealEvery int
 }
 
 // RandomHistory generates a history of the given shape: perEpoch updates per
@@ -120,7 +124,7 @@ func (h History) sendEpoch(in *dd.InputCollection[uint64, uint64], e int) {
 }
 
 // feed streams a history's epochs through an input collection on worker 0,
-// waiting on the probe after every epoch so per-epoch outputs consolidate.
+// waiting on the probe after every SealEvery epochs.
 func feed(w *timely.Worker, in *dd.InputCollection[uint64, uint64], h History, probe *timely.Probe) {
 	if w.Index() != 0 {
 		in.Close()
@@ -130,7 +134,9 @@ func feed(w *timely.Worker, in *dd.InputCollection[uint64, uint64], h History, p
 	for e := 0; e < h.Epochs; e++ {
 		h.sendEpoch(in, e)
 		in.AdvanceTo(uint64(e) + 1)
-		w.StepUntil(func() bool { return probe.Done(lattice.Ts(uint64(e))) })
+		if (e+1)%max(h.SealEvery, 1) == 0 || e == h.Epochs-1 {
+			w.StepUntil(func() bool { return probe.Done(lattice.Ts(uint64(e))) })
+		}
 	}
 	in.Close()
 	w.Drain()

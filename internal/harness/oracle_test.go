@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -236,14 +237,53 @@ func TestOracleSum(t *testing.T) {
 	}
 }
 
+// reduceEvaluations is how many times a depth-1 reduce over h invokes its
+// reducer: once per key and epoch at which the key's input changes and is
+// not empty afterwards.
+func reduceEvaluations(h History) int64 {
+	var n int64
+	prev := map[[2]uint64]core.Diff{}
+	for e := 0; e < h.Epochs; e++ {
+		net := NetAt(h, uint64(e))
+		changed, present := map[uint64]bool{}, map[uint64]bool{}
+		for kv, d := range net {
+			present[kv[0]] = true
+			if prev[kv] != d {
+				changed[kv[0]] = true
+			}
+		}
+		for kv := range prev {
+			if net[kv] == 0 {
+				changed[kv[0]] = true
+			}
+		}
+		for k := range changed {
+			if present[k] {
+				n++
+			}
+		}
+		prev = net
+	}
+	return n
+}
+
+// TestOracleReduceCustom also seals four epochs before each step: one
+// schedule of the reduce then evaluates each key at several times, with
+// retractions among them. It must take them in time order, and evaluate
+// each once: a later time evaluated too early reads its predecessors'
+// output before their corrections, and only a second evaluation, once they
+// are made, sets it right.
 func TestOracleReduceCustom(t *testing.T) {
 	// A custom reducer: emit the maximum present value of each key.
 	h := RandomHistory(rand.New(rand.NewSource(16)), 8, 24, 5, 12, 0.35)
-	for _, workers := range oracleWorkers {
+	for _, run := range oracleRuns(h, 4) {
+		h, workers := run.h, run.workers
+		var calls atomic.Int64
 		got := CollectEpochs(workers, h,
 			func(g *timely.Graph, c dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
 				return dd.Reduce(c, core.U64(), core.U64(), "MaxVal",
 					func(k uint64, in []dd.ValDiff[uint64], out *[]dd.ValDiff[uint64]) {
+						calls.Add(1)
 						best, ok := uint64(0), false
 						for _, e := range in {
 							if e.Diff > 0 && (!ok || e.Val > best) {
@@ -267,16 +307,49 @@ func TestOracleReduceCustom(t *testing.T) {
 			for k, v := range best {
 				want[[2]any{k, v}] = 1
 			}
-			diffMaps(t, fmt.Sprintf("reduce-max/w%d", workers), e, got[e], want)
+			diffMaps(t, fmt.Sprintf("reduce-max/w%d/seal%d", workers, h.SealEvery), e, got[e], want)
+		}
+		if got, want := calls.Load(), reduceEvaluations(h); got != want {
+			t.Errorf("reduce-max/w%d/seal%d: %d evaluations, want %d", workers, h.SealEvery, got, want)
 		}
 	}
 }
 
+// oracleRun is one way to drive a history: its worker count and how many
+// epochs are sealed per step.
+type oracleRun struct {
+	h       History
+	workers int
+}
+
+// oracleRuns drives h on every oracle worker count, each epoch sealed and
+// stepped alone, then with seal epochs sealed per step.
+func oracleRuns(h History, seal int) []oracleRun {
+	var runs []oracleRun
+	for _, every := range []int{1, seal} {
+		h.SealEvery = every
+		for _, workers := range oracleWorkers {
+			runs = append(runs, oracleRun{h, workers})
+		}
+	}
+	return runs
+}
+
+// TestOracleIterate also seals epochs together. Their loops then run side
+// by side, and one key can change at incomparable times whose lub is no
+// input time of its own. The crafted history makes that certain: key 0
+// reaches value 1 at round 2 of epoch 0 (8, 4, 2, 1) and at round 0 of
+// epoch 1, which has converged by round 2. Evaluating (0,2), the reduce
+// finds the lub (1,2) ready in the same schedule, and only there does value
+// 1's second derivation get retracted; deferring it to a later schedule
+// emits behind the sealed output.
 func TestOracleIterate(t *testing.T) {
 	// Fixed point of v -> v/2 closure: every present (k, v) derives the chain
 	// v, v/2, ..., 0, each with multiplicity one (the body distinct-s).
 	h := RandomHistory(rand.New(rand.NewSource(17)), 6, 16, 4, 16, 0.3)
-	for _, workers := range oracleWorkers {
+	meet := History{Epochs: 3, Ops: []HistOp{{0, 8, 1, 0}, {0, 1, 1, 1}, {0, 8, -1, 2}}}
+	for _, run := range append(oracleRuns(h, 3), oracleRuns(meet, 3)...) {
+		h, workers := run.h, run.workers
 		got := CollectEpochs(workers, h,
 			func(g *timely.Graph, c dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
 				return dd.Iterate(c, func(x dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
@@ -299,7 +372,7 @@ func TestOracleIterate(t *testing.T) {
 					v /= 2
 				}
 			}
-			diffMaps(t, fmt.Sprintf("iterate/w%d", workers), e, got[e], want)
+			diffMaps(t, fmt.Sprintf("iterate/w%d/seal%d", workers, h.SealEvery), e, got[e], want)
 		}
 	}
 }
