@@ -65,9 +65,9 @@
 //     deltas over TCP. Frames reuse the WAL's CRC32-C record format and
 //     codecs; per-query hubs tie backpressure to the epoch cycle, so a
 //     slow subscriber lags only its own stream, never the workers.
-//   - workload substrates (internal/tpch, graphs, datalog, graspan, and
-//     interactive with its live installation wiring), which the examples
-//     and the bench/ module drive.
+//   - workload substrates (internal/tpch, graphs, interactive with its live
+//     installation wiring, and datalog and graspan: the paper's programs as
+//     Datalog text for internal/plan), which the examples and bench/ drive.
 //
 // internal/harness carries the operator-oracle property harness:
 // randomized multi-epoch insert/delete histories driven through every dd

@@ -1,14 +1,63 @@
-// Package datalog implements the paper's Datalog workloads as differential
-// dataflows: bottom-up evaluation of transitive closure (tc) and same
-// generation (sg), and the magic-set transformed, interactively seeded
-// top-down variants tc(x,?), tc(?,x) and sg(x,?) whose query arguments are
-// independent input collections (§6.3).
+// Package datalog holds the paper's Datalog workloads (§6.3) as program text
+// for internal/plan: bottom-up transitive closure (tc) and same generation
+// (sg), and the magic-set transformed, interactively seeded top-down variants
+// tc(x,?), tc(?,x) and sg(x,?), whose bound arguments are an input relation.
+// TC is the one hand-built dataflow kept beside them, as the referee the
+// compiled programs are held to; the oracles evaluate the relations by brute
+// force.
 package datalog
 
 import (
 	"repro/internal/core"
 	"repro/internal/dd"
 	"repro/internal/graphs"
+)
+
+// The programs read the graph as edges(x, y). The seeded ones also read
+// seeds(a, _): its keys are the bound query arguments, its values are
+// ignored, and adding or retracting a seed extends or retracts its answers
+// incrementally against the maintained edge arrangement.
+const (
+	// TCSrc is transitive closure.
+	TCSrc = `
+tc(x, y) :- edges(x, y).
+tc(x, z) :- tc(x, y), edges(y, z).
+`
+
+	// SGSrc is same generation: distinct nodes with a common parent, or with
+	// parents of the same generation.
+	SGSrc = `
+sg(x, y) :- edges(p, x), edges(p, y), x != y.
+sg(x, y) :- edges(px, x), edges(py, y), sg(px, py), x != y.
+`
+
+	// TCFromSrc answers tc(a, ?) for every seed a as tcf(y, a): y is
+	// reachable from a. Its magic set is the seeds themselves. The reached
+	// node comes first because a relation is keyed, and made distinct, by
+	// its first argument: keyed by the seed, all of a seed's answers would
+	// pile onto one key.
+	TCFromSrc = `
+tcf(y, a) :- seeds(a, _), edges(a, y).
+tcf(z, a) :- tcf(y, a), edges(y, z).
+`
+
+	// TCToSrc answers tc(?, a) for every seed a, walking edges backwards from
+	// it with the right-linear rule.
+	TCToSrc = `
+tct(x, a) :- edges(x, a), seeds(a, _).
+tct(x, a) :- edges(x, y), tct(y, a).
+`
+
+	// SGFromSrc answers sg(a, ?) for every seed a. The magic predicate sgm
+	// holds the seeds and their ancestors, the nodes whose sg facts an answer
+	// depends on, and both sg rules are restricted to first arguments in it.
+	SGFromSrc = `
+sgm(a, a) :- seeds(a, _).
+sgm(p, p) :- sgm(x, _), edges(p, x).
+sgf(x, y) :- sgm(x, _), edges(p, x), edges(p, y), x != y.
+sgf(x, y) :- sgm(x, _), edges(px, x), sgf(px, py), edges(py, y), x != y.
+?- sgf(_, _).
+`
 )
 
 // TC computes the full transitive closure of the edge collection as (x, y)
@@ -19,107 +68,10 @@ func TC(edges dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
 			// tc keyed by its endpoint y, edges by their source y.
 			byY := dd.Map(tc, func(x, y uint64) (uint64, uint64) { return y, x })
 			aTC := dd.Arrange(byY, core.U64(), "tc-by-y")
-			aE := dd.Arrange(seedEdges(seed), core.U64(), "edges")
+			aE := dd.Arrange(seed, core.U64(), "edges")
 			ext := dd.JoinCore(aE, aTC, "extend",
 				func(y, z, x uint64) (uint64, uint64) { return x, z })
 			return dd.Distinct(dd.Concat(seed, ext), core.U64())
-		})
-}
-
-// seedEdges is the identity; named for readability at call sites where the
-// seed collection is the edge relation itself.
-func seedEdges(seed dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-	return seed
-}
-
-// SG computes the same-generation relation:
-// sg(x,y) :- e(p,x), e(p,y), x≠y; sg(x,y) :- e(px,x), e(py,y), sg(px,py).
-func SG(edges dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-	aE0 := dd.Arrange(edges, core.U64(), "edges-base")
-	base := dd.Filter(
-		dd.JoinCore(aE0, aE0, "siblings",
-			func(p, x, y uint64) (uint64, uint64) { return x, y }),
-		func(x, y uint64) bool { return x != y })
-	return dd.IterateFrom(base,
-		func(seed, sg dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-			aE := dd.Arrange(dd.Enter(edges), core.U64(), "edges")
-			aSG := dd.Arrange(sg, core.U64(), "sg-by-px")
-			s1 := dd.JoinCore(aE, aSG, "left",
-				func(px, x, py uint64) (uint64, uint64) { return py, x })
-			aS1 := dd.Arrange(s1, core.U64(), "s1-by-py")
-			s2 := dd.JoinCore(aE, aS1, "right",
-				func(py, y, x uint64) (uint64, uint64) { return x, y })
-			next := dd.Filter(s2, func(x, y uint64) bool { return x != y })
-			return dd.Distinct(dd.Concat(seed, next), core.U64())
-		})
-}
-
-// TCFrom answers tc(a, ?) for every a in the seeds collection: the pairs
-// (a, y) with y reachable from a. Seeds are an interactive input; adding or
-// removing a seed incrementally extends or retracts its answers, reusing the
-// maintained edge arrangement (the magic-set/top-down evaluation of §6.3).
-func TCFrom(aEdges *core.Arranged[uint64, uint64],
-	seeds dd.Collection[uint64, core.Unit]) dd.Collection[uint64, uint64] {
-
-	// (cur, origin) pairs, seeded with (a, a).
-	start := dd.Map(seeds, func(a uint64, _ core.Unit) (uint64, uint64) { return a, a })
-	reached := dd.IterateFrom(start,
-		func(seed, cur dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-			ae := dd.EnterArranged(aEdges, "edges-enter")
-			ac := dd.Arrange(cur, core.U64(), "cursor")
-			step := dd.JoinCore(ae, ac, "step",
-				func(c, nxt, origin uint64) (uint64, uint64) { return nxt, origin })
-			return dd.Distinct(dd.Concat(seed, step), core.U64())
-		})
-	// (cur, origin) -> (origin, cur), excluding the trivial (a, a).
-	return dd.Filter(
-		dd.Map(reached, func(cur, origin uint64) (uint64, uint64) { return origin, cur }),
-		func(origin, cur uint64) bool { return origin != cur })
-}
-
-// TCTo answers tc(?, a): pairs (x, a) with a reachable from x. It is TCFrom
-// over the reversed edge arrangement.
-func TCTo(aRevEdges *core.Arranged[uint64, uint64],
-	seeds dd.Collection[uint64, core.Unit]) dd.Collection[uint64, uint64] {
-	back := TCFrom(aRevEdges, seeds)
-	return dd.Map(back, func(a, x uint64) (uint64, uint64) { return x, a })
-}
-
-// SGFrom answers sg(a, ?) for seeds a, via the magic-set transformation: the
-// magic predicate m is the ancestor closure of the seeds (over reversed
-// edges), and the sg rules are restricted to first arguments in m.
-func SGFrom(aEdges, aRevEdges *core.Arranged[uint64, uint64],
-	edges dd.Collection[uint64, uint64],
-	seeds dd.Collection[uint64, core.Unit]) dd.Collection[uint64, uint64] {
-
-	// m: seeds and all their ancestors.
-	magic := graphs.Reach(aRevEdges, seeds)
-
-	// Restricted base: sg'(x,y) :- m(x), e(p,x), e(p,y), x≠y.
-	xs := dd.SemiJoin(
-		dd.Map(edges, func(p, x uint64) (uint64, uint64) { return x, p }),
-		core.U64(), magic, core.U64Key()) // (x, p) for x in m
-	aXs := dd.Arrange(dd.Map(xs, func(x, p uint64) (uint64, uint64) { return p, x }),
-		core.U64(), "mx-by-p")
-	base := dd.Filter(
-		dd.JoinCore(aXs, aEdges, "m-siblings",
-			func(p, x, y uint64) (uint64, uint64) { return x, y }),
-		func(x, y uint64) bool { return x != y })
-
-	magicEntered := dd.Enter(magic)
-	return dd.IterateFrom(base,
-		func(seed, sg dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-			aE := dd.EnterArranged(aEdges, "edges-enter")
-			aSG := dd.Arrange(sg, core.U64(), "sg-by-px")
-			s1 := dd.JoinCore(aE, aSG, "left",
-				func(px, x, py uint64) (uint64, uint64) { return py, x })
-			aS1 := dd.Arrange(s1, core.U64(), "s1-by-py")
-			s2 := dd.JoinCore(aE, aS1, "right",
-				func(py, y, x uint64) (uint64, uint64) { return x, y })
-			// Restrict new pairs to first argument in m.
-			restricted := dd.SemiJoin(s2, core.U64(), magicEntered, core.U64Key())
-			next := dd.Filter(restricted, func(x, y uint64) bool { return x != y })
-			return dd.Distinct(dd.Concat(seed, next), core.U64())
 		})
 }
 
@@ -146,9 +98,6 @@ func TCOracle(edges []graphs.Edge) map[[2]uint64]bool {
 			stack = append(stack, adj[v]...)
 		}
 	}
-	// Sources without outgoing edges contribute nothing; targets reachable
-	// from intermediate nodes are found when iterating every adjacency key,
-	// but nodes that appear only as destinations need a pass too.
 	return out
 }
 

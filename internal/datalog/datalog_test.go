@@ -1,42 +1,126 @@
 package datalog
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dd"
 	"repro/internal/graphs"
 	"repro/internal/lattice"
+	"repro/internal/plan"
 	"repro/internal/timely"
 )
 
-func runStatic(t *testing.T, workers int, edges []graphs.Edge,
-	build func(ec dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64]) map[[2]uint64]bool {
+// step is one epoch of input: updates by relation name.
+type step map[string][]core.Update[uint64, uint64]
 
+// inserts adds every edge once.
+func inserts(edges []graphs.Edge) []core.Update[uint64, uint64] {
+	upds := make([]core.Update[uint64, uint64], len(edges))
+	for i, e := range edges {
+		upds[i] = core.Update[uint64, uint64]{Key: e.Src, Val: e.Dst, Diff: 1}
+	}
+	return upds
+}
+
+// seed adds (d = 1) or retracts (d = -1) the seed a.
+func seed(a uint64, d core.Diff) []core.Update[uint64, uint64] {
+	return []core.Update[uint64, uint64]{{Key: a, Val: a, Diff: d}}
+}
+
+// builder builds a dataflow over named input relations.
+type builder func(rels map[string]dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64]
+
+// handTC is the hand-built TC over the edges relation.
+func handTC(rels map[string]dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
+	return TC(rels["edges"])
+}
+
+// program compiles a program text to a builder that arranges each relation
+// the program reads from its input. Each worker builds its own compiled plan:
+// Build memoizes keys in the nodes it reads, so workers must not share one.
+func program(t *testing.T, src string) builder {
 	t.Helper()
+	prog, err := plan.ParseDatalog(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if _, _, err := plan.Compile(prog); err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return func(rels map[string]dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
+		root, _, _ := plan.Compile(prog) // compiled without error above
+		out, err := plan.Build(root, plan.Env{Source: func(rel string) (*core.Arranged[uint64, uint64], error) {
+			in, ok := rels[rel]
+			if !ok {
+				return nil, fmt.Errorf("no input relation %q", rel)
+			}
+			return dd.Arrange(in, core.U64(), rel), nil
+		}})
+		if err != nil {
+			panic(err) // on a worker goroutine, where t.Fatal may not run
+		}
+		return out
+	}
+}
+
+// run builds b on the given number of workers, with one input for every
+// relation the steps name, feeds step e from worker 0 at epoch e, and returns
+// the output accumulated at each epoch as a set. Every record must have
+// multiplicity one.
+func run(t *testing.T, workers int, b builder, steps ...step) []map[[2]uint64]bool {
+	t.Helper()
+	var names []string
+	for _, s := range steps {
+		for n := range s {
+			if !slices.Contains(names, n) {
+				names = append(names, n)
+			}
+		}
+	}
+	slices.Sort(names) // every worker builds the same dataflow
 	cap := &dd.Captured[uint64, uint64]{}
 	timely.Execute(workers, func(w *timely.Worker) {
-		var in *dd.InputCollection[uint64, uint64]
+		ins := make([]*dd.InputCollection[uint64, uint64], len(names))
+		var probe *timely.Probe
 		w.Dataflow(func(g *timely.Graph) {
-			ein, ec := dd.NewInput[uint64, uint64](g)
-			in = ein
-			out := build(ec)
+			rels := map[string]dd.Collection[uint64, uint64]{}
+			for i, n := range names {
+				ins[i], rels[n] = dd.NewInput[uint64, uint64](g)
+			}
+			out := b(rels)
 			dd.Capture(out, cap)
+			probe = dd.Probe(out)
 		})
-		if w.Index() == 0 {
-			graphs.EdgesInput(in, edges)
+		for e, s := range steps {
+			for i, n := range names {
+				if w.Index() == 0 {
+					for _, u := range s[n] {
+						ins[i].UpdateAt(u.Key, u.Val, u.Diff)
+					}
+				}
+				ins[i].AdvanceTo(uint64(e + 1))
+			}
+			w.StepUntil(func() bool { return probe.Done(lattice.Ts(uint64(e))) })
 		}
-		in.Close()
+		for _, in := range ins {
+			in.Close()
+		}
 		w.Drain()
 	})
-	out := map[[2]uint64]bool{}
-	for kv, d := range cap.At(lattice.Ts(0)) {
-		if d != 1 {
-			t.Fatalf("non-unit multiplicity %d for %v", d, kv)
+	sets := make([]map[[2]uint64]bool, len(steps))
+	for e := range steps {
+		sets[e] = map[[2]uint64]bool{}
+		for kv, d := range cap.At(lattice.Ts(uint64(e))) {
+			if d != 1 {
+				t.Fatalf("epoch %d: multiplicity %d for %v", e, d, kv)
+			}
+			sets[e][[2]uint64{kv[0].(uint64), kv[1].(uint64)}] = true
 		}
-		out[[2]uint64{kv[0].(uint64), kv[1].(uint64)}] = true
 	}
-	return out
+	return sets
 }
 
 func sameSet(t *testing.T, name string, got, want map[[2]uint64]bool) {
@@ -53,33 +137,33 @@ func sameSet(t *testing.T, name string, got, want map[[2]uint64]bool) {
 	}
 }
 
+// TestTCOnChainAndTree holds the hand-built TC and the compiled TCSrc to the
+// oracle.
 func TestTCOnChainAndTree(t *testing.T) {
 	for _, edges := range [][]graphs.Edge{graphs.Chain(6), graphs.Tree(2, 3)} {
 		want := TCOracle(edges)
-		got := runStatic(t, 2, edges, TC)
-		sameSet(t, "tc", got, want)
+		sameSet(t, "tc", run(t, 2, handTC, step{"edges": inserts(edges)})[0], want)
+		sameSet(t, "tc program", run(t, 2, program(t, TCSrc), step{"edges": inserts(edges)})[0], want)
 	}
 }
 
 func TestTCOnRandom(t *testing.T) {
 	edges := graphs.Random(25, 40, 5)
 	want := TCOracle(edges)
-	got := runStatic(t, 1, edges, TC)
-	sameSet(t, "tc-random", got, want)
+	sameSet(t, "tc-random", run(t, 1, handTC, step{"edges": inserts(edges)})[0], want)
+	sameSet(t, "tc-random program", run(t, 1, program(t, TCSrc), step{"edges": inserts(edges)})[0], want)
 }
 
 func TestSGOnTree(t *testing.T) {
 	edges := graphs.Tree(2, 3)
-	want := SGOracle(edges)
-	got := runStatic(t, 2, edges, SG)
-	sameSet(t, "sg", got, want)
+	got := run(t, 2, program(t, SGSrc), step{"edges": inserts(edges)})[0]
+	sameSet(t, "sg", got, SGOracle(edges))
 }
 
 func TestSGOnGrid(t *testing.T) {
 	edges := graphs.Grid(4)
-	want := SGOracle(edges)
-	got := runStatic(t, 1, edges, SG)
-	sameSet(t, "sg-grid", got, want)
+	got := run(t, 1, program(t, SGSrc), step{"edges": inserts(edges)})[0]
+	sameSet(t, "sg-grid", got, SGOracle(edges))
 }
 
 // TestTCFromInteractive: seeds arrive and depart over epochs; answers must
@@ -87,107 +171,32 @@ func TestSGOnGrid(t *testing.T) {
 func TestTCFromInteractive(t *testing.T) {
 	edges := graphs.Tree(3, 3)
 	full := TCOracle(edges)
-	cap := &dd.Captured[uint64, uint64]{}
-	seedOps := []struct {
-		node uint64
-		d    core.Diff
-		e    uint64
-	}{
-		{0, 1, 0},  // root: reaches everything
-		{1, 1, 1},  // add subtree root
-		{0, -1, 2}, // remove root
-	}
-	timely.Execute(2, func(w *timely.Worker) {
-		var ein *dd.InputCollection[uint64, uint64]
-		var sin *dd.InputCollection[uint64, core.Unit]
-		var probe *timely.Probe
-		w.Dataflow(func(g *timely.Graph) {
-			e, ec := dd.NewInput[uint64, uint64](g)
-			s, sc := dd.NewInput[uint64, core.Unit](g)
-			ein, sin = e, s
-			aE := dd.Arrange(ec, core.U64(), "edges")
-			out := TCFrom(aE, sc)
-			dd.Capture(out, cap)
-			probe = dd.Probe(out)
-		})
-		if w.Index() == 0 {
-			graphs.EdgesInput(ein, edges)
-			for e := uint64(0); e < 3; e++ {
-				for _, op := range seedOps {
-					if op.e == e {
-						sin.UpdateAt(op.node, core.Unit{}, op.d)
-					}
-				}
-				ein.AdvanceTo(e + 1)
-				sin.AdvanceTo(e + 1)
-				w.StepUntil(func() bool { return probe.Done(lattice.Ts(e)) })
-			}
-		}
-		ein.Close()
-		sin.Close()
-		w.Drain()
-	})
-	for e := uint64(0); e < 3; e++ {
-		seeds := map[uint64]bool{}
-		for _, op := range seedOps {
-			if op.e <= e {
-				if op.d > 0 {
-					seeds[op.node] = true
-				} else {
-					delete(seeds, op.node)
-				}
-			}
-		}
-		want := map[[2]uint64]bool{}
+	got := run(t, 2, program(t, TCFromSrc),
+		step{"edges": inserts(edges), "seeds": seed(0, 1)}, // root: reaches everything
+		step{"seeds": seed(1, 1)},                          // add subtree root
+		step{"seeds": seed(0, -1)},                         // remove root
+	)
+	live := []map[uint64]bool{{0: true}, {0: true, 1: true}, {1: true}}
+	for e := range got {
+		want := map[[2]uint64]bool{} // tcf(y, a) for tc(a, y)
 		for p := range full {
-			if seeds[p[0]] {
-				want[p] = true
+			if live[e][p[0]] {
+				want[[2]uint64{p[1], p[0]}] = true
 			}
 		}
-		acc := cap.At(lattice.Ts(e))
-		got := map[[2]uint64]bool{}
-		for kv, d := range acc {
-			if d != 1 {
-				t.Fatalf("epoch %d: multiplicity %d for %v", e, d, kv)
-			}
-			got[[2]uint64{kv[0].(uint64), kv[1].(uint64)}] = true
-		}
-		sameSet(t, "tcfrom", got, want)
+		sameSet(t, fmt.Sprintf("tcfrom@%d", e), got[e], want)
 	}
 }
 
 func TestTCToMatchesReverseOracle(t *testing.T) {
 	edges := graphs.Chain(7)
-	full := TCOracle(edges)
 	const target = 5
-	cap := &dd.Captured[uint64, uint64]{}
-	timely.Execute(1, func(w *timely.Worker) {
-		var ein *dd.InputCollection[uint64, uint64]
-		var sin *dd.InputCollection[uint64, core.Unit]
-		w.Dataflow(func(g *timely.Graph) {
-			e, ec := dd.NewInput[uint64, uint64](g)
-			s, sc := dd.NewInput[uint64, core.Unit](g)
-			ein, sin = e, s
-			rev := dd.Map(ec, func(a, b uint64) (uint64, uint64) { return b, a })
-			aRev := dd.Arrange(rev, core.U64(), "rev-edges")
-			out := TCTo(aRev, sc)
-			dd.Capture(out, cap)
-		})
-		graphs.EdgesInput(ein, edges)
-		sin.Insert(target, core.Unit{})
-		ein.Close()
-		sin.Close()
-		w.Drain()
-	})
+	got := run(t, 1, program(t, TCToSrc), step{"edges": inserts(edges), "seeds": seed(target, 1)})[0]
 	want := map[[2]uint64]bool{}
-	for p := range full {
+	for p := range TCOracle(edges) {
 		if p[1] == target {
 			want[p] = true
 		}
-	}
-	got := map[[2]uint64]bool{}
-	for kv := range cap.At(lattice.Ts(0)) {
-		got[[2]uint64{kv[0].(uint64), kv[1].(uint64)}] = true
 	}
 	sameSet(t, "tcto", got, want)
 }
@@ -195,42 +204,15 @@ func TestTCToMatchesReverseOracle(t *testing.T) {
 func TestSGFromSeeded(t *testing.T) {
 	edges := graphs.Tree(2, 4)
 	full := SGOracle(edges)
-	const seed = 3 // some node at depth 2
-	cap := &dd.Captured[uint64, uint64]{}
-	timely.Execute(2, func(w *timely.Worker) {
-		var ein *dd.InputCollection[uint64, uint64]
-		var sin *dd.InputCollection[uint64, core.Unit]
-		w.Dataflow(func(g *timely.Graph) {
-			e, ec := dd.NewInput[uint64, uint64](g)
-			s, sc := dd.NewInput[uint64, core.Unit](g)
-			ein, sin = e, s
-			aE := dd.Arrange(ec, core.U64(), "edges")
-			rev := dd.Map(ec, func(a, b uint64) (uint64, uint64) { return b, a })
-			aRev := dd.Arrange(rev, core.U64(), "rev-edges")
-			out := SGFrom(aE, aRev, ec, sc)
-			dd.Capture(out, cap)
-		})
-		if w.Index() == 0 {
-			graphs.EdgesInput(ein, edges)
-			sin.Insert(seed, core.Unit{})
-		}
-		ein.Close()
-		sin.Close()
-		w.Drain()
-	})
-	got := map[[2]uint64]bool{}
-	for kv := range cap.At(lattice.Ts(0)) {
-		got[[2]uint64{kv[0].(uint64), kv[1].(uint64)}] = true
-	}
+	const s = 3 // some node at depth 2
+	got := run(t, 2, program(t, SGFromSrc), step{"edges": inserts(edges), "seeds": seed(s, 1)})[0]
 	// The magic-set result must contain exactly the full sg pairs whose
 	// first argument is the seed... and may contain pairs for other nodes in
 	// the magic set (ancestors of the seed); the answers for the seed are
 	// what the query reads out.
 	for p := range full {
-		if p[0] == seed {
-			if !got[p] {
-				t.Fatalf("sgfrom: missing %v", p)
-			}
+		if p[0] == s && !got[p] {
+			t.Fatalf("sgfrom: missing %v", p)
 		}
 	}
 	for p := range got {

@@ -16,14 +16,6 @@ func EdgesInput(in *dd.InputCollection[uint64, uint64], edges []Edge) {
 	in.SendSlice(upds)
 }
 
-// Nodes derives the set of nodes (keys with Unit values) from an edge
-// collection.
-func Nodes(edges dd.Collection[uint64, uint64]) dd.Collection[uint64, core.Unit] {
-	srcs := dd.Map(edges, func(s, d uint64) (uint64, core.Unit) { return s, core.Unit{} })
-	dsts := dd.Map(edges, func(s, d uint64) (uint64, core.Unit) { return d, core.Unit{} })
-	return dd.Distinct(dd.Concat(srcs, dsts), core.U64Key())
-}
-
 // Reach computes the nodes reachable from roots along arranged edges. The
 // edge arrangement is entered into the iteration scope, so its index is
 // shared rather than rebuilt (the paper's "economy" property).
@@ -37,72 +29,5 @@ func Reach(aEdges *core.Arranged[uint64, uint64],
 			next := dd.JoinCore(ae, ar, "expand",
 				func(k, dst uint64, _ core.Unit) (uint64, core.Unit) { return dst, core.Unit{} })
 			return dd.Distinct(dd.Concat(seed, next), core.U64Key())
-		})
-}
-
-// BFS computes hop distances from roots: each reachable node is labeled with
-// its minimum distance (breadth-first distance labeling).
-func BFS(aEdges *core.Arranged[uint64, uint64],
-	roots dd.Collection[uint64, core.Unit]) dd.Collection[uint64, uint64] {
-
-	seed := dd.Map(roots, func(n uint64, _ core.Unit) (uint64, uint64) { return n, 0 })
-	return dd.IterateFrom(seed,
-		func(sd, dists dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-			ae := dd.EnterArranged(aEdges, "edges-enter")
-			ad := dd.Arrange(dists, core.U64(), "dists")
-			prop := dd.JoinCore(ae, ad, "hop",
-				func(n, dst, dist uint64) (uint64, uint64) { return dst, dist + 1 })
-			return minReduce(dd.Concat(sd, prop))
-		})
-}
-
-// minReduce keeps, per key, the single minimum value with multiplicity one.
-func minReduce(c dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-	return dd.Reduce(c, core.U64(), core.U64(), "min",
-		func(k uint64, in []dd.ValDiff[uint64], out *[]dd.ValDiff[uint64]) {
-			min := in[0].Val
-			for _, e := range in {
-				if e.Val < min {
-					min = e.Val
-				}
-			}
-			*out = append(*out, dd.ValDiff[uint64]{Val: min, Diff: 1})
-		})
-}
-
-// CC computes undirected connectivity by label propagation over a
-// symmetrized edge arrangement: every node is labeled with the least node id
-// in its component.
-func CC(aEdgesSym *core.Arranged[uint64, uint64],
-	nodes dd.Collection[uint64, core.Unit]) dd.Collection[uint64, uint64] {
-
-	seed := dd.Map(nodes, func(n uint64, _ core.Unit) (uint64, uint64) { return n, n })
-	return dd.IterateFrom(seed,
-		func(sd, labels dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-			ae := dd.EnterArranged(aEdgesSym, "edges-enter")
-			al := dd.Arrange(labels, core.U64(), "labels")
-			prop := dd.JoinCore(ae, al, "prop",
-				func(n, nbr, lab uint64) (uint64, uint64) { return nbr, lab })
-			return minReduce(dd.Concat(sd, prop))
-		})
-}
-
-// CCBidirectional computes undirected connectivity from separately
-// maintained forward and reverse edge arrangements (e.g. both imported from
-// other dataflows), propagating labels across both.
-func CCBidirectional(aFwd, aRev *core.Arranged[uint64, uint64],
-	nodes dd.Collection[uint64, core.Unit]) dd.Collection[uint64, uint64] {
-
-	seed := dd.Map(nodes, func(n uint64, _ core.Unit) (uint64, uint64) { return n, n })
-	return dd.IterateFrom(seed,
-		func(sd, labels dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-			af := dd.EnterArranged(aFwd, "fwd-enter")
-			ar := dd.EnterArranged(aRev, "rev-enter")
-			al := dd.Arrange(labels, core.U64(), "labels")
-			p1 := dd.JoinCore(af, al, "prop-f",
-				func(n, nbr, lab uint64) (uint64, uint64) { return nbr, lab })
-			p2 := dd.JoinCore(ar, al, "prop-r",
-				func(n, nbr, lab uint64) (uint64, uint64) { return nbr, lab })
-			return minReduce(dd.Concat(sd, dd.Concat(p1, p2)))
 		})
 }

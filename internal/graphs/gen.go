@@ -1,10 +1,8 @@
 // Package graphs provides the graph substrate for the paper's evaluation:
 // deterministic generators (random graphs standing in for the LiveJournal /
-// Orkut / Twitter datasets, trees and grids for the Datalog benchmarks),
-// differential dataflow implementations of reachability, breadth-first
-// distance labeling and undirected connectivity, and the purpose-written
-// single-threaded baselines (array-indexed and hash-map variants, plus
-// union-find) that the paper compares against.
+// Orkut / Twitter datasets, trees and grids for the Datalog benchmarks), a
+// loader that feeds an edge list into an input collection, and the paper's
+// Figure 1 reachability over a shared edge arrangement.
 package graphs
 
 import (
@@ -74,39 +72,4 @@ func Chain(n uint64) []Edge {
 		edges = append(edges, Edge{i, i + 1})
 	}
 	return edges
-}
-
-// MaxNode returns the largest node id appearing in edges, plus one.
-func MaxNode(edges []Edge) uint64 {
-	var max uint64
-	for _, e := range edges {
-		if e.Src > max {
-			max = e.Src
-		}
-		if e.Dst > max {
-			max = e.Dst
-		}
-	}
-	return max + 1
-}
-
-// Symmetrize returns edges plus their reversals (for undirected algorithms).
-func Symmetrize(edges []Edge) []Edge {
-	out := make([]Edge, 0, 2*len(edges))
-	for _, e := range edges {
-		out = append(out, e, Edge{e.Dst, e.Src})
-	}
-	return out
-}
-
-// FirstWithOut returns the first node with any outgoing edge (the paper's
-// convention for picking reach/sssp roots).
-func FirstWithOut(edges []Edge) uint64 {
-	best := ^uint64(0)
-	for _, e := range edges {
-		if e.Src < best {
-			best = e.Src
-		}
-	}
-	return best
 }

@@ -1,300 +1,84 @@
-package graphs
+package graphs_test
 
 import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datalog"
 	"repro/internal/dd"
+	"repro/internal/graphs"
 	"repro/internal/lattice"
 	"repro/internal/timely"
 )
 
 func TestGenerators(t *testing.T) {
-	tr := Tree(2, 3)
+	tr := graphs.Tree(2, 3)
 	if len(tr) != 2+4+8 {
 		t.Fatalf("tree(2,3) has %d edges", len(tr))
 	}
-	gr := Grid(3)
+	gr := graphs.Grid(3)
 	if len(gr) != 12 { // 2 per inner transition: 3*2 right + 3*2 down
 		t.Fatalf("grid(3) has %d edges", len(gr))
 	}
-	ch := Chain(5)
+	ch := graphs.Chain(5)
 	if len(ch) != 4 {
 		t.Fatalf("chain(5) has %d edges", len(ch))
 	}
-	rg := Random(100, 500, 1)
-	if len(rg) != 500 || MaxNode(rg) > 100 {
-		t.Fatalf("random graph malformed")
+	rg := graphs.Random(100, 500, 1)
+	if len(rg) != 500 {
+		t.Fatalf("random graph has %d edges, want 500", len(rg))
 	}
-	rg2 := Random(100, 500, 1)
+	for _, e := range rg {
+		if e.Src >= 100 || e.Dst >= 100 {
+			t.Fatalf("random graph edge %v outside its 100 nodes", e)
+		}
+	}
+	rg2 := graphs.Random(100, 500, 1)
 	for i := range rg {
 		if rg[i] != rg2[i] {
 			t.Fatalf("generator must be deterministic")
 		}
 	}
-	if len(Symmetrize(ch)) != 8 {
-		t.Fatalf("symmetrize")
-	}
 }
 
-func TestBaselinesAgree(t *testing.T) {
-	edges := Random(200, 800, 7)
-	n := MaxNode(edges)
-	root := FirstWithOut(edges)
-	distA := BFSArray(edges, n, root)
-	distH := BFSHash(edges, root)
-	for v, d := range distH {
-		if distA[v] != d {
-			t.Fatalf("bfs mismatch at %d: array %d hash %d", v, distA[v], d)
-		}
-	}
-	reach := ReachArray(edges, n, root)
-	for v := uint64(0); v < n; v++ {
-		_, inHash := distH[v]
-		if reach[v] != inHash {
-			t.Fatalf("reach mismatch at %d", v)
-		}
-	}
-	// union-find and hash label propagation agree on components
-	sym := Symmetrize(edges)
-	uf := WCCUnionFind(sym, n)
-	lh := WCCHash(sym)
-	for a := uint64(0); a < n; a++ {
-		for b := a + 1; b < n && b < a+20; b++ {
-			la, oka := lh[a]
-			lb, okb := lh[b]
-			if !oka || !okb {
-				continue // isolated in the hash view
-			}
-			if (uf[a] == uf[b]) != (la == lb) {
-				t.Fatalf("wcc mismatch for %d,%d", a, b)
-			}
-		}
-	}
-}
-
-// runGraph executes a dataflow over a static edge set and returns the
-// captured output at epoch 0.
-func runGraph[K comparable, V comparable](t *testing.T, workers int, edges []Edge,
-	build func(aE *core.Arranged[uint64, uint64], ec dd.Collection[uint64, uint64]) dd.Collection[K, V]) map[[2]any]core.Diff {
-
-	t.Helper()
-	cap := &dd.Captured[K, V]{}
-	timely.Execute(workers, func(w *timely.Worker) {
-		var in *dd.InputCollection[uint64, uint64]
-		var probe *timely.Probe
-		w.Dataflow(func(g *timely.Graph) {
-			ein, ec := dd.NewInput[uint64, uint64](g)
-			in = ein
-			aE := dd.Arrange(ec, core.U64(), "edges")
-			out := build(aE, ec)
-			dd.Capture(out, cap)
-			probe = dd.Probe(out)
-		})
-		if w.Index() == 0 {
-			EdgesInput(in, edges)
-		}
-		in.Close()
-		w.StepUntil(func() bool { return probe.Frontier().Empty() })
-		w.Drain()
-	})
-	return cap.At(lattice.Ts(0))
-}
-
+// TestReachMatchesBaseline: Reach from a root finds the root and every node
+// the brute-force transitive closure says it reaches, at one and two workers.
 func TestReachMatchesBaseline(t *testing.T) {
-	edges := Random(100, 300, 11)
-	root := FirstWithOut(edges)
-	n := MaxNode(edges)
-	want := ReachArray(edges, n, root)
+	edges := graphs.Random(100, 300, 11)
+	root := edges[0].Src
+	want := map[uint64]bool{root: true}
+	for p := range datalog.TCOracle(edges) {
+		if p[0] == root {
+			want[p[1]] = true
+		}
+	}
 	for _, workers := range []int{1, 2} {
-		acc := runGraph(t, workers, edges,
-			func(aE *core.Arranged[uint64, uint64], ec dd.Collection[uint64, uint64]) dd.Collection[uint64, core.Unit] {
-				roots := dd.Distinct(
-					dd.Map(dd.Filter(ec, func(s, d uint64) bool { return s == root }),
-						func(s, d uint64) (uint64, core.Unit) { return root, core.Unit{} }),
-					core.U64Key())
-				return Reach(aE, roots)
+		cap := &dd.Captured[uint64, core.Unit]{}
+		timely.Execute(workers, func(w *timely.Worker) {
+			var ein *dd.InputCollection[uint64, uint64]
+			var rin *dd.InputCollection[uint64, core.Unit]
+			w.Dataflow(func(g *timely.Graph) {
+				e, ec := dd.NewInput[uint64, uint64](g)
+				r, rc := dd.NewInput[uint64, core.Unit](g)
+				ein, rin = e, r
+				dd.Capture(graphs.Reach(dd.Arrange(ec, core.U64(), "edges"), rc), cap)
 			})
-		count := 0
-		for v := uint64(0); v < n; v++ {
-			got := acc[[2]any{v, core.Unit{}}] == 1
-			if got != want[v] {
-				t.Fatalf("w=%d: reach(%d) = %v, want %v", workers, v, got, want[v])
+			if w.Index() == 0 {
+				graphs.EdgesInput(ein, edges)
+				rin.Insert(root, core.Unit{})
 			}
-			if want[v] {
-				count++
-			}
-		}
-		if len(acc) != count {
-			t.Fatalf("w=%d: extra reachable entries", workers)
-		}
-	}
-}
-
-func TestBFSMatchesBaseline(t *testing.T) {
-	edges := Random(80, 240, 13)
-	root := FirstWithOut(edges)
-	want := BFSHash(edges, root)
-	acc := runGraph(t, 2, edges,
-		func(aE *core.Arranged[uint64, uint64], ec dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-			roots := dd.Distinct(
-				dd.Map(dd.Filter(ec, func(s, d uint64) bool { return s == root }),
-					func(s, d uint64) (uint64, core.Unit) { return root, core.Unit{} }),
-				core.U64Key())
-			return BFS(aE, roots)
+			ein.Close()
+			rin.Close()
+			w.Drain()
 		})
-	for v, d := range want {
-		if acc[[2]any{v, d}] != 1 {
-			t.Fatalf("bfs(%d): want dist %d, acc=%v", v, d, acc[[2]any{v, d}])
-		}
-	}
-	if len(acc) != len(want) {
-		t.Fatalf("bfs extra entries: %d vs %d", len(acc), len(want))
-	}
-}
-
-func TestCCMatchesUnionFind(t *testing.T) {
-	edges := Random(60, 80, 17) // sparse: several components
-	n := MaxNode(edges)
-	sym := Symmetrize(edges)
-	want := WCCUnionFind(sym, n)
-	acc := runGraph(t, 2, edges,
-		func(aE *core.Arranged[uint64, uint64], ec dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-			symc := dd.Concat(ec, dd.Map(ec, func(s, d uint64) (uint64, uint64) { return d, s }))
-			asym := dd.Arrange(symc, core.U64(), "sym")
-			return CC(asym, Nodes(ec))
-		})
-	// Build label maps and compare partitions on nodes with edges.
-	got := map[uint64]uint64{}
-	for kv := range acc {
-		got[kv[0].(uint64)] = kv[1].(uint64)
-	}
-	for a := range got {
-		for b := range got {
-			if (want[a] == want[b]) != (got[a] == got[b]) {
-				t.Fatalf("cc partition mismatch for %d,%d", a, b)
+		got := cap.At(lattice.Ts(0))
+		for v := range want {
+			if d := got[[2]any{v, core.Unit{}}]; d != 1 {
+				t.Fatalf("w=%d: reach(%d) has multiplicity %d, want 1", workers, v, d)
 			}
 		}
-	}
-}
-
-// sccOracle: Tarjan over the edge list, returning component ids.
-func sccOracle(edges []Edge, n uint64) []int {
-	adj := make([][]uint64, n)
-	for _, e := range edges {
-		adj[e.Src] = append(adj[e.Src], e.Dst)
-	}
-	index := make([]int, n)
-	low := make([]int, n)
-	comp := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-		comp[i] = -1
-	}
-	var stack []uint64
-	next := 0
-	nComp := 0
-	var strongconnect func(v uint64)
-	strongconnect = func(v uint64) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if index[w] < 0 {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp[w] = nComp
-				if w == v {
-					break
-				}
-			}
-			nComp++
-		}
-	}
-	for v := uint64(0); v < n; v++ {
-		if index[v] < 0 {
-			strongconnect(v)
-		}
-	}
-	return comp
-}
-
-func TestSCCMatchesTarjan(t *testing.T) {
-	// A graph with two cycles and some tree edges.
-	edges := []Edge{
-		{0, 1}, {1, 2}, {2, 0}, // cycle A
-		{2, 3}, {3, 4}, // bridge
-		{4, 5}, {5, 6}, {6, 4}, // cycle B
-		{6, 7}, // tail
-	}
-	n := MaxNode(edges)
-	comp := sccOracle(edges, n)
-	acc := runGraph(t, 1, edges,
-		func(aE *core.Arranged[uint64, uint64], ec dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-			return SCCLabels(ec)
-		})
-	got := map[uint64]uint64{}
-	for kv := range acc {
-		got[kv[0].(uint64)] = kv[1].(uint64)
-	}
-	// Every node in a nontrivial SCC must be labeled; labels must agree with
-	// Tarjan's partition.
-	sizes := map[int]int{}
-	for v := uint64(0); v < n; v++ {
-		sizes[comp[v]]++
-	}
-	for a := uint64(0); a < n; a++ {
-		if sizes[comp[a]] > 1 {
-			if _, ok := got[a]; !ok {
-				t.Fatalf("node %d in nontrivial SCC missing", a)
-			}
-		} else if _, ok := got[a]; ok {
-			t.Fatalf("singleton node %d labeled", a)
-		}
-	}
-	for a := range got {
-		for b := range got {
-			if (comp[a] == comp[b]) != (got[a] == got[b]) {
-				t.Fatalf("scc partition mismatch for %d,%d", a, b)
-			}
-		}
-	}
-}
-
-func TestSCCRandomGraph(t *testing.T) {
-	edges := Random(40, 90, 23)
-	n := MaxNode(edges)
-	comp := sccOracle(edges, n)
-	acc := runGraph(t, 2, edges,
-		func(aE *core.Arranged[uint64, uint64], ec dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-			return SCCLabels(ec)
-		})
-	got := map[uint64]uint64{}
-	for kv := range acc {
-		got[kv[0].(uint64)] = kv[1].(uint64)
-	}
-	sizes := map[int]int{}
-	for v := uint64(0); v < n; v++ {
-		sizes[comp[v]]++
-	}
-	for v := uint64(0); v < n; v++ {
-		_, labeled := got[v]
-		if (sizes[comp[v]] > 1) != labeled {
-			t.Fatalf("node %d labeling wrong (scc size %d, labeled %v)", v, sizes[comp[v]], labeled)
+		if len(got) != len(want) {
+			t.Fatalf("w=%d: %d reachable entries, want %d", workers, len(got), len(want))
 		}
 	}
 }

@@ -1,19 +1,44 @@
-// Package graspan reimplements the Graspan static-analysis workloads (§6.4)
-// on differential dataflow: the dataflow analysis (null-assignment
+// Package graspan holds the Graspan static-analysis workloads (§6.4) as
+// program text for internal/plan: the dataflow analysis (null-assignment
 // propagation, with interactive removal of null sources) and the points-to
 // analysis (mutually recursive value-flow / value-alias / memory-alias
-// relations), including the optimized (Opt) and no-sharing (NoS) variants of
-// Table 4. The paper's linux/psql/httpd program graphs are proprietary-scale
-// inputs; a deterministic synthetic generator with the same shape (long
-// assignment chains, branching, dereference pairs) stands in for them.
+// relations). The paper's linux/psql/httpd program graphs are
+// proprietary-scale inputs; a deterministic synthetic generator with the same
+// shape (long assignment chains, branching, dereference pairs) stands in for
+// them. The oracles evaluate both analyses by brute force.
 package graspan
 
 import (
 	"math/rand"
 
-	"repro/internal/core"
-	"repro/internal/dd"
 	"repro/internal/graphs"
+)
+
+const (
+	// ReachSrc is the dataflow analysis over assign(p, q) and nulls(o, _):
+	// reach(p, o) holds when the null assigned at source o reaches program
+	// point p along assignment edges. Retracting a null source retracts
+	// exactly its facts (Table 3's interactive experiment).
+	ReachSrc = `
+reach(o, o) :- nulls(o, _).
+reach(q, o) :- reach(p, o), assign(p, q).
+`
+
+	// PointsToSrc is the points-to analysis over assign(x, y) and deref(p, x)
+	// (x is *p): value flow vf is the reflexive transitive closure of
+	// assignment over every variable either relation mentions, and value
+	// alias va and memory alias ma are mutually recursive. It answers vf;
+	// append `?- va(_, _).` or `?- ma(_, _).` for the others.
+	PointsToSrc = `
+vf(x, x) :- assign(x, _).
+vf(x, x) :- assign(_, x).
+vf(x, x) :- deref(x, _).
+vf(x, x) :- deref(_, x).
+vf(x, z) :- vf(x, y), assign(y, z).
+va(x, y) :- vf(z, x), vf(z, y).
+va(x, y) :- vf(z, x), ma(z, w), vf(w, y).
+ma(x, y) :- deref(z, x), va(z, w), deref(w, y).
+`
 )
 
 // Program is a synthetic program graph: Assign edges carry value flow
@@ -51,155 +76,6 @@ func Generate(n uint64, seed int64) Program {
 		p.Nulls = append(p.Nulls, uint64(r.Int63n(int64(n))))
 	}
 	return p
-}
-
-// DataflowAnalysis computes the (program point, null source) pairs: which
-// null assignments reach which points along assignment edges. Removing a
-// null source from the seeds retracts exactly its pairs (Table 3's
-// interactive experiment).
-func DataflowAnalysis(aAssign *core.Arranged[uint64, uint64],
-	nulls dd.Collection[uint64, core.Unit]) dd.Collection[uint64, uint64] {
-
-	start := dd.Map(nulls, func(a uint64, _ core.Unit) (uint64, uint64) { return a, a })
-	reached := dd.IterateFrom(start,
-		func(seed, cur dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-			ae := dd.EnterArranged(aAssign, "assign-enter")
-			ac := dd.Arrange(cur, core.U64(), "cursor")
-			step := dd.JoinCore(ae, ac, "step",
-				func(c, nxt, origin uint64) (uint64, uint64) { return nxt, origin })
-			return dd.Distinct(dd.Concat(seed, step), core.U64())
-		})
-	return reached // (point, origin)
-}
-
-// PointsToResult bundles the output relations of the points-to analysis.
-type PointsToResult struct {
-	ValueFlow   dd.Collection[uint64, uint64]
-	ValueAlias  dd.Collection[uint64, uint64]
-	MemoryAlias dd.Collection[uint64, uint64]
-}
-
-// PointsToOptions selects the analysis variant.
-type PointsToOptions struct {
-	// Optimized restricts value aliasing to dereferenced endpoints before
-	// forming all value aliases (the paper's Opt variant).
-	Optimized bool
-	// NoSharing builds a private arrangement of the value-flow relation for
-	// every one of its uses instead of sharing one (the NoS variant).
-	NoSharing bool
-}
-
-// PointsTo computes the mutually recursive points-to relations:
-//
-//	vf(x,y)  :- assign(x,y) | assign(x,z), vf(z,y) | x == y (reflexive)
-//	va(x,y)  :- vf(z,x), vf(z,y) | vf(z,x), ma(z,w), vf(w,y)
-//	ma(x,y)  :- deref(z,x), va(z,w), deref(w,y)
-//
-// va and ma are mutually recursive Variables in one iteration scope.
-func PointsTo(assign, deref dd.Collection[uint64, uint64], opt PointsToOptions) PointsToResult {
-	// Value flow: transitive closure of assignments, plus reflexivity over
-	// every variable mentioned.
-	tc := transitive(assign)
-	nodes := dd.Distinct(dd.Concat(
-		dd.Concat(
-			dd.Map(assign, func(a, b uint64) (uint64, core.Unit) { return a, core.Unit{} }),
-			dd.Map(assign, func(a, b uint64) (uint64, core.Unit) { return b, core.Unit{} })),
-		dd.Concat(
-			dd.Map(deref, func(a, b uint64) (uint64, core.Unit) { return a, core.Unit{} }),
-			dd.Map(deref, func(a, b uint64) (uint64, core.Unit) { return b, core.Unit{} }))),
-		core.U64Key())
-	refl := dd.Map(nodes, func(n uint64, _ core.Unit) (uint64, uint64) { return n, n })
-	vf := dd.Distinct(dd.Concat(tc, refl), core.U64())
-
-	if opt.Optimized {
-		// Restrict the vf occurrences feeding value aliasing to dereferenced
-		// endpoints: va is only ever consumed between deref edges.
-		dsrc := dd.Distinct(
-			dd.Map(deref, func(z, x uint64) (uint64, core.Unit) { return z, core.Unit{} }),
-			core.U64Key())
-		// vfD(z, x): vf reaching a dereferenced x, keyed by source z.
-		vfD := dd.SemiJoin(
-			dd.Map(vf, func(z, x uint64) (uint64, uint64) { return x, z }),
-			core.U64(), dsrc, core.U64Key())
-		vf = dd.Map(vfD, func(x, z uint64) (uint64, uint64) { return z, x })
-	}
-
-	// vf keyed two ways; shared once or arranged per use.
-	vfBySrc := vf                                                             // (z -> x)
-	vfByDst := dd.Map(vf, func(z, x uint64) (uint64, uint64) { return x, z }) // (x -> z)
-	arrangeSrc := func(name string) *core.Arranged[uint64, uint64] {
-		return dd.Arrange(vfBySrc, core.U64(), name)
-	}
-	arrangeDst := func(name string) *core.Arranged[uint64, uint64] {
-		return dd.Arrange(vfByDst, core.U64(), name)
-	}
-
-	var aVFsrc1, aVFsrc2, aVFsrc3 *core.Arranged[uint64, uint64]
-	if opt.NoSharing {
-		aVFsrc1 = arrangeSrc("vf-src-1")
-		aVFsrc2 = arrangeSrc("vf-src-2")
-		aVFsrc3 = arrangeSrc("vf-src-3")
-	} else {
-		shared := arrangeSrc("vf-src")
-		aVFsrc1, aVFsrc2, aVFsrc3 = shared, shared, shared
-	}
-	_ = arrangeDst
-
-	// Base value aliases: va0(x,y) :- vf(z,x), vf(z,y).
-	vaBase := dd.JoinCore(aVFsrc1, aVFsrc2, "va-base",
-		func(z, x, y uint64) (uint64, uint64) { return x, y })
-
-	aD := dd.Arrange(deref, core.U64(), "deref") // (z -> x)
-
-	// Iteration scope with two mutually recursive variables.
-	enteredBase := dd.Enter(vaBase)
-	vaVar := dd.NewVariable(enteredBase)
-	emptyMA := dd.Filter(enteredBase, func(a, b uint64) bool { return false })
-	maVar := dd.NewVariable(emptyMA)
-
-	// ma'(x,y) :- d(z,x), va(z,w), d(w,y)
-	aVA := dd.Arrange(vaVar.Collection(), core.U64(), "va")
-	aDin := dd.EnterArranged(aD, "deref-enter")
-	m1 := dd.JoinCore(aDin, aVA, "ma-1",
-		func(z, x, w uint64) (uint64, uint64) { return w, x }) // keyed w
-	aM1 := dd.Arrange(m1, core.U64(), "ma-1-by-w")
-	maNext := dd.JoinCore(aDin, aM1, "ma-2",
-		func(w, y, x uint64) (uint64, uint64) { return x, y })
-	maNext = dd.Distinct(maNext, core.U64())
-
-	// va'(x,y) :- vf(z,x), ma(z,w), vf(w,y)
-	aMA := dd.Arrange(maVar.Collection(), core.U64(), "ma")
-	aVF2 := dd.EnterArranged(aVFsrc2, "vf-enter-1")
-	v1 := dd.JoinCore(aVF2, aMA, "va-1",
-		func(z, x, w uint64) (uint64, uint64) { return w, x }) // keyed w
-	aV1 := dd.Arrange(v1, core.U64(), "va-1-by-w")
-	aVF3 := dd.EnterArranged(aVFsrc3, "vf-enter-2")
-	vaRec := dd.JoinCore(aVF3, aV1, "va-2",
-		func(w, y, x uint64) (uint64, uint64) { return x, y })
-	vaNext := dd.Distinct(dd.Concat(enteredBase, vaRec), core.U64())
-
-	vaVar.Set(vaNext)
-	maVar.Set(maNext)
-
-	return PointsToResult{
-		ValueFlow:   vf,
-		ValueAlias:  dd.Leave(vaNext),
-		MemoryAlias: dd.Leave(maNext),
-	}
-}
-
-// transitive computes the transitive closure of an edge collection (local
-// copy of datalog.TC to keep the package dependency graph flat).
-func transitive(edges dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-	return dd.IterateFrom(edges,
-		func(seed, tc dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-			byY := dd.Map(tc, func(x, y uint64) (uint64, uint64) { return y, x })
-			aTC := dd.Arrange(byY, core.U64(), "tc-by-y")
-			aE := dd.Arrange(seed, core.U64(), "edges")
-			ext := dd.JoinCore(aE, aTC, "extend",
-				func(y, z, x uint64) (uint64, uint64) { return x, z })
-			return dd.Distinct(dd.Concat(seed, ext), core.U64())
-		})
 }
 
 // Oracles for testing.
@@ -246,11 +122,8 @@ func PointsToOracle(assign, deref []graphs.Edge) (vf, va, ma map[[2]uint64]bool)
 		vf[[2]uint64{n, n}] = true
 	}
 	// closure of assign
-	var stack [][2]uint64
 	for _, e := range assign {
-		if !vf[[2]uint64{e.Src, e.Dst}] {
-			vf[[2]uint64{e.Src, e.Dst}] = true
-		}
+		vf[[2]uint64{e.Src, e.Dst}] = true
 	}
 	for {
 		grew := false
@@ -266,7 +139,6 @@ func PointsToOracle(assign, deref []graphs.Edge) (vf, va, ma map[[2]uint64]bool)
 			break
 		}
 	}
-	_ = stack
 	va = map[[2]uint64]bool{}
 	ma = map[[2]uint64]bool{}
 	for {

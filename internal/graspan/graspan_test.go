@@ -1,25 +1,104 @@
 package graspan
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dd"
 	"repro/internal/graphs"
 	"repro/internal/lattice"
+	"repro/internal/plan"
 	"repro/internal/timely"
 )
 
-func toSet(t *testing.T, cap *dd.Captured[uint64, uint64], at lattice.Time) map[[2]uint64]bool {
-	t.Helper()
-	out := map[[2]uint64]bool{}
-	for kv, d := range cap.At(at) {
-		if d != 1 {
-			t.Fatalf("multiplicity %d for %v", d, kv)
-		}
-		out[[2]uint64{kv[0].(uint64), kv[1].(uint64)}] = true
+// step is one epoch of input: updates by relation name.
+type step map[string][]core.Update[uint64, uint64]
+
+// inserts adds every edge once.
+func inserts(edges []graphs.Edge) []core.Update[uint64, uint64] {
+	upds := make([]core.Update[uint64, uint64], len(edges))
+	for i, e := range edges {
+		upds[i] = core.Update[uint64, uint64]{Key: e.Src, Val: e.Dst, Diff: 1}
 	}
-	return out
+	return upds
+}
+
+// run compiles src and evaluates it on the given number of workers, with one
+// input for every relation the steps name, each arranged once, feeding step e
+// from worker 0 at epoch e. It returns the output accumulated at each epoch
+// as a set; every record must have multiplicity one.
+func run(t *testing.T, workers int, src string, steps ...step) []map[[2]uint64]bool {
+	t.Helper()
+	prog, err := plan.ParseDatalog(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if _, _, err := plan.Compile(prog); err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	var names []string
+	for _, s := range steps {
+		for n := range s {
+			if !slices.Contains(names, n) {
+				names = append(names, n)
+			}
+		}
+	}
+	slices.Sort(names) // every worker builds the same dataflow
+	cap := &dd.Captured[uint64, uint64]{}
+	timely.Execute(workers, func(w *timely.Worker) {
+		ins := make([]*dd.InputCollection[uint64, uint64], len(names))
+		var probe *timely.Probe
+		w.Dataflow(func(g *timely.Graph) {
+			rels := map[string]dd.Collection[uint64, uint64]{}
+			for i, n := range names {
+				ins[i], rels[n] = dd.NewInput[uint64, uint64](g)
+			}
+			// Each worker builds its own compiled plan: Build memoizes keys
+			// in the nodes it reads, so workers must not share one.
+			root, _, _ := plan.Compile(prog) // compiled without error above
+			out, err := plan.Build(root, plan.Env{Source: func(rel string) (*core.Arranged[uint64, uint64], error) {
+				in, ok := rels[rel]
+				if !ok {
+					return nil, fmt.Errorf("no input relation %q", rel)
+				}
+				return dd.Arrange(in, core.U64(), rel), nil
+			}})
+			if err != nil {
+				panic(err) // on a worker goroutine, where t.Fatal may not run
+			}
+			dd.Capture(out, cap)
+			probe = dd.Probe(out)
+		})
+		for e, s := range steps {
+			for i, n := range names {
+				if w.Index() == 0 {
+					for _, u := range s[n] {
+						ins[i].UpdateAt(u.Key, u.Val, u.Diff)
+					}
+				}
+				ins[i].AdvanceTo(uint64(e + 1))
+			}
+			w.StepUntil(func() bool { return probe.Done(lattice.Ts(uint64(e))) })
+		}
+		for _, in := range ins {
+			in.Close()
+		}
+		w.Drain()
+	})
+	sets := make([]map[[2]uint64]bool, len(steps))
+	for e := range steps {
+		sets[e] = map[[2]uint64]bool{}
+		for kv, d := range cap.At(lattice.Ts(uint64(e))) {
+			if d != 1 {
+				t.Fatalf("epoch %d: multiplicity %d for %v", e, d, kv)
+			}
+			sets[e][[2]uint64{kv[0].(uint64), kv[1].(uint64)}] = true
+		}
+	}
+	return sets
 }
 
 func sameSet(t *testing.T, name string, got, want map[[2]uint64]bool) {
@@ -38,80 +117,30 @@ func sameSet(t *testing.T, name string, got, want map[[2]uint64]bool) {
 
 func TestDataflowAnalysisInteractiveRemoval(t *testing.T) {
 	prog := Generate(60, 3)
-	cap := &dd.Captured[uint64, uint64]{}
-	timely.Execute(2, func(w *timely.Worker) {
-		var ain *dd.InputCollection[uint64, uint64]
-		var nin *dd.InputCollection[uint64, core.Unit]
-		var probe *timely.Probe
-		w.Dataflow(func(g *timely.Graph) {
-			a, ac := dd.NewInput[uint64, uint64](g)
-			n, nc := dd.NewInput[uint64, core.Unit](g)
-			ain, nin = a, n
-			aA := dd.Arrange(ac, core.U64(), "assign")
-			out := DataflowAnalysis(aA, nc)
-			dd.Capture(out, cap)
-			probe = dd.Probe(out)
-		})
-		if w.Index() == 0 {
-			graphs.EdgesInput(ain, prog.Assign)
-			for _, s := range prog.Nulls {
-				nin.Insert(s, core.Unit{})
-			}
-			ain.AdvanceTo(1)
-			nin.AdvanceTo(1)
-			w.StepUntil(func() bool { return probe.Done(lattice.Ts(0)) })
-			// Epoch 1: remove the first null source.
-			nin.Remove(prog.Nulls[0], core.Unit{})
-			ain.AdvanceTo(2)
-			nin.AdvanceTo(2)
-			w.StepUntil(func() bool { return probe.Done(lattice.Ts(1)) })
-		}
-		ain.Close()
-		nin.Close()
-		w.Drain()
-	})
-	want0 := DataflowOracle(prog.Assign, prog.Nulls)
-	sameSet(t, "dataflow@0", toSet(t, cap, lattice.Ts(0)), want0)
-	// After removing the first source (it may repeat in Nulls; the oracle set
-	// drops only if no duplicate remains).
-	remaining := []uint64{}
-	removed := false
-	for _, s := range prog.Nulls {
-		if !removed && s == prog.Nulls[0] {
-			removed = true
-			continue
-		}
-		remaining = append(remaining, s)
+	var nulls []core.Update[uint64, uint64]
+	for _, o := range prog.Nulls {
+		nulls = append(nulls, core.Update[uint64, uint64]{Key: o, Val: o, Diff: 1})
 	}
-	want1 := DataflowOracle(prog.Assign, remaining)
-	sameSet(t, "dataflow@1", toSet(t, cap, lattice.Ts(1)), want1)
+	first := prog.Nulls[0]
+	got := run(t, 2, ReachSrc,
+		step{"assign": inserts(prog.Assign), "nulls": nulls},
+		// Epoch 1: remove the first null source.
+		step{"nulls": {{Key: first, Val: first, Diff: -1}}})
+	sameSet(t, "dataflow@0", got[0], DataflowOracle(prog.Assign, prog.Nulls))
+	// The first source may repeat in Nulls; its facts go only if no
+	// duplicate remains.
+	sameSet(t, "dataflow@1", got[1], DataflowOracle(prog.Assign, prog.Nulls[1:]))
 }
 
-func runPointsTo(t *testing.T, workers int, prog Program, opt PointsToOptions) (vf, va, ma map[[2]uint64]bool) {
+// pointsTo evaluates vf, va and ma over prog's relations.
+func pointsTo(t *testing.T, workers int, prog Program) (vf, va, ma map[[2]uint64]bool) {
 	t.Helper()
-	capVF := &dd.Captured[uint64, uint64]{}
-	capVA := &dd.Captured[uint64, uint64]{}
-	capMA := &dd.Captured[uint64, uint64]{}
-	timely.Execute(workers, func(w *timely.Worker) {
-		var ain, din *dd.InputCollection[uint64, uint64]
-		w.Dataflow(func(g *timely.Graph) {
-			a, ac := dd.NewInput[uint64, uint64](g)
-			d, dc := dd.NewInput[uint64, uint64](g)
-			ain, din = a, d
-			res := PointsTo(ac, dc, opt)
-			dd.Capture(dd.Consolidate(res.ValueFlow, core.U64()), capVF)
-			dd.Capture(dd.Consolidate(res.ValueAlias, core.U64()), capVA)
-			dd.Capture(dd.Consolidate(res.MemoryAlias, core.U64()), capMA)
-		})
-		if w.Index() == 0 {
-			graphs.EdgesInput(ain, prog.Assign)
-			graphs.EdgesInput(din, prog.Deref)
-		}
-		ain.Close()
-		din.Close()
-		w.Drain()
-	})
-	return toSet(t, capVF, lattice.Ts(0)), toSet(t, capVA, lattice.Ts(0)), toSet(t, capMA, lattice.Ts(0))
+	in := step{"assign": inserts(prog.Assign), "deref": inserts(prog.Deref)}
+	var out [3]map[[2]uint64]bool
+	for i, rel := range []string{"vf", "va", "ma"} {
+		out[i] = run(t, workers, PointsToSrc+"?- "+rel+"(_, _).", in)[0]
+	}
+	return out[0], out[1], out[2]
 }
 
 func TestPointsToMatchesOracle(t *testing.T) {
@@ -120,32 +149,21 @@ func TestPointsToMatchesOracle(t *testing.T) {
 		Deref:  []graphs.Edge{{Src: 0, Dst: 6}, {Src: 3, Dst: 7}, {Src: 4, Dst: 8}},
 	}
 	wVF, wVA, wMA := PointsToOracle(prog.Assign, prog.Deref)
-	vf, va, ma := runPointsTo(t, 1, prog, PointsToOptions{})
-	sameSet(t, "vf", vf, wVF)
-	sameSet(t, "va", va, wVA)
-	sameSet(t, "ma", ma, wMA)
+	for _, workers := range []int{1, 2} {
+		vf, va, ma := pointsTo(t, workers, prog)
+		sameSet(t, "vf", vf, wVF)
+		sameSet(t, "va", va, wVA)
+		sameSet(t, "ma", ma, wMA)
+	}
 }
 
 func TestPointsToGeneratedGraph(t *testing.T) {
 	prog := Generate(24, 9)
 	wVF, wVA, wMA := PointsToOracle(prog.Assign, prog.Deref)
-	vf, va, ma := runPointsTo(t, 2, prog, PointsToOptions{})
-	sameSet(t, "vf", vf, wVF)
-	sameSet(t, "va", va, wVA)
-	sameSet(t, "ma", ma, wMA)
-}
-
-// TestPointsToOptSameMemoryAlias: the optimized variant restricts value
-// aliasing but must produce the identical memory-alias relation.
-func TestPointsToOptSameMemoryAlias(t *testing.T) {
-	prog := Generate(24, 11)
-	_, _, wMA := PointsToOracle(prog.Assign, prog.Deref)
-	for _, o := range []PointsToOptions{
-		{Optimized: true},
-		{Optimized: true, NoSharing: true},
-		{NoSharing: true},
-	} {
-		_, _, ma := runPointsTo(t, 1, prog, o)
-		sameSet(t, "ma-opt", ma, wMA)
+	for _, workers := range []int{1, 2} {
+		vf, va, ma := pointsTo(t, workers, prog)
+		sameSet(t, "vf", vf, wVF)
+		sameSet(t, "va", va, wVA)
+		sameSet(t, "ma", ma, wMA)
 	}
 }

@@ -20,16 +20,6 @@ import (
 	"repro/internal/timely"
 )
 
-// The Datalog forms of the reference recursive queries. The recursive SG
-// rule carries the x != y constraint exactly as the hand-built dataflow
-// filters it, so the two compute literally the same relation.
-const (
-	tcProg = `tc(x, y) :- edges(x, y).
-	          tc(x, z) :- tc(x, y), edges(y, z).`
-	sgProg = `sg(x, y) :- edges(p, x), edges(p, y), x != y.
-	          sg(x, y) :- edges(px, x), edges(py, y), sg(px, py), x != y.`
-)
-
 // startFrontendSources launches a server with the named sources behind a
 // frontend (startFrontend hard-codes a single "edges" source).
 func startFrontendSources(t *testing.T, workers int, names ...string) (*Frontend, string) {
@@ -125,12 +115,9 @@ func sameSet(t *testing.T, what string, got, want map[[2]uint64]bool) {
 	}
 }
 
-// runHandBuilt evaluates a hand-built dataflow over a static edge set and
-// returns its output as a set (mirrors the datalog package's own test
-// harness, so the wire comparison is against the genuine reference).
-func runHandBuilt(t *testing.T, workers int, edges []graphs.Edge,
-	build func(ec dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64]) map[[2]uint64]bool {
-
+// handBuiltTC evaluates the hand-built datalog.TC over a static edge set and
+// returns its output as a set.
+func handBuiltTC(t *testing.T, workers int, edges []graphs.Edge) map[[2]uint64]bool {
 	t.Helper()
 	cap := &dd.Captured[uint64, uint64]{}
 	timely.Execute(workers, func(w *timely.Worker) {
@@ -138,7 +125,7 @@ func runHandBuilt(t *testing.T, workers int, edges []graphs.Edge,
 		w.Dataflow(func(g *timely.Graph) {
 			ein, ec := dd.NewInput[uint64, uint64](g)
 			in = ein
-			dd.Capture(build(ec), cap)
+			dd.Capture(datalog.TC(ec), cap)
 		})
 		if w.Index() == 0 {
 			graphs.EdgesInput(in, edges)
@@ -156,26 +143,23 @@ func runHandBuilt(t *testing.T, workers int, edges []graphs.Edge,
 	return out
 }
 
-// TestDatalogOverWireMatchesHandBuilt is the acceptance cross-check: TC and
-// SG expressed as Datalog, compiled client-side, installed over the wire,
-// and streamed back must be bit-identical to the internal/datalog hand-built
-// dataflows (and both must match the brute-force oracles).
-func TestDatalogOverWireMatchesHandBuilt(t *testing.T) {
+// TestDatalogOverWireMatchesTCAndSGOracle is the acceptance cross-check: TC
+// and SG as Datalog text, compiled client-side, installed over the wire and
+// streamed back. TC must equal the hand-built datalog.TC (itself held to
+// TCOracle), SG must equal SGOracle.
+func TestDatalogOverWireMatchesTCAndSGOracle(t *testing.T) {
 	edges := graphs.Random(25, 40, 5)
+	hand := handBuiltTC(t, 2, edges)
+	sameSet(t, "tc: hand-built vs oracle", hand, datalog.TCOracle(edges))
 	cases := []struct {
-		name   string
-		prog   string
-		build  func(dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64]
-		oracle map[[2]uint64]bool
+		name, prog string
+		want       map[[2]uint64]bool
 	}{
-		{"tc", tcProg, datalog.TC, datalog.TCOracle(edges)},
-		{"sg", sgProg, datalog.SG, datalog.SGOracle(edges)},
+		{"tc", datalog.TCSrc, hand},
+		{"sg", datalog.SGSrc, datalog.SGOracle(edges)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			hand := runHandBuilt(t, 2, edges, tc.build)
-			sameSet(t, tc.name+": hand-built vs oracle", hand, tc.oracle)
-
 			_, _, addr := startFrontend(t, 2)
 			ctl, err := Dial(addr)
 			if err != nil {
@@ -194,7 +178,7 @@ func TestDatalogOverWireMatchesHandBuilt(t *testing.T) {
 			}
 			sealed := pushEdges(t, ctl, "edges", edges)
 			st := watchUntil(t, watcher, sealed)
-			sameSet(t, tc.name+": wire vs hand-built", setOf(t, tc.name, st), hand)
+			sameSet(t, tc.name+": wire vs reference", setOf(t, tc.name, st), tc.want)
 		})
 	}
 }
@@ -217,11 +201,11 @@ func TestDatalogQueriesShareFixpoint(t *testing.T) {
 	}
 	defer b.Close()
 
-	installDatalog(t, a, "tc-all", tcProg)
+	installDatalog(t, a, "tc-all", datalog.TCSrc)
 	if st := fe.SharedStats(); st != (SharedStats{Entries: 1, Installs: 1, Hits: 0}) {
 		t.Fatalf("after first install: stats %+v, want {1 1 0}", st)
 	}
-	installDatalog(t, b, "tc-from-1", tcProg+"\n?- tc(1, y).")
+	installDatalog(t, b, "tc-from-1", datalog.TCSrc+"\n?- tc(1, y).")
 	if st := fe.SharedStats(); st != (SharedStats{Entries: 1, Installs: 1, Hits: 1}) {
 		t.Fatalf("after second install: stats %+v, want {1 1 1}", st)
 	}
@@ -325,66 +309,18 @@ func TestPipelineAndPlanShareArrangements(t *testing.T) {
 	diffStates(t, "counts", v2.acc, want)
 }
 
-// TestGraspanReachabilityAsDatalog re-expresses the graspan dataflow
-// analysis (null propagation along assignment edges) as Datalog over two
-// sources and cross-checks it against the hand-built dataflow and the
-// brute-force oracle.
+// TestGraspanReachabilityAsDatalog runs the graspan dataflow analysis,
+// graspan.ReachSrc, over two wire sources and holds it to the brute-force
+// oracle.
 func TestGraspanReachabilityAsDatalog(t *testing.T) {
 	prog := graspan.Generate(60, 3)
-	// Dedupe null sources: the relation is a set, and feeding duplicates
-	// would differ between the unary hand-built input and the wire source.
-	seen := map[uint64]bool{}
-	var nulls []uint64
-	for _, o := range prog.Nulls {
-		if !seen[o] {
-			seen[o] = true
-			nulls = append(nulls, o)
-		}
-	}
-	want := graspan.DataflowOracle(prog.Assign, nulls)
-
-	// Hand-built reference: the graspan dataflow over in-process inputs.
-	cap := &dd.Captured[uint64, uint64]{}
-	timely.Execute(2, func(w *timely.Worker) {
-		var ain *dd.InputCollection[uint64, uint64]
-		var nin *dd.InputCollection[uint64, core.Unit]
-		w.Dataflow(func(g *timely.Graph) {
-			a, ac := dd.NewInput[uint64, uint64](g)
-			n, nc := dd.NewInput[uint64, core.Unit](g)
-			ain, nin = a, n
-			aA := dd.Arrange(ac, core.U64(), "assign")
-			dd.Capture(graspan.DataflowAnalysis(aA, nc), cap)
-		})
-		if w.Index() == 0 {
-			graphs.EdgesInput(ain, prog.Assign)
-			for _, o := range nulls {
-				nin.Insert(o, core.Unit{})
-			}
-		}
-		ain.Close()
-		nin.Close()
-		w.Drain()
-	})
-	hand := map[[2]uint64]bool{}
-	for kv, d := range cap.At(lattice.Ts(0)) {
-		if d != 1 {
-			t.Fatalf("hand-built: non-unit multiplicity %d for %v", d, kv)
-		}
-		hand[[2]uint64{kv[0].(uint64), kv[1].(uint64)}] = true
-	}
-	sameSet(t, "graspan hand-built vs oracle", hand, want)
-
-	// The same analysis as Datalog over the wire: nulls arrive as (o, o)
-	// pairs, reach(point, origin) follows assignment edges.
 	_, addr := startFrontendSources(t, 2, "assign", "nulls")
 	ctl, err := Dial(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer ctl.Close()
-	installDatalog(t, ctl, "reach", `
-		reach(o, o) :- nulls(o, o).
-		reach(q, o) :- reach(p, o), assign(p, q).`)
+	installDatalog(t, ctl, "reach", graspan.ReachSrc)
 
 	watcher, err := Dial(addr)
 	if err != nil {
@@ -394,14 +330,15 @@ func TestGraspanReachabilityAsDatalog(t *testing.T) {
 	if err := watcher.Subscribe("reach"); err != nil {
 		t.Fatalf("subscribe: %v", err)
 	}
-	nullEdges := make([]graphs.Edge, len(nulls))
-	for i, o := range nulls {
+	// A null source is its own key; the value is ignored.
+	nullEdges := make([]graphs.Edge, len(prog.Nulls))
+	for i, o := range prog.Nulls {
 		nullEdges[i] = graphs.Edge{Src: o, Dst: o}
 	}
 	pushEdges(t, ctl, "assign", prog.Assign)
 	sealed := pushEdges(t, ctl, "nulls", nullEdges)
 	st := watchUntil(t, watcher, sealed)
-	sameSet(t, "graspan wire vs hand-built", setOf(t, "reach", st), hand)
+	sameSet(t, "graspan wire vs oracle", setOf(t, "reach", st), graspan.DataflowOracle(prog.Assign, prog.Nulls))
 }
 
 // TestProtocolVersionMismatchRefused: a hello at any version but Version —

@@ -7,26 +7,31 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datalog"
 	"repro/internal/dd"
+	"repro/internal/graspan"
 	"repro/internal/lattice"
 	"repro/internal/server"
 	"repro/internal/timely"
 )
 
-// reachSrc is the graspan null-propagation analysis as Datalog: nulls arrive
-// as (o, o) pairs and reach(point, origin) follows assignment edges.
-const reachSrc = `
-	reach(o, o) :- nulls(o, o).
-	reach(q, o) :- reach(p, o), assign(p, q).
-`
-
 // refereePlans is what Build is held to Interpret on: the random rule sets
 // TestPlannerOrderIndependence generates (same seed, so the same programs),
-// TC, SG and the graspan reachability program, and the hand-composed sample
-// plans (the only ones with Count and a key look-up).
+// TC, SG, the seeded sg(x, ?), the graspan reachability program and each
+// relation of the points-to analysis (three mutually recursive definitions
+// with wildcards), and the hand-composed sample plans (the only ones with
+// Count and a key look-up).
 func refereePlans(t *testing.T) []*Node {
 	plans := samplePlans(t)
-	plans = append(plans, mustCompile(t, reachSrc, Options{}))
+	for _, src := range []string{
+		datalog.SGFromSrc,
+		graspan.ReachSrc,
+		graspan.PointsToSrc,
+		graspan.PointsToSrc + "?- va(_, _).",
+		graspan.PointsToSrc + "?- ma(_, _).",
+	} {
+		plans = append(plans, mustCompile(t, src, Options{}))
+	}
 	r := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 400; iter++ {
 		prog := randProgram(r)
@@ -42,8 +47,8 @@ func refereePlans(t *testing.T) []*Node {
 // randStep mutates rel by one epoch of churn over a six-value domain and
 // returns the updates that did it: retractions of present records, then
 // insertions (of absent records, or occasionally a second copy, so
-// multiplicities above one reach every operator). diagonal keeps v == k.
-func randStep(r *rand.Rand, rel Rel, diagonal bool) []core.Update[uint64, uint64] {
+// multiplicities above one reach every operator).
+func randStep(r *rand.Rand, rel Rel) []core.Update[uint64, uint64] {
 	var upds []core.Update[uint64, uint64]
 	change := func(rec [2]uint64, d int64) {
 		rel.add(rec, d)
@@ -63,9 +68,6 @@ func randStep(r *rand.Rand, rel Rel, diagonal bool) []core.Update[uint64, uint64
 	}
 	for n := 3 + r.Intn(4); n > 0; n-- {
 		rec := [2]uint64{uint64(r.Intn(6)), uint64(r.Intn(6))}
-		if diagonal {
-			rec[1] = rec[0]
-		}
 		if rel[rec] == 0 || r.Intn(4) == 0 {
 			change(rec, 1)
 		}
@@ -141,7 +143,7 @@ func TestBuildMatchesInterpret(t *testing.T) {
 			}
 			for epoch := uint64(0); epoch < 5; epoch++ {
 				for _, rel := range rels {
-					if err := srcs[rel].Update(randStep(r, edb[rel], rel == "nulls")); err != nil {
+					if err := srcs[rel].Update(randStep(r, edb[rel])); err != nil {
 						t.Fatalf("epoch %d: update %q: %v", epoch, rel, err)
 					}
 					if _, err := srcs[rel].Advance(); err != nil {

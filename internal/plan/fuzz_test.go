@@ -3,17 +3,19 @@ package plan
 import (
 	"errors"
 	"testing"
+
+	"repro/internal/datalog"
+	"repro/internal/graspan"
 )
 
 // FuzzDatalogParse: the parser and planner never panic; malformed programs
 // yield typed errors; compiled plans validate and survive the codec.
 func FuzzDatalogParse(f *testing.F) {
 	seeds := []string{
-		tcSrc,
-		sgSrc,
-		tcSrc + "\n?- tc(1, x).",
-		`reach(o, o) :- null(o, o).
-		 reach(q, o) :- reach(p, o), assign(p, q).`,
+		datalog.TCSrc,
+		datalog.SGSrc,
+		datalog.TCSrc + "\n?- tc(1, x).",
+		graspan.ReachSrc,
 		`p(x, y) :- e(x, 3), f(4, y), x != y, x != 0. % comment`,
 		"# hash comment\np(x,x) :- e(x,x).",
 		`p(x, y) :- e(x, y)`,

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/datalog"
 )
 
 func relOf(pairs ...[2]uint64) Rel {
@@ -44,17 +46,6 @@ func closure(edges Rel) Rel {
 	return out
 }
 
-const tcSrc = `
-	% transitive closure
-	tc(x, y) :- e(x, y).
-	tc(x, z) :- tc(x, y), e(y, z).
-`
-
-const sgSrc = `
-	sg(x, y) :- e(p, x), e(p, y), x != y.
-	sg(x, y) :- e(px, x), e(py, y), sg(px, py).
-`
-
 func testEdges() Rel {
 	return relOf(
 		[2]uint64{1, 2}, [2]uint64{2, 3}, [2]uint64{3, 4},
@@ -79,11 +70,11 @@ func mustCompile(t *testing.T, src string, opt Options) *Node {
 }
 
 func TestCompileTCMatchesClosure(t *testing.T) {
-	root := mustCompile(t, tcSrc, Options{})
+	root := mustCompile(t, datalog.TCSrc, Options{})
 	if root.Op != OpFixpoint {
 		t.Fatalf("recursive program should compile to a fixpoint, got %s", root.Op)
 	}
-	edb := map[string]Rel{"e": testEdges()}
+	edb := map[string]Rel{"edges": testEdges()}
 	got, err := Interpret(root, edb)
 	if err != nil {
 		t.Fatalf("interpret: %v", err)
@@ -95,11 +86,11 @@ func TestCompileTCMatchesClosure(t *testing.T) {
 }
 
 func TestCompileSGMatchesOracle(t *testing.T) {
-	prog, err := ParseDatalog(sgSrc)
+	prog, err := ParseDatalog(datalog.SGSrc)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	edb := map[string]Rel{"e": testEdges()}
+	edb := map[string]Rel{"edges": testEdges()}
 	want, err := EvalDatalog(prog, edb)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
@@ -123,8 +114,8 @@ func TestCompileSGMatchesOracle(t *testing.T) {
 }
 
 func TestQueryDirectiveFilters(t *testing.T) {
-	root := mustCompile(t, tcSrc+"\n?- tc(1, y).", Options{})
-	edb := map[string]Rel{"e": testEdges()}
+	root := mustCompile(t, datalog.TCSrc+"\n?- tc(1, y).", Options{})
+	edb := map[string]Rel{"edges": testEdges()}
 	got, err := Interpret(root, edb)
 	if err != nil {
 		t.Fatalf("interpret: %v", err)
@@ -146,7 +137,7 @@ func TestQueryDirectiveFilters(t *testing.T) {
 	}
 
 	// Repeated query variable restricts to the diagonal (cycle members).
-	root = mustCompile(t, tcSrc+"\n?- tc(x, x).", Options{})
+	root = mustCompile(t, datalog.TCSrc+"\n?- tc(x, x).", Options{})
 	got, err = Interpret(root, edb)
 	if err != nil {
 		t.Fatalf("interpret: %v", err)
@@ -250,7 +241,7 @@ func TestParseRejects(t *testing.T) {
 
 func samplePlans(t testing.TB) []*Node {
 	var out []*Node
-	for _, src := range []string{tcSrc, sgSrc, tcSrc + "\n?- tc(1, x)."} {
+	for _, src := range []string{datalog.TCSrc, datalog.SGSrc, datalog.TCSrc + "\n?- tc(1, x)."} {
 		prog, err := ParseDatalog(src)
 		if err != nil {
 			t.Fatalf("parse: %v", err)
@@ -341,8 +332,8 @@ func TestValidateRejects(t *testing.T) {
 // tokenized `_` as one shared named variable, so `?- tc(_, _).` compiled to
 // a key==value filter and returned only self-loops.
 func TestWildcardIsAnonymous(t *testing.T) {
-	root := mustCompile(t, tcSrc+"\n?- tc(_, _).", Options{})
-	edb := map[string]Rel{"e": testEdges()}
+	root := mustCompile(t, datalog.TCSrc+"\n?- tc(_, _).", Options{})
+	edb := map[string]Rel{"edges": testEdges()}
 	got, err := Interpret(root, edb)
 	if err != nil {
 		t.Fatalf("interpret: %v", err)
@@ -363,7 +354,7 @@ func TestWildcardIsAnonymous(t *testing.T) {
 
 	// Wildcards in different atoms must not join each other: p keeps the
 	// edges whose target has any outgoing edge.
-	src := `p(x, y) :- e(x, y), e(y, _).`
+	src := `p(x, y) :- edges(x, y), edges(y, _).`
 	root = mustCompile(t, src, Options{})
 	got, err = Interpret(root, edb)
 	if err != nil {
@@ -470,8 +461,8 @@ func TestValidateCountsDistinctNodes(t *testing.T) {
 }
 
 func TestSharedSubPlanKeysCoincide(t *testing.T) {
-	full := mustCompile(t, tcSrc, Options{})
-	filtered := mustCompile(t, tcSrc+"\n?- tc(1, y).", Options{})
+	full := mustCompile(t, datalog.TCSrc, Options{})
+	filtered := mustCompile(t, datalog.TCSrc+"\n?- tc(1, y).", Options{})
 	if filtered.Op != OpFilter {
 		t.Fatalf("directive should add a filter, got %s", filtered.Op)
 	}
@@ -486,7 +477,7 @@ func TestSharedSubPlanKeysCoincide(t *testing.T) {
 		t.Fatalf("filtered query does not share the unfiltered fixpoint sub-plan")
 	}
 	// Identical plans compiled independently are bit-identical on the wire.
-	again := mustCompile(t, tcSrc, Options{})
+	again := mustCompile(t, datalog.TCSrc, Options{})
 	if string(Encode(again)) != string(Encode(full)) {
 		t.Fatalf("independent compiles of the same program differ")
 	}
