@@ -45,9 +45,8 @@
 //     one key of an arrangement with a seek per batch.
 //   - internal/wal — durability: per-worker append-only logs of sealed
 //     batches (length-prefixed, CRC-checksummed records with
-//     lower/upper/since framing) plus compaction-frontier advances;
-//     ColumnarCodec serializes columnar batch values column-major;
-//     checkpoints rotate a log to one compacted snapshot batch, and crash
+//     lower/upper/since framing, one codec encoding per key and value)
+//     plus compaction-frontier advances; checkpoints rotate a log to one compacted snapshot batch, and crash
 //     recovery replays the longest consistent prefix, clamped across
 //     shards to the meet of their sealed frontiers.
 //   - internal/server — live query installation: a registry of named,

@@ -24,16 +24,16 @@ func main() {
 	prog := graspan.Generate(5000, 3)
 	fmt.Printf("synthetic program graph: %d assign edges, %d null sources\n",
 		len(prog.Assign), len(prog.Nulls))
+	parsed, perr := plan.ParseDatalog(graspan.ReachSrc)
+	root, _, err := plan.Compile(parsed)
+	if err := errors.Join(perr, err); err != nil {
+		panic(err)
+	}
 	var pairs atomic.Int64
 	timely.Execute(2, func(w *timely.Worker) {
 		var ain, nin *dd.InputCollection[uint64, uint64]
 		var probe *timely.Probe
 		w.Dataflow(func(g *timely.Graph) {
-			parsed, perr := plan.ParseDatalog(graspan.ReachSrc)
-			root, _, err := plan.Compile(parsed) // one per worker: Build memoizes keys in it
-			if err := errors.Join(perr, err); err != nil {
-				panic(err)
-			}
 			rels := map[string]dd.Collection[uint64, uint64]{}
 			ain, rels["assign"] = dd.NewInput[uint64, uint64](g)
 			nin, rels["nulls"] = dd.NewInput[uint64, uint64](g)

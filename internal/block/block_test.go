@@ -1,6 +1,7 @@
 package block
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -10,7 +11,8 @@ import (
 )
 
 // tup is the test value type: mixed-signedness, implementing core.Columnar
-// so the same histories run under both value layouts.
+// so the same histories run under both in-memory value layouts. On disk both
+// are tupCodec bytes.
 type tup struct {
 	A uint64
 	B int64
@@ -61,7 +63,7 @@ func (tup) CmpCols(a [][]uint64, i int, b [][]uint64, j int) int {
 	return 0
 }
 
-// tupCodec serializes tup for the row-layout subtests.
+// tupCodec is the value codec every test store writes tup with.
 type tupCodec struct{}
 
 func (tupCodec) Append(dst []byte, v tup) []byte {
@@ -188,10 +190,12 @@ func collectReader(r core.BatchReader[uint64, tup]) []upd {
 }
 
 // TestRoundTrip: encode → decode must reproduce the batch exactly — tuples,
-// frontiers and MinTimes — on both value layouts, at block sizes that force
-// many blocks, and at time depths 1 and 2 (the decoder reads times at the
-// file's depth).
+// frontiers and MinTimes — from both in-memory value layouts, at block sizes
+// that force many blocks, and at time depths 1 and 2 (the decoder reads
+// times at the file's depth). The file's bytes do not depend on the layout
+// the batch was held in.
 func TestRoundTrip(t *testing.T) {
+	images := map[[2]int][]byte{} // by depth and block size
 	for _, columnar := range []bool{true, false} {
 		for _, depth := range []int{1, 2} {
 			r := rand.New(rand.NewSource(7))
@@ -208,6 +212,10 @@ func TestRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("columnar=%v depth=%d encode: %v", columnar, depth, err)
 				}
+				if prev, ok := images[[2]int{depth, blockUpdates}]; ok && !bytes.Equal(prev, img) {
+					t.Fatalf("depth=%d blockUpdates=%d: the two in-memory layouts encode to different files", depth, blockUpdates)
+				}
+				images[[2]int{depth, blockUpdates}] = img
 				got, err := DecodeImage[uint64, tup](fn, nil, tupCodec{}, img)
 				if err != nil {
 					t.Fatalf("columnar=%v depth=%d blockUpdates=%d decode: %v", columnar, depth, blockUpdates, err)
@@ -287,7 +295,8 @@ func TestRoundTripCodecKeys(t *testing.T) {
 // tiny, and asserts they stay observationally identical: same runs and
 // tuples in the same order, same cursor walks, seeks and accumulations,
 // same batch/update counts. Spilling must change where bytes live and
-// nothing else. And the spilled spine's resident bytes never exceed the
+// nothing else. Under the columnar layout, runs read back from disk are
+// row-major, so its merges mix layouts. And the spilled spine's resident bytes never exceed the
 // budget by more than one block per merge input plus one output block:
 // merges read cold inputs, and write output bound for disk, a block at a
 // time.
@@ -461,7 +470,7 @@ type tupDiff struct {
 // only blocks whose resident min/max key stats straddle the probed keys.
 func TestBlockSkipping(t *testing.T) {
 	fn := fnTup(true)
-	st, err := Open[uint64, tup](t.TempDir(), fn, nil, nil, StoreOptions{
+	st, err := Open[uint64, tup](t.TempDir(), fn, nil, tupCodec{}, StoreOptions{
 		BlockUpdates: 4, // many small blocks
 		CacheBytes:   1 << 20,
 	})
@@ -554,7 +563,7 @@ func TestBlockSkipping(t *testing.T) {
 func TestMinTimesReload(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	fn := fnTup(true)
-	st, err := Open[uint64, tup](t.TempDir(), fn, nil, nil, StoreOptions{BlockUpdates: 8})
+	st, err := Open[uint64, tup](t.TempDir(), fn, nil, tupCodec{}, StoreOptions{BlockUpdates: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +600,7 @@ func TestRetireAndGC(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	fn := fnTup(true)
 	dir := t.TempDir()
-	st, err := Open[uint64, tup](dir, fn, nil, nil, StoreOptions{Manifest: true})
+	st, err := Open[uint64, tup](dir, fn, nil, tupCodec{}, StoreOptions{Manifest: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,7 +625,7 @@ func TestRetireAndGC(t *testing.T) {
 	}
 	// Reopen as after a crash: only c2 is referenced.
 	ref2, _ := Ref[uint64, tup](c2)
-	st2, err := Open[uint64, tup](dir, fn, nil, nil, StoreOptions{Manifest: true})
+	st2, err := Open[uint64, tup](dir, fn, nil, tupCodec{}, StoreOptions{Manifest: true})
 	if err != nil {
 		t.Fatal(err)
 	}

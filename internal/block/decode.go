@@ -18,14 +18,12 @@ type image[K, V any] struct {
 	path  string
 	src   source
 	size  int64
-	flags uint16
 	depth int
 
 	lower, upper, since lattice.Frontier
 	numKeys             int
 	numVals             int
 	numUpds             int
-	colWidth            int
 	minTimes            []lattice.Time
 	blocks              []blockMeta[K]
 }
@@ -72,8 +70,11 @@ func openImage[K, V any](cfg *codecs[K, V], src source, size int64, path string)
 		return fail(28, "header checksum mismatch")
 	}
 	im := &image[K, V]{path: path, src: src, size: size}
-	im.flags = binary.LittleEndian.Uint16(hdr[6:8])
-	if u64 := im.flags&flagU64Keys != 0; u64 != cfg.u64Keys {
+	flags := binary.LittleEndian.Uint16(hdr[6:8])
+	if flags&^flagU64Keys != 0 {
+		return fail(6, "unknown flags %#x", flags)
+	}
+	if u64 := flags&flagU64Keys != 0; u64 != cfg.u64Keys {
 		return fail(6, "key layout flag %v does not match store key type", u64)
 	}
 	indexOff := int64(binary.LittleEndian.Uint64(hdr[8:16]))
@@ -133,13 +134,14 @@ func openImage[K, V any](cfg *codecs[K, V], src source, size int64, path string)
 	if im.numUpds, err = readCount(d); err != nil {
 		return bad("update count", err)
 	}
+	// Values are codec bytes; the column-width byte is kept in the format
+	// and must be zero.
 	w, derr := d.U8()
 	if derr != nil {
 		return bad("column width", derr)
 	}
-	im.colWidth = int(w)
-	if columnar := im.flags&flagColumnar != 0; columnar != (im.colWidth > 0) {
-		return fail(indexOff, "columnar flag disagrees with column width %d", im.colWidth)
+	if w != 0 {
+		return fail(indexOff, "column width %d: values must be codec bytes", w)
 	}
 	nMins, err := d.Count("min times")
 	if err != nil {
@@ -263,42 +265,22 @@ type columns[K, V any] struct {
 	vals   core.ValStore[V]
 	valOff []int32 // len(vals)+1, indices into upds
 	upds   []core.TimeDiff
-
-	// words, for a columnar file, are vals' word columns, which the kernel
-	// fills in place; nil for the row layout, whose values it appends.
-	words [][]uint64
 }
 
 // newColumns sizes columns for nKeys keys, nVals values and nUpds updates.
 // The counts come from a validated index, which holds them to the bytes
-// behind them (openImage), so sizing by them is safe.
-func (im *image[K, V]) newColumns(cfg *codecs[K, V], nKeys, nVals, nUpds int) (columns[K, V], error) {
-	var c columns[K, V]
-	if im.colWidth == 0 && cfg.vc == nil {
-		return c, im.corrupt(0, "row-layout file but the store has no value codec")
+// behind them (openImage), so sizing by them is safe. Values decode into
+// the row layout whatever the store's Funcs: a columnar arrangement merges
+// them through ValStore.AppendRange's mixed-layout path.
+func newColumns[K, V any](nKeys, nVals, nUpds int) columns[K, V] {
+	c := columns[K, V]{
+		keys:   make([]K, nKeys),
+		keyOff: make([]int32, nKeys+1),
+		valOff: make([]int32, nVals+1),
+		upds:   make([]core.TimeDiff, nUpds),
 	}
-	if im.colWidth > 0 && !cfg.proto.IsColumnar() {
-		return c, im.corrupt(0, "columnar file but the store has no columnar layout")
-	}
-	c.keys = make([]K, nKeys)
-	c.keyOff = make([]int32, nKeys+1)
-	c.valOff = make([]int32, nVals+1)
-	c.upds = make([]core.TimeDiff, nUpds)
-	if im.colWidth == 0 {
-		c.vals.Grow(nVals)
-		return c, nil
-	}
-	arena := make([]uint64, im.colWidth*nVals)
-	c.words = make([][]uint64, im.colWidth)
-	for f := range c.words {
-		c.words[f] = arena[f*nVals : (f+1)*nVals : (f+1)*nVals]
-	}
-	vs, ok := cfg.proto.WithCols(c.words)
-	if !ok {
-		return c, im.corrupt(0, "%d value columns do not fit the store layout", im.colWidth)
-	}
-	c.vals = vs
-	return c, nil
+	c.vals.Grow(nVals)
+	return c
 }
 
 // batch wraps the decoded columns as a batch, framing left unset.
@@ -382,32 +364,13 @@ func (im *image[K, V]) decodeBlock(cfg *codecs[K, V], bi int, dst *columns[K, V]
 		return fail("key offsets: %v", err)
 	}
 
-	if dst.words != nil {
-		for f, col := range dst.words {
-			col = col[v0 : v0+m.nVals]
-			prev := uint64(0)
-			for i := range col {
-				u, n := uvarint(p, pos)
-				if n <= 0 {
-					return fail("column %d word %d: bad varint at byte %d", f, i, pos)
-				}
-				pos += n
-				w := uint64(zag(u))
-				if i > 0 {
-					w += prev
-				}
-				col[i], prev = w, w
-			}
+	for i := 0; i < m.nVals; i++ {
+		v, n, err := cfg.vc.Read(p[pos:])
+		if err != nil || n < 0 || n > len(p)-pos {
+			return fail("value %d at byte %d: %v", i, pos, err)
 		}
-	} else {
-		for i := 0; i < m.nVals; i++ {
-			v, n, err := cfg.vc.Read(p[pos:])
-			if err != nil || n < 0 || n > len(p)-pos {
-				return fail("value %d at byte %d: %v", i, pos, err)
-			}
-			pos += n
-			dst.vals.Append(v)
-		}
+		pos += n
+		dst.vals.Append(v)
 	}
 	if pos, err = readCounts(p, pos, dst.valOff[v0:v0+m.nVals+1], u0, m.nUpds); err != nil {
 		return fail("value offsets: %v", err)
@@ -503,19 +466,12 @@ type loadedBlock[K, V any] struct {
 // read path.
 func (im *image[K, V]) loadBlock(cfg *codecs[K, V], bi int) (*loadedBlock[K, V], error) {
 	m := &im.blocks[bi]
-	lb := &loadedBlock[K, V]{}
-	var err error
-	if lb.columns, err = im.newColumns(cfg, m.nKeys, m.nVals, m.nUpds); err != nil {
-		return nil, err
-	}
+	lb := &loadedBlock[K, V]{columns: newColumns[K, V](m.nKeys, m.nVals, m.nUpds)}
 	if err := im.decodeBlock(cfg, bi, &lb.columns, false, nil); err != nil {
 		return nil, err
 	}
 	lb.bytes = int64(m.nKeys)*8 + int64(m.nKeys+m.nVals+2)*4 +
-		int64(im.colWidth)*int64(m.nVals)*8 + int64(m.nUpds)*24
-	if im.colWidth == 0 {
-		lb.bytes += int64(m.nVals) * 16
-	}
+		int64(m.nVals)*16 + int64(m.nUpds)*24
 	return lb, nil
 }
 
@@ -526,10 +482,7 @@ func (im *image[K, V]) loadBlock(cfg *codecs[K, V], bi int) (*loadedBlock[K, V],
 // which must agree with the stored MinTimes: disagreement means the stored
 // stats lie about the contents and is corruption.
 func (im *image[K, V]) assemble(cfg *codecs[K, V]) (*core.Batch[K, V], error) {
-	c, err := im.newColumns(cfg, im.numKeys, im.numVals, im.numUpds)
-	if err != nil {
-		return nil, err
-	}
+	c := newColumns[K, V](im.numKeys, im.numVals, im.numUpds)
 	var mins lattice.Frontier
 	for bi := range im.blocks {
 		if err := im.decodeBlock(cfg, bi, &c, true, &mins); err != nil {

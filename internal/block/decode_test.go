@@ -1,10 +1,12 @@
 package block
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -91,7 +93,7 @@ func TestDecodeAllocsIndependentOfSize(t *testing.T) {
 // hostileImage is a file whose one block claims nUpds updates (and as many
 // keys and values) around a 12-byte payload, with index totals to match.
 func hostileImage(nUpds uint32) []byte {
-	return frameBlockClaiming(make([]byte, 12), 0, 0, nUpds, nUpds, nUpds)
+	return frameBlockClaiming(make([]byte, 12), nUpds, nUpds, nUpds)
 }
 
 // TestHostileCountsFailBeforeAllocation: a block claiming more updates than
@@ -120,24 +122,46 @@ func TestHostileCountsFailBeforeAllocation(t *testing.T) {
 	}
 }
 
-// TestLayoutMismatchIsCorrupt: a file whose value layout the store cannot
-// decode — columnar values for a row store, row values for a store without
-// a value codec — is a *CorruptError, never a panic.
+// withColWidth is img, a valid file, with its index's column-width byte set
+// to w and the index frame resealed, so only the width is wrong.
+func withColWidth(img []byte, lower, upper, since lattice.Frontier, w byte) []byte {
+	indexOff := binary.LittleEndian.Uint64(img[8:16])
+	payload, _, err := wal.SplitRecord(img[indexOff:], maxFrameLen)
+	if err != nil {
+		panic(err)
+	}
+	payload = append([]byte(nil), payload...)
+	// kind, three frontiers, three u32 totals, then the width.
+	pos := 1 + len(wal.AppendFrontier(nil, lower)) + len(wal.AppendFrontier(nil, upper)) +
+		len(wal.AppendFrontier(nil, since)) + 12
+	payload[pos] = w
+	return wal.AppendRecord(append([]byte(nil), img[:indexOff]...), payload)
+}
+
+// TestLayoutMismatchIsCorrupt: values on disk are codec bytes, so an index
+// claiming word columns — a nonzero column width — is a *CorruptError, never
+// a panic or a misread. Width zero, the same file, decodes.
 func TestLayoutMismatchIsCorrupt(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for _, columnar := range []bool{true, false} {
-		fn := fnTup(columnar)
-		cfg, err := newCodecs[uint64, tup](fn, nil, tupCodec{})
-		if err != nil {
-			t.Fatal(err)
+	fn := fnTup(false)
+	cfg, err := newCodecs[uint64, tup](fn, nil, tupCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := randBatch(rand.New(rand.NewSource(3)), fn, 0, 2, 40, 8)
+	img, err := encodeImage(cfg, b, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []byte{0, 1, 4, 255} {
+		_, err := DecodeImage[uint64, tup](fn, nil, tupCodec{}, withColWidth(img, b.Lower, b.Upper, b.Since, w))
+		if w == 0 {
+			if err != nil {
+				t.Fatalf("width 0: %v", err)
+			}
+			continue
 		}
-		img, err := encodeImage(cfg, randBatch(r, fn, 0, 2, 40, 8), 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = DecodeImage[uint64, tup](fnTup(!columnar), nil, nil, img)
-		if _, ok := err.(*CorruptError); !ok {
-			t.Fatalf("columnar=%v file decoded by the other layout: got %v, want a *CorruptError", columnar, err)
+		if _, ok := err.(*CorruptError); !ok || !strings.Contains(err.Error(), "column width") {
+			t.Fatalf("column width %d: got %v, want a *CorruptError about the width", w, err)
 		}
 	}
 }

@@ -18,15 +18,17 @@
 //	│   per block: counts, offset/length, first & last key       │
 //	└────────────────────────────────────────────────────────────┘
 //
-// Blocks are key-aligned slices of the batch's columnar image: each key's
-// values and update histories live entirely inside one block, so a point
-// lookup touches exactly one block. The index keeps every block's first and
-// last key resident — min/max key stats — which answers two questions with
-// zero I/O: a seek skips whole blocks whose key range lies below the probe,
-// and a probe that lands on a block boundary discovers a miss without
-// loading anything. Within a block, keys (for uint64 keys) and the uint64
-// word columns of columnar values are delta/varint encoded; offset arrays
-// store per-group counts as varints. Every frame is CRC32-C checked via the
+// Blocks are key-aligned slices of the batch's arrays: each key's values
+// and update histories live entirely inside one block, so a point lookup
+// touches exactly one block. The index keeps every block's first and last
+// key resident — min/max key stats — which answers two questions with zero
+// I/O: a seek skips whole blocks whose key range lies below the probe, and
+// a probe that lands on a block boundary discovers a miss without loading
+// anything. Within a block, uint64 keys are delta/varint encoded (other
+// keys are key-codec bytes), each value is one encoding of the store's
+// value codec whatever the arrangement's in-memory layout, and offset
+// arrays store per-group counts as varints. The index keeps a column-width
+// byte, which must be 0. Every frame is CRC32-C checked via the
 // wal framing helpers, and every count is bounded and cross-checked against
 // the index totals on decode, so arbitrary bytes yield either a valid batch
 // or a typed *CorruptError — never a panic, never silently wrong counts.
@@ -58,8 +60,9 @@
 // exceeds a small multiple of the file. Times are read in place at the
 // file's depth without allocating, and the same pass folds them into the
 // run's minimal-time antichain, which must equal the index's stored
-// MinTimes. Decoding a run allocates a fixed number of objects whatever its
-// length.
+// MinTimes. Values decode row-major; a columnar arrangement merges them
+// through ValStore.AppendRange's mixed-layout path. Decoding a run
+// allocates a fixed number of objects whatever its length.
 //
 // The Store wires the format to the spine: Spill writes a batch as a block
 // file, NewRun writes a merge's output, Segment feeds a merge one block of a

@@ -19,8 +19,7 @@ const (
 	magic     = "KPGB"
 	version   = 1
 
-	flagColumnar = 1 << 0 // values stored as delta-varint word columns
-	flagU64Keys  = 1 << 1 // keys stored as delta-varint uint64s
+	flagU64Keys = 1 << 1 // keys stored as delta-varint uint64s
 
 	kindIndex = 1
 	kindBlock = 2
@@ -67,18 +66,15 @@ func zag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 type codecs[K, V any] struct {
 	fn      core.Funcs[K, V]
 	kc      wal.Codec[K] // nil iff u64Keys
-	vc      wal.Codec[V] // required for row-layout values
+	vc      wal.Codec[V]
 	u64Keys bool
-	// proto is an empty store of fn's layout; columnar decodes wrap their
-	// word columns with its type spec (WithCols).
-	proto core.ValStore[V]
 }
 
 func newCodecs[K, V any](fn core.Funcs[K, V], kc wal.Codec[K], vc wal.Codec[V]) (*codecs[K, V], error) {
-	c := &codecs[K, V]{fn: fn, kc: kc, vc: vc}
-	if fn.NewStore != nil {
-		c.proto = fn.NewStore(0)
+	if vc == nil {
+		return nil, fmt.Errorf("block: value codec required")
 	}
+	c := &codecs[K, V]{fn: fn, kc: kc, vc: vc}
 	var zk K
 	if _, ok := any(zk).(uint64); ok {
 		c.u64Keys = true
@@ -118,7 +114,6 @@ type runWriter[K, V any] struct {
 	blockUpdates int
 	out          sink
 	off          int64 // bytes written, header included
-	width        int   // value columns of the blocks written; -1 before the first
 	frame        []byte
 	metas        []blockMeta[K]
 	numKeys      int
@@ -135,23 +130,13 @@ func newRunWriter[K, V any](cfg *codecs[K, V], blockUpdates int, out sink) (*run
 	if _, err := out.Write(make([]byte, headerLen)); err != nil {
 		return nil, err
 	}
-	return &runWriter[K, V]{cfg: cfg, blockUpdates: blockUpdates, out: out, off: headerLen, width: -1}, nil
+	return &runWriter[K, V]{cfg: cfg, blockUpdates: blockUpdates, out: out, off: headerLen}, nil
 }
 
 // append encodes b's keys, which must follow every key appended before, as
 // blocks, writing each with one call, and folds b's minimal times into the
 // run's.
 func (w *runWriter[K, V]) append(b *core.Batch[K, V]) error {
-	cols := b.Vals.Columns()
-	if len(b.Keys) > 0 {
-		if cols == nil && w.cfg.vc == nil {
-			return fmt.Errorf("block: value codec required for row-layout values")
-		}
-		if w.width >= 0 && len(cols) != w.width {
-			return fmt.Errorf("block: run mixes %d- and %d-column values", w.width, len(cols))
-		}
-		w.width = len(cols)
-	}
 	ki := 0
 	for ki < len(b.Keys) {
 		start := ki
@@ -171,7 +156,9 @@ func (w *runWriter[K, V]) append(b *core.Batch[K, V]) error {
 		for i := start; i < ki; i++ {
 			p = wal.AppendUvarint(p, uint64(b.KeyOff[i+1]-b.KeyOff[i]))
 		}
-		p = encodeVals(w.cfg, p, &b.Vals, cols, vLo, vHi)
+		for vi := vLo; vi < vHi; vi++ {
+			p = w.cfg.vc.Append(p, b.Vals.At(vi))
+		}
 		for vi := vLo; vi < vHi; vi++ {
 			p = wal.AppendUvarint(p, uint64(b.ValOff[vi+1]-b.ValOff[vi]))
 		}
@@ -203,14 +190,7 @@ func (w *runWriter[K, V]) append(b *core.Batch[K, V]) error {
 // finish writes the index — frontiers, totals, MinTimes, then the per-block
 // table — and then the header at offset 0, which locates it.
 func (w *runWriter[K, V]) finish(lower, upper, since lattice.Frontier) error {
-	width := w.width
-	if width < 0 { // no block: the store's own layout
-		width = len(w.cfg.proto.Columns())
-	}
 	flags := uint16(0)
-	if width > 0 {
-		flags |= flagColumnar
-	}
 	if w.cfg.u64Keys {
 		flags |= flagU64Keys
 	}
@@ -221,7 +201,7 @@ func (w *runWriter[K, V]) finish(lower, upper, since lattice.Frontier) error {
 	p = wal.AppendU32(p, uint32(w.numKeys))
 	p = wal.AppendU32(p, uint32(w.numVals))
 	p = wal.AppendU32(p, uint32(w.numUpds))
-	p = append(p, byte(width))
+	p = append(p, 0) // column width: values are codec bytes, never word columns
 	mins := w.mins.Elements()
 	p = wal.AppendU32(p, uint32(len(mins)))
 	for _, t := range mins {
@@ -280,31 +260,6 @@ func encodeKeys[K, V any](cfg *codecs[K, V], dst []byte, keys []K) []byte {
 	}
 	for _, k := range keys {
 		dst = cfg.kc.Append(dst, k)
-	}
-	return dst
-}
-
-// encodeVals writes a block's value run [vLo, vHi): per-column
-// delta-zigzag varints over the word columns when columnar, codec bytes per
-// value otherwise.
-func encodeVals[K, V any](cfg *codecs[K, V], dst []byte, vs *core.ValStore[V], cols [][]uint64, vLo, vHi int) []byte {
-	if cols != nil {
-		for _, col := range cols {
-			prev := uint64(0)
-			for i := vLo; i < vHi; i++ {
-				w := col[i]
-				if i == vLo {
-					dst = wal.AppendUvarint(dst, zig(int64(w)))
-				} else {
-					dst = wal.AppendUvarint(dst, zig(int64(w-prev)))
-				}
-				prev = w
-			}
-		}
-		return dst
-	}
-	for i := vLo; i < vHi; i++ {
-		dst = cfg.vc.Append(dst, vs.At(i))
 	}
 	return dst
 }

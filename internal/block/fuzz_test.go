@@ -15,12 +15,12 @@ import (
 // valid block file: correct magic, version, header CRC, and record framing.
 // The CRCs hide most fuzz mutations from the decoder proper; this wrapper
 // drives the index parser with adversarial payload bytes directly.
-func frameAsIndex(data []byte, flags uint16) []byte {
+func frameAsIndex(data []byte) []byte {
 	img := make([]byte, headerLen)
 	img = wal.AppendRecord(img, data)
 	copy(img[0:4], magic)
 	binary.LittleEndian.PutUint16(img[4:6], version)
-	binary.LittleEndian.PutUint16(img[6:8], flags)
+	binary.LittleEndian.PutUint16(img[6:8], flagU64Keys)
 	binary.LittleEndian.PutUint64(img[8:16], headerLen)
 	binary.LittleEndian.PutUint64(img[16:24], uint64(len(img)-headerLen))
 	binary.LittleEndian.PutUint32(img[28:32], crc32.Checksum(img[0:28], crcTable))
@@ -31,14 +31,14 @@ func frameAsIndex(data []byte, flags uint16) []byte {
 // whose index is valid and self-consistent (fixed small counts and key
 // stats). Everything up to block decode passes, so the fuzzer exercises
 // the block payload parser with raw input.
-func frameAsBlock(data []byte, flags uint16, colWidth byte) []byte {
-	return frameBlockClaiming(data, flags, colWidth, 2, 3, 4)
+func frameAsBlock(data []byte) []byte {
+	return frameBlockClaiming(data, 2, 3, 4)
 }
 
 // frameBlockClaiming is frameAsBlock with the block's key, value and update
 // counts (and the index totals, which must sum to them) chosen by the
 // caller.
-func frameBlockClaiming(data []byte, flags uint16, colWidth byte, nKeys, nVals, nUpds uint32) []byte {
+func frameBlockClaiming(data []byte, nKeys, nVals, nUpds uint32) []byte {
 	img := make([]byte, headerLen)
 	blockOff := int64(len(img))
 	img = wal.AppendRecord(img, data)
@@ -51,7 +51,7 @@ func frameBlockClaiming(data []byte, flags uint16, colWidth byte, nKeys, nVals, 
 	p = wal.AppendU32(p, nKeys)
 	p = wal.AppendU32(p, nVals)
 	p = wal.AppendU32(p, nUpds)
-	p = append(p, colWidth)
+	p = append(p, 0)        // column width
 	p = wal.AppendU32(p, 1) // one min time
 	p = wal.AppendTime(p, lattice.Ts(0))
 	p = wal.AppendU32(p, 1) // one block
@@ -67,59 +67,57 @@ func frameBlockClaiming(data []byte, flags uint16, colWidth byte, nKeys, nVals, 
 
 	copy(img[0:4], magic)
 	binary.LittleEndian.PutUint16(img[4:6], version)
-	binary.LittleEndian.PutUint16(img[6:8], flags|flagU64Keys)
+	binary.LittleEndian.PutUint16(img[6:8], flagU64Keys)
 	binary.LittleEndian.PutUint64(img[8:16], uint64(indexOff))
 	binary.LittleEndian.PutUint64(img[16:24], uint64(len(img)-indexOff))
 	binary.LittleEndian.PutUint32(img[28:32], crc32.Checksum(img[0:28], crcTable))
 	return img
 }
 
-// decodeBoth runs one input through the decoder under both value layouts,
-// enforcing the contract: a decoded batch or a typed *CorruptError — never
-// a panic, never silently wrong counts.
-func decodeBoth(t *testing.T, data []byte) {
-	for _, columnar := range []bool{true, false} {
-		fn := fnTup(columnar)
-		got, err := DecodeImage[uint64, tup](fn, nil, tupCodec{}, data)
-		if err != nil {
-			if _, ok := err.(*CorruptError); !ok {
-				t.Fatalf("columnar=%v: untyped decode error %T: %v", columnar, err, err)
-			}
-			continue
+// decodeChecked runs one input through the decoder, enforcing the contract:
+// a decoded batch or a typed *CorruptError — never a panic, never silently
+// wrong counts.
+func decodeChecked(t *testing.T, data []byte) {
+	fn := fnTup(false)
+	got, err := DecodeImage[uint64, tup](fn, nil, tupCodec{}, data)
+	if err != nil {
+		if _, ok := err.(*CorruptError); !ok {
+			t.Fatalf("untyped decode error %T: %v", err, err)
 		}
-		// Structural validity: the offset tables must agree with the arrays
-		// (wrong counts here mean the decoder lied about what it read).
-		if len(got.KeyOff) != len(got.Keys)+1 || len(got.ValOff) != got.Vals.Len()+1 ||
-			int(got.KeyOff[len(got.KeyOff)-1]) != got.Vals.Len() ||
-			int(got.ValOff[len(got.ValOff)-1]) != len(got.Upds) {
-			t.Fatalf("columnar=%v: decoded batch structurally inconsistent", columnar)
-		}
-		n := 0
-		got.ForEach(func(uint64, tup, lattice.Time, core.Diff) { n++ })
-		if n != got.Len() {
-			t.Fatalf("columnar=%v: ForEach visited %d of %d updates", columnar, n, got.Len())
-		}
-		// Idempotence: re-encoding what decoded must decode back equal.
-		cfg, err := newCodecs[uint64, tup](fn, nil, tupCodec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		img2, err := encodeImage(cfg, got, 7)
-		if err != nil {
-			t.Fatalf("columnar=%v: re-encode of decoded batch failed: %v", columnar, err)
-		}
-		got2, err := DecodeImage[uint64, tup](fn, nil, tupCodec{}, img2)
-		if err != nil {
-			t.Fatalf("columnar=%v: re-decode failed: %v", columnar, err)
-		}
-		a, b := collectReader(got), collectReader(got2)
-		if len(a) != len(b) {
-			t.Fatalf("columnar=%v: round trip changed tuple count %d → %d", columnar, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("columnar=%v: round trip changed tuple %d", columnar, i)
-			}
+		return
+	}
+	// Structural validity: the offset tables must agree with the arrays
+	// (wrong counts here mean the decoder lied about what it read).
+	if len(got.KeyOff) != len(got.Keys)+1 || len(got.ValOff) != got.Vals.Len()+1 ||
+		int(got.KeyOff[len(got.KeyOff)-1]) != got.Vals.Len() ||
+		int(got.ValOff[len(got.ValOff)-1]) != len(got.Upds) {
+		t.Fatal("decoded batch structurally inconsistent")
+	}
+	n := 0
+	got.ForEach(func(uint64, tup, lattice.Time, core.Diff) { n++ })
+	if n != got.Len() {
+		t.Fatalf("ForEach visited %d of %d updates", n, got.Len())
+	}
+	// Idempotence: re-encoding what decoded must decode back equal.
+	cfg, err := newCodecs[uint64, tup](fn, nil, tupCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img2, err := encodeImage(cfg, got, 7)
+	if err != nil {
+		t.Fatalf("re-encode of decoded batch failed: %v", err)
+	}
+	got2, err := DecodeImage[uint64, tup](fn, nil, tupCodec{}, img2)
+	if err != nil {
+		t.Fatalf("re-decode failed: %v", err)
+	}
+	a, b := collectReader(got), collectReader(got2)
+	if len(a) != len(b) {
+		t.Fatalf("round trip changed tuple count %d → %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("round trip changed tuple %d", i)
 		}
 	}
 }
@@ -130,14 +128,16 @@ func decodeBoth(t *testing.T, data []byte) {
 // never silently wrong counts.
 func FuzzBlockDecode(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
-	for _, columnar := range []bool{true, false} {
-		fn := fnTup(columnar)
-		cfg, err := newCodecs[uint64, tup](fn, nil, tupCodec{})
-		if err != nil {
-			f.Fatal(err)
-		}
-		valid, err := encodeImage(cfg, randBatch(r, fn, 0, 3, 80, 12), 8)
-		if err != nil {
+	fn := fnTup(false)
+	cfg, err := newCodecs[uint64, tup](fn, nil, tupCodec{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var b *core.Batch[uint64, tup]
+	var valid []byte
+	for _, depth := range []int{1, 2} {
+		b = randBatchAt(r, fn, depth, 0, 3, 80, 12)
+		if valid, err = encodeImage(cfg, b, 8); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(valid)
@@ -152,14 +152,14 @@ func FuzzBlockDecode(f *testing.F) {
 	// Indexes whose block claims more updates than its frame can hold.
 	f.Add(hostileImage(3))
 	f.Add(hostileImage(maxElems))
+	// A valid file but for a nonzero column width.
+	f.Add(withColWidth(valid, b.Lower, b.Upper, b.Since, 4))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decodeBoth(t, data)
+		decodeChecked(t, data)
 		// Re-framed variants: valid CRCs around the raw input, so mutations
 		// reach the index and block parsers instead of dying at checksums.
-		decodeBoth(t, frameAsIndex(data, flagU64Keys|flagColumnar))
-		decodeBoth(t, frameAsIndex(data, flagU64Keys))
-		decodeBoth(t, frameAsBlock(data, flagColumnar, 4))
-		decodeBoth(t, frameAsBlock(data, 0, 0))
+		decodeChecked(t, frameAsIndex(data))
+		decodeChecked(t, frameAsBlock(data))
 	})
 }

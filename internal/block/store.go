@@ -72,7 +72,7 @@ type cacheEntry[K, V any] struct {
 }
 
 // Open creates or reopens a block store in dir. kc may be nil for uint64
-// keys (delta-encoded natively); vc may be nil for columnar value layouts.
+// keys (delta-encoded natively); vc is required.
 func Open[K, V any](dir string, fn core.Funcs[K, V], kc wal.Codec[K], vc wal.Codec[V],
 	opt StoreOptions) (*Store[K, V], error) {
 
@@ -283,10 +283,7 @@ func (s *Store[K, V]) Segment(r core.BatchReader[K, V], i int) (*core.Batch[K, V
 		return nil, nil
 	}
 	m := &bb.im.blocks[i]
-	c, err := bb.im.newColumns(s.cfg, m.nKeys, m.nVals, m.nUpds)
-	if err != nil {
-		return nil, err
-	}
+	c := newColumns[K, V](m.nKeys, m.nVals, m.nUpds)
 	if err := bb.im.decodeBlock(s.cfg, i, &c, false, nil); err != nil {
 		return nil, err
 	}

@@ -226,9 +226,6 @@ func (a *TraceAgent[K, V]) Work(ctx *timely.Ctx, busy bool) {
 
 // ArrangeOptions tunes an arrangement.
 type ArrangeOptions struct {
-	// MergeCoef is the merge effort coefficient (MergeLazy, MergeDefault,
-	// MergeEager); zero means MergeDefault.
-	MergeCoef int
 	// StreamOnly builds no trace at all: the operator mints and emits
 	// batches but maintains no index (used by Consolidate).
 	StreamOnly bool
@@ -263,7 +260,7 @@ func Arrange[K, V any](s *timely.Stream[Update[K, V]], fn Funcs[K, V],
 		depth: depth,
 	}
 	if !opt.StreamOnly {
-		agent.spine = NewSpine[K, V](fn, opt.MergeCoef)
+		agent.spine = NewSpine[K, V](fn, MergeDefault)
 		agent.spine.SetUpperDepth(depth)
 		agent.primary = agent.spine.NewHandle()
 		if opt.Spill != nil {

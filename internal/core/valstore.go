@@ -87,27 +87,6 @@ func NewColumnarStore[V Columnar[V]]() func(capHint int) ValStore[V] {
 	}
 }
 
-// WithCols builds a columnar store over externally produced word columns
-// (the WAL's column-major batch decode), sharing the receiver's type spec —
-// decoders keep one prototype store and pay no per-batch spec or closure
-// allocation. The receiver must be columnar, the columns must number
-// ColWidth and have equal lengths; the new store takes ownership of them.
-func (s *ValStore[V]) WithCols(cols [][]uint64) (ValStore[V], bool) {
-	if s.col == nil || len(cols) != s.col.spec.width {
-		return ValStore[V]{}, false
-	}
-	n := 0
-	if len(cols) > 0 {
-		n = len(cols[0])
-	}
-	for _, col := range cols {
-		if len(col) != n {
-			return ValStore[V]{}, false
-		}
-	}
-	return ValStore[V]{col: &colLayout[V]{spec: s.col.spec, cols: cols, n: n}}, true
-}
-
 // Len returns the number of stored values.
 func (s *ValStore[V]) Len() int {
 	if s.col != nil {
@@ -116,11 +95,8 @@ func (s *ValStore[V]) Len() int {
 	return len(s.rows)
 }
 
-// IsColumnar reports whether the store uses the column-major layout.
-func (s *ValStore[V]) IsColumnar() bool { return s.col != nil }
-
 // Columns exposes the word columns of a columnar store (nil for the row
-// layout). Read-only: serialization walks them column-by-column.
+// layout). Read-only: ApproxBytes meters them.
 func (s *ValStore[V]) Columns() [][]uint64 {
 	if s.col == nil {
 		return nil

@@ -39,19 +39,18 @@ func handTC(rels map[string]dd.Collection[uint64, uint64]) dd.Collection[uint64,
 }
 
 // program compiles a program text to a builder that arranges each relation
-// the program reads from its input. Each worker builds its own compiled plan:
-// Build memoizes keys in the nodes it reads, so workers must not share one.
+// the program reads from its input. Every worker builds the one compiled plan.
 func program(t *testing.T, src string) builder {
 	t.Helper()
 	prog, err := plan.ParseDatalog(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if _, _, err := plan.Compile(prog); err != nil {
+	root, _, err := plan.Compile(prog)
+	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	return func(rels map[string]dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-		root, _, _ := plan.Compile(prog) // compiled without error above
 		out, err := plan.Build(root, plan.Env{Source: func(rel string) (*core.Arranged[uint64, uint64], error) {
 			in, ok := rels[rel]
 			if !ok {

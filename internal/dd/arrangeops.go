@@ -98,12 +98,6 @@ func EnterArranged[K, V any](a *core.Arranged[K, V], name string) *core.Arranged
 	return &core.Arranged[K, V]{Stream: s, Agent: a.Agent, Shift: a.Shift + 1}
 }
 
-// ImportArranged mirrors a maintained trace into a new dataflow on the same
-// worker and wraps it for dd use.
-func ImportArranged[K, V any](g *timely.Graph, agent *core.TraceAgent[K, V], name string) *core.Arranged[K, V] {
-	return core.Import(g, agent, name)
-}
-
 // Enter brings a collection into an iteration scope: records are introduced
 // at loop coordinate zero and persist across iterations.
 func Enter[K, V any](c Collection[K, V]) Collection[K, V] {

@@ -156,7 +156,7 @@ func TestRawImportStillReplaysHistory(t *testing.T) {
 
 		var qprobe *timely.Probe
 		w.Dataflow(func(g *timely.Graph) {
-			imported := ImportArranged(g, arr.Agent, "import")
+			imported := core.Import(g, arr.Agent, "import")
 			flat := Flatten(imported)
 			Capture(flat, captured)
 			qprobe = Probe(flat)

@@ -3,6 +3,7 @@ package graspan
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -25,17 +26,19 @@ func inserts(edges []graphs.Edge) []core.Update[uint64, uint64] {
 	return upds
 }
 
-// run compiles src and evaluates it on the given number of workers, with one
-// input for every relation the steps name, each arranged once, feeding step e
-// from worker 0 at epoch e. It returns the output accumulated at each epoch
-// as a set; every record must have multiplicity one.
+// run compiles src once and evaluates it on the given number of workers,
+// each building the one compiled plan, with one input for every relation the
+// steps name, each arranged once, feeding step e from worker 0 at epoch e. It
+// returns the output accumulated at each epoch as a set; every record must
+// have multiplicity one.
 func run(t *testing.T, workers int, src string, steps ...step) []map[[2]uint64]bool {
 	t.Helper()
 	prog, err := plan.ParseDatalog(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if _, _, err := plan.Compile(prog); err != nil {
+	root, _, err := plan.Compile(prog)
+	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	var names []string
@@ -48,6 +51,8 @@ func run(t *testing.T, workers int, src string, steps ...step) []map[[2]uint64]b
 	}
 	slices.Sort(names) // every worker builds the same dataflow
 	cap := &dd.Captured[uint64, uint64]{}
+	var ready sync.WaitGroup // the workers start building the plan together
+	ready.Add(workers)
 	timely.Execute(workers, func(w *timely.Worker) {
 		ins := make([]*dd.InputCollection[uint64, uint64], len(names))
 		var probe *timely.Probe
@@ -56,9 +61,8 @@ func run(t *testing.T, workers int, src string, steps ...step) []map[[2]uint64]b
 			for i, n := range names {
 				ins[i], rels[n] = dd.NewInput[uint64, uint64](g)
 			}
-			// Each worker builds its own compiled plan: Build memoizes keys
-			// in the nodes it reads, so workers must not share one.
-			root, _, _ := plan.Compile(prog) // compiled without error above
+			ready.Done()
+			ready.Wait()
 			out, err := plan.Build(root, plan.Env{Source: func(rel string) (*core.Arranged[uint64, uint64], error) {
 				in, ok := rels[rel]
 				if !ok {
@@ -155,6 +159,17 @@ func TestPointsToMatchesOracle(t *testing.T) {
 		sameSet(t, "va", va, wVA)
 		sameSet(t, "ma", ma, wMA)
 	}
+}
+
+// TestWorkersBuildOneSharedPlan: four workers build one compiled plan
+// concurrently. Build reads every node's canonical key; the nodes are shared,
+// so reading them must be race-free (run this under -race) and every worker
+// must build the same dataflow.
+func TestWorkersBuildOneSharedPlan(t *testing.T) {
+	prog := Generate(24, 5)
+	wVF, _, _ := PointsToOracle(prog.Assign, prog.Deref)
+	vf := run(t, 4, PointsToSrc, step{"assign": inserts(prog.Assign), "deref": inserts(prog.Deref)})[0]
+	sameSet(t, "vf", vf, wVF)
 }
 
 func TestPointsToGeneratedGraph(t *testing.T) {

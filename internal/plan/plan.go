@@ -28,12 +28,11 @@ package plan
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
+	"sync/atomic"
 )
 
 // Op enumerates the IR node kinds.
@@ -122,8 +121,8 @@ type Def struct {
 }
 
 // Node is one IR node. Nodes are immutable once constructed (the canonical
-// key is memoized on first use); sub-plans may be shared, so the tree is in
-// general a DAG.
+// key is memoized on first use, atomically, so workers may build one plan
+// concurrently); sub-plans may be shared, so the tree is in general a DAG.
 type Node struct {
 	Op Op
 
@@ -138,7 +137,7 @@ type Node struct {
 	Defs      []Def // Fixpoint
 	Out       string
 
-	key string // memoized canonical key
+	key atomic.Pointer[string] // memoized canonical key
 }
 
 // MaxNodes bounds the distinct nodes a decoded plan may contain; plans
@@ -164,45 +163,46 @@ func (n *Node) Stateful() bool {
 // keys stay linear in the number of distinct nodes even when sub-plan
 // sharing makes the DAG exponentially larger as a tree.
 func (n *Node) Key() string {
-	if n.key == "" {
-		var b strings.Builder
-		switch n.Op {
-		case OpScan:
-			fmt.Fprintf(&b, "(s %s)", strconv.Quote(n.Rel))
-		case OpRec:
-			fmt.Fprintf(&b, "(r %s)", strconv.Quote(n.Rel))
-		case OpFilter:
-			fmt.Fprintf(&b, "(f %d %d %d %s)", n.FOp, n.A, n.B, n.In.Key())
-		case OpProject:
-			fmt.Fprintf(&b, "(p %d%d %s)", n.Cols[0], n.Cols[1], n.In.Key())
-		case OpUnion:
-			l, r := n.In.Key(), n.Right.Key()
-			if r < l {
-				l, r = r, l
-			}
-			fmt.Fprintf(&b, "(u %s %s)", l, r)
-		case OpJoin:
-			fmt.Fprintf(&b, "(j %d%d %t %s %s)", n.Proj[0], n.Proj[1], n.EqVals,
-				n.In.Key(), n.Right.Key())
-		case OpCount:
-			fmt.Fprintf(&b, "(c %s)", n.In.Key())
-		case OpDistinct:
-			fmt.Fprintf(&b, "(d %s)", n.In.Key())
-		case OpFixpoint:
-			defs := append([]Def(nil), n.Defs...)
-			sort.Slice(defs, func(i, j int) bool { return defs[i].Name < defs[j].Name })
-			fmt.Fprintf(&b, "(x %s", strconv.Quote(n.Out))
-			for _, d := range defs {
-				fmt.Fprintf(&b, " (%s %s)", strconv.Quote(d.Name), d.Body.Key())
-			}
-			b.WriteByte(')')
-		default:
-			fmt.Fprintf(&b, "(?%d)", n.Op)
-		}
-		sum := sha256.Sum256([]byte(b.String()))
-		n.key = hex.EncodeToString(sum[:])
+	if k := n.key.Load(); k != nil {
+		return *k
 	}
-	return n.key
+	h := sha256.New()
+	switch n.Op {
+	case OpScan:
+		fmt.Fprintf(h, "(s %s)", strconv.Quote(n.Rel))
+	case OpRec:
+		fmt.Fprintf(h, "(r %s)", strconv.Quote(n.Rel))
+	case OpFilter:
+		fmt.Fprintf(h, "(f %d %d %d %s)", n.FOp, n.A, n.B, n.In.Key())
+	case OpProject:
+		fmt.Fprintf(h, "(p %d%d %s)", n.Cols[0], n.Cols[1], n.In.Key())
+	case OpUnion:
+		l, r := n.In.Key(), n.Right.Key()
+		if r < l {
+			l, r = r, l
+		}
+		fmt.Fprintf(h, "(u %s %s)", l, r)
+	case OpJoin:
+		fmt.Fprintf(h, "(j %d%d %t %s %s)", n.Proj[0], n.Proj[1], n.EqVals,
+			n.In.Key(), n.Right.Key())
+	case OpCount:
+		fmt.Fprintf(h, "(c %s)", n.In.Key())
+	case OpDistinct:
+		fmt.Fprintf(h, "(d %s)", n.In.Key())
+	case OpFixpoint:
+		defs := append([]Def(nil), n.Defs...)
+		sort.Slice(defs, func(i, j int) bool { return defs[i].Name < defs[j].Name })
+		fmt.Fprintf(h, "(x %s", strconv.Quote(n.Out))
+		for _, d := range defs {
+			fmt.Fprintf(h, " (%s %s)", strconv.Quote(d.Name), d.Body.Key())
+		}
+		h.Write([]byte(")"))
+	default:
+		fmt.Fprintf(h, "(?%d)", n.Op)
+	}
+	k := fmt.Sprintf("%x", h.Sum(nil))
+	n.key.Store(&k)
+	return k
 }
 
 // Sources returns the distinct base relations the plan scans, sorted.

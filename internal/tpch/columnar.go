@@ -2,14 +2,13 @@ package tpch
 
 import "repro/internal/core"
 
-// Columnar layouts for the relation structs: each type scatters into one
-// uint64 word column per field (bools as 0/1, int64s reinterpreted), so
-// arrangements of these relations store batches column-major — merges move
-// word columns instead of memmoving 9–15-field structs, and comparisons read
-// only the leading columns they need. Everything here is explicit per-field
-// code, mirroring the less* orderings in inputs.go (lexicographic over the
-// fields). Only customer, partsupp and lineitem are arranged whole today, so
-// only they have a store factory below.
+// Columnar layouts for the relations arranged whole — customer, partsupp
+// and lineitem: each type scatters into one uint64 word column per field
+// (int64s reinterpreted), so their arrangements store batches column-major —
+// merges move word columns instead of memmoving 4–15-field structs, and
+// comparisons read only the leading columns they need. Everything here is
+// explicit per-field code, mirroring the less* orderings in inputs.go
+// (lexicographic over the fields).
 
 // colCmp is one step of a CmpCols comparison: which column to compare next
 // and whether its words carry int64s.
@@ -42,38 +41,6 @@ func cmpByCols(a [][]uint64, i int, b [][]uint64, j int, order []colCmp) int {
 	return 0
 }
 
-func b2w(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// Supplier columns: 0 SuppKey, 1 NationKey, 2 AcctBal, 3 Complaint, 4 NameCode.
-
-func (Supplier) ColWidth() int { return 5 }
-
-func (v Supplier) AppendWords(dst []uint64) []uint64 {
-	return append(dst, v.SuppKey, uint64(v.NationKey), uint64(v.AcctBal),
-		b2w(v.Complaint), uint64(v.NameCode))
-}
-
-func (Supplier) FromWords(w []uint64) Supplier {
-	return Supplier{
-		SuppKey:   w[0],
-		NationKey: int64(w[1]),
-		AcctBal:   int64(w[2]),
-		Complaint: w[3] != 0,
-		NameCode:  int64(w[4]),
-	}
-}
-
-var supplierOrder = []colCmp{{0, false}, {1, true}, {2, true}, {3, false}, {4, true}}
-
-func (Supplier) CmpCols(a [][]uint64, i int, b [][]uint64, j int) int {
-	return cmpByCols(a, i, b, j, supplierOrder)
-}
-
 // Customer columns: 0 CustKey, 1 NationKey, 2 AcctBal, 3 MktSegment, 4 Phone.
 
 func (Customer) ColWidth() int { return 5 }
@@ -99,34 +66,6 @@ func (Customer) CmpCols(a [][]uint64, i int, b [][]uint64, j int) int {
 	return cmpByCols(a, i, b, j, customerOrder)
 }
 
-// Part columns: 0 PartKey, 1 Brand, 2 TypeCode, 3 Size, 4 Container,
-// 5 Color, 6 RetailPrice.
-
-func (Part) ColWidth() int { return 7 }
-
-func (v Part) AppendWords(dst []uint64) []uint64 {
-	return append(dst, v.PartKey, uint64(v.Brand), uint64(v.TypeCode),
-		uint64(v.Size), uint64(v.Container), uint64(v.Color), uint64(v.RetailPrice))
-}
-
-func (Part) FromWords(w []uint64) Part {
-	return Part{
-		PartKey:     w[0],
-		Brand:       int64(w[1]),
-		TypeCode:    int64(w[2]),
-		Size:        int64(w[3]),
-		Container:   int64(w[4]),
-		Color:       int64(w[5]),
-		RetailPrice: int64(w[6]),
-	}
-}
-
-var partOrder = []colCmp{{0, false}, {1, true}, {2, true}, {3, true}, {4, true}, {5, true}, {6, true}}
-
-func (Part) CmpCols(a [][]uint64, i int, b [][]uint64, j int) int {
-	return cmpByCols(a, i, b, j, partOrder)
-}
-
 // PartSupp columns: 0 PartKey, 1 SuppKey, 2 AvailQty, 3 SupplyCost.
 
 func (PartSupp) ColWidth() int { return 4 }
@@ -148,40 +87,6 @@ var partSuppOrder = []colCmp{{0, false}, {1, false}, {2, true}, {3, true}}
 
 func (PartSupp) CmpCols(a [][]uint64, i int, b [][]uint64, j int) int {
 	return cmpByCols(a, i, b, j, partSuppOrder)
-}
-
-// Order columns: 0 OrderKey, 1 CustKey, 2 Status, 3 TotalPrice, 4 OrderDate,
-// 5 Priority, 6 ShipPriority, 7 SpecialRequest, 8 Clerk.
-
-func (Order) ColWidth() int { return 9 }
-
-func (v Order) AppendWords(dst []uint64) []uint64 {
-	return append(dst, v.OrderKey, v.CustKey, uint64(v.Status), uint64(v.TotalPrice),
-		uint64(v.OrderDate), uint64(v.Priority), uint64(v.ShipPriority),
-		b2w(v.SpecialRequest), uint64(v.Clerk))
-}
-
-func (Order) FromWords(w []uint64) Order {
-	return Order{
-		OrderKey:       w[0],
-		CustKey:        w[1],
-		Status:         int64(w[2]),
-		TotalPrice:     int64(w[3]),
-		OrderDate:      int64(w[4]),
-		Priority:       int64(w[5]),
-		ShipPriority:   int64(w[6]),
-		SpecialRequest: w[7] != 0,
-		Clerk:          int64(w[8]),
-	}
-}
-
-var orderOrder = []colCmp{
-	{0, false}, {1, false}, {2, true}, {3, true}, {4, true},
-	{5, true}, {6, true}, {7, false}, {8, true},
-}
-
-func (Order) CmpCols(a [][]uint64, i int, b [][]uint64, j int) int {
-	return cmpByCols(a, i, b, j, orderOrder)
 }
 
 // LineItem columns: 0 OrderKey, 1 PartKey, 2 SuppKey, 3 LineNumber,

@@ -151,8 +151,9 @@ func lessLineItem(a, b LineItem) bool {
 	return a.ShipMode < b.ShipMode
 }
 
-// The relation Funcs carry columnar store factories (columnar.go): every
-// arrangement of a relation stores its wide tuples column-major.
+// The customer and partsupp Funcs carry columnar store factories
+// (columnar.go): Q22's and Q2's arrangements of them store their tuples
+// column-major.
 
 func fnCustomer() core.Funcs[uint64, Customer] {
 	f := fnU64T(lessCustomer)

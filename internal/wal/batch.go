@@ -146,11 +146,9 @@ func (c *cursor) count(what string) (int, error) {
 }
 
 // appendBatch encodes a batch: the three framing frontiers followed by the
-// five columnar arrays, exactly as core.Batch stores them. The value section
-// is row-major (one self-delimiting encoding per value) for ordinary codecs;
-// a storeCodec (ColumnarCodec) lays it out column-major instead, dumping the
-// store's word columns directly — same u32 count prefix, deterministic bytes
-// either way.
+// five arrays core.Batch stores. The value section is one self-delimiting
+// codec encoding per value, whatever the store's in-memory layout, so the
+// bytes are deterministic.
 func appendBatch[K, V any](dst []byte, kc Codec[K], vc Codec[V], b *core.Batch[K, V]) []byte {
 	dst = appendFrontier(dst, b.Lower)
 	dst = appendFrontier(dst, b.Upper)
@@ -164,12 +162,8 @@ func appendBatch[K, V any](dst []byte, kc Codec[K], vc Codec[V], b *core.Batch[K
 		dst = appendU32(dst, uint32(o))
 	}
 	dst = appendU32(dst, uint32(b.Vals.Len()))
-	if sc, ok := vc.(storeCodec[V]); ok {
-		dst = sc.appendStore(dst, &b.Vals)
-	} else {
-		for i := 0; i < b.Vals.Len(); i++ {
-			dst = vc.Append(dst, b.Vals.At(i))
-		}
+	for i := 0; i < b.Vals.Len(); i++ {
+		dst = vc.Append(dst, b.Vals.At(i))
 	}
 	dst = appendU32(dst, uint32(len(b.ValOff)))
 	for _, o := range b.ValOff {
@@ -215,20 +209,14 @@ func decodeBatch[K, V any](c *cursor, kc Codec[K], vc Codec[V]) (*core.Batch[K, 
 	if err != nil {
 		return nil, err
 	}
-	if sc, ok := vc.(storeCodec[V]); ok {
-		if b.Vals, err = sc.readStore(c, nVals); err != nil {
-			return nil, err
+	b.Vals.Grow(min(nVals, 4096))
+	for i := 0; i < nVals; i++ {
+		v, n, verr := vc.Read(c.buf[c.off:])
+		if verr != nil {
+			return nil, c.fail("val %d: %v", i, verr)
 		}
-	} else {
-		b.Vals.Grow(min(nVals, 4096))
-		for i := 0; i < nVals; i++ {
-			v, n, verr := vc.Read(c.buf[c.off:])
-			if verr != nil {
-				return nil, c.fail("val %d: %v", i, verr)
-			}
-			c.off += n
-			b.Vals.Append(v)
-		}
+		c.off += n
+		b.Vals.Append(v)
 	}
 	if b.ValOff, err = c.offsets("valoff"); err != nil {
 		return nil, err

@@ -86,103 +86,3 @@ func (unitCodec) Read([]byte) (core.Unit, int, error) { return core.Unit{}, 0, n
 
 // UnitCodec returns the zero-width codec for key-only collections.
 func UnitCodec() Codec[core.Unit] { return unitCodec{} }
-
-// storeCodec is the optional batch-level extension of a value Codec: a codec
-// implementing it takes over the whole value section of a batch record,
-// choosing its own layout. ColumnarCodec uses it to write column-major.
-type storeCodec[V any] interface {
-	appendStore(dst []byte, s *core.ValStore[V]) []byte
-	readStore(c *cursor, n int) (core.ValStore[V], error)
-}
-
-// ColumnarCodec returns the codec for a Columnar value type. Per value it
-// writes the type's ColWidth words as fixed-width little-endian u64s; inside
-// batch records it instead lays the value section out column-major — each
-// word column dumped contiguously, a single memcpy-shaped pass per column on
-// encode, and the decoded batch carries a columnar store, so recovery
-// rebuilds columnar arrangements without a row-major detour. Encode cost and
-// record size both drop: no per-value codec dispatch, no per-value length
-// framing.
-func ColumnarCodec[V core.Columnar[V]]() Codec[V] {
-	var z V
-	// The prototype store carries the type's column spec, built once per
-	// codec: decoded batches share it instead of re-deriving it per record.
-	return columnarCodec[V]{width: z.ColWidth(), proto: core.NewColumnarStore[V]()(0)}
-}
-
-type columnarCodec[V core.Columnar[V]] struct {
-	width int
-	proto core.ValStore[V]
-}
-
-func (cc columnarCodec[V]) Append(dst []byte, v V) []byte {
-	for _, w := range v.AppendWords(make([]uint64, 0, cc.width)) {
-		dst = appendU64(dst, w)
-	}
-	return dst
-}
-
-func (cc columnarCodec[V]) Read(src []byte) (V, int, error) {
-	var z V
-	need := cc.width * 8
-	if len(src) < need {
-		return z, 0, errShortValue
-	}
-	words := make([]uint64, cc.width)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(src[i*8:])
-	}
-	return z.FromWords(words), need, nil
-}
-
-func (cc columnarCodec[V]) appendStore(dst []byte, s *core.ValStore[V]) []byte {
-	if cols := s.Columns(); cols != nil && len(cols) == cc.width {
-		for _, col := range cols {
-			for _, w := range col {
-				dst = appendU64(dst, w)
-			}
-		}
-		return dst
-	}
-	// Row-layout store under a columnar codec (a legacy or hand-built batch):
-	// scatter once into temporary columns so the bytes stay column-major —
-	// the layout is the codec's, not the store's, and must be deterministic.
-	cols := make([][]uint64, cc.width)
-	scratch := make([]uint64, 0, cc.width)
-	for i := 0; i < s.Len(); i++ {
-		scratch = s.At(i).AppendWords(scratch[:0])
-		for f, w := range scratch {
-			cols[f] = append(cols[f], w)
-		}
-	}
-	for _, col := range cols {
-		for _, w := range col {
-			dst = appendU64(dst, w)
-		}
-	}
-	return dst
-}
-
-func (cc columnarCodec[V]) readStore(c *cursor, n int) (core.ValStore[V], error) {
-	var zero core.ValStore[V]
-	if n*cc.width*8 > c.remaining() {
-		return zero, c.fail("columnar val section of %d×%d words exceeds record", n, cc.width)
-	}
-	cols := make([][]uint64, cc.width)
-	for f := range cols {
-		col := make([]uint64, n)
-		for i := range col {
-			w, err := c.u64()
-			if err != nil {
-				return zero, err
-			}
-			col[i] = w
-		}
-		cols[f] = col
-	}
-	s, ok := cc.proto.WithCols(cols)
-	if !ok {
-		return zero, c.fail("columnar store rejected decoded columns")
-	}
-	return s, nil
-}

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -103,155 +102,6 @@ func FuzzWALReplay(f *testing.F) {
 			if !reflect.DeepEqual(st.Batches, st2.Batches) || !st.Since.Equal(st2.Since) {
 				t.Fatal("re-replay of recovered state differs")
 			}
-		}
-	})
-}
-
-// pairVal is a minimal Columnar type for fuzzing the columnar codec: one
-// unsigned and one signed column.
-type pairVal struct {
-	A uint64
-	B int64
-}
-
-func (pairVal) ColWidth() int { return 2 }
-
-func (v pairVal) AppendWords(dst []uint64) []uint64 {
-	return append(dst, v.A, uint64(v.B))
-}
-
-func (pairVal) FromWords(w []uint64) pairVal {
-	return pairVal{A: w[0], B: int64(w[1])}
-}
-
-func (pairVal) CmpCols(a [][]uint64, i int, b [][]uint64, j int) int {
-	if a[0][i] != b[0][j] {
-		if a[0][i] < b[0][j] {
-			return -1
-		}
-		return 1
-	}
-	if x, y := int64(a[1][i]), int64(b[1][j]); x != y {
-		if x < y {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-func lessPair(a, b pairVal) bool {
-	if a.A != b.A {
-		return a.A < b.A
-	}
-	return a.B < b.B
-}
-
-func mkPairBatch(lo, hi uint64, quads ...[4]int64) *core.Batch[uint64, pairVal] {
-	fn := core.Funcs[uint64, pairVal]{
-		LessK:    func(a, b uint64) bool { return a < b },
-		LessV:    lessPair,
-		HashK:    core.Mix64,
-		NewStore: core.NewColumnarStore[pairVal](),
-	}
-	var upds []core.Update[uint64, pairVal]
-	for _, q := range quads {
-		upds = append(upds, core.Update[uint64, pairVal]{
-			Key: uint64(q[0]), Val: pairVal{A: uint64(q[1]), B: q[1] - 5},
-			Time: lattice.Ts(uint64(q[2])), Diff: q[3],
-		})
-	}
-	return core.BuildBatch(fn, upds,
-		lattice.NewFrontier(lattice.Ts(lo)), lattice.NewFrontier(lattice.Ts(hi)),
-		lattice.MinFrontier(1))
-}
-
-func encodePairShard(st *ShardState[uint64, pairVal]) []byte {
-	var data, p []byte
-	p = append(p[:0], recSince)
-	p = appendFrontier(p, st.Since)
-	data = appendRecord(data, p)
-	for _, b := range st.Batches {
-		p = append(p[:0], recBatch)
-		p = appendBatch(p, U64Codec(), ColumnarCodec[pairVal](), b)
-		data = appendRecord(data, p)
-	}
-	return data
-}
-
-// FuzzWALReplayColumnar is FuzzWALReplay over the columnar codec: the
-// column-major value section must uphold the same recovery contract — never
-// panic, recover a structurally valid prefix or fail with a typed
-// *CorruptError, and round-trip idempotently (compared observationally: the
-// columnar store holds closures, so DeepEqual does not apply).
-func FuzzWALReplayColumnar(f *testing.F) {
-	valid := encodePairShard(&ShardState[uint64, pairVal]{
-		Since: lattice.NewFrontier(lattice.Ts(1)),
-		Batches: []*core.Batch[uint64, pairVal]{
-			mkPairBatch(0, 1, [4]int64{1, 10, 0, 1}, [4]int64{2, 20, 0, 2}),
-			mkPairBatch(1, 3, [4]int64{1, 10, 1, -1}, [4]int64{7, 70, 2, 1}),
-		},
-	})
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3])
-	f.Add(valid[:11])
-	flipped := append([]byte(nil), valid...)
-	flipped[len(flipped)/2] ^= 0x40
-	f.Add(flipped)
-	truncCol := append([]byte(nil), valid[:len(valid)-9]...)
-	f.Add(truncCol)
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		vc := ColumnarCodec[pairVal]()
-		if _, _, err := replayBytes[uint64, pairVal](U64Codec(), vc,
-			appendRecord(nil, data)); err != nil {
-			if _, ok := err.(*CorruptError); !ok {
-				t.Fatalf("framed replay failed with untyped error %T: %v", err, err)
-			}
-		}
-
-		st, good, err := replayBytes[uint64, pairVal](U64Codec(), vc, data)
-		if err != nil {
-			if _, ok := err.(*CorruptError); !ok {
-				t.Fatalf("replay failed with untyped error %T: %v", err, err)
-			}
-			return
-		}
-		if good > len(data) {
-			t.Fatalf("valid prefix %d exceeds input %d", good, len(data))
-		}
-		for i, b := range st.Batches {
-			if len(b.KeyOff) != len(b.Keys)+1 || len(b.ValOff) != b.Vals.Len()+1 ||
-				int(b.KeyOff[len(b.KeyOff)-1]) != b.Vals.Len() ||
-				int(b.ValOff[len(b.ValOff)-1]) != len(b.Upds) {
-				t.Fatalf("batch %d structurally inconsistent", i)
-			}
-			if i > 0 && !b.Lower.Equal(st.Batches[i-1].Upper) {
-				t.Fatalf("batch %d breaks the recovered chain", i)
-			}
-			n := 0
-			b.ForEach(func(uint64, pairVal, lattice.Time, core.Diff) { n++ })
-			if n != b.Len() {
-				t.Fatalf("batch %d ForEach visited %d of %d updates", i, n, b.Len())
-			}
-		}
-
-		// Idempotence, observationally: re-encoding the recovered state must
-		// replay to identical bytes and identical tuple walks.
-		img := encodePairShard(st)
-		st2, _, err2 := replayBytes[uint64, pairVal](U64Codec(), vc, img)
-		if err2 != nil {
-			t.Fatalf("re-replay of recovered state failed: %v", err2)
-		}
-		if st2.Torn {
-			t.Fatal("re-replay of recovered state reported torn")
-		}
-		if !bytes.Equal(img, encodePairShard(st2)) {
-			t.Fatal("re-encode of re-replayed state differs")
-		}
-		if len(st2.Batches) != len(st.Batches) || !st.Since.Equal(st2.Since) {
-			t.Fatal("re-replay of recovered state differs")
 		}
 	})
 }

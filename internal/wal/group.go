@@ -56,9 +56,6 @@ func NewGroupCommitter(interval time.Duration) *GroupCommitter {
 	return g
 }
 
-// Interval returns the commit interval.
-func (g *GroupCommitter) Interval() time.Duration { return g.interval }
-
 func (g *GroupCommitter) run() {
 	defer close(g.done)
 	tick := time.NewTicker(g.interval)
