@@ -181,6 +181,55 @@ func encodeImage[K, V any](cfg *codecs[K, V], b *core.Batch[K, V], blockUpdates 
 	return m.buf, nil
 }
 
+// countingSink is a memSink that counts the writes a file would get.
+type countingSink struct {
+	memSink
+	writes int
+}
+
+func (c *countingSink) Write(p []byte) (int, error) {
+	c.writes++
+	return c.memSink.Write(p)
+}
+
+func (c *countingSink) WriteAt(p []byte, off int64) (int, error) {
+	c.writes++
+	return c.memSink.WriteAt(p, off)
+}
+
+// TestRunWritesAreBuffered: the run writer hands the file its blocks in
+// writeBufLen writes, however small the blocks, plus the last partial
+// buffer and the header: a 100 k-update run in 16-update blocks is ≈ 6 000
+// blocks, not ≈ 6 000 writes.
+func TestRunWritesAreBuffered(t *testing.T) {
+	cfg, err := newCodecs[uint64, uint64](core.U64(), nil, wal.U64Codec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := u64Run(100_000)
+	var out countingSink
+	w, err := newRunWriter(cfg, 16, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.append(run); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.finish(run.Lower, run.Upper, run.Since); err != nil {
+		t.Fatal(err)
+	}
+	if limit := (len(out.buf)+writeBufLen-1)/writeBufLen + 2; out.writes > limit {
+		t.Fatalf("%d blocks, %d file bytes: %d writes, want at most %d", len(w.metas), len(out.buf), out.writes, limit)
+	}
+	got, err := DecodeImage[uint64, uint64](core.U64(), nil, wal.U64Codec(), out.buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != run.Len() || len(got.Keys) != len(run.Keys) {
+		t.Fatalf("decoded %d updates over %d keys, wrote %d over %d", got.Len(), len(got.Keys), run.Len(), len(run.Keys))
+	}
+}
+
 func collectReader(r core.BatchReader[uint64, tup]) []upd {
 	var out []upd
 	r.ForEach(func(k uint64, v tup, t lattice.Time, d core.Diff) {

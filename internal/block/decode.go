@@ -459,19 +459,19 @@ func readCounts(p []byte, pos int, off []int32, base, total int) (int, error) {
 // restricted to the block's key range, with block-local offset arrays.
 type loadedBlock[K, V any] struct {
 	columns[K, V]
-	bytes int64 // approximate resident size (cache accounting)
+	bytes int64 // the columns' core.Batch.ApproxBytes (cache accounting)
 }
 
 // loadBlock decodes block bi into fresh block-local columns: the cached
-// read path.
+// read path. The cache meters the block as the spine's resident budget
+// meters a batch.
 func (im *image[K, V]) loadBlock(cfg *codecs[K, V], bi int) (*loadedBlock[K, V], error) {
 	m := &im.blocks[bi]
 	lb := &loadedBlock[K, V]{columns: newColumns[K, V](m.nKeys, m.nVals, m.nUpds)}
 	if err := im.decodeBlock(cfg, bi, &lb.columns, false, nil); err != nil {
 		return nil, err
 	}
-	lb.bytes = int64(m.nKeys)*8 + int64(m.nKeys+m.nVals+2)*4 +
-		int64(m.nVals)*16 + int64(m.nUpds)*24
+	lb.bytes = lb.batch().ApproxBytes()
 	return lb, nil
 }
 

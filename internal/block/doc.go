@@ -37,12 +37,14 @@
 //
 // One encoder writes every file. It takes a run's keys in order, in as many
 // batches as the caller likes, closes a block at the first key boundary at
-// or past BlockUpdates update triples, and writes each block's frame the
-// moment it closes. It keeps only the index — totals, the MinTimes
+// or past BlockUpdates update triples (DefaultBlockUpdates, 256: a point
+// lookup decodes ≈ 5 KiB), and encodes each block's frame the moment it
+// closes into one 64 KiB write buffer, so the file sees a write per 64 KiB,
+// not one per block. It keeps only the index — totals, the MinTimes
 // antichain folded block by block, per-block counts, locations and first
-// and last keys — and at the end writes the index, then the header at
-// offset 0, then syncs, renames name.tmp into place and syncs the
-// directory. Spill feeds it a whole batch; a streaming merge feeds it one
+// and last keys — and at the end writes the index, flushes the buffer,
+// writes the header at offset 0, then syncs, renames name.tmp into place
+// and syncs the directory. Spill feeds it a whole batch; a streaming merge feeds it one
 // block at a time through the core.RunWriter NewRun returns, so a merge
 // bound for disk never holds its output whole. The file is created by the
 // first block.
@@ -71,6 +73,7 @@
 // run — immediately, or onto a dead list until the next checkpoint stops
 // referencing it (Manifest mode) — and OpenRef reopens a run named by a
 // wal.BlockRef manifest record on recovery. Loaded blocks are shared
-// through a small clock-style resident cache. Like spines, a Store is
-// worker-local: no locking.
+// through a small clock-style resident cache, which meters each block by
+// core.Batch.ApproxBytes, as the spine's resident budget does. Like spines,
+// a Store is worker-local: no locking.
 package block

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -29,8 +30,13 @@ const (
 	// maxElems bounds decoded element counts before cross-checks run.
 	maxElems = 1 << 27
 
-	// DefaultBlockUpdates is the target number of update triples per block.
-	DefaultBlockUpdates = 4096
+	// DefaultBlockUpdates is the target number of update triples per block:
+	// ≈ 5 KiB encoded for a u64/u64 run, what a cold point lookup decodes
+	// (DESIGN.md §Disk tier has the sweep that chose it).
+	DefaultBlockUpdates = 256
+	// writeBufLen is the run writer's buffer: frames reach the file in
+	// writes of this size, not one write per block.
+	writeBufLen = 64 << 10
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -103,17 +109,19 @@ type sink interface {
 }
 
 // runWriter is the one block-file encoder. It takes a run's keys in order,
-// in as many batches as the caller likes, and writes each block the moment
+// in as many batches as the caller likes, and encodes each block the moment
 // it closes: blocks split at the first key boundary at or past blockUpdates
 // update triples, so one key's values and histories never straddle blocks.
-// It keeps only the index — totals, MinTimes, per-block counts, locations
-// and first/last keys — and at finish writes that, then the header. Spill
-// feeds it a whole batch; a streaming merge feeds it one block at a time.
+// Frames go to the file through one writeBufLen buffer. It keeps only the
+// index — totals, MinTimes, per-block counts, locations and first/last keys
+// — and at finish writes that, flushes, then writes the header. Spill feeds
+// it a whole batch; a streaming merge feeds it one block at a time.
 type runWriter[K, V any] struct {
 	cfg          *codecs[K, V]
 	blockUpdates int
 	out          sink
-	off          int64 // bytes written, header included
+	buf          *bufio.Writer // buffers out's appends; WriteAt bypasses it
+	off          int64         // bytes written, header included
 	frame        []byte
 	metas        []blockMeta[K]
 	numKeys      int
@@ -127,15 +135,15 @@ func newRunWriter[K, V any](cfg *codecs[K, V], blockUpdates int, out sink) (*run
 	if blockUpdates <= 0 {
 		blockUpdates = DefaultBlockUpdates
 	}
-	if _, err := out.Write(make([]byte, headerLen)); err != nil {
+	buf := bufio.NewWriterSize(out, writeBufLen)
+	if _, err := buf.Write(make([]byte, headerLen)); err != nil {
 		return nil, err
 	}
-	return &runWriter[K, V]{cfg: cfg, blockUpdates: blockUpdates, out: out, off: headerLen}, nil
+	return &runWriter[K, V]{cfg: cfg, blockUpdates: blockUpdates, out: out, buf: buf, off: headerLen}, nil
 }
 
 // append encodes b's keys, which must follow every key appended before, as
-// blocks, writing each with one call, and folds b's minimal times into the
-// run's.
+// blocks, buffering each frame, and folds b's minimal times into the run's.
 func (w *runWriter[K, V]) append(b *core.Batch[K, V]) error {
 	ki := 0
 	for ki < len(b.Keys) {
@@ -168,7 +176,7 @@ func (w *runWriter[K, V]) append(b *core.Batch[K, V]) error {
 		}
 		wal.SealRecord(p)
 		w.frame = p
-		if _, err := w.out.Write(p); err != nil {
+		if _, err := w.buf.Write(p); err != nil {
 			return err
 		}
 		w.metas = append(w.metas, blockMeta[K]{
@@ -188,7 +196,8 @@ func (w *runWriter[K, V]) append(b *core.Batch[K, V]) error {
 }
 
 // finish writes the index — frontiers, totals, MinTimes, then the per-block
-// table — and then the header at offset 0, which locates it.
+// table — flushes the buffer, and then writes the header at offset 0, which
+// locates the index.
 func (w *runWriter[K, V]) finish(lower, upper, since lattice.Frontier) error {
 	flags := uint16(0)
 	if w.cfg.u64Keys {
@@ -219,7 +228,10 @@ func (w *runWriter[K, V]) finish(lower, upper, since lattice.Frontier) error {
 		p = appendKey(w.cfg, p, m.lastKey)
 	}
 	wal.SealRecord(p)
-	if _, err := w.out.Write(p); err != nil {
+	if _, err := w.buf.Write(p); err != nil {
+		return err
+	}
+	if err := w.buf.Flush(); err != nil {
 		return err
 	}
 

@@ -17,7 +17,8 @@ type StoreOptions struct {
 	// BlockUpdates is the target update triples per block
 	// (DefaultBlockUpdates when 0).
 	BlockUpdates int
-	// CacheBytes budgets the resident decoded-block cache (1 MiB when 0).
+	// CacheBytes budgets the resident decoded-block cache (1 MiB when 0),
+	// metered as core.Batch.ApproxBytes meters the blocks.
 	CacheBytes int64
 	// Mmap maps block files instead of pread when the platform supports it.
 	Mmap bool
