@@ -1,20 +1,19 @@
 package block
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/lattice"
 )
 
-// blockBatch serves one spilled run through core.BatchReader: the resident
-// index answers bounds, counts, MinTimes, segment-boundary keys, and whole-
-// block skips with zero I/O; everything else loads the one block holding
-// the probed position through the store's clock cache.
+// blockBatch is one spilled run read as its blocks (core.SegmentedRun): the
+// resident index answers bounds, counts, MinTimes and every block's first
+// and last key with zero I/O, and LoadSegment decodes a block through the
+// store's clock cache only when a cursor needs its contents.
 //
-// BatchReader has no error returns — the spine treats its runs as
+// The read surface has no error returns — the spine treats its runs as
 // infallible storage — so an I/O or corruption fault during a lazy load is
-// storage-fatal and panics, exactly as a torn WAL generation would.
+// storage-fatal and panics, exactly as a torn WAL generation would. Like
+// the spine it serves, a blockBatch is confined to its worker goroutine.
 type blockBatch[K, V any] struct {
 	st   *Store[K, V]
 	name string // file name within the store directory
@@ -26,22 +25,9 @@ type blockBatch[K, V any] struct {
 	// widened over an empty neighbour is rewritten only in the manifest,
 	// never on disk.
 	lower, upper, since lattice.Frontier
-
-	// Last loaded block, memoized. Cursor access is block-local — a probe
-	// resolves its key, values, and updates inside one block before moving
-	// on — so consecutive BatchReader calls would otherwise pay a binary
-	// search plus a cache-map probe each just to rediscover the same block.
-	// The memo pins at most one decoded block per run (decoded blocks own
-	// their memory, so a pin survives cache eviction safely). Like the spine
-	// it serves, a blockBatch is confined to its worker goroutine.
-	memoBi int // -1 when empty
-	memoLb *loadedBlock[K, V]
 }
 
-var (
-	_ core.BatchReader[uint64, uint64] = (*blockBatch[uint64, uint64])(nil)
-	_ core.KeyUpdater[uint64, uint64]  = (*blockBatch[uint64, uint64])(nil)
-)
+var _ core.SegmentedRun[uint64, uint64] = (*blockBatch[uint64, uint64])(nil)
 
 func (b *blockBatch[K, V]) Bounds() (lower, upper, since lattice.Frontier) {
 	return b.lower, b.upper, b.since
@@ -50,161 +36,23 @@ func (b *blockBatch[K, V]) Bounds() (lower, upper, since lattice.Frontier) {
 func (b *blockBatch[K, V]) Len() int                 { return b.im.numUpds }
 func (b *blockBatch[K, V]) NumKeys() int             { return b.im.numKeys }
 func (b *blockBatch[K, V]) MinTimes() []lattice.Time { return b.im.minTimes }
+func (b *blockBatch[K, V]) Segments() int            { return len(b.im.blocks) }
 
-// load returns block bi, through the memo or the store's cache.
-func (b *blockBatch[K, V]) load(bi int) *loadedBlock[K, V] {
-	if bi == b.memoBi && b.memoLb != nil {
-		return b.memoLb
-	}
-	lb := b.st.loadCached(b, bi)
-	b.memoBi, b.memoLb = bi, lb
-	return lb
+// Fence returns block i's first and last key from the resident index.
+func (b *blockBatch[K, V]) Fence(i int) (first, last K) {
+	m := &b.im.blocks[i]
+	return m.firstKey, m.lastKey
 }
 
-// blockByKey returns the index of the block holding key ki.
-func (b *blockBatch[K, V]) blockByKey(ki int) int {
-	if bi := b.memoBi; bi >= 0 {
-		if m := &b.im.blocks[bi]; ki >= m.keyBase && ki < m.keyBase+m.nKeys {
-			return bi
-		}
-	}
-	return sort.Search(len(b.im.blocks), func(i int) bool {
-		m := &b.im.blocks[i]
-		return m.keyBase+m.nKeys > ki
-	})
-}
-
-func (b *blockBatch[K, V]) blockByVal(vi int) int {
-	if bi := b.memoBi; bi >= 0 {
-		if m := &b.im.blocks[bi]; vi >= m.valBase && vi < m.valBase+m.nVals {
-			return bi
-		}
-	}
-	return sort.Search(len(b.im.blocks), func(i int) bool {
-		m := &b.im.blocks[i]
-		return m.valBase+m.nVals > vi
-	})
-}
-
-func (b *blockBatch[K, V]) blockByUpd(ui int) int {
-	if bi := b.memoBi; bi >= 0 {
-		if m := &b.im.blocks[bi]; ui >= m.updBase && ui < m.updBase+m.nUpds {
-			return bi
-		}
-	}
-	return sort.Search(len(b.im.blocks), func(i int) bool {
-		m := &b.im.blocks[i]
-		return m.updBase+m.nUpds > ui
-	})
-}
-
-// Key returns key ki. Block-boundary keys come from the resident index
-// stats; only interior keys force a load.
-func (b *blockBatch[K, V]) Key(ki int) K {
-	bi := b.blockByKey(ki)
-	m := &b.im.blocks[bi]
-	switch local := ki - m.keyBase; {
-	case local == 0:
-		return m.firstKey
-	case local == m.nKeys-1:
-		return m.lastKey
-	default:
-		return b.load(bi).keys[local]
-	}
-}
-
-// SeekKey returns the index of the first key ≥ k at or after from. Blocks
-// whose last key is below k are skipped on their resident stats alone; a
-// block whose first key already reaches k resolves without a load. Only a
-// probe landing strictly inside a block's key range loads it.
-func (b *blockBatch[K, V]) SeekKey(fn core.Funcs[K, V], k K, from int) int {
-	ki := from
-	if ki < 0 {
-		ki = 0
-	}
-	for ki < b.im.numKeys {
-		bi := b.blockByKey(ki)
-		m := &b.im.blocks[bi]
-		if fn.LessK(m.lastKey, k) {
-			ki = m.keyBase + m.nKeys
-			continue
-		}
-		if !fn.LessK(m.firstKey, k) {
-			return ki // every key from ki on in this block is ≥ firstKey ≥ k
-		}
-		lb := b.load(bi)
-		lo := ki - m.keyBase
-		pos := sort.Search(m.nKeys-lo, func(i int) bool {
-			return !fn.LessK(lb.keys[lo+i], k)
-		})
-		return ki + pos
-	}
-	return b.im.numKeys
-}
-
-// ValRange returns the value index range of key ki.
-func (b *blockBatch[K, V]) ValRange(ki int) (int, int) {
-	bi := b.blockByKey(ki)
-	m := &b.im.blocks[bi]
-	lb := b.load(bi)
-	local := ki - m.keyBase
-	return m.valBase + int(lb.keyOff[local]), m.valBase + int(lb.keyOff[local+1])
-}
-
-// UpdRange returns the update index range of value vi.
-func (b *blockBatch[K, V]) UpdRange(vi int) (int, int) {
-	bi := b.blockByVal(vi)
-	m := &b.im.blocks[bi]
-	lb := b.load(bi)
-	local := vi - m.valBase
-	return m.updBase + int(lb.valOff[local]), m.updBase + int(lb.valOff[local+1])
-}
-
-// Upd returns update ui.
-func (b *blockBatch[K, V]) Upd(ui int) core.TimeDiff {
-	bi := b.blockByUpd(ui)
-	return b.load(bi).upds[ui-b.im.blocks[bi].updBase]
-}
-
-// ValView returns value vi as a borrow against the loaded block's store.
-// Decoded blocks own their memory (nothing aliases the file mapping), so a
-// view keeps its block alive even if the cache evicts it meanwhile.
-func (b *blockBatch[K, V]) ValView(vi int) (*core.ValStore[V], int) {
-	bi := b.blockByVal(vi)
-	lb := b.load(bi)
-	return &lb.vals, vi - b.im.blocks[bi].valBase
-}
-
-// ForKeyUpdates visits every (val, time, diff) of key ki: the core.KeyUpdater
-// bulk path. Blocks are key-aligned — a key's values and updates live in the
-// block that holds the key — so one position lookup and one load serve the
-// whole key, where the generic ValRange/ValView/UpdRange/Upd loop would
-// re-resolve the block on every interface call.
-func (b *blockBatch[K, V]) ForKeyUpdates(ki int, f func(v V, t lattice.Time, d core.Diff)) {
-	bi := b.blockByKey(ki)
-	lb := b.load(bi)
-	local := ki - b.im.blocks[bi].keyBase
-	for vi := lb.keyOff[local]; vi < lb.keyOff[local+1]; vi++ {
-		v := lb.vals.At(int(vi))
-		for ui := lb.valOff[vi]; ui < lb.valOff[vi+1]; ui++ {
-			f(v, lb.upds[ui].Time, lb.upds[ui].Diff)
-		}
-	}
+// LoadSegment returns block i decoded, through the store's cache.
+func (b *blockBatch[K, V]) LoadSegment(i int) *core.Batch[K, V] {
+	return b.st.loadCached(b, i)
 }
 
 // ForEach visits every update triple in (key, value, time) order, loading
 // blocks sequentially.
 func (b *blockBatch[K, V]) ForEach(f func(k K, v V, t lattice.Time, d core.Diff)) {
-	for bi := range b.im.blocks {
-		lb := b.load(bi)
-		for li := range lb.keys {
-			k := lb.keys[li]
-			for vi := lb.keyOff[li]; vi < lb.keyOff[li+1]; vi++ {
-				v := lb.vals.At(int(vi))
-				for ui := lb.valOff[vi]; ui < lb.valOff[vi+1]; ui++ {
-					f(k, v, lb.upds[ui].Time, lb.upds[ui].Diff)
-				}
-			}
-		}
+	for i := range b.im.blocks {
+		b.LoadSegment(i).ForEach(f)
 	}
 }

@@ -2,7 +2,9 @@ package block
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -446,7 +448,10 @@ func collectRuns(t *testing.T, s *core.Spine[uint64, tup]) []upd {
 
 // compareCursors walks both traces key by key — PeekKey iteration, point
 // seeks, ordered update walks, accumulations at the read frontier — and
-// requires identical observations.
+// requires identical observations. Then one cursor per trace runs the
+// forward-only ascending seek sequence a merge join makes: present, absent
+// and block-boundary keys and one past the end, each seek checked for its
+// result, the key it lands on and the key's updates.
 func compareCursors(t *testing.T, fn core.Funcs[uint64, tup],
 	hm, ho *core.Handle[uint64, tup], columnar bool, trial int) {
 	t.Helper()
@@ -461,17 +466,12 @@ func compareCursors(t *testing.T, fn core.Funcs[uint64, tup],
 		if !okm {
 			break
 		}
-		type vtd struct {
-			v tup
-			t lattice.Time
-			d core.Diff
-		}
 		var wm, wo []vtd
-		cm.ForUpdatesOrdered(km, func(v tup, tm lattice.Time, d core.Diff) {
-			wm = append(wm, vtd{v, tm, d})
+		cm.ForUpdatesOrderedView(km, func(s *core.ValStore[tup], vi int, tm lattice.Time, d core.Diff) {
+			wm = append(wm, vtd{s.At(vi), tm, d})
 		})
-		co.ForUpdatesOrdered(ko, func(v tup, tm lattice.Time, d core.Diff) {
-			wo = append(wo, vtd{v, tm, d})
+		co.ForUpdatesOrderedView(ko, func(s *core.ValStore[tup], vi int, tm lattice.Time, d core.Diff) {
+			wo = append(wo, vtd{s.At(vi), tm, d})
 		})
 		if len(wm) != len(wo) {
 			t.Fatalf("columnar=%v trial %d key %d: walk lengths %d vs %d",
@@ -496,23 +496,69 @@ func compareCursors(t *testing.T, fn core.Funcs[uint64, tup],
 		if !fm {
 			continue
 		}
-		var am, ao []tupDiff
-		cm.ForUpdates(k, func(v tup, tm lattice.Time, d core.Diff) {
-			am = append(am, tupDiff{v, d})
-		})
-		co.ForUpdates(k, func(v tup, tm lattice.Time, d core.Diff) {
-			ao = append(ao, tupDiff{v, d})
-		})
-		if len(am) != len(ao) {
-			t.Fatalf("columnar=%v trial %d key %d: ForUpdates %d vs %d entries",
-				columnar, trial, k, len(am), len(ao))
+		if um, uo := sortedUpdates(cm, k), sortedUpdates(co, k); !slices.Equal(um, uo) {
+			t.Fatalf("columnar=%v trial %d key %d: ForUpdates %+v vs %+v",
+				columnar, trial, k, um, uo)
+		}
+	}
+	// One forward-only ascending sequence: every block's first and last
+	// key, the keys of this trial's parity (present or absent) and a key
+	// past the end.
+	seq := []uint64{1 << 40}
+	for k := uint64(trial % 2); k < 8; k += 2 {
+		seq = append(seq, k)
+	}
+	for _, r := range ho.Spine().Runs() {
+		if bb, ok := core.UnwrapReader(r).(*blockBatch[uint64, tup]); ok {
+			for _, m := range bb.im.blocks {
+				seq = append(seq, m.firstKey, m.lastKey)
+			}
+		}
+	}
+	slices.Sort(seq)
+	cm, co = hm.Cursor(), ho.Cursor()
+	for _, k := range slices.Compact(seq) {
+		fm, fo := cm.SeekKey(k), co.SeekKey(k)
+		pm, okm := cm.PeekKey()
+		po, oko := co.PeekKey()
+		if fm != fo || okm != oko || pm != po {
+			t.Fatalf("columnar=%v trial %d: ascending SeekKey(%d) found %v, at (%d,%v) vs found %v, at (%d,%v)",
+				columnar, trial, k, fm, pm, okm, fo, po, oko)
+		}
+		if um, uo := sortedUpdates(cm, k), sortedUpdates(co, k); !slices.Equal(um, uo) {
+			t.Fatalf("columnar=%v trial %d: ascending seek to %d: ForUpdates %+v vs %+v",
+				columnar, trial, k, um, uo)
 		}
 	}
 }
 
-type tupDiff struct {
+// vtd is one (value, time, diff) a cursor reports for a key.
+type vtd struct {
 	v tup
+	t lattice.Time
 	d core.Diff
+}
+
+// sortedUpdates is c.ForUpdates(k) in (value, time, diff) order.
+func sortedUpdates(c *core.TraceCursor[uint64, tup], k uint64) []vtd {
+	var out []vtd
+	c.ForUpdates(k, func(v tup, tm lattice.Time, d core.Diff) {
+		out = append(out, vtd{v, tm, d})
+	})
+	slices.SortFunc(out, func(a, b vtd) int {
+		switch {
+		case lessTup(a.v, b.v):
+			return -1
+		case lessTup(b.v, a.v):
+			return 1
+		case a.t.TotalLess(b.t):
+			return -1
+		case b.t.TotalLess(a.t):
+			return 1
+		}
+		return cmp.Compare(a.d, b.d)
+	})
+	return out
 }
 
 // TestBlockSkipping: point lookups over a fully spilled spine must decode

@@ -455,24 +455,16 @@ func readCounts(p []byte, pos int, off []int32, base, total int) (int, error) {
 	return pos, nil
 }
 
-// loadedBlock is one decoded block in the read cache: the run's columns
-// restricted to the block's key range, with block-local offset arrays.
-type loadedBlock[K, V any] struct {
-	columns[K, V]
-	bytes int64 // the columns' core.Batch.ApproxBytes (cache accounting)
-}
-
-// loadBlock decodes block bi into fresh block-local columns: the cached
-// read path. The cache meters the block as the spine's resident budget
-// meters a batch.
-func (im *image[K, V]) loadBlock(cfg *codecs[K, V], bi int) (*loadedBlock[K, V], error) {
+// segment decodes block bi into a fresh block-local batch, framing left
+// unset: the one block decode, which the read cache calls for cursors and
+// Store.Segment calls uncached for merges.
+func (im *image[K, V]) segment(cfg *codecs[K, V], bi int) (*core.Batch[K, V], error) {
 	m := &im.blocks[bi]
-	lb := &loadedBlock[K, V]{columns: newColumns[K, V](m.nKeys, m.nVals, m.nUpds)}
-	if err := im.decodeBlock(cfg, bi, &lb.columns, false, nil); err != nil {
+	c := newColumns[K, V](m.nKeys, m.nVals, m.nUpds)
+	if err := im.decodeBlock(cfg, bi, &c, false, nil); err != nil {
 		return nil, err
 	}
-	lb.bytes = lb.batch().ApproxBytes()
-	return lb, nil
+	return c.batch(), nil
 }
 
 // assemble materializes the whole image as one resident batch (the unspill

@@ -1,7 +1,8 @@
 // Package block is the cold tier of disk-spilled arrangements: a
 // self-contained on-disk format for sealed batches, and a Store that the
 // spine evicts its oldest geometric runs into (core.SpillStore) and reads
-// them back from through a core.BatchReader serving lazy block loads.
+// them back from as their blocks (core.SegmentedRun), each decoded only
+// when a reader needs it.
 //
 // # File layout
 //
@@ -21,10 +22,10 @@
 // Blocks are key-aligned slices of the batch's arrays: each key's values
 // and update histories live entirely inside one block, so a point lookup
 // touches exactly one block. The index keeps every block's first and last
-// key resident — min/max key stats — which answers two questions with zero
-// I/O: a seek skips whole blocks whose key range lies below the probe, and
-// a probe that lands on a block boundary discovers a miss without loading
-// anything. Within a block, uint64 keys are delta/varint encoded (other
+// key resident — its fence pointers — which answers two questions with zero
+// I/O: a seek finds its block with one binary search over the last keys,
+// and a probe at or below the found block's first key resolves without
+// loading anything. Within a block, uint64 keys are delta/varint encoded (other
 // keys are key-codec bytes), each value is one encoding of the store's
 // value codec whatever the arrangement's in-memory layout, and offset
 // arrays store per-group counts as varints. The index keeps a column-width
@@ -52,10 +53,10 @@
 // # Decoding
 //
 // One kernel decodes every block in a single pass, writing keys, offsets,
-// values and updates straight into their destination columns: fresh
-// block-local columns for the read cache and for the segments a merge reads
-// (Segment), or the whole run's columns, at the block's global offsets,
-// when Unspill materializes a run. Columns are allocated once at exact size
+// values and updates straight into their destination columns: a fresh
+// block-local core.Batch — the one block decode, which the read cache calls
+// for cursors and Segment calls uncached for merges — or the whole run's
+// columns, at the block's global offsets, when Unspill materializes a run. Columns are allocated once at exact size
 // from the index counts. That is safe because opening a file rejects any
 // block claiming more updates than its frame length can hold at 10 bytes
 // each (a depth byte, one coordinate, one diff varint), so no allocation
@@ -72,7 +73,9 @@
 // restore and probes; merges never call it), Retire releases a merged-away
 // run — immediately, or onto a dead list until the next checkpoint stops
 // referencing it (Manifest mode) — and OpenRef reopens a run named by a
-// wal.BlockRef manifest record on recovery. Loaded blocks are shared
+// wal.BlockRef manifest record on recovery. A trace cursor reads a spilled
+// run as its blocks: it keeps the block it is in, and a seek past it
+// searches the remaining blocks' last keys. Blocks a cursor loads are shared
 // through a small clock-style resident cache, which meters each block by
 // core.Batch.ApproxBytes, as the spine's resident budget does. Like spines,
 // a Store is worker-local: no locking.

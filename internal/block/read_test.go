@@ -10,14 +10,15 @@ import (
 )
 
 // coldSpine spills run from a spine into a store opened with opt and
-// returns a handle on the spine, the store and the run's cold reader.
-func coldSpine(tb testing.TB, run *core.Batch[uint64, uint64], opt StoreOptions) (*core.Handle[uint64, uint64], *Store[uint64, uint64], *blockBatch[uint64, uint64]) {
+// returns a handle on the spine, the store and the run's cold reader. The
+// spine and the store order keys by fn.
+func coldSpine(tb testing.TB, fn core.Funcs[uint64, uint64], run *core.Batch[uint64, uint64], opt StoreOptions) (*core.Handle[uint64, uint64], *Store[uint64, uint64], *blockBatch[uint64, uint64]) {
 	tb.Helper()
-	st, err := Open[uint64, uint64](tb.TempDir(), core.U64(), nil, wal.U64Codec(), opt)
+	st, err := Open[uint64, uint64](tb.TempDir(), fn, nil, wal.U64Codec(), opt)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s := core.NewSpine(core.U64(), core.MergeDefault)
+	s := core.NewSpine(fn, core.MergeDefault)
 	s.SetSpill(st, 0) // budget zero: the run spills at the first maintenance step
 	h := s.NewHandle()
 	s.Append(run)
@@ -41,7 +42,7 @@ func coldSpine(tb testing.TB, run *core.Batch[uint64, uint64], opt StoreOptions)
 func TestPointLookupDecodesOneSmallBlock(t *testing.T) {
 	const maxFrame = 8 << 10
 	run := u64Run(100_000)
-	h, st, bb := coldSpine(t, run, StoreOptions{})
+	h, st, bb := coldSpine(t, core.U64(), run, StoreOptions{})
 	var reads []int
 	st.OnBlockRead = func(_ string, bi int) { reads = append(reads, bi) }
 	lookups := 0
@@ -78,13 +79,40 @@ func TestPointLookupDecodesOneSmallBlock(t *testing.T) {
 	}
 }
 
+// TestFreshSeekIsOneSearch: a fresh cursor's first seek on a cold run finds
+// its block with one binary search over the blocks' last keys and then
+// searches inside that one block, so seeking into the last of ≈ 390 blocks
+// costs a few dozen key comparisons, not one per block it passes.
+func TestFreshSeekIsOneSearch(t *testing.T) {
+	compares := 0
+	fn := core.U64()
+	fn.LessK = func(a, b uint64) bool { compares++; return a < b }
+	run := u64Run(100_000)
+	h, _, bb := coldSpine(t, fn, run, StoreOptions{})
+	if len(bb.im.blocks) < 300 {
+		t.Fatalf("the run spilled into %d blocks, want hundreds", len(bb.im.blocks))
+	}
+	m := &bb.im.blocks[len(bb.im.blocks)-1]
+	k := run.Keys[m.keyBase+m.nKeys/2]
+	c := h.Cursor()
+	compares = 0
+	if !c.SeekKey(k) {
+		t.Fatalf("key %d missing", k)
+	}
+	t.Logf("a fresh seek into the last of %d blocks made %d key comparisons", len(bb.im.blocks), compares)
+	if compares >= 64 {
+		t.Fatalf("a fresh seek into the last of %d blocks made %d key comparisons, want fewer than 64",
+			len(bb.im.blocks), compares)
+	}
+}
+
 // TestCacheMetersApproxBytes: the decoded-block cache meters each block as
 // core.Batch.ApproxBytes meters it, so CacheBytes is the sum of its blocks'
 // ApproxBytes, and the clock keeps it within the budget plus one block
 // while random lookups evict.
 func TestCacheMetersApproxBytes(t *testing.T) {
 	run := u64Run(100_000)
-	h, st, _ := coldSpine(t, run, StoreOptions{})
+	h, st, _ := coldSpine(t, core.U64(), run, StoreOptions{})
 	r := rand.New(rand.NewSource(5))
 	var largest int64
 	for i := 0; i < 2000; i++ {
@@ -96,7 +124,7 @@ func TestCacheMetersApproxBytes(t *testing.T) {
 		c.ForUpdates(k, func(uint64, lattice.Time, core.Diff) {})
 		var sum int64
 		for _, e := range st.ring {
-			n := e.blk.batch().ApproxBytes()
+			n := e.blk.ApproxBytes()
 			sum += n
 			largest = max(largest, n)
 		}
@@ -118,7 +146,7 @@ func TestCacheMetersApproxBytes(t *testing.T) {
 // lookup, allocs/op) and how many updates it decodes.
 func BenchmarkColdPointLookup(b *testing.B) {
 	run := u64Run(100_000)
-	h, st, bb := coldSpine(b, run, StoreOptions{})
+	h, st, bb := coldSpine(b, core.U64(), run, StoreOptions{})
 	decoded := 0
 	st.OnBlockRead = func(_ string, bi int) { decoded += bb.im.blocks[bi].nUpds }
 	r := rand.New(rand.NewSource(1))

@@ -67,9 +67,10 @@ type cacheKey struct {
 }
 
 type cacheEntry[K, V any] struct {
-	key cacheKey
-	blk *loadedBlock[K, V]
-	ref bool // clock reference bit
+	key   cacheKey
+	blk   *core.Batch[K, V]
+	bytes int64 // blk.ApproxBytes()
+	ref   bool  // clock reference bit
 }
 
 // Open creates or reopens a block store in dir. kc may be nil for uint64
@@ -255,7 +256,6 @@ func (s *Store[K, V]) open(name string) (*blockBatch[K, V], error) {
 	return &blockBatch[K, V]{
 		st: s, name: name, src: src, im: im,
 		lower: im.lower, upper: im.upper, since: im.since,
-		memoBi: -1,
 	}, nil
 }
 
@@ -283,12 +283,7 @@ func (s *Store[K, V]) Segment(r core.BatchReader[K, V], i int) (*core.Batch[K, V
 	if i >= len(bb.im.blocks) {
 		return nil, nil
 	}
-	m := &bb.im.blocks[i]
-	c := newColumns[K, V](m.nKeys, m.nVals, m.nUpds)
-	if err := bb.im.decodeBlock(s.cfg, i, &c, false, nil); err != nil {
-		return nil, err
-	}
-	return c.batch(), nil
+	return bb.im.segment(s.cfg, i)
 }
 
 // Unspill re-materializes a spilled run as a resident batch
@@ -410,15 +405,15 @@ func Ref[K, V any](r core.BatchReader[K, V]) (*wal.BlockRef, bool) {
 }
 
 // loadCached returns block bi of bb, decoding through the clock cache.
-func (s *Store[K, V]) loadCached(bb *blockBatch[K, V], bi int) *loadedBlock[K, V] {
+func (s *Store[K, V]) loadCached(bb *blockBatch[K, V], bi int) *core.Batch[K, V] {
 	key := cacheKey{file: bb.name, idx: bi}
 	if e, ok := s.cache[key]; ok {
 		e.ref = true
 		return e.blk
 	}
-	lb, err := bb.im.loadBlock(s.cfg, bi)
+	blk, err := bb.im.segment(s.cfg, bi)
 	if err != nil {
-		// BatchReader is an infallible surface; a fault in the cold tier is
+		// A run's read surface is infallible; a fault in the cold tier is
 		// storage-fatal, like a torn WAL generation.
 		panic(fmt.Sprintf("block: cold tier read failed: %v", err))
 	}
@@ -426,14 +421,15 @@ func (s *Store[K, V]) loadCached(bb *blockBatch[K, V], bi int) *loadedBlock[K, V
 	if s.OnBlockRead != nil {
 		s.OnBlockRead(bb.name, bi)
 	}
-	s.insert(key, lb)
-	return lb
+	s.insert(key, blk)
+	return blk
 }
 
 // insert adds a decoded block under the clock policy: sweep the hand,
 // giving referenced entries a second chance, until the budget fits.
-func (s *Store[K, V]) insert(key cacheKey, lb *loadedBlock[K, V]) {
-	for s.used+lb.bytes > s.opt.CacheBytes && len(s.ring) > 0 {
+func (s *Store[K, V]) insert(key cacheKey, blk *core.Batch[K, V]) {
+	bytes := blk.ApproxBytes()
+	for s.used+bytes > s.opt.CacheBytes && len(s.ring) > 0 {
 		e := s.ring[s.hand]
 		if e.ref {
 			e.ref = false
@@ -441,7 +437,7 @@ func (s *Store[K, V]) insert(key cacheKey, lb *loadedBlock[K, V]) {
 			continue
 		}
 		delete(s.cache, e.key)
-		s.used -= e.blk.bytes
+		s.used -= e.bytes
 		last := len(s.ring) - 1
 		s.ring[s.hand] = s.ring[last]
 		s.ring[last] = nil
@@ -451,10 +447,10 @@ func (s *Store[K, V]) insert(key cacheKey, lb *loadedBlock[K, V]) {
 		}
 	}
 	// A single block larger than the whole budget still caches (alone).
-	e := &cacheEntry[K, V]{key: key, blk: lb}
+	e := &cacheEntry[K, V]{key: key, blk: blk, bytes: bytes}
 	s.cache[key] = e
 	s.ring = append(s.ring, e)
-	s.used += lb.bytes
+	s.used += bytes
 }
 
 // purge drops every cached block of file name.
@@ -466,7 +462,7 @@ func (s *Store[K, V]) purge(name string) {
 			continue
 		}
 		delete(s.cache, e.key)
-		s.used -= e.blk.bytes
+		s.used -= e.bytes
 		last := len(s.ring) - 1
 		s.ring[i] = s.ring[last]
 		s.ring[last] = nil

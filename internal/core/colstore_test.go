@@ -286,13 +286,13 @@ func TestColumnarSliceSpineOracle(t *testing.T) {
 			}
 			var wc, ws []vtd
 			if cc.SeekKey(k) {
-				cc.ForUpdatesOrdered(k, func(v wideVal, tm lattice.Time, d Diff) {
-					wc = append(wc, vtd{v, tm, d})
+				cc.ForUpdatesOrderedView(k, func(s *ValStore[wideVal], vi int, tm lattice.Time, d Diff) {
+					wc = append(wc, vtd{s.At(vi), tm, d})
 				})
 			}
 			if cs.SeekKey(k) {
-				cs.ForUpdatesOrdered(k, func(v wideVal, tm lattice.Time, d Diff) {
-					ws = append(ws, vtd{v, tm, d})
+				cs.ForUpdatesOrderedView(k, func(s *ValStore[wideVal], vi int, tm lattice.Time, d Diff) {
+					ws = append(ws, vtd{s.At(vi), tm, d})
 				})
 			}
 			if len(wc) != len(ws) {

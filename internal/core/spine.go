@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"repro/internal/lattice"
 )
@@ -575,92 +576,121 @@ func (h *Handle[K, V]) CursorThrough(f lattice.Frontier) *TraceCursor[K, V] {
 
 // TraceCursor navigates the union of a set of runs in key order, with
 // forward-only galloping seeks (the alternating-seek pattern of §5.3.1).
-// Runs are BatchReaders; resident batches are additionally kept in a
-// parallel concrete slice so the hot paths (the common, fully resident
-// case) run the exact slice-indexed loops they always did, paying interface
-// dispatch only on cold (spilled) runs.
+// Every run is read as key-aligned segments, each a *Batch — a resident run
+// is one segment, the batch itself; a cold run is its blocks — so the key
+// and update loops exist once, over *Batch.
 type TraceCursor[K, V any] struct {
-	fn      Funcs[K, V]
-	batches []BatchReader[K, V]
-	hot     []*Batch[K, V]     // hot[i] non-nil iff batches[i] is resident
-	bulk    []KeyUpdater[K, V] // bulk[i] non-nil iff cold batches[i] bulk-iterates
-	pos     []int              // per run: current key index
-	rngs    []valueRange       // scratch for ForUpdatesOrdered
+	fn   Funcs[K, V]
+	runs []runCursor[K, V]
+	rngs []valueRange[K, V] // scratch for ForUpdatesOrderedView
+}
+
+// runCursor is one run's position: its current segment and a key index
+// local to it. On a cold run seg is nil while the cursor rests on the first
+// key of block si without having needed the block's contents (that key is
+// the block's resident fence), and si reaches n once the run is exhausted.
+// A loaded cold segment never rests at its end: stepping past its last key
+// moves to the next block, unloaded.
+type runCursor[K, V any] struct {
+	seg  *Batch[K, V]
+	pos  int
+	cold SegmentedRun[K, V] // nil for a resident run
+	si   int
+	n    int // cold.Segments()
 }
 
 // valueRange is one run's value range for the key under an ordered merge.
-type valueRange struct {
-	batch  int
+type valueRange[K, V any] struct {
+	b      *Batch[K, V]
 	vi, hi int
 }
 
-// KeyUpdater is an optional BatchReader extension: visit every (val, time,
-// diff) of the key at index ki in one call. A cold run whose storage keeps a
-// key's values and updates together (block-aligned layouts) can serve a
-// whole key with a single position lookup and tight local loops, where the
-// generic path would re-resolve the position on every ValView/UpdRange/Upd
-// interface call. Purely a fast path: it must visit exactly what the
-// generic loop over ValRange/ValView/UpdRange/Upd would.
-type KeyUpdater[K, V any] interface {
-	ForKeyUpdates(ki int, f func(v V, t lattice.Time, d Diff))
-}
-
 func newTraceCursor[K, V any](fn Funcs[K, V], readers []BatchReader[K, V]) *TraceCursor[K, V] {
-	nonEmpty := readers[:0:0]
+	c := &TraceCursor[K, V]{fn: fn, runs: make([]runCursor[K, V], 0, len(readers))}
 	for _, r := range readers {
-		if r.Len() > 0 {
-			nonEmpty = append(nonEmpty, r)
+		if r.Len() == 0 {
+			continue
 		}
-	}
-	hot := make([]*Batch[K, V], len(nonEmpty))
-	bulk := make([]KeyUpdater[K, V], len(nonEmpty))
-	for i, r := range nonEmpty {
 		if b, ok := r.(*Batch[K, V]); ok {
-			hot[i] = b
-		} else if ku, ok := r.(KeyUpdater[K, V]); ok {
-			bulk[i] = ku
+			c.runs = append(c.runs, runCursor[K, V]{seg: b})
+			continue
+		}
+		cold := UnwrapReader(r).(SegmentedRun[K, V])
+		c.runs = append(c.runs, runCursor[K, V]{cold: cold, n: cold.Segments()})
+	}
+	return c
+}
+
+// key returns the run's current key, or false once the run is exhausted.
+func (r *runCursor[K, V]) key() (K, bool) {
+	if r.seg != nil {
+		if r.pos < len(r.seg.Keys) {
+			return r.seg.Keys[r.pos], true
+		}
+	} else if r.si < r.n {
+		first, _ := r.cold.Fence(r.si)
+		return first, true
+	}
+	var zero K
+	return zero, false
+}
+
+// at reports whether the run's current key is k.
+func (r *runCursor[K, V]) at(fn Funcs[K, V], k K) bool {
+	rk, ok := r.key()
+	return ok && fn.EqK(rk, k)
+}
+
+// load returns the current segment, decoding a cold block through the
+// store's cache the first time its contents are needed.
+func (r *runCursor[K, V]) load() *Batch[K, V] {
+	if r.seg == nil {
+		r.seg = r.cold.LoadSegment(r.si)
+	}
+	return r.seg
+}
+
+// seek moves the run to its first key ≥ k. On a cold run a target beyond
+// the loaded segment is one binary search over the remaining blocks' last
+// keys; the found block is loaded only when k lies strictly inside it.
+func (r *runCursor[K, V]) seek(fn Funcs[K, V], k K) {
+	if r.cold == nil {
+		r.pos = r.seg.SeekKey(fn, k, r.pos)
+		return
+	}
+	if r.seg != nil {
+		if !fn.LessK(r.seg.Keys[len(r.seg.Keys)-1], k) {
+			r.pos = r.seg.SeekKey(fn, k, r.pos)
+			return
+		}
+		r.seg, r.pos = nil, 0
+		r.si++
+	}
+	if r.si >= r.n {
+		return
+	}
+	if first, _ := r.cold.Fence(r.si); !fn.LessK(first, k) {
+		return
+	}
+	from := r.si
+	r.si = from + sort.Search(r.n-from, func(i int) bool {
+		_, last := r.cold.Fence(from + i)
+		return !fn.LessK(last, k)
+	})
+	if r.si < r.n {
+		if first, _ := r.cold.Fence(r.si); fn.LessK(first, k) {
+			r.pos = r.load().SeekKey(fn, k, 0)
 		}
 	}
-	return &TraceCursor[K, V]{
-		fn: fn, batches: nonEmpty, hot: hot, bulk: bulk, pos: make([]int, len(nonEmpty)),
-	}
-}
-
-// numKeys returns run i's distinct-key count (resident metadata, no I/O).
-func (c *TraceCursor[K, V]) numKeys(i int) int {
-	if hb := c.hot[i]; hb != nil {
-		return len(hb.Keys)
-	}
-	return c.batches[i].NumKeys()
-}
-
-// key returns run i's key ki (block-boundary stats keep gap probes free of
-// I/O on cold runs).
-func (c *TraceCursor[K, V]) key(i, ki int) K {
-	if hb := c.hot[i]; hb != nil {
-		return hb.Keys[ki]
-	}
-	return c.batches[i].Key(ki)
-}
-
-// view returns run i's value vi as a (store, index) borrow.
-func (c *TraceCursor[K, V]) view(i, vi int) (*ValStore[V], int) {
-	if hb := c.hot[i]; hb != nil {
-		return &hb.Vals, vi
-	}
-	return c.batches[i].ValView(vi)
 }
 
 // PeekKey returns the smallest key at or after the cursor position, if any.
 func (c *TraceCursor[K, V]) PeekKey() (K, bool) {
 	var best K
 	found := false
-	for i := range c.batches {
-		if c.pos[i] < c.numKeys(i) {
-			k := c.key(i, c.pos[i])
-			if !found || c.fn.LessK(k, best) {
-				best, found = k, true
-			}
+	for i := range c.runs {
+		if k, ok := c.runs[i].key(); ok && (!found || c.fn.LessK(k, best)) {
+			best, found = k, true
 		}
 	}
 	return best, found
@@ -670,19 +700,10 @@ func (c *TraceCursor[K, V]) PeekKey() (K, bool) {
 // whether any run contains k exactly. Seeks are forward-only.
 func (c *TraceCursor[K, V]) SeekKey(k K) bool {
 	found := false
-	for i := range c.batches {
-		if hb := c.hot[i]; hb != nil {
-			c.pos[i] = hb.SeekKey(c.fn, k, c.pos[i])
-			if c.pos[i] < len(hb.Keys) && c.fn.EqK(hb.Keys[c.pos[i]], k) {
-				found = true
-			}
-			continue
-		}
-		r := c.batches[i]
-		c.pos[i] = r.SeekKey(c.fn, k, c.pos[i])
-		if c.pos[i] < r.NumKeys() && c.fn.EqK(r.Key(c.pos[i]), k) {
-			found = true
-		}
+	for i := range c.runs {
+		r := &c.runs[i]
+		r.seek(c.fn, k)
+		found = r.at(c.fn, k) || found
 	}
 	return found
 }
@@ -691,120 +712,58 @@ func (c *TraceCursor[K, V]) SeekKey(k K) bool {
 // runs. The cursor must be positioned at k via SeekKey. Values materialize
 // once per value group, not once per update.
 func (c *TraceCursor[K, V]) ForUpdates(k K, f func(v V, t lattice.Time, d Diff)) {
-	for i, r := range c.batches {
-		ki := c.pos[i]
-		if hb := c.hot[i]; hb != nil {
-			if ki >= len(hb.Keys) || !c.fn.EqK(hb.Keys[ki], k) {
-				continue
-			}
-			lo, hi := hb.ValRange(ki)
-			for vi := lo; vi < hi; vi++ {
-				v := hb.Vals.At(vi)
-				ul, uh := hb.UpdRange(vi)
-				for ui := ul; ui < uh; ui++ {
-					f(v, hb.Upds[ui].Time, hb.Upds[ui].Diff)
-				}
-			}
+	for i := range c.runs {
+		r := &c.runs[i]
+		if !r.at(c.fn, k) {
 			continue
 		}
-		if ki >= r.NumKeys() || !c.fn.EqK(r.Key(ki), k) {
-			continue
-		}
-		if ku := c.bulk[i]; ku != nil {
-			ku.ForKeyUpdates(ki, f)
-			continue
-		}
-		lo, hi := r.ValRange(ki)
-		for vi := lo; vi < hi; vi++ {
-			s, si := r.ValView(vi)
-			v := s.At(si)
-			ul, uh := r.UpdRange(vi)
-			for ui := ul; ui < uh; ui++ {
-				td := r.Upd(ui)
-				f(v, td.Time, td.Diff)
+		b := r.load()
+		for vi := b.KeyOff[r.pos]; vi < b.KeyOff[r.pos+1]; vi++ {
+			v := b.Vals.At(int(vi))
+			for _, u := range b.Upds[b.ValOff[vi]:b.ValOff[vi+1]] {
+				f(v, u.Time, u.Diff)
 			}
 		}
 	}
 }
 
-// ForUpdatesOrdered invokes f with every (val, time, diff) of key k like
-// ForUpdates, but in ascending value order: the per-batch value runs are
-// already sorted, so a k-way merge yields globally ordered values (equal
-// values from different batches adjacent) without collecting and re-sorting
-// — the galloping-merge analogue for a key's value histories. Consumers can
-// therefore accumulate with a running (value, sum) pair instead of sorting.
-func (c *TraceCursor[K, V]) ForUpdatesOrdered(k K, f func(v V, t lattice.Time, d Diff)) {
-	c.ForUpdatesOrderedView(k, func(s *ValStore[V], vi int, t lattice.Time, d Diff) {
-		f(s.At(vi), t, d)
-	})
-}
-
-// ForUpdatesOrderedView is ForUpdatesOrdered yielding a borrow-free
-// (store, index) view of each value instead of a materialized copy: the
-// k-way value merge compares stores in place, and consumers that only need
-// ordering (reduce's running accumulation, counts) never pay a wide struct
-// copy per update — they call s.At(vi) once per value group, if at all.
-// Views stay valid as long as the cursor's batches do (they are immutable),
-// so a consumer may hold one across callbacks as its running group.
+// ForUpdatesOrderedView invokes f with every (val, time, diff) of key k like
+// ForUpdates, but in ascending value order, each value as a borrow-free
+// (store, index) view instead of a materialized copy. The per-run value
+// runs are already sorted, so a k-way merge yields globally ordered values
+// (equal values from different runs adjacent) without collecting and
+// re-sorting — the galloping-merge analogue for a key's value histories —
+// and it compares stores in place. Consumers can therefore accumulate with
+// a running (value, sum) pair and never pay a wide struct copy per update:
+// they call s.At(vi) once per value group, if at all. Views stay valid as
+// long as the segments they point into, which are immutable, so a consumer
+// may hold one across callbacks as its running group.
 func (c *TraceCursor[K, V]) ForUpdatesOrderedView(k K,
 	f func(s *ValStore[V], vi int, t lattice.Time, d Diff)) {
 
 	c.rngs = c.rngs[:0]
-	for i := range c.batches {
-		ki := c.pos[i]
-		if ki >= c.numKeys(i) || !c.fn.EqK(c.key(i, ki), k) {
+	for i := range c.runs {
+		r := &c.runs[i]
+		if !r.at(c.fn, k) {
 			continue
 		}
-		lo, hi := c.batches[i].ValRange(ki)
-		if lo < hi {
-			c.rngs = append(c.rngs, valueRange{batch: i, vi: lo, hi: hi})
-		}
-	}
-	if len(c.rngs) == 1 {
-		// Single run: its values are already ordered; emit directly.
-		r := c.rngs[0]
-		if hb := c.hot[r.batch]; hb != nil {
-			for vi := r.vi; vi < r.hi; vi++ {
-				ul, uh := hb.UpdRange(vi)
-				for ui := ul; ui < uh; ui++ {
-					f(&hb.Vals, vi, hb.Upds[ui].Time, hb.Upds[ui].Diff)
-				}
-			}
-			return
-		}
-		b := c.batches[r.batch]
-		for vi := r.vi; vi < r.hi; vi++ {
-			s, si := b.ValView(vi)
-			ul, uh := b.UpdRange(vi)
-			for ui := ul; ui < uh; ui++ {
-				td := b.Upd(ui)
-				f(s, si, td.Time, td.Diff)
-			}
-		}
-		return
+		b := r.load()
+		c.rngs = append(c.rngs, valueRange[K, V]{b: b, vi: int(b.KeyOff[r.pos]), hi: int(b.KeyOff[r.pos+1])})
 	}
 	for {
 		min := -1
-		var minS *ValStore[V]
-		var minI int
 		for i := range c.rngs {
-			if c.rngs[i].vi >= c.rngs[i].hi {
-				continue
-			}
-			s, si := c.view(c.rngs[i].batch, c.rngs[i].vi)
-			if min < 0 || s.Less(c.fn.LessV, si, minS, minI) {
-				min, minS, minI = i, s, si
+			r := &c.rngs[i]
+			if r.vi < r.hi && (min < 0 || r.b.Vals.Less(c.fn.LessV, r.vi, &c.rngs[min].b.Vals, c.rngs[min].vi)) {
+				min = i
 			}
 		}
 		if min < 0 {
 			return
 		}
 		r := &c.rngs[min]
-		b := c.batches[r.batch]
-		ul, uh := b.UpdRange(r.vi)
-		for ui := ul; ui < uh; ui++ {
-			td := b.Upd(ui)
-			f(minS, minI, td.Time, td.Diff)
+		for _, u := range r.b.Upds[r.b.ValOff[r.vi]:r.b.ValOff[r.vi+1]] {
+			f(&r.b.Vals, r.vi, u.Time, u.Diff)
 		}
 		r.vi++
 	}
@@ -812,9 +771,15 @@ func (c *TraceCursor[K, V]) ForUpdatesOrderedView(k K,
 
 // SkipKey advances past key k (used when iterating keys in order).
 func (c *TraceCursor[K, V]) SkipKey(k K) {
-	for i := range c.batches {
-		if c.pos[i] < c.numKeys(i) && c.fn.EqK(c.key(i, c.pos[i]), k) {
-			c.pos[i]++
+	for i := range c.runs {
+		r := &c.runs[i]
+		if !r.at(c.fn, k) {
+			continue
+		}
+		r.load()
+		if r.pos++; r.cold != nil && r.pos == len(r.seg.Keys) {
+			r.seg, r.pos = nil, 0
+			r.si++
 		}
 	}
 }

@@ -485,29 +485,6 @@ func TestFlattenMatchesArrangement(t *testing.T) {
 	}
 }
 
-func TestThreshold(t *testing.T) {
-	cap := runCollected(t, 1,
-		func(c Collection[uint64, uint64]) Collection[uint64, uint64] {
-			// Keep only records present at least twice, once each.
-			return Threshold(c, core.U64(), func(d core.Diff) core.Diff {
-				if d >= 2 {
-					return 1
-				}
-				return 0
-			})
-		},
-		func(in *InputCollection[uint64, uint64], step func(uint64)) {
-			in.Insert(1, 1)
-			in.Insert(1, 1)
-			in.Insert(2, 2)
-			step(0)
-		})
-	acc := cap.At(lattice.Ts(0))
-	if len(acc) != 1 || acc[[2]any{uint64(1), uint64(1)}] != 1 {
-		t.Fatalf("threshold: %v", acc)
-	}
-}
-
 func TestCapturedAt(t *testing.T) {
 	cp := &Captured[uint64, uint64]{}
 	cp.upds = append(cp.upds,

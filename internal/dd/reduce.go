@@ -392,19 +392,6 @@ func distinct[K, V any](_ K, in []ValDiff[V], out *[]ValDiff[V]) {
 	}
 }
 
-// Threshold maps each (key, value) multiplicity through f (zero drops it).
-func Threshold[K comparable, V any](c Collection[K, V], fn core.Funcs[K, V],
-	f func(core.Diff) core.Diff) Collection[K, V] {
-	return Reduce(c, fn, fn, "Threshold",
-		func(k K, in []ValDiff[V], out *[]ValDiff[V]) {
-			for _, e := range in {
-				if d := f(e.Diff); d != 0 {
-					*out = append(*out, ValDiff[V]{Val: e.Val, Diff: d})
-				}
-			}
-		})
-}
-
 // SemiJoin keeps records of c whose key appears in keys (with multiplicity
 // one, regardless of multiplicities in keys).
 func SemiJoin[K comparable, V any](c Collection[K, V], fn core.Funcs[K, V],

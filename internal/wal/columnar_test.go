@@ -37,7 +37,7 @@ type wordsCodec[V core.Columnar[V]] struct{}
 
 func (wordsCodec[V]) Append(dst []byte, v V) []byte {
 	for _, w := range v.AppendWords(nil) {
-		dst = appendU64(dst, w)
+		dst = AppendU64(dst, w)
 	}
 	return dst
 }
@@ -45,15 +45,15 @@ func (wordsCodec[V]) Append(dst []byte, v V) []byte {
 func (wordsCodec[V]) Read(src []byte) (V, int, error) {
 	var z V
 	words := make([]uint64, z.ColWidth())
-	c := &cursor{buf: src}
+	d := NewDec(src)
 	for i := range words {
-		w, err := c.u64()
+		w, err := d.U64()
 		if err != nil {
 			return z, 0, err
 		}
 		words[i] = w
 	}
-	return z.FromWords(words), c.off, nil
+	return z.FromWords(words), d.off, nil
 }
 
 type liTuple struct {
@@ -93,13 +93,13 @@ func TestColumnarBatchRoundTrip(t *testing.T) {
 		t.Fatal("the two store layouts of one batch encode to different bytes")
 	}
 
-	c := &cursor{buf: encC}
-	dec, err := decodeBatch[uint64, tpch.LineItem](c, U64Codec(), vc)
+	d := NewDec(encC)
+	dec, err := decodeBatch[uint64, tpch.LineItem](d, U64Codec(), vc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if c.remaining() != 0 {
-		t.Fatalf("decode left %d bytes", c.remaining())
+	if d.Remaining() != 0 {
+		t.Fatalf("decode left %d bytes", d.Remaining())
 	}
 	if dec.Vals.Columns() != nil {
 		t.Fatal("decoded batch must carry a row store")
@@ -124,7 +124,7 @@ func TestColumnarBatchRoundTrip(t *testing.T) {
 
 	// Truncations anywhere in the value section must error, never panic.
 	for cut := len(encC) - 1; cut > len(encC)-washWords(bc); cut -= 7 {
-		cc := &cursor{buf: encC[:cut]}
+		cc := NewDec(encC[:cut])
 		if _, err := decodeBatch[uint64, tpch.LineItem](cc, U64Codec(), vc); err == nil {
 			t.Fatalf("decode of %d-byte truncation succeeded", cut)
 		}

@@ -13,7 +13,7 @@ import (
 func encodeShard(st *ShardState[uint64, uint64]) []byte {
 	var data, p []byte
 	p = append(p[:0], recSince)
-	p = appendFrontier(p, st.Since)
+	p = AppendFrontier(p, st.Since)
 	data = appendRecord(data, p)
 	for _, b := range st.Batches {
 		p = append(p[:0], recBatch)

@@ -183,10 +183,10 @@ func replayBytes[K, V any](kc Codec[K], vc Codec[V],
 		if len(payload) == 0 {
 			return &CorruptError{Offset: off, Reason: "empty payload"}
 		}
-		c := &cursor{buf: payload, off: 1}
+		d := &Dec{buf: payload, off: 1}
 		switch payload[0] {
 		case recBatch:
-			b, derr := decodeBatch[K, V](c, kc, vc)
+			b, derr := decodeBatch[K, V](d, kc, vc)
 			if derr != nil {
 				return &CorruptError{Offset: off, Reason: derr.Error()}
 			}
@@ -198,7 +198,7 @@ func replayBytes[K, V any](kc Codec[K], vc Codec[V],
 			st.Runs = append(st.Runs, Run[K, V]{Batch: b})
 			st.Upper = b.Upper.Clone()
 		case recBlockRef:
-			ref, derr := decodeBlockRef(c)
+			ref, derr := decodeBlockRef(d)
 			if derr != nil {
 				return &CorruptError{Offset: off, Reason: derr.Error()}
 			}
@@ -209,7 +209,7 @@ func replayBytes[K, V any](kc Codec[K], vc Codec[V],
 			st.Runs = append(st.Runs, Run[K, V]{Ref: ref})
 			st.Upper = ref.Upper.Clone()
 		case recSince:
-			f, derr := c.frontier()
+			f, derr := d.Frontier()
 			if derr != nil {
 				return &CorruptError{Offset: off, Reason: derr.Error()}
 			}
@@ -220,9 +220,9 @@ func replayBytes[K, V any](kc Codec[K], vc Codec[V],
 		default:
 			return &CorruptError{Offset: off, Reason: fmt.Sprintf("unknown record kind %d", payload[0])}
 		}
-		if c.off != len(payload) {
+		if d.Remaining() != 0 {
 			return &CorruptError{Offset: off, Reason: fmt.Sprintf(
-				"%d trailing bytes after record body", len(payload)-c.off)}
+				"%d trailing bytes after record body", d.Remaining())}
 		}
 		return nil
 	})
@@ -291,7 +291,7 @@ func (l *ShardLog[K, V]) AppendBatch(b *core.Batch[K, V]) error {
 // AdvanceSince logs a compaction-frontier advance (core.BatchSink), letting
 // recovery resume compaction where the live system had promised it.
 func (l *ShardLog[K, V]) AdvanceSince(f lattice.Frontier) error {
-	l.pbuf = appendFrontier(openRecord(l.pbuf[:0], recSince), f)
+	l.pbuf = AppendFrontier(openRecord(l.pbuf[:0], recSince), f)
 	return l.append()
 }
 

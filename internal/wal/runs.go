@@ -61,41 +61,36 @@ func validRefName(name string) error {
 // byte has been appended by the caller).
 func appendBlockRef(dst []byte, ref *BlockRef) []byte {
 	dst = AppendString(dst, ref.Name)
-	dst = appendFrontier(dst, ref.Lower)
-	dst = appendFrontier(dst, ref.Upper)
-	dst = appendFrontier(dst, ref.Since)
+	dst = AppendFrontier(dst, ref.Lower)
+	dst = AppendFrontier(dst, ref.Upper)
+	dst = AppendFrontier(dst, ref.Since)
 	return dst
 }
 
 // decodeBlockRef decodes a block-reference record body.
-func decodeBlockRef(c *cursor) (*BlockRef, error) {
-	n, err := c.u32()
+func decodeBlockRef(d *Dec) (*BlockRef, error) {
+	name, err := d.String()
 	if err != nil {
 		return nil, err
 	}
-	if uint64(n) > uint64(c.remaining()) {
-		return nil, c.fail("block ref name of %d bytes exceeds record", n)
-	}
-	name := string(c.buf[c.off : c.off+int(n)])
-	c.off += int(n)
 	if err := validRefName(name); err != nil {
-		return nil, c.fail("%v", err)
+		return nil, d.fail("%v", err)
 	}
 	ref := &BlockRef{Name: name}
-	if ref.Lower, err = c.frontier(); err != nil {
+	if ref.Lower, err = d.Frontier(); err != nil {
 		return nil, err
 	}
-	if ref.Upper, err = c.frontier(); err != nil {
+	if ref.Upper, err = d.Frontier(); err != nil {
 		return nil, err
 	}
-	if ref.Since, err = c.frontier(); err != nil {
+	if ref.Since, err = d.Frontier(); err != nil {
 		return nil, err
 	}
 	if ref.Lower.Empty() {
-		return nil, c.fail("block ref with empty lower frontier")
+		return nil, d.fail("block ref with empty lower frontier")
 	}
 	if ref.Since.Empty() {
-		return nil, c.fail("block ref with empty since frontier")
+		return nil, d.fail("block ref with empty since frontier")
 	}
 	return ref, nil
 }
@@ -109,7 +104,7 @@ func decodeBlockRef(c *cursor) (*BlockRef, error) {
 // new generation, so the log stays proportional to the trace plus the tail
 // sealed since the last checkpoint.
 func (l *ShardLog[K, V]) RotateRuns(since lattice.Frontier, runs []Run[K, V]) error {
-	data := appendFrontier(openRecord(nil, recSince), since)
+	data := AppendFrontier(openRecord(nil, recSince), since)
 	sealRecord(data)
 	for _, r := range runs {
 		start := len(data)

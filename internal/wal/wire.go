@@ -95,93 +95,186 @@ func SplitRecord(data []byte, maxLen uint32) (payload, rest []byte, err error) {
 }
 
 // AppendU32 appends a little-endian uint32.
-func AppendU32(dst []byte, v uint32) []byte { return appendU32(dst, v) }
+func AppendU32(dst []byte, v uint32) []byte {
+	return binary.LittleEndian.AppendUint32(dst, v)
+}
 
 // AppendU64 appends a little-endian uint64.
-func AppendU64(dst []byte, v uint64) []byte { return appendU64(dst, v) }
+func AppendU64(dst []byte, v uint64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, v)
+}
 
 // AppendString appends a u32 length prefix followed by the bytes.
 func AppendString(dst []byte, s string) []byte {
-	dst = appendU32(dst, uint32(len(s)))
+	dst = AppendU32(dst, uint32(len(s)))
 	return append(dst, s...)
 }
 
 // AppendUvarint appends an unsigned varint.
 func AppendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
 
-// AppendTime appends a logical time (depth, then coordinates).
-func AppendTime(dst []byte, t lattice.Time) []byte { return appendTime(dst, t) }
+// AppendTime appends a logical time: its depth, then its coordinates.
+func AppendTime(dst []byte, t lattice.Time) []byte {
+	dst = append(dst, byte(t.Depth()))
+	for i := 0; i < t.Depth(); i++ {
+		dst = AppendU64(dst, t.Coord(i))
+	}
+	return dst
+}
 
-// AppendFrontier appends an antichain in sorted order.
-func AppendFrontier(dst []byte, f lattice.Frontier) []byte { return appendFrontier(dst, f) }
+// AppendFrontier appends an antichain in sorted order (deterministic bytes
+// for identical frontiers, which replay idempotence relies on).
+func AppendFrontier(dst []byte, f lattice.Frontier) []byte {
+	els := f.Sorted()
+	dst = AppendU32(dst, uint32(len(els)))
+	for _, t := range els {
+		dst = AppendTime(dst, t)
+	}
+	return dst
+}
 
 // Dec is a bounds-checked reader over one record payload, the decode-side
-// counterpart of the Append helpers. Every method returns an error instead
-// of panicking on short or malformed input, so a decoder built on it is safe
-// against adversarial bytes.
+// counterpart of the Append helpers: the shard log, block files and the wire
+// decode through it. Every method returns an error instead of panicking on
+// short or malformed input, so a decoder built on it is safe against
+// adversarial bytes.
 type Dec struct {
-	c cursor
+	buf []byte
+	off int
 }
 
 // NewDec wraps a payload.
-func NewDec(payload []byte) *Dec { return &Dec{c: cursor{buf: payload}} }
+func NewDec(payload []byte) *Dec { return &Dec{buf: payload} }
 
 // Remaining returns the number of unread bytes.
-func (d *Dec) Remaining() int { return d.c.remaining() }
+func (d *Dec) Remaining() int { return len(d.buf) - d.off }
+
+func (d *Dec) fail(format string, args ...any) error {
+	return fmt.Errorf("at payload byte %d: %s", d.off, fmt.Sprintf(format, args...))
+}
 
 // U8 reads one byte.
-func (d *Dec) U8() (byte, error) { return d.c.u8() }
+func (d *Dec) U8() (byte, error) {
+	if d.Remaining() < 1 {
+		return 0, d.fail("truncated u8")
+	}
+	v := d.buf[d.off]
+	d.off++
+	return v, nil
+}
 
 // U32 reads a little-endian uint32.
-func (d *Dec) U32() (uint32, error) { return d.c.u32() }
+func (d *Dec) U32() (uint32, error) {
+	if d.Remaining() < 4 {
+		return 0, d.fail("truncated u32")
+	}
+	v := binary.LittleEndian.Uint32(d.buf[d.off:])
+	d.off += 4
+	return v, nil
+}
 
 // U64 reads a little-endian uint64.
-func (d *Dec) U64() (uint64, error) { return d.c.u64() }
+func (d *Dec) U64() (uint64, error) {
+	if d.Remaining() < 8 {
+		return 0, d.fail("truncated u64")
+	}
+	v := binary.LittleEndian.Uint64(d.buf[d.off:])
+	d.off += 8
+	return v, nil
+}
 
 // String reads a u32-length-prefixed string, bounding the length against the
 // remaining payload.
 func (d *Dec) String() (string, error) {
-	n, err := d.c.u32()
+	n, err := d.U32()
 	if err != nil {
 		return "", err
 	}
 	// Compare in uint64: on 32-bit platforms int(n) could wrap negative and
 	// slip past the bound into a slice-bounds panic.
-	if uint64(n) > uint64(d.c.remaining()) {
-		return "", d.c.fail("string of %d bytes exceeds record", n)
+	if uint64(n) > uint64(d.Remaining()) {
+		return "", d.fail("string of %d bytes exceeds record", n)
 	}
-	s := string(d.c.buf[d.c.off : d.c.off+int(n)])
-	d.c.off += int(n)
+	s := string(d.buf[d.off : d.off+int(n)])
+	d.off += int(n)
 	return s, nil
 }
 
 // Uvarint reads an unsigned varint.
 func (d *Dec) Uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.c.buf[d.c.off:])
+	v, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 {
-		return 0, d.c.fail("bad uvarint")
+		return 0, d.fail("bad uvarint")
 	}
-	d.c.off += n
+	d.off += n
 	return v, nil
 }
 
-// Time reads a logical time.
-func (d *Dec) Time() (lattice.Time, error) { return d.c.time() }
+// Time reads a logical time into a fixed-size array: a slice made at the
+// decoded depth would escape to the heap once per time read.
+func (d *Dec) Time() (lattice.Time, error) {
+	depth, err := d.U8()
+	if err != nil {
+		return lattice.Time{}, err
+	}
+	if depth < 1 || int(depth) > lattice.MaxDepth {
+		return lattice.Time{}, d.fail("time depth %d out of range", depth)
+	}
+	var coords [lattice.MaxDepth]uint64
+	for i := 0; i < int(depth); i++ {
+		if coords[i], err = d.U64(); err != nil {
+			return lattice.Time{}, err
+		}
+	}
+	return lattice.FromCoords(int(depth), coords), nil
+}
 
 // Frontier reads an antichain.
-func (d *Dec) Frontier() (lattice.Frontier, error) { return d.c.frontier() }
+func (d *Dec) Frontier() (lattice.Frontier, error) {
+	n, err := d.U32()
+	if err != nil {
+		return lattice.Frontier{}, err
+	}
+	if n > maxFrontierElems || int(n)*9 > d.Remaining() {
+		return lattice.Frontier{}, d.fail("frontier of %d elements exceeds record", n)
+	}
+	var f lattice.Frontier
+	for i := 0; i < int(n); i++ {
+		t, err := d.Time()
+		if err != nil {
+			return lattice.Frontier{}, err
+		}
+		f.Insert(t)
+	}
+	return f, nil
+}
 
-// Count reads an element count, bounding it against the remaining payload so
-// a corrupt count cannot drive a huge allocation or a spinning decode loop.
-func (d *Dec) Count(what string) (int, error) { return d.c.count(what) }
+// Count reads an element count, bounding it against the global cap and the
+// remaining payload, so a corrupt count cannot drive a huge allocation or a
+// spinning decode loop. The byte bound holds for every legitimate column:
+// even zero-width elements (UnitCodec values) are each anchored by at least
+// one later offset or update entry of ≥ 4 bytes in the same record, so a
+// count exceeding the remaining length is corruption — rejecting it here
+// keeps a corrupt record from spinning the decode loop millions of times
+// before the offset-table validation would catch it.
+func (d *Dec) Count(what string) (int, error) {
+	n, err := d.U32()
+	if err != nil {
+		return 0, err
+	}
+	if n > maxBatchElems || int(n) > d.Remaining() {
+		return 0, d.fail("%s count %d exceeds record", what, n)
+	}
+	return int(n), nil
+}
 
 // DecValue reads one codec-encoded value from the payload.
 func DecValue[T any](d *Dec, c Codec[T]) (T, error) {
-	v, n, err := c.Read(d.c.buf[d.c.off:])
+	v, n, err := c.Read(d.buf[d.off:])
 	if err != nil {
 		var zero T
-		return zero, d.c.fail("value: %v", err)
+		return zero, d.fail("value: %v", err)
 	}
-	d.c.off += n
+	d.off += n
 	return v, nil
 }
