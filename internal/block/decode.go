@@ -377,9 +377,11 @@ func (im *image[K, V]) decodeBlock(cfg *codecs[K, V], bi int, dst *columns[K, V]
 	}
 
 	// Updates: each time is a depth byte, which must be the file's, then
-	// that many coordinates, read in place.
+	// that many coordinates, read in place; a loop coordinate must fit its
+	// depth's field.
 	depth := im.depth
 	timeLen := 1 + 8*depth
+	maxLoop := lattice.MaxLoopCoord(depth)
 	var coords [lattice.MaxDepth]uint64
 	min1 := uint64(math.MaxUint64) // depth 1 is totally ordered: one minimum
 	upds := dst.upds[u0 : u0+m.nUpds]
@@ -392,6 +394,9 @@ func (im *image[K, V]) decodeBlock(cfg *codecs[K, V], bi int, dst *columns[K, V]
 		}
 		for j := 0; j < depth; j++ {
 			coords[j] = binary.LittleEndian.Uint64(p[pos+1+8*j:])
+			if j > 0 && coords[j] > maxLoop {
+				return fail("update %d time: coordinate %d = %d too wide for depth %d", i, j, coords[j], depth)
+			}
 		}
 		pos += timeLen
 		u, n := uvarint(p, pos)

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
@@ -122,6 +123,33 @@ func decodeChecked(t *testing.T, data []byte) {
 	}
 }
 
+// wideLoopImage is a valid depth-3 file but for one update whose loop
+// coordinate is 32 bits wide, past its depth's 31-bit field: the decoder
+// must report it, not build the time (which panics). The index's min time
+// stays valid, so the update loop is what meets it.
+func wideLoopImage(f *testing.F, cfg *codecs[uint64, tup]) []byte {
+	const mark = 0x5eed5eed
+	lower := lattice.NewFrontier(lattice.Ts(0, 0, 0))
+	b := core.BuildBatch(fnTup(false), []upd{
+		{Key: 1, Time: lattice.Ts(1, 0, 0), Diff: 1},
+		{Key: 2, Time: lattice.Ts(2, mark, 0), Diff: 1},
+	}, lower, lattice.NewFrontier(lattice.Ts(3, 0, 0)), lower.Clone())
+	img, err := encodeImage(cfg, b, 8)
+	if err != nil {
+		f.Fatal(err)
+	}
+	at := bytes.Index(img, wal.AppendU64(nil, mark))
+	img[at+3] |= 0x80
+	for off := headerLen; ; { // reseal the record holding the widened mark
+		end := off + 8 + int(binary.LittleEndian.Uint32(img[off:]))
+		if at < end {
+			wal.SealRecord(img[off:end])
+			return img
+		}
+		off = end
+	}
+}
+
 // FuzzBlockDecode drives the block-file decoder with truncated, bit-flipped
 // and arbitrary images (mirroring FuzzWALReplay): arbitrary bytes must
 // yield a decoded batch or a typed *block.CorruptError — never a panic,
@@ -154,6 +182,7 @@ func FuzzBlockDecode(f *testing.F) {
 	f.Add(hostileImage(maxElems))
 	// A valid file but for a nonzero column width.
 	f.Add(withColWidth(valid, b.Lower, b.Upper, b.Since, 4))
+	f.Add(wideLoopImage(f, cfg))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeChecked(t, data)

@@ -4,9 +4,18 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/lattice"
 )
+
+// A stored update's history entry is a two-word time and a diff: batches,
+// builders, spines and the decoded-block cache all hold these.
+func TestTimeDiffIsThreeWords(t *testing.T) {
+	if got := unsafe.Sizeof(TimeDiff{}); got != 24 {
+		t.Fatalf("Sizeof(TimeDiff) = %d, want 24", got)
+	}
+}
 
 func u64upd(k, v uint64, t lattice.Time, d Diff) Update[uint64, uint64] {
 	return Update[uint64, uint64]{Key: k, Val: v, Time: t, Diff: d}

@@ -24,16 +24,3 @@ func Compact(t Time, f Frontier) (Time, bool) {
 	}
 	return rep, true
 }
-
-// Indistinguishable reports whether t1 ≡_F t2: whether t1 and t2 compare
-// identically (under ≤) to every time in advance of f. This is the defining
-// relation of Appendix A; it is implemented via representatives, which is
-// exact by Theorems 1 and 2.
-func Indistinguishable(t1, t2 Time, f Frontier) bool {
-	r1, ok1 := Compact(t1, f)
-	r2, ok2 := Compact(t2, f)
-	if ok1 != ok2 {
-		return false
-	}
-	return !ok1 || r1 == r2
-}

@@ -133,7 +133,7 @@ func TestCompactEmptyFrontier(t *testing.T) {
 	if _, ok := Compact(Ts(1, 2), Frontier{}); ok {
 		t.Fatalf("empty frontier yields no representative (update can be dropped)")
 	}
-	if Indistinguishable(Ts(1, 2), Ts(9, 9), Frontier{}) != true {
+	if indistinguishable(Ts(1, 2), Ts(9, 9), Frontier{}) != true {
 		t.Fatalf("all times are indistinguishable under the empty frontier")
 	}
 }
@@ -144,10 +144,23 @@ func TestIndistinguishableMatchesBrute(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		f := NewFrontier(randTime(r, 2, bound), randTime(r, 2, bound))
 		t1, t2 := randTime(r, 2, bound), randTime(r, 2, bound)
-		got := Indistinguishable(t1, t2, f)
+		got := indistinguishable(t1, t2, f)
 		want := indistinguishableBrute(t1, t2, f, bound+2)
 		if got != want {
-			t.Fatalf("Indistinguishable(%v,%v,%v) = %v, brute = %v", t1, t2, f, got, want)
+			t.Fatalf("indistinguishable(%v,%v,%v) = %v, brute = %v", t1, t2, f, got, want)
 		}
 	}
+}
+
+// indistinguishable reports whether t1 ≡_F t2: whether t1 and t2 compare
+// identically (under ≤) to every time in advance of f. This is the defining
+// relation of Appendix A; it is computed via representatives, which is
+// exact by Theorems 1 and 2, and refereed by indistinguishableBrute.
+func indistinguishable(t1, t2 Time, f Frontier) bool {
+	r1, ok1 := Compact(t1, f)
+	r2, ok2 := Compact(t2, f)
+	if ok1 != ok2 {
+		return false
+	}
+	return !ok1 || r1 == r2
 }

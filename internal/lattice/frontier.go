@@ -28,9 +28,7 @@ func NewFrontier(ts ...Time) Frontier {
 
 // MinFrontier returns the frontier holding the minimum time of the given depth.
 func MinFrontier(depth int) Frontier {
-	var t Time
-	t.depth = uint8(depth - 1)
-	return Frontier{elems: []Time{t}}
+	return Frontier{elems: []Time{{in: uint64(depth-1) << depthShift}}}
 }
 
 // Empty reports whether f contains no elements (no times can follow).

@@ -11,6 +11,26 @@
 // Product order over totally ordered coordinates forms a lattice: Join is the
 // coordinate-wise max (least upper bound) and Meet the coordinate-wise min
 // (greatest lower bound).
+//
+// # Representation
+//
+// A Time is two words, 16 bytes, because every stored, exchanged and decoded
+// update carries one. The first word is the epoch, a full 64 bits. The
+// second holds depth−1 in its top two bits and the loop counters below them,
+// outermost first, each in a field of fixed width:
+//
+//	depth 1: no counter (the word is zero)
+//	depth 2: one 62-bit counter
+//	depth 3: two 31-bit counters
+//	depth 4: three 20-bit counters
+//
+// Outermost-first packing makes the word pair, compared lexicographically,
+// the lexicographic order of the coordinates, so TotalLess is two word
+// compares; at depth 1 and 2 LessEqual, Join and Meet are word operations
+// too. A loop counter that does not fit its depth's field panics, as depth
+// past MaxDepth does: Ts or FromCoords given one, Enter when a counter is too
+// wide for the narrower fields of the deeper scope, and Step past a field's
+// maximum. Decoders check MaxLoopCoord first and report a typed error.
 package lattice
 
 import (
@@ -23,12 +43,28 @@ import (
 // (strongly connected components) needs an epoch plus two loop counters.
 const MaxDepth = 4
 
+// depthShift places depth−1 in the top two bits of Time.in.
+const depthShift = 62
+
+// fieldBits is the width of each loop-counter field, by counter count
+// (depth−1): the 62 bits below the depth split evenly, rounded down.
+var fieldBits = [MaxDepth]uint{0, 62, 31, 20}
+
 // Time is a partially ordered logical timestamp. The zero value is the
 // minimum time of the outermost (depth 1) region. Time is a comparable value
 // type, usable directly as a map key.
 type Time struct {
-	depth uint8 // 0 means depth 1 (so the zero value is valid)
-	c     [MaxDepth]uint64
+	e  uint64 // coordinate 0, the epoch
+	in uint64 // depth−1 in the top two bits, then the loop counters, outermost first
+}
+
+// MaxLoopCoord returns the largest loop counter a time of the given depth
+// holds (0 at depth 1, which has none).
+func MaxLoopCoord(depth int) uint64 {
+	if depth < 1 || depth > MaxDepth {
+		panic("lattice: MaxLoopCoord depth out of range")
+	}
+	return 1<<fieldBits[depth-1] - 1
 }
 
 // Ts constructs a Time from its coordinates. Ts() is the minimum depth-1 time.
@@ -39,51 +75,93 @@ func Ts(coords ...uint64) Time {
 	if len(coords) > MaxDepth {
 		panic(fmt.Sprintf("lattice: depth %d exceeds MaxDepth %d", len(coords), MaxDepth))
 	}
-	var t Time
-	t.depth = uint8(len(coords) - 1)
-	copy(t.c[:], coords)
-	return t
+	var c [MaxDepth]uint64
+	copy(c[:], coords)
+	return FromCoords(len(coords), c)
 }
 
 // FromCoords constructs the depth-coordinate Time whose coordinates are the
-// first depth entries of c: Ts's non-variadic form for decoders that read
+// first depth entries of c (the rest are ignored): Ts's non-variadic form for decoders that read
 // coordinates into a fixed array, cheap enough to inline into a per-update
-// loop.
+// loop. A loop coordinate above MaxLoopCoord(depth) panics.
 func FromCoords(depth int, c [MaxDepth]uint64) Time {
-	if depth < 1 || depth > MaxDepth {
+	n := depth - 1
+	if uint(n) >= MaxDepth {
 		panic("lattice: FromCoords depth out of range")
 	}
-	for i := depth; i < MaxDepth; i++ {
-		c[i] = 0 // equal Times compare equal coordinate for coordinate
+	w := fieldBits[n]
+	in, wide := uint64(n)<<depthShift, uint64(0)
+	for i := 1; i <= n; i++ {
+		wide |= c[i] >> w
+		in |= c[i] << (uint(n-i) * w)
 	}
-	return Time{depth: uint8(depth - 1), c: c}
+	if wide != 0 {
+		panic(msgWide)
+	}
+	return Time{e: c[0], in: in}
+}
+
+const msgWide = "lattice: loop coordinate exceeds its depth's field (MaxLoopCoord)"
+
+// loops returns t's loop-counter count (depth−1), their field width and the
+// mask of one field.
+func (t Time) loops() (n int, w uint, mask uint64) {
+	n = int(t.in >> depthShift)
+	w = fieldBits[n]
+	return n, w, 1<<w - 1
+}
+
+// coords unpacks t into a fixed array, zero past its depth.
+func (t Time) coords() [MaxDepth]uint64 {
+	c := [MaxDepth]uint64{t.e}
+	n, w, mask := t.loops()
+	for i := 1; i <= n; i++ {
+		c[i] = t.in >> (uint(n-i) * w) & mask
+	}
+	return c
 }
 
 // Depth reports the number of coordinates in t (at least 1).
-func (t Time) Depth() int { return int(t.depth) + 1 }
+func (t Time) Depth() int { return int(t.in>>depthShift) + 1 }
 
 // Coord returns coordinate i of t.
 func (t Time) Coord(i int) uint64 {
-	if i >= t.Depth() {
+	if i < 0 || i >= t.Depth() {
 		panic(fmt.Sprintf("lattice: coord %d of depth-%d time", i, t.Depth()))
 	}
-	return t.c[i]
+	return t.coords()[i]
 }
 
 // Epoch returns coordinate 0, the input epoch.
-func (t Time) Epoch() uint64 { return t.c[0] }
+func (t Time) Epoch() uint64 { return t.e }
 
 func (t Time) checkDepth(o Time) {
-	if t.depth != o.depth {
+	if (t.in^o.in)>>depthShift != 0 {
 		panic(fmt.Sprintf("lattice: comparing times of depth %d and %d", t.Depth(), o.Depth()))
 	}
 }
 
+// wordOrdered reports whether t and o have one depth with at most one loop
+// counter, so that the product order on them is the order of each word
+// (depth 1 or 2). Other pairs take the field-wise path, which also panics on
+// a depth mismatch.
+func wordOrdered(t, o Time) bool {
+	return t.in>>depthShift == o.in>>depthShift && t.in < 2<<depthShift
+}
+
 // LessEqual reports whether t ≤ o in the product partial order.
 func (t Time) LessEqual(o Time) bool {
+	if !wordOrdered(t, o) {
+		return fieldsLessEqual(t, o)
+	}
+	return t.e <= o.e && t.in <= o.in
+}
+
+func fieldsLessEqual(t, o Time) bool {
 	t.checkDepth(o)
-	for i := 0; i <= int(t.depth); i++ {
-		if t.c[i] > o.c[i] {
+	a, b := t.coords(), o.coords()
+	for i := range a {
+		if a[i] > b[i] {
 			return false
 		}
 	}
@@ -95,81 +173,86 @@ func (t Time) Less(o Time) bool { return t != o && t.LessEqual(o) }
 
 // Join returns the least upper bound (coordinate-wise max) of t and o.
 func (t Time) Join(o Time) Time {
-	t.checkDepth(o)
-	r := t
-	for i := 0; i <= int(t.depth); i++ {
-		if o.c[i] > r.c[i] {
-			r.c[i] = o.c[i]
-		}
+	if !wordOrdered(t, o) {
+		return fieldsJoin(t, o, true)
 	}
-	return r
+	return Time{e: max(t.e, o.e), in: max(t.in, o.in)}
 }
 
 // Meet returns the greatest lower bound (coordinate-wise min) of t and o.
 func (t Time) Meet(o Time) Time {
+	if !wordOrdered(t, o) {
+		return fieldsJoin(t, o, false)
+	}
+	return Time{e: min(t.e, o.e), in: min(t.in, o.in)}
+}
+
+// fieldsJoin is Join (join true) or Meet for times of any depth.
+func fieldsJoin(t, o Time, join bool) Time {
 	t.checkDepth(o)
-	r := t
-	for i := 0; i <= int(t.depth); i++ {
-		if o.c[i] < r.c[i] {
-			r.c[i] = o.c[i]
+	a, b := t.coords(), o.coords()
+	for i := range a {
+		if join {
+			a[i] = max(a[i], b[i])
+		} else {
+			a[i] = min(a[i], b[i])
 		}
 	}
-	return r
+	return FromCoords(t.Depth(), a)
 }
 
 // TotalLess is a total order (lexicographic) that linearly extends the
 // partial order; it is used to sort updates within batches.
 func (t Time) TotalLess(o Time) bool {
 	t.checkDepth(o)
-	for i := 0; i <= int(t.depth); i++ {
-		if t.c[i] != o.c[i] {
-			return t.c[i] < o.c[i]
-		}
-	}
-	return false
+	return t.e < o.e || t.e == o.e && t.in < o.in
 }
 
 // Enter returns t extended with a new innermost loop coordinate of 0,
-// entering an iteration scope.
+// entering an iteration scope. The deeper scope's fields are narrower, so a
+// loop coordinate of t too wide for them panics.
 func (t Time) Enter() Time {
 	if t.Depth() >= MaxDepth {
 		panic("lattice: Enter would exceed MaxDepth")
 	}
-	r := t
-	r.depth++
-	r.c[r.depth] = 0
-	return r
+	return FromCoords(t.Depth()+1, t.coords())
 }
 
 // Leave returns t with its innermost loop coordinate removed, leaving an
 // iteration scope.
 func (t Time) Leave() Time {
-	if t.depth == 0 {
+	if t.Depth() == 1 {
 		panic("lattice: Leave on depth-1 time")
 	}
-	r := t
-	r.c[r.depth] = 0
-	r.depth--
-	return r
+	return FromCoords(t.Depth()-1, t.coords())
 }
 
 // Step returns t with its innermost coordinate incremented by one: the
-// feedback summary of an iteration scope.
+// feedback summary of an iteration scope. Stepping a loop counter past
+// MaxLoopCoord panics.
 func (t Time) Step() Time {
-	r := t
-	r.c[r.depth]++
-	return r
+	n, _, mask := t.loops()
+	if n == 0 {
+		t.e++
+		return t
+	}
+	if t.in&mask == mask {
+		panic(msgWide)
+	}
+	t.in++
+	return t
 }
 
 // String renders t as (c0, c1, ...).
 func (t Time) String() string {
 	var b strings.Builder
 	b.WriteByte('(')
-	for i := 0; i <= int(t.depth); i++ {
+	c := t.coords()
+	for i := 0; i < t.Depth(); i++ {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%d", t.c[i])
+		fmt.Fprintf(&b, "%d", c[i])
 	}
 	b.WriteByte(')')
 	return b.String()

@@ -1,9 +1,12 @@
 package lattice
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTsAndAccessors(t *testing.T) {
@@ -160,5 +163,101 @@ func TestMonotonicityQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestTimeIsTwoWords(t *testing.T) {
+	if got := unsafe.Sizeof(Time{}); got != 16 {
+		t.Fatalf("Sizeof(Time) = %d, want 16", got)
+	}
+}
+
+// randEdgeCoords draws depth coordinates, each either small or within 2 of
+// its field's maximum, so field boundaries are exercised.
+func randEdgeCoords(r *rand.Rand, depth int) []uint64 {
+	c := make([]uint64, depth)
+	for i := range c {
+		top := uint64(1<<64 - 1)
+		if i > 0 {
+			top = MaxLoopCoord(depth)
+		}
+		if r.Intn(2) == 0 {
+			c[i] = uint64(r.Intn(3))
+		} else {
+			c[i] = top - uint64(r.Intn(3))
+		}
+	}
+	return c
+}
+
+// TestPackedMatchesCoords referees the packed representation against the
+// product order, coordinate-wise max/min and lexicographic order computed
+// on the coordinates themselves, at every depth and at field boundaries.
+func TestPackedMatchesCoords(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 20000; i++ {
+		depth := 1 + r.Intn(MaxDepth)
+		ac, bc := randEdgeCoords(r, depth), randEdgeCoords(r, depth)
+		a, b := Ts(ac...), Ts(bc...)
+		le := true
+		join, meet := make([]uint64, depth), make([]uint64, depth)
+		for j := range ac {
+			le = le && ac[j] <= bc[j]
+			join[j], meet[j] = max(ac[j], bc[j]), min(ac[j], bc[j])
+			if a.Coord(j) != ac[j] {
+				t.Fatalf("%v: Coord(%d) = %d, want %d", ac, j, a.Coord(j), ac[j])
+			}
+		}
+		if a.Depth() != depth || a.Epoch() != ac[0] {
+			t.Fatalf("%v: depth %d epoch %d", ac, a.Depth(), a.Epoch())
+		}
+		if a.LessEqual(b) != le {
+			t.Fatalf("%v ≤ %v = %v, want %v", ac, bc, a.LessEqual(b), le)
+		}
+		if a.Join(b) != Ts(join...) || a.Meet(b) != Ts(meet...) {
+			t.Fatalf("%v, %v: join %v meet %v, want %v %v", ac, bc, a.Join(b), a.Meet(b), join, meet)
+		}
+		if a.TotalLess(b) != (slices.Compare(ac, bc) < 0) {
+			t.Fatalf("%v < %v lexicographically = %v", ac, bc, a.TotalLess(b))
+		}
+		if depth > 1 {
+			left := Ts(ac[:depth-1]...)
+			if a.Leave() != left {
+				t.Fatalf("%v: Leave = %v, want %v", ac, a.Leave(), left)
+			}
+			if ac[depth-1] < MaxLoopCoord(depth) && a.Step().Coord(depth-1) != ac[depth-1]+1 {
+				t.Fatalf("%v: Step = %v", ac, a.Step())
+			}
+		}
+	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: expected a panic", what)
+		}
+	}()
+	f()
+}
+
+// A loop counter too wide for its depth's field panics wherever it would
+// be made: construction, Enter into narrower fields, Step past the maximum.
+func TestWideLoopCoordPanics(t *testing.T) {
+	for depth := 2; depth <= MaxDepth; depth++ {
+		c := make([]uint64, depth)
+		c[depth-1] = MaxLoopCoord(depth) + 1
+		mustPanic(t, fmt.Sprintf("Ts%v", c), func() { Ts(c...) })
+		c[depth-1]--
+		mustPanic(t, fmt.Sprintf("%v.Step", c), func() { Ts(c...).Step() })
+		if depth < MaxDepth {
+			mustPanic(t, fmt.Sprintf("%v.Enter", c), func() { Ts(c...).Enter() })
+		}
+	}
+	mustPanic(t, "Enter past MaxDepth", func() { Ts(1, 2, 3, 4).Enter() })
+	// At its maximum a counter still enters a scope whose fields hold it.
+	if got := Ts(1, MaxLoopCoord(3)).Enter(); got != Ts(1, MaxLoopCoord(3), 0) {
+		t.Fatalf("Enter = %v", got)
 	}
 }

@@ -1,10 +1,12 @@
 package mesh
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/lattice"
 	"repro/internal/timely"
+	"repro/internal/wal"
 )
 
 // FuzzMeshFrameDecode holds the transport's safety line: DecodeFrame must
@@ -35,6 +37,13 @@ func FuzzMeshFrameDecode(f *testing.F) {
 	f.Add([]byte{'R', 1})
 	f.Add([]byte{'A', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1})
 	f.Add([]byte{'B'})
+	// A data frame stamped with a depth-3 time whose loop coordinate is 32
+	// bits wide, past its depth's 31-bit field: decode must report it, not
+	// build the time (which panics).
+	const mark = 0x5eed5eed
+	wide := AppendData(nil, 1, 2, 3, 9, []lattice.Time{lattice.Ts(5, mark, 0)}, nil)
+	wide[bytes.Index(wide, wal.AppendU64(nil, mark))+3] |= 0x80
+	f.Add(wide)
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		frame, err := DecodeFrame(payload)

@@ -142,6 +142,14 @@ func Generate(sf float64, seed int64) *Data {
 	nPart := max1(int(sf * sfPart))
 	nCust := max1(int(sf * sfCustomer))
 	nOrd := max1(int(sf * sfOrders))
+	// Exact counts but for line items: 1–7 per order, 4 on average, so
+	// 4.5 per order leaves room for the spread of any scale worth running.
+	d.Suppliers = make([]Supplier, 0, nSupp)
+	d.Customers = make([]Customer, 0, nCust)
+	d.Parts = make([]Part, 0, nPart)
+	d.PartSupps = make([]PartSupp, 0, 4*nPart)
+	d.Orders = make([]Order, 0, nOrd)
+	d.Items = make([]LineItem, 0, nOrd*9/2)
 
 	for i := 0; i < nSupp; i++ {
 		d.Suppliers = append(d.Suppliers, Supplier{

@@ -1,6 +1,8 @@
 package tpch
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -133,6 +135,20 @@ func TestIncrementalStreaming(t *testing.T) {
 			want := Oracle(q, prefix(d, hi))
 			compare(t, q, got, want)
 		}
+	}
+}
+
+// TestGeneratorPinned pins the generated data to a digest: the generator
+// draws every value in one fixed order, so a change that adds, drops or
+// reorders a draw shows here (the digest is Generate(0.01, 1) at commit
+// a6f959d).
+func TestGeneratorPinned(t *testing.T) {
+	const want = "aa95f0dc39c01d239ab29a8310b47d42ca509ffe54c092c0f6e3d2e4a36cb361"
+	d := Generate(0.01, 1)
+	h := sha256.New()
+	fmt.Fprint(h, d.Suppliers, d.Customers, d.Parts, d.PartSupps, d.Orders, d.Items)
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("Generate(0.01, 1) hashes to %s, want %s", got, want)
 	}
 }
 

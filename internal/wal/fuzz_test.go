@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -46,6 +47,16 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
+	// A batch record whose depth-3 time has a 32-bit loop coordinate, past
+	// its depth's 31-bit field: replay must report it, not build the time
+	// (which panics).
+	const mark = 0x5eed5eed
+	lower := lattice.NewFrontier(lattice.Ts(0, 0, 0))
+	wide := appendBatch([]byte{recBatch}, U64Codec(), U64Codec(), core.BuildBatch(core.U64(),
+		[]core.Update[uint64, uint64]{{Key: 1, Val: 1, Time: lattice.Ts(1, mark, 0), Diff: 1}},
+		lower, lattice.NewFrontier(lattice.Ts(2, 0, 0)), lower.Clone()))
+	wide[bytes.Index(wide, AppendU64(nil, mark))+3] |= 0x80
+	f.Add(appendRecord(nil, wide))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The CRC hides most mutations from the decoder, so additionally

@@ -211,7 +211,8 @@ func (d *Dec) Uvarint() (uint64, error) {
 }
 
 // Time reads a logical time into a fixed-size array: a slice made at the
-// decoded depth would escape to the heap once per time read.
+// decoded depth would escape to the heap once per time read. A loop
+// coordinate too wide for its depth's field is a decode error.
 func (d *Dec) Time() (lattice.Time, error) {
 	depth, err := d.U8()
 	if err != nil {
@@ -224,6 +225,9 @@ func (d *Dec) Time() (lattice.Time, error) {
 	for i := 0; i < int(depth); i++ {
 		if coords[i], err = d.U64(); err != nil {
 			return lattice.Time{}, err
+		}
+		if i > 0 && coords[i] > lattice.MaxLoopCoord(int(depth)) {
+			return lattice.Time{}, d.fail("time coordinate %d = %d too wide for depth %d", i, coords[i], depth)
 		}
 	}
 	return lattice.FromCoords(int(depth), coords), nil
