@@ -3,6 +3,7 @@ package block
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -223,7 +224,7 @@ func TestRunWritesAreBuffered(t *testing.T) {
 	if limit := (len(out.buf)+writeBufLen-1)/writeBufLen + 2; out.writes > limit {
 		t.Fatalf("%d blocks, %d file bytes: %d writes, want at most %d", len(w.metas), len(out.buf), out.writes, limit)
 	}
-	got, err := DecodeImage[uint64, uint64](core.U64(), nil, wal.U64Codec(), out.buf)
+	got, err := decodeImage[uint64, uint64](core.U64(), nil, wal.U64Codec(), out.buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestRoundTrip(t *testing.T) {
 					t.Fatalf("depth=%d blockUpdates=%d: the two in-memory layouts encode to different files", depth, blockUpdates)
 				}
 				images[[2]int{depth, blockUpdates}] = img
-				got, err := DecodeImage[uint64, tup](fn, nil, tupCodec{}, img)
+				got, err := decodeImage[uint64, tup](fn, nil, tupCodec{}, img)
 				if err != nil {
 					t.Fatalf("columnar=%v depth=%d blockUpdates=%d decode: %v", columnar, depth, blockUpdates, err)
 				}
@@ -294,6 +295,21 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// strCodec is a length-prefixed codec for string keys.
+type strCodec struct{}
+
+func (strCodec) Append(dst []byte, v string) []byte {
+	return append(wal.AppendU64(dst, uint64(len(v))), v...)
+}
+
+func (strCodec) Read(src []byte) (string, int, error) {
+	n, _, err := wal.U64Codec().Read(src)
+	if err != nil || n > uint64(len(src)-8) {
+		return "", 0, errors.New("string extends past record end")
+	}
+	return string(src[8 : 8+n]), 8 + int(n), nil
+}
+
 // TestRoundTripCodecKeys exercises the codec key path (non-uint64 keys).
 func TestRoundTripCodecKeys(t *testing.T) {
 	fn := core.Funcs[string, uint64]{
@@ -318,7 +334,7 @@ func TestRoundTripCodecKeys(t *testing.T) {
 	}
 	b := core.BuildBatch(fn, upds, lattice.MinFrontier(1),
 		lattice.NewFrontier(lattice.Ts(3)), lattice.MinFrontier(1))
-	cfg, err := newCodecs[string, uint64](fn, wal.StringCodec(), wal.U64Codec())
+	cfg, err := newCodecs[string, uint64](fn, strCodec{}, wal.U64Codec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +342,7 @@ func TestRoundTripCodecKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeImage[string, uint64](fn, wal.StringCodec(), wal.U64Codec(), img)
+	got, err := decodeImage[string, uint64](fn, strCodec{}, wal.U64Codec(), img)
 	if err != nil {
 		t.Fatal(err)
 	}

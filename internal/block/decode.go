@@ -494,21 +494,3 @@ func (im *image[K, V]) assemble(cfg *codecs[K, V]) (*core.Batch[K, V], error) {
 	b.SetMinTimes(mins.Elements())
 	return b, nil
 }
-
-// DecodeImage decodes a complete block-file image from memory, returning
-// the batch it stores. Arbitrary input yields either a valid batch or a
-// typed *CorruptError — never a panic and never silently wrong counts (the
-// fuzz contract; FuzzBlockDecode drives this entry point).
-func DecodeImage[K, V any](fn core.Funcs[K, V], kc wal.Codec[K], vc wal.Codec[V],
-	data []byte) (*core.Batch[K, V], error) {
-
-	cfg, err := newCodecs(fn, kc, vc)
-	if err != nil {
-		return nil, err
-	}
-	im, err := openImage(cfg, memSource{data: data}, int64(len(data)), "")
-	if err != nil {
-		return nil, err
-	}
-	return im.assemble(cfg)
-}

@@ -67,8 +67,7 @@ func corrupt(off int64, format string, args ...any) error {
 func zig(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 func zag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// codecs bundles the per-type capabilities one store (or one DecodeImage
-// call) dispatches through.
+// codecs bundles the per-type capabilities one store dispatches through.
 type codecs[K, V any] struct {
 	fn      core.Funcs[K, V]
 	kc      wal.Codec[K] // nil iff u64Keys

@@ -80,7 +80,7 @@ func frameBlockClaiming(data []byte, nKeys, nVals, nUpds uint32) []byte {
 // wrong counts.
 func decodeChecked(t *testing.T, data []byte) {
 	fn := fnTup(false)
-	got, err := DecodeImage[uint64, tup](fn, nil, tupCodec{}, data)
+	got, err := decodeImage[uint64, tup](fn, nil, tupCodec{}, data)
 	if err != nil {
 		if _, ok := err.(*CorruptError); !ok {
 			t.Fatalf("untyped decode error %T: %v", err, err)
@@ -108,7 +108,7 @@ func decodeChecked(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatalf("re-encode of decoded batch failed: %v", err)
 	}
-	got2, err := DecodeImage[uint64, tup](fn, nil, tupCodec{}, img2)
+	got2, err := decodeImage[uint64, tup](fn, nil, tupCodec{}, img2)
 	if err != nil {
 		t.Fatalf("re-decode failed: %v", err)
 	}

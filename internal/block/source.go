@@ -14,7 +14,8 @@ type source interface {
 	close() error
 }
 
-// memSource serves a resident image. DecodeImage and mmap both land here:
+// memSource serves a resident image. Tests' in-memory decodes and mmap both
+// land here:
 // an mmap'd file is just a memSource whose bytes the kernel pages in.
 type memSource struct {
 	data    []byte

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/lattice"
 	"repro/internal/timely"
@@ -18,10 +19,10 @@ type BatchSink[K, V any] interface {
 	AdvanceSince(f lattice.Frontier) error
 }
 
-// TraceAgent is the worker-local owner of one arrangement: the spine (nil
-// for stream-only arrangements), the frontier through which batches have
-// been sealed, and the list of same-worker subscriptions feeding imports of
-// this trace into other dataflows.
+// TraceAgent is the worker-local owner of one arrangement: the spine, the
+// frontier through which batches have been sealed, the durable sink if the
+// arrangement has one, and the list of same-worker subscriptions feeding
+// imports of this trace into other dataflows.
 //
 // Compaction is decided here and nowhere else: an arrange operator's agent
 // holds the trace's primary handle, and maintain moves its logical frontier
@@ -51,25 +52,16 @@ func (a *TraceAgent[K, V]) Upper() lattice.Frontier { return a.upper }
 func (a *TraceAgent[K, V]) Closed() bool { return a.upper.Empty() }
 
 // NewHandle returns a fresh read handle on the trace, starting at the
-// trace's current compaction frontier. It panics on a stream-only
-// arrangement, which has no trace.
-func (a *TraceAgent[K, V]) NewHandle() *Handle[K, V] {
-	if a.spine == nil {
-		panic("core: a stream-only arrangement has no trace to read")
-	}
-	return a.spine.NewHandle()
-}
+// trace's current compaction frontier.
+func (a *TraceAgent[K, V]) NewHandle() *Handle[K, V] { return a.spine.NewHandle() }
 
-// Spine exposes the spine for stats; nil for stream-only arrangements.
+// Spine exposes the spine for stats.
 func (a *TraceAgent[K, V]) Spine() *Spine[K, V] { return a.spine }
 
 // CompactionFrontier returns the trace's current compaction frontier — the
 // meet of all live readers' logical frontiers, the promise a run-chain
-// checkpoint manifest records. Panics on a stream-only arrangement.
+// checkpoint manifest records.
 func (a *TraceAgent[K, V]) CompactionFrontier() lattice.Frontier {
-	if a.spine == nil {
-		panic("core: a stream-only arrangement has no compaction frontier")
-	}
 	return a.spine.compactionFrontier()
 }
 
@@ -100,9 +92,7 @@ func (a *TraceAgent[K, V]) maintain(b *Batch[K, V]) {
 	if trail && a.primary != nil {
 		a.primary.SetLogical(b.Upper)
 	}
-	if a.spine != nil {
-		a.spine.Append(b)
-	}
+	a.spine.Append(b)
 	if a.sink != nil {
 		if err := a.sink.AppendBatch(b); err != nil {
 			panic(fmt.Sprintf("core: durable sink append: %v", err))
@@ -154,9 +144,6 @@ type Arranged[K, V any] struct {
 // before any reader imports the trace.
 func (a *Arranged[K, V]) RestoreRuns(runs []BatchReader[K, V], since lattice.Frontier) {
 	agent := a.Agent
-	if agent.spine == nil {
-		panic("core: cannot restore a stream-only arrangement")
-	}
 	if len(agent.spine.entries) != 0 {
 		panic("core: cannot restore into a non-empty trace")
 	}
@@ -209,12 +196,8 @@ const (
 // Work spends one schedule's maintenance budget on the trace's merges — the
 // small one if the operator was busy this schedule, the idle one otherwise —
 // and reactivates the operator while merge work remains owed. Every operator
-// that owns a trace calls it once per schedule; a stream-only arrangement has
-// nothing to maintain.
+// that owns a trace calls it once per schedule.
 func (a *TraceAgent[K, V]) Work(ctx *timely.Ctx, busy bool) {
-	if a.spine == nil {
-		return
-	}
 	fuel := maintenanceFuel
 	if !busy {
 		fuel *= idleFuelFactor
@@ -224,59 +207,46 @@ func (a *TraceAgent[K, V]) Work(ctx *timely.Ctx, busy bool) {
 	}
 }
 
-// ArrangeOptions tunes an arrangement.
-type ArrangeOptions struct {
-	// StreamOnly builds no trace at all: the operator mints and emits
-	// batches but maintains no index (used by Consolidate).
-	StreamOnly bool
-	// Durable, when non-nil, must be a BatchSink[K, V] for the arrangement's
-	// key/value types (ArrangeOptions is not generic, so the field is typed
-	// any and asserted at Arrange time; a mismatched sink panics). Every
-	// sealed batch is appended to the sink as it enters the spine, followed
-	// by the compaction frontier the seal advanced to, so a restarted process
-	// can rebuild the trace from the log alone.
-	Durable any
+// ArrangeOptions tunes an arrangement. The zero value arranges in memory
+// with no durable log.
+type ArrangeOptions[K, V any] struct {
+	// Durable, when non-nil, receives every sealed batch as it enters the
+	// spine, followed by the compaction frontier the seal advanced to, so a
+	// restarted process can rebuild the trace from the log alone.
+	Durable BatchSink[K, V]
 	// Spill, when non-nil, attaches a cold storage tier: maintenance evicts
-	// the oldest completed runs to Spill.Store (a SpillStore[K, V], asserted
-	// at Arrange time) whenever the spine's resident bytes exceed
-	// Spill.MaxResidentBytes. Ignored for StreamOnly arrangements.
-	Spill *SpillOptions
+	// the oldest completed runs to it whenever the spine's approximate
+	// resident bytes exceed MaxResidentBytes. Merges read cold inputs a
+	// block at a time and write output bound for disk a block at a time, so
+	// the bound holds up to one block per merge input plus the one output
+	// block being filled.
+	Spill SpillStore[K, V]
+	// MaxResidentBytes is the spine's resident budget; it has no effect
+	// without Spill.
+	MaxResidentBytes int64
 }
 
 // Arrange builds the paper's arrange operator: it exchanges update triples
-// by key hash, buffers them in geometrically merged sorted runs, and when
-// the input frontier advances seals an immutable indexed batch which it (i)
-// appends to the shared trace, (ii) forwards to same-worker subscribers, and
-// (iii) emits on its output stream. One logical-time-decoupled batch is
-// minted per frontier advance regardless of how many logical times it spans
-// (Principle 1).
+// by key hash, buffers them until the input frontier passes their times, and
+// then seals them into an immutable indexed batch which it (i) appends to the
+// shared trace, (ii) forwards to same-worker subscribers, and (iii) emits on
+// its output stream. One logical-time-decoupled batch is minted per frontier
+// advance regardless of how many logical times it spans (Principle 1).
 func Arrange[K, V any](s *timely.Stream[Update[K, V]], fn Funcs[K, V],
-	name string, opt ArrangeOptions) *Arranged[K, V] {
+	name string, opt ArrangeOptions[K, V]) *Arranged[K, V] {
 
 	depth := s.Depth()
 	agent := &TraceAgent[K, V]{
 		Fn:    fn,
+		spine: NewSpine[K, V](fn, MergeDefault),
 		upper: lattice.MinFrontier(depth),
 		depth: depth,
+		sink:  opt.Durable,
 	}
-	if !opt.StreamOnly {
-		agent.spine = NewSpine[K, V](fn, MergeDefault)
-		agent.spine.SetUpperDepth(depth)
-		agent.primary = agent.spine.NewHandle()
-		if opt.Spill != nil {
-			store, ok := opt.Spill.Store.(SpillStore[K, V])
-			if !ok {
-				panic(fmt.Sprintf("core: ArrangeOptions.Spill.Store is %T, not a SpillStore for this arrangement's types", opt.Spill.Store))
-			}
-			agent.spine.SetSpill(store, opt.Spill.MaxResidentBytes)
-		}
-	}
-	if opt.Durable != nil {
-		sink, ok := opt.Durable.(BatchSink[K, V])
-		if !ok {
-			panic(fmt.Sprintf("core: ArrangeOptions.Durable is %T, not a BatchSink for this arrangement's types", opt.Durable))
-		}
-		agent.sink = sink
+	agent.spine.SetUpperDepth(depth)
+	agent.primary = agent.spine.NewHandle()
+	if opt.Spill != nil {
+		agent.spine.SetSpill(opt.Spill, opt.MaxResidentBytes)
 	}
 
 	exch := func(u Update[K, V]) uint64 { return fn.HashK(u.Key) }
@@ -292,22 +262,21 @@ func Arrange[K, V any](s *timely.Stream[Update[K, V]], fn Funcs[K, V],
 type arrangeState[K, V any] struct {
 	fn    Funcs[K, V]
 	agent *TraceAgent[K, V]
-	// runs is a partially evaluated merge sort: sorted runs of geometrically
-	// increasing size, merged when adjacent runs are within 2x in length, so
-	// buffered memory stays linear in distinct (data, time) pairs.
-	runs [][]Update[K, V]
+	// pending holds the raw updates at times the input frontier has not yet
+	// passed, in arrival order: the LSM's memtable, sorted and consolidated
+	// once, by BuildBatch, at the seal that passes them.
+	pending []Update[K, V]
 }
 
 func (st *arrangeState[K, V]) schedule(ctx *timely.Ctx,
 	in *timely.In[Update[K, V]], out *timely.Out[*Batch[K, V]]) {
 
-	// Ingest new updates; the held capabilities cover their times.
+	// Ingest new updates; the held capabilities cover their times. The
+	// append copies: exchanged slices go back to their pool.
 	busy := false
 	in.ForEach(func(stamp []lattice.Time, data []Update[K, V]) {
 		busy = true
-		run := make([]Update[K, V], len(data))
-		copy(run, data)
-		st.pushRun(SortUpdates(st.fn, run))
+		st.pending = append(st.pending, data...)
 		out.Caps().Insert(stamp...)
 	})
 
@@ -321,77 +290,35 @@ func (st *arrangeState[K, V]) schedule(ctx *timely.Ctx,
 	st.agent.Work(ctx, busy)
 }
 
-// pushRun adds a sorted run, merging geometrically comparable neighbours.
-// Both neighbours are sorted and coalesced, so the merge is a linear pass
-// rather than a re-sort of the concatenation.
-func (st *arrangeState[K, V]) pushRun(run []Update[K, V]) {
-	if len(run) == 0 {
-		return
-	}
-	st.runs = append(st.runs, run)
-	for len(st.runs) >= 2 {
-		n := len(st.runs)
-		if len(st.runs[n-2]) > 2*len(st.runs[n-1]) {
-			break
-		}
-		merged := MergeSortedUpdates(st.fn, st.runs[n-2], st.runs[n-1])
-		st.runs = st.runs[:n-2]
-		if len(merged) > 0 {
-			st.runs = append(st.runs, merged)
-		}
-	}
-}
-
-// seal extracts all buffered updates not in advance of the new frontier,
-// mints one immutable batch covering [upper, frontier), maintains the trace,
-// emits the batch, and downgrades the capabilities to what remains.
+// seal mints one immutable batch of the buffered updates the new frontier
+// has passed, covering [upper, frontier), maintains the trace, emits the
+// batch, and downgrades the capabilities to the minimal times of the rest.
 func (st *arrangeState[K, V]) seal(out *timely.Out[*Batch[K, V]], frontier lattice.Frontier) {
-
-	// Split every run in order: both halves inherit the run's sort order, so
-	// the sealed updates fold together with linear merges (BuildBatch's sort
-	// then sees already-sorted input) and the remainders re-enter the run
-	// stack without re-sorting.
-	var sealed []Update[K, V]
-	var rests [][]Update[K, V]
-	for _, run := range st.runs {
-		var s, r []Update[K, V]
-		for _, u := range run {
-			if frontier.LessEqual(u.Time) {
-				r = append(r, u)
-			} else {
-				s = append(s, u)
-			}
-		}
-		if sealed == nil {
-			sealed = s
-		} else if len(s) > 0 {
-			sealed = MergeSortedUpdates(st.fn, sealed, s)
-		}
-		if len(r) > 0 {
-			rests = append(rests, r)
+	// One pass moves the updates still ahead of the frontier to the front;
+	// the sealed ones stay behind them, in no order, for BuildBatch to sort.
+	p := st.pending
+	var held lattice.Frontier
+	r := 0
+	for i := range p {
+		if frontier.LessEqual(p[i].Time) {
+			held.Insert(p[i].Time)
+			p[r], p[i] = p[i], p[r]
+			r++
 		}
 	}
-	st.runs = st.runs[:0]
-	for _, r := range rests {
-		st.pushRun(r)
-	}
-
-	since := lattice.MinFrontier(st.agent.depth)
-	if sp := st.agent.spine; sp != nil {
-		since = sp.compactionFrontier()
-	}
-	b := BuildBatch(st.fn, sealed, st.agent.upper.Clone(), frontier.Clone(), since)
+	since := st.agent.spine.compactionFrontier()
+	b := BuildBatch(st.fn, p[r:], st.agent.upper.Clone(), frontier.Clone(), since)
 	st.agent.maintain(b)
 	out.SendSlice(b.MinTimes(), []*Batch[K, V]{b})
 
-	// Hold the minimal times of the remaining updates.
-	var pending lattice.Frontier
-	for _, r := range rests {
-		for _, u := range r {
-			pending.Insert(u.Time)
-		}
+	// The batch holds what was sealed: the buffer lets go of it, and keeps
+	// its capacity only while the rest needs it.
+	clear(p[r:])
+	st.pending = p[:r]
+	if cap(st.pending) > 4*len(st.pending) {
+		st.pending = slices.Clone(st.pending)
 	}
-	out.Caps().Downgrade(pending)
+	out.Caps().Downgrade(held)
 }
 
 // ImportOptions tunes a cross-dataflow trace import.
@@ -409,16 +336,6 @@ type ImportOptions struct {
 	// standing plan's first evaluation too (measured: wire_datalog set-up
 	// 0.018 s to 0.05 s). Server imports therefore always set it.
 	Snapshot bool
-}
-
-// Import mirrors an existing trace into a new dataflow on the same worker
-// (§4.3): the source first emits the trace's visible runs, then every newly
-// minted batch, with its capability tracking the trace's upper frontier. The
-// returned arrangement shares the original trace and, like every
-// arrangement, holds no handle on it: shells such as JoinCore acquire their
-// own from the agent.
-func Import[K, V any](g *timely.Graph, agent *TraceAgent[K, V], name string) *Arranged[K, V] {
-	return ImportOpts(g, agent, name, ImportOptions{})
 }
 
 // snapshotFrontier is the frontier a snapshot of the trace sits at: the meet
@@ -439,10 +356,15 @@ func (a *TraceAgent[K, V]) snapshotFrontier() lattice.Frontier {
 	return since
 }
 
-// ImportOpts is Import with explicit options. The returned arrangement's
-// Cancel tears the import down on its owning worker (run it via a posted
-// worker action): capabilities drop, the subscription detaches, and the
-// source emits nothing further — the mechanism behind live query uninstall.
+// ImportOpts mirrors an existing trace into a new dataflow on the same
+// worker (§4.3): the source first emits the trace's visible runs, then every
+// newly minted batch, with its capability tracking the trace's upper
+// frontier. The returned arrangement shares the original trace and, like
+// every arrangement, holds no handle on it: shells such as JoinCore acquire
+// their own from the agent. Its Cancel tears the import down on its owning
+// worker (run it via a posted worker action): capabilities drop, the
+// subscription detaches, and the source emits nothing further — the
+// mechanism behind live query uninstall.
 //
 // The history is the trace's visible runs, shared by reference: runs are
 // immutable, so the importing dataflow reads the very columns the spine
@@ -452,15 +374,12 @@ func (a *TraceAgent[K, V]) snapshotFrontier() lattice.Frontier {
 func ImportOpts[K, V any](g *timely.Graph, agent *TraceAgent[K, V], name string,
 	opt ImportOptions) *Arranged[K, V] {
 
-	if agent.spine == nil {
-		panic("core: cannot import a stream-only arrangement")
-	}
 	sub := &importSub[K, V]{}
 	agent.subs = append(agent.subs, sub)
 
 	// Take the history now: batches minted after this point arrive through
 	// the subscription, so the replay-then-live sequence has no gap and no
-	// overlap. (Import runs on the worker goroutine that also schedules the
+	// overlap. (ImportOpts runs on the worker goroutine that also schedules the
 	// arrange operator, so this cut is consistent.)
 	history := agent.spine.visibleBatches()
 	if opt.Snapshot {

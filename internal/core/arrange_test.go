@@ -1,8 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/lattice"
 	"repro/internal/timely"
@@ -34,49 +40,196 @@ func (l *batchLog) accumulate(k, v uint64, t lattice.Time) Diff {
 	return acc
 }
 
-func TestArrangeSealsPerFrontierAdvance(t *testing.T) {
-	log := &batchLog{}
-	Execute1 := func(workers int) {
-		timely.Execute(workers, func(w *timely.Worker) {
-			var input *timely.Input[Update[uint64, uint64]]
-			var probe *timely.Probe
-			w.Dataflow(func(g *timely.Graph) {
-				in, s := timely.NewInput[Update[uint64, uint64]](g)
-				input = in
-				arr := Arrange(s, U64(), "arrange", ArrangeOptions{})
-				timely.Sink(arr.Stream, "log", nil, func(ctx *timely.Ctx, in *timely.In[*Batch[uint64, uint64]]) {
-					in.ForEach(func(stamp []lattice.Time, data []*Batch[uint64, uint64]) {
-						log.add(data)
-					})
+// sendAt is one message: updates introduced at an epoch.
+type sendAt struct {
+	epoch uint64
+	upds  []Update[uint64, uint64]
+}
+
+// arrangeSeals runs steps through an arrangement on the given number of
+// workers. Worker 0 sends step e's messages while the input is at epoch e,
+// then every worker advances it to e+1 and waits for the seal; the input
+// closes after the last step. It returns each worker's sealed batches in
+// the order they were emitted.
+func arrangeSeals(workers int, steps [][]sendAt) [][]*Batch[uint64, uint64] {
+	sealed := make([][]*Batch[uint64, uint64], workers)
+	timely.Execute(workers, func(w *timely.Worker) {
+		var input *timely.Input[Update[uint64, uint64]]
+		var probe *timely.Probe
+		w.Dataflow(func(g *timely.Graph) {
+			in, s := timely.NewInput[Update[uint64, uint64]](g)
+			input = in
+			arr := Arrange(s, U64(), "arrange", ArrangeOptions[uint64, uint64]{})
+			timely.Sink(arr.Stream, "log", nil, func(ctx *timely.Ctx, in *timely.In[*Batch[uint64, uint64]]) {
+				in.ForEach(func(stamp []lattice.Time, data []*Batch[uint64, uint64]) {
+					sealed[w.Index()] = append(sealed[w.Index()], data...)
 				})
-				probe = timely.NewProbe(arr.Stream)
 			})
-			if w.Index() == 0 {
-				// epoch 0: two updates; epoch 1: a retraction.
-				input.Send(
-					Update[uint64, uint64]{Key: 3, Val: 30, Time: lattice.Ts(0), Diff: 1},
-					Update[uint64, uint64]{Key: 4, Val: 40, Time: lattice.Ts(0), Diff: 2},
-				)
-			}
-			input.AdvanceTo(1)
-			w.StepUntil(func() bool { return probe.Done(lattice.Ts(0)) })
-			if w.Index() == 0 {
-				input.Send(Update[uint64, uint64]{Key: 3, Val: 30, Time: lattice.Ts(1), Diff: -1})
-			}
-			input.Close()
-			w.Drain()
+			probe = timely.NewProbe(arr.Stream)
 		})
+		for e, step := range steps {
+			if w.Index() == 0 {
+				for _, m := range step {
+					input.SendAtEpoch(m.epoch, slices.Clone(m.upds))
+				}
+			}
+			input.AdvanceTo(uint64(e) + 1)
+			w.StepUntil(func() bool { return probe.Done(lattice.Ts(uint64(e))) })
+		}
+		input.Close()
+		w.Drain()
+	})
+	return sealed
+}
+
+// randomSteps spreads a random history over random messages. Each epoch's
+// updates, cancelling pairs among them, are cut at random points; each
+// piece goes out at a random step up to three before its epoch, so updates
+// sent ahead must wait in the arrange operator's buffer across the seals
+// before theirs.
+func randomSteps(r *rand.Rand, epochs int) [][]sendAt {
+	steps := make([][]sendAt, epochs)
+	for e := 0; e < epochs; e++ {
+		var upds []Update[uint64, uint64]
+		for n := r.Intn(40); len(upds) < n; {
+			u := Update[uint64, uint64]{Key: uint64(r.Intn(12)), Val: uint64(r.Intn(4)),
+				Time: lattice.Ts(uint64(e)), Diff: Diff(r.Intn(5) - 2)}
+			upds = append(upds, u)
+			if r.Intn(4) == 0 {
+				u.Diff = -u.Diff
+				upds = append(upds, u)
+			}
+		}
+		r.Shuffle(len(upds), func(i, j int) { upds[i], upds[j] = upds[j], upds[i] })
+		for len(upds) > 0 {
+			n := 1 + r.Intn(len(upds))
+			at := max(0, e-r.Intn(4))
+			steps[at] = append(steps[at], sendAt{uint64(e), upds[:n]})
+			upds = upds[n:]
+		}
 	}
-	Execute1(2)
-	if got := log.accumulate(3, 30, lattice.Ts(0)); got != 1 {
-		t.Fatalf("k3@0 = %d, want 1", got)
+	for _, step := range steps {
+		r.Shuffle(len(step), func(i, j int) { step[i], step[j] = step[j], step[i] })
 	}
-	if got := log.accumulate(3, 30, lattice.Ts(1)); got != 0 {
-		t.Fatalf("k3@1 = %d, want 0 (retracted)", got)
+	return steps
+}
+
+// TestArrangeSealsPerFrontierAdvance: each worker's batches chain from the
+// minimal frontier to the closed one, one per frontier advance it observes,
+// and each batch is BuildBatch of exactly the updates in its range routed to
+// that worker, whether they arrived in their own epoch or were sent ahead
+// and stayed buffered across the seals before it.
+func TestArrangeSealsPerFrontierAdvance(t *testing.T) {
+	u := func(k, v, e uint64, d Diff) Update[uint64, uint64] {
+		return Update[uint64, uint64]{Key: k, Val: v, Time: lattice.Ts(e), Diff: d}
 	}
-	if got := log.accumulate(4, 40, lattice.Ts(1)); got != 2 {
-		t.Fatalf("k4@1 = %d, want 2", got)
+	inputs := map[string][][]sendAt{
+		// epoch 0: two updates; epoch 1: a retraction.
+		"in order": {
+			{{0, []Update[uint64, uint64]{u(3, 30, 0, 1), u(4, 40, 0, 2)}}},
+			{{1, []Update[uint64, uint64]{u(3, 30, 1, -1)}}},
+		},
+		// The retraction goes out with the insertions, two seals ahead of
+		// its epoch, and a record is inserted and retracted ahead of time.
+		"ahead": {
+			{{2, []Update[uint64, uint64]{u(3, 30, 2, -1), u(5, 50, 2, 1)}},
+				{0, []Update[uint64, uint64]{u(3, 30, 0, 1), u(4, 40, 0, 2)}},
+				{1, []Update[uint64, uint64]{u(5, 50, 1, 1)}}},
+			{{2, []Update[uint64, uint64]{u(5, 50, 2, -1)}}},
+			{},
+		},
 	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 6; i++ {
+		inputs[fmt.Sprintf("random %d", i)] = randomSteps(r, 2+r.Intn(8))
+	}
+	for name, steps := range inputs {
+		for _, workers := range []int{1, 3} {
+			sealed := arrangeSeals(workers, steps)
+			for wi, batches := range sealed {
+				lower := lattice.NewFrontier(lattice.Ts(0))
+				for i, b := range batches {
+					if !b.Lower.Equal(lower) || b.Upper.Empty() != (i == len(batches)-1) {
+						t.Fatalf("%s, w=%d: worker %d batch %d covers [%v, %v) after %d batches",
+							name, workers, wi, i, b.Lower, b.Upper, len(batches))
+					}
+					var want []Update[uint64, uint64]
+					for _, step := range steps {
+						for _, m := range step {
+							if !lower.LessEqual(lattice.Ts(m.epoch)) || b.Upper.LessEqual(lattice.Ts(m.epoch)) {
+								continue
+							}
+							for _, up := range m.upds {
+								if Mix64(up.Key)%uint64(workers) == uint64(wi) {
+									want = append(want, up)
+								}
+							}
+						}
+					}
+					wb := BuildBatch(U64(), want, b.Lower, b.Upper, b.Since)
+					if got, want := batchUpdates(b), batchUpdates(wb); !slices.Equal(got, want) {
+						t.Fatalf("%s, w=%d: worker %d batch %d [%v, %v) holds %v, want %v",
+							name, workers, wi, i, b.Lower, b.Upper, got, want)
+					}
+					lower = b.Upper
+				}
+			}
+		}
+	}
+}
+
+// batchUpdates lists a batch's updates in storage order.
+func batchUpdates(b *Batch[uint64, uint64]) []Update[uint64, uint64] {
+	var out []Update[uint64, uint64]
+	b.ForEach(func(k, v uint64, t lattice.Time, d Diff) {
+		out = append(out, Update[uint64, uint64]{Key: k, Val: v, Time: t, Diff: d})
+	})
+	return out
+}
+
+// TestSealReleasesCancelledUpdates: once an epoch seals, the arrange
+// operator holds nothing of the updates that cancelled: the batch keeps the
+// survivor, and the buffer lets go of the rest while the dataflow is live.
+func TestSealReleasesCancelledUpdates(t *testing.T) {
+	type tagged struct {
+		id uint64
+		p  *[64]byte
+	}
+	fn := Funcs[uint64, tagged]{
+		LessK: func(a, b uint64) bool { return a < b },
+		LessV: func(a, b tagged) bool { return a.id < b.id },
+		HashK: Mix64,
+	}
+	var released atomic.Bool
+	timely.Execute(1, func(w *timely.Worker) {
+		var input *timely.Input[Update[uint64, tagged]]
+		var probe *timely.Probe
+		w.Dataflow(func(g *timely.Graph) {
+			in, s := timely.NewInput[Update[uint64, tagged]](g)
+			input = in
+			probe = timely.NewProbe(Arrange(s, fn, "arrange", ArrangeOptions[uint64, tagged]{}).Stream)
+		})
+		func() {
+			gone := tagged{id: 1, p: new([64]byte)}
+			runtime.SetFinalizer(gone.p, func(*[64]byte) { released.Store(true) })
+			input.Send(
+				Update[uint64, tagged]{Key: 1, Val: gone, Time: lattice.Ts(0), Diff: 1},
+				Update[uint64, tagged]{Key: 2, Val: tagged{id: 2, p: new([64]byte)}, Time: lattice.Ts(0), Diff: 1},
+				Update[uint64, tagged]{Key: 1, Val: gone, Time: lattice.Ts(0), Diff: -1},
+			)
+		}()
+		input.AdvanceTo(1)
+		w.StepUntil(func() bool { return probe.Done(lattice.Ts(0)) })
+		for deadline := time.Now().Add(2 * time.Second); !released.Load() && time.Now().Before(deadline); {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		if !released.Load() {
+			t.Error("a record cancelled within its sealed epoch is still reachable")
+		}
+		input.Close()
+		w.Drain()
+	})
 }
 
 // TestArrangeTraceReadable: the trace accumulates to the input collection
@@ -89,7 +242,7 @@ func TestArrangeTraceReadable(t *testing.T) {
 		w.Dataflow(func(g *timely.Graph) {
 			in, s := timely.NewInput[Update[uint64, uint64]](g)
 			input = in
-			arr = Arrange(s, U64(), "arrange", ArrangeOptions{})
+			arr = Arrange(s, U64(), "arrange", ArrangeOptions[uint64, uint64]{})
 			probe = timely.NewProbe(arr.Stream)
 		})
 		for epoch := uint64(0); epoch < 20; epoch++ {
@@ -128,7 +281,7 @@ func TestImportMirrorsTrace(t *testing.T) {
 		w.Dataflow(func(g *timely.Graph) {
 			in, s := timely.NewInput[Update[uint64, uint64]](g)
 			input = in
-			arr = Arrange(s, U64(), "arrange", ArrangeOptions{})
+			arr = Arrange(s, U64(), "arrange", ArrangeOptions[uint64, uint64]{})
 			probe1 = timely.NewProbe(arr.Stream)
 		})
 		// Feed some history before the second dataflow exists.
@@ -140,7 +293,7 @@ func TestImportMirrorsTrace(t *testing.T) {
 		// Import into a new dataflow.
 		var probe2 *timely.Probe
 		w.Dataflow(func(g *timely.Graph) {
-			imported := Import(g, arr.Agent, "import")
+			imported := ImportOpts(g, arr.Agent, "import", ImportOptions{})
 			timely.Sink(imported.Stream, "log", nil, func(ctx *timely.Ctx, in *timely.In[*Batch[uint64, uint64]]) {
 				in.ForEach(func(stamp []lattice.Time, data []*Batch[uint64, uint64]) {
 					log.add(data)
@@ -179,7 +332,7 @@ func TestArrangeCompactsBehindSealedUpper(t *testing.T) {
 		w.Dataflow(func(g *timely.Graph) {
 			in, s := timely.NewInput[Update[uint64, uint64]](g)
 			input = in
-			arr = Arrange(s, U64(), "arrange", ArrangeOptions{})
+			arr = Arrange(s, U64(), "arrange", ArrangeOptions[uint64, uint64]{})
 			probe = timely.NewProbe(arr.Stream)
 		})
 		const epochs = 400
@@ -228,7 +381,7 @@ func TestArrangeMultiWorkerPartition(t *testing.T) {
 		w.Dataflow(func(g *timely.Graph) {
 			in, s := timely.NewInput[Update[uint64, uint64]](g)
 			input = in
-			arr = Arrange(s, U64(), "arrange", ArrangeOptions{})
+			arr = Arrange(s, U64(), "arrange", ArrangeOptions[uint64, uint64]{})
 			probe = timely.NewProbe(arr.Stream)
 		})
 		if w.Index() == 0 {
@@ -264,4 +417,45 @@ func TestArrangeMultiWorkerPartition(t *testing.T) {
 	if total != keys {
 		t.Fatalf("workers hold %d keys, want %d", total, keys)
 	}
+}
+
+// BenchmarkArrange: one worker; each iteration sends 100 k u64/u64 updates
+// in 64 messages and seals them as one batch. Iterations alternate inserting
+// and retracting the same records, so the trace stays the size of one
+// iteration's input.
+func BenchmarkArrange(b *testing.B) {
+	const n, msgs = 100_000, 64
+	r := rand.New(rand.NewSource(1))
+	upds := make([]Update[uint64, uint64], n)
+	for i := range upds {
+		upds[i] = Update[uint64, uint64]{Key: uint64(r.Intn(n / 4)), Val: r.Uint64(), Diff: 1}
+	}
+	timely.Execute(1, func(w *timely.Worker) {
+		var input *timely.Input[Update[uint64, uint64]]
+		var probe *timely.Probe
+		w.Dataflow(func(g *timely.Graph) {
+			in, s := timely.NewInput[Update[uint64, uint64]](g)
+			input = in
+			probe = timely.NewProbe(Arrange(s, U64(), "arrange", ArrangeOptions[uint64, uint64]{}).Stream)
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e := uint64(i)
+			for m := 0; m < msgs; m++ {
+				msg := StampAt(upds[m*n/msgs:(m+1)*n/msgs], lattice.Ts(e))
+				if i%2 == 1 {
+					for j := range msg {
+						msg[j].Diff = -1
+					}
+				}
+				input.SendSlice(msg)
+			}
+			input.AdvanceTo(e + 1)
+			w.StepUntil(func() bool { return probe.Done(lattice.Ts(e)) })
+		}
+		b.StopTimer()
+		input.Close()
+		w.Drain()
+	})
 }

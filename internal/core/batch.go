@@ -284,34 +284,6 @@ func updLess[K, V any](fn Funcs[K, V], a, b *Update[K, V]) bool {
 	return a.Time.TotalLess(b.Time)
 }
 
-// MergeSortedUpdates linearly merges two sorted, coalesced runs into a fresh
-// sorted slice, coalescing equal (key, val, time) entries and dropping
-// zeros: O(n) against the O(n log n) of re-sorting the concatenation.
-func MergeSortedUpdates[K, V any](fn Funcs[K, V], a, b []Update[K, V]) []Update[K, V] {
-	out := make([]Update[K, V], 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if updLess(fn, &a[i], &b[j]) {
-			out = append(out, a[i])
-			i++
-		} else if updLess(fn, &b[j], &a[i]) {
-			out = append(out, b[j])
-			j++
-		} else {
-			u := a[i]
-			u.Diff += b[j].Diff
-			if u.Diff != 0 {
-				out = append(out, u)
-			}
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
 // coalesceSorted merges equal (key, val, time) runs of a sorted slice,
 // dropping zeros; it writes in place and returns the shortened slice.
 func coalesceSorted[K, V any](fn Funcs[K, V], upds []Update[K, V]) []Update[K, V] {

@@ -26,7 +26,7 @@ func newChurned(w *timely.Worker, epochs int) *churned {
 	w.Dataflow(func(g *timely.Graph) {
 		in, s := timely.NewInput[Update[uint64, uint64]](g)
 		c.input = in
-		c.arr = Arrange(s, U64(), "arrange", ArrangeOptions{})
+		c.arr = Arrange(s, U64(), "arrange", ArrangeOptions[uint64, uint64]{})
 		c.probe = timely.NewProbe(c.arr.Stream)
 	})
 	c.pin = c.arr.Agent.NewHandle()

@@ -46,20 +46,6 @@ type RunWriter[K, V any] interface {
 	Finish(lower, upper, since lattice.Frontier) (BatchReader[K, V], error)
 }
 
-// SpillOptions configures the disk tier of an arrangement.
-type SpillOptions struct {
-	// MaxResidentBytes bounds the approximate resident bytes of the spine:
-	// maintenance evicts the oldest completed runs to the store while the
-	// spine exceeds it. Merges read cold inputs a block at a time and write
-	// output bound for disk a block at a time, so the bound holds up to one
-	// block per merge input plus the one output block being filled.
-	MaxResidentBytes int64
-	// Store is the SpillStore[K, V] for the arrangement's types
-	// (ArrangeOptions is not generic, so the field is typed any and
-	// asserted at Arrange time; a mismatched store panics).
-	Store any
-}
-
 // SetSpill attaches a cold tier to the spine: maintenance evicts the oldest
 // completed runs to store whenever resident bytes exceed maxResidentBytes.
 // Must be set before the spine is read concurrently (worker-local, like all
@@ -101,14 +87,8 @@ func UnwrapReader[K, V any](r BatchReader[K, V]) BatchReader[K, V] {
 // Runs exposes the trace's runs in chain order (worker-local use only): a
 // resident run is a *Batch, a spilled one the store's reader. Checkpoints
 // walk them so cold runs are referenced by name in the manifest instead of
-// being re-read and rewritten into the WAL. It panics on a stream-only
-// arrangement.
-func (a *TraceAgent[K, V]) Runs() []BatchReader[K, V] {
-	if a.spine == nil {
-		panic("core: a stream-only arrangement has no runs")
-	}
-	return a.spine.Runs()
-}
+// being re-read and rewritten into the WAL.
+func (a *TraceAgent[K, V]) Runs() []BatchReader[K, V] { return a.spine.Runs() }
 
 // maybeSpill evicts the oldest completed resident runs to the cold tier
 // while the spine's approximate resident bytes — completed resident runs and

@@ -9,12 +9,12 @@ import (
 // Arrange indexes the collection by key, producing the shared arrangement
 // that stateful shells (join, reduce, ...) and other dataflows consume.
 func Arrange[K, V any](c Collection[K, V], fn core.Funcs[K, V], name string) *core.Arranged[K, V] {
-	return core.Arrange(c.S, fn, name, core.ArrangeOptions{})
+	return core.Arrange(c.S, fn, name, core.ArrangeOptions[K, V]{})
 }
 
 // ArrangeOpts is Arrange with explicit options.
 func ArrangeOpts[K, V any](c Collection[K, V], fn core.Funcs[K, V], name string,
-	opt core.ArrangeOptions) *core.Arranged[K, V] {
+	opt core.ArrangeOptions[K, V]) *core.Arranged[K, V] {
 	return core.Arrange(c.S, fn, name, opt)
 }
 
@@ -74,10 +74,11 @@ func flatten[K, V any](a *core.Arranged[K, V], name string, whole bool,
 
 // Consolidate exchanges records by key and coalesces updates with equal
 // (key, val, time), emitting each surviving update exactly once per frontier
-// advance. Physically batched, logically faithful (Principle 1).
+// advance. Physically batched, logically faithful (Principle 1). It is an
+// arrangement read back as a collection: its trace, which nothing else
+// reads, compacts behind the sealed upper.
 func Consolidate[K, V any](c Collection[K, V], fn core.Funcs[K, V]) Collection[K, V] {
-	arr := core.Arrange(c.S, fn, "Consolidate", core.ArrangeOptions{StreamOnly: true})
-	return Flatten(arr)
+	return Flatten(Arrange(c, fn, "Consolidate"))
 }
 
 // EnterArranged brings an arrangement into an iteration scope without

@@ -156,7 +156,7 @@ func TestRawImportStillReplaysHistory(t *testing.T) {
 
 		var qprobe *timely.Probe
 		w.Dataflow(func(g *timely.Graph) {
-			imported := core.Import(g, arr.Agent, "import")
+			imported := core.ImportOpts(g, arr.Agent, "import", core.ImportOptions{})
 			flat := Flatten(imported)
 			Capture(flat, captured)
 			qprobe = Probe(flat)

@@ -31,9 +31,6 @@ func JoinCore[K, V1, V2, K2, VO any](a *core.Arranged[K, V1], b *core.Arranged[K
 		shiftA: a.Shift, shiftB: b.Shift,
 		f: f,
 	}
-	if a.Agent.Spine() == nil || b.Agent.Spine() == nil {
-		panic("dd: JoinCore requires live traces on both inputs")
-	}
 	st.hA = a.Agent.NewHandle()
 	st.hB = b.Agent.NewHandle()
 	depth := a.Stream.Depth()

@@ -36,9 +36,6 @@ func reduceCore[K comparable, V, V2 any](a *core.Arranged[K, V],
 	if a.Shift != 0 {
 		panic("dd: ReduceCore requires an un-entered arrangement (arrange inside the scope)")
 	}
-	if a.Agent.Spine() == nil {
-		panic("dd: ReduceCore requires a live input trace")
-	}
 	outAgent := core.NewAgentForOperator[K, V2](fnOut, a.Stream.Depth())
 
 	st := &reduceState[K, V, V2]{

@@ -78,7 +78,7 @@ func runLateImport(t *testing.T, tag string, workers int, shape importShape,
 	dir := t.TempDir()
 	var runs, cold, spilled, merging atomic.Int64
 	timely.Execute(workers, func(w *timely.Worker) {
-		var opt core.ArrangeOptions
+		var opt core.ArrangeOptions[uint64, uint64]
 		if shape.spill {
 			st, err := block.Open(filepath.Join(dir, fmt.Sprint(w.Index())), core.U64(), nil, wal.U64Codec(),
 				block.StoreOptions{BlockUpdates: 8})
@@ -86,7 +86,7 @@ func runLateImport(t *testing.T, tag string, workers int, shape importShape,
 				t.Errorf("%s: open block store: %v", tag, err)
 				return
 			}
-			opt.Spill = &core.SpillOptions{MaxResidentBytes: 1, Store: st}
+			opt.Spill, opt.MaxResidentBytes = st, 1
 		}
 		var inA, inB *dd.InputCollection[uint64, uint64]
 		var arr *core.Arranged[uint64, uint64]

@@ -383,7 +383,7 @@ func NewSourceOpts[K, V any](s *Server, name string, fn core.Funcs[K, V],
 	openErrs := make([]error, peers)
 	inst := s.c.Install(func(w *timely.Worker, g *timely.Graph) {
 		i := w.Index()
-		var aopt core.ArrangeOptions
+		var aopt core.ArrangeOptions[K, V]
 		if src.durable {
 			shard := wal.ShardDir(s.opts.DataDir, name, i)
 			lg, st, err := wal.OpenShard(shard, opt.KeyCodec, opt.ValCodec,
@@ -406,10 +406,7 @@ func NewSourceOpts[K, V any](s *Server, name string, fn core.Funcs[K, V],
 					openErrs[i] = berr
 				} else {
 					src.stores[i] = bs
-					aopt.Spill = &core.SpillOptions{
-						MaxResidentBytes: opt.SpillBytes,
-						Store:            bs,
-					}
+					aopt.Spill, aopt.MaxResidentBytes = bs, opt.SpillBytes
 				}
 			}
 		}

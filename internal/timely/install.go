@@ -4,7 +4,7 @@ package timely
 // of workers as long-lived servant goroutines, and dataflows are constructed
 // *after* execution begins by posting build closures to every worker. A
 // newly arriving query therefore attaches to the running system — and, via
-// core.Import, to its in-memory arrangements — without restarting anything.
+// core.ImportOpts, to its in-memory arrangements — without restarting anything.
 //
 // Correctness hinges on two invariants:
 //

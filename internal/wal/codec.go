@@ -55,29 +55,6 @@ func (i64Codec) Read(src []byte) (int64, int, error) {
 // I64Codec returns the fixed-width little-endian codec for int64.
 func I64Codec() Codec[int64] { return i64Codec{} }
 
-type stringCodec struct{}
-
-func (stringCodec) Append(dst []byte, v string) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(len(v)))
-	dst = append(dst, b[:]...)
-	return append(dst, v...)
-}
-
-func (stringCodec) Read(src []byte) (string, int, error) {
-	if len(src) < 4 {
-		return "", 0, errShortValue
-	}
-	n := int(binary.LittleEndian.Uint32(src))
-	if n < 0 || n > len(src)-4 {
-		return "", 0, errShortValue
-	}
-	return string(src[4 : 4+n]), 4 + n, nil
-}
-
-// StringCodec returns a length-prefixed codec for string.
-func StringCodec() Codec[string] { return stringCodec{} }
-
 type unitCodec struct{}
 
 func (unitCodec) Append(dst []byte, _ core.Unit) []byte { return dst }

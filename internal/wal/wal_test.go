@@ -309,23 +309,14 @@ func TestCodecs(t *testing.T) {
 	var buf []byte
 	buf = U64Codec().Append(buf, 42)
 	buf = I64Codec().Append(buf, -7)
-	buf = StringCodec().Append(buf, "hello")
 	u, n, err := U64Codec().Read(buf)
 	if err != nil || u != 42 {
 		t.Fatalf("u64: %v %v", u, err)
 	}
 	buf = buf[n:]
-	i, n, err := I64Codec().Read(buf)
+	i, _, err := I64Codec().Read(buf)
 	if err != nil || i != -7 {
 		t.Fatalf("i64: %v %v", i, err)
-	}
-	buf = buf[n:]
-	s, _, err := StringCodec().Read(buf)
-	if err != nil || s != "hello" {
-		t.Fatalf("string: %q %v", s, err)
-	}
-	if _, _, err := StringCodec().Read([]byte{255, 255, 255, 255, 'x'}); err == nil {
-		t.Fatal("oversized string length accepted")
 	}
 }
 
