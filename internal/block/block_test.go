@@ -499,8 +499,8 @@ func compareCursors(t *testing.T, fn core.Funcs[uint64, tup],
 					columnar, trial, km, i, wm[i], wo[i])
 			}
 		}
-		cm.SkipKey(km)
-		co.SkipKey(ko)
+		cm.SeekKey(km + 1)
+		co.SeekKey(ko + 1)
 	}
 	// Point seeks, including absent keys.
 	for k := uint64(0); k < 8; k++ {

@@ -768,56 +768,3 @@ func (c *TraceCursor[K, V]) ForUpdatesOrderedView(k K,
 		r.vi++
 	}
 }
-
-// SkipKey advances past key k (used when iterating keys in order).
-func (c *TraceCursor[K, V]) SkipKey(k K) {
-	for i := range c.runs {
-		r := &c.runs[i]
-		if !r.at(c.fn, k) {
-			continue
-		}
-		r.load()
-		if r.pos++; r.cold != nil && r.pos == len(r.seg.Keys) {
-			r.seg, r.pos = nil, 0
-			r.si++
-		}
-	}
-}
-
-// AccumEntry is one (value, accumulated diff) pair used when re-forming a
-// key's collection at a time.
-type AccumEntry[V any] struct {
-	Val  V
-	Diff Diff
-}
-
-// AccumInto adds (v, d) into entries, merging with an existing equal value.
-func AccumInto[V any](entries []AccumEntry[V], eq func(a, b V) bool, v V, d Diff) []AccumEntry[V] {
-	for i := range entries {
-		if eq(entries[i].Val, v) {
-			entries[i].Diff += d
-			return entries
-		}
-	}
-	return append(entries, AccumEntry[V]{Val: v, Diff: d})
-}
-
-// AccumulateKey sums, for each value of key k, the diffs at times ≤ t,
-// invoking f with every value whose accumulated diff is non-zero.
-func (c *TraceCursor[K, V]) AccumulateKey(k K, t lattice.Time,
-	scratch []AccumEntry[V], f func(v V, d Diff)) []AccumEntry[V] {
-
-	scratch = scratch[:0]
-	c.ForUpdates(k, func(v V, ut lattice.Time, d Diff) {
-		if !ut.LessEqual(t) {
-			return
-		}
-		scratch = AccumInto(scratch, c.fn.EqV, v, d)
-	})
-	for _, e := range scratch {
-		if e.Diff != 0 {
-			f(e.Val, e.Diff)
-		}
-	}
-	return scratch
-}

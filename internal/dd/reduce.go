@@ -16,7 +16,9 @@ type ValDiff[V any] struct {
 
 // Reducer transforms the accumulated input multiset of one key into the
 // output multiset. in is sorted by value with non-zero multiplicities; the
-// reducer appends to out. It is not invoked for keys with empty input.
+// reducer appends to out, which may list a value more than once, in any
+// order: the multiplicities of equal values add. It is not invoked for keys
+// with empty input.
 type Reducer[K, V, V2 any] func(k K, in []ValDiff[V], out *[]ValDiff[V2])
 
 // ReduceCore is the paper's group operator (§5.3.2) as a thin shell over an
@@ -76,9 +78,11 @@ type reduceState[K comparable, V, V2 any] struct {
 	ready   []lattice.Time
 	later   []keyTime[K]
 
-	outScratch []core.AccumEntry[V2]
-	inVals     []ValDiff[V]
-	outVals    []ValDiff[V2]
+	// One evaluation's key as of its time: the input, the output the
+	// reducer wants and the output the operator has.
+	inVals []ValDiff[V]
+	want   []ValDiff[V2]
+	have   []ValDiff[V2]
 }
 
 type keyTime[K comparable] struct {
@@ -235,81 +239,129 @@ func (st *reduceState[K, V, V2]) schedule(ctx *timely.Ctx,
 // times evaluated before this one start at index start.
 func (st *reduceState[K, V, V2]) evaluate(caps *timely.CapSet, frontier lattice.Frontier, k K, r, start int) {
 	t := st.ready[r]
-	st.inVals = st.inVals[:0]
-	if st.inCur.SeekKey(k) {
-		// Accumulate input at t via the cursor's ordered k-way value merge:
-		// equal values arrive adjacent, so a running (value, sum) pair
-		// replaces collect-and-sort. Along the way, discover lub-induced
-		// future work. The join ut ∨ t equals t when ut ≤ t and ut when
-		// t ≤ ut, so only genuinely incomparable times (never at depth 1)
-		// pay for the Join. A later ut still counts: an update no longer
-		// pending at a time after t is history that compaction advanced
-		// there (say round 1 of an earlier epoch, now round 1 of t's), and
-		// t's change moves the accumulation at ut even when no new update
-		// lands on ut itself.
-		// The view cursor yields (store, index) pairs: the running group is
-		// tracked as a view and compared in place, so a wide value
-		// materializes once per value group (at flush), never per update.
-		var curS *core.ValStore[V]
-		var curIdx int
-		var curAcc core.Diff
-		curHas := false
-		flush := func() {
-			if curHas && curAcc != 0 {
-				st.inVals = append(st.inVals, ValDiff[V]{curS.At(curIdx), curAcc})
-			}
+	// The input at t. Along the way, discover lub-induced future work. The
+	// join ut ∨ t equals ut when t ≤ ut, so only genuinely incomparable
+	// times (never at depth 1) pay for the Join. A later ut still counts: an
+	// update no longer pending at a time after t is history that compaction
+	// advanced there (say round 1 of an earlier epoch, now round 1 of t's),
+	// and t's change moves the accumulation at ut even when no new update
+	// lands on ut itself.
+	st.inVals = readAsOf(st.inCur, st.fnIn.LessV, k, t, st.inVals[:0], func(ut lattice.Time) {
+		lub := ut
+		if !t.LessEqual(ut) {
+			lub = ut.Join(t)
 		}
-		st.inCur.ForUpdatesOrderedView(k, func(s *core.ValStore[V], vi int, ut lattice.Time, d core.Diff) {
-			if ut.LessEqual(t) {
-				if !curHas || curS.Less(st.fnIn.LessV, curIdx, s, vi) {
-					flush()
-					curS, curIdx, curAcc, curHas = s, vi, 0, true
-				}
-				curAcc += d
-				return
-			}
-			lub := ut
-			if !t.LessEqual(ut) {
-				lub = ut.Join(t)
-			}
-			st.discover(caps, frontier, k, r, lub)
-		})
-		flush()
-	}
+		st.discover(caps, frontier, k, r, lub)
+	})
 
-	st.outVals = st.outVals[:0]
+	st.want = st.want[:0]
 	if len(st.inVals) > 0 {
-		st.reducer(k, st.inVals, &st.outVals)
+		st.reducer(k, st.inVals, &st.want)
 	}
+	st.want = consolidate(st.fnOut.LessV, st.want)
 
-	// Re-form the current output at t: the sealed output trace plus the
-	// corrections already emitted for k in this schedule.
-	st.outScratch = st.outScratch[:0]
-	if st.outCur.SeekKey(k) {
-		st.outCur.ForUpdates(k, func(v V2, ut lattice.Time, d core.Diff) {
-			if ut.LessEqual(t) {
-				st.outScratch = core.AccumInto(st.outScratch, st.fnOut.EqV, v, d)
-			}
-		})
-	}
+	// The output at t: the sealed output trace plus the corrections already
+	// emitted for k in this schedule. The trace's read is consolidated
+	// already; only folded corrections call for another pass.
+	st.have = readAsOf(st.outCur, st.fnOut.LessV, k, t, st.have[:0], nil)
+	read := len(st.have)
 	for _, u := range st.emitted[start:] {
 		if u.Time.LessEqual(t) {
-			st.outScratch = core.AccumInto(st.outScratch, st.fnOut.EqV, u.Val, u.Diff)
+			st.have = append(st.have, ValDiff[V2]{u.Val, u.Diff})
 		}
+	}
+	if len(st.have) > read {
+		st.have = consolidate(st.fnOut.LessV, st.have)
 	}
 
-	// Corrections: want minus have.
-	for _, w := range st.outVals {
-		if cur := accumGet(st.outScratch, st.fnOut.EqV, w.Val); w.Diff != cur {
-			st.emitted = append(st.emitted, core.Update[K, V2]{Key: k, Val: w.Val, Time: t, Diff: w.Diff - cur})
+	// Corrections: want minus have, in one merge of the two sorted lists.
+	for i, j := 0, 0; i < len(st.want) || j < len(st.have); {
+		var v V2
+		var d core.Diff
+		switch {
+		case j == len(st.have) || i < len(st.want) && st.fnOut.LessV(st.want[i].Val, st.have[j].Val):
+			v, d = st.want[i].Val, st.want[i].Diff
+			i++
+		case i == len(st.want) || st.fnOut.LessV(st.have[j].Val, st.want[i].Val):
+			v, d = st.have[j].Val, -st.have[j].Diff
+			j++
+		default:
+			v, d = st.want[i].Val, st.want[i].Diff-st.have[j].Diff
+			i++
+			j++
+		}
+		if d != 0 {
+			st.emitted = append(st.emitted, core.Update[K, V2]{Key: k, Val: v, Time: t, Diff: d})
 		}
 	}
-	for _, h := range st.outScratch {
-		wanted := func(w ValDiff[V2]) bool { return st.fnOut.EqV(w.Val, h.Val) }
-		if h.Diff != 0 && !slices.ContainsFunc(st.outVals, wanted) {
-			st.emitted = append(st.emitted, core.Update[K, V2]{Key: k, Val: h.Val, Time: t, Diff: -h.Diff})
+}
+
+// readAsOf appends to vals key k's collection as of time t, read through
+// cur (which it seeks to k): the sum of k's updates at times ≤ t, sorted by
+// value under less, each value once with its non-zero diff. The cursor's
+// ordered value merge brings equal values adjacent, so a running (view, sum)
+// group replaces collect-and-sort: it compares stores in place, and a wide
+// value materializes once per group, never per update. Every update at a
+// time not ≤ t goes to later, when it is non-nil.
+func readAsOf[K, V any](cur *core.TraceCursor[K, V], less func(a, b V) bool, k K, t lattice.Time,
+	vals []ValDiff[V], later func(ut lattice.Time)) []ValDiff[V] {
+
+	if !cur.SeekKey(k) {
+		return vals
+	}
+	var s *core.ValStore[V]
+	var vi int
+	var sum core.Diff
+	flush := func() {
+		if sum != 0 {
+			vals = append(vals, ValDiff[V]{s.At(vi), sum})
 		}
 	}
+	cur.ForUpdatesOrderedView(k, func(us *core.ValStore[V], ui int, ut lattice.Time, d core.Diff) {
+		if !ut.LessEqual(t) {
+			if later != nil {
+				later(ut)
+			}
+			return
+		}
+		if s == nil || s.Less(less, vi, us, ui) {
+			flush()
+			s, vi, sum = us, ui, 0
+		}
+		sum += d
+	})
+	flush()
+	return vals
+}
+
+// consolidate sorts vals by value under less, sums the diffs of equal values
+// and drops the zeros, in place.
+func consolidate[V any](less func(a, b V) bool, vals []ValDiff[V]) []ValDiff[V] {
+	if len(vals) > 1 {
+		slices.SortFunc(vals, func(a, b ValDiff[V]) int {
+			if less(a.Val, b.Val) {
+				return -1
+			}
+			if less(b.Val, a.Val) {
+				return 1
+			}
+			return 0
+		})
+	}
+	// A group that sums to zero goes at once: an equal value after it
+	// starts the group again, from zero.
+	out := vals[:0]
+	for _, e := range vals {
+		if n := len(out); n > 0 && !less(out[n-1].Val, e.Val) {
+			out[n-1].Diff += e.Diff
+		} else {
+			out = append(out, e)
+		}
+		if n := len(out); out[n-1].Diff == 0 {
+			out = out[:n-1]
+		}
+	}
+	return out
 }
 
 // discover files lub, a time strictly later than the one under evaluation
@@ -328,15 +380,6 @@ func (st *reduceState[K, V, V2]) discover(caps *timely.CapSet, frontier lattice.
 		caps.Insert(lub)
 		st.ready = slices.Insert(st.ready, r+1+i, lub)
 	}
-}
-
-func accumGet[V any](entries []core.AccumEntry[V], eq func(a, b V) bool, v V) core.Diff {
-	for _, e := range entries {
-		if eq(e.Val, v) {
-			return e.Diff
-		}
-	}
-	return 0
 }
 
 // Reduce arranges the input and applies ReduceCore, returning the flattened

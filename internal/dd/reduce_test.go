@@ -2,6 +2,7 @@ package dd
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -113,4 +114,101 @@ func BenchmarkReduceInstall(b *testing.B) {
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
 		})
 	}
+}
+
+// TestReduceDuplicateOutputValues: a reducer may list an output value more
+// than once; the multiplicities add. Here every key's output is (0, +1)
+// twice. A change to the key's input that leaves the reducer's output as it
+// was must leave the operator's output as it was too: comparing each listed
+// (0, +1) on its own against the whole current output retracted both.
+func TestReduceDuplicateOutputValues(t *testing.T) {
+	cap := runCollected(t, 1,
+		func(c Collection[uint64, uint64]) Collection[uint64, uint64] {
+			return Reduce(c, core.U64(), core.U64(), "twice",
+				func(_ uint64, _ []ValDiff[uint64], out *[]ValDiff[uint64]) {
+					*out = append(*out, ValDiff[uint64]{Val: 0, Diff: 1}, ValDiff[uint64]{Val: 0, Diff: 1})
+				})
+		},
+		func(in *InputCollection[uint64, uint64], step func(uint64)) {
+			in.Insert(1, 5)
+			step(0)
+			in.Insert(1, 7)
+			step(1)
+			in.Remove(1, 5)
+			step(2)
+		})
+	for e := uint64(0); e < 3; e++ {
+		if acc := cap.At(lattice.Ts(e)); acc[[2]any{uint64(1), uint64(0)}] != 2 || len(acc) != 1 {
+			t.Errorf("epoch %d: got %v, want {(1,0): 2}", e, acc)
+		}
+	}
+}
+
+// wideKey runs a reduce with Distinct's reducer and output functions fnOut
+// on 1 worker over one key holding the values 0..n-1, loaded at epoch 0.
+// Once that epoch is complete it calls loaded, then runs epochs 1..epochs,
+// where step feeds epoch e.
+func wideKey(n, epochs int, fnOut core.Funcs[uint64, uint64], loaded func(),
+	step func(in *InputCollection[uint64, uint64], e uint64)) {
+
+	timely.Execute(1, func(w *timely.Worker) {
+		var in *InputCollection[uint64, uint64]
+		var probe *timely.Probe
+		w.Dataflow(func(g *timely.Graph) {
+			ic, c := NewInput[uint64, uint64](g)
+			in = ic
+			probe = timely.NewProbe(ReduceCore(Arrange(c, core.U64(), "arrange"), fnOut, "Distinct",
+				distinct[uint64, uint64]).Stream)
+		})
+		for v := uint64(0); v < uint64(n); v++ {
+			in.Insert(0, v)
+		}
+		in.AdvanceTo(1)
+		w.StepUntil(func() bool { return probe.Done(lattice.Ts(0)) })
+		loaded()
+		for e := uint64(1); e <= uint64(epochs); e++ {
+			step(in, e)
+			in.AdvanceTo(e + 1)
+			w.StepUntil(func() bool { return probe.Done(lattice.Ts(e)) })
+		}
+		in.Close()
+		w.Drain()
+	})
+}
+
+// TestReduceWideKeyComparisons: evaluating a key reads its input and output
+// as of the time once each, sorts what the reducer wants and merges it with
+// what the operator has, so an epoch that changes one value of a key
+// holding n values compares output values O(n log n) times (the output
+// trace's merges are linear too). The count covers that epoch only. Holding
+// each wanted value against the whole current output took about n²
+// comparisons: ≈ 256× from 1 000 to 16 000 values, where n log n is ≈ 22×.
+func TestReduceWideKeyComparisons(t *testing.T) {
+	var calls atomic.Int64
+	fnOut := core.U64()
+	fnOut.LessV = func(a, b uint64) bool { calls.Add(1); return a < b }
+	var counts [2]int64
+	for i, n := range []int{1_000, 16_000} {
+		wideKey(n, 1, fnOut, func() { calls.Store(0) },
+			func(in *InputCollection[uint64, uint64], _ uint64) {
+				in.Remove(0, uint64(n/2))
+				in.Insert(0, uint64(n))
+			})
+		counts[i] = calls.Load()
+	}
+	t.Logf("output value comparisons in the changing epoch: %d at 1 000 values, %d at 16 000", counts[0], counts[1])
+	if counts[0] == 0 || counts[1] >= 40*counts[0] {
+		t.Errorf("changing one value of a 16 000-value key compared %d times, of a 1 000-value key %d: "+
+			"want under 40×", counts[1], counts[0])
+	}
+}
+
+// BenchmarkReduceWideKey is the epoch cost of a reduce over one wide key:
+// Distinct's reducer over one key holding 16 000 values, 1 worker, each
+// epoch adding one value.
+func BenchmarkReduceWideKey(b *testing.B) {
+	const n = 16_000
+	wideKey(n, b.N, core.U64(), b.ResetTimer, func(in *InputCollection[uint64, uint64], e uint64) {
+		in.Insert(0, n+e)
+	})
 }

@@ -109,7 +109,7 @@ type sumState[K comparable, V, A any] struct {
 	group map[K]int32 // key -> index into runs
 	runs  []keyRun[K]
 	next  []int32 // next[i]: the following ready update of the same key, or -1
-	accum []core.AccumEntry[sumRow[A]]
+	accum []ValDiff[sumRow[A]]
 	rows  []core.Update[K, sumRow[A]] // the fold's trace changes
 	outs  []core.Update[K, A]         // the fold's output changes
 }
@@ -234,14 +234,11 @@ func (st *sumState[K, V, A]) emit(upds []core.Update[K, V], frontier lattice.Fro
 		// one row, once, or none.
 		t := upds[run.first].Time
 		var row sumRow[A]
-		if cur.SeekKey(run.key) {
-			live := false
-			st.accum = cur.AccumulateKey(run.key, t, st.accum, func(r sumRow[A], d core.Diff) {
-				if live || d != 1 {
-					panic("dd: Sum's output trace does not net to one row per key")
-				}
-				row, live = r, true
-			})
+		switch st.accum = readAsOf(cur, st.fnRow.LessV, run.key, t, st.accum[:0], nil); {
+		case len(st.accum) == 1 && st.accum[0].Diff == 1:
+			row = st.accum[0].Val
+		case len(st.accum) > 0:
+			panic("dd: Sum's output trace does not net to one row per key")
 		}
 		prev := row
 		for i := run.first; i >= 0; i = st.next[i] {
