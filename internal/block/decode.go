@@ -256,50 +256,37 @@ func (im *image[K, V]) corrupt(off int64, format string, args ...any) error {
 	return err
 }
 
-// columns is a decode destination: one batch's arrays, allocated once at
-// their exact final size so the kernel writes every element in place — one
-// block's worth for the read cache or a merge, a whole run's for Unspill.
-type columns[K, V any] struct {
-	keys   []K
-	keyOff []int32 // len(keys)+1, indices into vals
-	vals   core.ValStore[V]
-	valOff []int32 // len(vals)+1, indices into upds
-	upds   []core.TimeDiff
-}
-
-// newColumns sizes columns for nKeys keys, nVals values and nUpds updates.
-// The counts come from a validated index, which holds them to the bytes
-// behind them (openImage), so sizing by them is safe. Values decode into
-// the row layout whatever the store's Funcs: a columnar arrangement merges
-// them through ValStore.AppendRange's mixed-layout path.
-func newColumns[K, V any](nKeys, nVals, nUpds int) columns[K, V] {
-	c := columns[K, V]{
-		keys:   make([]K, nKeys),
-		keyOff: make([]int32, nKeys+1),
-		valOff: make([]int32, nVals+1),
-		upds:   make([]core.TimeDiff, nUpds),
+// sizedBatch is a decode destination: one batch with its columns sized for
+// nKeys keys, nVals values and nUpds updates, allocated once at their exact
+// final size so the kernel writes every element in place — one block's
+// worth for the read cache or a merge, a whole run's for Unspill. The
+// updates append through core.Batch.AppendUpd into Diffs' full capacity,
+// which keeps the batch one-time while its times agree and otherwise makes
+// the time column once. The counts come from a validated index, which
+// holds them to the bytes behind them (openImage), so sizing by them is
+// safe. Values decode into the row layout whatever the store's Funcs: a
+// columnar arrangement merges them through ValStore.AppendRange's
+// mixed-layout path. Framing is left unset.
+func sizedBatch[K, V any](nKeys, nVals, nUpds int) *core.Batch[K, V] {
+	c := &core.Batch[K, V]{
+		Keys:   make([]K, nKeys),
+		KeyOff: make([]int32, nKeys+1),
+		ValOff: make([]int32, nVals+1),
+		Diffs:  make([]core.Diff, 0, nUpds),
 	}
-	c.vals.Grow(nVals)
+	c.Vals.Grow(nVals)
 	return c
-}
-
-// batch wraps the decoded columns as a batch, framing left unset.
-func (c *columns[K, V]) batch() *core.Batch[K, V] {
-	return &core.Batch[K, V]{
-		Keys: c.keys, KeyOff: c.keyOff,
-		Vals: c.vals, ValOff: c.valOff,
-		Upds: c.upds,
-	}
 }
 
 // decodeBlock is the decode kernel: one pass over block bi's payload that
 // validates it against the block's index entry — counts, key order, the
 // resident first/last key stats, the file's time depth, no trailing bytes —
 // and writes its keys, offsets, values and updates straight into dst. With
-// inRun, dst holds the whole run and the block lands at its global bases;
-// otherwise dst holds the block alone. With mins non-nil the kernel also
+// inRun, dst holds the whole run and the block lands at its global bases
+// (the updates append: assemble decodes the blocks in order); otherwise dst
+// holds the block alone. With mins non-nil the kernel also
 // folds every update time into that antichain of minimal times.
-func (im *image[K, V]) decodeBlock(cfg *codecs[K, V], bi int, dst *columns[K, V], inRun bool, mins *lattice.Frontier) error {
+func (im *image[K, V]) decodeBlock(cfg *codecs[K, V], bi int, dst *core.Batch[K, V], inRun bool, mins *lattice.Frontier) error {
 	m := &im.blocks[bi]
 	fail := func(format string, args ...any) error {
 		return im.corrupt(m.off, "block %d %s", bi, fmt.Sprintf(format, args...))
@@ -324,7 +311,7 @@ func (im *image[K, V]) decodeBlock(cfg *codecs[K, V], bi int, dst *columns[K, V]
 		k0, v0, u0 = m.keyBase, m.valBase, m.updBase
 	}
 
-	keys := dst.keys[k0 : k0+m.nKeys]
+	keys := dst.Keys[k0 : k0+m.nKeys]
 	if cfg.u64Keys {
 		ks := any(keys).([]uint64)
 		prev := uint64(0)
@@ -360,7 +347,7 @@ func (im *image[K, V]) decodeBlock(cfg *codecs[K, V], bi int, dst *columns[K, V]
 	if !cfg.fn.EqK(keys[0], m.firstKey) || !cfg.fn.EqK(keys[m.nKeys-1], m.lastKey) {
 		return fail("keys disagree with index stats")
 	}
-	if pos, err = readCounts(p, pos, dst.keyOff[k0:k0+m.nKeys+1], v0, m.nVals); err != nil {
+	if pos, err = readCounts(p, pos, dst.KeyOff[k0:k0+m.nKeys+1], v0, m.nVals); err != nil {
 		return fail("key offsets: %v", err)
 	}
 
@@ -370,9 +357,9 @@ func (im *image[K, V]) decodeBlock(cfg *codecs[K, V], bi int, dst *columns[K, V]
 			return fail("value %d at byte %d: %v", i, pos, err)
 		}
 		pos += n
-		dst.vals.Append(v)
+		dst.Vals.Append(v)
 	}
-	if pos, err = readCounts(p, pos, dst.valOff[v0:v0+m.nVals+1], u0, m.nUpds); err != nil {
+	if pos, err = readCounts(p, pos, dst.ValOff[v0:v0+m.nVals+1], u0, m.nUpds); err != nil {
 		return fail("value offsets: %v", err)
 	}
 
@@ -384,8 +371,7 @@ func (im *image[K, V]) decodeBlock(cfg *codecs[K, V], bi int, dst *columns[K, V]
 	maxLoop := lattice.MaxLoopCoord(depth)
 	var coords [lattice.MaxDepth]uint64
 	min1 := uint64(math.MaxUint64) // depth 1 is totally ordered: one minimum
-	upds := dst.upds[u0 : u0+m.nUpds]
-	for i := range upds {
+	for i := 0; i < m.nUpds; i++ {
 		if len(p)-pos < timeLen {
 			return fail("update %d time: truncated at byte %d", i, pos)
 		}
@@ -404,18 +390,18 @@ func (im *image[K, V]) decodeBlock(cfg *codecs[K, V], bi int, dst *columns[K, V]
 			return fail("update %d diff: bad varint at byte %d", i, pos)
 		}
 		pos += n
-		ud := &upds[i]
-		ud.Diff = zag(u)
+		var t lattice.Time
 		if depth == 1 {
 			// A constant depth lets the inlined constructor drop its loops.
-			ud.Time = lattice.FromCoords(1, [lattice.MaxDepth]uint64{coords[0]})
+			t = lattice.FromCoords(1, [lattice.MaxDepth]uint64{coords[0]})
 			min1 = min(min1, coords[0])
 		} else {
-			ud.Time = lattice.FromCoords(depth, coords)
+			t = lattice.FromCoords(depth, coords)
 			if mins != nil {
-				mins.Insert(ud.Time)
+				mins.Insert(t)
 			}
 		}
+		dst.AppendUpd(t, zag(u))
 	}
 	if mins != nil && depth == 1 {
 		mins.Insert(lattice.Ts(min1)) // a block holds at least one update
@@ -465,11 +451,11 @@ func readCounts(p []byte, pos int, off []int32, base, total int) (int, error) {
 // Store.Segment calls uncached for merges.
 func (im *image[K, V]) segment(cfg *codecs[K, V], bi int) (*core.Batch[K, V], error) {
 	m := &im.blocks[bi]
-	c := newColumns[K, V](m.nKeys, m.nVals, m.nUpds)
-	if err := im.decodeBlock(cfg, bi, &c, false, nil); err != nil {
+	b := sizedBatch[K, V](m.nKeys, m.nVals, m.nUpds)
+	if err := im.decodeBlock(cfg, bi, b, false, nil); err != nil {
 		return nil, err
 	}
-	return c.batch(), nil
+	return b, nil
 }
 
 // assemble materializes the whole image as one resident batch (the unspill
@@ -479,17 +465,16 @@ func (im *image[K, V]) segment(cfg *codecs[K, V], bi int) (*core.Batch[K, V], er
 // which must agree with the stored MinTimes: disagreement means the stored
 // stats lie about the contents and is corruption.
 func (im *image[K, V]) assemble(cfg *codecs[K, V]) (*core.Batch[K, V], error) {
-	c := newColumns[K, V](im.numKeys, im.numVals, im.numUpds)
+	b := sizedBatch[K, V](im.numKeys, im.numVals, im.numUpds)
 	var mins lattice.Frontier
 	for bi := range im.blocks {
-		if err := im.decodeBlock(cfg, bi, &c, true, &mins); err != nil {
+		if err := im.decodeBlock(cfg, bi, b, true, &mins); err != nil {
 			return nil, err
 		}
 	}
 	if !mins.Equal(lattice.NewFrontier(im.minTimes...)) {
 		return nil, im.corrupt(0, "stored min-times %v disagree with contents %v", im.minTimes, mins.Elements())
 	}
-	b := c.batch()
 	b.Lower, b.Upper, b.Since = im.lower.Clone(), im.upper.Clone(), im.since.Clone()
 	b.SetMinTimes(mins.Elements())
 	return b, nil

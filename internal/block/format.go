@@ -170,8 +170,8 @@ func (w *runWriter[K, V]) append(b *core.Batch[K, V]) error {
 			p = wal.AppendUvarint(p, uint64(b.ValOff[vi+1]-b.ValOff[vi]))
 		}
 		for ui := uLo; ui < uHi; ui++ {
-			p = wal.AppendTime(p, b.Upds[ui].Time)
-			p = wal.AppendUvarint(p, zig(b.Upds[ui].Diff))
+			p = wal.AppendTime(p, b.UpdTime(ui))
+			p = wal.AppendUvarint(p, zig(b.Diffs[ui]))
 		}
 		wal.SealRecord(p)
 		w.frame = p

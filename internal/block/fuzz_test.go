@@ -91,8 +91,17 @@ func decodeChecked(t *testing.T, data []byte) {
 	// (wrong counts here mean the decoder lied about what it read).
 	if len(got.KeyOff) != len(got.Keys)+1 || len(got.ValOff) != got.Vals.Len()+1 ||
 		int(got.KeyOff[len(got.KeyOff)-1]) != got.Vals.Len() ||
-		int(got.ValOff[len(got.ValOff)-1]) != len(got.Upds) {
+		int(got.ValOff[len(got.ValOff)-1]) != len(got.Diffs) ||
+		len(got.Times) != 0 && len(got.Times) != len(got.Diffs) {
 		t.Fatal("decoded batch structurally inconsistent")
+	}
+	// One-time form: the time column exists exactly when two times differ.
+	several := false
+	for _, tm := range got.Times {
+		several = several || tm != got.Times[0]
+	}
+	if len(got.Times) > 0 && !several {
+		t.Fatalf("decoded batch stores %d copies of one time", len(got.Times))
 	}
 	n := 0
 	got.ForEach(func(uint64, tup, lattice.Time, core.Diff) { n++ })
@@ -183,6 +192,21 @@ func FuzzBlockDecode(f *testing.F) {
 	// A valid file but for a nonzero column width.
 	f.Add(withColWidth(valid, b.Lower, b.Upper, b.Since, 4))
 	f.Add(wideLoopImage(f, cfg))
+	// A one-time block, and one whose last update alone has another time:
+	// the decoder makes the time column there and backfills it.
+	for _, last := range []uint64{0, 1} {
+		var upds []upd
+		for k := uint64(1); k <= 20; k++ {
+			upds = append(upds, upd{Key: k, Val: randTup(r), Time: lattice.Ts(0), Diff: 1})
+		}
+		upds[len(upds)-1].Time = lattice.Ts(last)
+		b := core.BuildBatch(fn, upds, lattice.MinFrontier(1), lattice.NewFrontier(lattice.Ts(2)), lattice.MinFrontier(1))
+		img, err := encodeImage(cfg, b, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeChecked(t, data)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/lattice"
@@ -12,6 +13,15 @@ import (
 // column-wise, grouped by key, then by value, each value carrying its
 // (time, diff) history.
 //
+// A history is two columns: Diffs, one per update, and Times. When every
+// update of the batch is at one time — the common case once logical
+// compaction has advanced a run's times to the readers' frontier — Times is
+// empty and the batch stores that time once, in Time; otherwise Times holds
+// one time per update and Time is zero. Read a time through UpdTime. Every
+// constructor (BuildBatch, the merge builder, the block and WAL decoders)
+// emits the one-time form whenever its times are all equal, so a one-time
+// batch holds exactly one update per value.
+//
 // Lower and Upper delimit the times the batch is responsible for: it
 // contains exactly the updates at times in advance of Lower and not in
 // advance of Upper. Since records the compaction frontier the times have
@@ -20,10 +30,11 @@ import (
 //
 // A batch with a non-empty AsOf is an as-of view (viewAsOf): it shares every
 // column with the trace run it was taken from and presents that run's times
-// advanced to AsOf. The stream-side read paths — ForEach, ForKey, UpdTime,
-// MinTimes — apply the advance as they read; Upds itself holds the run's
-// stored times. A view travels on an arranged stream and nowhere else: it is
-// never appended to a spine, logged or spilled.
+// advanced to AsOf. A view that presents one time is a one-time batch at
+// that time; otherwise it shares the run's Times and the stream-side read
+// paths — ForEach, ForKey, UpdTime, MinTimes — apply the advance as they
+// read. A view travels on an arranged stream and nowhere else: it is never
+// appended to a spine, logged or spilled.
 type Batch[K, V any] struct {
 	Lower, Upper, Since lattice.Frontier
 	AsOf                lattice.Frontier
@@ -31,25 +42,22 @@ type Batch[K, V any] struct {
 	Keys   []K
 	KeyOff []int32     // len(Keys)+1; value range of key i is Vals[KeyOff[i]:KeyOff[i+1]]
 	Vals   ValStore[V] // pluggable layout: row-major slice or columnar words
-	ValOff []int32     // len(Vals)+1; history of value j is Upds[ValOff[j]:ValOff[j+1]]
-	Upds   []TimeDiff
+	ValOff []int32     // len(Vals)+1; history of value j is Diffs[ValOff[j]:ValOff[j+1]]
+	Diffs  []Diff
+	Times  []lattice.Time // len(Diffs), or empty when every update is at Time
+	Time   lattice.Time
 
 	// minTimes caches MinTimes, computed once at construction (builders and
 	// decoders stream the times anyway; SetMinTimes, CacheMinTimes). Nil for
 	// hand-assembled batches, which fall back to computing per call.
 	minTimes []lattice.Time
-
-	// oneTime marks a view that presents every update at AsOf's one element
-	// (viewAsOf proves it from the run's bounds): the read paths return that
-	// time instead of advancing each stored one.
-	oneTime bool
 }
 
 // Len returns the number of update triples in the batch.
-func (b *Batch[K, V]) Len() int { return len(b.Upds) }
+func (b *Batch[K, V]) Len() int { return len(b.Diffs) }
 
 // Empty reports whether the batch carries no updates.
-func (b *Batch[K, V]) Empty() bool { return len(b.Upds) == 0 }
+func (b *Batch[K, V]) Empty() bool { return len(b.Diffs) == 0 }
 
 // NumKeys returns the number of distinct keys.
 func (b *Batch[K, V]) NumKeys() int { return len(b.Keys) }
@@ -111,22 +119,12 @@ func (b *Batch[K, V]) ForKey(fn Funcs[K, V], k K, f func(v V, t lattice.Time, d 
 	if ki >= len(b.Keys) || !fn.EqK(b.Keys[ki], k) {
 		return
 	}
-	var at lattice.Time
-	if b.oneTime {
-		at = b.AsOf.Elements()[0]
-	}
 	lo, hi := b.ValRange(ki)
 	for vi := lo; vi < hi; vi++ {
 		v := b.Vals.At(vi)
 		ul, uh := b.UpdRange(vi)
-		if b.oneTime {
-			for _, u := range b.Upds[ul:uh] {
-				f(v, at, u.Diff)
-			}
-			continue
-		}
 		for ui := ul; ui < uh; ui++ {
-			f(v, b.UpdTime(ui), b.Upds[ui].Diff)
+			f(v, b.UpdTime(ui), b.Diffs[ui])
 		}
 	}
 }
@@ -134,35 +132,25 @@ func (b *Batch[K, V]) ForKey(fn Funcs[K, V], k K, f func(v V, t lattice.Time, d 
 // ForEach invokes f for every update triple in the batch, in (key, val,
 // time) order. Values materialize once per value group, not once per update.
 func (b *Batch[K, V]) ForEach(f func(k K, v V, t lattice.Time, d Diff)) {
-	var at lattice.Time
-	if b.oneTime {
-		at = b.AsOf.Elements()[0]
-	}
 	for ki, k := range b.Keys {
 		lo, hi := b.ValRange(ki)
 		for vi := lo; vi < hi; vi++ {
 			v := b.Vals.At(vi)
 			ul, uh := b.UpdRange(vi)
-			if b.oneTime {
-				for _, u := range b.Upds[ul:uh] {
-					f(k, v, at, u.Diff)
-				}
-				continue
-			}
 			for ui := ul; ui < uh; ui++ {
-				f(k, v, b.UpdTime(ui), b.Upds[ui].Diff)
+				f(k, v, b.UpdTime(ui), b.Diffs[ui])
 			}
 		}
 	}
 }
 
-// UpdTime returns the time of update ui as the batch presents it: the stored
-// time, advanced to AsOf on a view.
+// UpdTime returns the time of update ui as the batch presents it: the one
+// time of a one-time batch, else the stored time, advanced to AsOf on a view.
 func (b *Batch[K, V]) UpdTime(ui int) lattice.Time {
-	if b.oneTime {
-		return b.AsOf.Elements()[0]
+	if len(b.Times) == 0 {
+		return b.Time
 	}
-	t := b.Upds[ui].Time
+	t := b.Times[ui]
 	if !b.AsOf.Empty() {
 		t, _ = lattice.Compact(t, b.AsOf)
 	}
@@ -177,24 +165,23 @@ func (b *Batch[K, V]) UpdTime(ui int) lattice.Time {
 // minimal times are the advance of b's: rep is monotone, so every advanced
 // time is in advance of the advance of some minimal time.
 //
-// Often the view presents a single time, and it says so in constant time:
-// with depth-1 times, asOf = {a}, Upper = {u} and Since = {s}, every stored
-// time is below u or was advanced to s, so when u ≤ a and s ≤ a each is at
-// most a and advances to exactly a (rep_{a}(t) = t ∨ a). The snapshot
-// frontier joins every run's Since, but s ≤ a is checked, not assumed.
+// Often the view presents a single time, and then it is a one-time batch:
+// a one-time run's view is one-time at rep(Time), at any depth. A run with
+// several times is one-time as of asOf when oneTimeAsOf proves it from the
+// run's bounds.
 func (b *Batch[K, V]) viewAsOf(asOf lattice.Frontier) *Batch[K, V] {
 	v := *b
 	v.Since, v.AsOf = asOf, asOf
-	if asOf.Len() == 1 && b.Upper.Len() == 1 && b.Since.Len() == 1 {
-		a := asOf.Elements()[0]
-		v.oneTime = a.Depth() == 1 &&
-			b.Upper.Elements()[0].LessEqual(a) && b.Since.Elements()[0].LessEqual(a)
+	switch {
+	case b.Empty():
+		return &v
+	case len(b.Times) == 0:
+		v.Time, _ = lattice.Compact(b.Time, asOf)
+	case oneTimeAsOf(asOf, b.Upper, b.Since):
+		v.Times, v.Time = nil, asOf.Elements()[0]
 	}
-	if v.oneTime {
-		v.minTimes = nil
-		if !b.Empty() {
-			v.minTimes = []lattice.Time{asOf.Elements()[0]}
-		}
+	if len(v.Times) == 0 {
+		v.minTimes = []lattice.Time{v.Time}
 		return &v
 	}
 	var mins lattice.Frontier
@@ -206,21 +193,35 @@ func (b *Batch[K, V]) viewAsOf(asOf lattice.Frontier) *Batch[K, V] {
 	return &v
 }
 
+// oneTimeAsOf reports whether every time of a run framed by upper and
+// since advances to the one element of f. It decides in constant time: with
+// depth-1 times, f = {a}, upper = {u} and since = {s}, every stored time is
+// below u or was advanced to s, so when u ≤ a and s ≤ a each is at most a
+// and advances to exactly a (rep_{a}(t) = t ∨ a). Snapshot and merge
+// frontiers join every run's since, but s ≤ a is checked, not assumed.
+func oneTimeAsOf(f, upper, since lattice.Frontier) bool {
+	if f.Len() != 1 || upper.Len() != 1 || since.Len() != 1 {
+		return false
+	}
+	a := f.Elements()[0]
+	return a.Depth() == 1 && upper.Elements()[0].LessEqual(a) && since.Elements()[0].LessEqual(a)
+}
+
 // MinTimes returns the antichain of minimal update times in the batch: the
 // stamp its message carries in arranged streams. Constructed batches carry
 // the answer precomputed; hand-assembled ones compute it per call.
 func (b *Batch[K, V]) MinTimes() []lattice.Time {
-	if b.minTimes != nil || len(b.Upds) == 0 {
+	if b.minTimes != nil || b.Empty() {
 		return b.minTimes
 	}
-	return computeMinTimes(b.Upds)
+	return b.computeMinTimes()
 }
 
 // CacheMinTimes precomputes the MinTimes cache on an externally assembled
 // batch (the WAL decoder calls it); BuildBatch and the merge builder populate
 // it inline.
 func (b *Batch[K, V]) CacheMinTimes() {
-	b.minTimes = computeMinTimes(b.Upds)
+	b.minTimes = b.computeMinTimes()
 }
 
 // SetMinTimes installs a MinTimes cache its caller computed: the block
@@ -232,27 +233,55 @@ func (b *Batch[K, V]) SetMinTimes(ts []lattice.Time) {
 	b.minTimes = ts
 }
 
-// computeMinTimes finds the minimal antichain of the update times. Depth-1
-// times are totally ordered, so the common case is a single min scan with one
-// small allocation instead of antichain insertion per update.
-func computeMinTimes(upds []TimeDiff) []lattice.Time {
-	if len(upds) == 0 {
+// computeMinTimes finds the minimal antichain of the update times. A
+// one-time batch answers at once; depth-1 times are totally ordered, so the
+// common multi-time case is a single min scan with one small allocation
+// instead of antichain insertion per update.
+func (b *Batch[K, V]) computeMinTimes() []lattice.Time {
+	if b.Empty() {
 		return nil
 	}
-	if upds[0].Time.Depth() == 1 {
-		min := upds[0].Time
-		for _, u := range upds[1:] {
-			if u.Time.TotalLess(min) {
-				min = u.Time
+	if len(b.Times) == 0 {
+		return []lattice.Time{b.Time}
+	}
+	if b.Times[0].Depth() == 1 {
+		min := b.Times[0]
+		for _, t := range b.Times[1:] {
+			if t.TotalLess(min) {
+				min = t
 			}
 		}
 		return []lattice.Time{min}
 	}
 	var f lattice.Frontier
-	for _, u := range upds {
-		f.Insert(u.Time)
+	for _, t := range b.Times {
+		f.Insert(t)
 	}
 	return f.Elements()
+}
+
+// AppendUpd appends one update to the history columns, keeping the one-time
+// form while every time is equal: the first time is stored once, and Times
+// is made — backfilled with that time, at Diffs' capacity, in the storage
+// an emptied Times still holds — only when a second distinct time arrives.
+// A constructor that sizes Diffs' capacity to its update count so makes at
+// most one time-column allocation, and a builder that empties its columns
+// to reuse them (a streaming merge's flush) makes none after the first.
+func (b *Batch[K, V]) AppendUpd(t lattice.Time, d Diff) {
+	switch {
+	case len(b.Times) > 0:
+		b.Times = append(b.Times, t)
+	case len(b.Diffs) == 0:
+		b.Time = t
+	case t != b.Time:
+		b.Times = slices.Grow(b.Times[:0], cap(b.Diffs))[:len(b.Diffs)]
+		for i := range b.Times {
+			b.Times[i] = b.Time
+		}
+		b.Times = append(b.Times, t)
+		b.Time = lattice.Time{}
+	}
+	b.Diffs = append(b.Diffs, d)
 }
 
 // SortUpdates sorts updates by (key, val, time-total-order) and coalesces
@@ -346,7 +375,7 @@ func BuildBatch[K, V any](fn Funcs[K, V], upds []Update[K, V],
 		KeyOff: make([]int32, 1, nk+1),
 		Vals:   fn.newStore(nv),
 		ValOff: make([]int32, 1, nv+1),
-		Upds:   make([]TimeDiff, 0, len(upds)),
+		Diffs:  make([]Diff, 0, len(upds)),
 	}
 	// Times compacted toward a non-minimal since may legitimately land at or
 	// beyond upper, so the upper containment check only applies to
@@ -370,10 +399,10 @@ func BuildBatch[K, V any](fn Funcs[K, V], upds []Update[K, V],
 			b.ValOff = append(b.ValOff, b.ValOff[len(b.ValOff)-1])
 			b.KeyOff[len(b.KeyOff)-1]++
 		}
-		b.Upds = append(b.Upds, TimeDiff{u.Time, u.Diff})
+		b.AppendUpd(u.Time, u.Diff)
 		b.ValOff[len(b.ValOff)-1]++
 	}
-	b.minTimes = computeMinTimes(b.Upds)
+	b.minTimes = b.computeMinTimes()
 	return b
 }
 
@@ -414,7 +443,7 @@ func newTupleCursor[K, V any](b *Batch[K, V]) tupleCursor[K, V] {
 	return c
 }
 
-func (c *tupleCursor[K, V]) valid() bool { return c.ui < len(c.b.Upds) }
+func (c *tupleCursor[K, V]) valid() bool { return c.ui < len(c.b.Diffs) }
 
 func (c *tupleCursor[K, V]) next() {
 	c.ui++

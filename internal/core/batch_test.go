@@ -60,8 +60,8 @@ func TestBuildBatchCoalesces(t *testing.T) {
 	if b.Len() != 1 || b.NumKeys() != 1 || b.Keys[0] != 2 {
 		t.Fatalf("coalescing failed: len=%d keys=%v", b.Len(), b.Keys)
 	}
-	if b.Upds[0].Diff != 2 {
-		t.Fatalf("diff = %d", b.Upds[0].Diff)
+	if b.Diffs[0] != 2 {
+		t.Fatalf("diff = %d", b.Diffs[0])
 	}
 }
 
@@ -159,16 +159,18 @@ func randAntichain(r *rand.Rand, depth int, lo, hi uint64) lattice.Frontier {
 }
 
 // TestAsOfViewMatchesCompact: every as-of view presents each update at
-// rep_AsOf of its stored time, whether or not viewAsOf found that the view
-// presents one time and skips the per-update advance. Random runs cover
-// depth-1 and depth-2 times, multi-element frontiers, runs compacted to a
-// since past their upper, and as-of times below the upper or the since, so
-// both the one-time path and every case that must stay off it are reached.
+// rep_AsOf of its stored time, whether viewAsOf made it one-time — a
+// one-time run's view at the advance of its time, or a multi-time run's
+// view proved from its bounds — or advances each stored time as it reads.
+// Random runs cover depth-1 and depth-2 times, multi-element frontiers,
+// runs compacted to a since past their upper, and as-of times below the
+// upper or the since, so both one-time paths and every case that must stay
+// off the proved one are reached.
 func TestAsOfViewMatchesCompact(t *testing.T) {
 	fn := U64()
 	r := rand.New(rand.NewSource(11))
 	const bound = 8
-	oneTime, sinceAhead := 0, 0
+	proved, shared, ahead := 0, 0, 0
 	for iter := 0; iter < 4000; iter++ {
 		depth := 1 + r.Intn(2)
 		upper := randAntichain(r, depth, 1, bound)
@@ -193,30 +195,36 @@ func TestAsOfViewMatchesCompact(t *testing.T) {
 		asOf := randAntichain(r, depth, 0, bound+2)
 		view := b.viewAsOf(asOf)
 		a := asOf.Elements()[0]
-		if view.oneTime {
-			oneTime++
-		} else if depth == 1 && upper.LessEqual(a) && !since.LessEqual(a) && !b.Empty() {
-			sinceAhead++
+		switch {
+		case len(b.Times) > 0 && len(view.Times) == 0:
+			proved++
+		case len(b.Times) > 0:
+			shared++
+			if &view.Times[0] != &b.Times[0] {
+				t.Fatalf("a view as of %v copies its run's time column", asOf)
+			}
+		case !b.Empty() && view.Time != a:
+			ahead++
 		}
 
 		want := make([]lattice.Time, b.Len())
 		var wantMins lattice.Frontier
-		for ui, u := range b.Upds {
-			want[ui], _ = lattice.Compact(u.Time, asOf)
+		for ui := range b.Diffs {
+			want[ui], _ = lattice.Compact(b.UpdTime(ui), asOf)
 			wantMins.Insert(want[ui])
 		}
 		desc := func() string {
-			return fmt.Sprintf("run [%v, %v) since %v, times %v, as of %v", b.Lower, b.Upper, b.Since, b.Upds, asOf)
+			return fmt.Sprintf("run [%v, %v) since %v, times %v (one time %v), as of %v", b.Lower, b.Upper, b.Since, b.Times, b.Time, asOf)
 		}
-		for ui := range b.Upds {
+		for ui := range b.Diffs {
 			if got := view.UpdTime(ui); got != want[ui] {
 				t.Fatalf("%s: UpdTime(%d) = %v, want %v", desc(), ui, got, want[ui])
 			}
 		}
 		ui := 0
 		view.ForEach(func(_, _ uint64, tm lattice.Time, d Diff) {
-			if tm != want[ui] || d != b.Upds[ui].Diff {
-				t.Fatalf("%s: ForEach update %d at %v (diff %d), want %v (diff %d)", desc(), ui, tm, d, want[ui], b.Upds[ui].Diff)
+			if tm != want[ui] || d != b.Diffs[ui] {
+				t.Fatalf("%s: ForEach update %d at %v (diff %d), want %v (diff %d)", desc(), ui, tm, d, want[ui], b.Diffs[ui])
 			}
 			ui++
 		})
@@ -233,11 +241,27 @@ func TestAsOfViewMatchesCompact(t *testing.T) {
 			t.Fatalf("%s: MinTimes %v, want %v", desc(), got, wantMins)
 		}
 	}
-	// The draw must reach both the one-time path and views kept off it only
-	// by s ≤ a.
-	t.Logf("%d one-time views, %d kept off only by their since", oneTime, sinceAhead)
-	if oneTime < 100 || sinceAhead < 100 {
-		t.Fatalf("%d one-time views and %d kept off only by their since; the draw is too narrow", oneTime, sinceAhead)
+	// The draw must reach the proved path, multi-time views that share
+	// their run's time column, and one-time runs whose view presents a
+	// time past the as-of element.
+	t.Logf("%d proved one-time views, %d sharing views, %d one-time runs presented past a", proved, shared, ahead)
+	if proved < 100 || shared < 100 || ahead < 100 {
+		t.Fatal("the draw is too narrow")
+	}
+
+	// The since guard. At depth 1 a valid run compacted to a since past a
+	// is itself one-time, so the draw never reaches it: a run whose upper
+	// is ≤ a but whose since is past a is assembled by hand, and its view
+	// as of {a} must keep presenting its own times.
+	asOf, upper, since := lattice.NewFrontier(lattice.Ts(4)), lattice.NewFrontier(lattice.Ts(3)), lattice.NewFrontier(lattice.Ts(5))
+	if oneTimeAsOf(asOf, upper, since) {
+		t.Fatal("oneTimeAsOf proves a run compacted past the as-of element one-time")
+	}
+	b := BuildBatch(fn, []Update[uint64, uint64]{u64upd(1, 1, lattice.Ts(5), 1), u64upd(1, 2, lattice.Ts(6), 1)},
+		lattice.MinFrontier(1), upper, since)
+	view := b.viewAsOf(asOf)
+	if len(view.Times) == 0 || view.UpdTime(0) != lattice.Ts(5) || view.UpdTime(1) != lattice.Ts(6) {
+		t.Fatalf("a run at times 5 and 6 compacted to {5} reads as of {4} at %v and %v", view.UpdTime(0), view.UpdTime(1))
 	}
 }
 
@@ -263,8 +287,8 @@ func TestTupleCursorRoundTrip(t *testing.T) {
 		got = append(got, Update[uint64, uint64]{
 			Key:  b.Keys[c.ki],
 			Val:  b.Vals.At(c.vi),
-			Time: b.Upds[c.ui].Time,
-			Diff: b.Upds[c.ui].Diff,
+			Time: b.UpdTime(c.ui),
+			Diff: b.Diffs[c.ui],
 		})
 		c.next()
 	}

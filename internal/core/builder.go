@@ -64,7 +64,7 @@ func newBatchBuilder[K, V any](fn Funcs[K, V], lower, upper, since lattice.Front
 	}
 	b.Vals = fn.newStore(capHint)
 	if capHint > 0 {
-		b.Upds = make([]TimeDiff, 0, capHint)
+		b.Diffs = make([]Diff, 0, capHint)
 	}
 	bl.b = b
 	return bl
@@ -110,7 +110,7 @@ func (bl *batchBuilder[K, V]) closeVal() {
 		bl.unsorted = false
 	}
 	b := bl.b
-	before := len(b.Upds)
+	before := len(b.Diffs)
 	for i := 0; i < len(bl.tds); {
 		j := i + 1
 		acc := bl.tds[i].Diff
@@ -119,16 +119,16 @@ func (bl *batchBuilder[K, V]) closeVal() {
 			j++
 		}
 		if acc != 0 {
-			b.Upds = append(b.Upds, TimeDiff{bl.tds[i].Time, acc})
+			b.AppendUpd(bl.tds[i].Time, acc)
 		}
 		i = j
 	}
 	bl.tds = bl.tds[:0]
-	if len(b.Upds) == before {
+	if len(b.Diffs) == before {
 		return // the history cancelled entirely: the value never copies
 	}
 	b.Vals.AppendRange(bl.srcVals, bl.srcVi, bl.srcVi+1)
-	b.ValOff = append(b.ValOff, int32(len(b.Upds)))
+	b.ValOff = append(b.ValOff, int32(len(b.Diffs)))
 	bl.keyVals++
 }
 
@@ -146,7 +146,7 @@ func (bl *batchBuilder[K, V]) closeKey() {
 	}
 	b.KeyOff = append(b.KeyOff, int32(b.Vals.Len()))
 	bl.keyVals = 0
-	if bl.out != nil && len(b.Upds) >= bl.flushAt {
+	if bl.out != nil && len(b.Diffs) >= bl.flushAt {
 		bl.flush()
 	}
 }
@@ -165,7 +165,9 @@ func (bl *batchBuilder[K, V]) flush() {
 	b.KeyOff = b.KeyOff[:1]
 	b.Vals.Reset()
 	b.ValOff = b.ValOff[:1]
-	b.Upds = b.Upds[:0]
+	b.Diffs = b.Diffs[:0]
+	b.Times = b.Times[:0]
+	b.Time = lattice.Time{}
 	b.minTimes = nil
 }
 
@@ -177,7 +179,7 @@ func (bl *batchBuilder[K, V]) flush() {
 // an uncompacted output checks every time against its upper.
 func (bl *batchBuilder[K, V]) check() {
 	b := bl.b
-	b.minTimes = computeMinTimes(b.Upds)
+	b.minTimes = b.computeMinTimes()
 	if !bl.lower.Empty() {
 		for _, t := range b.minTimes {
 			if !bl.lower.LessEqual(t) {
@@ -186,9 +188,9 @@ func (bl *batchBuilder[K, V]) check() {
 		}
 	}
 	if sinceIsMinimal(bl.since) {
-		for _, u := range b.Upds {
-			if bl.upper.LessEqual(u.Time) {
-				panic(fmt.Sprintf("core: merged update time %v in advance of batch upper %v", u.Time, bl.upper))
+		for ui := range b.Diffs {
+			if t := b.UpdTime(ui); bl.upper.LessEqual(t) {
+				panic(fmt.Sprintf("core: merged update time %v in advance of batch upper %v", t, bl.upper))
 			}
 		}
 	}

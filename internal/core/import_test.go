@@ -106,7 +106,7 @@ func TestImportSharesColumns(t *testing.T) {
 					t.Fatalf("snapshot import stamped run %d in place", i)
 				}
 				if &v.Keys[0] != &run.Keys[0] || &v.Vals.rows[0] != &run.Vals.rows[0] ||
-					&v.Upds[0] != &run.Upds[0] || &v.KeyOff[0] != &run.KeyOff[0] || &v.ValOff[0] != &run.ValOff[0] {
+					&v.Diffs[0] != &run.Diffs[0] || &v.KeyOff[0] != &run.KeyOff[0] || &v.ValOff[0] != &run.ValOff[0] {
 					t.Errorf("view %d does not alias its run's columns", i)
 				}
 				if !v.Lower.Equal(run.Lower) || !v.Upper.Equal(run.Upper) {
@@ -115,8 +115,8 @@ func TestImportSharesColumns(t *testing.T) {
 				if !v.AsOf.Equal(asOf) {
 					t.Errorf("view %d is as of %v, want the compaction frontier %v", i, v.AsOf, asOf)
 				}
-				for ui := range v.Upds {
-					want, _ := lattice.Compact(run.Upds[ui].Time, asOf)
+				for ui := range v.Diffs {
+					want, _ := lattice.Compact(run.UpdTime(ui), asOf)
 					if v.UpdTime(ui) != want {
 						t.Errorf("view %d update %d reads at %v, want %v", i, ui, v.UpdTime(ui), want)
 					}
@@ -147,9 +147,9 @@ func TestImportReleasesHistory(t *testing.T) {
 			emitted := 0
 			importInto(w, c.arr, ImportOptions{Snapshot: snapshot}, func(*Batch[uint64, uint64]) { emitted++ })
 			c.seal(3)
-			var retired []weak.Pointer[TimeDiff]
+			var retired []weak.Pointer[Diff]
 			for _, r := range c.arr.Agent.Runs() {
-				retired = append(retired, weak.Make(&r.(*Batch[uint64, uint64]).Upds[0]))
+				retired = append(retired, weak.Make(&r.(*Batch[uint64, uint64]).Diffs[0]))
 			}
 			if emitted != len(retired) {
 				t.Fatalf("import emitted %d batches, the trace holds %d runs", emitted, len(retired))

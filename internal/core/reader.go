@@ -53,7 +53,8 @@ func (b *Batch[K, V]) ApproxBytes() int64 {
 	var k K
 	n := int64(len(b.Keys)) * int64(unsafe.Sizeof(k))
 	n += int64(len(b.KeyOff)+len(b.ValOff)) * 4
-	n += int64(len(b.Upds)) * int64(unsafe.Sizeof(TimeDiff{}))
+	n += int64(len(b.Diffs))*int64(unsafe.Sizeof(Diff(0))) +
+		int64(len(b.Times))*int64(unsafe.Sizeof(lattice.Time{}))
 	if cols := b.Vals.Columns(); cols != nil {
 		n += int64(len(cols)) * int64(b.Vals.Len()) * 8
 	} else {
@@ -65,8 +66,8 @@ func (b *Batch[K, V]) ApproxBytes() int64 {
 
 // approxBytes is ApproxBytes for any run: exact for a resident batch and,
 // for a cold one, an upper bound from its resident counts (one value per
-// update), so a merge can tell whether its output fits the resident budget
-// without reading a block.
+// update, one time per update), so a merge can tell whether its output fits
+// the resident budget without reading a block.
 func approxBytes[K, V any](r BatchReader[K, V]) int64 {
 	if b, ok := r.(*Batch[K, V]); ok {
 		return b.ApproxBytes()

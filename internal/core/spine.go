@@ -218,10 +218,8 @@ func (s *Spine[K, V]) advanceMerge(idx, fuel int) int {
 			break
 		}
 		c := &m.cs[min]
-		td := c.b.Upds[c.ui]
-		if rep, ok := lattice.Compact(td.Time, m.since); ok {
-			td.Time = rep
-			m.bld.push(c.b, c.ki, c.vi, td)
+		if rep, ok := lattice.Compact(c.b.UpdTime(c.ui), m.since); ok {
+			m.bld.push(c.b, c.ki, c.vi, TimeDiff{rep, c.b.Diffs[c.ui]})
 		}
 		c.next()
 		if !c.valid() && m.next[min] >= 0 {
@@ -263,7 +261,7 @@ func (s *Spine[K, V]) cursorLess(a, b *tupleCursor[K, V]) bool {
 	if c := a.b.Vals.Cmp(s.fn.LessV, a.vi, &b.b.Vals, b.vi); c != 0 {
 		return c < 0
 	}
-	return a.b.Upds[a.ui].Time.TotalLess(b.b.Upds[b.ui].Time)
+	return a.b.UpdTime(a.ui).TotalLess(b.b.UpdTime(b.ui))
 }
 
 // considerMerges initiates merges of runs of adjacent completed batches
@@ -720,8 +718,8 @@ func (c *TraceCursor[K, V]) ForUpdates(k K, f func(v V, t lattice.Time, d Diff))
 		b := r.load()
 		for vi := b.KeyOff[r.pos]; vi < b.KeyOff[r.pos+1]; vi++ {
 			v := b.Vals.At(int(vi))
-			for _, u := range b.Upds[b.ValOff[vi]:b.ValOff[vi+1]] {
-				f(v, u.Time, u.Diff)
+			for ui := b.ValOff[vi]; ui < b.ValOff[vi+1]; ui++ {
+				f(v, b.UpdTime(int(ui)), b.Diffs[ui])
 			}
 		}
 	}
@@ -762,8 +760,8 @@ func (c *TraceCursor[K, V]) ForUpdatesOrderedView(k K,
 			return
 		}
 		r := &c.rngs[min]
-		for _, u := range r.b.Upds[r.b.ValOff[r.vi]:r.b.ValOff[r.vi+1]] {
-			f(&r.b.Vals, r.vi, u.Time, u.Diff)
+		for ui := r.b.ValOff[r.vi]; ui < r.b.ValOff[r.vi+1]; ui++ {
+			f(&r.b.Vals, r.vi, r.b.UpdTime(int(ui)), r.b.Diffs[ui])
 		}
 		r.vi++
 	}

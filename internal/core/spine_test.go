@@ -322,3 +322,51 @@ func TestHandleStartsAtCompactionFrontier(t *testing.T) {
 		t.Fatalf("a lagging request moved the frontier back to %v", s.logicalFrontier())
 	}
 }
+
+// BenchmarkSpineMergeResident appends a chain of 2 000 epochs of 450 u64/u64
+// updates each to a resident spine the way the arrange operator does: the
+// reader's logical frontier follows the epochs, and each append's fuel is
+// followed by one idle schedule's (maintenanceFuel × idleFuelFactor). Fresh
+// keys grow with the epoch, so merges interleave nothing; uniform keys fall
+// anywhere in a 2^20-key space. It reports merged tuples per second and the
+// final spine's ApproxBytes per update.
+func BenchmarkSpineMergeResident(b *testing.B) {
+	const epochs, perEpoch = 2000, 450
+	for _, shape := range []string{"fresh", "uniform"} {
+		b.Run(shape, func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			batches := make([]*Batch[uint64, uint64], epochs)
+			for e := range batches {
+				upds := make([]Update[uint64, uint64], perEpoch)
+				for i := range upds {
+					k := uint64(e*perEpoch + i)
+					if shape == "uniform" {
+						k = uint64(r.Intn(1 << 20))
+					}
+					upds[i] = Update[uint64, uint64]{Key: k, Val: r.Uint64(), Time: lattice.Ts(uint64(e)), Diff: 1}
+				}
+				batches[e] = BuildBatch(U64(), upds, lattice.NewFrontier(lattice.Ts(uint64(e))),
+					lattice.NewFrontier(lattice.Ts(uint64(e+1))), lattice.MinFrontier(1))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var s *Spine[uint64, uint64]
+			for i := 0; i < b.N; i++ {
+				s = NewSpine(U64(), MergeDefault)
+				h := s.NewHandle()
+				for _, bt := range batches {
+					h.SetLogical(bt.Upper)
+					s.Append(bt)
+					s.Work(maintenanceFuel * idleFuelFactor)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)*epochs*perEpoch/b.Elapsed().Seconds(), "tuples/s")
+			bytes := int64(0)
+			for _, r := range s.Runs() {
+				bytes += approxBytes(r)
+			}
+			b.ReportMetric(float64(bytes)/float64(s.UpdateCount()), "bytes/upd")
+		})
+	}
+}

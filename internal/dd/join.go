@@ -280,7 +280,7 @@ func matchBatch[K, VX, VY any](fnX core.Funcs[K, VX], fnY core.Funcs[K, VY],
 				ul, uh := bt.UpdRange(vi)
 				for ui := ul; ui < uh; ui++ {
 					tx := core.ShiftTime(bt.UpdTime(ui), shiftX)
-					dx := bt.Upds[ui].Diff
+					dx := bt.Diffs[ui]
 					for i := range scratch {
 						pair(k, vx, tx, dx, scratch[i].v, scratch[i].t, scratch[i].d)
 					}

@@ -41,10 +41,10 @@ func appendBatch[K, V any](dst []byte, kc Codec[K], vc Codec[V], b *core.Batch[K
 	for _, o := range b.ValOff {
 		dst = AppendU32(dst, uint32(o))
 	}
-	dst = AppendU32(dst, uint32(len(b.Upds)))
-	for _, u := range b.Upds {
-		dst = AppendTime(dst, u.Time)
-		dst = AppendU64(dst, uint64(u.Diff))
+	dst = AppendU32(dst, uint32(len(b.Diffs)))
+	for ui, d := range b.Diffs {
+		dst = AppendTime(dst, b.UpdTime(ui))
+		dst = AppendU64(dst, uint64(d))
 	}
 	return dst
 }
@@ -100,7 +100,7 @@ func decodeBatch[K, V any](d *Dec, kc Codec[K], vc Codec[V]) (*core.Batch[K, V],
 	if nUpds*9 > d.Remaining() {
 		return nil, d.fail("update count %d exceeds record", nUpds)
 	}
-	b.Upds = make([]core.TimeDiff, 0, nUpds)
+	b.Diffs = make([]core.Diff, 0, nUpds)
 	for i := 0; i < nUpds; i++ {
 		t, terr := d.Time()
 		if terr != nil {
@@ -110,7 +110,7 @@ func decodeBatch[K, V any](d *Dec, kc Codec[K], vc Codec[V]) (*core.Batch[K, V],
 		if derr != nil {
 			return nil, derr
 		}
-		b.Upds = append(b.Upds, core.TimeDiff{Time: t, Diff: core.Diff(diff)})
+		b.AppendUpd(t, core.Diff(diff))
 	}
 	if err := validateBatch(b); err != nil {
 		return nil, err
@@ -158,7 +158,7 @@ func validateBatch[K, V any](b *core.Batch[K, V]) error {
 	if err := monotone(b.KeyOff, b.Vals.Len(), "keyoff"); err != nil {
 		return err
 	}
-	if err := monotone(b.ValOff, len(b.Upds), "valoff"); err != nil {
+	if err := monotone(b.ValOff, len(b.Diffs), "valoff"); err != nil {
 		return err
 	}
 	depth := b.Lower.Elements()[0].Depth()
@@ -169,9 +169,9 @@ func validateBatch[K, V any](b *core.Batch[K, V]) error {
 			}
 		}
 	}
-	for _, u := range b.Upds {
-		if u.Time.Depth() != depth {
-			return fmt.Errorf("update at depth %d in depth-%d batch", u.Time.Depth(), depth)
+	for ui := range b.Diffs {
+		if d := b.UpdTime(ui).Depth(); d != depth {
+			return fmt.Errorf("update at depth %d in depth-%d batch", d, depth)
 		}
 	}
 	return nil

@@ -85,7 +85,8 @@ func FuzzWALReplay(f *testing.F) {
 			// here means replay handed back wrong counts.
 			if len(b.KeyOff) != len(b.Keys)+1 || len(b.ValOff) != b.Vals.Len()+1 ||
 				int(b.KeyOff[len(b.KeyOff)-1]) != b.Vals.Len() ||
-				int(b.ValOff[len(b.ValOff)-1]) != len(b.Upds) {
+				int(b.ValOff[len(b.ValOff)-1]) != len(b.Diffs) ||
+				len(b.Times) != 0 && len(b.Times) != len(b.Diffs) {
 				t.Fatalf("batch %d structurally inconsistent", i)
 			}
 			if i > 0 && !b.Lower.Equal(st.Batches[i-1].Upper) {
