@@ -78,9 +78,16 @@ func NewAgentForOperator[K, V any](fn Funcs[K, V], depth int) *TraceAgent[K, V] 
 	return agent
 }
 
-// Maintain inserts a sealed batch into the trace and feeds every same-worker
-// subscription.
-func (a *TraceAgent[K, V]) Maintain(b *Batch[K, V]) { a.maintain(b) }
+// Seal builds the batch of upds covering [Upper, upper), maintains the trace
+// with it and returns it. Its Since is the trace's compaction frontier, the
+// meet of every reader's handle: a merge joins its inputs' Since into its
+// own frontier, so a batch stamped ahead of any reader would let merges
+// collapse times that reader still tells apart.
+func (a *TraceAgent[K, V]) Seal(upds []Update[K, V], upper lattice.Frontier) *Batch[K, V] {
+	b := BuildBatch(a.Fn, upds, a.upper.Clone(), upper.Clone(), a.spine.compactionFrontier())
+	a.maintain(b)
+	return b
+}
 
 // maintain seals b into the arrangement. The primary handle moves to b's
 // upper before the append, so merges that append starts already consolidate
@@ -250,7 +257,7 @@ func Arrange[K, V any](s *timely.Stream[Update[K, V]], fn Funcs[K, V],
 	}
 
 	exch := func(u Update[K, V]) uint64 { return fn.HashK(u.Key) }
-	st := &arrangeState[K, V]{fn: fn, agent: agent}
+	st := &arrangeState[K, V]{agent: agent}
 	stream := timely.Unary[Update[K, V], *Batch[K, V]](s, name, exch, timely.SumID, nil,
 		func(ctx *timely.Ctx, in *timely.In[Update[K, V]], out *timely.Out[*Batch[K, V]]) {
 			st.schedule(ctx, in, out)
@@ -260,7 +267,6 @@ func Arrange[K, V any](s *timely.Stream[Update[K, V]], fn Funcs[K, V],
 
 // arrangeState is the per-shard state of one arrange operator.
 type arrangeState[K, V any] struct {
-	fn    Funcs[K, V]
 	agent *TraceAgent[K, V]
 	// pending holds the raw updates at times the input frontier has not yet
 	// passed, in arrival order: the LSM's memtable, sorted and consolidated
@@ -306,9 +312,7 @@ func (st *arrangeState[K, V]) seal(out *timely.Out[*Batch[K, V]], frontier latti
 			r++
 		}
 	}
-	since := st.agent.spine.compactionFrontier()
-	b := BuildBatch(st.fn, p[r:], st.agent.upper.Clone(), frontier.Clone(), since)
-	st.agent.maintain(b)
+	b := st.agent.Seal(p[r:], frontier)
 	out.SendSlice(b.MinTimes(), []*Batch[K, V]{b})
 
 	// The batch holds what was sealed: the buffer lets go of it, and keeps

@@ -22,38 +22,66 @@ const joinFuel = 1 << 16
 // side's trace a new batch is matched against (each pair of updates is
 // counted exactly once); matching uses alternating seeks between the batch
 // and trace cursors; trace handles are downgraded by the opposite input's
-// frontier and dropped when the opposite input closes.
+// frontier and dropped when the opposite input closes. Each input is one
+// joinSide, and every step is written once and applied to both.
 func JoinCore[K, V1, V2, K2, VO any](a *core.Arranged[K, V1], b *core.Arranged[K, V2],
 	name string, f func(K, V1, V2) (K2, VO)) Collection[K2, VO] {
 
-	st := &joinState[K, V1, V2, K2, VO]{
-		fnA: a.Agent.Fn, fnB: b.Agent.Fn,
-		shiftA: a.Shift, shiftB: b.Shift,
-		f: f,
-	}
-	st.hA = a.Agent.NewHandle()
-	st.hB = b.Agent.NewHandle()
-	depth := a.Stream.Depth()
-	if depth != b.Stream.Depth() {
+	if a.Stream.Depth() != b.Stream.Depth() {
 		panic("dd: JoinCore inputs at different depths")
 	}
-	st.ackA = lattice.MinFrontier(depth)
-	st.ackB = lattice.MinFrontier(depth)
-	st.hA.SetPhysical(core.ProjectFrontier(st.ackA, st.shiftA))
-	st.hB.SetPhysical(core.ProjectFrontier(st.ackB, st.shiftB))
-
+	sa, sb := newJoinSide(a), newJoinSide(b)
+	var held lattice.Frontier // scratch: the antichain of pending tasks' stamps
 	s := timely.Binary[*core.Batch[K, V1], *core.Batch[K, V2], core.Update[K2, VO]](
 		a.Stream, b.Stream, name, nil, nil,
 		func(ctx *timely.Ctx, inA *timely.In[*core.Batch[K, V1]],
 			inB *timely.In[*core.Batch[K, V2]], out *timely.Out[core.Update[K2, VO]]) {
-			st.schedule(ctx, inA, inB, out)
+
+			// Arrival order fixes each batch's view of the other trace: a's
+			// batches see b's trace as acknowledged before this schedule, b's
+			// see a's including a's batches just ingested, so every pair of
+			// updates is counted once, a self-join's included.
+			caps := out.Caps()
+			sa.ingest(inA, sb.ack, caps)
+			sb.ingest(inB, sa.ack, caps)
+
+			var outBuf []core.Update[K2, VO]
+			pair := func(k K, v1 V1, t1 lattice.Time, d1 core.Diff, v2 V2, t2 lattice.Time, d2 core.Diff) {
+				k2, vo := f(k, v1, v2)
+				outBuf = append(outBuf, core.Update[K2, VO]{Key: k2, Val: vo, Time: t1.Join(t2), Diff: d1 * d2})
+			}
+			fuel := drain(sa, sb, joinFuel, pair)
+			drain(sb, sa, fuel, func(k K, v2 V2, t2 lattice.Time, d2 core.Diff, v1 V1, t1 lattice.Time, d1 core.Diff) {
+				pair(k, v1, t1, d1, v2, t2, d2)
+			})
+
+			// Emit buffered output, justified by the finished tasks' stamps,
+			// and only then let those go: hold exactly the stamps of the
+			// tasks still pending.
+			if len(outBuf) > 0 {
+				var min lattice.Frontier
+				for _, u := range outBuf {
+					min.Insert(u.Time)
+				}
+				out.SendSlice(min.Elements(), outBuf)
+			}
+			held.Clear()
+			sa.holdStamps(&held)
+			sb.holdStamps(&held)
+			caps.Downgrade(held)
+			if len(sa.pend) > 0 || len(sb.pend) > 0 {
+				ctx.Activate()
+			}
+
+			follow(sa, sb, inB.Frontier())
+			follow(sb, sa, inA.Frontier())
 		})
 	return Collection[K2, VO]{S: s}
 }
 
 type joinTask[K, V any] struct {
 	batch *core.Batch[K, V]
-	snap  lattice.Frontier // opposite ack at arrival (stream domain)
+	snap  lattice.Frontier // the other side's ack at arrival (stream domain)
 	ki    int              // resume position (key index)
 	// Value-granular suspension: when fuel runs out inside a key with many
 	// values, resume records the first unpaired value; the next schedule
@@ -73,150 +101,89 @@ type traceUpd[V any] struct {
 	d core.Diff
 }
 
-type joinState[K, V1, V2, K2, VO any] struct {
-	fnA    core.Funcs[K, V1]
-	fnB    core.Funcs[K, V2]
-	hA     *core.Handle[K, V1]
-	hB     *core.Handle[K, V2]
-	shiftA int
-	shiftB int
-	ackA   lattice.Frontier
-	ackB   lattice.Frontier
-	pendA  []*joinTask[K, V1] // a-batches to match against b's trace
-	pendB  []*joinTask[K, V2]
-	// per-side scratch for the trace updates of the key under match
-	scratchA []traceUpd[V1]
-	scratchB []traceUpd[V2]
-	held     lattice.Frontier // scratch: the antichain of pending tasks' stamps
-	f        func(K, V1, V2) (K2, VO)
+// joinSide is one input of a join: its arrangement's functions and shift,
+// the join's handle on its trace, the frontier its batches have reached
+// (ack, in the stream domain), its batches still to match against the other
+// side's trace, and scratch for its own trace's updates of the key under
+// match.
+type joinSide[K, V any] struct {
+	fn      core.Funcs[K, V]
+	h       *core.Handle[K, V]
+	shift   int
+	ack     lattice.Frontier
+	pend    []*joinTask[K, V]
+	scratch []traceUpd[V]
 }
 
-func (st *joinState[K, V1, V2, K2, VO]) schedule(ctx *timely.Ctx,
-	inA *timely.In[*core.Batch[K, V1]], inB *timely.In[*core.Batch[K, V2]],
-	out *timely.Out[core.Update[K2, VO]]) {
+func newJoinSide[K, V any](a *core.Arranged[K, V]) *joinSide[K, V] {
+	s := &joinSide[K, V]{
+		fn: a.Agent.Fn, h: a.Agent.NewHandle(), shift: a.Shift,
+		ack: lattice.MinFrontier(a.Stream.Depth()),
+	}
+	s.h.SetPhysical(core.ProjectFrontier(s.ack, s.shift))
+	return s
+}
 
-	// Ingest: arrival order fixes each batch's view of the opposite trace.
-	caps := out.Caps()
-	inA.ForEach(func(stamp []lattice.Time, data []*core.Batch[K, V1]) {
+// ingest queues in's non-empty batches, each with a snapshot of the other
+// side's ack, holds their stamps in caps and advances s's ack.
+func (s *joinSide[K, V]) ingest(in *timely.In[*core.Batch[K, V]], other lattice.Frontier, caps *timely.CapSet) {
+	in.ForEach(func(stamp []lattice.Time, data []*core.Batch[K, V]) {
 		for _, bt := range data {
 			if !bt.Empty() {
-				task := &joinTask[K, V1]{batch: bt, snap: st.ackB.Clone(), stamp: slices.Clone(stamp)}
-				st.pendA = append(st.pendA, task)
+				s.pend = append(s.pend, &joinTask[K, V]{batch: bt, snap: other.Clone(), stamp: slices.Clone(stamp)})
 				caps.Insert(stamp...)
 			}
-			st.ackA = shiftFrontier(bt.Upper, st.shiftA)
+			s.ack = shiftFrontier(bt.Upper, s.shift)
 		}
 	})
-	inB.ForEach(func(stamp []lattice.Time, data []*core.Batch[K, V2]) {
-		for _, bt := range data {
-			if !bt.Empty() {
-				task := &joinTask[K, V2]{batch: bt, snap: st.ackA.Clone(), stamp: slices.Clone(stamp)}
-				st.pendB = append(st.pendB, task)
-				caps.Insert(stamp...)
-			}
-			st.ackB = shiftFrontier(bt.Upper, st.shiftB)
-		}
-	})
+}
 
-	// Fueled matching.
-	fuel := joinFuel
-	var outBuf []core.Update[K2, VO]
-	for len(st.pendA) > 0 && fuel > 0 {
-		task := st.pendA[0]
-		fuel, st.scratchB = matchBatch(st.fnA, st.fnB, task, st.hB, st.shiftA, st.shiftB,
-			fuel, st.scratchB,
-			func(k K, v1 V1, t lattice.Time, d core.Diff, v2 V2, t2 lattice.Time, d2 core.Diff) {
-				k2, vo := st.f(k, v1, v2)
-				outBuf = append(outBuf, core.Update[K2, VO]{
-					Key: k2, Val: vo, Time: t.Join(t2), Diff: d * d2,
-				})
-			})
+// holdStamps inserts the stamps of s's pending tasks into f.
+func (s *joinSide[K, V]) holdStamps(f *lattice.Frontier) {
+	for _, t := range s.pend {
+		for _, c := range t.stamp {
+			f.Insert(c)
+		}
+	}
+}
+
+// drain matches x's pending tasks, oldest first, against y's trace until
+// fuel runs out, and returns the fuel left.
+func drain[K, VX, VY any](x *joinSide[K, VX], y *joinSide[K, VY], fuel int,
+	pair func(k K, vx VX, tx lattice.Time, dx core.Diff, vy VY, ty lattice.Time, dy core.Diff)) int {
+
+	for len(x.pend) > 0 && fuel > 0 {
+		task := x.pend[0]
+		fuel, y.scratch = matchBatch(x.fn, y.fn, task, y.h, x.shift, y.shift, fuel, y.scratch, pair)
 		if task.ki < task.batch.NumKeys() {
 			break
 		}
-		st.pendA = st.pendA[1:]
+		x.pend[0] = nil
+		x.pend = x.pend[1:]
 	}
-	for len(st.pendB) > 0 && fuel > 0 {
-		task := st.pendB[0]
-		fuel, st.scratchA = matchBatch(st.fnB, st.fnA, task, st.hA, st.shiftB, st.shiftA,
-			fuel, st.scratchA,
-			func(k K, v2 V2, t lattice.Time, d core.Diff, v1 V1, t1 lattice.Time, d1 core.Diff) {
-				k2, vo := st.f(k, v1, v2)
-				outBuf = append(outBuf, core.Update[K2, VO]{
-					Key: k2, Val: vo, Time: t.Join(t1), Diff: d * d1,
-				})
-			})
-		if task.ki < task.batch.NumKeys() {
-			break
-		}
-		st.pendB = st.pendB[1:]
-	}
+	return fuel
+}
 
-	// Emit buffered output, justified by the finished tasks' stamps, and only
-	// then let those go: hold exactly the stamps of the tasks still pending.
-	if len(outBuf) > 0 {
-		var min lattice.Frontier
-		for _, u := range outBuf {
-			min.Insert(u.Time)
-		}
-		out.SendSlice(min.Elements(), outBuf)
+// follow maintains x's handle, which serves y's batches: y's input frontier
+// and pending stamps set its logical frontier, y's oldest pending snapshot
+// (x's ack when none is pending) its physical one, and it drops once y is
+// done.
+func follow[K, VX, VY any](x *joinSide[K, VX], y *joinSide[K, VY], yFrontier lattice.Frontier) {
+	if x.h.Dropped() {
+		return
 	}
-	st.held.Clear()
-	for _, t := range st.pendA {
-		for _, c := range t.stamp {
-			st.held.Insert(c)
-		}
+	if yFrontier.Empty() && len(y.pend) == 0 {
+		x.h.Drop()
+		return
 	}
-	for _, t := range st.pendB {
-		for _, c := range t.stamp {
-			st.held.Insert(c)
-		}
+	logical := yFrontier.Clone()
+	y.holdStamps(&logical)
+	phys := x.ack
+	if len(y.pend) > 0 {
+		phys = y.pend[0].snap
 	}
-	caps.Downgrade(st.held)
-	if len(st.pendA) > 0 || len(st.pendB) > 0 {
-		ctx.Activate()
-	}
-
-	// Trace handle maintenance: logical frontiers advance by the opposite
-	// input's frontier (and pending work); physical frontiers by the oldest
-	// pending snapshot; handles drop when the opposite input is done.
-	fA, fB := inA.Frontier(), inB.Frontier()
-	if !st.hA.Dropped() {
-		if fB.Empty() && len(st.pendB) == 0 {
-			st.hA.Drop()
-		} else {
-			logical := fB.Clone()
-			for _, t := range st.pendB {
-				for _, c := range t.stamp {
-					logical.Insert(c)
-				}
-			}
-			phys := st.ackA
-			if len(st.pendB) > 0 {
-				phys = st.pendB[0].snap // oldest pending snapshot is the cut
-			}
-			st.hA.SetLogical(core.ProjectFrontier(logical, st.shiftA))
-			st.hA.SetPhysical(core.ProjectFrontier(phys, st.shiftA))
-		}
-	}
-	if !st.hB.Dropped() {
-		if fA.Empty() && len(st.pendA) == 0 {
-			st.hB.Drop()
-		} else {
-			logical := fA.Clone()
-			for _, t := range st.pendA {
-				for _, c := range t.stamp {
-					logical.Insert(c)
-				}
-			}
-			phys := st.ackB
-			if len(st.pendA) > 0 {
-				phys = st.pendA[0].snap
-			}
-			st.hB.SetLogical(core.ProjectFrontier(logical, st.shiftB))
-			st.hB.SetPhysical(core.ProjectFrontier(phys, st.shiftB))
-		}
-	}
+	x.h.SetLogical(core.ProjectFrontier(logical, x.shift))
+	x.h.SetPhysical(core.ProjectFrontier(phys, x.shift))
 }
 
 func shiftFrontier(f lattice.Frontier, n int) lattice.Frontier {

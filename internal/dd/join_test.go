@@ -1,10 +1,12 @@
 package dd
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/lattice"
+	"repro/internal/timely"
 )
 
 // TestJoinValueGranularSuspension forces a single key whose join product
@@ -114,4 +116,74 @@ func TestJoinResumeAfterKeyVanishes(t *testing.T) {
 	if task.ki != bt.NumKeys() {
 		t.Fatalf("task not completed: ki=%d", task.ki)
 	}
+}
+
+// joinChurn is one side's script for BenchmarkJoinCore: per epoch, the
+// updates that side sends. Epoch 0 loads vals values under each of keys
+// keys; every later epoch retracts churn random live records and inserts as
+// many fresh ones, each under the retracted record's key.
+func joinChurn(r *rand.Rand, keys, vals, churn, epochs int) [][]core.Update[uint64, uint64] {
+	script := make([][]core.Update[uint64, uint64], epochs)
+	var live [][2]uint64
+	next := uint64(0)
+	for k := 0; k < keys; k++ {
+		for v := 0; v < vals; v++ {
+			live = append(live, [2]uint64{uint64(k), next})
+			script[0] = append(script[0], core.Update[uint64, uint64]{Key: uint64(k), Val: next, Diff: 1})
+			next++
+		}
+	}
+	for e := 1; e < epochs; e++ {
+		t := lattice.Ts(uint64(e))
+		for i := 0; i < churn; i++ {
+			j := r.Intn(len(live))
+			k := live[j][0]
+			script[e] = append(script[e],
+				core.Update[uint64, uint64]{Key: k, Val: live[j][1], Time: t, Diff: -1},
+				core.Update[uint64, uint64]{Key: k, Val: next, Time: t, Diff: 1})
+			live[j][1] = next
+			next++
+		}
+	}
+	return script
+}
+
+// BenchmarkJoinCore is a join of two u64/u64 arrangements on 1 worker: both
+// sides load 4 values under each of 2 000 keys, then 50 epochs each retract
+// and insert 400 records per side. It reports output pairs/s next to B/op
+// and allocs/op; every update a join emits is one pair.
+func BenchmarkJoinCore(b *testing.B) {
+	const keys, vals, churn, epochs = 2_000, 4, 400, 51
+	r := rand.New(rand.NewSource(1))
+	sa := joinChurn(r, keys, vals, churn, epochs)
+	sb := joinChurn(r, keys, vals, churn, epochs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	pairs := 0
+	for i := 0; i < b.N; i++ {
+		timely.Execute(1, func(w *timely.Worker) {
+			var ia, ib *InputCollection[uint64, uint64]
+			var probe *timely.Probe
+			w.Dataflow(func(g *timely.Graph) {
+				ca, a := NewInput[uint64, uint64](g)
+				cb, c := NewInput[uint64, uint64](g)
+				ia, ib = ca, cb
+				out := JoinCore(Arrange(a, core.U64(), "a"), Arrange(c, core.U64(), "b"), "join",
+					func(k, v1, v2 uint64) (uint64, uint64) { return v1, v2 })
+				Inspect(out, func(uint64, uint64, lattice.Time, core.Diff) { pairs++ })
+				probe = Probe(out)
+			})
+			for e := 0; e < epochs; e++ {
+				ia.SendSlice(sa[e])
+				ib.SendSlice(sb[e])
+				ia.AdvanceTo(uint64(e + 1))
+				ib.AdvanceTo(uint64(e + 1))
+				w.StepUntil(func() bool { return probe.Done(lattice.Ts(uint64(e))) })
+			}
+			ia.Close()
+			ib.Close()
+			w.Drain()
+		})
+	}
+	b.ReportMetric(float64(pairs)/b.Elapsed().Seconds(), "pairs/s")
 }

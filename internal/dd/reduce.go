@@ -201,9 +201,7 @@ func (st *reduceState[K, V, V2]) schedule(ctx *timely.Ctx,
 	emitted := len(st.emitted) > 0
 	if !frontier.Equal(st.outAgent.Upper()) && st.outAgent.Upper().Dominates(frontier) {
 		busy = true
-		b := core.BuildBatch(st.fnOut, st.emitted, st.outAgent.Upper().Clone(), frontier.Clone(),
-			st.hOut.Logical().Clone())
-		st.outAgent.Maintain(b)
+		b := st.outAgent.Seal(st.emitted, frontier)
 		out.SendSlice(b.MinTimes(), []*core.Batch[K, V2]{b})
 		caps.Downgrade(pending)
 	} else if emitted {

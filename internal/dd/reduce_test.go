@@ -212,3 +212,63 @@ func BenchmarkReduceWideKey(b *testing.B) {
 		in.Insert(0, n+e)
 	})
 }
+
+// TestReduceOutputSinceFollowsLaggingReader: a reduce's output trace may
+// compact only behind the meet of its readers. A join reads DistinctCore(X)
+// while its other input Y lags at epoch 0; X gains one record per epoch and
+// the reduce seals eight batches, idle steps giving its trace time to merge
+// them. When Y finally sends a record at epoch 0, the join must still see
+// each X record at its own epoch: e+1 pairs as of epoch e. A batch sealed
+// with the reduce's own handle as its Since let the merges advance every
+// time to 7, the reduce's own frontier, so each pair landed at epoch 7.
+// Plain Arrange(X) in the reduce's place is the control.
+func TestReduceOutputSinceFollowsLaggingReader(t *testing.T) {
+	const epochs = 8
+	for _, tc := range []struct {
+		name    string
+		reduced bool
+	}{{"Arrange", false}, {"DistinctCore", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cap := &Captured[uint64, uint64]{}
+			timely.Execute(1, func(w *timely.Worker) {
+				var inX, inY *InputCollection[uint64, uint64]
+				var xProbe, probe *timely.Probe
+				w.Dataflow(func(g *timely.Graph) {
+					ix, x := NewInput[uint64, uint64](g)
+					iy, y := NewInput[uint64, uint64](g)
+					inX, inY = ix, iy
+					ax := Arrange(x, core.U64(), "X")
+					if tc.reduced {
+						ax = DistinctCore(ax)
+					}
+					xProbe = timely.NewProbe(ax.Stream)
+					out := JoinCore(Arrange(y, core.U64(), "Y"), ax, "join",
+						func(k, vy, vx uint64) (uint64, uint64) { return vy, vx })
+					Capture(out, cap)
+					probe = Probe(out)
+				})
+				for e := uint64(0); e < epochs; e++ {
+					inX.Insert(1, 100+e)
+					inX.AdvanceTo(e + 1)
+					w.StepUntil(func() bool { return xProbe.Done(lattice.Ts(e)) })
+					for i := 0; i < 50; i++ {
+						w.Step()
+					}
+				}
+				inY.Insert(1, 7)
+				for e := uint64(0); e < epochs; e++ {
+					inY.AdvanceTo(e + 1)
+					w.StepUntil(func() bool { return probe.Done(lattice.Ts(e)) })
+				}
+				inX.Close()
+				inY.Close()
+				w.Drain()
+			})
+			for e := uint64(0); e < epochs; e++ {
+				if got := len(cap.At(lattice.Ts(e))); got != int(e)+1 {
+					t.Errorf("as of epoch %d the join holds %d pairs, want %d", e, got, e+1)
+				}
+			}
+		})
+	}
+}

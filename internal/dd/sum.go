@@ -254,9 +254,7 @@ func (st *sumState[K, V, A]) emit(upds []core.Update[K, V], frontier lattice.Fro
 	}
 
 	if len(st.rows) > 0 {
-		b := core.BuildBatch(st.fnRow, st.rows, st.agent.Upper().Clone(), frontier.Clone(),
-			st.hOut.Logical().Clone())
-		st.agent.Maintain(b)
+		st.agent.Seal(st.rows, frontier)
 	}
 	out.SendSlice([]lattice.Time{upds[0].Time}, st.outs)
 }

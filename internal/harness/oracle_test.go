@@ -128,16 +128,26 @@ func joinOracle(na, nb map[[2]uint64]core.Diff) map[[2]any]core.Diff {
 
 // checkJoinOracle is shared with FuzzJoinOracle: join two histories on key,
 // encoding the value pair, and compare per-epoch with the product oracle.
+// It also joins ha with itself through one arrangement (what plan.Build
+// makes of a Join of two identical sub-plans): both inputs then deliver each
+// batch in the same schedule, and only the arrival order keeps a pair of
+// same-batch updates from being counted twice.
 func checkJoinOracle(t *testing.T, workers int, ha, hb History) {
 	t.Helper()
+	pair := func(k, v1, v2 uint64) (uint64, uint64) { return k, v1*joinEnc + v2 }
 	got := CollectEpochs2(workers, ha, hb,
 		func(g *timely.Graph, a, b dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
-			return dd.Join(a, core.U64(), b, core.U64(), "join",
-				func(k, v1, v2 uint64) (uint64, uint64) { return k, v1*joinEnc + v2 })
+			return dd.Join(a, core.U64(), b, core.U64(), "join", pair)
+		})
+	self := CollectEpochs(workers, ha,
+		func(g *timely.Graph, c dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
+			a := dd.Arrange(c, core.U64(), "arrange")
+			return dd.JoinCore(a, a, "self-join", pair)
 		})
 	for e := 0; e < ha.Epochs; e++ {
-		want := joinOracle(NetAt(ha, uint64(e)), NetAt(hb, uint64(e)))
-		diffMaps(t, fmt.Sprintf("join/w%d", workers), e, got[e], want)
+		na := NetAt(ha, uint64(e))
+		diffMaps(t, fmt.Sprintf("join/w%d", workers), e, got[e], joinOracle(na, NetAt(hb, uint64(e))))
+		diffMaps(t, fmt.Sprintf("self-join/w%d", workers), e, self[e], joinOracle(na, na))
 	}
 }
 

@@ -28,8 +28,7 @@ type Frontend struct {
 	opt FrontendOptions // SubscriberMaxLag has its default applied
 
 	mu       sync.Mutex
-	sources  map[string]*server.Source[uint64, uint64]
-	batchers map[string]*server.Batcher[uint64, uint64]
+	batchers map[string]*server.Batcher[uint64, uint64] // by source name
 	queries  map[string]*netQuery
 	conns    map[net.Conn]struct{}
 	ln       net.Listener
@@ -105,7 +104,6 @@ func NewFrontendOpts(srv *server.Server, opt FrontendOptions) *Frontend {
 	return &Frontend{
 		srv:      srv,
 		opt:      opt,
-		sources:  make(map[string]*server.Source[uint64, uint64]),
 		batchers: make(map[string]*server.Batcher[uint64, uint64]),
 		queries:  make(map[string]*netQuery),
 		conns:    make(map[net.Conn]struct{}),
@@ -125,10 +123,9 @@ func (fe *Frontend) RegisterSource(src *server.Source[uint64, uint64]) error {
 	if fe.closed {
 		return ErrFrontendClosed
 	}
-	if _, dup := fe.sources[src.Name()]; dup {
+	if _, dup := fe.batchers[src.Name()]; dup {
 		return fmt.Errorf("net: source %q already registered", src.Name())
 	}
-	fe.sources[src.Name()] = src
 	fe.batchers[src.Name()] = server.NewBatcher(src, server.BatcherOptions{MaxLag: fe.opt.BatchMaxLag})
 	return nil
 }
@@ -153,9 +150,9 @@ func (fe *Frontend) InstallPlan(name, text string, root *plan.Node) error {
 		fe.mu.Unlock()
 		return ErrFrontendClosed
 	}
-	srcs := make(map[string]*server.Source[uint64, uint64], len(fe.sources))
-	for n, s := range fe.sources {
-		srcs[n] = s
+	srcs := make(map[string]*server.Source[uint64, uint64], len(fe.batchers))
+	for n, b := range fe.batchers {
+		srcs[n] = b.Source()
 	}
 	fe.mu.Unlock()
 	for _, s := range root.Sources() {

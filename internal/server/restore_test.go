@@ -160,9 +160,9 @@ func TestRestartVsOracle(t *testing.T) {
 
 				restored := NewOpts(workers, Options{DataDir: dir, Recover: true})
 				defer restored.Close()
-				if names, err := restored.Manifest(); err != nil ||
+				if names, err := wal.ListArrangements(dir); err != nil ||
 					!reflect.DeepEqual(names, []string{"edges"}) {
-					t.Fatalf("manifest = %v, %v", names, err)
+					t.Fatalf("logged arrangements = %v, %v", names, err)
 				}
 				src2, err := NewSourceOpts(restored, "edges", core.U64(), durableOpts())
 				if err != nil {

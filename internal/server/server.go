@@ -243,15 +243,6 @@ func (s *Server) Restore() (map[string]uint64, error) {
 	return out, nil
 }
 
-// Manifest lists the arrangements with logs under the server's data
-// directory — what a recovering driver is expected to re-register.
-func (s *Server) Manifest() ([]string, error) {
-	if s.opts.DataDir == "" {
-		return nil, nil
-	}
-	return wal.ListArrangements(s.opts.DataDir)
-}
-
 // sourcesByName snapshots the registry in deterministic order.
 func (s *Server) sourcesByName() []sourceHandle {
 	s.mu.Lock()
