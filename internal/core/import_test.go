@@ -147,9 +147,12 @@ func TestImportReleasesHistory(t *testing.T) {
 			emitted := 0
 			importInto(w, c.arr, ImportOptions{Snapshot: snapshot}, func(*Batch[uint64, uint64]) { emitted++ })
 			c.seal(3)
-			var retired []weak.Pointer[Diff]
+			// Weak pointers to the batches themselves: a pointer into a
+			// one-update Diffs array could share a tiny-allocator block
+			// with objects that are still alive.
+			var retired []weak.Pointer[Batch[uint64, uint64]]
 			for _, r := range c.arr.Agent.Runs() {
-				retired = append(retired, weak.Make(&r.(*Batch[uint64, uint64]).Diffs[0]))
+				retired = append(retired, weak.Make(r.(*Batch[uint64, uint64])))
 			}
 			if emitted != len(retired) {
 				t.Fatalf("import emitted %d batches, the trace holds %d runs", emitted, len(retired))

@@ -13,6 +13,11 @@ import (
 // are never monopolized by one join invocation (Principle 4).
 const joinFuel = 1 << 16
 
+// joinChunk bounds the updates of one output message. The runtime owns what
+// is sent, so a buffer cannot be reused; one grown by append to a schedule's
+// whole output would allocate several times what it sends.
+const joinChunk = 1024
+
 // JoinCore is the thin join shell over two arranged inputs sharing the same
 // key type. For every key it pairs values from both sides, emitting
 // f(k, v1, v2) at the join (least upper bound) of the two update times, with
@@ -45,8 +50,23 @@ func JoinCore[K, V1, V2, K2, VO any](a *core.Arranged[K, V1], b *core.Arranged[K
 			sa.ingest(inA, sb.ack, caps)
 			sb.ingest(inB, sa.ack, caps)
 
+			// Output goes out in chunks of at most joinChunk updates, each
+			// with its own minimal times, all before the downgrade below.
+			// The first chunk grows by append, so a schedule with little
+			// output allocates little; later ones are allocated whole.
 			var outBuf []core.Update[K2, VO]
+			send := func() {
+				var min lattice.Frontier
+				for _, u := range outBuf {
+					min.Insert(u.Time)
+				}
+				out.SendSlice(min.Elements(), outBuf)
+			}
 			pair := func(k K, v1 V1, t1 lattice.Time, d1 core.Diff, v2 V2, t2 lattice.Time, d2 core.Diff) {
+				if len(outBuf) == joinChunk {
+					send()
+					outBuf = make([]core.Update[K2, VO], 0, joinChunk)
+				}
 				k2, vo := f(k, v1, v2)
 				outBuf = append(outBuf, core.Update[K2, VO]{Key: k2, Val: vo, Time: t1.Join(t2), Diff: d1 * d2})
 			}
@@ -55,15 +75,11 @@ func JoinCore[K, V1, V2, K2, VO any](a *core.Arranged[K, V1], b *core.Arranged[K
 				pair(k, v1, t1, d1, v2, t2, d2)
 			})
 
-			// Emit buffered output, justified by the finished tasks' stamps,
+			// Emit the last chunk, justified by the finished tasks' stamps,
 			// and only then let those go: hold exactly the stamps of the
 			// tasks still pending.
 			if len(outBuf) > 0 {
-				var min lattice.Frontier
-				for _, u := range outBuf {
-					min.Insert(u.Time)
-				}
-				out.SendSlice(min.Elements(), outBuf)
+				send()
 			}
 			held.Clear()
 			sa.holdStamps(&held)

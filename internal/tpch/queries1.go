@@ -130,14 +130,19 @@ func Q3(c *Collections) dd.Collection[uint64, Vals] {
 		func(ok uint64, r int64, od [2]int64) (uint64, [3]int64) {
 			return ok, [3]int64{r, od[0], od[1]}
 		})
-	return dd.Reduce(rev, fnT3(), FnOut(), "q3-sum",
-		func(ok uint64, in []dd.ValDiff[[3]int64], out *[]dd.ValDiff[Vals]) {
-			var total int64
-			for _, e := range in {
-				total += e.Val[0] * e.Diff
-			}
-			*out = append(*out, dd.ValDiff[Vals]{Val: Vals{total, in[0].Val[1], in[0].Val[2], 0, 0, 0}, Diff: 1})
-		})
+	// The sum keeps revenue·d, orderdate·d, shippriority·d and the count d.
+	// Every record of an order joined the order's one row, so its date and
+	// priority sums are n times the order's, and dividing by the count n is
+	// exact.
+	sums := dd.Sum(rev, fnT3(), fnT4(), "q3-sum", func(acc *[4]int64, v [3]int64, d core.Diff) {
+		acc[0] += v[0] * d
+		acc[1] += v[1] * d
+		acc[2] += v[2] * d
+		acc[3] += d
+	})
+	return dd.Map(sums, func(ok uint64, a [4]int64) (uint64, Vals) {
+		return ok, Vals{a[0], a[1] / a[3], a[2] / a[3], 0, 0, 0}
+	})
 }
 
 // Q4: order-priority checking (orders in the quarter with a late lineitem).

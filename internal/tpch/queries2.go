@@ -65,61 +65,50 @@ func Q14(c *Collections) dd.Collection[uint64, Vals] {
 	})
 }
 
-// suppRevenue computes per-supplier revenue over the Q15 window.
-func suppRevenue(c *Collections) dd.Collection[uint64, Vals] {
+// suppRevenue computes per-supplier revenue over the Q15 window, one int64
+// per supplier.
+func suppRevenue(c *Collections) dd.Collection[uint64, int64] {
 	li := dd.Map(
 		dd.Filter(c.Items, func(_ uint64, l LineItem) bool {
 			return l.ShipDate >= q15Lo && l.ShipDate < q15Hi
 		}),
 		func(_ uint64, l LineItem) (uint64, int64) { return l.SuppKey, discPrice(l) })
-	return sumBy(li, func(sk uint64, rev int64) (uint64, Vals) {
-		return sk, Vals{rev, 0, 0, 0, 0, 0}
-	})
+	return dd.Sum(li, fnI64(), fnI64(), "q15-revenue",
+		func(acc *int64, rev int64, d core.Diff) { *acc += rev * d })
 }
 
-// Q15: top supplier (the revenue argmax). The flat implementation reduces
-// every supplier total under one key.
-func Q15(c *Collections) dd.Collection[uint64, Vals] {
-	revs := suppRevenue(c)
-	all := dd.Map(revs, func(sk uint64, v Vals) (uint64, [2]int64) {
-		return 0, [2]int64{v[0], -int64(sk)} // max revenue, tie -> least suppkey
-	})
-	top := dd.Reduce(all, fnT2(), fnT2(), "q15-max",
-		func(_ uint64, in []dd.ValDiff[[2]int64], out *[]dd.ValDiff[[2]int64]) {
-			best := in[0].Val
-			for _, e := range in {
-				if lessT2(best, e.Val) {
-					best = e.Val
-				}
-			}
-			*out = append(*out, dd.ValDiff[[2]int64]{Val: best, Diff: 1})
-		})
-	return dd.Map(top, func(_ uint64, v [2]int64) (uint64, Vals) {
-		return uint64(-v[1]), Vals{v[0], 0, 0, 0, 0, 0}
-	})
-}
+// q15Groups is the fan-in of Q15's first level: suppliers are grouped by
+// suppkey modulo q15Groups.
+const q15Groups = 64
 
-// Q15Hierarchical is the paper's hierarchical argmax (§6.1): a first
-// reduction within 64 coarse groups, then a final reduction over the group
-// winners, turning a global aggregation into a shallow tree that updates in
-// time logarithmic in the number of suppliers.
-func Q15Hierarchical(c *Collections) dd.Collection[uint64, Vals] {
-	revs := suppRevenue(c)
-	grouped := dd.Map(revs, func(sk uint64, v Vals) (uint64, [2]int64) {
-		return sk % 64, [2]int64{v[0], -int64(sk)}
-	})
-	argmax := func(_ uint64, in []dd.ValDiff[[2]int64], out *[]dd.ValDiff[[2]int64]) {
-		best := in[0].Val
-		for _, e := range in {
-			if lessT2(best, e.Val) {
-				best = e.Val
-			}
+// argmax keeps the greatest (revenue, −suppkey) of a group: the top revenue,
+// a tie going to the least supplier key.
+func argmax(_ uint64, in []dd.ValDiff[[2]int64], out *[]dd.ValDiff[[2]int64]) {
+	best := in[0].Val
+	for _, e := range in {
+		if lessT2(best, e.Val) {
+			best = e.Val
 		}
-		*out = append(*out, dd.ValDiff[[2]int64]{Val: best, Diff: 1})
 	}
-	level1 := dd.Reduce(grouped, fnT2(), fnT2(), "q15h-l1", argmax)
-	all := dd.Map(level1, func(_ uint64, v [2]int64) (uint64, [2]int64) { return 0, v })
-	top := dd.Reduce(all, fnT2(), fnT2(), "q15h-top", argmax)
+	*out = append(*out, dd.ValDiff[[2]int64]{Val: best, Diff: 1})
+}
+
+// Q15: top supplier (the revenue argmax), as the paper's hierarchical
+// aggregation (§6.1): a first reduction within q15Groups groups of
+// suppliers, then a top reduction over the group winners. An epoch re-reads
+// the groups whose suppliers changed and, when a winner moved, the winners,
+// not every supplier.
+func Q15(c *Collections) dd.Collection[uint64, Vals] { return q15(c, argmax) }
+
+// q15 is Q15 with the reducer both levels apply; tests pass one that counts
+// what it reads.
+func q15(c *Collections, reducer dd.Reducer[uint64, [2]int64, [2]int64]) dd.Collection[uint64, Vals] {
+	grouped := dd.Map(suppRevenue(c), func(sk uint64, rev int64) (uint64, [2]int64) {
+		return sk % q15Groups, [2]int64{rev, -int64(sk)}
+	})
+	winners := dd.Reduce(grouped, fnT2(), fnT2(), "q15-group", reducer)
+	all := dd.Map(winners, func(_ uint64, v [2]int64) (uint64, [2]int64) { return 0, v })
+	top := dd.Reduce(all, fnT2(), fnT2(), "q15-top", reducer)
 	return dd.Map(top, func(_ uint64, v [2]int64) (uint64, Vals) {
 		return uint64(-v[1]), Vals{v[0], 0, 0, 0, 0, 0}
 	})
