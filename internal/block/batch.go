@@ -33,8 +33,8 @@ func (b *blockBatch[K, V]) Bounds() (lower, upper, since lattice.Frontier) {
 	return b.lower, b.upper, b.since
 }
 
-func (b *blockBatch[K, V]) Len() int                 { return b.im.numUpds }
-func (b *blockBatch[K, V]) NumKeys() int             { return b.im.numKeys }
+func (b *blockBatch[K, V]) Len() int                 { return b.im.NumUpds }
+func (b *blockBatch[K, V]) NumKeys() int             { return b.im.NumKeys }
 func (b *blockBatch[K, V]) MinTimes() []lattice.Time { return b.im.minTimes }
 func (b *blockBatch[K, V]) Segments() int            { return len(b.im.blocks) }
 

@@ -670,7 +670,7 @@ func TestBlockSkipping(t *testing.T) {
 
 // TestMinTimesReload: a reloaded block batch must report the same MinTimes
 // antichain as the sealed batch it came from — both lazily (resident index)
-// and after unspilling (CacheMinTimes path).
+// and after unspilling (the antichain the decoder folds, SetMinTimes).
 func TestMinTimesReload(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	fn := fnTup(true)

@@ -130,7 +130,7 @@ func TestHostileCountsFailBeforeAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []uint32{3, maxElems} {
+	for _, n := range []uint32{3, wal.MaxBatchElems} {
 		img := hostileImage(n)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -28,7 +28,8 @@
 // loading anything. Within a block, uint64 keys are delta/varint encoded (other
 // keys are key-codec bytes), each value is one encoding of the store's
 // value codec whatever the arrangement's in-memory layout, and offset
-// arrays store per-group counts as varints. The index keeps a column-width
+// arrays store per-group counts as varints: the batch payload a WAL batch
+// record holds too. The index keeps a column-width
 // byte, which must be 0. Every frame is CRC32-C checked via the
 // wal framing helpers, and every count is bounded and cross-checked against
 // the index totals on decode, so arbitrary bytes yield either a valid batch
@@ -52,19 +53,26 @@
 //
 // # Decoding
 //
-// One kernel decodes every block in a single pass, writing keys, offsets,
-// values and updates straight into their destination columns: a fresh
-// block-local core.Batch — the one block decode, which the read cache calls
-// for cursors and Segment calls uncached for merges — or the whole run's
-// columns, at the block's global offsets, when Unspill materializes a run. Columns are allocated once at exact size
-// from the index counts. That is safe because opening a file rejects any
-// block claiming more updates than its frame length can hold at 10 bytes
-// each (a depth byte, one coordinate, one diff varint), so no allocation
-// exceeds a small multiple of the file. Times are read in place at the
-// file's depth without allocating, and the same pass folds them into the
-// run's minimal-time antichain, which must equal the index's stored
-// MinTimes. Values decode row-major; a columnar arrangement merges them
-// through ValStore.AppendRange's mixed-layout path. Decoding a run
+// A block's payload is the batch payload of package wal, the one encoding
+// of a sealed batch on disk: a WAL batch record holds a whole batch in it.
+// One kernel, wal.BatchCodec.DecodePayload, decodes every block and every
+// WAL batch record in a single pass, appending keys, offsets, values and
+// updates straight into their destination columns: a fresh block-local
+// core.Batch — the one block decode, which the read cache calls for
+// cursors and Segment calls uncached for merges — or the whole run's
+// columns, each block continuing the offsets of the one before, when
+// Unspill materializes a run. The block reader adds what only a file
+// knows: the order of codec-encoded keys (core.Funcs) and each block's
+// first and last key against its index entry. Columns are allocated once
+// at exact size from the index counts. That is safe because opening a
+// file rejects any block claiming more updates than its frame length can
+// hold at 10 bytes each (a depth byte, one coordinate, one diff varint;
+// wal.CheckCounts, which bounds a WAL record's counts the same way), so no
+// allocation exceeds a small multiple of the file. Times are read in place
+// at the file's depth without allocating, and the same pass folds them
+// into the run's minimal-time antichain, which must equal the index's
+// stored MinTimes. Values decode row-major; a columnar arrangement merges
+// them through ValStore.AppendRange's mixed-layout path. Decoding a run
 // allocates a fixed number of objects whatever its length.
 //
 // The Store wires the format to the spine: Spill writes a batch as a block

@@ -27,8 +27,6 @@ const (
 
 	// maxFrameLen bounds any single framed payload (matches the WAL).
 	maxFrameLen = 1 << 30
-	// maxElems bounds decoded element counts before cross-checks run.
-	maxElems = 1 << 27
 
 	// DefaultBlockUpdates is the target number of update triples per block:
 	// ≈ 5 KiB encoded for a u64/u64 run, what a cold point lookup decodes
@@ -63,30 +61,20 @@ func corrupt(off int64, format string, args ...any) error {
 	return &CorruptError{Offset: off, Reason: fmt.Sprintf(format, args...)}
 }
 
-// zig and zag are zigzag encoding for signed deltas over unsigned varints.
-func zig(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-func zag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// codecs bundles the per-type capabilities one store dispatches through.
+// codecs is a store's batch payload codec with its key order, which also
+// checks the order of codec-encoded keys and the index's key stats.
 type codecs[K, V any] struct {
-	fn      core.Funcs[K, V]
-	kc      wal.Codec[K] // nil iff u64Keys
-	vc      wal.Codec[V]
-	u64Keys bool
+	*wal.BatchCodec[K, V]
+	fn core.Funcs[K, V]
 }
 
 func newCodecs[K, V any](fn core.Funcs[K, V], kc wal.Codec[K], vc wal.Codec[V]) (*codecs[K, V], error) {
-	if vc == nil {
-		return nil, fmt.Errorf("block: value codec required")
+	bc, err := wal.NewBatchCodec(kc, vc)
+	if err != nil {
+		return nil, fmt.Errorf("block: %w", err)
 	}
-	c := &codecs[K, V]{fn: fn, kc: kc, vc: vc}
-	var zk K
-	if _, ok := any(zk).(uint64); ok {
-		c.u64Keys = true
-	} else if kc == nil {
-		return nil, fmt.Errorf("block: key codec required for non-uint64 keys")
-	}
-	return c, nil
+	bc.Less = fn.LessK
+	return &codecs[K, V]{bc, fn}, nil
 }
 
 // blockMeta is the resident per-block index entry: global bases (derived on
@@ -158,21 +146,7 @@ func (w *runWriter[K, V]) append(b *core.Batch[K, V]) error {
 		vHi := int(b.KeyOff[ki])
 		uHi := int(b.ValOff[vHi])
 
-		p := wal.OpenRecord(w.frame[:0], kindBlock)
-		p = encodeKeys(w.cfg, p, b.Keys[start:ki])
-		for i := start; i < ki; i++ {
-			p = wal.AppendUvarint(p, uint64(b.KeyOff[i+1]-b.KeyOff[i]))
-		}
-		for vi := vLo; vi < vHi; vi++ {
-			p = w.cfg.vc.Append(p, b.Vals.At(vi))
-		}
-		for vi := vLo; vi < vHi; vi++ {
-			p = wal.AppendUvarint(p, uint64(b.ValOff[vi+1]-b.ValOff[vi]))
-		}
-		for ui := uLo; ui < uHi; ui++ {
-			p = wal.AppendTime(p, b.UpdTime(ui))
-			p = wal.AppendUvarint(p, zig(b.Diffs[ui]))
-		}
+		p := w.cfg.AppendPayload(wal.OpenRecord(w.frame[:0], kindBlock), b, start, ki)
 		wal.SealRecord(p)
 		w.frame = p
 		if _, err := w.buf.Write(p); err != nil {
@@ -194,21 +168,16 @@ func (w *runWriter[K, V]) append(b *core.Batch[K, V]) error {
 	return nil
 }
 
-// finish writes the index — frontiers, totals, MinTimes, then the per-block
-// table — flushes the buffer, and then writes the header at offset 0, which
-// locates the index.
+// finish writes the index — its wal.Head (frontiers and totals), MinTimes,
+// then the per-block table — flushes the buffer, and then writes the
+// header at offset 0, which locates the index.
 func (w *runWriter[K, V]) finish(lower, upper, since lattice.Frontier) error {
 	flags := uint16(0)
-	if w.cfg.u64Keys {
+	if w.cfg.U64Keys {
 		flags |= flagU64Keys
 	}
 	p := wal.OpenRecord(w.frame[:0], kindIndex)
-	p = wal.AppendFrontier(p, lower)
-	p = wal.AppendFrontier(p, upper)
-	p = wal.AppendFrontier(p, since)
-	p = wal.AppendU32(p, uint32(w.numKeys))
-	p = wal.AppendU32(p, uint32(w.numVals))
-	p = wal.AppendU32(p, uint32(w.numUpds))
+	p = wal.AppendHead(p, lower, upper, since, w.numKeys, w.numVals, w.numUpds)
 	p = append(p, 0) // column width: values are codec bytes, never word columns
 	mins := w.mins.Elements()
 	p = wal.AppendU32(p, uint32(len(mins)))
@@ -246,31 +215,8 @@ func (w *runWriter[K, V]) finish(lower, upper, since lattice.Frontier) error {
 }
 
 func appendKey[K, V any](cfg *codecs[K, V], dst []byte, k K) []byte {
-	if cfg.u64Keys {
+	if cfg.U64Keys {
 		return wal.AppendU64(dst, any(k).(uint64))
 	}
-	return cfg.kc.Append(dst, k)
-}
-
-// encodeKeys writes a block's key run: delta varints for uint64 keys
-// (strictly increasing, so deltas after the first are ≥ 1), codec bytes
-// otherwise.
-func encodeKeys[K, V any](cfg *codecs[K, V], dst []byte, keys []K) []byte {
-	if cfg.u64Keys {
-		prev := uint64(0)
-		for i, k := range keys {
-			u := any(k).(uint64)
-			if i == 0 {
-				dst = wal.AppendUvarint(dst, u)
-			} else {
-				dst = wal.AppendUvarint(dst, u-prev)
-			}
-			prev = u
-		}
-		return dst
-	}
-	for _, k := range keys {
-		dst = cfg.kc.Append(dst, k)
-	}
-	return dst
+	return cfg.KC.Append(dst, k)
 }

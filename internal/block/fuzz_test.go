@@ -188,7 +188,7 @@ func FuzzBlockDecode(f *testing.F) {
 	f.Add([]byte("KPGB"))
 	// Indexes whose block claims more updates than its frame can hold.
 	f.Add(hostileImage(3))
-	f.Add(hostileImage(maxElems))
+	f.Add(hostileImage(wal.MaxBatchElems))
 	// A valid file but for a nonzero column width.
 	f.Add(withColWidth(valid, b.Lower, b.Upper, b.Since, 4))
 	f.Add(wideLoopImage(f, cfg))

@@ -41,18 +41,18 @@ func checkDecodedForm(t *testing.T, what string, b *core.Batch[uint64, uint64], 
 }
 
 // randFormRuns draws a chain of u64/u64 runs, run i over epochs [2i, 2i+2):
-// depth-1 or depth-2 times, with or without retractions, with one time per
+// times at depth 1, 2 or 3, with or without retractions, with one time per
 // run or several.
 func randFormRuns(r *rand.Rand) (depth int, runs [][]u64upd) {
-	depth = 1 + r.Intn(2)
+	depth = 1 + r.Intn(3)
 	oneTime, retract := r.Intn(2) == 0, r.Intn(2) == 0
 	for i := 1 + r.Intn(4); i > 0; i-- {
 		e := 2 * uint64(len(runs))
 		var upds []u64upd
 		for n := 1 + r.Intn(60); n > 0; n-- {
-			tm := []uint64{e + uint64(r.Intn(2)), uint64(r.Intn(3))}[:depth]
+			tm := []uint64{e + uint64(r.Intn(2)), uint64(r.Intn(3)), uint64(r.Intn(2))}[:depth]
 			if oneTime {
-				tm = []uint64{e, 0}[:depth]
+				tm = []uint64{e, 0, 0}[:depth]
 			}
 			d := int64(1 + r.Intn(2))
 			if retract && r.Intn(3) == 0 {
@@ -67,7 +67,7 @@ func randFormRuns(r *rand.Rand) (depth int, runs [][]u64upd) {
 
 // depthFrontier returns {(e, 0, ...)} at depth.
 func depthFrontier(depth int, e uint64) lattice.Frontier {
-	return lattice.NewFrontier(lattice.Ts([]uint64{e, 0}[:depth]...))
+	return lattice.NewFrontier(lattice.Ts([]uint64{e, 0, 0}[:depth]...))
 }
 
 // explicitForm is runs' updates with every time advanced to since,
@@ -117,7 +117,10 @@ func checkColdForm(t *testing.T, what string, st *Store[uint64, uint64], r core.
 // form of their updates and store one time exactly when they present one.
 // Eight-update blocks split runs, so a block of a run with several times
 // can hold one time, and a whole run's time column is made on the block
-// where a second time first appears.
+// where a second time first appears. Each run is also logged to a shard
+// log: the batch payload is one encoding, so the replayed batch, the
+// unspilled run and the original are one batch, down to the Times column a
+// one-time batch leaves empty.
 func TestOneTimeFormDecoded(t *testing.T) {
 	r := rand.New(rand.NewSource(49))
 	fn := core.U64()
@@ -128,8 +131,14 @@ func TestOneTimeFormDecoded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		logDir := t.TempDir()
+		lg, _, err := wal.OpenShard[uint64, uint64](logDir, wal.U64Codec(), wal.U64Codec(), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		desc := fmt.Sprintf("iter %d (depth %d)", iter, depth)
 		min := lattice.MinFrontier(depth)
+		var logged, unspilled []*core.Batch[uint64, uint64]
 		for i, run := range runs {
 			upds := append([]u64upd(nil), run...)
 			b := core.BuildBatch(fn, upds, depthFrontier(depth, 2*uint64(i)), depthFrontier(depth, 2*uint64(i)+2), min)
@@ -138,11 +147,38 @@ func TestOneTimeFormDecoded(t *testing.T) {
 			} else {
 				several++
 			}
+			if err := lg.AppendBatch(b); err != nil {
+				t.Fatal(err)
+			}
 			cold, err := st.Spill(b)
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkColdForm(t, fmt.Sprintf("%s run %d", desc, i), st, cold, explicitForm(min, run))
+			u, err := st.Unspill(cold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logged, unspilled = append(logged, b), append(unspilled, u)
+		}
+		if err := lg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		lg, replay, err := wal.OpenShard[uint64, uint64](logDir, wal.U64Codec(), wal.U64Codec(), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lg.Close()
+		if len(replay.Batches) != len(logged) {
+			t.Fatalf("%s: replayed %d of %d logged runs", desc, len(replay.Batches), len(logged))
+		}
+		for i, b := range logged {
+			if !reflect.DeepEqual(replay.Batches[i], b) {
+				t.Fatalf("%s run %d: replayed\n%+v\nlogged\n%+v", desc, i, replay.Batches[i], b)
+			}
+			if !reflect.DeepEqual(unspilled[i], b) {
+				t.Fatalf("%s run %d: unspilled\n%+v\nspilled\n%+v", desc, i, unspilled[i], b)
+			}
 		}
 
 		// A spine that spills everything: merges read cold inputs and stream

@@ -255,7 +255,7 @@ func (s *Store[K, V]) open(name string) (*blockBatch[K, V], error) {
 	}
 	return &blockBatch[K, V]{
 		st: s, name: name, src: src, im: im,
-		lower: im.lower, upper: im.upper, since: im.since,
+		lower: im.Lower, upper: im.Upper, since: im.Since,
 	}, nil
 }
 

@@ -48,7 +48,7 @@ type Batch[K, V any] struct {
 	Time   lattice.Time
 
 	// minTimes caches MinTimes, computed once at construction (builders and
-	// decoders stream the times anyway; SetMinTimes, CacheMinTimes). Nil for
+	// decoders stream the times anyway; SetMinTimes). Nil for
 	// hand-assembled batches, which fall back to computing per call.
 	minTimes []lattice.Time
 }
@@ -217,18 +217,11 @@ func (b *Batch[K, V]) MinTimes() []lattice.Time {
 	return b.computeMinTimes()
 }
 
-// CacheMinTimes precomputes the MinTimes cache on an externally assembled
-// batch (the WAL decoder calls it); BuildBatch and the merge builder populate
-// it inline.
-func (b *Batch[K, V]) CacheMinTimes() {
-	b.minTimes = b.computeMinTimes()
-}
-
-// SetMinTimes installs a MinTimes cache its caller computed: the block
-// decoder folds every time into the antichain as it decodes it, and
-// cross-checks the result against the file's stored stats, so a second
-// walk over the updates would only repeat the work. ts must be exactly the
-// antichain of minimal update times.
+// SetMinTimes installs a MinTimes cache its caller computed: the batch
+// payload decoder folds every time into the antichain as it decodes it (a
+// block file's reader also cross-checks the result against the file's
+// stored stats), so a second walk over the updates would only repeat the
+// work. ts must be exactly the antichain of minimal update times.
 func (b *Batch[K, V]) SetMinTimes(ts []lattice.Time) {
 	b.minTimes = ts
 }

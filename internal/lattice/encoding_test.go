@@ -1,7 +1,9 @@
 package lattice_test
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -58,22 +60,24 @@ func updTimes(b *core.Batch[uint64, uint64]) []lattice.Time {
 
 // TestMaxTimesEncodeAsBefore round-trips every depth's times at their
 // maximum coordinates through a WAL batch record, a block file and a mesh
-// data frame. The encoded bytes must hash to what the encoders wrote when a
-// Time held its coordinates unpacked, one word each (the digests were taken
-// at commit a6f959d): the packed representation changed no file and no
-// frame.
+// data frame. The block file and the frame must hash to what the encoders
+// wrote when a Time held its coordinates unpacked, one word each (the
+// digests were taken at commit a6f959d): the packed representation changed
+// no file and no frame. The WAL batch record has since become a head
+// followed by the block payload, so its digests were retaken then, and it
+// must end in the block file's one block payload, byte for byte.
 func TestMaxTimesEncodeAsBefore(t *testing.T) {
 	want := map[string]string{
-		"wal/1":   "f2830c9d63430f39362347471272ab0259a260b3f1fdd8f8c9328fa38637557f",
+		"wal/1":   "f7f28ef292fa2714faa07b2f4795207ef5cb4f3817c242ad1946b4a5f2b839a8",
 		"block/1": "8c0cf194c32a9e489f8fa5083c7a71c5ab575cad453244d2e287103f0334ce04",
 		"mesh/1":  "1d3ce0b3ca394f7450a5eb06aa0fe6aaf6ba22137d7a396a8a25215b740e910d",
-		"wal/2":   "5cb3b5780eeec394060451b09754e975d3b3bf382f6e28068b55156d9887b3c3",
+		"wal/2":   "a0591ca4cf818fa4e9ea342c51b50a45e17a1728ab2e85dc4f53853c83011842",
 		"block/2": "1d463a38fd0ec8bba858d37148c380c9dc8eeaccb0e7d70ec9713e0803564308",
 		"mesh/2":  "3ac50a7d5d572c264c9182c9ad49cb1a724b26e12987e8cbfa64c2a6fdebab06",
-		"wal/3":   "de2bbfdd37d549e03a278c2bf63aa54ca8d2b164650d7e99af28e59a25fd69c2",
+		"wal/3":   "79cd47480a07a0db6e3cbf314fbd220943acbe8fc41c84677560c9bc729a6979",
 		"block/3": "1030eb179420207dfd083e6658d6cc2c6e6be4987aa2cf64139b81b55581ac11",
 		"mesh/3":  "306c74e8e885524966e5a1dc11edcbabd8628784314bcce27b415894afaf1a3d",
-		"wal/4":   "65172ccb105fac7d1552b49316e7a2bab8f67971a134cce4b54140d8c2920c79",
+		"wal/4":   "78e5a683ccd0994c6c00fa48cac56792094d2e51066ff9408f82bf3178c96727",
 		"block/4": "591a8b6591216b570a785a3ad6c755af3ea24fa14d88c4f85cf7f4eeabfe25b8",
 		"mesh/4":  "b96fb261e98668f8f9b99545210fa4ec1d9e8cc72f4b84ae32f68a38cb7c13a2",
 	}
@@ -108,7 +112,8 @@ func TestMaxTimesEncodeAsBefore(t *testing.T) {
 		if err := lg.Close(); err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("wal/%d", depth), onlyFile(t, dir))
+		record := onlyFile(t, dir)
+		check(fmt.Sprintf("wal/%d", depth), record)
 		lg, st, err := wal.OpenShard[uint64, uint64](dir, wal.U64Codec(), wal.U64Codec(), wal.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -127,7 +132,13 @@ func TestMaxTimesEncodeAsBefore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("block/%d", depth), onlyFile(t, bdir))
+		file := onlyFile(t, bdir)
+		check(fmt.Sprintf("block/%d", depth), file)
+		// The file's first frame follows its 32-byte header: length, CRC,
+		// the block kind byte, then the payload.
+		if n := binary.LittleEndian.Uint32(file[32:]); !bytes.HasSuffix(record, file[32+9:32+8+n]) {
+			t.Errorf("depth %d: the WAL record does not end in the block payload", depth)
+		}
 		got, err := store.Unspill(cold)
 		if err != nil {
 			t.Fatal(err)

@@ -173,33 +173,16 @@ func (fe *Frontend) InstallPlan(name, text string, root *plan.Node) error {
 		}
 		held = append(held, e)
 	}
-	resolve := fe.resolveSnapshot()
-
+	build, check := fe.planBuild(root, srcs)
 	h := newHub(fe.opt.SubscriberMaxLag)
-	berrs := make([]error, fe.srv.Workers())
 	q, err := fe.srv.Install(name, func(w *timely.Worker, g *timely.Graph) server.Built {
-		out, imports, err := buildInto(root, g, srcs, resolve)
-		if err != nil {
-			berrs[w.Index()] = err
-		}
+		out, teardown := build(w, g)
 		dd.Inspect(out, func(k, v uint64, t lattice.Time, d core.Diff) {
 			h.add(t.Epoch(), k, v, int64(d))
 		})
-		return server.Built{Probe: dd.Probe(out), Teardown: func() {
-			for _, a := range imports {
-				if a.Cancel != nil {
-					a.Cancel()
-				}
-			}
-		}}
+		return server.Built{Probe: dd.Probe(out), Teardown: teardown}
 	})
-	if err == nil {
-		if berr := errors.Join(berrs...); berr != nil {
-			q.Uninstall()
-			err = berr
-		}
-	}
-	if err != nil {
+	if err = check(err, func() { q.Uninstall() }); err != nil {
 		fe.releaseLocked(held)
 		return err
 	}
@@ -231,29 +214,9 @@ func (fe *Frontend) ensurePart(p *plan.Node, srcs map[string]*server.Source[uint
 		fe.hits++
 		return e, nil
 	}
-	resolve := fe.resolveSnapshot()
-	berrs := make([]error, fe.srv.Workers())
-	d, err := server.InstallDerived(fe.srv, partName(key), core.U64(),
-		func(w *timely.Worker, g *timely.Graph) (dd.Collection[uint64, uint64], func()) {
-			out, imports, err := buildInto(p, g, srcs, resolve)
-			if err != nil {
-				berrs[w.Index()] = err
-			}
-			return out, func() {
-				for _, a := range imports {
-					if a.Cancel != nil {
-						a.Cancel()
-					}
-				}
-			}
-		})
-	if err == nil {
-		if berr := errors.Join(berrs...); berr != nil {
-			d.Uninstall()
-			err = berr
-		}
-	}
-	if err != nil {
+	build, check := fe.planBuild(p, srcs)
+	d, err := server.InstallDerived(fe.srv, partName(key), core.U64(), build)
+	if err = check(err, func() { d.Uninstall() }); err != nil {
 		return nil, err
 	}
 	e := &sharedEntry{key: key, d: d, refs: 1}
@@ -261,6 +224,39 @@ func (fe *Frontend) ensurePart(p *plan.Node, srcs map[string]*server.Source[uint
 	fe.sharedOrder = append(fe.sharedOrder, e)
 	fe.installs++
 	return e, nil
+}
+
+// planBuild returns one install's build of root, run on every worker, and
+// the check to run once the install returns: it returns the install's
+// error, or else the workers' build errors joined, uninstalling what was
+// installed if there are any. The build's teardown cancels its imports.
+// Caller holds instMu.
+func (fe *Frontend) planBuild(root *plan.Node, srcs map[string]*server.Source[uint64, uint64]) (
+	build func(*timely.Worker, *timely.Graph) (dd.Collection[uint64, uint64], func()),
+	check func(err error, uninstall func()) error) {
+
+	resolve := fe.resolveSnapshot()
+	errs := make([]error, fe.srv.Workers())
+	build = func(w *timely.Worker, g *timely.Graph) (dd.Collection[uint64, uint64], func()) {
+		out, imports, err := buildInto(root, g, srcs, resolve)
+		errs[w.Index()] = err
+		return out, func() {
+			for _, a := range imports {
+				if a.Cancel != nil {
+					a.Cancel()
+				}
+			}
+		}
+	}
+	check = func(err error, uninstall func()) error {
+		if err == nil {
+			if err = errors.Join(errs...); err != nil {
+				uninstall()
+			}
+		}
+		return err
+	}
+	return build, check
 }
 
 // resolveSnapshot captures the registry for use inside build closures (which

@@ -87,14 +87,18 @@ func TestColumnarBatchRoundTrip(t *testing.T) {
 		t.Fatal("store layouts not as constructed")
 	}
 
-	encC := appendBatch(nil, U64Codec(), vc, bc)
-	encR := appendBatch(nil, U64Codec(), vc, br)
+	lc, err := NewBatchCodec[uint64, tpch.LineItem](U64Codec(), vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encC := lc.encodeBatch(nil, bc)
+	encR := lc.encodeBatch(nil, br)
 	if !bytes.Equal(encC, encR) {
 		t.Fatal("the two store layouts of one batch encode to different bytes")
 	}
 
 	d := NewDec(encC)
-	dec, err := decodeBatch[uint64, tpch.LineItem](d, U64Codec(), vc)
+	dec, err := lc.readBatch(d)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -118,14 +122,14 @@ func TestColumnarBatchRoundTrip(t *testing.T) {
 	}
 
 	// Re-encode determinism (replay idempotence relies on it).
-	if again := appendBatch(nil, U64Codec(), vc, dec); !bytes.Equal(again, encC) {
+	if again := lc.encodeBatch(nil, dec); !bytes.Equal(again, encC) {
 		t.Fatal("re-encode of decoded batch differs")
 	}
 
 	// Truncations anywhere in the value section must error, never panic.
 	for cut := len(encC) - 1; cut > len(encC)-washWords(bc); cut -= 7 {
 		cc := NewDec(encC[:cut])
-		if _, err := decodeBatch[uint64, tpch.LineItem](cc, U64Codec(), vc); err == nil {
+		if _, err := lc.readBatch(cc); err == nil {
 			t.Fatalf("decode of %d-byte truncation succeeded", cut)
 		}
 	}

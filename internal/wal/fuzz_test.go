@@ -17,8 +17,7 @@ func encodeShard(st *ShardState[uint64, uint64]) []byte {
 	p = AppendFrontier(p, st.Since)
 	data = appendRecord(data, p)
 	for _, b := range st.Batches {
-		p = append(p[:0], recBatch)
-		p = appendBatch(p, U64Codec(), U64Codec(), b)
+		p = u64Batches.encodeBatch(append(p[:0], recBatch), b)
 		data = appendRecord(data, p)
 	}
 	return data
@@ -52,7 +51,7 @@ func FuzzWALReplay(f *testing.F) {
 	// (which panics).
 	const mark = 0x5eed5eed
 	lower := lattice.NewFrontier(lattice.Ts(0, 0, 0))
-	wide := appendBatch([]byte{recBatch}, U64Codec(), U64Codec(), core.BuildBatch(core.U64(),
+	wide := u64Batches.encodeBatch([]byte{recBatch}, core.BuildBatch(core.U64(),
 		[]core.Update[uint64, uint64]{{Key: 1, Val: 1, Time: lattice.Ts(1, mark, 0), Diff: 1}},
 		lower, lattice.NewFrontier(lattice.Ts(2, 0, 0)), lower.Clone()))
 	wide[bytes.Index(wide, AppendU64(nil, mark))+3] |= 0x80
@@ -63,14 +62,13 @@ func FuzzWALReplay(f *testing.F) {
 		// frame the raw input as a checksum-valid record: the record decoder
 		// must survive arbitrary payload bytes too (typed error or success,
 		// never a panic).
-		if _, _, err := replayBytes[uint64, uint64](U64Codec(), U64Codec(),
-			appendRecord(nil, data)); err != nil {
+		if _, _, err := replayBytes(u64Batches, appendRecord(nil, data)); err != nil {
 			if _, ok := err.(*CorruptError); !ok {
 				t.Fatalf("framed replay failed with untyped error %T: %v", err, err)
 			}
 		}
 
-		st, good, err := replayBytes[uint64, uint64](U64Codec(), U64Codec(), data)
+		st, good, err := replayBytes(u64Batches, data)
 		if err != nil {
 			if _, ok := err.(*CorruptError); !ok {
 				t.Fatalf("replay failed with untyped error %T: %v", err, err)
@@ -104,7 +102,7 @@ func FuzzWALReplay(f *testing.F) {
 		// must reproduce it exactly (depth-1 states only: mixed-depth chains
 		// cannot occur in a server log and encodeShard assumes epochs).
 		if depthOne(st) {
-			st2, _, err2 := replayBytes[uint64, uint64](U64Codec(), U64Codec(), encodeShard(st))
+			st2, _, err2 := replayBytes(u64Batches, encodeShard(st))
 			if err2 != nil {
 				t.Fatalf("re-replay of recovered state failed: %v", err2)
 			}

@@ -107,7 +107,11 @@ func TestGroupCommitClosedRefusesAppends(t *testing.T) {
 }
 
 // TestShardLogSize: Size tracks appended bytes, resets to the snapshot
-// length on rotation, and survives reopen.
+// length on rotation, and survives reopen. A dense u64/u64 batch logs in
+// at most 24 bytes an update (≈ 21: a one-byte key delta, a one-byte group
+// count each for the key and the value, the 8-byte value, the 9-byte time
+// and a one-byte diff), against 41 in the row encoding the batch record
+// had before it became the block payload.
 func TestShardLogSize(t *testing.T) {
 	dir := t.TempDir()
 	lg, _ := openU64(t, dir, Options{})
@@ -141,5 +145,20 @@ func TestShardLogSize(t *testing.T) {
 	defer lg2.Close()
 	if lg2.Size() != rotated {
 		t.Fatalf("reopened size %d, want %d", lg2.Size(), rotated)
+	}
+
+	const n = 1000
+	quads := make([][4]int64, n)
+	for k := range quads {
+		quads[k] = [4]int64{int64(k), int64(k) * 7, 1, 1 - 2*int64(k%2)}
+	}
+	before := lg2.Size()
+	if err := lg2.AppendBatch(mkBatch(t, 1, 2, quads...)); err != nil {
+		t.Fatal(err)
+	}
+	got := lg2.Size() - before
+	t.Logf("%d dense updates logged in %d bytes", n, got)
+	if got > 24*n {
+		t.Fatalf("%d dense updates logged in %d bytes, %.1f an update; want at most 24", n, got, float64(got)/n)
 	}
 }

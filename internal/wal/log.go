@@ -55,8 +55,7 @@ type ShardState[K, V any] struct {
 // worker's goroutine (the log is worker-local state, like the spine).
 type ShardLog[K, V any] struct {
 	dir   string
-	kc    Codec[K]
-	vc    Codec[V]
+	bc    *BatchCodec[K, V]
 	fsync bool
 	gc    *GroupCommitter
 	gen   uint64
@@ -89,6 +88,10 @@ func parseGen(name string) (uint64, bool) {
 func OpenShard[K, V any](dir string, kc Codec[K], vc Codec[V],
 	opt Options) (*ShardLog[K, V], *ShardState[K, V], error) {
 
+	bc, err := NewBatchCodec(kc, vc)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: %w", err)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
@@ -116,7 +119,7 @@ func OpenShard[K, V any](dir string, kc Codec[K], vc Codec[V],
 		gens = nil
 	}
 
-	l := &ShardLog[K, V]{dir: dir, kc: kc, vc: vc, fsync: opt.Fsync, gc: opt.Commit}
+	l := &ShardLog[K, V]{dir: dir, bc: bc, fsync: opt.Fsync, gc: opt.Commit}
 	if len(gens) == 0 {
 		l.gen = 1
 		if l.f, err = os.OpenFile(filepath.Join(dir, genName(1)),
@@ -138,7 +141,7 @@ func OpenShard[K, V any](dir string, kc Codec[K], vc Codec[V],
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	st, good, rerr := replayBytes[K, V](kc, vc, data)
+	st, good, rerr := replayBytes(bc, data)
 	if rerr != nil {
 		var ce *CorruptError
 		if errors.As(rerr, &ce) {
@@ -175,9 +178,7 @@ func emptyState[K, V any]() *ShardState[K, V] {
 // replayBytes decodes a shard log image into its recovered state, returning
 // the length of the valid prefix. Frame-level damage (torn tail) truncates;
 // semantic damage returns a *CorruptError.
-func replayBytes[K, V any](kc Codec[K], vc Codec[V],
-	data []byte) (*ShardState[K, V], int, error) {
-
+func replayBytes[K, V any](bc *BatchCodec[K, V], data []byte) (*ShardState[K, V], int, error) {
 	st := emptyState[K, V]()
 	good, torn, err := scanRecords(data, func(off int64, payload []byte) error {
 		if len(payload) == 0 {
@@ -186,7 +187,7 @@ func replayBytes[K, V any](kc Codec[K], vc Codec[V],
 		d := &Dec{buf: payload, off: 1}
 		switch payload[0] {
 		case recBatch:
-			b, derr := decodeBatch[K, V](d, kc, vc)
+			b, derr := bc.readBatch(d)
 			if derr != nil {
 				return &CorruptError{Offset: off, Reason: derr.Error()}
 			}
@@ -217,6 +218,9 @@ func replayBytes[K, V any](kc Codec[K], vc Codec[V],
 				return &CorruptError{Offset: off, Reason: "empty since frontier"}
 			}
 			st.Since = f
+		case recRowBatch:
+			return &CorruptError{Offset: off, Reason: fmt.Sprintf(
+				"record kind %d: a batch in the retired row encoding", recRowBatch)}
 		default:
 			return &CorruptError{Offset: off, Reason: fmt.Sprintf("unknown record kind %d", payload[0])}
 		}
@@ -284,7 +288,7 @@ func (l *ShardLog[K, V]) AppendBatch(b *core.Batch[K, V]) error {
 	if b.Empty() && b.Upper.Empty() {
 		return nil
 	}
-	l.pbuf = appendBatch(openRecord(l.pbuf[:0], recBatch), l.kc, l.vc, b)
+	l.pbuf = l.bc.encodeBatch(openRecord(l.pbuf[:0], recBatch), b)
 	return l.append()
 }
 

@@ -35,7 +35,7 @@ func TestOneTimeFormDecoded(t *testing.T) {
 		upper := lattice.NewFrontier(lattice.Ts([]uint64{2, 0}[:depth]...))
 		b := core.BuildBatch(core.U64(), upds, min, upper, min)
 
-		got, err := decodeBatch[uint64, uint64](NewDec(appendBatch(nil, U64Codec(), U64Codec(), b)), U64Codec(), U64Codec())
+		got, err := u64Batches.readBatch(NewDec(u64Batches.encodeBatch(nil, b)))
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}

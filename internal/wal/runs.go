@@ -117,7 +117,7 @@ func (l *ShardLog[K, V]) RotateRuns(since lattice.Frontier, runs []Run[K, V]) er
 			if r.Batch.Empty() && r.Batch.Upper.Empty() {
 				continue
 			}
-			data = appendBatch(openRecord(data, recBatch), l.kc, l.vc, r.Batch)
+			data = l.bc.encodeBatch(openRecord(data, recBatch), r.Batch)
 		}
 		sealRecord(data[start:])
 	}

@@ -29,13 +29,18 @@
 // Record framing is length-prefixed and CRC-checksummed:
 //
 //	u32 payload length | u32 CRC32-C(payload) | payload
-//	payload = u8 kind | body      (kind 1 = batch, kind 2 = since,
-//	                               kind 3 = block reference)
+//	payload = u8 kind | body      (kind 2 = since, kind 3 = block
+//	                               reference, kind 4 = batch)
 //
-// Kind 3 records let a generation name the runs of a disk-tiered trace: a
-// spilled run's columns already live in a CRC-framed block file (see
+// A batch record's body is its Head — the framing frontiers and the key,
+// value and update totals — then the batch payload (batch.go), the same
+// bytes a block file holds per block, decoded by the same kernel. Kind 3
+// records let a generation name the runs of a disk-tiered trace: a spilled
+// run's columns already live in a CRC-framed block file (see
 // internal/block), so the checkpoint references it by name instead of
-// rewriting it into the log.
+// rewriting it into the log. Kind 1 is retired: it held a batch in a row
+// encoding of its own, and a log that still holds one fails replay as
+// corrupt.
 //
 // A torn tail — the expected artifact of a crash mid-append — fails the
 // length or CRC check and is truncated away, recovering the longest valid
@@ -53,9 +58,10 @@ import (
 
 // Record kinds.
 const (
-	recBatch    byte = 1 // one sealed batch or resident run
+	recRowBatch byte = 1 // retired: a batch in a row encoding; never written
 	recSince    byte = 2 // a compaction-frontier advance
 	recBlockRef byte = 3 // a spilled run, referenced by block-file name
+	recBatch    byte = 4 // one sealed batch or resident run: Head, payload
 )
 
 // maxRecordLen bounds a single record's payload; longer length prefixes are

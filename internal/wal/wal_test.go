@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -27,6 +29,9 @@ func mkBatch(t *testing.T, lo, hi uint64, quads ...[4]int64) *core.Batch[uint64,
 		lattice.NewFrontier(lattice.Ts(lo)), lattice.NewFrontier(lattice.Ts(hi)),
 		lattice.MinFrontier(1))
 }
+
+// u64Batches is the batch payload codec of a u64/u64 shard log.
+var u64Batches, _ = NewBatchCodec[uint64, uint64](U64Codec(), U64Codec())
 
 func openU64(t *testing.T, dir string, opt Options) (*ShardLog[uint64, uint64], *ShardState[uint64, uint64]) {
 	t.Helper()
@@ -185,6 +190,50 @@ func TestBitFlipRecoversPrefix(t *testing.T) {
 	}
 }
 
+// hostileRecord frames a CRC-valid batch record over epoch 0 holding two
+// keys, two values and two updates, with the given key deltas, values per
+// key and updates per value.
+func hostileRecord(keyDeltas, keyGroups, valGroups [2]uint64) []byte {
+	p := AppendHead([]byte{recBatch}, lattice.MinFrontier(1), lattice.NewFrontier(lattice.Ts(1)),
+		lattice.MinFrontier(1), 2, 2, 2)
+	for _, u := range keyDeltas {
+		p = AppendUvarint(p, u)
+	}
+	for _, u := range keyGroups {
+		p = AppendUvarint(p, u)
+	}
+	p = AppendU64(AppendU64(p, 10), 20)
+	for _, u := range valGroups {
+		p = AppendUvarint(p, u)
+	}
+	for range 2 {
+		p = AppendUvarint(AppendTime(p, lattice.Ts(0)), zig(1))
+	}
+	return appendRecord(nil, p)
+}
+
+// rowRecord frames one update, key 5, value 10, at epoch 0, as a kind-1
+// batch record in the retired row encoding: the three frontiers, then u32
+// counts and offsets, 8-byte keys and values, and per update a time and an
+// 8-byte diff. These are the bytes the encoder wrote for it at ba96dae.
+func rowRecord() []byte {
+	p := []byte{recRowBatch}
+	p = AppendFrontier(p, lattice.MinFrontier(1))
+	p = AppendFrontier(p, lattice.NewFrontier(lattice.Ts(1)))
+	p = AppendFrontier(p, lattice.MinFrontier(1))
+	p = AppendU64(AppendU32(p, 1), 5)
+	p = AppendU32(AppendU32(AppendU32(p, 2), 0), 1)
+	p = AppendU64(AppendU32(p, 1), 10)
+	p = AppendU32(AppendU32(AppendU32(p, 2), 0), 1)
+	p = AppendU64(AppendTime(AppendU32(p, 1), lattice.Ts(0)), 1)
+	return appendRecord(nil, p)
+}
+
+// TestChainBreakIsCorrupt: a CRC-valid record that is not a valid log —
+// a batch breaking the lower/upper chain, a batch record with a repeated
+// key, an empty key group or an empty value group, or a kind-1 record in
+// the retired row encoding — fails replay with a *CorruptError, and the
+// log is left as it was, not truncated as a torn tail.
 func TestChainBreakIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	lg, _ := openU64(t, dir, Options{})
@@ -197,6 +246,46 @@ func TestChainBreakIsCorrupt(t *testing.T) {
 	var ce *CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("chain break: want *CorruptError, got %v", err)
+	}
+
+	// Each log is one record after a valid one, so nothing before it is
+	// at fault.
+	valid := hostileRecord([2]uint64{5, 1}, [2]uint64{1, 1}, [2]uint64{1, 1})
+	for _, c := range []struct {
+		name   string
+		record []byte
+		reason string
+	}{
+		{"repeated key", hostileRecord([2]uint64{5, 0}, [2]uint64{1, 1}, [2]uint64{1, 1}), "repeats"},
+		{"empty key group", hostileRecord([2]uint64{5, 1}, [2]uint64{0, 2}, [2]uint64{1, 1}), "key offsets"},
+		{"empty value group", hostileRecord([2]uint64{5, 1}, [2]uint64{1, 1}, [2]uint64{0, 2}), "value offsets"},
+		{"row-encoded batch", rowRecord(), "record kind 1"},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, genName(1))
+		data := append(append([]byte(nil), valid...), c.record...)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := OpenShard[uint64, uint64](dir, U64Codec(), U64Codec(), Options{})
+		if !errors.As(err, &ce) || !strings.Contains(ce.Reason, c.reason) {
+			t.Fatalf("%s: want a *CorruptError about %q, got %v", c.name, c.reason, err)
+		}
+		if ce.Offset != int64(len(valid)) {
+			t.Fatalf("%s: corrupt record reported at offset %d, want %d", c.name, ce.Offset, len(valid))
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s: the log changed on a failed replay (%v)", c.name, err)
+		}
+	}
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, genName(1)), valid, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lg, st := openU64(t, dir, Options{})
+	lg.Close()
+	if st.Torn || len(st.Batches) != 1 || st.Batches[0].Len() != 2 {
+		t.Fatalf("the well-formed control record replayed to %d batches, torn=%v", len(st.Batches), st.Torn)
 	}
 }
 

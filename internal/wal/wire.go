@@ -255,18 +255,16 @@ func (d *Dec) Frontier() (lattice.Frontier, error) {
 
 // Count reads an element count, bounding it against the global cap and the
 // remaining payload, so a corrupt count cannot drive a huge allocation or a
-// spinning decode loop. The byte bound holds for every legitimate column:
-// even zero-width elements (UnitCodec values) are each anchored by at least
-// one later offset or update entry of ≥ 4 bytes in the same record, so a
-// count exceeding the remaining length is corruption — rejecting it here
-// keeps a corrupt record from spinning the decode loop millions of times
-// before the offset-table validation would catch it.
+// spinning decode loop. The byte bound holds for every list its callers
+// read: each element, or a later entry anchoring it, takes at least a byte
+// of the same payload, so a count exceeding the remaining length is
+// corruption.
 func (d *Dec) Count(what string) (int, error) {
 	n, err := d.U32()
 	if err != nil {
 		return 0, err
 	}
-	if n > maxBatchElems || int(n) > d.Remaining() {
+	if n > MaxBatchElems || int(n) > d.Remaining() {
 		return 0, d.fail("%s count %d exceeds record", what, n)
 	}
 	return int(n), nil
