@@ -222,23 +222,11 @@ func (r *runFile[K, V]) Finish(lower, upper, since lattice.Frontier) (core.Batch
 	}
 	delete(s.writing, tmp)
 	if s.opt.Fsync {
-		if err := syncDir(s.dir); err != nil {
+		if err := wal.SyncDir(s.dir); err != nil {
 			return nil, err
 		}
 	}
 	return s.open(r.name)
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // open opens name and validates its header and index.

@@ -570,7 +570,10 @@ func (p *process) logf(format string, args ...any) {
 // nextIncarnation reads this rank's restart count from its data dir and
 // bumps the stored value for the next start. The bump is written before the
 // mesh connects, so even a SIGKILL a microsecond later cannot produce two
-// processes handshaking with the same incarnation at this rank.
+// processes handshaking with the same incarnation at this rank. The file and
+// the rename are synced before it returns: a machine crash that rolled the
+// bump back would restart the rank at an incarnation its peers have already
+// seen, and they would refuse it as stale for good.
 func nextIncarnation(dataDir string) (uint64, error) {
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return 0, err
@@ -587,10 +590,18 @@ func nextIncarnation(dataDir string) (uint64, error) {
 		return 0, err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(strconv.FormatUint(inc+1, 10)+"\n"), 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
+		return 0, err
+	}
+	_, err = f.WriteString(strconv.FormatUint(inc+1, 10) + "\n")
+	if err := errors.Join(err, f.Sync(), f.Close()); err != nil {
 		return 0, err
 	}
 	if err := os.Rename(tmp, path); err != nil {
+		return 0, err
+	}
+	if err := wal.SyncDir(dataDir); err != nil {
 		return 0, err
 	}
 	return inc, nil

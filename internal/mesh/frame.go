@@ -74,18 +74,6 @@ type Frame struct {
 	Gen   uint64 // KindHelloResp, KindAck, KindBarrier: generation the frame belongs to
 }
 
-func appendZigzag(dst []byte, v int64) []byte {
-	return wal.AppendUvarint(dst, uint64(v<<1)^uint64(v>>63))
-}
-
-func decZigzag(d *wal.Dec) (int64, error) {
-	u, err := d.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return int64(u>>1) ^ -int64(u&1), nil
-}
-
 // uvInt reads a uvarint that must fit a non-negative int.
 func uvInt(d *wal.Dec, what string) (int, error) {
 	u, err := d.Uvarint()
@@ -171,7 +159,7 @@ func AppendProgress(dst []byte, df int, seq uint64, deltas []timely.ProgressDelt
 		}
 		dst = append(dst, out)
 		dst = wal.AppendTime(dst, d.Time)
-		dst = appendZigzag(dst, d.Diff)
+		dst = wal.AppendZigzag(dst, d.Diff)
 	}
 	return dst
 }
@@ -308,7 +296,7 @@ func DecodeFrame(payload []byte) (Frame, error) {
 			if f.Deltas[i].Time, err = d.Time(); err != nil {
 				return Frame{}, err
 			}
-			if f.Deltas[i].Diff, err = decZigzag(d); err != nil {
+			if f.Deltas[i].Diff, err = d.Zigzag(); err != nil {
 				return Frame{}, err
 			}
 		}
@@ -336,7 +324,7 @@ func RegisterUpdateCodec[K, V any](kc wal.Codec[K], vc wal.Codec[V]) {
 				dst = kc.Append(dst, u.Key)
 				dst = vc.Append(dst, u.Val)
 				dst = wal.AppendTime(dst, u.Time)
-				dst = appendZigzag(dst, u.Diff)
+				dst = wal.AppendZigzag(dst, u.Diff)
 			}
 			return dst
 		},
@@ -357,7 +345,7 @@ func RegisterUpdateCodec[K, V any](kc wal.Codec[K], vc wal.Codec[V]) {
 				if out[i].Time, err = d.Time(); err != nil {
 					return nil, err
 				}
-				if out[i].Diff, err = decZigzag(d); err != nil {
+				if out[i].Diff, err = d.Zigzag(); err != nil {
 					return nil, err
 				}
 			}

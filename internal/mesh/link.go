@@ -241,8 +241,7 @@ func (l *link) maybeUp() {
 // startRedial launches the link's dialer/writer goroutine. It runs for the
 // node's lifetime: initial bring-up, steady-state writing, and every redial
 // after a drop, with capped exponential backoff + jitter between attempts.
-func (l *link) startRedial(initial bool) {
-	_ = initial
+func (l *link) startRedial() {
 	l.n.writerWG.Add(1)
 	go l.runDialer()
 }

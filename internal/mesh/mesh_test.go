@@ -77,7 +77,9 @@ func TestMeshTCMatchesSingleProcess(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			timely.ExecuteFabric(nodes[p], func(w *timely.Worker) {
+			c := timely.StartCluster(nodes[p])
+			defer c.Shutdown()
+			c.PostEach(func(w *timely.Worker) {
 				var in *dd.InputCollection[uint64, uint64]
 				w.Dataflow(func(g *timely.Graph) {
 					ein, ec := dd.NewInput[uint64, uint64](g)
@@ -89,7 +91,7 @@ func TestMeshTCMatchesSingleProcess(t *testing.T) {
 				}
 				in.Close()
 				w.Drain()
-			})
+			}).Wait()
 		}(p)
 	}
 	wg.Wait()

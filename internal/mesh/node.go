@@ -271,7 +271,7 @@ func (n *Node) Connect() error {
 	go n.acceptLoop()
 	for _, l := range n.links {
 		if l != nil {
-			l.startRedial(true)
+			l.startRedial()
 		}
 	}
 	deadline := time.Now().Add(n.opt.DialTimeout)

@@ -119,7 +119,7 @@ func New(workers int) *Server {
 
 // NewOpts starts a server with explicit options.
 func NewOpts(workers int, opts Options) *Server {
-	return newServer(timely.StartCluster(workers), opts)
+	return NewFabric(timely.NewLocalFabric(workers), opts)
 }
 
 // NewFabric starts a server over an explicit worker fabric — this process's
@@ -131,12 +131,8 @@ func NewOpts(workers int, opts Options) *Server {
 // local workers only (named by global worker index), and recovery clamps
 // every rank to the cluster-wide minimum cut via RecoverableEpoch/RestoreTo.
 func NewFabric(fab timely.Fabric, opts Options) *Server {
-	return newServer(timely.StartClusterFabric(fab), opts)
-}
-
-func newServer(c *timely.Cluster, opts Options) *Server {
 	s := &Server{
-		c:       c,
+		c:       timely.StartCluster(fab),
 		opts:    opts,
 		sources: make(map[string]sourceHandle),
 		queries: make(map[string]*Query),

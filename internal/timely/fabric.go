@@ -88,9 +88,8 @@ type Fabric interface {
 // is ever sent, and progress broadcasts have no audience.
 type localFabric struct{ n int }
 
-// NewLocalFabric returns the in-process fabric for n workers. Execute and
-// StartCluster use it implicitly; it exists as a value so fabric-agnostic
-// callers (server.NewFabric) can treat both modes uniformly.
+// NewLocalFabric returns the in-process fabric for n workers: StartCluster
+// over it runs a cluster in this process alone, as Execute does.
 func NewLocalFabric(n int) Fabric {
 	if n < 1 {
 		panic("timely: need at least one worker")
@@ -138,24 +137,4 @@ func wireCodecFor[D any]() (WireCodec[D], bool) {
 		return WireCodec[D]{}, false
 	}
 	return v.(WireCodec[D]), true
-}
-
-// ExecuteFabric is Execute over an explicit fabric: it runs program once per
-// local worker (global indices FirstLocal..FirstLocal+LocalWorkers-1) and
-// blocks until all return. Every process of the fabric must construct the
-// same dataflows in the same order. The fabric is started, not closed: its
-// lifecycle belongs to the caller.
-func ExecuteFabric(fab Fabric, program func(w *Worker)) {
-	rt := newRuntime(fab)
-	fab.Start(rt)
-	var wg sync.WaitGroup
-	wg.Add(rt.nlocal)
-	for i := 0; i < rt.nlocal; i++ {
-		w := &Worker{index: rt.first + i, rt: rt}
-		go func() {
-			defer wg.Done()
-			program(w)
-		}()
-	}
-	wg.Wait()
 }

@@ -4,18 +4,23 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/lattice"
 )
 
 // Worker is one of the static set of dataflow workers. Each worker owns a
-// shard of every operator of every dataflow it builds. Workers are driven by
-// Step / StepUntil / Drain from the user's program closure.
+// shard of every operator of every dataflow it builds. A Cluster's worker
+// steps until the cluster stops; an action posted to it (an Execute program,
+// say) may drive it further through Step / StepUntil / Drain.
 type Worker struct {
 	index  int
 	rt     *runtime
 	graphs []*Graph
 	seq    int
+
+	actions []func(w *Worker) // posted, not yet started; guarded by rt.mu
+	queued  atomic.Int32      // len(actions), read without rt.mu by Step
 }
 
 // Index returns this worker's index in 0..Peers()-1.
@@ -33,10 +38,11 @@ func (w *Worker) Dataflow(build func(g *Graph)) *Graph {
 	return g
 }
 
-// Step schedules every operator shard owned by this worker once and reports
-// whether any of them did work.
+// Step runs the actions posted to this worker, then schedules every
+// operator shard it owns once, and reports whether an action ran or an
+// operator did work.
 func (w *Worker) Step() bool {
-	active := false
+	active := w.runActions()
 	for _, g := range w.graphs {
 		for _, op := range g.ops {
 			if op.schedule() {

@@ -1,18 +1,20 @@
 package timely
 
-// Live query installation (§6.2 of the paper): a Cluster runs the static set
-// of workers as long-lived servant goroutines, and dataflows are constructed
-// *after* execution begins by posting build closures to every worker. A
-// newly arriving query therefore attaches to the running system — and, via
-// core.ImportOpts, to its in-memory arrangements — without restarting anything.
+// Running workers. A Cluster runs the static set of workers as long-lived
+// goroutines, and everything a worker does beyond stepping its operators
+// arrives as an action posted to it: a dataflow build, trace handle
+// maintenance, teardown — and, under Execute, the whole SPMD program. Live
+// query installation (§6.2 of the paper) is therefore the only mode: a newly
+// arriving query attaches to the running system — and, via core.ImportOpts,
+// to its in-memory arrangements — without restarting anything.
 //
 // Correctness hinges on two invariants:
 //
 //   - Construction order: operator and channel identifiers are assigned by
 //     construction order, so every worker must build the same dataflows in
-//     the same sequence. Install appends the build action to every worker's
-//     queue under one lock acquisition, giving all queues the same global
-//     install order.
+//     the same sequence. post appends an action to every worker's queue
+//     under one lock acquisition, and each worker starts its actions in
+//     queue order, giving all workers the same global install order.
 //
 //   - Worker locality: spines, trace agents, and operator state are strictly
 //     worker-local. All mutation of that state (building dataflows, dropping
@@ -22,39 +24,47 @@ package timely
 
 import "sync"
 
-// Cluster is a running set of dataflow workers accepting live dataflow
-// installation. Unlike Execute, which runs one SPMD program to completion,
-// a Cluster's workers are servants: they step installed dataflows, drain
-// posted actions, and park when idle, until Shutdown.
+// Cluster is a running set of dataflow workers. Its workers step their
+// installed dataflows, run the actions posted to them, and park when idle,
+// until Shutdown.
 type Cluster struct {
-	rt *runtime
-	wg sync.WaitGroup
+	rt      *runtime
+	workers []*Worker // this process's workers, by local index
+	wg      sync.WaitGroup
 }
 
-// StartCluster launches peers worker goroutines and returns immediately.
-func StartCluster(peers int) *Cluster {
-	return StartClusterFabric(NewLocalFabric(peers))
-}
-
-// StartClusterFabric launches this process's shard of a (possibly
-// multi-process) cluster over the given fabric: one servant goroutine per
-// local worker, global indices FirstLocal..FirstLocal+LocalWorkers-1. Every
-// process of the fabric must install the same dataflows in the same order
-// (operator and channel identifiers are assigned by construction order).
-// The fabric is started here; its lifecycle (Close) belongs to the caller.
-func StartClusterFabric(fab Fabric) *Cluster {
+// StartCluster launches this process's shard of a (possibly multi-process)
+// cluster over the given fabric — NewLocalFabric(n) for n workers in this
+// process alone — and returns immediately: one goroutine per local worker,
+// global indices FirstLocal..FirstLocal+LocalWorkers-1. Every process of the
+// fabric must install the same dataflows in the same order (operator and
+// channel identifiers are assigned by construction order). The fabric is
+// started here; its lifecycle (Close) belongs to the caller.
+func StartCluster(fab Fabric) *Cluster {
 	rt := newRuntime(fab)
 	fab.Start(rt)
-	c := &Cluster{rt: rt}
+	c := &Cluster{rt: rt, workers: make([]*Worker, rt.nlocal)}
 	c.wg.Add(rt.nlocal)
-	for i := 0; i < rt.nlocal; i++ {
+	for i := range c.workers {
 		w := &Worker{index: rt.first + i, rt: rt}
+		c.workers[i] = w
 		go func() {
 			defer c.wg.Done()
 			w.serve()
 		}()
 	}
 	return c
+}
+
+// Execute runs program once on each of peers workers and returns when every
+// run has returned and the workers have stopped: program is posted to a
+// cluster over NewLocalFabric(peers), which then shuts down. Every worker
+// must construct the same dataflows in the same order (operator identifiers
+// are assigned by construction order). Worker indices are 0..peers-1.
+func Execute(peers int, program func(w *Worker)) {
+	c := StartCluster(NewLocalFabric(peers))
+	c.PostEach(program).Wait()
+	c.Shutdown()
 }
 
 // Peers returns the global number of workers across all processes.
@@ -66,44 +76,32 @@ func (c *Cluster) FirstLocal() int { return c.rt.first }
 // LocalWorkers returns the number of workers this process runs.
 func (c *Cluster) LocalWorkers() int { return c.rt.nlocal }
 
-// serve is the servant loop: drain posted actions, step every installed
-// dataflow, and park when neither produced activity. Exits when the cluster
-// has been stopped and the worker is idle. One final action drain runs after
-// observing the stop: an action appended before Shutdown set the flag (the
-// append and the flag share rt.mu) is thereby guaranteed to run, so its
-// Pending/Installed waiters always unblock — actions appended after the flag
-// are refused at the append site instead.
+// serve is a cluster worker's life: step until the cluster stops, then run
+// what was posted before the stop. The post and the stop flag are both
+// written under rt.mu, so an action appended before Shutdown always runs and
+// its Pending's Wait returns; actions posted after the flag are refused.
 func (w *Worker) serve() {
-	for {
-		gen := w.rt.activityGen()
-		acted := w.runActions()
-		stepped := w.Step()
-		if acted || stepped {
-			continue
-		}
-		w.rt.mu.Lock()
-		stopped := w.rt.stopped
-		w.rt.mu.Unlock()
-		if stopped {
-			w.runActions()
-			return
-		}
-		w.rt.waitActivity(gen)
-	}
+	w.StepUntil(w.rt.stopped.Load)
+	w.runActions()
 }
 
-// runActions pops and runs every action queued for this worker, reporting
-// whether there were any.
+// runActions runs the actions posted to this worker, oldest first, and
+// reports whether there were any. It pops one action at a time: an action
+// that steps the worker (an Execute program) runs the later ones from its
+// own Step, still in the order they were posted.
 func (w *Worker) runActions() bool {
-	rt := w.rt
-	rt.mu.Lock()
-	acts := rt.actions[w.index]
-	rt.actions[w.index] = nil
-	rt.mu.Unlock()
-	for _, f := range acts {
+	ran := false
+	for w.queued.Load() > 0 {
+		w.rt.mu.Lock()
+		f := w.actions[0]
+		w.actions[0] = nil
+		w.actions = w.actions[1:]
+		w.queued.Add(-1)
+		w.rt.mu.Unlock()
 		f(w)
+		ran = true
 	}
-	return len(acts) > 0
+	return ran
 }
 
 // Remove unschedules a dataflow from this worker: its operators are no
@@ -129,63 +127,6 @@ func (w *Worker) Remove(g *Graph) {
 	}
 }
 
-// Installed tracks one live installation across this process's workers.
-type Installed struct {
-	first   int
-	wg      sync.WaitGroup
-	graphs  []*Graph // indexed by global worker; local slots valid after Wait
-	seq     int      // dataflow sequence number; valid after Wait
-	aborted bool     // cluster was already stopped; nothing was built
-}
-
-// Wait blocks until every worker has built its shard of the dataflow.
-func (in *Installed) Wait() { in.wg.Wait() }
-
-// Aborted reports whether the installation was refused because the cluster
-// had already shut down (no dataflow was built; Graph returns nil). Call
-// only after Wait.
-func (in *Installed) Aborted() bool { return in.aborted }
-
-// Complete reports whether the installed dataflow has finished everywhere
-// (every process's replica of the tracker converges to the same counts, so
-// any local shard answers for the whole cluster). Call only after Wait.
-func (in *Installed) Complete() bool { return in.graphs[in.first].Complete() }
-
-// Install constructs a new dataflow on every local worker of a running
-// cluster. build runs once per worker, on that worker's goroutine, exactly
-// as a Dataflow closure under Execute; it must construct the same operators
-// in the same order on every worker. Install may be called from any
-// goroutine; concurrent Install calls are serialized and every worker
-// observes them in the same order, keeping operator identifiers aligned. In
-// a multi-process cluster every process must issue the same Install sequence
-// (the driver program is deterministic), which keeps dataflow sequence
-// numbers aligned across processes too.
-// Calling Install on a cluster that has already shut down does not wedge:
-// the returned Installed is marked Aborted and its Wait returns immediately.
-func (c *Cluster) Install(build func(w *Worker, g *Graph)) *Installed {
-	in := &Installed{first: c.rt.first, graphs: make([]*Graph, c.rt.peers)}
-	c.rt.mu.Lock()
-	if c.rt.stopped {
-		in.aborted = true
-		c.rt.mu.Unlock()
-		return in
-	}
-	in.wg.Add(c.rt.nlocal)
-	for i := c.rt.first; i < c.rt.first+c.rt.nlocal; i++ {
-		c.rt.actions[i] = append(c.rt.actions[i], func(w *Worker) {
-			g := w.Dataflow(func(g *Graph) { build(w, g) })
-			in.graphs[w.index] = g
-			if w.index == c.rt.first {
-				in.seq = g.seq
-			}
-			in.wg.Done()
-		})
-	}
-	c.rt.mu.Unlock()
-	c.rt.wake()
-	return in
-}
-
 // Pending tracks posted actions; Wait blocks until they have all run.
 type Pending struct {
 	wg      sync.WaitGroup
@@ -199,6 +140,31 @@ func (p *Pending) Wait() { p.wg.Wait() }
 // already shut down (the action never ran). Call only after Wait.
 func (p *Pending) Aborted() bool { return p.aborted }
 
+// post is the one way work reaches a worker from outside it: f is appended
+// to every local worker's queue under one lock acquisition, so all workers
+// see posts in one global order, and the workers are woken. A cluster that
+// has shut down refuses the post: p is marked aborted and f never runs.
+func (c *Cluster) post(p *Pending, f func(w *Worker)) {
+	rt := c.rt
+	rt.mu.Lock()
+	if rt.stopped.Load() {
+		rt.mu.Unlock()
+		p.aborted = true
+		return
+	}
+	p.wg.Add(len(c.workers))
+	act := func(w *Worker) {
+		f(w)
+		p.wg.Done()
+	}
+	for _, w := range c.workers {
+		w.actions = append(w.actions, act)
+		w.queued.Add(1)
+	}
+	rt.mu.Unlock()
+	rt.wake()
+}
+
 // PostEach schedules f to run once on every local worker's goroutine. Use it
 // for any mutation of worker-local state (trace handles, import
 // cancellation) from a driver goroutine. Posting to a cluster that has
@@ -206,22 +172,46 @@ func (p *Pending) Aborted() bool { return p.aborted }
 // Pending is marked Aborted.
 func (c *Cluster) PostEach(f func(w *Worker)) *Pending {
 	p := &Pending{}
-	c.rt.mu.Lock()
-	if c.rt.stopped {
-		p.aborted = true
-		c.rt.mu.Unlock()
-		return p
-	}
-	p.wg.Add(c.rt.nlocal)
-	for i := c.rt.first; i < c.rt.first+c.rt.nlocal; i++ {
-		c.rt.actions[i] = append(c.rt.actions[i], func(w *Worker) {
-			f(w)
-			p.wg.Done()
-		})
-	}
-	c.rt.mu.Unlock()
-	c.rt.wake()
+	c.post(p, f)
 	return p
+}
+
+// Installed tracks one live installation across this process's workers. Its
+// Wait returns once every local worker has built its shard of the dataflow;
+// Aborted reports an install refused by a cluster that had shut down.
+type Installed struct {
+	Pending
+	first  int
+	graphs []*Graph // indexed by global worker; local slots valid after Wait
+	seq    int      // dataflow sequence number; valid after Wait
+}
+
+// Complete reports whether the installed dataflow has finished everywhere
+// (every process's replica of the tracker converges to the same counts, so
+// any local shard answers for the whole cluster). Call only after Wait.
+func (in *Installed) Complete() bool { return in.graphs[in.first].Complete() }
+
+// Install constructs a new dataflow on every local worker of a running
+// cluster: it posts an action that builds it. build runs once per worker, on
+// that worker's goroutine, exactly as a Dataflow closure; it must construct
+// the same operators in the same order on every worker. Install may be
+// called from any goroutine; concurrent Install calls are serialized and
+// every worker observes them in the same order, keeping operator identifiers
+// aligned. In a multi-process cluster every process must issue the same
+// Install sequence (the driver program is deterministic), which keeps
+// dataflow sequence numbers aligned across processes too. Calling Install on
+// a cluster that has already shut down does not wedge: the returned
+// Installed is marked Aborted and its Wait returns immediately.
+func (c *Cluster) Install(build func(w *Worker, g *Graph)) *Installed {
+	in := &Installed{first: c.rt.first, graphs: make([]*Graph, c.rt.peers)}
+	c.post(&in.Pending, func(w *Worker) {
+		g := w.Dataflow(func(g *Graph) { build(w, g) })
+		in.graphs[w.index] = g
+		if w.index == in.first {
+			in.seq = g.seq
+		}
+	})
+	return in
 }
 
 // WaitUntil parks the calling (driver) goroutine until cond reports true,
@@ -233,10 +223,7 @@ func (c *Cluster) WaitUntil(cond func() bool) bool {
 		if cond() {
 			return true
 		}
-		c.rt.mu.Lock()
-		stopped := c.rt.stopped
-		c.rt.mu.Unlock()
-		if stopped {
+		if c.rt.stopped.Load() {
 			return cond()
 		}
 		c.rt.waitActivity(gen)
@@ -274,7 +261,7 @@ func (c *Cluster) Wake() { c.rt.wake() }
 // than wedged; WaitUntil returns false.
 func (c *Cluster) Shutdown() {
 	c.rt.mu.Lock()
-	c.rt.stopped = true
+	c.rt.stopped.Store(true)
 	c.rt.mu.Unlock()
 	c.rt.wake()
 	c.wg.Wait()

@@ -1,8 +1,12 @@
 package timely
 
 import (
+	goruntime "runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/lattice"
 )
@@ -36,7 +40,7 @@ func installCounting(t *testing.T, c *Cluster) ([]*Input[int], *atomic.Int64, *P
 // on a running cluster from a driver goroutine, checking per-epoch
 // completion and record conservation for both.
 func TestClusterLiveInstall(t *testing.T) {
-	c := StartCluster(3)
+	c := StartCluster(NewLocalFabric(3))
 	defer c.Shutdown()
 
 	in1, rec1, probe1, _ := installCounting(t, c)
@@ -86,7 +90,7 @@ func TestClusterLiveInstall(t *testing.T) {
 // to drain, and removes it; the cluster then accepts a fresh install whose
 // operators reuse the freed schedule slots without interference.
 func TestClusterUninstall(t *testing.T) {
-	c := StartCluster(2)
+	c := StartCluster(NewLocalFabric(2))
 	defer c.Shutdown()
 
 	inputs := make([]*Input[int], c.Peers())
@@ -122,7 +126,7 @@ func TestClusterUninstall(t *testing.T) {
 // TestClusterPost runs worker-local actions on every worker and observes
 // their effects from the driver after Wait.
 func TestClusterPost(t *testing.T) {
-	c := StartCluster(4)
+	c := StartCluster(NewLocalFabric(4))
 	defer c.Shutdown()
 	seen := make([]int, c.Peers())
 	c.PostEach(func(w *Worker) { seen[w.Index()] = w.Index() + 1 }).Wait()
@@ -177,4 +181,99 @@ func TestRemoveSchedulesOnceMore(t *testing.T) {
 			t.Fatal("a removed dataflow was stepped")
 		}
 	})
+}
+
+// TestPostAfterShutdownIsAborted: a post to a stopped cluster — an install is
+// one — never runs, is marked Aborted, and its Wait returns.
+func TestPostAfterShutdownIsAborted(t *testing.T) {
+	c := StartCluster(NewLocalFabric(2))
+	c.Shutdown()
+	var ran atomic.Bool
+	p := c.PostEach(func(*Worker) { ran.Store(true) })
+	in := c.Install(func(*Worker, *Graph) { ran.Store(true) })
+	done := make(chan struct{})
+	go func() {
+		p.Wait()
+		in.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait blocks on a post the stopped cluster refused")
+	}
+	if !p.Aborted() || !in.Aborted() {
+		t.Fatalf("Aborted: PostEach %v, Install %v; want both true", p.Aborted(), in.Aborted())
+	}
+	if ran.Load() {
+		t.Fatal("an action posted after Shutdown ran")
+	}
+	if c.WaitUntil(func() bool { return false }) {
+		t.Fatal("WaitUntil on a stopped cluster reported its condition met")
+	}
+}
+
+// TestStepRunsLaterPostsInOrder: an action that steps its worker (as an
+// Execute program does) runs the actions posted after it from its own Step,
+// in the order they were posted.
+func TestStepRunsLaterPostsInOrder(t *testing.T) {
+	c := StartCluster(NewLocalFabric(1))
+	var order []int
+	first := c.PostEach(func(w *Worker) {
+		order = append(order, 1)
+		w.StepUntil(func() bool { return len(order) == 3 })
+	})
+	c.PostEach(func(*Worker) { order = append(order, 2) })
+	last := c.PostEach(func(*Worker) { order = append(order, 3) })
+	done := make(chan struct{})
+	go func() {
+		last.Wait()
+		first.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		// The first action is still stepping: Shutdown would wait for it.
+		t.Fatal("an action stepping its worker never ran the later posts")
+	}
+	c.Shutdown()
+	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+		t.Fatalf("actions ran in order %v, want [1 2 3]", order)
+	}
+}
+
+// serving counts the goroutines inside a worker's loop.
+func serving() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := goruntime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "timely.(*Worker).serve(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestExecuteStopsItsWorkers: Execute starts a cluster for its program, so
+// it must stop it too — none of its workers is left running once it returns.
+func TestExecuteStopsItsWorkers(t *testing.T) {
+	const peers = 3
+	before := serving()
+	var arrived sync.WaitGroup
+	arrived.Add(peers)
+	var during atomic.Int64
+	Execute(peers, func(w *Worker) {
+		arrived.Done()
+		arrived.Wait() // every program, so every worker, is running
+		if w.Index() == 0 {
+			during.Store(int64(serving()))
+		}
+	})
+	if got := int(during.Load()); got != before+peers {
+		t.Fatalf("%d workers serving while the program ran, want %d", got, before+peers)
+	}
+	if after := serving(); after != before {
+		t.Fatalf("%d workers serving after Execute returned, want %d", after, before)
+	}
 }

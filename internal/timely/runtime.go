@@ -16,13 +16,14 @@ package timely
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/lattice"
 )
 
-// runtime is the state shared by the local workers of one Execute call or
-// one Cluster. peers is the global worker count across every process of the
-// fabric; this process runs the contiguous index range [first, first+nlocal).
+// runtime is the state shared by the local workers of one Cluster. peers is
+// the global worker count across every process of the fabric; this process
+// runs the contiguous index range [first, first+nlocal).
 type runtime struct {
 	peers  int
 	first  int
@@ -45,12 +46,7 @@ type runtime struct {
 	inbound map[[2]int]inboundHandler
 	pending map[[2]int][]pendingFrame
 
-	// actions holds, per worker (global index), closures posted from other
-	// goroutines to be run on that worker's goroutine (live dataflow
-	// installation, trace handle maintenance, teardown). Only Cluster workers
-	// drain them; only local slots are used.
-	actions [][]func(w *Worker)
-	stopped bool // set by Cluster.Shutdown; serving workers exit when idle
+	stopped atomic.Bool // set under mu by Cluster.Shutdown; refuses posts, stops workers
 }
 
 type mailboxKey struct {
@@ -78,7 +74,6 @@ func newRuntime(fab Fabric) *runtime {
 		mailboxes: make(map[mailboxKey]any),
 		inbound:   make(map[[2]int]inboundHandler),
 		pending:   make(map[[2]int][]pendingFrame),
-		actions:   make([][]func(w *Worker), fab.Workers()),
 	}
 	rt.cond = sync.NewCond(&rt.mu)
 	return rt
@@ -251,12 +246,4 @@ func mailboxFor[D any](rt *runtime, df, ch, worker int) *mailbox[D] {
 	mb := &mailbox[D]{}
 	rt.mailboxes[key] = mb
 	return mb
-}
-
-// Execute runs program once per worker on peers workers and blocks until all
-// return. Every worker must construct the same dataflows in the same order
-// (operator identifiers are assigned by construction order). Worker indices
-// are 0..peers-1.
-func Execute(peers int, program func(w *Worker)) {
-	ExecuteFabric(NewLocalFabric(peers), program)
 }

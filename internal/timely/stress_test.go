@@ -188,7 +188,7 @@ func TestExchangePooledChurnRace(t *testing.T) {
 		perEp  = 64
 		encEp  = 1 << 12 // value encodes (epoch, index): epoch*encEp + i
 	)
-	c := StartCluster(peers)
+	c := StartCluster(NewLocalFabric(peers))
 	defer c.Shutdown()
 
 	var mu sync.Mutex

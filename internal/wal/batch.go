@@ -97,7 +97,7 @@ func (c *BatchCodec[K, V]) AppendPayload(dst []byte, b *core.Batch[K, V], kLo, k
 	}
 	for ui := int(b.ValOff[vLo]); ui < int(b.ValOff[vHi]); ui++ {
 		dst = AppendTime(dst, b.UpdTime(ui))
-		dst = AppendUvarint(dst, zig(b.Diffs[ui]))
+		dst = AppendZigzag(dst, b.Diffs[ui])
 	}
 	return dst
 }
@@ -279,10 +279,6 @@ func readCounts(p []byte, pos int, off []int32, base, total int) (int, error) {
 	}
 	return pos, nil
 }
-
-// zig and zag are zigzag encoding for signed diffs over unsigned varints.
-func zig(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-func zag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Head precedes a batch's payload in a WAL batch record and opens a block
 // file's index: the three framing frontiers, then the key, value and

@@ -128,7 +128,7 @@ func OpenShard[K, V any](dir string, kc Codec[K], vc Codec[V],
 		}
 		// Persist the file's existence, not just its (future) contents: a
 		// synced record in an unsynced directory entry is equally lost.
-		if err := syncDir(dir); err != nil {
+		if err := SyncDir(dir); err != nil {
 			l.f.Close()
 			return nil, nil, fmt.Errorf("wal: persisting log creation: %w", err)
 		}
@@ -266,9 +266,9 @@ func (l *ShardLog[K, V]) append() error {
 // from any goroutine — drivers poll it to trigger checkpoints on log growth.
 func (l *ShardLog[K, V]) Size() int64 { return l.size.Load() }
 
-// syncDir fsyncs a directory, persisting the entries (creates and renames)
+// SyncDir fsyncs a directory, persisting the entries (creates and renames)
 // inside it.
-func syncDir(dir string) error {
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -342,7 +342,7 @@ func (l *ShardLog[K, V]) installGeneration(data []byte) error {
 	}
 	old.Close()
 	os.Remove(filepath.Join(l.dir, genName(oldGen)))
-	if err := syncDir(l.dir); err != nil {
+	if err := SyncDir(l.dir); err != nil {
 		return fmt.Errorf("wal: rotate: persisting generation rename: %w", err)
 	}
 	return nil

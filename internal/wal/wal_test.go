@@ -207,7 +207,7 @@ func hostileRecord(keyDeltas, keyGroups, valGroups [2]uint64) []byte {
 		p = AppendUvarint(p, u)
 	}
 	for range 2 {
-		p = AppendUvarint(AppendTime(p, lattice.Ts(0)), zig(1))
+		p = AppendZigzag(AppendTime(p, lattice.Ts(0)), 1)
 	}
 	return appendRecord(nil, p)
 }

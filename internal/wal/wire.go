@@ -113,6 +113,12 @@ func AppendString(dst []byte, s string) []byte {
 // AppendUvarint appends an unsigned varint.
 func AppendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
 
+// AppendZigzag appends a signed varint, zigzag-mapped so that a small
+// magnitude of either sign takes one byte.
+func AppendZigzag(dst []byte, v int64) []byte {
+	return binary.AppendUvarint(dst, uint64(v<<1)^uint64(v>>63))
+}
+
 // AppendTime appends a logical time: its depth, then its coordinates.
 func AppendTime(dst []byte, t lattice.Time) []byte {
 	dst = append(dst, byte(t.Depth()))
@@ -209,6 +215,15 @@ func (d *Dec) Uvarint() (uint64, error) {
 	d.off += n
 	return v, nil
 }
+
+// Zigzag reads a signed varint written by AppendZigzag.
+func (d *Dec) Zigzag() (int64, error) {
+	u, err := d.Uvarint()
+	return zag(u), err
+}
+
+// zag undoes AppendZigzag's mapping of a signed value onto a uvarint.
+func zag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Time reads a logical time into a fixed-size array: a slice made at the
 // decoded depth would escape to the heap once per time read. A loop
