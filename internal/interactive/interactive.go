@@ -66,48 +66,59 @@ func TwoHop(aE *core.Arranged[uint64, uint64],
 
 // ShortestPath builds the 4-hop shortest-path class over (src, dst) query
 // pairs: ((src, dst), shortest length ≤ 4).
+//
+// Level k holds (node, origin) with a count: the number of k-step walks from
+// origin to node, times the pairs that ask about origin. Level 0 is each
+// queried src at itself; level k is one JoinCore of the edges against level
+// k−1, arranged once, and that one arrangement is read both by the next
+// expansion and by the level's hit join against the pairs. Walks are never
+// distincted: a product of non-negative edge counts is positive exactly when
+// some k-step walk exists, so presence in level k is reachability in exactly
+// k steps — what a distincted level holds — and the min-path reduce, the only
+// reduce, keeps the least k with a positive count. The class holds 8 traces
+// (pairs-by-dst, levels 0–4, min-path's input and output) and 1 reduce,
+// against 25 and 10 when each level was distincted and re-arranged.
+//
+// A level-k count is at most (max out-degree × max edge multiplicity)^k
+// times the pairs per src, so int64 diffs are safe at k = 4 below ≈ 55 000
+// out-degree; TwoHop counts walks the same way, with the same bound at k = 2.
 func ShortestPath(aE *core.Arranged[uint64, uint64],
 	pc dd.Collection[uint64, uint64]) dd.Collection[[2]uint64, uint64] {
-	srcs := dd.Distinct(dd.Map(pc, func(src, dst uint64) (uint64, uint64) { return src, src }),
-		core.U64())
-	level := srcs // (node, origin), distance 0
+	aL := dd.Arrange(dd.Map(pc, func(src, dst uint64) (uint64, uint64) { return src, src }),
+		core.U64(), "level") // (node, origin) at distance 0
 	aPd := dd.Arrange(dd.Map(pc, func(src, dst uint64) (uint64, uint64) { return dst, src }),
 		core.U64(), "pairs-by-dst")
 	var hits dd.Collection[[2]uint64, uint64]
-	first := true
 	for k := uint64(1); k <= 4; k++ {
-		aL := dd.DistinctCore(dd.Arrange(level, core.U64(), "level"))
-		next := dd.JoinCore(aE, aL, "expand",
-			func(n, nbr, origin uint64) (uint64, uint64) { return nbr, origin })
-		next = dd.Distinct(next, core.U64())
-		aN := dd.Arrange(next, core.U64(), "level-arranged")
-		kk := k
+		aL = dd.Arrange(dd.JoinCore(aE, aL, "expand",
+			func(n, nbr, origin uint64) (uint64, uint64) { return nbr, origin }),
+			core.U64(), "level")
+		// A non-matching (pair src, origin) is marked by length 0, which no
+		// path has: every vertex, ^0 included, can be an origin.
 		hit := dd.Filter(
-			dd.JoinCore(aPd, aN, "hit",
+			dd.JoinCore(aPd, aL, "hit",
 				func(node, srcFromPair, origin uint64) ([2]uint64, uint64) {
 					if srcFromPair == origin {
-						return [2]uint64{origin, node}, kk
+						return [2]uint64{origin, node}, k
 					}
-					return [2]uint64{^uint64(0), ^uint64(0)}, kk
+					return [2]uint64{}, 0
 				}),
-			func(key [2]uint64, _ uint64) bool { return key[0] != ^uint64(0) })
-		if first {
+			func(_ [2]uint64, length uint64) bool { return length != 0 })
+		if hits.S == nil {
 			hits = hit
-			first = false
 		} else {
 			hits = dd.Concat(hits, hit)
 		}
-		level = next
 	}
 	return dd.Reduce(hits, fnPairU64(), fnPairU64(), "min-path",
-		func(k [2]uint64, in []dd.ValDiff[uint64], out *[]dd.ValDiff[uint64]) {
-			min := in[0].Val
+		func(_ [2]uint64, in []dd.ValDiff[uint64], out *[]dd.ValDiff[uint64]) {
+			// in is sorted by length: the first present one is the least.
 			for _, e := range in {
-				if e.Val < min {
-					min = e.Val
+				if e.Diff > 0 {
+					*out = append(*out, dd.ValDiff[uint64]{Val: e.Val, Diff: 1})
+					return
 				}
 			}
-			*out = append(*out, dd.ValDiff[uint64]{Val: min, Diff: 1})
 		})
 }
 

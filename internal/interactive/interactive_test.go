@@ -226,3 +226,165 @@ func TestLookupDegrees(t *testing.T) {
 		}
 	}
 }
+
+// exactPathLen is the path class's semantics: the least k in 1..4 such that
+// dst is reachable from src in exactly k steps, or 0. edges is a multiset;
+// an edge is present when its count is positive.
+func exactPathLen(edges map[[2]uint64]int, src, dst uint64) uint64 {
+	level := map[uint64]bool{src: true}
+	for k := uint64(1); k <= 4; k++ {
+		next := map[uint64]bool{}
+		for e, n := range edges {
+			if n > 0 && level[e[0]] {
+				next[e[1]] = true
+			}
+		}
+		if next[dst] {
+			return k
+		}
+		level = next
+	}
+	return 0
+}
+
+// pathEpoch is one epoch of edge and pair changes.
+type pathEpoch struct {
+	edges []core.Update[uint64, uint64]
+	pairs []core.Update[uint64, uint64]
+}
+
+// runPath drives the path class through the epochs on the given number of
+// workers and returns its accumulated output at each epoch.
+func runPath(workers int, epochs []pathEpoch) []map[[2]any]core.Diff {
+	capP := &dd.Captured[[2]uint64, uint64]{}
+	timely.Execute(workers, func(w *timely.Worker) {
+		var sys *System
+		w.Dataflow(func(g *timely.Graph) {
+			sys = BuildSystem(g, true)
+			dd.Capture(sys.Path, capP)
+		})
+		for e, ep := range epochs {
+			if w.Index() == 0 {
+				for _, u := range ep.edges {
+					sys.Edges.UpdateAt(u.Key, u.Val, u.Diff)
+				}
+				for _, u := range ep.pairs {
+					sys.QPath.UpdateAt(u.Key, u.Val, u.Diff)
+				}
+			}
+			sys.AdvanceAll(uint64(e + 1))
+			at := lattice.Ts(uint64(e))
+			w.StepUntil(func() bool { return sys.ProbePath.Done(at) })
+		}
+		sys.CloseAll()
+		w.Drain()
+	})
+	got := make([]map[[2]any]core.Diff, len(epochs))
+	for e := range epochs {
+		got[e] = capP.At(lattice.Ts(uint64(e)))
+	}
+	return got
+}
+
+// wantPaths is the oracle's output after each epoch: one record per pair
+// present (at any multiplicity) with a path of length ≤ 4.
+func wantPaths(epochs []pathEpoch) []map[[2]any]core.Diff {
+	edges := map[[2]uint64]int{}
+	pairs := map[[2]uint64]int{}
+	var want []map[[2]any]core.Diff
+	for _, ep := range epochs {
+		for _, u := range ep.edges {
+			edges[[2]uint64{u.Key, u.Val}] += int(u.Diff)
+		}
+		for _, u := range ep.pairs {
+			pairs[[2]uint64{u.Key, u.Val}] += int(u.Diff)
+		}
+		w := map[[2]any]core.Diff{}
+		for p, n := range pairs {
+			if k := exactPathLen(edges, p[0], p[1]); n > 0 && k > 0 {
+				w[[2]any{p, k}] = 1
+			}
+		}
+		want = append(want, w)
+	}
+	return want
+}
+
+func upd(src, dst uint64, diff core.Diff) core.Update[uint64, uint64] {
+	return core.Update[uint64, uint64]{Key: src, Val: dst, Diff: diff}
+}
+
+// TestPathFromMaxVertex: a path whose src is ^0 is reported like any other.
+func TestPathFromMaxVertex(t *testing.T) {
+	const top = ^uint64(0)
+	epochs := []pathEpoch{{
+		edges: []core.Update[uint64, uint64]{upd(top, 5, 1), upd(1, 5, 1)},
+		pairs: []core.Update[uint64, uint64]{upd(top, 5, 1), upd(1, 5, 1)},
+	}}
+	want := map[[2]any]core.Diff{
+		{[2]uint64{top, 5}, uint64(1)}: 1,
+		{[2]uint64{1, 5}, uint64(1)}:   1,
+	}
+	for _, workers := range []int{1, 2} {
+		if got := runPath(workers, epochs)[0]; !maps.Equal(got, want) {
+			t.Errorf("w%d: paths %v, want %v", workers, got, want)
+		}
+	}
+}
+
+// TestPathEvolvingGraph referees the path class, whose levels count walks
+// rather than distinct them, against an exact-k-step BFS at every epoch of
+// edge insertions and removals: one of two walks retracted keeps the length,
+// the only short route retracted lengthens the path or removes its record, a
+// pair given twice is one record, and src == dst on a cycle. Random churn
+// over a small graph follows the scripted epochs.
+func TestPathEvolvingGraph(t *testing.T) {
+	e, p := upd, upd
+	epochs := []pathEpoch{
+		{ // 1→4 by two 2-step walks; 8→9 directly and by 8→10→11→9; cycle 6⇄7.
+			edges: []core.Update[uint64, uint64]{e(1, 2, 1), e(2, 4, 1), e(1, 3, 1), e(3, 4, 1), e(4, 5, 1),
+				e(8, 9, 1), e(8, 10, 1), e(10, 11, 1), e(11, 9, 1), e(6, 7, 1), e(7, 6, 1)},
+			pairs: []core.Update[uint64, uint64]{p(1, 4, 1), p(1, 4, 1), p(1, 5, 1), p(8, 9, 1), p(6, 6, 1), p(2, 1, 1)},
+		},
+		{ // One of two walks goes: still 2. The only 1-step route goes: 3.
+			edges: []core.Update[uint64, uint64]{e(1, 3, -1), e(8, 9, -1)},
+		},
+		{ // The only route to 5 goes: no record. A multi-edge, and one copy of the twice-given pair goes.
+			edges: []core.Update[uint64, uint64]{e(4, 5, -1), e(2, 4, 1), e(1, 3, 1)},
+			pairs: []core.Update[uint64, uint64]{p(1, 4, -1)},
+		},
+		{ // The cycle breaks and a self-loop closes it at length 1; one copy of the multi-edge goes.
+			edges: []core.Update[uint64, uint64]{e(7, 6, -1), e(6, 6, 1), e(2, 4, -1), e(4, 1, 1)},
+		},
+	}
+	// Random churn: pairs over a small graph, then removals and insertions.
+	g0 := graphs.Random(20, 45, 5)
+	var churn pathEpoch
+	for _, ed := range g0 {
+		churn.edges = append(churn.edges, e(ed.Src+100, ed.Dst+100, 1))
+	}
+	for i := uint64(0); i < 12; i++ {
+		churn.pairs = append(churn.pairs, p(100+i, 100+(i*7)%20, 1))
+	}
+	epochs = append(epochs, churn)
+	for r, ins := range [][]graphs.Edge{graphs.Random(20, 8, 6), graphs.Random(20, 8, 7)} {
+		var ep pathEpoch
+		for i := r; i < len(g0); i += 4 {
+			ep.edges = append(ep.edges, e(g0[i].Src+100, g0[i].Dst+100, -1))
+		}
+		for _, ed := range ins {
+			ep.edges = append(ep.edges, e(ed.Src+100, ed.Dst+100, 1))
+		}
+		epochs = append(epochs, ep)
+	}
+
+	want := wantPaths(epochs)
+	for _, workers := range []int{1, 2} {
+		got := runPath(workers, epochs)
+		for ep := range epochs {
+			if !maps.Equal(got[ep], want[ep]) {
+				t.Errorf("w%d: paths at epoch %d are %v, want %v", workers, ep, got[ep], want[ep])
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package interactive
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -232,4 +233,51 @@ func TestSharedInstallAllocIndependentOfGraphSize(t *testing.T) {
 				class, small, large)
 		}
 	}
+}
+
+// BenchmarkPathInstall is one shared 4-hop path query's life on a live
+// one-worker server holding graphs.Random(5000, 25000, 1): install (build,
+// import the edges arrangement, first complete result), one epoch of 50 edge
+// changes maintained through its levels, and uninstall. allocs/op and B/op
+// are the figures to watch: they follow what the query's levels hold.
+func BenchmarkPathInstall(b *testing.B) {
+	live, err := StartLive(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer live.Close()
+	const nodes = 5000
+	preload := edgeUpds(graphs.Random(nodes, 25000, 1), 1)
+	// Each op removes the 25 edges the previous op inserted and inserts 25
+	// fresh ones, so the graph keeps its size however many ops run.
+	fresh := graphs.Random(nodes, 25*uint64(b.N+1), 2)
+	live.UpdateEdges(append(preload, edgeUpds(fresh[:25], 1)...))
+	live.Advance()
+	live.Sync()
+	var pairs [][2]uint64
+	for k := uint64(0); k < 8; k++ {
+		pairs = append(pairs, [2]uint64{k * 600, k*600 + 7})
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q, err := live.InstallPath(fmt.Sprintf("path-%d", i), pairs, true, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		live.UpdateEdges(append(edgeUpds(fresh[25*i:25*i+25], -1), edgeUpds(fresh[25*i+25:25*i+50], 1)...))
+		if !q.WaitDone(live.Advance()) {
+			b.Fatal("server stopped")
+		}
+		q.Close()
+	}
+}
+
+func edgeUpds(edges []graphs.Edge, diff core.Diff) []core.Update[uint64, uint64] {
+	out := make([]core.Update[uint64, uint64], len(edges))
+	for i, e := range edges {
+		out[i] = core.Update[uint64, uint64]{Key: e.Src, Val: e.Dst, Diff: diff}
+	}
+	return out
 }

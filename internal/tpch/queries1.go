@@ -152,10 +152,9 @@ func Q4(c *Collections) dd.Collection[uint64, Vals] {
 			return o.OrderDate >= q4Lo && o.OrderDate < q4Hi
 		}),
 		func(k uint64, o Order) (uint64, int64) { return k, o.Priority })
-	late := dd.Distinct(dd.Map(
+	late := dd.Map(
 		dd.Filter(c.Items, func(_ uint64, l LineItem) bool { return l.CommitDate < l.ReceiptDate }),
-		func(ok uint64, l LineItem) (uint64, core.Unit) { return ok, core.Unit{} }),
-		fnUnit())
+		func(ok uint64, l LineItem) (uint64, core.Unit) { return ok, core.Unit{} })
 	qualified := dd.SemiJoin(orders, fnI64(), late, fnUnit())
 	return sumBy(qualified, func(_ uint64, pri int64) (uint64, Vals) {
 		return uint64(pri), Vals{1, 0, 0, 0, 0, 0}

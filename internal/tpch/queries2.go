@@ -34,10 +34,9 @@ func Q13(c *Collections) dd.Collection[uint64, Vals] {
 		dd.Filter(c.Orders, func(_ uint64, o Order) bool { return !o.SpecialRequest }),
 		func(_ uint64, o Order) (uint64, core.Unit) { return o.CustKey, core.Unit{} })
 	perCust := dd.Count(orders, fnUnit()) // (custkey, count)
-	withOrders := dd.Distinct(orders, fnUnit())
 	allCust := dd.Map(c.Customer, func(k uint64, _ Customer) (uint64, core.Unit) { return k, core.Unit{} })
 	zeros := dd.Map(
-		dd.AntiJoin(allCust, fnUnit(), withOrders, fnUnit()),
+		dd.AntiJoin(allCust, fnUnit(), orders, fnUnit()),
 		func(k uint64, _ core.Unit) (uint64, int64) { return k, 0 })
 	counts := dd.Concat(perCust, zeros)
 	return sumBy(counts, func(_ uint64, n int64) (uint64, Vals) {
@@ -300,9 +299,9 @@ func Q22(c *Collections) dd.Collection[uint64, Vals] {
 	avg := sumBy(positive, func(_ uint64, cu Customer) (uint64, Vals) {
 		return 0, Vals{cu.AcctBal, 1, 0, 0, 0, 0}
 	})
-	withOrders := dd.Distinct(dd.Map(c.Orders, func(_ uint64, o Order) (uint64, core.Unit) {
+	withOrders := dd.Map(c.Orders, func(_ uint64, o Order) (uint64, core.Unit) {
 		return o.CustKey, core.Unit{}
-	}), fnUnit())
+	})
 	candidates := dd.AntiJoin(coded, fnCustomer(), withOrders, fnUnit())
 	rekeyed := dd.Map(candidates, func(_ uint64, cu Customer) (uint64, [2]int64) {
 		return 0, [2]int64{cu.Phone, cu.AcctBal}
