@@ -192,6 +192,21 @@ func TestLayoutMismatchIsCorrupt(t *testing.T) {
 	}
 }
 
+// TestDescendingValuesAreCorrupt: a block whose key holds its values out
+// of order is a *CorruptError, as a repeated key is.
+func TestDescendingValuesAreCorrupt(t *testing.T) {
+	fn := fnTup(false)
+	cfg, err := newCodecs[uint64, tup](fn, nil, tupCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := swappedValuesImage(t, cfg)
+	_, err = decodeImage[uint64, tup](fn, nil, tupCodec{}, img)
+	if _, ok := err.(*CorruptError); !ok || !strings.Contains(err.Error(), "value 1 does not ascend") {
+		t.Fatalf("got %v, want a *CorruptError about the descending value", err)
+	}
+}
+
 // coldMerge spills two adjacent n-update u64/u64 runs under a zero budget
 // and returns the spine about to merge them: both runs are cold, and the
 // merge starts, with no fuel applied, at the next Work. Its output, twice

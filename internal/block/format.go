@@ -73,7 +73,7 @@ func newCodecs[K, V any](fn core.Funcs[K, V], kc wal.Codec[K], vc wal.Codec[V]) 
 	if err != nil {
 		return nil, fmt.Errorf("block: %w", err)
 	}
-	bc.Less = fn.LessK
+	bc.LessK, bc.LessV = fn.LessK, fn.LessV
 	return &codecs[K, V]{bc, fn}, nil
 }
 

@@ -149,7 +149,13 @@ func wideLoopImage(f *testing.F, cfg *codecs[uint64, tup]) []byte {
 	}
 	at := bytes.Index(img, wal.AppendU64(nil, mark))
 	img[at+3] |= 0x80
-	for off := headerLen; ; { // reseal the record holding the widened mark
+	return resealAt(img, at)
+}
+
+// resealAt recomputes the checksum of the record of img that holds byte
+// at, after a test changed it.
+func resealAt(img []byte, at int) []byte {
+	for off := headerLen; ; {
 		end := off + 8 + int(binary.LittleEndian.Uint32(img[off:]))
 		if at < end {
 			wal.SealRecord(img[off:end])
@@ -157,6 +163,25 @@ func wideLoopImage(f *testing.F, cfg *codecs[uint64, tup]) []byte {
 		}
 		off = end
 	}
+}
+
+// swappedValuesImage is a valid file of one key holding two values, but
+// for those two values' encodings being swapped in the block: the key's
+// values descend.
+func swappedValuesImage(tb testing.TB, cfg *codecs[uint64, tup]) []byte {
+	lo, hi := tup{A: 1, C: 0x5eed}, tup{A: 2, C: 0x5eed}
+	b := core.BuildBatch(fnTup(false), []upd{
+		{Key: 1, Val: lo, Time: lattice.Ts(0), Diff: 1},
+		{Key: 1, Val: hi, Time: lattice.Ts(0), Diff: 1},
+	}, lattice.MinFrontier(1), lattice.NewFrontier(lattice.Ts(1)), lattice.MinFrontier(1))
+	img, err := encodeImage(cfg, b, 8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pair := tupCodec{}.Append(tupCodec{}.Append(nil, lo), hi)
+	at := bytes.Index(img, pair)
+	copy(img[at:], tupCodec{}.Append(tupCodec{}.Append(nil, hi), lo))
+	return resealAt(img, at)
 }
 
 // FuzzBlockDecode drives the block-file decoder with truncated, bit-flipped
@@ -192,6 +217,7 @@ func FuzzBlockDecode(f *testing.F) {
 	// A valid file but for a nonzero column width.
 	f.Add(withColWidth(valid, b.Lower, b.Upper, b.Since, 4))
 	f.Add(wideLoopImage(f, cfg))
+	f.Add(swappedValuesImage(f, cfg))
 	// A one-time block, and one whose last update alone has another time:
 	// the decoder makes the time column there and backfills it.
 	for _, last := range []uint64{0, 1} {

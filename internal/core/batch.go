@@ -279,10 +279,19 @@ func (b *Batch[K, V]) AppendUpd(t lattice.Time, d Diff) {
 
 // SortUpdates sorts updates by (key, val, time-total-order) and coalesces
 // entries with equal (key, val, time), dropping zero diffs. It returns the
-// consolidated prefix. sort.Slice beats the generic slices.SortFunc here:
-// its reflection swapper moves the wide Update elements in place instead of
-// copying them through temporaries.
+// consolidated prefix.
+//
+// Funcs with kernels (Ordered, OrderedKey: u64 keys and values) sort in
+// their kernel with every comparison inline (kernels.go): there the
+// comparisons are the cost, and an Update of a few words moves cheaply.
+// Every other Funcs sorts with sort.Slice: each comparison calls LessK and
+// LessV anyway, and for wide values (TPC-H rows) its reflection swapper,
+// which moves elements in place, beats slices.SortFunc's copies through
+// temporaries.
 func SortUpdates[K, V any](fn Funcs[K, V], upds []Update[K, V]) []Update[K, V] {
+	if k := fn.kernels(); k != nil {
+		return k.sortUpdates(upds)
+	}
 	sort.Slice(upds, func(i, j int) bool {
 		return updLess(fn, &upds[i], &upds[j])
 	})

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -316,5 +319,54 @@ func TestMinTimesAntichain(t *testing.T) {
 	mt := b.MinTimes()
 	if len(mt) != 1 || mt[0] != lattice.Ts(1) {
 		t.Fatalf("MinTimes = %v", mt)
+	}
+}
+
+// TestIntrosortOrdersAsSortFunc: the ordered kernels' sort leaves random,
+// sorted, reversed, few-valued and all-equal inputs in the order
+// slices.SortFunc gives them, and so does its heapsort fallback, which the
+// depth-0 run takes at once. Sizes straddle the insertion-sort cutoff.
+func TestIntrosortOrdersAsSortFunc(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	cmpUpd := func(a, b Update[uint64, uint64]) int {
+		if c := cmp.Compare(a.Key, b.Key); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Val, b.Val); c != 0 {
+			return c
+		}
+		return a.Time.TotalCmp(b.Time)
+	}
+	inputs := map[string]func(i, n int) Update[uint64, uint64]{
+		"random": func(int, int) Update[uint64, uint64] {
+			return Update[uint64, uint64]{Key: uint64(r.Intn(50)), Val: uint64(r.Intn(4)), Time: lattice.Ts(uint64(r.Intn(3)), uint64(r.Intn(3)))}
+		},
+		"sorted": func(i, _ int) Update[uint64, uint64] {
+			return Update[uint64, uint64]{Key: uint64(i), Time: lattice.Ts(0, 0)}
+		},
+		"reversed": func(i, n int) Update[uint64, uint64] {
+			return Update[uint64, uint64]{Key: uint64(n - i), Time: lattice.Ts(0, 0)}
+		},
+		"few": func(int, int) Update[uint64, uint64] {
+			return Update[uint64, uint64]{Key: uint64(r.Intn(2)), Time: lattice.Ts(0, uint64(r.Intn(2)))}
+		},
+		"equal": func(int, int) Update[uint64, uint64] { return Update[uint64, uint64]{Key: 7, Time: lattice.Ts(1, 1)} },
+	}
+	for name, gen := range inputs {
+		for _, n := range []int{0, 1, 11, 12, 13, 100, 1000} {
+			upds := make([]Update[uint64, uint64], n)
+			for i := range upds {
+				upds[i] = gen(i, n)
+			}
+			want := slices.Clone(upds)
+			slices.SortFunc(want, cmpUpd)
+			for _, depth := range []int{0, 2 * bits.Len(uint(n))} {
+				got := slices.Clone(upds)
+				introsort(got, depth)
+				if slices.CompareFunc(got, want, cmpUpd) != 0 {
+					t.Fatalf("%s, %d updates, depth %d: out of order", name, n, depth)
+				}
+			}
+		}
 	}
 }

@@ -30,7 +30,8 @@ import (
 // resident whole — the block split is the one Spill applies to a whole batch.
 type batchBuilder[K, V any] struct {
 	fn                  Funcs[K, V]
-	b                   *Batch[K, V] // the output, or its open block when streaming
+	kern                kernels[K, V] // fn's kernels, or nil
+	b                   *Batch[K, V]  // the output, or its open block when streaming
 	lower, upper, since lattice.Frontier
 
 	out      RunWriter[K, V] // nil: the output stays resident
@@ -53,7 +54,7 @@ type batchBuilder[K, V any] struct {
 func newBatchBuilder[K, V any](fn Funcs[K, V], lower, upper, since lattice.Frontier,
 	capHint int, out RunWriter[K, V]) *batchBuilder[K, V] {
 
-	bl := &batchBuilder[K, V]{fn: fn, lower: lower, upper: upper, since: since, out: out}
+	bl := &batchBuilder[K, V]{fn: fn, kern: fn.kernels(), lower: lower, upper: upper, since: since, out: out}
 	if out != nil {
 		bl.flushAt = out.BlockUpdates()
 		capHint = bl.flushAt
@@ -75,14 +76,19 @@ func newBatchBuilder[K, V any](fn Funcs[K, V], lower, upper, since lattice.Front
 // (key, val) group may arrive out of total order (compaction can reorder
 // multidimensional times), which close-time sorting repairs per group.
 func (bl *batchBuilder[K, V]) push(src *Batch[K, V], ki, vi int, td TimeDiff) {
-	b := bl.b
-	// bl keys/vals are ≤ the incoming tuple's, so one Less decides each.
-	if !bl.openKey || bl.fn.LessK(b.Keys[len(b.Keys)-1], src.Keys[ki]) {
+	var opens int
+	if bl.kern != nil {
+		opens = bl.kern.opens(bl, src, ki, vi)
+	} else {
+		opens = bl.opens(src, ki, vi)
+	}
+	switch opens {
+	case 2:
 		bl.closeVal()
 		bl.closeKey()
-		b.Keys = append(b.Keys, src.Keys[ki])
+		bl.b.Keys = append(bl.b.Keys, src.Keys[ki])
 		bl.openKey = true
-	} else if bl.openVal && bl.srcVals.Less(bl.fn.LessV, bl.srcVi, &src.Vals, vi) {
+	case 1:
 		bl.closeVal()
 	}
 	if !bl.openVal {
@@ -93,6 +99,19 @@ func (bl *batchBuilder[K, V]) push(src *Batch[K, V], ki, vi int, td TimeDiff) {
 		bl.unsorted = true
 	}
 	bl.tds = append(bl.tds, td)
+}
+
+// opens reports what the tuple at key ki and value vi of src opens: a key
+// (2), a value of the open key (1) or neither (0). The open key and value
+// are ≤ the tuple's, so one Less decides each.
+func (bl *batchBuilder[K, V]) opens(src *Batch[K, V], ki, vi int) int {
+	switch {
+	case !bl.openKey || bl.fn.LessK(bl.b.Keys[len(bl.b.Keys)-1], src.Keys[ki]):
+		return 2
+	case bl.openVal && bl.srcVals.Less(bl.fn.LessV, bl.srcVi, &src.Vals, vi):
+		return 1
+	}
+	return 0
 }
 
 // closeVal seals the open value group: sort the history if compaction

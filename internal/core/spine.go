@@ -26,6 +26,7 @@ const (
 // worker boundaries).
 type Spine[K, V any] struct {
 	fn      Funcs[K, V]
+	kern    kernels[K, V]      // fn's kernels, or nil
 	entries []spineEntry[K, V] // oldest first; adjacent uppers/lowers match
 	handles []*Handle[K, V]
 	coef    int
@@ -141,7 +142,7 @@ func NewSpine[K, V any](fn Funcs[K, V], coef int) *Spine[K, V] {
 	if coef < 1 {
 		coef = MergeDefault
 	}
-	return &Spine[K, V]{fn: fn, coef: coef, depth: 1, upper: lattice.MinFrontier(1)}
+	return &Spine[K, V]{fn: fn, kern: fn.kernels(), coef: coef, depth: 1, upper: lattice.MinFrontier(1)}
 }
 
 // SetUpperDepth initializes the spine's empty upper frontier at the given
@@ -200,18 +201,23 @@ func (s *Spine[K, V]) Work(fuel int) bool {
 // advanceMerge applies fuel to the merge at entry idx, installing the result
 // when it completes; returns leftover fuel. Each step extracts the minimum
 // tuple across the run's cursors (k is small — a geometric run — so a linear
-// scan beats heap bookkeeping). The only work segments add is the check when
-// a cursor runs out.
+// scan beats heap bookkeeping), in one kernel call when the spine's Funcs
+// have kernels. The only work segments add is the check when a cursor runs
+// out.
 func (s *Spine[K, V]) advanceMerge(idx, fuel int) int {
 	m := s.entries[idx].merge
 	for fuel > 0 {
 		min := -1
-		for i := range m.cs {
-			if !m.cs[i].valid() {
-				continue
-			}
-			if min < 0 || s.cursorLess(&m.cs[i], &m.cs[min]) {
-				min = i
+		if s.kern != nil {
+			min = s.kern.minCursor(m.cs)
+		} else {
+			for i := range m.cs {
+				if !m.cs[i].valid() {
+					continue
+				}
+				if min < 0 || s.cursorLess(&m.cs[i], &m.cs[min]) {
+					min = i
+				}
 			}
 		}
 		if min < 0 {

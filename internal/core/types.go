@@ -47,6 +47,12 @@ func StampAt[K, V any](upds []Update[K, V], t lattice.Time) []Update[K, V] {
 // to be arranged: Go has no Ord/Hash traits, so these are explicit. LessK
 // and LessV must be strict weak orders; HashK drives worker routing and must
 // distribute well.
+//
+// Funcs built by Ordered or OrderedKey also carry kernels: the per-tuple
+// loops of sealing and merging, compiled for the concrete key and value
+// types so that they compare inline instead of calling LessK and LessV per
+// comparison (see kernels.go). Any other Funcs, or one whose LessK or LessV
+// has been replaced, runs the same loops through the closures.
 type Funcs[K, V any] struct {
 	LessK func(a, b K) bool
 	LessV func(a, b V) bool
@@ -55,6 +61,8 @@ type Funcs[K, V any] struct {
 	// built under these Funcs (typically NewColumnarStore for wide tuple
 	// types). Nil means the default row-major slice store.
 	NewStore func(capHint int) ValStore[V]
+
+	ord *ordered[K, V] // set by Ordered and OrderedKey
 }
 
 // newStore builds a value store of the configured layout.
@@ -84,20 +92,15 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// u64Funcs and u64KeyFuncs are made once: every U64 and U64Key shares
+// their kernels.
+var (
+	u64Funcs    = Ordered[uint64, uint64](Mix64)
+	u64KeyFuncs = OrderedKey[uint64](Mix64)
+)
+
 // U64 returns Funcs for collections keyed and valued by uint64.
-func U64() Funcs[uint64, uint64] {
-	return Funcs[uint64, uint64]{
-		LessK: func(a, b uint64) bool { return a < b },
-		LessV: func(a, b uint64) bool { return a < b },
-		HashK: Mix64,
-	}
-}
+func U64() Funcs[uint64, uint64] { return u64Funcs }
 
 // U64Key returns Funcs for key-only collections of uint64.
-func U64Key() Funcs[uint64, Unit] {
-	return Funcs[uint64, Unit]{
-		LessK: func(a, b uint64) bool { return a < b },
-		LessV: func(a, b Unit) bool { return false },
-		HashK: Mix64,
-	}
-}
+func U64Key() Funcs[uint64, Unit] { return u64KeyFuncs }

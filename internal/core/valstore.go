@@ -104,6 +104,26 @@ func (s *ValStore[V]) Columns() [][]uint64 {
 	return s.col.cols
 }
 
+// Rows exposes the values of a row-layout store (nil for the columnar
+// layout), for a codec that reads a fixed-width type in place. Read-only.
+func (s *ValStore[V]) Rows() []V {
+	if s.col != nil {
+		return nil
+	}
+	return s.rows
+}
+
+// Extend appends n zero values to a row-layout store and returns them, for
+// a decoder to fill in place. It panics on a columnar store.
+func (s *ValStore[V]) Extend(n int) []V {
+	if s.col != nil {
+		panic("core: Extend on a columnar value store")
+	}
+	l := len(s.rows)
+	s.rows = slices.Grow(s.rows, n)[:l+n]
+	return s.rows[l:]
+}
+
 // At materializes value i. For the row layout this is a slice index; for the
 // columnar layout it gathers one word per column — callers on hot paths
 // should prefer Less/SeekGE (which never materialize) and hoist At to once
@@ -156,6 +176,10 @@ func (s *ValStore[V]) AppendRange(src *ValStore[V], lo, hi int) {
 		return
 	}
 	if s.col == nil && src.col == nil {
+		if hi-lo == 1 {
+			s.rows = append(s.rows, src.rows[lo]) // as above: no memmove call
+			return
+		}
 		s.rows = append(s.rows, src.rows[lo:hi]...)
 		return
 	}

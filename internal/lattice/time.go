@@ -34,6 +34,7 @@
 package lattice
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 )
@@ -207,6 +208,20 @@ func (t Time) TotalLess(o Time) bool {
 	t.checkDepth(o)
 	return t.e < o.e || t.e == o.e && t.in < o.in
 }
+
+// TotalCmp three-way compares t and o in TotalLess's order: negative when
+// t orders first, zero when they are equal, positive otherwise.
+func (t Time) TotalCmp(o Time) int {
+	t.checkDepth(o)
+	if c := cmp.Compare(t.e, o.e); c != 0 {
+		return c
+	}
+	return cmp.Compare(t.in, o.in)
+}
+
+// Coords returns t's coordinates in a fixed array, zero past its depth:
+// FromCoords' inverse, unpacking every loop counter in one pass.
+func (t Time) Coords() [MaxDepth]uint64 { return t.coords() }
 
 // Enter returns t extended with a new innermost loop coordinate of 0,
 // entering an iteration scope. The deeper scope's fields are narrower, so a

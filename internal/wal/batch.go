@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/lattice"
@@ -32,7 +33,8 @@ const (
 //	              one ≥ 1: keys strictly increase); other keys as key-codec
 //	              bytes
 //	key groups    per key, its number of values, a varint ≥ 1
-//	values        one value-codec encoding each
+//	values        one value-codec encoding each, strictly increasing
+//	              within their key
 //	value groups  per value, its number of updates, a varint ≥ 1
 //	updates       per update, its time (a depth byte, then that many u64
 //	              coordinates) and its diff as a zigzag varint
@@ -41,13 +43,20 @@ const (
 // index holds them, and the decoder sizes every column from them at once.
 
 // BatchCodec writes and reads the batch payload of one key and value type.
+// A uint64 key or value is in its natural order: keys are delta varints, so
+// the encoding itself requires it, and the decoder checks it of values.
 type BatchCodec[K, V any] struct {
 	KC      Codec[K] // unused when U64Keys
 	VC      Codec[V]
 	U64Keys bool // K is uint64: keys are delta varints
-	// Less, when set, must hold between consecutive codec-encoded keys. A
-	// block store knows its key order (core.Funcs); a shard log does not.
-	Less func(a, b K) bool
+	// u64Vals: V is uint64 and VC is U64Codec, so values are 8-byte words
+	// the codec moves straight between the payload and the row store.
+	u64Vals bool
+	// LessK and LessV, when set, must hold between consecutive
+	// codec-encoded keys and between consecutive values of one key. A block
+	// store knows its order (core.Funcs); a shard log does not.
+	LessK func(a, b K) bool
+	LessV func(a, b V) bool
 }
 
 // NewBatchCodec returns the payload codec for K and V. kc may be nil when K
@@ -63,13 +72,14 @@ func NewBatchCodec[K, V any](kc Codec[K], vc Codec[V]) (*BatchCodec[K, V], error
 	} else if kc == nil {
 		return nil, fmt.Errorf("key codec required for non-uint64 keys")
 	}
+	_, c.u64Vals = any(vc).(u64Codec)
 	return c, nil
 }
 
 // AppendPayload encodes keys [kLo, kHi) of b, with every value and update
 // under them, as one payload onto dst. The value section is one codec
 // encoding per value, whatever the store's in-memory layout, so the bytes
-// are deterministic.
+// are deterministic. A one-time batch's time is encoded once and copied.
 func (c *BatchCodec[K, V]) AppendPayload(dst []byte, b *core.Batch[K, V], kLo, kHi int) []byte {
 	if kLo == kHi {
 		return dst
@@ -89,13 +99,28 @@ func (c *BatchCodec[K, V]) AppendPayload(dst []byte, b *core.Batch[K, V], kLo, k
 	for ki := kLo; ki < kHi; ki++ {
 		dst = AppendUvarint(dst, uint64(b.KeyOff[ki+1]-b.KeyOff[ki]))
 	}
-	for vi := vLo; vi < vHi; vi++ {
-		dst = c.VC.Append(dst, b.Vals.At(vi))
+	if c.u64Vals {
+		for _, v := range any(b.Vals.Rows()[vLo:vHi]).([]uint64) {
+			dst = AppendU64(dst, v)
+		}
+	} else {
+		for vi := vLo; vi < vHi; vi++ {
+			dst = c.VC.Append(dst, b.Vals.At(vi))
+		}
 	}
 	for vi := vLo; vi < vHi; vi++ {
 		dst = AppendUvarint(dst, uint64(b.ValOff[vi+1]-b.ValOff[vi]))
 	}
-	for ui := int(b.ValOff[vLo]); ui < int(b.ValOff[vHi]); ui++ {
+	uLo, uHi := int(b.ValOff[vLo]), int(b.ValOff[vHi])
+	if len(b.Times) == 0 {
+		var buf [1 + 8*lattice.MaxDepth]byte
+		t := AppendTime(buf[:0], b.Time)
+		for _, d := range b.Diffs[uLo:uHi] {
+			dst = AppendZigzag(append(dst, t...), d)
+		}
+		return dst
+	}
+	for ui := uLo; ui < uHi; ui++ {
 		dst = AppendTime(dst, b.UpdTime(ui))
 		dst = AppendZigzag(dst, b.Diffs[ui])
 	}
@@ -136,8 +161,8 @@ func SizedBatch[K, V any](nKeys, nVals, nUpds int) *core.Batch[K, V] {
 
 // DecodePayload is the decode kernel: one pass over p, which must be one
 // payload of exactly nKeys keys, nVals values and nUpds updates at depth,
-// that validates it — key order, group counts, every time's depth and
-// field widths, no trailing bytes — and appends its columns onto dst,
+// that validates it — key and value order, group counts, every time's depth
+// and field widths, no trailing bytes — and appends its columns onto dst,
 // which SizedBatch made with room for them. The offsets it appends continue
 // dst's, so a run's payloads decode in order into one batch. With mins
 // non-nil it also folds every update time into that antichain of minimal
@@ -173,7 +198,7 @@ func (c *BatchCodec[K, V]) DecodePayload(p []byte, dst *core.Batch[K, V], nKeys,
 				return fmt.Errorf("key %d at byte %d: %v", i, pos, err)
 			}
 			pos += n
-			if i > 0 && c.Less != nil && !c.Less(keys[i-1], k) {
+			if i > 0 && c.LessK != nil && !c.LessK(keys[i-1], k) {
 				return fmt.Errorf("key %d out of order", i)
 			}
 			keys[i] = k
@@ -181,17 +206,51 @@ func (c *BatchCodec[K, V]) DecodePayload(p []byte, dst *core.Batch[K, V], nKeys,
 	}
 	var err error
 	dst.KeyOff = dst.KeyOff[:k0+nKeys+1]
-	if pos, err = readCounts(p, pos, dst.KeyOff[k0:], v0, nVals); err != nil {
+	keyOff := dst.KeyOff[k0:]
+	if pos, err = readCounts(p, pos, keyOff, v0, nVals); err != nil {
 		return fmt.Errorf("key offsets: %v", err)
 	}
 
-	for i := 0; i < nVals; i++ {
-		v, n, err := c.VC.Read(p[pos:])
-		if err != nil || n < 0 || n > len(p)-pos {
-			return fmt.Errorf("value %d at byte %d: %v", i, pos, err)
+	// Values, key by key: each after the first of its key must exceed its
+	// predecessor, which uint64 words check by <= and other types through
+	// LessV when the codec has it.
+	if c.u64Vals {
+		if len(p)-pos < 8*nVals {
+			return fmt.Errorf("values: %d words truncated at byte %d", nVals, pos)
 		}
-		pos += n
-		dst.Vals.Append(v)
+		vs := any(dst.Vals.Extend(nVals)).([]uint64)
+		vi := 0
+		for ki := 1; ki < len(keyOff); ki++ {
+			end := int(keyOff[ki]) - v0
+			prev := binary.LittleEndian.Uint64(p[pos:])
+			vs[vi] = prev
+			pos += 8
+			for vi++; vi < end; vi++ {
+				v := binary.LittleEndian.Uint64(p[pos:])
+				if v <= prev {
+					return fmt.Errorf("value %d does not ascend within its key", vi)
+				}
+				vs[vi], prev = v, v
+				pos += 8
+			}
+		}
+	} else {
+		vi := 0
+		var prev V
+		for ki := 1; ki < len(keyOff); ki++ {
+			for first := true; vi < int(keyOff[ki])-v0; vi, first = vi+1, false {
+				v, n, err := c.VC.Read(p[pos:])
+				if err != nil || n < 0 || n > len(p)-pos {
+					return fmt.Errorf("value %d at byte %d: %v", vi, pos, err)
+				}
+				pos += n
+				if !first && c.LessV != nil && !c.LessV(prev, v) {
+					return fmt.Errorf("value %d does not ascend within its key", vi)
+				}
+				dst.Vals.Append(v)
+				prev = v
+			}
+		}
 	}
 	dst.ValOff = dst.ValOff[:v0+nVals+1]
 	if pos, err = readCounts(p, pos, dst.ValOff[v0:], u0, nUpds); err != nil {
@@ -200,12 +259,18 @@ func (c *BatchCodec[K, V]) DecodePayload(p []byte, dst *core.Batch[K, V], nKeys,
 
 	// Updates: each time is a depth byte, which must be depth, then that
 	// many coordinates, read in place; a loop coordinate must fit its
-	// depth's field.
+	// depth's field. Diffs fill their presized column in place. Times keep
+	// core.Batch.AppendUpd's one-time form: while every time equals dst's
+	// one time none is stored, and the second distinct time makes the time
+	// column at Diffs' capacity, backfilled.
 	timeLen := 1 + 8*depth
 	maxLoop := lattice.MaxLoopCoord(depth)
+	dst.Diffs = slices.Grow(dst.Diffs, nUpds)[:u0+nUpds]
+	diffs := dst.Diffs[u0:]
+	oneTime := len(dst.Times) == 0
 	var coords [lattice.MaxDepth]uint64
 	min1 := uint64(math.MaxUint64) // depth 1 is totally ordered: one minimum
-	for i := 0; i < nUpds; i++ {
+	for i := range diffs {
 		if len(p)-pos < timeLen {
 			return fmt.Errorf("update %d time: truncated at byte %d", i, pos)
 		}
@@ -224,6 +289,7 @@ func (c *BatchCodec[K, V]) DecodePayload(p []byte, dst *core.Batch[K, V], nKeys,
 			return fmt.Errorf("update %d diff: bad varint at byte %d", i, pos)
 		}
 		pos += n
+		diffs[i] = zag(u)
 		var t lattice.Time
 		if depth == 1 {
 			// A constant depth lets the inlined constructor drop its loops.
@@ -235,7 +301,22 @@ func (c *BatchCodec[K, V]) DecodePayload(p []byte, dst *core.Batch[K, V], nKeys,
 				mins.Insert(t)
 			}
 		}
-		dst.AppendUpd(t, zag(u))
+		if oneTime {
+			switch {
+			case u0+i == 0:
+				dst.Time = t
+				continue
+			case t == dst.Time:
+				continue
+			}
+			dst.Times = slices.Grow(dst.Times[:0], cap(dst.Diffs))[:u0+i]
+			for j := range dst.Times {
+				dst.Times[j] = dst.Time
+			}
+			dst.Time = lattice.Time{}
+			oneTime = false
+		}
+		dst.Times = append(dst.Times, t)
 	}
 	if mins != nil && depth == 1 && nUpds > 0 {
 		mins.Insert(lattice.Ts(min1))

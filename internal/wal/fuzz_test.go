@@ -56,6 +56,9 @@ func FuzzWALReplay(f *testing.F) {
 		lower, lattice.NewFrontier(lattice.Ts(2, 0, 0)), lower.Clone()))
 	wide[bytes.Index(wide, AppendU64(nil, mark))+3] |= 0x80
 	f.Add(appendRecord(nil, wide))
+	// A batch record whose one key's two values are swapped: replay must
+	// reject the descending pair, not hand back values in the wrong order.
+	f.Add(twoValueRecord(20, 10))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The CRC hides most mutations from the decoder, so additionally

@@ -212,6 +212,20 @@ func hostileRecord(keyDeltas, keyGroups, valGroups [2]uint64) []byte {
 	return appendRecord(nil, p)
 }
 
+// twoValueRecord frames a batch record of one key, 5, holding two values,
+// v1 then v2, each with one update at epoch 0: a valid record when v1 < v2.
+func twoValueRecord(v1, v2 uint64) []byte {
+	p := AppendHead([]byte{recBatch}, lattice.MinFrontier(1), lattice.NewFrontier(lattice.Ts(1)),
+		lattice.MinFrontier(1), 1, 2, 2)
+	p = AppendUvarint(AppendUvarint(p, 5), 2)
+	p = AppendU64(AppendU64(p, v1), v2)
+	p = AppendUvarint(AppendUvarint(p, 1), 1)
+	for range 2 {
+		p = AppendZigzag(AppendTime(p, lattice.Ts(0)), 1)
+	}
+	return appendRecord(nil, p)
+}
+
 // rowRecord frames one update, key 5, value 10, at epoch 0, as a kind-1
 // batch record in the retired row encoding: the three frontiers, then u32
 // counts and offsets, 8-byte keys and values, and per update a time and an
@@ -231,9 +245,10 @@ func rowRecord() []byte {
 
 // TestChainBreakIsCorrupt: a CRC-valid record that is not a valid log —
 // a batch breaking the lower/upper chain, a batch record with a repeated
-// key, an empty key group or an empty value group, or a kind-1 record in
-// the retired row encoding — fails replay with a *CorruptError, and the
-// log is left as it was, not truncated as a torn tail.
+// key, a key whose values descend or repeat, an empty key group or an empty
+// value group, or a kind-1 record in the retired row encoding — fails
+// replay with a *CorruptError, and the log is left as it was, not truncated
+// as a torn tail.
 func TestChainBreakIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	lg, _ := openU64(t, dir, Options{})
@@ -257,6 +272,8 @@ func TestChainBreakIsCorrupt(t *testing.T) {
 		reason string
 	}{
 		{"repeated key", hostileRecord([2]uint64{5, 0}, [2]uint64{1, 1}, [2]uint64{1, 1}), "repeats"},
+		{"descending values", twoValueRecord(20, 10), "value 1 does not ascend"},
+		{"repeated value", twoValueRecord(10, 10), "value 1 does not ascend"},
 		{"empty key group", hostileRecord([2]uint64{5, 1}, [2]uint64{0, 2}, [2]uint64{1, 1}), "key offsets"},
 		{"empty value group", hostileRecord([2]uint64{5, 1}, [2]uint64{1, 1}, [2]uint64{0, 2}), "value offsets"},
 		{"row-encoded batch", rowRecord(), "record kind 1"},
@@ -278,14 +295,16 @@ func TestChainBreakIsCorrupt(t *testing.T) {
 			t.Fatalf("%s: the log changed on a failed replay (%v)", c.name, err)
 		}
 	}
-	dir = t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, genName(1)), valid, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	lg, st := openU64(t, dir, Options{})
-	lg.Close()
-	if st.Torn || len(st.Batches) != 1 || st.Batches[0].Len() != 2 {
-		t.Fatalf("the well-formed control record replayed to %d batches, torn=%v", len(st.Batches), st.Torn)
+	for _, control := range [][]byte{valid, twoValueRecord(10, 20)} {
+		dir = t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, genName(1)), control, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lg, st := openU64(t, dir, Options{})
+		lg.Close()
+		if st.Torn || len(st.Batches) != 1 || st.Batches[0].Len() != 2 {
+			t.Fatalf("a well-formed control record replayed to %d batches, torn=%v", len(st.Batches), st.Torn)
+		}
 	}
 }
 

@@ -121,9 +121,10 @@ func AppendZigzag(dst []byte, v int64) []byte {
 
 // AppendTime appends a logical time: its depth, then its coordinates.
 func AppendTime(dst []byte, t lattice.Time) []byte {
-	dst = append(dst, byte(t.Depth()))
-	for i := 0; i < t.Depth(); i++ {
-		dst = AppendU64(dst, t.Coord(i))
+	depth, c := t.Depth(), t.Coords()
+	dst = append(dst, byte(depth))
+	for _, x := range c[:depth] {
+		dst = AppendU64(dst, x)
 	}
 	return dst
 }
