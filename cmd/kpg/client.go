@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	knet "repro/internal/net"
-	"repro/internal/plan"
 )
 
 var (
@@ -19,20 +18,20 @@ var (
 
 const clientUsage = `usage: kpg client <verb> [args]  (server chosen with -addr)
 
-  install <name> <query...>   parse a pipeline-grammar query client-side
-                              and ship the plan, e.g.
-                                kpg client install big 'edges | keymod 2 0 | count'
-  install <name> -datalog <program>
-                              compile a Datalog program client-side and ship
+  install <name> <program...> compile a Datalog program client-side and ship
                               the plan, e.g.
-                                kpg client install tc -datalog \
+                                kpg client install tc \
                                   'tc(x,y) :- edges(x,y). tc(x,z) :- tc(x,y), edges(y,z).'
-                              "_" is a wildcard (fresh per occurrence). Rule
-                              bodies must be join-connected: each atom after
-                              the first shares a variable with those already
-                              joined, and at most two variables stay live
-                              (cartesian products are a planner limitation,
-                              not a syntax error)
+                                kpg client install deg 'deg(x, count(y)) :- edges(x, y).'
+                              The query predicate (?- p(a,b). or the first
+                              head) may count: p(x, count(y)) is each x with
+                              its number of distinct y. "_" is a wildcard
+                              (fresh per occurrence). Rule bodies must be
+                              join-connected: each atom after the first
+                              shares a variable with those already joined,
+                              and at most two variables stay live (cartesian
+                              products are a planner limitation, not a
+                              syntax error)
   uninstall <name>            remove a query (its watchers' streams end)
   update <source> <k:v[:d]>…  apply deltas at the current epoch (d defaults to 1)
   advance <source>            seal the current epoch (publishes results)
@@ -67,31 +66,11 @@ func client() {
 			fmt.Fprint(os.Stderr, clientUsage)
 			os.Exit(2)
 		}
-		if args[1] == "-datalog" {
-			if len(args) < 3 {
-				fmt.Fprint(os.Stderr, clientUsage)
-				os.Exit(2)
-			}
-			src := strings.Join(args[2:], " ")
-			prog, err := plan.ParseDatalog(src)
-			if err != nil {
-				fail(err)
-			}
-			root, info, err := plan.Compile(prog)
-			if err != nil {
-				fail(err)
-			}
-			if err := c.InstallPlan(args[0], src, root); err != nil {
-				fail(err)
-			}
-			fmt.Printf("installed %q from datalog (planned in %dns)\n", args[0], info.PlanNs)
-			return
-		}
-		query := strings.Join(args[1:], " ")
-		if err := c.Install(args[0], query); err != nil {
+		src := strings.Join(args[1:], " ")
+		if err := c.Install(args[0], src); err != nil {
 			fail(err)
 		}
-		fmt.Printf("installed %q = %s\n", args[0], query)
+		fmt.Printf("installed %q = %s\n", args[0], src)
 	case "uninstall":
 		if len(args) != 1 {
 			fmt.Fprint(os.Stderr, clientUsage)

@@ -38,9 +38,9 @@
 // scenario: external clients drive the "edges" source and attach live
 // queries over the network. kpg client (install, uninstall, update,
 // advance, sync, list, watch; server chosen with -addr) is the matching
-// command-line client; internal/net documents the protocol and the query
-// grammar. Combine -listen with -data-dir for a durable networked server
-// that checkpoints in the background.
+// command-line client; internal/net documents the protocol, and queries are
+// Datalog (internal/plan). Combine -listen with -data-dir for a durable
+// networked server that checkpoints in the background.
 package main
 
 import (

@@ -58,8 +58,8 @@
 //     Close is idempotent and operations racing it fail fast with a typed
 //     ErrClosed.
 //   - internal/net — the wire-protocol front-end: external clients install
-//     and uninstall queries from a small pipeline grammar
-//     (filter/swap/join/count/distinct over registered sources), stream
+//     and uninstall queries written in Datalog (compiled client-side to
+//     a relational plan over registered sources), stream
 //     source updates, seal epochs, and subscribe to per-epoch result
 //     deltas over TCP. Frames reuse the WAL's CRC32-C record format and
 //     codecs; per-query hubs tie backpressure to the epoch cycle, so a

@@ -1,7 +1,7 @@
 // Remote queries: the paper's interactive scenario (§6.2) over the network.
 // A server hosts a shared edges arrangement behind the wire-protocol
 // front-end (internal/net); clients connect over TCP to stream updates,
-// install queries from the query grammar against the running arrangement,
+// install Datalog queries against the running arrangement,
 // and watch per-epoch result deltas. Everything the in-process live-queries
 // example does, but from the other side of a socket — which is how an
 // external application would actually use `kpg serve -listen`.
@@ -113,11 +113,14 @@ func main() {
 	ctl, err := knet.Dial(addr)
 	check(err)
 	defer ctl.Close()
-	fmt.Println("installing queries over the wire:")
-	fmt.Println("  two-hop = edges | keyeq 0 | swap | join edges")
-	check(ctl.Install("two-hop", "edges | keyeq 0 | swap | join edges"))
-	fmt.Println("  degrees = edges | count")
-	check(ctl.Install("degrees", "edges | count"))
+	fmt.Println("installing Datalog queries over the wire:")
+	for _, q := range [][2]string{
+		{"two-hop", "two(z, y) :- edges(0, y), edges(y, z)."},
+		{"degrees", "deg(x, count(y)) :- edges(x, y)."},
+	} {
+		fmt.Printf("  %s = %s\n", q[0], q[1])
+		check(ctl.Install(q[0], q[1]))
+	}
 
 	// A watcher subscribes to both; its first events are consolidated
 	// snapshots, then per-epoch deltas with explicit frontier announcements.
@@ -132,7 +135,7 @@ func main() {
 	check(err)
 	res := drain(watcher, []string{"two-hop", "degrees"}, sealed)
 	fmt.Printf("\nfirst complete results (epoch %d):\n", sealed)
-	show("two-hop of 0 (endpoint, origin)", res["two-hop"])
+	show("two hops from 0 (endpoint, via)", res["two-hop"])
 	show("out-degrees (node, degree)", res["degrees"])
 
 	// Churn while the queries stay installed: both result streams update
@@ -153,7 +156,7 @@ func main() {
 		}
 	}
 	fmt.Printf("after epoch %d:\n", sealed)
-	show("two-hop of 0 (endpoint, origin)", res["two-hop"])
+	show("two hops from 0 (endpoint, via)", res["two-hop"])
 	show("out-degrees (node, degree)", res["degrees"])
 
 	// Uninstalling a query ends its subscribers' streams with an explicit

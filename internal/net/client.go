@@ -96,22 +96,24 @@ func (c *Client) call(req request) (response, error) {
 	return resp, nil
 }
 
-// Install installs a named query from the pipeline grammar (see ParseQuery):
-// sugar that parses the text here and ships the plan with InstallPlan, the
-// text as typed being its listing. Prefer the programmatic builder
-// (internal/plan) for anything beyond a quick pipeline.
-func (c *Client) Install(name, query string) error {
-	root, err := ParseQuery(query)
+// Install installs a named query from a Datalog program: it parses and
+// compiles the text here (plan.ParseDatalog, plan.Compile) and ships the plan
+// with InstallPlan, the text as typed being its listing.
+func (c *Client) Install(name, program string) error {
+	prog, err := plan.ParseDatalog(program)
 	if err != nil {
 		return err
 	}
-	return c.InstallPlan(name, query, root)
+	root, _, err := plan.Compile(prog)
+	if err != nil {
+		return err
+	}
+	return c.InstallPlan(name, program, root)
 }
 
 // InstallPlan installs a named query from a relational plan built with the
-// internal/plan API (or compiled from Datalog with plan.Compile). The display
-// text accompanies the query in listings. The plan is validated locally
-// before anything goes on the wire.
+// internal/plan API. The display text accompanies the query in listings. The
+// plan is validated locally before anything goes on the wire.
 func (c *Client) InstallPlan(name, text string, root *plan.Node) error {
 	if err := root.Validate(); err != nil {
 		return err

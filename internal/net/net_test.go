@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/server"
 )
 
@@ -131,12 +132,12 @@ func (o *oracle) apply(upds []Delta) {
 	}
 }
 
-// filteredCount is the oracle for `edges | keymod M R | count`: per-key
-// record counts over the keys matching the filter.
-func (o *oracle) filteredCount(m, r uint64) map[[2]uint64]int64 {
+// filteredCount is the oracle for Count over the edges whose key passes
+// keep: per-key record counts, multiplicities included.
+func (o *oracle) filteredCount(keep func(key uint64) bool) map[[2]uint64]int64 {
 	counts := make(map[uint64]int64)
 	for k, d := range o.edges {
-		if k[0]%m == r {
+		if keep(k[0]) {
 			counts[k[0]] += d
 		}
 	}
@@ -149,9 +150,16 @@ func (o *oracle) filteredCount(m, r uint64) map[[2]uint64]int64 {
 	return res
 }
 
-// twoHop is the oracle for `edges | keyeq x | swap | join edges`: nodes two
-// hops from x keyed by endpoint, carrying the mid node count via
-// multiplicity.
+// everyKey keeps every key: filteredCount(everyKey) is a plain Count.
+func everyKey(uint64) bool { return true }
+
+// twoHopPlan is the nodes two hops from x keyed by endpoint, carrying the
+// mid node count via multiplicity.
+func twoHopPlan(x uint64) *plan.Node {
+	return plan.Scan("edges").KeyEq(x).Swap().JoinRight(plan.Scan("edges"))
+}
+
+// twoHop is the oracle for twoHopPlan(x).
 func (o *oracle) twoHop(x uint64) map[[2]uint64]int64 {
 	res := make(map[[2]uint64]int64)
 	for e1, d1 := range o.edges {
@@ -242,10 +250,13 @@ func TestRemoteEndToEnd(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer inst.Close()
-	if err := inst.Install("counts", "edges | keymod 3 1 | count"); err != nil {
+	// Both oracles count multiplicities, which a Datalog rule would
+	// consolidate away: the plans go in as built.
+	if err := inst.InstallPlan("counts", "count of edges with key != 3",
+		plan.Scan("edges").Filter(plan.FKeyNe, 3, 0).Count()); err != nil {
 		t.Fatalf("install counts: %v", err)
 	}
-	if err := inst.Install("twohop", "edges | keyeq 5 | swap | join edges"); err != nil {
+	if err := inst.InstallPlan("twohop", "two hops from 5", twoHopPlan(5)); err != nil {
 		t.Fatalf("install twohop: %v", err)
 	}
 	if l, err := inst.List(); err != nil || len(l.Queries) != 2 || len(l.Sources) != 1 {
@@ -290,7 +301,7 @@ func TestRemoteEndToEnd(t *testing.T) {
 				t.Fatalf("event for unknown query %q", ev.Query)
 			}
 		}
-		diffStates(t, fmt.Sprintf("counts@%d", sealed), counts.acc, orc.filteredCount(3, 1))
+		diffStates(t, fmt.Sprintf("counts@%d", sealed), counts.acc, orc.filteredCount(func(k uint64) bool { return k != 3 }))
 		diffStates(t, fmt.Sprintf("twohop@%d", sealed), twohop.acc, orc.twoHop(5))
 	}
 
@@ -327,7 +338,7 @@ func TestLateSubscriberSnapshot(t *testing.T) {
 	}
 	defer ctl.Close()
 
-	if err := ctl.Install("all", "edges"); err != nil {
+	if err := ctl.InstallPlan("all", "edges", plan.Scan("edges")); err != nil {
 		t.Fatalf("install: %v", err)
 	}
 	orc := newOracle()
@@ -417,7 +428,7 @@ func TestSlowSubscriberDoesNotBlockEpochCycle(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer ctl.Close()
-	if err := ctl.Install("all", "edges"); err != nil {
+	if err := ctl.InstallPlan("all", "edges", plan.Scan("edges")); err != nil {
 		t.Fatalf("install: %v", err)
 	}
 
@@ -477,7 +488,7 @@ func TestSubscriberLagResetReconverges(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer ctl.Close()
-	if err := ctl.Install("all", "edges"); err != nil {
+	if err := ctl.InstallPlan("all", "edges", plan.Scan("edges")); err != nil {
 		t.Fatalf("install: %v", err)
 	}
 
@@ -568,7 +579,7 @@ func TestClientKilledMidStream(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer ctl.Close()
-	if err := ctl.Install("counts", "edges | count"); err != nil {
+	if err := ctl.InstallPlan("counts", "count of edges", plan.Scan("edges").Count()); err != nil {
 		t.Fatalf("install: %v", err)
 	}
 
@@ -614,7 +625,7 @@ func TestClientKilledMidStream(t *testing.T) {
 		sealed = push(50)
 	}
 	st := watchUntil(t, survivor, sealed)
-	diffStates(t, "survivor", st.acc, orc.filteredCount(1, 0))
+	diffStates(t, "survivor", st.acc, orc.filteredCount(everyKey))
 
 	// A fresh client attaching now sees the same consistent state.
 	fresh, err := Dial(addr)
@@ -627,7 +638,7 @@ func TestClientKilledMidStream(t *testing.T) {
 	}
 	sealed = push(10)
 	fst := watchUntil(t, fresh, sealed)
-	diffStates(t, "fresh", fst.acc, orc.filteredCount(1, 0))
+	diffStates(t, "fresh", fst.acc, orc.filteredCount(everyKey))
 }
 
 // TestConcurrentClients is the race satellite: N clients install, watch,
@@ -679,11 +690,11 @@ func TestConcurrentClients(t *testing.T) {
 		}
 	}()
 
-	queries := []string{
-		"edges | count",
-		"edges | keymod 2 0",
-		"edges | keyeq 3 | swap | join edges",
-		"edges | distinct | count",
+	queries := []*plan.Node{
+		plan.Scan("edges").Count(),
+		plan.Scan("edges").Filter(plan.FKeyNe, 2, 0),
+		twoHopPlan(3),
+		plan.Scan("edges").Distinct().Count(),
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
@@ -697,7 +708,7 @@ func TestConcurrentClients(t *testing.T) {
 					t.Errorf("dial: %v", err)
 					return
 				}
-				if err := c.Install(name, queries[(g+it)%len(queries)]); err != nil {
+				if err := c.InstallPlan(name, name, queries[(g+it)%len(queries)]); err != nil {
 					t.Errorf("install %s: %v", name, err)
 					c.Close()
 					return

@@ -48,20 +48,12 @@ func startFrontendSources(t *testing.T, workers int, names ...string) (*Frontend
 	return fe, ln.Addr().String()
 }
 
-// installDatalog compiles a Datalog program client-side — exactly what the
-// CLI's install -datalog path does — and ships the plan over the wire.
+// installDatalog installs a Datalog program, compiled client-side by
+// Client.Install as `kpg client install` does.
 func installDatalog(t *testing.T, c *Client, name, src string) {
 	t.Helper()
-	prog, err := plan.ParseDatalog(src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", name, err)
-	}
-	root, _, err := plan.Compile(prog)
-	if err != nil {
-		t.Fatalf("compile %q: %v", name, err)
-	}
-	if err := c.InstallPlan(name, src, root); err != nil {
-		t.Fatalf("install plan %q: %v", name, err)
+	if err := c.Install(name, src); err != nil {
+		t.Fatalf("install %q: %v", name, err)
 	}
 }
 
@@ -260,10 +252,11 @@ func TestDatalogQueriesShareFixpoint(t *testing.T) {
 	}
 }
 
-// TestPipelineAndPlanShareArrangements: a v2 pipeline text and a v3 plan
-// describing the same computation desugar to one canonical form and
-// therefore one arrangement.
-func TestPipelineAndPlanShareArrangements(t *testing.T) {
+// TestDatalogAndPlanShareArrangements: a Datalog count and the plan built
+// for the same computation have one canonical form and therefore share its
+// arrangements, and the count over the wire equals plan.Interpret over the
+// edges as sent, duplicates and all.
+func TestDatalogAndPlanShareArrangements(t *testing.T) {
 	fe, _, addr := startFrontend(t, 2)
 	c, err := Dial(addr)
 	if err != nil {
@@ -271,14 +264,17 @@ func TestPipelineAndPlanShareArrangements(t *testing.T) {
 	}
 	defer c.Close()
 
-	if err := c.Install("counts-v2", "edges | count"); err != nil {
-		t.Fatalf("install grammar: %v", err)
+	const deg = "deg(x, count(y)) :- edges(x, y)."
+	installDatalog(t, c, "deg", deg)
+	if st := fe.SharedStats(); st != (SharedStats{Entries: 2, Installs: 2, Hits: 0}) {
+		t.Fatalf("after the Datalog install: stats %+v, want {2 2 0} (distinct, count)", st)
 	}
-	if err := c.InstallPlan("counts-v3", "count(edges)", plan.Scan("edges").Count()); err != nil {
+	built := plan.Scan("edges").Distinct().Count()
+	if err := c.InstallPlan("deg-plan", "distinct(edges) | count", built); err != nil {
 		t.Fatalf("install plan: %v", err)
 	}
-	if st := fe.SharedStats(); st != (SharedStats{Entries: 1, Installs: 1, Hits: 1}) {
-		t.Fatalf("stats %+v, want {1 1 1}: pipeline and plan must share", st)
+	if st := fe.SharedStats(); st != (SharedStats{Entries: 2, Installs: 2, Hits: 2}) {
+		t.Fatalf("stats %+v, want {2 2 2}: Datalog and plan must share", st)
 	}
 
 	watcher, err := Dial(addr)
@@ -286,27 +282,36 @@ func TestPipelineAndPlanShareArrangements(t *testing.T) {
 		t.Fatalf("dial watcher: %v", err)
 	}
 	defer watcher.Close()
-	if err := watcher.Subscribe("counts-v2", "counts-v3"); err != nil {
+	if err := watcher.Subscribe("deg", "deg-plan"); err != nil {
 		t.Fatalf("subscribe: %v", err)
 	}
-	sealed := pushEdges(t, c, "edges", []graphs.Edge{{Src: 1, Dst: 2}, {Src: 1, Dst: 3}, {Src: 2, Dst: 3}})
-	v2, v3 := newState(), newState()
-	for (!v2.sawFront || v2.frontier < sealed) ||
-		(!v3.sawFront || v3.frontier < sealed) {
+	edges := []graphs.Edge{{Src: 1, Dst: 2}, {Src: 1, Dst: 2}, {Src: 1, Dst: 3}, {Src: 2, Dst: 3}}
+	sealed := pushEdges(t, c, "edges", edges)
+	fromText, fromPlan := newState(), newState()
+	for (!fromText.sawFront || fromText.frontier < sealed) ||
+		(!fromPlan.sawFront || fromPlan.frontier < sealed) {
 		ev, err := watcher.Next()
 		if err != nil {
 			t.Fatalf("next: %v", err)
 		}
 		switch ev.Query {
-		case "counts-v2":
-			v2.apply(ev)
-		case "counts-v3":
-			v3.apply(ev)
+		case "deg":
+			fromText.apply(ev)
+		case "deg-plan":
+			fromPlan.apply(ev)
 		}
 	}
-	diffStates(t, "v2 vs v3", v2.acc, v3.acc)
-	want := map[[2]uint64]int64{{1, 2}: 1, {2, 1}: 1}
-	diffStates(t, "counts", v2.acc, want)
+	diffStates(t, "Datalog vs plan", fromText.acc, fromPlan.acc)
+	rel := plan.Rel{}
+	for _, e := range edges {
+		rel[[2]uint64{e.Src, e.Dst}]++
+	}
+	want, err := plan.Interpret(built, map[string]plan.Rel{"edges": rel})
+	if err != nil {
+		t.Fatalf("interpret: %v", err)
+	}
+	diffStates(t, "deg vs Interpret", fromText.acc, want)
+	diffStates(t, "deg", fromText.acc, map[[2]uint64]int64{{1, 2}: 1, {2, 1}: 1})
 }
 
 // TestGraspanReachabilityAsDatalog runs the graspan dataflow analysis,

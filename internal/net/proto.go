@@ -25,9 +25,9 @@
 // advance cannot queue unbounded per-update epochs either.
 //
 // Queries cross the wire in one form: a relational plan in the internal/plan
-// encoding (reqInstallPlan). The pipeline grammar (ParseQuery) and Datalog
-// (plan.Compile) are client-side surface syntax over it; the server never
-// parses query text.
+// encoding (reqInstallPlan). Datalog (plan.Compile, which Client.Install
+// runs) is the one text that compiles to it, on the client's side; the server
+// never parses query text.
 package net
 
 import (

@@ -19,8 +19,9 @@ import (
 // TestPlannerOrderIndependence generates (same seed, so the same programs),
 // TC, SG, the seeded sg(x, ?), the graspan reachability program and each
 // relation of the points-to analysis (three mutually recursive definitions
-// with wildcards), and the hand-composed sample plans (the only ones with
-// Count and a key look-up).
+// with wildcards), the hand-composed sample plans (Count over a multiset and
+// a key look-up), and the count-head programs: over one atom, a join, two
+// rules, recursive tc, and one key.
 func refereePlans(t *testing.T) []*Node {
 	plans := samplePlans(t)
 	for _, src := range []string{
@@ -31,6 +32,9 @@ func refereePlans(t *testing.T) []*Node {
 		graspan.PointsToSrc + "?- ma(_, _).",
 	} {
 		plans = append(plans, mustCompile(t, src, Options{}))
+	}
+	for _, p := range countHeadPrograms {
+		plans = append(plans, mustCompile(t, p.src, Options{}))
 	}
 	r := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 400; iter++ {

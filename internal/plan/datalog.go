@@ -12,6 +12,7 @@ import (
 //
 //	tc(x,z) :- tc(x,y), e(y,z).
 //	sg(x,y) :- e(p,x), e(p,y), x != y.
+//	deg(x, count(y)) :- e(x,y).
 //	?- tc(5, y).
 //
 // Arguments are variables (identifiers), u64 constants, or the wildcard `_`;
@@ -24,6 +25,12 @@ import (
 // `?- p(a, b).` query directive selects the result predicate (default: the
 // first rule's head) and restricts it by any constant arguments. Stratified
 // negation is deferred; all rules are positive.
+//
+// One aggregate is allowed: the query predicate's rules may all write their
+// head as p(x, count(y)), which relates each key x to the number of distinct
+// y the rules derive for it. The counted variable must be bound in the body
+// and differ from the key, and no body may reference p, so the count never
+// sits on a recursive path.
 //
 // Planner restriction: every intermediate result is a binary (key, value)
 // collection, so rule bodies must be join-connected — after the first atom,
@@ -60,14 +67,20 @@ func anonVar(i int) string { return fmt.Sprintf("_#%d", i) }
 // isAnon reports whether v is a parser-generated wildcard variable.
 func isAnon(v string) bool { return strings.HasPrefix(v, "_#") }
 
-// Atom is one binary predicate application.
+// Atom is one binary predicate application. In a rule head, Count marks the
+// aggregate form p(x, count(y)): Args[1] is the counted variable y.
 type Atom struct {
-	Pred string
-	Args [2]Term
+	Pred  string
+	Args  [2]Term
+	Count bool
 }
 
 func (a Atom) String() string {
-	return fmt.Sprintf("%s(%s, %s)", a.Pred, a.Args[0], a.Args[1])
+	v := a.Args[1].String()
+	if a.Count {
+		v = "count(" + v + ")"
+	}
+	return fmt.Sprintf("%s(%s, %s)", a.Pred, a.Args[0], v)
 }
 
 // Constraint is one body disequality L != R.
@@ -240,25 +253,41 @@ func (p *dlParser) term() (Term, error) {
 	return Term{}, parseErrf("expected a variable or number, got %s", dlTokenName(t))
 }
 
-func (p *dlParser) atom(pred string) (Atom, error) {
+// atom parses the parenthesized arguments of pred. In a rule head (head
+// set) the value argument may be the aggregate count(v).
+func (p *dlParser) atom(pred string, head bool) (Atom, error) {
 	a := Atom{Pred: pred}
-	if _, err := p.expect('(', `"("`); err != nil {
-		return a, err
+	for i, open := range [2]byte{'(', ','} {
+		if _, err := p.expect(open, strconv.Quote(string(open))); err != nil {
+			return a, err
+		}
+		if head && p.atCount() {
+			if i == 0 {
+				return a, parseErrf("count in the key position of %q (it takes the value position)", pred)
+			}
+			p.pos += 2
+			a.Count = true
+		}
+		var err error
+		if a.Args[i], err = p.term(); err != nil {
+			return a, err
+		}
 	}
-	var err error
-	if a.Args[0], err = p.term(); err != nil {
-		return a, err
-	}
-	if _, err := p.expect(',', `","`); err != nil {
-		return a, err
-	}
-	if a.Args[1], err = p.term(); err != nil {
-		return a, err
+	if a.Count {
+		if _, err := p.expect(')', `")"`); err != nil {
+			return a, err
+		}
 	}
 	if _, err := p.expect(')', `")"`); err != nil {
 		return a, err
 	}
 	return a, nil
+}
+
+// atCount reports whether the next tokens open the aggregate "count(".
+func (p *dlParser) atCount() bool {
+	return p.pos+1 < len(p.toks) && p.toks[p.pos].kind == 'i' &&
+		p.toks[p.pos].text == "count" && p.toks[p.pos+1].kind == '('
 }
 
 // ParseDatalog parses a program. It never panics; malformed input yields an
@@ -281,7 +310,7 @@ func ParseDatalog(src string) (*Program, error) {
 			if err != nil {
 				return nil, err
 			}
-			a, err := p.atom(id.text)
+			a, err := p.atom(id.text, false)
 			if err != nil {
 				return nil, err
 			}
@@ -318,7 +347,7 @@ func (p *dlParser) rule() (Rule, error) {
 	if err != nil {
 		return r, err
 	}
-	if r.Head, err = p.atom(id.text); err != nil {
+	if r.Head, err = p.atom(id.text, true); err != nil {
 		return r, err
 	}
 	for _, tm := range r.Head.Args {
@@ -355,7 +384,7 @@ func (p *dlParser) rule() (Rule, error) {
 				if len(r.Body) >= maxBodyAtoms {
 					return r, parseErrf("rule %s has more than %d body atoms", r.Head, maxBodyAtoms)
 				}
-				a, err := p.atom(lit.text)
+				a, err := p.atom(lit.text, false)
 				if err != nil {
 					return r, err
 				}

@@ -24,6 +24,17 @@ func FuzzDatalogParse(f *testing.F) {
 		`p(x, y) :- e(x, y), 18446744073709551615 != x.`,
 		`p(((`,
 		`p(x, y) :- e(x, y), x !`,
+		// Head aggregates, valid and malformed, with the nesting, trailing
+		// operators and bad operands a shell can type.
+		`deg(x, count(y)) :- e(x, y).`,
+		`r(x, count(y)) :- tc(x, y).` + datalog.TCSrc + `?- r(3, _).`,
+		`deg(count(y), x) :- e(x, y).`,
+		`deg(x, count(_)) :- e(x, y).`,
+		`deg(x, count(0)) :- e(x, y).`,
+		`deg(x, count(count(count(y)))) :- e(x, y).`,
+		`deg(x, count(y) :- e(x, y).`,
+		`deg(x, count(y)) :- e(x, y),`,
+		`deg(x, count(y)) :- deg(x, y).`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -223,10 +223,6 @@ func filterKeep(n *Node, k, v uint64) bool {
 		return k != n.A
 	case FValNe:
 		return v != n.A
-	case FKeyMod:
-		return k%n.A == n.B
-	case FValMod:
-		return v%n.A == n.B
 	case FKeyEqVal:
 		return k == v
 	case FKeyNeVal:
@@ -253,7 +249,8 @@ func joinCol(s JoinSel, k, v, w uint64) uint64 {
 }
 
 // EvalDatalog evaluates the program bottom-up to a fixed point with set
-// semantics — the brute-force oracle compiled plans are checked against.
+// semantics, counting last when the query predicate's heads count — the
+// brute-force oracle compiled plans are checked against.
 // Records of non-positive multiplicity in edb are treated as absent.
 func EvalDatalog(prog *Program, edb map[string]Rel) (Rel, error) {
 	if prog == nil || len(prog.Rules) == 0 {
@@ -341,8 +338,23 @@ func EvalDatalog(prog *Program, edb map[string]Rel) (Rel, error) {
 	if prog.Query != nil {
 		qp = prog.Query.Pred
 	}
+	res := factsOf(qp)
+	for _, r := range prog.Rules {
+		if r.Head.Pred == qp && r.Head.Count {
+			// p(x, count(y)): each key with the number of its distinct values.
+			counts := map[uint64]uint64{}
+			for rec := range res {
+				counts[rec[0]]++
+			}
+			res = map[[2]uint64]bool{}
+			for k, n := range counts {
+				res[[2]uint64{k, n}] = true
+			}
+			break
+		}
+	}
 	out := Rel{}
-	for rec := range factsOf(qp) {
+	for rec := range res {
 		if qa := prog.Query; qa != nil {
 			k, v := qa.Args[0], qa.Args[1]
 			if !k.IsVar() && rec[0] != k.Const {

@@ -10,7 +10,7 @@
 //
 //	Scan     — a named base relation (a server source)
 //	Rec      — a recursive reference to a Fixpoint definition
-//	Filter   — pointwise predicates (equality, modulus, key/value relations)
+//	Filter   — pointwise predicates (equality, inequality, key/value relations)
 //	Project  — rearrange the two columns (swap, duplicate)
 //	Union    — multiset union
 //	Join     — equi-join on key, with a 2-of-3 output projection
@@ -84,13 +84,11 @@ const (
 	// FKeyNe keeps records whose key differs from A; FValNe likewise.
 	FKeyNe
 	FValNe
-	// FKeyMod keeps records with key % A == B (A nonzero, B < A); FValMod
-	// likewise.
-	FKeyMod
-	FValMod
 	// FKeyEqVal keeps records whose key equals their value; FKeyNeVal keeps
-	// those whose key differs from their value.
-	FKeyEqVal
+	// those whose key differs from their value. Codes 5 and 6 belonged to a
+	// retired modulus filter and stay unused: a plan carrying one fails
+	// Validate.
+	FKeyEqVal FilterOp = iota + 3
 	FKeyNeVal
 )
 
@@ -128,7 +126,7 @@ type Node struct {
 
 	Rel    string    // Scan, Rec: relation or definition name
 	FOp    FilterOp  // Filter
-	A, B   uint64    // Filter operands (A = constant or modulus, B = remainder)
+	A, B   uint64    // Filter operands (A = the constant; no op reads B)
 	Cols   [2]ColSel // Project: output columns drawn from {CKey, CVal}
 	Proj   [2]JoinSel
 	EqVals bool // Join: additionally require left val == right val
@@ -331,9 +329,9 @@ func (v *validator) budget(n *Node, s *vscope) (done bool, err error) {
 }
 
 // Validate checks the plan's structural invariants: known ops and selectors,
-// nonzero moduli, recursive references only to enclosing fixpoint
-// definitions, consolidating (Distinct-topped) fixpoint bodies, and no
-// non-monotone operators (Count, nested Fixpoint) on recursive paths. Shared
+// recursive references only to enclosing fixpoint definitions,
+// consolidating (Distinct-topped) fixpoint bodies, and no non-monotone
+// operators (Count, nested Fixpoint) on recursive paths. Shared
 // sub-plans are validated once per scope, so cost is linear in distinct
 // nodes, not tree paths — plans arrive over the network, and an exponential
 // walk here would let a few hundred bytes pin a CPU. It never panics and
@@ -358,6 +356,9 @@ func (v *validator) validate(n *Node, s *vscope) error {
 	if done, err := v.budget(n, s); done || err != nil {
 		return err
 	}
+	if err := checkOperands(n); err != nil {
+		return err
+	}
 	switch n.Op {
 	case OpScan:
 		if n.Rel == "" {
@@ -369,44 +370,13 @@ func (v *validator) validate(n *Node, s *vscope) error {
 			return invalidf("recursive reference %q outside its fixpoint", n.Rel)
 		}
 		return nil
-	case OpFilter:
-		switch n.FOp {
-		case FKeyEq, FValEq, FKeyNe, FValNe, FKeyEqVal, FKeyNeVal:
-		case FKeyMod, FValMod:
-			if n.A == 0 {
-				return invalidf("filter modulus is zero")
-			}
-			if n.B >= n.A {
-				return invalidf("filter remainder %d not below modulus %d", n.B, n.A)
-			}
-		default:
-			return invalidf("unknown filter op %d", n.FOp)
-		}
+	case OpFilter, OpProject, OpCount, OpDistinct:
 		return v.validate(n.In, s)
-	case OpProject:
-		for _, c := range n.Cols {
-			if c != CKey && c != CVal {
-				return invalidf("unknown projection column %d", c)
-			}
-		}
-		return v.validate(n.In, s)
-	case OpUnion:
+	case OpUnion, OpJoin:
 		if err := v.validate(n.In, s); err != nil {
 			return err
 		}
 		return v.validate(n.Right, s)
-	case OpJoin:
-		for _, sel := range n.Proj {
-			if sel != JKey && sel != JLeftVal && sel != JRightVal {
-				return invalidf("unknown join selector %d", sel)
-			}
-		}
-		if err := v.validate(n.In, s); err != nil {
-			return err
-		}
-		return v.validate(n.Right, s)
-	case OpCount, OpDistinct:
-		return v.validate(n.In, s)
 	case OpFixpoint:
 		if len(n.Defs) == 0 {
 			return invalidf("fixpoint with no definitions")
@@ -449,6 +419,32 @@ func (v *validator) validate(n *Node, s *vscope) error {
 	}
 }
 
+// checkOperands checks a node's own fields, whichever walker visits it: a
+// known filter op, projection columns and join selectors.
+func checkOperands(n *Node) error {
+	switch n.Op {
+	case OpFilter:
+		switch n.FOp {
+		case FKeyEq, FValEq, FKeyNe, FValNe, FKeyEqVal, FKeyNeVal:
+		default:
+			return invalidf("unknown filter op %d", n.FOp)
+		}
+	case OpProject:
+		for _, c := range n.Cols {
+			if c != CKey && c != CVal {
+				return invalidf("unknown projection column %d", c)
+			}
+		}
+	case OpJoin:
+		for _, sel := range n.Proj {
+			if sel != JKey && sel != JLeftVal && sel != JRightVal {
+				return invalidf("unknown join selector %d", sel)
+			}
+		}
+	}
+	return nil
+}
+
 // validateBody walks a fixpoint definition body under its frame s. Sub-plans
 // that reference the fixpoint's definitions must stay monotone (no Count, no
 // nested Fixpoint on the recursive path); recursion-free sub-plans are
@@ -463,6 +459,9 @@ func (v *validator) validateBody(n *Node, s *vscope) error {
 	if done, err := v.budget(n, s); done || err != nil {
 		return err
 	}
+	if err := checkOperands(n); err != nil {
+		return err
+	}
 	switch n.Op {
 	case OpRec:
 		if !s.visible(n.Rel) {
@@ -473,44 +472,13 @@ func (v *validator) validateBody(n *Node, s *vscope) error {
 		return invalidf("count on a recursive path (not monotone)")
 	case OpFixpoint:
 		return invalidf("nested fixpoint on a recursive path")
-	case OpFilter:
-		switch n.FOp {
-		case FKeyEq, FValEq, FKeyNe, FValNe, FKeyEqVal, FKeyNeVal:
-		case FKeyMod, FValMod:
-			if n.A == 0 {
-				return invalidf("filter modulus is zero")
-			}
-			if n.B >= n.A {
-				return invalidf("filter remainder %d not below modulus %d", n.B, n.A)
-			}
-		default:
-			return invalidf("unknown filter op %d", n.FOp)
-		}
+	case OpFilter, OpProject, OpDistinct:
 		return v.validateBody(n.In, s)
-	case OpProject:
-		for _, c := range n.Cols {
-			if c != CKey && c != CVal {
-				return invalidf("unknown projection column %d", c)
-			}
-		}
-		return v.validateBody(n.In, s)
-	case OpUnion:
+	case OpUnion, OpJoin:
 		if err := v.validateBody(n.In, s); err != nil {
 			return err
 		}
 		return v.validateBody(n.Right, s)
-	case OpJoin:
-		for _, sel := range n.Proj {
-			if sel != JKey && sel != JLeftVal && sel != JRightVal {
-				return invalidf("unknown join selector %d", sel)
-			}
-		}
-		if err := v.validateBody(n.In, s); err != nil {
-			return err
-		}
-		return v.validateBody(n.Right, s)
-	case OpDistinct:
-		return v.validateBody(n.In, s)
 	case OpScan:
 		return invalidf("internal: scan cannot contain a recursive reference")
 	default:
@@ -519,12 +487,12 @@ func (v *validator) validateBody(n *Node, s *vscope) error {
 }
 
 // ---------------------------------------------------------------------------
-// Programmatic builder: the canonical client-side API. Compose plans as
+// Programmatic builder: the client-side API for plans Datalog does not
+// spell (a count over a multiset, a bare scan). Compose plans as
 //
 //	plan.Scan("edges").KeyEq(5).Swap().JoinRight(plan.Scan("edges")).Count()
 //
-// instead of concatenating query-grammar strings; the grammar remains as
-// client-side sugar that parses into exactly these nodes.
+// Datalog text compiles (Compile) into exactly these nodes.
 // ---------------------------------------------------------------------------
 
 // Scan reads a named base relation (a registered server source).
@@ -544,12 +512,6 @@ func (n *Node) KeyEq(c uint64) *Node { return n.Filter(FKeyEq, c, 0) }
 // ValEq keeps records whose value equals c.
 func (n *Node) ValEq(c uint64) *Node { return n.Filter(FValEq, c, 0) }
 
-// KeyMod keeps records with key % m == r.
-func (n *Node) KeyMod(m, r uint64) *Node { return n.Filter(FKeyMod, m, r) }
-
-// ValMod keeps records with value % m == r.
-func (n *Node) ValMod(m, r uint64) *Node { return n.Filter(FValMod, m, r) }
-
 // Swap exchanges key and value.
 func (n *Node) Swap() *Node {
 	return &Node{Op: OpProject, Cols: [2]ColSel{CVal, CKey}, In: n}
@@ -565,8 +527,8 @@ func (n *Node) Join(right *Node, p0, p1 JoinSel) *Node {
 	return &Node{Op: OpJoin, In: n, Right: right, Proj: [2]JoinSel{p0, p1}}
 }
 
-// JoinRight is the query grammar's join: a record (k, v) matching right's
-// (k, w) emits (w, v), re-keying each result by the right-hand value.
+// JoinRight is one hop: a record (k, v) matching right's (k, w) emits
+// (w, v), re-keying each result by the right-hand value.
 func (n *Node) JoinRight(right *Node) *Node { return n.Join(right, JRightVal, JLeftVal) }
 
 // JoinEq joins on key and additionally requires the two values to agree.

@@ -254,7 +254,7 @@ func samplePlans(t testing.TB) []*Node {
 	}
 	out = append(out,
 		Scan("edges"),
-		Scan("edges").KeyMod(3, 1).Count(),
+		Scan("edges").Filter(FKeyNe, 3, 0).Count(),
 		Scan("edges").KeyEq(5).Swap().JoinRight(Scan("edges")),
 		Scan("a").JoinEq(Scan("b").Distinct(), JKey, JRightVal).Project(CVal, CVal),
 	)
@@ -292,6 +292,9 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	self = append(self, make([]byte, 16)...) // A, B
 	self = append(self, 0, 0, 0, 0)          // child index 0 == itself
 	cases["self reference"] = self
+	// A filter with the retired modulus code decodes structurally and fails
+	// validation.
+	cases["filter code 5"] = Encode(Scan("e").Filter(5, 3, 1))
 	for name, b := range cases {
 		n, err := Decode(b)
 		if err == nil {
@@ -305,8 +308,16 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 
 func TestValidateRejects(t *testing.T) {
 	cases := map[string]*Node{
-		"zero modulus":         Scan("e").Filter(FKeyMod, 0, 0),
-		"remainder >= mod":     Scan("e").Filter(FKeyMod, 3, 3),
+		"retired filter code 5": Scan("e").Filter(5, 3, 1),
+		"retired filter code 6": Scan("e").Filter(6, 3, 1),
+		"unknown filter op":     Scan("e").Filter(9, 0, 0),
+		"unknown column":        Scan("e").Project(CKey, 2),
+		"unknown join selector": Scan("e").Join(Scan("e"), JKey, 3),
+		// The same field checks on a fixpoint's recursive path.
+		"rec path filter code 5": Fixpoint("t", Def{Name: "t",
+			Body: Union(Scan("e"), Rec("t").Filter(5, 3, 1)).Distinct()}),
+		"rec path unknown selector": Fixpoint("t", Def{Name: "t",
+			Body: Union(Scan("e"), Rec("t").Join(Scan("e"), 3, JKey)).Distinct()}),
 		"rec outside fix":      Rec("t"),
 		"fix body no distinct": Fixpoint("t", Def{Name: "t", Body: Scan("e")}),
 		"fix missing out":      Fixpoint("q", Def{Name: "t", Body: Scan("e").Distinct()}),
@@ -601,7 +612,7 @@ func TestPlannerOrderIndependence(t *testing.T) {
 }
 
 func TestInterpretBuilderPipeline(t *testing.T) {
-	// edges | keyeq 5 | swap | join edges — mirror of the v2 grammar shape.
+	// The nodes two hops from 5, keyed by endpoint.
 	n := Scan("edges").KeyEq(5).Swap().JoinRight(Scan("edges"))
 	edges := relOf([2]uint64{5, 1}, [2]uint64{5, 2}, [2]uint64{2, 9}, [2]uint64{1, 7})
 	got, err := Interpret(n, map[string]Rel{"edges": edges})
@@ -623,5 +634,103 @@ func TestInterpretBuilderPipeline(t *testing.T) {
 	want = relOf([2]uint64{5, 2}, [2]uint64{2, 1}, [2]uint64{1, 1})
 	if !got.Equal(want) {
 		t.Fatalf("count mismatch: got %v want %v", got, want)
+	}
+}
+
+// countHeadPrograms are the aggregate programs over edges that
+// TestCountHead holds to hand-computed answers and TestBuildMatchesInterpret
+// to Interpret under churn.
+var countHeadPrograms = []struct{ name, src string }{
+	{"one atom", `deg(x, count(y)) :- edges(x, y).`},
+	{"join", `two(x, count(z)) :- edges(x, y), edges(y, z).`},
+	{"two rules", `nb(x, count(y)) :- edges(x, y).
+		nb(x, count(y)) :- edges(y, x).`},
+	{"recursive", `reach(x, count(y)) :- tc(x, y).` + datalog.TCSrc},
+	{"restricted", `deg(x, count(y)) :- edges(x, y).
+		?- deg(3, _).`},
+}
+
+// TestCountHead: p(x, count(y)) relates each key to the number of distinct
+// values the rules derive for it, whatever the base multiplicities, as the
+// brute-force oracle and a hand count say.
+func TestCountHead(t *testing.T) {
+	edb := map[string]Rel{"edges": testEdges()} // 1→2 2→3 3→4 2→5 5→1 6→3
+	edb["edges"][[2]uint64{1, 2}] = 3
+	want := []Rel{
+		relOf([2]uint64{1, 1}, [2]uint64{2, 2}, [2]uint64{3, 1}, [2]uint64{5, 1}, [2]uint64{6, 1}),
+		relOf([2]uint64{1, 2}, [2]uint64{2, 2}, [2]uint64{5, 1}, [2]uint64{6, 1}),
+		relOf([2]uint64{1, 2}, [2]uint64{2, 3}, [2]uint64{3, 3}, [2]uint64{4, 1}, [2]uint64{5, 2}, [2]uint64{6, 1}),
+		relOf([2]uint64{1, 5}, [2]uint64{2, 5}, [2]uint64{5, 5}, [2]uint64{3, 1}, [2]uint64{6, 2}),
+		relOf([2]uint64{3, 1}),
+	}
+	for i, tc := range countHeadPrograms {
+		prog, err := ParseDatalog(tc.src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", tc.name, err)
+		}
+		oracle, err := EvalDatalog(prog, edb)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", tc.name, err)
+		}
+		if !oracle.Equal(want[i]) {
+			t.Fatalf("%s: oracle says %v, hand count %v", tc.name, oracle, want[i])
+		}
+		for _, opt := range []Options{{}, {Naive: true}} {
+			root := mustCompile(t, tc.src, opt)
+			got, err := Interpret(root, edb)
+			if err != nil {
+				t.Fatalf("%s: interpret: %v", tc.name, err)
+			}
+			if !got.Equal(want[i]) {
+				t.Fatalf("%s (naive=%v): got %v, want %v", tc.name, opt.Naive, map[[2]uint64]int64(got), map[[2]uint64]int64(want[i]))
+			}
+		}
+	}
+	// The count reads the fixpoint from outside: its input is the same
+	// fixpoint TC compiles to, so the two share it.
+	reach := mustCompile(t, countHeadPrograms[3].src, Options{})
+	if reach.Op != OpCount || reach.In.Op != OpDistinct || reach.In.In.Key() != mustCompile(t, datalog.TCSrc, Options{}).Key() {
+		t.Fatalf("recursive count does not read the tc fixpoint from outside it")
+	}
+	// "count" without a parenthesis is an ordinary variable name.
+	root := mustCompile(t, `p(x, count) :- edges(x, count).`, Options{})
+	if got, _ := Interpret(root, edb); len(got) != len(edb["edges"]) {
+		t.Fatalf("count as a variable name: got %v", got)
+	}
+}
+
+// TestAggregateRejects: a count outside the query predicate, mixed with
+// plain heads, referenced by a body (and so possibly inside a fixpoint), in
+// the key position or over anything but a bound non-key variable is refused
+// with a typed error: a parse error where one rule shows it, a compile error
+// where it takes the program.
+func TestAggregateRejects(t *testing.T) {
+	cases := []struct {
+		name, src string
+		want      error
+	}{
+		{"referenced in a body", "deg(x, count(y)) :- e(x, y).\nq(x, y) :- deg(x, y).", ErrPlan},
+		{"recursive", "deg(x, count(y)) :- e(x, y).\ndeg(x, count(z)) :- deg(x, y), e(y, z).", ErrPlan},
+		{"mixed heads", "deg(x, count(y)) :- e(x, y).\ndeg(x, y) :- f(x, y).", ErrPlan},
+		{"key position", "deg(count(y), x) :- e(x, y).", ErrParse},
+		{"wildcard", "deg(x, count(_)) :- e(x, y).", ErrParse},
+		{"not the query predicate", "q(x, y) :- e(x, y).\ndeg(x, count(y)) :- e(x, y).", ErrPlan},
+		{"not the directive's predicate", "deg(x, count(y)) :- e(x, y).\nq(x, y) :- e(x, y).\n?- q(x, y).", ErrPlan},
+		{"counts the key", "deg(x, count(x)) :- e(x, y).", ErrPlan},
+		{"counts a constant", "deg(x, count(0)) :- e(x, y).", ErrPlan},
+		{"unbound", "deg(x, count(z)) :- e(x, y).", ErrPlan},
+		{"in a body atom", "p(x, y) :- e(x, count(y)).", ErrParse},
+		{"in the directive", "deg(x, count(y)) :- e(x, y).\n?- deg(x, count(y)).", ErrParse},
+		{"nested", "deg(x, count(count(y))) :- e(x, y).", ErrParse},
+		{"unclosed", "deg(x, count(y) :- e(x, y).", ErrParse},
+	}
+	for _, tc := range cases {
+		prog, err := ParseDatalog(tc.src)
+		if err == nil {
+			_, _, err = Compile(prog)
+		}
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: want %v, got %v", tc.name, tc.want, err)
+		}
 	}
 }

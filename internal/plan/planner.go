@@ -41,7 +41,8 @@ type Info struct {
 }
 
 // Compile compiles a Datalog program to a plan rooted at its query predicate
-// (the `?- p(_,_)` directive, or the first rule's head).
+// (the `?- p(_,_)` directive, or the first rule's head). A query predicate
+// whose heads are p(x, count(y)) compiles as p(x, y) would, then Count.
 func Compile(prog *Program) (*Node, *Info, error) {
 	return CompileOpts(prog, Options{})
 }
@@ -63,6 +64,9 @@ type compiler struct {
 	preds []string          // head predicates, first-appearance order
 	fix   bool              // program is recursive: all IDB defs share one fixpoint
 	memo  map[string]*Node  // DAG mode: compiled predicate nodes
+	// outer holds the fixpoint's definitions while the aggregate, which sits
+	// outside the fixpoint, is compiled: its references read the fixpoint.
+	outer []Def
 }
 
 func compileProgram(prog *Program, opt Options) (*Node, error) {
@@ -88,27 +92,52 @@ func compileProgram(prog *Program, opt Options) (*Node, error) {
 	if len(c.rules[qp]) == 0 {
 		return nil, planErrf("query predicate %q has no rules", qp)
 	}
+	agg := c.rules[qp][0].Head.Count
+	for _, r := range prog.Rules {
+		if r.Head.Count && r.Head.Pred != qp {
+			return nil, planErrf("rule %s: only the query predicate %q may count", r.Head, qp)
+		}
+		if r.Head.Pred == qp && r.Head.Count != agg {
+			return nil, planErrf("predicate %q mixes count and plain heads", qp)
+		}
+		for _, a := range r.Body {
+			if agg && a.Pred == qp {
+				return nil, planErrf("rule %s references the aggregate %q", r.Head, qp)
+			}
+		}
+	}
 	c.fix = c.recursive()
 
 	var root *Node
 	if c.fix {
 		// Any recursion puts every definition into one fixpoint: positive
 		// Datalog converges regardless, and non-recursive definitions simply
-		// stabilize early.
+		// stabilize early. An aggregate stays outside it.
 		defs := make([]Def, 0, len(c.preds))
 		for _, p := range c.preds {
+			if agg && p == qp {
+				continue
+			}
 			body, err := c.predNode(p)
 			if err != nil {
 				return nil, err
 			}
 			defs = append(defs, Def{Name: p, Body: body})
 		}
-		root = Fixpoint(qp, defs...)
-	} else {
+		if agg {
+			c.outer = defs
+		} else {
+			root = Fixpoint(qp, defs...)
+		}
+	}
+	if root == nil {
 		var err error
 		if root, err = c.predNode(qp); err != nil {
 			return nil, err
 		}
+	}
+	if agg {
+		root = root.Count()
 	}
 
 	if qa := prog.Query; qa != nil {
@@ -151,6 +180,9 @@ func checkRule(r Rule) error {
 		if !bound[t.Var] {
 			return planErrf("rule %s: head variable %q not bound in body", r.Head, t.Var)
 		}
+	}
+	if r.Head.Count && r.Head.Args[0].Var == r.Head.Args[1].Var {
+		return planErrf("rule %s: the counted variable must differ from the key", r.Head)
 	}
 	for _, cn := range r.Neq {
 		if cn.L.IsVar() && cn.R.IsVar() && cn.L.Var == cn.R.Var {
@@ -221,11 +253,15 @@ func (c *compiler) predNode(pred string) (*Node, error) {
 	return n, nil
 }
 
-// refNode resolves a body atom's predicate: a recursive reference inside the
-// program fixpoint, a compiled IDB node, or a base relation scan.
+// refNode resolves a body atom's predicate: the program fixpoint read from
+// outside (an aggregate's body), a recursive reference inside it, a compiled
+// IDB node, or a base relation scan.
 func (c *compiler) refNode(pred string) (*Node, error) {
 	if len(c.rules[pred]) > 0 {
-		if c.fix {
+		switch {
+		case c.outer != nil:
+			return Fixpoint(pred, c.outer...), nil
+		case c.fix:
 			return Rec(pred), nil
 		}
 		return c.predNode(pred)

@@ -48,10 +48,10 @@ done
 echo "server on $addr"
 kpgc() { $bin -addr "$addr" "$@"; }
 
-kpgc client install counts 'edges | count'
-# The client parsed that text and shipped a plan; the listing must still show
-# the text exactly as typed.
-if ! kpgc client list | grep -qx 'query counts = edges | count'; then
+kpgc client install counts 'counts(x, count(y)) :- edges(x, y).'
+# The client compiled that Datalog and shipped a plan; the listing must still
+# show the text exactly as typed.
+if ! kpgc client list | grep -qxF 'query counts = counts(x, count(y)) :- edges(x, y).'; then
     echo "FAIL: listing does not show the query text as typed" >&2
     kpgc client list >&2
     exit 1
