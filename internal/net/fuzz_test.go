@@ -23,7 +23,7 @@ func FuzzFrameDecode(f *testing.F) {
 	reqs := []request{
 		{kind: reqHello, magic: Magic, version: Version},
 		{kind: reqInstallPlan, name: "q", text: "deg(x, count(y)) :- edges(x, y), x != 3.",
-			blob: plan.Encode(plan.Scan("edges").Filter(plan.FKeyNe, 3, 0).Distinct().Count())},
+			blob: plan.Encode(plan.Scan("edges").Filter(plan.FKeyNe, 3).Distinct().Count())},
 		{kind: reqUninstall, name: "q"},
 		{kind: reqUpdate, name: "edges", upds: []Delta{{Key: 1, Val: 2, Diff: 1}, {Key: 3, Val: 4, Diff: -1}}},
 		{kind: reqAdvance, name: "edges"},

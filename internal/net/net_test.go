@@ -253,7 +253,7 @@ func TestRemoteEndToEnd(t *testing.T) {
 	// Both oracles count multiplicities, which a Datalog rule would
 	// consolidate away: the plans go in as built.
 	if err := inst.InstallPlan("counts", "count of edges with key != 3",
-		plan.Scan("edges").Filter(plan.FKeyNe, 3, 0).Count()); err != nil {
+		plan.Scan("edges").Filter(plan.FKeyNe, 3).Count()); err != nil {
 		t.Fatalf("install counts: %v", err)
 	}
 	if err := inst.InstallPlan("twohop", "two hops from 5", twoHopPlan(5)); err != nil {
@@ -692,7 +692,7 @@ func TestConcurrentClients(t *testing.T) {
 
 	queries := []*plan.Node{
 		plan.Scan("edges").Count(),
-		plan.Scan("edges").Filter(plan.FKeyNe, 2, 0),
+		plan.Scan("edges").Filter(plan.FKeyNe, 2),
 		twoHopPlan(3),
 		plan.Scan("edges").Distinct().Count(),
 	}

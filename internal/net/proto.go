@@ -47,8 +47,9 @@ const (
 	// and the typed reason on streamEnd. Version 3 added reqInstallPlan
 	// (install a relational plan shipped in the internal/plan wire encoding)
 	// and the version echo in the hello reply's high bits, and retired
-	// reqInstall.
-	Version uint32 = 3
+	// reqInstall. Version 4 dropped the filter's unread second operand from
+	// the plan encoding.
+	Version uint32 = 4
 	// MaxFrame bounds a single frame's payload in both directions.
 	MaxFrame uint32 = 1 << 24
 )

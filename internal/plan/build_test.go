@@ -31,10 +31,10 @@ func refereePlans(t *testing.T) []*Node {
 		graspan.PointsToSrc + "?- va(_, _).",
 		graspan.PointsToSrc + "?- ma(_, _).",
 	} {
-		plans = append(plans, mustCompile(t, src, Options{}))
+		plans = append(plans, mustCompile(t, src))
 	}
 	for _, p := range countHeadPrograms {
-		plans = append(plans, mustCompile(t, p.src, Options{}))
+		plans = append(plans, mustCompile(t, p.src))
 	}
 	r := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 400; iter++ {

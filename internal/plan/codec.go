@@ -17,7 +17,7 @@ import (
 //	u32 node count (≥1, ≤ MaxNodes), then per node:
 //	  u8 op
 //	  scan/rec:       string rel
-//	  filter:         u8 fop | u64 A | u64 B | u32 in
+//	  filter:         u8 fop | u64 A | u32 in
 //	  project:        u8 c0 | u8 c1 | u32 in
 //	  union:          u32 in | u32 right
 //	  join:           u8 p0 | u8 p1 | u8 eqvals | u32 in | u32 right
@@ -71,7 +71,6 @@ func (e *encoder) visit(n *Node) uint32 {
 	case OpFilter:
 		dst = append(dst, byte(n.FOp))
 		dst = wal.AppendU64(dst, n.A)
-		dst = wal.AppendU64(dst, n.B)
 		dst = wal.AppendU32(dst, in)
 	case OpProject:
 		dst = append(dst, byte(n.Cols[0]), byte(n.Cols[1]))
@@ -147,9 +146,6 @@ func Decode(b []byte) (*Node, error) {
 			}
 			n.FOp = FilterOp(fop)
 			if n.A, err = d.U64(); err != nil {
-				return nil, decodeErrf("node %d operand: %v", i, err)
-			}
-			if n.B, err = d.U64(); err != nil {
 				return nil, decodeErrf("node %d operand: %v", i, err)
 			}
 			if n.In, err = child(i); err != nil {

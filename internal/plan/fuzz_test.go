@@ -2,6 +2,7 @@ package plan
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/datalog"
@@ -9,7 +10,8 @@ import (
 )
 
 // FuzzDatalogParse: the parser and planner never panic; malformed programs
-// yield typed errors; compiled plans validate and survive the codec.
+// yield typed errors; compiled plans validate and survive the codec; and a
+// shuffled, renamed copy of the program compiles to the same bytes.
 func FuzzDatalogParse(f *testing.F) {
 	seeds := []string{
 		datalog.TCSrc,
@@ -53,27 +55,33 @@ func FuzzDatalogParse(f *testing.F) {
 		if len(prog.Rules) > 16 {
 			return // bound the planner search during fuzzing
 		}
-		for _, opt := range []Options{{}, {Naive: true}} {
-			root, info, err := CompileOpts(prog, opt)
-			if err != nil {
-				if !errors.Is(err, ErrPlan) {
-					t.Fatalf("untyped compile error: %v", err)
-				}
-				continue
+		root, info, err := Compile(prog)
+		respelled, _, errCopy := Compile(respell(rand.New(rand.NewSource(int64(len(src)))), prog))
+		if (err == nil) != (errCopy == nil) {
+			t.Fatalf("respelled copy compiles differently: %v, copy %v", err, errCopy)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrPlan) {
+				t.Fatalf("untyped compile error: %v", err)
 			}
-			if info.PlanNs < 0 {
-				t.Fatalf("negative planning time")
-			}
-			if err := root.Validate(); err != nil {
-				t.Fatalf("compiled plan invalid: %v", err)
-			}
-			back, err := Decode(Encode(root))
-			if err != nil {
-				t.Fatalf("compiled plan does not round-trip: %v", err)
-			}
-			if back.Key() != root.Key() {
-				t.Fatalf("codec changed plan key")
-			}
+			return
+		}
+		if info.PlanNs < 0 {
+			t.Fatalf("negative planning time")
+		}
+		if err := root.Validate(); err != nil {
+			t.Fatalf("compiled plan invalid: %v", err)
+		}
+		enc := Encode(root)
+		if string(Encode(respelled)) != string(enc) {
+			t.Fatalf("respelled copy compiles to other bytes")
+		}
+		back, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("compiled plan does not round-trip: %v", err)
+		}
+		if back.Key() != root.Key() {
+			t.Fatalf("codec changed plan key")
 		}
 	})
 }
@@ -87,6 +95,7 @@ func FuzzPlanDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{1, 0, 0, 0, byte(OpScan), 1, 0, 0, 0, 'e'})
+	f.Add(Encode(Scan("e").Filter(FKeyEqVal, 1))) // an operand where none is read
 	f.Fuzz(func(t *testing.T, b []byte) {
 		n, err := Decode(b)
 		if err != nil {

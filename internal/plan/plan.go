@@ -30,8 +30,10 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 )
 
@@ -85,7 +87,8 @@ const (
 	FKeyNe
 	FValNe
 	// FKeyEqVal keeps records whose key equals their value; FKeyNeVal keeps
-	// those whose key differs from their value. Codes 5 and 6 belonged to a
+	// those whose key differs from their value. Neither takes an operand: A
+	// must be 0, so each has one spelling. Codes 5 and 6 belonged to a
 	// retired modulus filter and stay unused: a plan carrying one fails
 	// Validate.
 	FKeyEqVal FilterOp = iota + 3
@@ -126,7 +129,7 @@ type Node struct {
 
 	Rel    string    // Scan, Rec: relation or definition name
 	FOp    FilterOp  // Filter
-	A, B   uint64    // Filter operands (A = the constant; no op reads B)
+	A      uint64    // Filter: the constant of FKeyEq, FValEq, FKeyNe, FValNe; 0 otherwise
 	Cols   [2]ColSel // Project: output columns drawn from {CKey, CVal}
 	Proj   [2]JoinSel
 	EqVals bool // Join: additionally require left val == right val
@@ -171,7 +174,7 @@ func (n *Node) Key() string {
 	case OpRec:
 		fmt.Fprintf(h, "(r %s)", strconv.Quote(n.Rel))
 	case OpFilter:
-		fmt.Fprintf(h, "(f %d %d %d %s)", n.FOp, n.A, n.B, n.In.Key())
+		fmt.Fprintf(h, "(f %d %d %s)", n.FOp, n.A, n.In.Key())
 	case OpProject:
 		fmt.Fprintf(h, "(p %d%d %s)", n.Cols[0], n.Cols[1], n.In.Key())
 	case OpUnion:
@@ -425,7 +428,11 @@ func checkOperands(n *Node) error {
 	switch n.Op {
 	case OpFilter:
 		switch n.FOp {
-		case FKeyEq, FValEq, FKeyNe, FValNe, FKeyEqVal, FKeyNeVal:
+		case FKeyEq, FValEq, FKeyNe, FValNe:
+		case FKeyEqVal, FKeyNeVal:
+			if n.A != 0 {
+				return invalidf("filter op %d takes no operand, got %d", n.FOp, n.A)
+			}
 		default:
 			return invalidf("unknown filter op %d", n.FOp)
 		}
@@ -501,16 +508,17 @@ func Scan(rel string) *Node { return &Node{Op: OpScan, Rel: rel} }
 // Rec references a Fixpoint definition from inside its bodies.
 func Rec(name string) *Node { return &Node{Op: OpRec, Rel: name} }
 
-// Filter applies a pointwise predicate.
-func (n *Node) Filter(op FilterOp, a, b uint64) *Node {
-	return &Node{Op: OpFilter, FOp: op, A: a, B: b, In: n}
+// Filter applies a pointwise predicate; a is its constant (0 for FKeyEqVal
+// and FKeyNeVal, which compare the record's own columns).
+func (n *Node) Filter(op FilterOp, a uint64) *Node {
+	return &Node{Op: OpFilter, FOp: op, A: a, In: n}
 }
 
 // KeyEq keeps records whose key equals c.
-func (n *Node) KeyEq(c uint64) *Node { return n.Filter(FKeyEq, c, 0) }
+func (n *Node) KeyEq(c uint64) *Node { return n.Filter(FKeyEq, c) }
 
 // ValEq keeps records whose value equals c.
-func (n *Node) ValEq(c uint64) *Node { return n.Filter(FValEq, c, 0) }
+func (n *Node) ValEq(c uint64) *Node { return n.Filter(FValEq, c) }
 
 // Swap exchanges key and value.
 func (n *Node) Swap() *Node {
@@ -544,11 +552,21 @@ func (n *Node) Count() *Node { return &Node{Op: OpCount, In: n} }
 // Distinct reduces every present record to multiplicity one.
 func (n *Node) Distinct() *Node { return &Node{Op: OpDistinct, In: n} }
 
-// Union is the multiset union of the given plans (at least one).
+// Union is the multiset union of the given plans (at least one). The inputs
+// are folded in (Op, Key) order, so every order of one set of inputs builds
+// the same plan and encodes to the same bytes; the op decides most pairs
+// without hashing them.
 func Union(ns ...*Node) *Node {
 	if len(ns) == 0 {
 		return nil
 	}
+	ns = slices.Clone(ns)
+	slices.SortFunc(ns, func(a, b *Node) int {
+		if a.Op != b.Op {
+			return int(a.Op) - int(b.Op)
+		}
+		return strings.Compare(a.Key(), b.Key())
+	})
 	out := ns[0]
 	for _, n := range ns[1:] {
 		out = &Node{Op: OpUnion, In: out, Right: n}
@@ -558,8 +576,11 @@ func Union(ns ...*Node) *Node {
 
 // Fixpoint evaluates mutually recursive definitions to their fixed point and
 // returns the definition named out. Bodies reference definitions via Rec and
-// must consolidate (top node Distinct).
+// must consolidate (top node Distinct). The definitions are kept in name
+// order, so every order of them encodes to the same bytes.
 func Fixpoint(out string, defs ...Def) *Node {
+	defs = slices.Clone(defs)
+	slices.SortFunc(defs, func(a, b Def) int { return strings.Compare(a.Name, b.Name) })
 	return &Node{Op: OpFixpoint, Out: out, Defs: defs}
 }
 

@@ -53,13 +53,13 @@ func testEdges() Rel {
 	)
 }
 
-func mustCompile(t *testing.T, src string, opt Options) *Node {
+func mustCompile(t *testing.T, src string) *Node {
 	t.Helper()
 	prog, err := ParseDatalog(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	root, info, err := CompileOpts(prog, opt)
+	root, info, err := Compile(prog)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -70,7 +70,7 @@ func mustCompile(t *testing.T, src string, opt Options) *Node {
 }
 
 func TestCompileTCMatchesClosure(t *testing.T) {
-	root := mustCompile(t, datalog.TCSrc, Options{})
+	root := mustCompile(t, datalog.TCSrc)
 	if root.Op != OpFixpoint {
 		t.Fatalf("recursive program should compile to a fixpoint, got %s", root.Op)
 	}
@@ -98,23 +98,21 @@ func TestCompileSGMatchesOracle(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatalf("degenerate oracle: no sg facts")
 	}
-	for _, opt := range []Options{{}, {Naive: true}} {
-		root, _, err := CompileOpts(prog, opt)
-		if err != nil {
-			t.Fatalf("compile (naive=%v): %v", opt.Naive, err)
-		}
-		got, err := Interpret(root, edb)
-		if err != nil {
-			t.Fatalf("interpret (naive=%v): %v", opt.Naive, err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("sg mismatch (naive=%v): got %d records, want %d", opt.Naive, len(got), len(want))
-		}
+	root, _, err := Compile(prog)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	got, err := Interpret(root, edb)
+	if err != nil {
+		t.Fatalf("interpret: %v", err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("sg mismatch: got %d records, want %d", len(got), len(want))
 	}
 }
 
 func TestQueryDirectiveFilters(t *testing.T) {
-	root := mustCompile(t, datalog.TCSrc+"\n?- tc(1, y).", Options{})
+	root := mustCompile(t, datalog.TCSrc+"\n?- tc(1, y).")
 	edb := map[string]Rel{"edges": testEdges()}
 	got, err := Interpret(root, edb)
 	if err != nil {
@@ -137,7 +135,7 @@ func TestQueryDirectiveFilters(t *testing.T) {
 	}
 
 	// Repeated query variable restricts to the diagonal (cycle members).
-	root = mustCompile(t, datalog.TCSrc+"\n?- tc(x, x).", Options{})
+	root = mustCompile(t, datalog.TCSrc+"\n?- tc(x, x).")
 	got, err = Interpret(root, edb)
 	if err != nil {
 		t.Fatalf("interpret: %v", err)
@@ -156,7 +154,7 @@ func TestRepeatedHeadVariable(t *testing.T) {
 	// graspan-style seeding: reach(o, o) for every null(o, o).
 	src := `reach(o, o) :- null(o, o).
 		reach(q, o) :- reach(p, o), assign(p, q).`
-	root := mustCompile(t, src, Options{})
+	root := mustCompile(t, src)
 	edb := map[string]Rel{
 		"null":   relOf([2]uint64{7, 7}, [2]uint64{8, 8}, [2]uint64{1, 2}),
 		"assign": relOf([2]uint64{7, 9}, [2]uint64{9, 4}),
@@ -177,7 +175,7 @@ func TestRepeatedHeadVariable(t *testing.T) {
 func TestDAGProgramInlines(t *testing.T) {
 	src := `two(x, z) :- e(x, y), e(y, z).
 		out(x, z) :- two(x, z), x != z.`
-	root := mustCompile(t, src+"\n?- out(x, y).", Options{})
+	root := mustCompile(t, src+"\n?- out(x, y).")
 	if root.Op == OpFixpoint {
 		t.Fatalf("non-recursive program must not compile to a fixpoint")
 	}
@@ -254,7 +252,7 @@ func samplePlans(t testing.TB) []*Node {
 	}
 	out = append(out,
 		Scan("edges"),
-		Scan("edges").Filter(FKeyNe, 3, 0).Count(),
+		Scan("edges").Filter(FKeyNe, 3).Count(),
 		Scan("edges").KeyEq(5).Swap().JoinRight(Scan("edges")),
 		Scan("a").JoinEq(Scan("b").Distinct(), JKey, JRightVal).Project(CVal, CVal),
 	)
@@ -289,12 +287,12 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 	// Forward/self reference: one filter node pointing at itself.
 	self := []byte{1, 0, 0, 0, byte(OpFilter), byte(FKeyEq)}
-	self = append(self, make([]byte, 16)...) // A, B
-	self = append(self, 0, 0, 0, 0)          // child index 0 == itself
+	self = append(self, make([]byte, 8)...) // A
+	self = append(self, 0, 0, 0, 0)         // child index 0 == itself
 	cases["self reference"] = self
 	// A filter with the retired modulus code decodes structurally and fails
 	// validation.
-	cases["filter code 5"] = Encode(Scan("e").Filter(5, 3, 1))
+	cases["filter code 5"] = Encode(Scan("e").Filter(5, 3))
 	for name, b := range cases {
 		n, err := Decode(b)
 		if err == nil {
@@ -308,14 +306,17 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 
 func TestValidateRejects(t *testing.T) {
 	cases := map[string]*Node{
-		"retired filter code 5": Scan("e").Filter(5, 3, 1),
-		"retired filter code 6": Scan("e").Filter(6, 3, 1),
-		"unknown filter op":     Scan("e").Filter(9, 0, 0),
+		"retired filter code 5": Scan("e").Filter(5, 3),
+		"retired filter code 6": Scan("e").Filter(6, 3),
+		"unknown filter op":     Scan("e").Filter(9, 0),
+		// FKeyEqVal and FKeyNeVal take no operand: one spelling each.
+		"key=val with operand":  Scan("e").Filter(FKeyEqVal, 1),
+		"key≠val with operand":  Scan("e").Filter(FKeyNeVal, 1),
 		"unknown column":        Scan("e").Project(CKey, 2),
 		"unknown join selector": Scan("e").Join(Scan("e"), JKey, 3),
 		// The same field checks on a fixpoint's recursive path.
 		"rec path filter code 5": Fixpoint("t", Def{Name: "t",
-			Body: Union(Scan("e"), Rec("t").Filter(5, 3, 1)).Distinct()}),
+			Body: Union(Scan("e"), Rec("t").Filter(5, 3)).Distinct()}),
 		"rec path unknown selector": Fixpoint("t", Def{Name: "t",
 			Body: Union(Scan("e"), Rec("t").Join(Scan("e"), 3, JKey)).Distinct()}),
 		"rec outside fix":      Rec("t"),
@@ -343,7 +344,7 @@ func TestValidateRejects(t *testing.T) {
 // tokenized `_` as one shared named variable, so `?- tc(_, _).` compiled to
 // a key==value filter and returned only self-loops.
 func TestWildcardIsAnonymous(t *testing.T) {
-	root := mustCompile(t, datalog.TCSrc+"\n?- tc(_, _).", Options{})
+	root := mustCompile(t, datalog.TCSrc+"\n?- tc(_, _).")
 	edb := map[string]Rel{"edges": testEdges()}
 	got, err := Interpret(root, edb)
 	if err != nil {
@@ -366,7 +367,7 @@ func TestWildcardIsAnonymous(t *testing.T) {
 	// Wildcards in different atoms must not join each other: p keeps the
 	// edges whose target has any outgoing edge.
 	src := `p(x, y) :- edges(x, y), edges(y, _).`
-	root = mustCompile(t, src, Options{})
+	root = mustCompile(t, src)
 	got, err = Interpret(root, edb)
 	if err != nil {
 		t.Fatalf("interpret: %v", err)
@@ -406,7 +407,7 @@ func TestWildcardRejectedWhereMeaningless(t *testing.T) {
 	// `_`-prefixed identifiers longer than the bare wildcard stay ordinary
 	// named variables.
 	src := `p(_a, _a) :- e(_a, _a).`
-	root := mustCompile(t, src, Options{})
+	root := mustCompile(t, src)
 	got, err := Interpret(root, map[string]Rel{"e": testEdges()})
 	if err != nil {
 		t.Fatalf("interpret: %v", err)
@@ -472,8 +473,8 @@ func TestValidateCountsDistinctNodes(t *testing.T) {
 }
 
 func TestSharedSubPlanKeysCoincide(t *testing.T) {
-	full := mustCompile(t, datalog.TCSrc, Options{})
-	filtered := mustCompile(t, datalog.TCSrc+"\n?- tc(1, y).", Options{})
+	full := mustCompile(t, datalog.TCSrc)
+	filtered := mustCompile(t, datalog.TCSrc+"\n?- tc(1, y).")
 	if filtered.Op != OpFilter {
 		t.Fatalf("directive should add a filter, got %s", filtered.Op)
 	}
@@ -488,7 +489,7 @@ func TestSharedSubPlanKeysCoincide(t *testing.T) {
 		t.Fatalf("filtered query does not share the unfiltered fixpoint sub-plan")
 	}
 	// Identical plans compiled independently are bit-identical on the wire.
-	again := mustCompile(t, datalog.TCSrc, Options{})
+	again := mustCompile(t, datalog.TCSrc)
 	if string(Encode(again)) != string(Encode(full)) {
 		t.Fatalf("independent compiles of the same program differ")
 	}
@@ -555,6 +556,149 @@ func randProgram(r *rand.Rand) *Program {
 	return prog
 }
 
+// respell returns a copy of prog that computes the same relation, spelled
+// differently: rules, body atoms and constraints shuffled, constraint sides
+// swapped at random, and variables renamed rule by rule. A `?-` directive
+// keeps the query predicate fixed when prog had none (the default is the
+// first rule's head).
+func respell(r *rand.Rand, prog *Program) *Program {
+	if len(prog.Rules) == 0 {
+		return prog
+	}
+	var names map[string]string
+	rename := func(t Term) Term {
+		if !t.IsVar() {
+			return t
+		}
+		if _, ok := names[t.Var]; !ok {
+			names[t.Var] = fmt.Sprintf("v%d_%d", r.Intn(100), len(names))
+		}
+		return Term{Var: names[t.Var]}
+	}
+	renameAtom := func(a Atom) Atom {
+		a.Args = [2]Term{rename(a.Args[0]), rename(a.Args[1])}
+		return a
+	}
+	q := Atom{Pred: prog.Rules[0].Head.Pred, Args: [2]Term{{Var: "k"}, {Var: "v"}}}
+	if prog.Query != nil {
+		q = *prog.Query
+	}
+	names = map[string]string{}
+	q = renameAtom(q)
+	out := &Program{Query: &q}
+	for _, i := range r.Perm(len(prog.Rules)) {
+		rule := prog.Rules[i]
+		names = map[string]string{}
+		body := make([]Atom, len(rule.Body))
+		for k, j := range r.Perm(len(body)) {
+			body[k] = renameAtom(rule.Body[j])
+		}
+		neq := make([]Constraint, len(rule.Neq))
+		for k, j := range r.Perm(len(neq)) {
+			cn := Constraint{L: rename(rule.Neq[j].L), R: rename(rule.Neq[j].R)}
+			if r.Intn(2) == 0 {
+				cn.L, cn.R = cn.R, cn.L
+			}
+			neq[k] = cn
+		}
+		out.Rules = append(out.Rules, Rule{Head: renameAtom(rule.Head), Body: body, Neq: neq})
+	}
+	return out
+}
+
+// TestCompileIsCanonical: a plan depends on what a program computes, not on
+// how it is spelled. Every respelled copy of a program compiles to the
+// original's plan.Encode bytes, so the sub-plan registry shares its
+// arrangements. The programs are every one of randProgram's stream that
+// compiles, and fixed ones with three rules for one predicate of four to six
+// body atoms and two constraints each, where the greedy scores tie most.
+func TestCompileIsCanonical(t *testing.T) {
+	var progs []*Program
+	r := rand.New(rand.NewSource(42))
+	for i := 0; i < 400; i++ {
+		progs = append(progs, randProgram(r))
+	}
+	for _, src := range []string{
+		`p(x, w) :- e(x, y), f(y, z), e(z, w), f(w, v), x != w, y != 3.
+		p(x, w) :- f(x, y), e(y, z), e(z, u), f(u, w), f(w, 2), z != 4, z != 1.
+		p(x, w) :- e(x, y), e(y, z), e(z, u), e(u, v), e(v, w), e(w, t), x != w, u != 1.
+		?- p(_, _).`,
+		`t(x, y) :- e(x, y).
+		t(x, z) :- t(x, y), e(y, z).
+		q(x, z) :- t(x, y), e(y, w), f(w, z), t(z, v), x != z, w != 0.
+		q(x, z) :- e(x, y), t(y, w), f(w, u), e(u, z), y != w, x != 5.
+		q(x, z) :- f(x, x), e(x, y), t(y, z), f(z, w), e(w, u), x != z, u != 3.
+		?- q(_, _).`,
+		`s(x, y) :- e(p, x), e(p, y), f(x, a), f(y, 3), x != y, p != 2.
+		s(x, y) :- e(p, x), f(q, y), e(p, q), f(x, z), x != y, z != 7.
+		s(y, x) :- f(p, x), f(p, y), e(x, a), e(y, b), f(y, 4), x != y, a != 1.
+		?- s(_, _).`,
+	} {
+		prog, err := ParseDatalog(src)
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		progs = append(progs, prog)
+	}
+	compiled := 0
+	for i, prog := range progs {
+		root, _, err := Compile(prog)
+		if err != nil {
+			if i >= 400 {
+				t.Fatalf("fixed program %d: %v", i-400, err)
+			}
+			continue
+		}
+		compiled++
+		want := Encode(root)
+		for k := 0; k < 20; k++ {
+			cp := respell(r, prog)
+			got, _, err := Compile(cp)
+			if err != nil {
+				t.Fatalf("program %d: copy %d does not compile: %v", i, k, err)
+			}
+			if string(Encode(got)) != string(want) {
+				t.Fatalf("program %d: copy %d compiles to other bytes\noriginal: %v\ncopy:     %v",
+					i, k, prog.Rules, cp.Rules)
+			}
+		}
+	}
+	if compiled < 100 {
+		t.Fatalf("only %d of %d programs compiled", compiled, len(progs))
+	}
+}
+
+// TestTiedAtomsPlanWithinBudget: eight atoms that tie on score at every step
+// plan within the search budget. Over one predicate their steps also tie on
+// key, so the search tries every order, and the orders that reach one state
+// are planned once (the first rule needs that: all 8! orders exceed the
+// budget); over eight predicates the key order decides each step.
+func TestTiedAtomsPlanWithinBudget(t *testing.T) {
+	for _, src := range []string{
+		`p(x, x) :- e(x, a), e(x, b), e(x, c), e(x, d), e(x, f), e(x, g), e(x, h), e(x, i).`,
+		`p(x, y) :- e(x, a), e(x, b), e(x, c), e(x, d), e(x, f), e(x, g), e(x, h), e(x, y).`,
+		`p(x, y) :- a(x, i), b(x, j), c(x, k), d(x, l), f(x, m), g(x, n), h(x, o), e(x, y).`,
+	} {
+		mustCompile(t, src)
+	}
+}
+
+// TestSetNeedsNoDistinct: a predicate whose one rule already yields a set
+// compiles without a Distinct over it, so it installs one arrangement fewer.
+func TestSetNeedsNoDistinct(t *testing.T) {
+	for _, tc := range []struct {
+		src   string
+		parts int
+	}{
+		{`q(x, y) :- edges(x, y). p(x, y) :- q(x, y). ?- p(_, _).`, 1}, // distinct
+		{countHeadPrograms[3].src, 2},                                  // fixpoint, count
+	} {
+		if got := len(SharedParts(mustCompile(t, tc.src))); got != tc.parts {
+			t.Fatalf("%s: %d shared parts, want %d", tc.src, got, tc.parts)
+		}
+	}
+}
+
 func randRel(r *rand.Rand, n int) Rel {
 	out := Rel{}
 	for i := 0; i < n; i++ {
@@ -564,22 +708,17 @@ func randRel(r *rand.Rand, n int) Rel {
 }
 
 // TestPlannerOrderIndependence is the planner property test: for random rule
-// sets, the greedy order, the naive left-to-right order, and the brute-force
-// Datalog oracle all agree.
+// sets, the planned order and the brute-force Datalog oracle agree.
 func TestPlannerOrderIndependence(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	compiled, failed := 0, 0
 	for iter := 0; iter < 400; iter++ {
 		prog := randProgram(r)
 		edb := map[string]Rel{"e": randRel(r, 8), "f": randRel(r, 8)}
-		greedy, _, errG := CompileOpts(prog, Options{})
-		naive, _, errN := CompileOpts(prog, Options{Naive: true})
-		if (errG == nil) != (errN == nil) {
-			t.Fatalf("iter %d: feasibility disagrees: greedy=%v naive=%v", iter, errG, errN)
-		}
-		if errG != nil {
-			if !errors.Is(errG, ErrPlan) {
-				t.Fatalf("iter %d: untyped compile error %v", iter, errG)
+		root, _, err := Compile(prog)
+		if err != nil {
+			if !errors.Is(err, ErrPlan) {
+				t.Fatalf("iter %d: untyped compile error %v", iter, err)
 			}
 			failed++
 			continue
@@ -589,21 +728,13 @@ func TestPlannerOrderIndependence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: oracle: %v", iter, err)
 		}
-		gotG, err := Interpret(greedy, edb)
+		got, err := Interpret(root, edb)
 		if err != nil {
-			t.Fatalf("iter %d: interpret greedy: %v", iter, err)
+			t.Fatalf("iter %d: interpret: %v", iter, err)
 		}
-		gotN, err := Interpret(naive, edb)
-		if err != nil {
-			t.Fatalf("iter %d: interpret naive: %v", iter, err)
-		}
-		if !gotG.Equal(want) {
-			t.Fatalf("iter %d: greedy disagrees with oracle: got %d records, want %d\nprogram: %v",
-				iter, len(gotG), len(want), prog.Rules)
-		}
-		if !gotN.Equal(want) {
-			t.Fatalf("iter %d: naive disagrees with oracle: got %d records, want %d\nprogram: %v",
-				iter, len(gotN), len(want), prog.Rules)
+		if !got.Equal(want) {
+			t.Fatalf("iter %d: plan disagrees with oracle: got %d records, want %d\nprogram: %v",
+				iter, len(got), len(want), prog.Rules)
 		}
 	}
 	if compiled < 100 {
@@ -675,25 +806,23 @@ func TestCountHead(t *testing.T) {
 		if !oracle.Equal(want[i]) {
 			t.Fatalf("%s: oracle says %v, hand count %v", tc.name, oracle, want[i])
 		}
-		for _, opt := range []Options{{}, {Naive: true}} {
-			root := mustCompile(t, tc.src, opt)
-			got, err := Interpret(root, edb)
-			if err != nil {
-				t.Fatalf("%s: interpret: %v", tc.name, err)
-			}
-			if !got.Equal(want[i]) {
-				t.Fatalf("%s (naive=%v): got %v, want %v", tc.name, opt.Naive, map[[2]uint64]int64(got), map[[2]uint64]int64(want[i]))
-			}
+		got, err := Interpret(mustCompile(t, tc.src), edb)
+		if err != nil {
+			t.Fatalf("%s: interpret: %v", tc.name, err)
+		}
+		if !got.Equal(want[i]) {
+			t.Fatalf("%s: got %v, want %v", tc.name, map[[2]uint64]int64(got), map[[2]uint64]int64(want[i]))
 		}
 	}
-	// The count reads the fixpoint from outside: its input is the same
-	// fixpoint TC compiles to, so the two share it.
-	reach := mustCompile(t, countHeadPrograms[3].src, Options{})
-	if reach.Op != OpCount || reach.In.Op != OpDistinct || reach.In.In.Key() != mustCompile(t, datalog.TCSrc, Options{}).Key() {
+	// The count reads the fixpoint from outside, with no Distinct between
+	// (the fixpoint is a set already): its input is the same fixpoint TC
+	// compiles to, so the two share it.
+	reach := mustCompile(t, countHeadPrograms[3].src)
+	if reach.Op != OpCount || reach.In.Key() != mustCompile(t, datalog.TCSrc).Key() {
 		t.Fatalf("recursive count does not read the tc fixpoint from outside it")
 	}
 	// "count" without a parenthesis is an ordinary variable name.
-	root := mustCompile(t, `p(x, count) :- edges(x, count).`, Options{})
+	root := mustCompile(t, `p(x, count) :- edges(x, count).`)
 	if got, _ := Interpret(root, edb); len(got) != len(edb["edges"]) {
 		t.Fatalf("count as a variable name: got %v", got)
 	}

@@ -3,7 +3,8 @@ package plan
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -18,20 +19,23 @@ import (
 // arranging even a small relation — and the chosen order only shifts
 // intermediate sizes: every definition is consolidated with Distinct, so any
 // feasible order yields the same relation.
+//
+// The plan is canonical: it depends on what the program computes, not on how
+// it is spelled. Atoms of equal greedy score are tried in Key order of the
+// chain their step produces, and when steps tie on that too, every one is
+// tried and the least-Key plan kept, so source position never decides. Union
+// folds a predicate's rules in (Op, Key) order, Fixpoint sorts its
+// definitions by name, and disequalities that become applicable at the same step
+// are applied in (filter op, constant) order. Renaming variables or permuting
+// rules, body atoms or constraints compiles to the same plan.Encode bytes, so
+// the shared sub-plan registry finds the arrangements of every spelling of
+// one computation.
 
 // ErrPlan reports a program the planner cannot compile.
 var ErrPlan = errors.New("plan: compile error")
 
 func planErrf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrPlan, fmt.Sprintf(format, args...))
-}
-
-// Options configures compilation.
-type Options struct {
-	// Naive disables greedy ordering: rules compile in the lexicographically
-	// first feasible left-to-right atom order. Exists so tests can check that
-	// ordering does not change results.
-	Naive bool
 }
 
 // Info reports compilation measurements.
@@ -44,13 +48,8 @@ type Info struct {
 // (the `?- p(_,_)` directive, or the first rule's head). A query predicate
 // whose heads are p(x, count(y)) compiles as p(x, y) would, then Count.
 func Compile(prog *Program) (*Node, *Info, error) {
-	return CompileOpts(prog, Options{})
-}
-
-// CompileOpts is Compile with explicit Options.
-func CompileOpts(prog *Program, opt Options) (*Node, *Info, error) {
 	start := time.Now()
-	root, err := compileProgram(prog, opt)
+	root, err := compileProgram(prog)
 	info := &Info{PlanNs: time.Since(start).Nanoseconds()}
 	if err != nil {
 		return nil, info, err
@@ -59,7 +58,6 @@ func CompileOpts(prog *Program, opt Options) (*Node, *Info, error) {
 }
 
 type compiler struct {
-	opt   Options
 	rules map[string][]Rule // rules grouped by head predicate
 	preds []string          // head predicates, first-appearance order
 	fix   bool              // program is recursive: all IDB defs share one fixpoint
@@ -69,11 +67,11 @@ type compiler struct {
 	outer []Def
 }
 
-func compileProgram(prog *Program, opt Options) (*Node, error) {
+func compileProgram(prog *Program) (*Node, error) {
 	if prog == nil || len(prog.Rules) == 0 {
 		return nil, planErrf("empty program")
 	}
-	c := &compiler{opt: opt, rules: map[string][]Rule{}, memo: map[string]*Node{}}
+	c := &compiler{rules: map[string][]Rule{}, memo: map[string]*Node{}}
 	for _, r := range prog.Rules {
 		if _, ok := c.rules[r.Head.Pred]; !ok {
 			c.preds = append(c.preds, r.Head.Pred)
@@ -149,7 +147,7 @@ func compileProgram(prog *Program, opt Options) (*Node, error) {
 			root = root.ValEq(v.Const)
 		}
 		if k.IsVar() && v.IsVar() && k.Var == v.Var {
-			root = root.Filter(FKeyEqVal, 0, 0)
+			root = root.Filter(FKeyEqVal, 0)
 		}
 	}
 	if err := root.Validate(); err != nil {
@@ -235,7 +233,10 @@ func (c *compiler) recursive() bool {
 	return false
 }
 
-// predNode compiles one predicate: the Distinct union of its rules.
+// predNode compiles one predicate: the Distinct union of its rules, or the
+// one rule alone when its output is already a set. Inside a
+// fixpoint every reference is a Rec or a Scan, neither a set, so a
+// definition body keeps the Distinct top that Validate requires.
 func (c *compiler) predNode(pred string) (*Node, error) {
 	if n, ok := c.memo[pred]; ok {
 		return n, nil
@@ -248,9 +249,26 @@ func (c *compiler) predNode(pred string) (*Node, error) {
 		}
 		alts = append(alts, n)
 	}
-	n := Union(alts...).Distinct()
+	n := Union(alts...)
+	if len(alts) > 1 || !isSet(n) {
+		n = n.Distinct()
+	}
 	c.memo[pred] = n
 	return n, nil
+}
+
+// isSet reports whether every record of n's output has multiplicity one: n
+// is a Distinct, a Fixpoint, or a pointwise filter or Swap of one.
+func isSet(n *Node) bool {
+	switch n.Op {
+	case OpDistinct, OpFixpoint:
+		return true
+	case OpFilter:
+		return isSet(n.In)
+	case OpProject:
+		return n.Cols == [2]ColSel{CVal, CKey} && isSet(n.In)
+	}
+	return false
 }
 
 // refNode resolves a body atom's predicate: the program fixpoint read from
@@ -311,7 +329,7 @@ func (c *compiler) leafChain(a Atom) (chain, error) {
 	switch {
 	case k.IsVar() && v.IsVar():
 		if k.Var == v.Var {
-			ch.n = ch.n.Filter(FKeyEqVal, 0, 0)
+			ch.n = ch.n.Filter(FKeyEqVal, 0)
 		}
 		ch.kv = [2]string{k.Var, v.Var}
 	case k.IsVar():
@@ -327,10 +345,11 @@ func (c *compiler) leafChain(a Atom) (chain, error) {
 }
 
 // applyCons applies every not-yet-applied disequality whose operands are all
-// bound in the chain, returning the filtered chain and the updated applied
-// set (copied: the caller may backtrack).
+// bound in the chain, in (filter op, constant) order, returning the filtered
+// chain and the updated applied set (copied: the caller may backtrack).
 func applyCons(ch chain, neq []Constraint, applied []bool) (chain, []bool) {
 	out := append([]bool(nil), applied...)
+	var fs [][2]uint64 // (filter op, constant)
 	for i, cn := range neq {
 		if out[i] {
 			continue
@@ -338,7 +357,7 @@ func applyCons(ch chain, neq []Constraint, applied []bool) (chain, []bool) {
 		if cn.L.IsVar() && cn.R.IsVar() {
 			l, r := cn.L.Var, cn.R.Var
 			if (ch.kv[0] == l && ch.kv[1] == r) || (ch.kv[0] == r && ch.kv[1] == l) {
-				ch.n = ch.n.Filter(FKeyNeVal, 0, 0)
+				fs = append(fs, [2]uint64{uint64(FKeyNeVal), 0})
 				out[i] = true
 			}
 			continue
@@ -349,24 +368,29 @@ func applyCons(ch chain, neq []Constraint, applied []bool) (chain, []bool) {
 		}
 		switch {
 		case ch.kv[0] == v:
-			ch.n = ch.n.Filter(FKeyNe, cst, 0)
+			fs = append(fs, [2]uint64{uint64(FKeyNe), cst})
 			out[i] = true
 		case ch.kv[1] == v:
-			ch.n = ch.n.Filter(FValNe, cst, 0)
+			fs = append(fs, [2]uint64{uint64(FValNe), cst})
 			out[i] = true
 		}
+	}
+	slices.SortFunc(fs, func(x, y [2]uint64) int { return slices.Compare(x[:], y[:]) })
+	for _, f := range fs {
+		ch.n = ch.n.Filter(FilterOp(f[0]), f[1])
 	}
 	return ch, out
 }
 
-// joinStep joins the chain with one more atom. need is the set of variables
-// still required downstream (remaining atoms, head, unapplied constraints);
-// at most two of them may be live after the join. An infeasible step returns
-// a zero chain and a reason; a nil error is not success.
+// joinStep joins the chain with one more atom, or starts an empty chain with
+// it. need is the set of variables still required downstream (remaining
+// atoms, head, unapplied constraints); at most two of them may be live after
+// the join. An infeasible step returns a zero chain and a reason; a nil error
+// is not success.
 func (c *compiler) joinStep(left chain, a Atom, need map[string]bool) (chain, string, error) {
 	right, err := c.leafChain(a)
-	if err != nil {
-		return chain{}, "", err
+	if err != nil || left.n == nil {
+		return right, "", err
 	}
 	var shared []string
 	for _, v := range left.live() {
@@ -473,48 +497,24 @@ func finalize(ch chain, r Rule, applied []bool) (*Node, string) {
 	return nil, fmt.Sprintf("head variables (%s, %s) not both bound in final result", h0, h1)
 }
 
-// orderFirst ranks the starting atom: most bound first (constants, repeated
-// variables), then base relations over IDB closures.
-func (c *compiler) orderFirst(r Rule) []int {
-	idx := make([]int, len(r.Body))
-	for i := range idx {
-		idx[i] = i
-	}
-	if c.opt.Naive {
-		return idx
-	}
-	score := func(i int) int {
-		a := r.Body[i]
-		s := 0
-		for _, t := range a.Args {
-			if !t.IsVar() {
-				s += 4
-			}
+// score ranks a candidate atom against the chain, higher first. The first
+// atom ranks most bound first (constants, repeated variables); a later one by
+// most shared live variables, preferring atoms whose first column is the join
+// key (the scan's natural arrangement serves as the join index directly), then
+// constants. Base relations rank above IDB closures.
+func (c *compiler) score(a Atom, ch chain) int {
+	s, consts := 0, 0
+	for _, t := range a.Args {
+		if !t.IsVar() {
+			consts++
 		}
+	}
+	if ch.n == nil {
+		s += consts * 4
 		if a.Args[0].IsVar() && a.Args[0].Var == a.Args[1].Var {
 			s += 2
 		}
-		if len(c.rules[a.Pred]) == 0 {
-			s++
-		}
-		return s
-	}
-	sort.SliceStable(idx, func(x, y int) bool { return score(idx[x]) > score(idx[y]) })
-	return idx
-}
-
-// orderNext ranks the remaining atoms against the current chain: most shared
-// live variables first, preferring atoms whose first column is the join key
-// (the scan's natural arrangement serves as the join index directly), then
-// constants, then base relations.
-func (c *compiler) orderNext(r Rule, remaining []int, ch chain) []int {
-	idx := append([]int(nil), remaining...)
-	if c.opt.Naive {
-		return idx
-	}
-	score := func(i int) int {
-		a := r.Body[i]
-		s := 0
+	} else {
 		shared := 0
 		prev := ""
 		for _, t := range a.Args {
@@ -523,56 +523,72 @@ func (c *compiler) orderNext(r Rule, remaining []int, ch chain) []int {
 				prev = t.Var
 			}
 		}
-		s += shared * 16
+		s += shared*16 + consts*2
 		if a.Args[0].IsVar() && ch.has(a.Args[0].Var) {
 			s += 8
 		}
-		for _, t := range a.Args {
-			if !t.IsVar() {
-				s += 2
-			}
-		}
-		if len(c.rules[a.Pred]) == 0 {
-			s++
-		}
-		return s
 	}
-	sort.SliceStable(idx, func(x, y int) bool { return score(idx[x]) > score(idx[y]) })
-	return idx
+	if len(c.rules[a.Pred]) == 0 {
+		s++
+	}
+	return s
 }
 
-// maxSearchSteps bounds the join-order backtracking per rule. Greedy almost
-// never backtracks; the cap only guards adversarial rule shapes (programs
-// arrive over the network).
+// maxSearchSteps bounds the join-order search per rule. The cap only guards
+// adversarial rule shapes (programs arrive over the network).
 const maxSearchSteps = 1 << 16
 
-// compileRule plans one rule: a depth-first search over atom orders (greedy
-// preference order by default, index order when Naive), taking the first
-// order whose chain stays within two live variables and binds the head.
+// compileRule plans one rule: a depth-first search over atom orders that
+// takes the first order whose chain stays within two live variables and binds
+// the head. Each step tries the remaining atoms by descending score and, among
+// equal scores, in Key order of the chain the step produces, so the order
+// depends on the rule's shape, never on where an atom is written. Steps that
+// tie on both are all tried and the least-Key plan among them kept; several
+// orders of tied atoms reach one state, which is planned once.
 func (c *compiler) compileRule(r Rule) (*Node, error) {
 	lastFail := ""
-	steps := 0
-	var search func(ch chain, used, applied []bool) (*Node, error)
-	search = func(ch chain, used, applied []bool) (*Node, error) {
-		var remaining []int
-		for i := range r.Body {
-			if !used[i] {
-				remaining = append(remaining, i)
-			}
+	tries := 0
+	var memo map[string]*Node // made on the first tie: most rules have none
+	type step struct {
+		atom, score int
+		next        chain
+		applied     []bool
+	}
+	order := func(x, y step) int {
+		if x.score != y.score {
+			return y.score - x.score
 		}
-		if len(remaining) == 0 {
+		return strings.Compare(x.next.n.Key(), y.next.n.Key())
+	}
+	var search func(ch chain, used, applied []bool, tied bool) (*Node, error)
+	search = func(ch chain, used, applied []bool, tied bool) (*Node, error) {
+		if !slices.Contains(used, false) {
 			n, reason := finalize(ch, r, applied)
 			if n == nil {
 				lastFail = reason
 			}
 			return n, nil
 		}
-		for _, j := range c.orderNext(r, remaining, ch) {
-			if steps++; steps > maxSearchSteps {
+		state := "" // a tied step's state may be reached by several orders
+		if tied {
+			state = fmt.Sprint(ch.n.Key(), ch.kv, used, applied)
+			if n, ok := memo[state]; ok {
+				return n, nil
+			}
+		}
+		var steps []step // the feasible next steps, best first
+		for i, a := range r.Body {
+			if used[i] {
+				continue
+			}
+			if tries++; tries > maxSearchSteps {
 				return nil, planErrf("rule %s: join-order search budget exceeded", r.Head)
 			}
-			need := needVars(r, used, j, applied)
-			next, reason, err := c.joinStep(ch, r.Body[j], need)
+			var need map[string]bool // an empty chain takes the atom whole
+			if ch.n != nil {
+				need = needVars(r, used, i, applied)
+			}
+			next, reason, err := c.joinStep(ch, a, need)
 			if err != nil {
 				return nil, err
 			}
@@ -580,28 +596,41 @@ func (c *compiler) compileRule(r Rule) (*Node, error) {
 				lastFail = reason
 				continue
 			}
-			next, applied2 := applyCons(next, r.Neq, applied)
-			used[j] = true
-			n, err := search(next, used, applied2)
-			used[j] = false
-			if n != nil || err != nil {
-				return n, err
+			st := step{atom: i, score: c.score(a, ch)}
+			st.next, st.applied = applyCons(next, r.Neq, applied)
+			steps = append(steps, st)
+		}
+		slices.SortFunc(steps, order)
+		var best *Node
+		for len(steps) > 0 && best == nil {
+			k := 1
+			for k < len(steps) && order(steps[0], steps[k]) == 0 {
+				k++
 			}
+			for _, st := range steps[:k] {
+				used[st.atom] = true
+				n, err := search(st.next, used, st.applied, k > 1)
+				used[st.atom] = false
+				if err != nil {
+					return nil, err
+				}
+				if n != nil && (best == nil || n.Key() < best.Key()) {
+					best = n
+				}
+			}
+			steps = steps[k:]
 		}
-		return nil, nil
+		if tied {
+			if memo == nil {
+				memo = map[string]*Node{}
+			}
+			memo[state] = best
+		}
+		return best, nil
 	}
-	for _, i := range c.orderFirst(r) {
-		ch, err := c.leafChain(r.Body[i])
-		if err != nil {
-			return nil, err
-		}
-		ch, applied := applyCons(ch, r.Neq, make([]bool, len(r.Neq)))
-		used := make([]bool, len(r.Body))
-		used[i] = true
-		n, err := search(ch, used, applied)
-		if n != nil || err != nil {
-			return n, err
-		}
+	n, err := search(chain{}, make([]bool, len(r.Body)), make([]bool, len(r.Neq)), false)
+	if n != nil || err != nil {
+		return n, err
 	}
 	if lastFail == "" {
 		lastFail = "no candidate order"
