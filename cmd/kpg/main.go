@@ -9,20 +9,20 @@
 // positional). The paper's measurements live in the separate bench/ module
 // (bench/run.sh, compared across commits by scripts/bench_pair.sh).
 //
-// kpg serve (with -nodes, -edges, -churn, -rounds) runs the live
-// query-installation demo: queries arrive at a running, churning edges
-// arrangement and report install-to-first-result latencies for the shared
-// versus rebuilt configurations.
+// kpg serve has two modes. With -listen it serves the wire protocol
+// (below); otherwise it runs the cluster scenario (internal/cluster): a
+// deterministic churn workload (-nodes, -churn, -rounds) streams into a
+// shared edges arrangement, a transitive-closure query is installed against
+// it, and the run prints a RESULT line. Without -data-dir and -peers that
+// run is volatile and in one process.
 //
 // kpg -workers W -peers a:p0,b:p1,... -process N serve runs one process of
-// the cluster scenario (internal/cluster): W workers sharded evenly across
-// the listed processes, exchanging data partitions and progress deltas over
-// a TCP mesh (internal/mesh). Every process runs the same command line apart
-// from its -process rank; the run streams a deterministic churn workload,
-// installs a transitive-closure query against the shared edges arrangement,
-// and rank 0 prints a RESULT line bit-identical to a single-process run's
-// (scripts/peer_smoke.sh asserts exactly that). Losing a peer exits with
-// status 3 and a "peer loss" error.
+// the cluster scenario: W workers sharded evenly across the listed
+// processes, exchanging data partitions and progress deltas over a TCP mesh
+// (internal/mesh). Every process runs the same command line apart from its
+// -process rank, and rank 0 prints a RESULT line bit-identical to a
+// single-process run's (scripts/peer_smoke.sh asserts exactly that). Losing
+// a peer exits with status 3 and a "peer loss" error.
 //
 // kpg serve -data-dir <dir> without -peers is the one-process cluster: the
 // edges arrangement logs every sealed batch to a write-ahead log under
@@ -34,7 +34,7 @@
 // (scripts/crash_recovery_check.sh asserts both). -max-lag and -spill-bytes
 // are one-process flags: a -peers list of several processes rejects them.
 //
-// kpg serve -listen <addr> serves the wire protocol instead of a built-in
+// kpg serve -listen <addr> serves the wire protocol instead of the
 // scenario: external clients drive the "edges" source and attach live
 // queries over the network. kpg client (install, uninstall, update,
 // advance, sync, list, watch; server chosen with -addr) is the matching

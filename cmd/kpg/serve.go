@@ -16,8 +16,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/graphs"
-	"repro/internal/interactive"
 	"repro/internal/mesh"
 	knet "repro/internal/net"
 	"repro/internal/server"
@@ -29,7 +27,7 @@ import (
 type serveConfig struct {
 	workers, churn, rounds, process int
 	ckptEvery, groupMs, subLag      int
-	nodes, edges, maxLag            uint64
+	nodes, maxLag                   uint64
 	ckptBytes, spillBytes           int64
 	dataDir, listen, peers          string
 	recover, fsync                  bool
@@ -43,10 +41,9 @@ func init() { serveFlags.register(flag.CommandLine) }
 
 func (c *serveConfig) register(fs *flag.FlagSet) {
 	fs.Uint64Var(&c.nodes, "nodes", 20000, "serve: graph node count")
-	fs.Uint64Var(&c.edges, "edges", 64000, "serve: initial edge count of the interactive demo")
 	fs.IntVar(&c.churn, "churn", 4000, "serve: edge updates per round")
-	fs.IntVar(&c.rounds, "rounds", 25, "serve: churn rounds (between installs, in the interactive demo)")
-	fs.StringVar(&c.dataDir, "data-dir", "", "serve: durable WAL directory; without -listen, runs the cluster scenario")
+	fs.IntVar(&c.rounds, "rounds", 25, "serve: churn rounds of the cluster scenario")
+	fs.StringVar(&c.dataDir, "data-dir", "", "serve: durable WAL directory for the cluster scenario, or for -listen")
 	fs.BoolVar(&c.recover, "recover", false, "serve: restore arrangements from the -data-dir logs before streaming")
 	fs.IntVar(&c.ckptEvery, "checkpoint-every", 10, "serve: checkpoint interval on the durable path — rounds for the cluster scenario, seconds under -listen (0 disables)")
 	fs.StringVar(&c.listen, "listen", "", "serve: address to serve the wire protocol on (e.g. 127.0.0.1:7071); clients drive sources and queries remotely")
@@ -86,10 +83,10 @@ func (c serveConfig) validate() error {
 			return fmt.Errorf("-peers entry %d is empty", i)
 		}
 	}
-	var demo []string
-	for _, f := range []string{"nodes", "edges", "churn", "rounds"} {
+	var scenario []string
+	for _, f := range []string{"nodes", "churn", "rounds"} {
 		if c.set[f] {
-			demo = append(demo, "-"+f)
+			scenario = append(scenario, "-"+f)
 		}
 	}
 	switch {
@@ -133,10 +130,8 @@ func (c serveConfig) validate() error {
 		return errors.New("-sub-lag bounds remote subscribers and requires -listen")
 	case c.set["max-lag"] && c.listen == "" && c.dataDir == "":
 		return errors.New("-max-lag bounds the seal queue of -listen or a -data-dir run; nothing else reads it")
-	case c.listen != "" && len(demo) > 0:
-		return fmt.Errorf("-listen serves remote clients; the scenario flags %v drive the built-in workloads and are incompatible", demo)
-	case c.set["edges"] && (c.peers != "" || c.dataDir != ""):
-		return errors.New("-edges sizes the interactive demo's initial graph; the cluster scenario starts empty")
+	case c.listen != "" && len(scenario) > 0:
+		return fmt.Errorf("-listen serves remote clients; the scenario flags %v drive the cluster scenario and are incompatible", scenario)
 	}
 	return nil
 }
@@ -151,8 +146,8 @@ func (c serveConfig) serverOptions() server.Options {
 }
 
 // serve dispatches on the validated flags: -listen serves the wire
-// protocol, -peers or -data-dir runs the cluster scenario, and anything
-// else the interactive installation demo.
+// protocol, and anything else runs the cluster scenario — volatile and in
+// one process without -data-dir and -peers.
 func serve() {
 	c := serveFlags
 	c.workers = *workers
@@ -161,13 +156,10 @@ func serve() {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		os.Exit(2)
 	}
-	switch {
-	case c.listen != "":
+	if c.listen != "" {
 		serveNet(c)
-	case c.peers != "" || c.dataDir != "":
+	} else {
 		serveCluster(c)
-	default:
-		serveDemo(c)
 	}
 }
 
@@ -199,113 +191,6 @@ func serveCluster(c serveConfig) {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// serveDemo demonstrates live query installation (§6.2, Fig 5): it starts a
-// server hosting a continuously churned edges arrangement, then installs
-// each interactive query class against it — first attached to the shared
-// arrangement via a compacted snapshot import, then rebuilding a private
-// arrangement by replaying the raw edge-update log (what a system without
-// shared arrangements pays) — and reports the install-to-first-complete-
-// result latency of both configurations.
-func serveDemo(c serveConfig) {
-	w := clampWorkers(4)
-	live, err := interactive.StartLive(w)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-		os.Exit(1)
-	}
-	defer live.Close()
-
-	fmt.Printf("serving on %d workers: loading %d nodes / %d edges\n", w, c.nodes, c.edges)
-	liveEdges := graphs.Random(c.nodes, c.edges, 5)
-	var history []core.Update[uint64, uint64] // the full edge-update log
-	initial := make([]core.Update[uint64, uint64], len(liveEdges))
-	for i, e := range liveEdges {
-		initial[i] = core.Update[uint64, uint64]{Key: e.Src, Val: e.Dst, Diff: 1}
-	}
-	history = append(history, initial...)
-	start := time.Now()
-	live.UpdateEdges(initial)
-	live.Advance()
-	live.Sync()
-	fmt.Printf("arrangement ready in %v\n\n", time.Since(start).Round(time.Millisecond))
-
-	churn := func() {
-		for round := 0; round < c.rounds; round++ {
-			upds := make([]core.Update[uint64, uint64], 0, c.churn)
-			for i := 0; i < c.churn/2; i++ {
-				src := uint64((round*7919 + i*104729) % int(c.nodes))
-				dst := uint64((round*31 + i*13) % int(c.nodes))
-				upds = append(upds, core.Update[uint64, uint64]{Key: src, Val: dst, Diff: 1})
-				liveEdges = append(liveEdges, graphs.Edge{Src: src, Dst: dst})
-				vi := (round*17 + i*29) % len(liveEdges)
-				victim := liveEdges[vi]
-				upds = append(upds, core.Update[uint64, uint64]{Key: victim.Src, Val: victim.Dst, Diff: -1})
-				liveEdges[vi] = liveEdges[len(liveEdges)-1]
-				liveEdges = liveEdges[:len(liveEdges)-1]
-			}
-			history = append(history, upds...)
-			live.UpdateEdges(upds)
-			live.Advance()
-		}
-		live.Sync()
-	}
-
-	type installer func(name string, shared bool) (time.Duration, func(), error)
-	key := []uint64{c.nodes / 3}
-	classes := []struct {
-		name string
-		inst installer
-	}{
-		{"look-up", func(name string, shared bool) (time.Duration, func(), error) {
-			q, err := live.InstallLookup(name, key, shared, history)
-			if err != nil {
-				return 0, nil, err
-			}
-			return q.InstallLatency, q.Close, nil
-		}},
-		{"one-hop", func(name string, shared bool) (time.Duration, func(), error) {
-			q, err := live.InstallOneHop(name, key, shared, history)
-			if err != nil {
-				return 0, nil, err
-			}
-			return q.InstallLatency, q.Close, nil
-		}},
-		{"two-hop", func(name string, shared bool) (time.Duration, func(), error) {
-			q, err := live.InstallTwoHop(name, key, shared, history)
-			if err != nil {
-				return 0, nil, err
-			}
-			return q.InstallLatency, q.Close, nil
-		}},
-		{"four-path", func(name string, shared bool) (time.Duration, func(), error) {
-			q, err := live.InstallPath(name, [][2]uint64{{key[0], key[0] + 1}}, shared, history)
-			if err != nil {
-				return 0, nil, err
-			}
-			return q.InstallLatency, q.Close, nil
-		}},
-	}
-
-	t := &table{header: []string{"query class", "shared install", "rebuilt install"}}
-	for _, cl := range classes {
-		churn() // keep updates streaming between arrivals
-		lat := map[bool]time.Duration{}
-		for _, shared := range []bool{true, false} {
-			name := fmt.Sprintf("%s-%v", cl.name, shared)
-			d, closeQ, err := cl.inst(name, shared)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "serve: install %s: %v\n", name, err)
-				os.Exit(1)
-			}
-			lat[shared] = d
-			closeQ()
-		}
-		t.add(cl.name, lat[true].Round(time.Microsecond), lat[false].Round(time.Microsecond))
-	}
-	t.write(os.Stdout)
-	fmt.Println("\nqueries attached to the running arrangement; uninstalled cleanly; server shutting down")
 }
 
 // serveNet is the network serve path (kpg serve -listen): a server hosting

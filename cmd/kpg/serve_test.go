@@ -49,8 +49,6 @@ func TestValidateServeFlags(t *testing.T) {
 		// flags nothing on the chosen path reads
 		{"-max-lag 9", "nothing else reads it"},
 		{"-peers 127.0.0.1:7693 -process 0 -max-lag 9", "nothing else reads it"},
-		{"-data-dir d -edges 10", "starts empty"},
-		{"-peers 127.0.0.1:7601 -edges 10", "starts empty"},
 		{"-peers 127.0.0.1:7601 -spill-bytes 2048", "-spill-bytes requires -data-dir"},
 		{"-workers 0 -data-dir d", "-workers must be positive"},
 		{"-group-commit-ms -1", "-group-commit-ms must be >= 0"},

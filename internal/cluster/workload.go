@@ -7,6 +7,7 @@ import (
 	"repro/internal/datalog"
 	"repro/internal/dd"
 	"repro/internal/lattice"
+	"repro/internal/plan"
 	"repro/internal/server"
 	"repro/internal/timely"
 )
@@ -38,8 +39,10 @@ func roundUpdates(round, nodes uint64, churn int) []core.Update[uint64, uint64] 
 	return upds
 }
 
-// readClosure installs the transitive-closure query against the edges
-// arrangement and reduces this process's shard of its output with checksum.
+// readClosure installs the transitive-closure query, datalog.TCSrc compiled,
+// against the edges arrangement and reduces this process's shard of its
+// output with checksum. The loop enters the import itself: the edges are
+// arranged once, by the source.
 //
 // It reads without sealing anything: a sealed epoch would land in the log
 // and shift the round a later recovery resumes from. The snapshot import
@@ -49,10 +52,23 @@ func roundUpdates(round, nodes uint64, churn int) []core.Update[uint64, uint64] 
 // every rank does, a distributed drain — runs the query to quiescence,
 // after which the capture holds all of it.
 func readClosure(s *server.Server, edges *server.Source[uint64, uint64]) (int64, uint64, error) {
+	prog, err := plan.ParseDatalog(datalog.TCSrc)
+	if err != nil {
+		return 0, 0, err
+	}
+	root, _, err := plan.Compile(prog)
+	if err != nil {
+		return 0, 0, err
+	}
 	captured := &dd.Captured[uint64, uint64]{}
 	q, err := s.Install("tc", func(_ *timely.Worker, g *timely.Graph) server.Built {
 		imported := edges.ImportInto(g)
-		paths := datalog.TC(dd.Flatten(imported))
+		paths, err := plan.Build(root, plan.Env{Source: func(string) (*core.Arranged[uint64, uint64], error) {
+			return imported, nil
+		}})
+		if err != nil {
+			panic(err) // a compiled constant over a resolved source: an error is a bug
+		}
 		dd.Capture(paths, captured)
 		return server.Built{Probe: dd.Probe(paths), Teardown: func() { imported.Cancel() }}
 	})

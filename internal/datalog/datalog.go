@@ -61,7 +61,9 @@ sgf(x, y) :- sgm(x, _), edges(px, x), sgf(px, py), edges(py, y), x != y.
 )
 
 // TC computes the full transitive closure of the edge collection as (x, y)
-// pairs: tc(x,y) :- e(x,y); tc(x,z) :- tc(x,y), e(y,z).
+// pairs: tc(x,y) :- e(x,y); tc(x,z) :- tc(x,y), e(y,z). It is TCSrc built
+// by hand, kept only as the tests' referee for that text and as the bench's
+// pinned probe; everything else runs the compiled program.
 func TC(edges dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {
 	return dd.IterateFrom(edges,
 		func(seed, tc dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] {

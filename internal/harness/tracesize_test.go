@@ -227,8 +227,10 @@ func TestTraceSizeFollowsLiveCollection(t *testing.T) {
 }
 
 // TestDerivedTraceSizeFollowsLiveCollection is the same property on the
-// server path: a Source, a Derived over it, and a late query importing the
-// Derived, with queries coming and going while the collection churns.
+// server path: a Source, two Deriveds over it, and a late query importing
+// both, with queries coming and going while the collection churns. One
+// Derived arranges its output afresh; the other shares the output trace its
+// Distinct reduce maintains, the arrangement a shared Distinct sub-plan is.
 func TestDerivedTraceSizeFollowsLiveCollection(t *testing.T) {
 	const n = 40
 	for _, workers := range oracleWorkers {
@@ -239,37 +241,63 @@ func TestDerivedTraceSizeFollowsLiveCollection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			swapped, err := server.InstallDerived(s, "swapped", u64,
-				func(w *timely.Worker, g *timely.Graph) (dd.Collection[uint64, uint64], func()) {
+			swapped, err := server.InstallDerived(s, "swapped",
+				func(w *timely.Worker, g *timely.Graph) (*core.Arranged[uint64, uint64], func()) {
 					imported := src.ImportInto(g)
-					return dd.Map(dd.Flatten(imported), func(k, v uint64) (uint64, uint64) { return v, k }), imported.Cancel
+					out := dd.Map(dd.Flatten(imported), func(k, v uint64) (uint64, uint64) { return v, k })
+					return dd.Arrange(out, u64, "swapped"), imported.Cancel
 				})
 			if err != nil {
 				t.Fatal(err)
 			}
+			distinct, err := server.InstallDerived(s, "distinct",
+				func(w *timely.Worker, g *timely.Graph) (*core.Arranged[uint64, uint64], func()) {
+					imported := src.ImportInto(g)
+					return dd.DistinctCore(imported), imported.Cancel
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			deriveds := []*server.Derived[uint64, uint64]{swapped, distinct}
 
-			// late installs a query that flattens the derived arrangement (and
-			// joins and counts over both imports, so that it holds read handles
-			// on both traces), noting the traces behind the imports, and
-			// returns what the flattening captured.
-			srcAgents := make([]*core.TraceAgent[uint64, uint64], workers)
-			derAgents := make([]*core.TraceAgent[uint64, uint64], workers)
-			late := func(name string) (*server.Query, *dd.Captured[uint64, uint64]) {
-				cap := &dd.Captured[uint64, uint64]{}
+			// late installs a query that flattens each derived arrangement
+			// (and joins and counts over every import, so that it holds read
+			// handles on every trace), noting the traces behind the imports,
+			// and returns what each flattening captured.
+			agents := map[string][]*core.TraceAgent[uint64, uint64]{"source": make([]*core.TraceAgent[uint64, uint64], workers)}
+			for _, d := range deriveds {
+				agents[d.Name()] = make([]*core.TraceAgent[uint64, uint64], workers)
+			}
+			late := func(name string) (*server.Query, []*dd.Captured[uint64, uint64]) {
+				caps := make([]*dd.Captured[uint64, uint64], len(deriveds))
+				for i := range caps {
+					caps[i] = &dd.Captured[uint64, uint64]{}
+				}
 				q, err := s.Install(name, func(w *timely.Worker, g *timely.Graph) server.Built {
-					base, der := src.ImportInto(g), swapped.ImportInto(g)
-					srcAgents[w.Index()], derAgents[w.Index()] = base.Agent, der.Agent
-					dd.JoinCore(base, der, "join", func(k, v1, v2 uint64) (uint64, uint64) { return v1, v2 })
+					base := src.ImportInto(g)
+					agents["source"][w.Index()] = base.Agent
 					dd.CountCore(base)
-					dd.CountCore(der)
-					out := dd.Flatten(der)
-					dd.Capture(out, cap)
-					return server.Built{Probe: dd.Probe(out), Teardown: func() { base.Cancel(); der.Cancel() }}
+					imports := []*core.Arranged[uint64, uint64]{base}
+					var outs []dd.Collection[uint64, uint64]
+					for i, d := range deriveds {
+						der := d.ImportInto(g)
+						agents[d.Name()][w.Index()] = der.Agent
+						dd.JoinCore(base, der, "join", func(k, v1, v2 uint64) (uint64, uint64) { return v1, v2 })
+						dd.CountCore(der)
+						out := dd.Flatten(der)
+						dd.Capture(out, caps[i])
+						imports, outs = append(imports, der), append(outs, out)
+					}
+					return server.Built{Probe: dd.Probe(dd.Concat(outs[0], outs[1])), Teardown: func() {
+						for _, a := range imports {
+							a.Cancel()
+						}
+					}}
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				return q, cap
+				return q, caps
 			}
 
 			h := churnHistory(epochs)
@@ -299,25 +327,30 @@ func TestDerivedTraceSizeFollowsLiveCollection(t *testing.T) {
 					q.Uninstall()
 				}
 			}
-			if !swapped.Query().WaitDone(lattice.Ts(sealed)) {
-				t.Fatal("server closed early")
+			for _, d := range deriveds {
+				if !d.Query().WaitDone(lattice.Ts(sealed)) {
+					t.Fatal("server closed early")
+				}
 			}
 
-			// The late snapshot import equals the from-scratch collection. Its
+			// Each late snapshot import equals the from-scratch collection. Its
 			// history sits at the compaction frontier, which one more (empty)
-			// epoch puts behind the probe.
-			q, cap := late("late")
+			// epoch puts behind the probe. The live records are distinct, so
+			// the distinct output is the source collection itself.
+			q, caps := late("late")
 			if sealed, err = src.Advance(); err != nil {
 				t.Fatal(err)
 			}
 			if !q.WaitDone(lattice.Ts(sealed)) {
 				t.Fatal("server closed early")
 			}
-			want := map[[2]any]core.Diff{}
+			wantSwapped, wantDistinct := map[[2]any]core.Diff{}, map[[2]any]core.Diff{}
 			for kv, d := range NetAt(h, uint64(epochs-1)) {
-				want[[2]any{kv[1], kv[0]}] = d
+				wantSwapped[[2]any{kv[1], kv[0]}] = d
+				wantDistinct[[2]any{kv[0], kv[1]}] = d
 			}
-			diffMaps(t, tag+"/late import", -1, cap.At(lattice.Ts(sealed)), want)
+			diffMaps(t, tag+"/late import of swapped", -1, caps[0].At(lattice.Ts(sealed)), wantSwapped)
+			diffMaps(t, tag+"/late import of distinct", -1, caps[1].At(lattice.Ts(sealed)), wantDistinct)
 			q.Uninstall()
 
 			var mu sync.Mutex
@@ -325,8 +358,8 @@ func TestDerivedTraceSizeFollowsLiveCollection(t *testing.T) {
 			s.Cluster().PostEach(func(w *timely.Worker) {
 				mu.Lock()
 				defer mu.Unlock()
-				for name, agent := range map[string]*core.TraceAgent[uint64, uint64]{
-					"source": srcAgents[w.Index()], "derived": derAgents[w.Index()]} {
+				for name, per := range agents {
+					agent := per[w.Index()]
 					for agent.Spine().Work(1 << 30) {
 					}
 					sizes[name] += agent.Spine().UpdateCount()
@@ -338,7 +371,9 @@ func TestDerivedTraceSizeFollowsLiveCollection(t *testing.T) {
 						tag, name, size, churnLive, bound)
 				}
 			}
-			swapped.Uninstall()
+			for _, d := range deriveds {
+				d.Uninstall()
+			}
 			s.Close()
 		}
 	}

@@ -173,7 +173,7 @@ func (fe *Frontend) InstallPlan(name, text string, root *plan.Node) error {
 		}
 		held = append(held, e)
 	}
-	build, check := fe.planBuild(root, srcs)
+	build, check := planBuild(fe, root, srcs, plan.Build, emptyCollection)
 	h := newHub(fe.opt.SubscriberMaxLag)
 	q, err := fe.srv.Install(name, func(w *timely.Worker, g *timely.Graph) server.Built {
 		out, teardown := build(w, g)
@@ -206,7 +206,8 @@ func (fe *Frontend) InstallPlan(name, text string, root *plan.Node) error {
 // ensurePart resolves one stateful sub-plan to its registry entry, taking a
 // reference: a registry hit reuses the installed derived arrangement, a miss
 // installs one (its children are already registered — SharedParts orders
-// children first). Caller holds instMu.
+// children first). The part shares the arrangement plan.BuildArranged
+// returns, so plan alone decides how it is indexed. Caller holds instMu.
 func (fe *Frontend) ensurePart(p *plan.Node, srcs map[string]*server.Source[uint64, uint64]) (*sharedEntry, error) {
 	key := p.Key()
 	if e := fe.shared[key]; e != nil {
@@ -214,8 +215,8 @@ func (fe *Frontend) ensurePart(p *plan.Node, srcs map[string]*server.Source[uint
 		fe.hits++
 		return e, nil
 	}
-	build, check := fe.planBuild(p, srcs)
-	d, err := server.InstallDerived(fe.srv, partName(key), core.U64(), build)
+	build, check := planBuild(fe, p, srcs, plan.BuildArranged, emptyArranged)
+	d, err := server.InstallDerived(fe.srv, partName(key), build)
 	if err = check(err, func() { d.Uninstall() }); err != nil {
 		return nil, err
 	}
@@ -226,27 +227,32 @@ func (fe *Frontend) ensurePart(p *plan.Node, srcs map[string]*server.Source[uint
 	return e, nil
 }
 
-// planBuild returns one install's build of root, run on every worker, and
-// the check to run once the install returns: it returns the install's
-// error, or else the workers' build errors joined, uninstalling what was
-// installed if there are any. The build's teardown cancels its imports.
+// planBuild returns one install's build of root in the given form
+// (plan.Build or plan.BuildArranged), run on every worker, and the check to
+// run once the install returns: it returns the install's error, or else the
+// workers' build errors joined, uninstalling what was installed if there are
+// any. A worker whose build fails outputs empty of a closed, empty input.
 // Caller holds instMu.
-func (fe *Frontend) planBuild(root *plan.Node, srcs map[string]*server.Source[uint64, uint64]) (
-	build func(*timely.Worker, *timely.Graph) (dd.Collection[uint64, uint64], func()),
+func planBuild[T any](fe *Frontend, root *plan.Node, srcs map[string]*server.Source[uint64, uint64],
+	form func(*plan.Node, plan.Env) (T, error), empty func(dd.Collection[uint64, uint64]) T) (
+	build func(*timely.Worker, *timely.Graph) (T, func()),
 	check func(err error, uninstall func()) error) {
 
 	resolve := fe.resolveSnapshot()
 	errs := make([]error, fe.srv.Workers())
-	build = func(w *timely.Worker, g *timely.Graph) (dd.Collection[uint64, uint64], func()) {
-		out, imports, err := buildInto(root, g, srcs, resolve)
-		errs[w.Index()] = err
-		return out, func() {
-			for _, a := range imports {
-				if a.Cancel != nil {
-					a.Cancel()
-				}
-			}
+	build = func(w *timely.Worker, g *timely.Graph) (T, func()) {
+		env, teardown := buildEnv(g, srcs, resolve)
+		out, err := form(root, env)
+		if err != nil {
+			// A validated plan with resolvable sources never gets here; a
+			// network-facing server still degrades rather than panics, so
+			// the dataflow stays well-formed while the error propagates.
+			in, c := dd.NewInput[uint64, uint64](g)
+			in.Close()
+			out = empty(c)
 		}
+		errs[w.Index()] = err
+		return out, teardown
 	}
 	check = func(err error, uninstall func()) error {
 		if err == nil {
@@ -257,6 +263,14 @@ func (fe *Frontend) planBuild(root *plan.Node, srcs map[string]*server.Source[ui
 		return err
 	}
 	return build, check
+}
+
+// emptyCollection and emptyArranged give planBuild's empty output in each
+// form.
+func emptyCollection(c dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] { return c }
+
+func emptyArranged(c dd.Collection[uint64, uint64]) *core.Arranged[uint64, uint64] {
+	return dd.Arrange(c, core.U64(), "plan-empty")
 }
 
 // resolveSnapshot captures the registry for use inside build closures (which
@@ -288,16 +302,13 @@ func (fe *Frontend) releaseLocked(held []*sharedEntry) {
 	}
 }
 
-// buildInto builds root onto g, importing base relations from srcs and
-// already-installed sub-plans from resolve; it returns the imports for
-// teardown. On error the returned collection is a valid (empty, closed)
-// input, so the enclosing dataflow stays well-formed while the error
-// propagates — with a validated plan and resolvable sources no error is
-// reachable, but a network-facing server degrades rather than panics.
-func buildInto(root *plan.Node, g *timely.Graph,
+// buildEnv resolves a plan's leaves on g: base relations import from srcs,
+// already-installed sub-plans from resolve. The teardown it returns cancels
+// every import the build made.
+func buildEnv(g *timely.Graph,
 	srcs map[string]*server.Source[uint64, uint64],
 	resolve map[string]*server.Derived[uint64, uint64],
-) (dd.Collection[uint64, uint64], []*core.Arranged[uint64, uint64], error) {
+) (plan.Env, func()) {
 
 	var imports []*core.Arranged[uint64, uint64]
 	env := plan.Env{
@@ -320,13 +331,11 @@ func buildInto(root *plan.Node, g *timely.Graph,
 			return a
 		},
 	}
-	out, err := plan.Build(root, env)
-	if err != nil {
-		in, c := dd.NewInput[uint64, uint64](g)
-		in.Close()
-		return c, imports, err
+	return env, func() {
+		for _, a := range imports {
+			a.Cancel()
+		}
 	}
-	return out, imports, nil
 }
 
 // partName derives the server-side query name for a shared sub-plan from its

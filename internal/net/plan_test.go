@@ -437,3 +437,110 @@ func TestKeyLookupInstallAllocIndependentOfRelationSize(t *testing.T) {
 		t.Errorf("look-up install allocated %d bytes over 2500 edges and %d over 20000: it grows with the relation", small, large)
 	}
 }
+
+// retainedHeap returns the live heap after two collections: what the process
+// still references, with the garbage of whatever ran before swept.
+func retainedHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestDistinctPartHoldsOneTrace: a shared Distinct part is the arrangement
+// its reduce maintains, so over a source of distinct records it retains one
+// trace the size of the source's — not that trace plus an arranged copy of
+// its flattened output. A ratio of heaps, not a timing.
+func TestDistinctPartHoldsOneTrace(t *testing.T) {
+	const records = 200_000
+	srv := server.New(1)
+	defer srv.Close()
+	fe := NewFrontend(srv)
+	defer fe.Close()
+	src, err := server.NewSource(srv, "edges", core.U64())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.RegisterSource(src); err != nil {
+		t.Fatal(err)
+	}
+	// settle seals one (possibly empty) epoch and waits for every worker.
+	settle := func() uint64 {
+		t.Helper()
+		sealed, err := fe.Advance("edges")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fe.SyncSource("edges"); err != nil {
+			t.Fatal(err)
+		}
+		return sealed
+	}
+	// load builds the updates in its own frame, so none stay reachable.
+	load := func() {
+		upds := make([]Delta, records)
+		for i := range upds {
+			upds[i] = Delta{Key: uint64(i / 4), Val: uint64(i), Diff: 1}
+		}
+		if err := fe.Update("edges", upds); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	empty := retainedHeap()
+	load()
+	settle()
+	loaded := retainedHeap()
+
+	fe.instMu.Lock()
+	e, err := fe.ensurePart(plan.Scan("edges").Distinct(), map[string]*server.Source[uint64, uint64]{"edges": src})
+	fe.instMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The part's snapshot import sits at the open epoch: it is complete once
+	// that epoch seals.
+	if !e.d.Query().WaitDone(lattice.Ts(settle())) {
+		t.Fatal("server stopped before the part was complete")
+	}
+	withPart := retainedHeap()
+
+	source, part := int64(loaded-empty), int64(withPart-loaded)
+	ratio := float64(part) / float64(source)
+	t.Logf("source trace %d bytes; the distinct part retains %d bytes more (%.2f×)", source, part, ratio)
+	if ratio > 1.5 {
+		t.Errorf("the distinct part retains %.2f× its source's trace, want one trace (≤ 1.5×)", ratio)
+	}
+	fe.instMu.Lock()
+	fe.releaseLocked([]*sharedEntry{e})
+	fe.instMu.Unlock()
+}
+
+// TestPlanBuildErrorDegrades: a build that fails on the workers — here over
+// a source the install was not handed — fails its install with that error,
+// in either build form, and leaves the server installing as before.
+func TestPlanBuildErrorDegrades(t *testing.T) {
+	fe, _ := startFrontendSources(t, 2, "edges")
+	root := plan.Scan("edges").Distinct()
+	fe.instMu.Lock()
+	_, errPart := fe.ensurePart(root, nil)
+	build, check := planBuild(fe, root, nil, plan.Build, emptyCollection)
+	q, errQuery := fe.srv.Install("q", func(w *timely.Worker, g *timely.Graph) server.Built {
+		out, teardown := build(w, g)
+		return server.Built{Probe: dd.Probe(out), Teardown: teardown}
+	})
+	errQuery = check(errQuery, func() { q.Uninstall() })
+	fe.instMu.Unlock()
+	for form, err := range map[string]error{"arranged": errPart, "collection": errQuery} {
+		if err == nil || !strings.Contains(err.Error(), `unknown source "edges"`) {
+			t.Errorf("%s form: err = %v, want the unknown source", form, err)
+		}
+	}
+	if st := fe.SharedStats(); st != (SharedStats{}) {
+		t.Fatalf("stats %+v after failed builds, want none", st)
+	}
+	if err := fe.InstallPlan("ok", "", root); err != nil {
+		t.Fatalf("install after failed builds: %v", err)
+	}
+}

@@ -36,16 +36,37 @@ func buildErrf(format string, args ...any) error {
 // Build constructs the dataflow for root and returns its output collection.
 // Identical sub-plans (by canonical key) are built once and reused.
 func Build(root *Node, env Env) (dd.Collection[uint64, uint64], error) {
-	if err := root.Validate(); err != nil {
+	s, err := newScope(root, env)
+	if err != nil {
 		return dd.Collection[uint64, uint64]{}, err
 	}
-	top := &scope{
+	return s.build(root)
+}
+
+// BuildArranged is Build returning root's output as an arrangement: the one
+// root's own operator maintains — a Distinct's reduce output, a base
+// relation's or shared sub-plan's import — and a fresh one only for a root
+// that has none (a join, count or fixpoint). Sharing that arrangement shares
+// the only copy of the output there is.
+func BuildArranged(root *Node, env Env) (*core.Arranged[uint64, uint64], error) {
+	s, err := newScope(root, env)
+	if err != nil {
+		return nil, err
+	}
+	return s.arranged(root)
+}
+
+// newScope validates root and returns the top-level scope to build it in.
+func newScope(root *Node, env Env) (*scope, error) {
+	if err := root.Validate(); err != nil {
+		return nil, err
+	}
+	return &scope{
 		env:   env,
 		label: "plan",
 		cols:  map[string]dd.Collection[uint64, uint64]{},
 		arrs:  map[string]*core.Arranged[uint64, uint64]{},
-	}
-	return top.build(root)
+	}, nil
 }
 
 // scope builds nodes at one nesting level: the top level (parent == nil) or
@@ -135,9 +156,9 @@ func (s *scope) resident(n *Node) (*core.Arranged[uint64, uint64], error) {
 }
 
 // arranged returns an arrangement of n's output, preferring (in order) one
-// already at hand, the enclosing scope's, a shared installation, a source
-// import, the arranged output a Distinct reduce produces anyway, and only
-// then arranging afresh.
+// already at hand, the enclosing scope's, a shared installation or source
+// import, the arranged output a Distinct reduce produces, and only then
+// arranging afresh.
 func (s *scope) arranged(n *Node) (*core.Arranged[uint64, uint64], error) {
 	key := n.Key()
 	if a, ok := s.arrs[key]; ok {
@@ -152,14 +173,23 @@ func (s *scope) arranged(n *Node) (*core.Arranged[uint64, uint64], error) {
 		s.arrs[key] = a
 		return a, nil
 	}
-	c, err := s.build(n) // may register an arrangement as a side effect
-	if err != nil {
-		return nil, err
+	a, err := s.resident(n)
+	if err != nil || a != nil {
+		return a, err
 	}
-	if a, ok := s.arrs[key]; ok {
-		return a, nil
+	if n.Op == OpDistinct {
+		ia, err := s.arranged(n.In)
+		if err != nil {
+			return nil, err
+		}
+		a = dd.DistinctCore(ia)
+	} else {
+		c, err := s.build(n)
+		if err != nil {
+			return nil, err
+		}
+		a = dd.Arrange(c, core.U64(), nodeName(s.label, n))
 	}
-	a := dd.Arrange(c, core.U64(), nodeName(s.label, n))
 	s.arrs[key] = a
 	return a, nil
 }
@@ -231,13 +261,11 @@ func (s *scope) buildOp(n *Node) (dd.Collection[uint64, uint64], error) {
 		cnt := dd.CountCore(ia)
 		return dd.Map(cnt, func(k uint64, c int64) (uint64, uint64) { return k, uint64(c) }), nil
 	case OpDistinct:
-		ia, err := s.arranged(n.In)
+		a, err := s.arranged(n)
 		if err != nil {
 			return zero, err
 		}
-		da := dd.DistinctCore(ia)
-		s.arrs[n.Key()] = da
-		return dd.Flatten(da), nil
+		return dd.Flatten(a), nil
 	case OpFixpoint:
 		return s.buildFix(n)
 	}

@@ -4,17 +4,18 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/dd"
 	"repro/internal/timely"
 )
 
 // Derived is a named arrangement maintained over a query's *output*: the
-// installed dataflow arranges its result collection on every worker, and
-// later queries import that arrangement exactly as they import a Source —
-// snapshot first, live batches behind. This extends "arrange once, share
-// everywhere" from base relations to derived relations: a sub-computation two
-// queries share (a transitive closure, a filtered join) is built and indexed
-// once, and every consumer attaches to the maintained index.
+// installed dataflow's build returns an arrangement of its result on every
+// worker, and later queries import that arrangement exactly as they import a
+// Source — snapshot first, live batches behind. This extends "arrange once,
+// share everywhere" from base relations to derived relations: a
+// sub-computation two queries share (a transitive closure, a filtered join)
+// is built and indexed once, and every consumer attaches to the maintained
+// index. Derived indexes nothing itself: the arrangement shared is the one
+// the build returns, typically one its own operators maintain anyway.
 type Derived[K, V any] struct {
 	nm        string
 	q         *Query
@@ -22,21 +23,20 @@ type Derived[K, V any] struct {
 	uninstall sync.Once
 }
 
-// InstallDerived installs a query dataflow whose output is arranged and
-// maintained on every worker. The build closure runs once per worker on that
-// worker's goroutine and returns the output collection plus a teardown to run
-// on the same worker at uninstall (cancel imports, close worker-local
-// inputs); nil teardowns are fine. Like every arrangement, the output
-// compacts behind the epochs it has sealed, so the trace late-importing
-// queries share is proportional to the live derived collection, not its
-// update history.
-func InstallDerived[K, V any](s *Server, name string, fn core.Funcs[K, V],
-	build func(w *timely.Worker, g *timely.Graph) (dd.Collection[K, V], func())) (*Derived[K, V], error) {
+// InstallDerived installs a query dataflow whose arranged output is
+// maintained and shared on every worker. The build closure runs once per
+// worker on that worker's goroutine and returns the output arrangement plus
+// a teardown to run on the same worker at uninstall (cancel imports, close
+// worker-local inputs); nil teardowns are fine. Like every arrangement, the
+// output compacts behind the epochs it has sealed, so the trace
+// late-importing queries share is proportional to the live derived
+// collection, not its update history.
+func InstallDerived[K, V any](s *Server, name string,
+	build func(w *timely.Worker, g *timely.Graph) (*core.Arranged[K, V], func())) (*Derived[K, V], error) {
 
 	d := &Derived[K, V]{nm: name, arr: make([]*core.Arranged[K, V], s.c.Peers())}
 	q, err := s.Install(name, func(w *timely.Worker, g *timely.Graph) Built {
-		col, teardown := build(w, g)
-		a := dd.Arrange(col, fn, name)
+		a, teardown := build(w, g)
 		d.arr[w.Index()] = a
 		return Built{Probe: timely.NewProbe(a.Stream), Teardown: teardown}
 	})

@@ -26,21 +26,27 @@ func TestDerivedImportMatchesDirect(t *testing.T) {
 	}
 
 	// The derived relation: edges reversed (dst -> src), arranged on every
-	// worker, compacting behind its own sealed epochs.
-	rev, err := InstallDerived(s, "rev", core.U64(),
-		func(w *timely.Worker, g *timely.Graph) (dd.Collection[uint64, uint64], func()) {
+	// worker, compacting behind its own sealed epochs. built keeps what each
+	// worker's build returned.
+	built := make([]*core.Arranged[uint64, uint64], 2)
+	rev, err := InstallDerived(s, "rev",
+		func(w *timely.Worker, g *timely.Graph) (*core.Arranged[uint64, uint64], func()) {
 			imported := edges.ImportInto(g)
 			out := dd.Map(dd.Flatten(imported), func(k, v uint64) (uint64, uint64) { return v, k })
-			return out, imported.Cancel
+			built[w.Index()] = dd.Arrange(out, core.U64(), "rev")
+			return built[w.Index()], imported.Cancel
 		})
 	if err != nil {
 		t.Fatalf("install derived: %v", err)
 	}
 
-	// A consumer importing the derived arrangement: in-degree per node.
+	// A consumer importing the derived arrangement: in-degree per node. It
+	// must read the very trace the build returned, not a copy of it.
 	capDerived := &dd.Captured[uint64, uint64]{}
+	read := make([]*core.TraceAgent[uint64, uint64], 2)
 	consumer, err := s.Install("indeg-via-rev", func(w *timely.Worker, g *timely.Graph) Built {
 		imported := rev.ImportInto(g)
+		read[w.Index()] = imported.Agent
 		counts := dd.CountCore(imported)
 		out := dd.Map(counts, func(k uint64, c int64) (uint64, uint64) { return k, uint64(c) })
 		dd.Capture(out, capDerived)
@@ -48,6 +54,11 @@ func TestDerivedImportMatchesDirect(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("install consumer: %v", err)
+	}
+	for w, a := range built {
+		if read[w] != a.Agent {
+			t.Fatalf("worker %d: the importer reads another trace than the build returned", w)
+		}
 	}
 
 	// The same computation built directly against the source.
@@ -105,10 +116,10 @@ func TestDerivedCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("source: %v", err)
 	}
-	ident, err := InstallDerived(s, "ident", core.U64(),
-		func(w *timely.Worker, g *timely.Graph) (dd.Collection[uint64, uint64], func()) {
+	ident, err := InstallDerived(s, "ident",
+		func(w *timely.Worker, g *timely.Graph) (*core.Arranged[uint64, uint64], func()) {
 			imported := edges.ImportInto(g)
-			return dd.Flatten(imported), imported.Cancel
+			return dd.Arrange(dd.Flatten(imported), core.U64(), "ident"), imported.Cancel
 		})
 	if err != nil {
 		t.Fatalf("install derived: %v", err)
@@ -185,10 +196,10 @@ func TestDerivedOnClosedServer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("source: %v", err)
 	}
-	d, err := InstallDerived(s, "ident", core.U64(),
-		func(w *timely.Worker, g *timely.Graph) (dd.Collection[uint64, uint64], func()) {
+	d, err := InstallDerived(s, "ident",
+		func(w *timely.Worker, g *timely.Graph) (*core.Arranged[uint64, uint64], func()) {
 			imported := edges.ImportInto(g)
-			return dd.Flatten(imported), imported.Cancel
+			return dd.Arrange(dd.Flatten(imported), core.U64(), "ident"), imported.Cancel
 		})
 	if err != nil {
 		t.Fatalf("install derived: %v", err)
@@ -196,9 +207,9 @@ func TestDerivedOnClosedServer(t *testing.T) {
 	s.Close()
 	d.Uninstall() // must not hang or panic after Close
 
-	if _, err := InstallDerived(s, "post-close", core.U64(),
-		func(w *timely.Worker, g *timely.Graph) (dd.Collection[uint64, uint64], func()) {
-			return dd.Collection[uint64, uint64]{}, nil
+	if _, err := InstallDerived(s, "post-close",
+		func(w *timely.Worker, g *timely.Graph) (*core.Arranged[uint64, uint64], func()) {
+			return nil, nil
 		}); err != ErrClosed {
 		t.Fatalf("InstallDerived on closed server: err=%v, want ErrClosed", err)
 	}

@@ -247,11 +247,15 @@ func Q20(c *Collections) dd.Collection[uint64, Vals] {
 			}
 			return ^uint64(0), core.Unit{}
 		})
-	kept := dd.Distinct(dd.Filter(j, func(k uint64, _ core.Unit) bool { return k != ^uint64(0) }), fnUnit())
+	kept := dd.DistinctCore(dd.Arrange(
+		dd.Filter(j, func(k uint64, _ core.Unit) bool { return k != ^uint64(0) }), fnUnit(), "q20-kept"))
 	supp := dd.Map(
 		dd.Filter(c.Supplier, func(_ uint64, s Supplier) bool { return s.NationKey == q20Nation }),
 		func(k uint64, _ Supplier) (uint64, core.Unit) { return k, core.Unit{} })
-	final := dd.SemiJoin(kept, fnUnit(), supp, fnUnit())
+	// A semi-join of kept's own distinct arrangement: SemiJoin would arrange
+	// the flattened output again.
+	final := dd.JoinCore(kept, distinctKeys(supp, "q20-supp"), "q20-final",
+		func(sk uint64, _, _ core.Unit) (uint64, core.Unit) { return sk, core.Unit{} })
 	return dd.Map(final, func(sk uint64, _ core.Unit) (uint64, Vals) {
 		return sk, Vals{1, 0, 0, 0, 0, 0}
 	})
@@ -260,18 +264,22 @@ func Q20(c *Collections) dd.Collection[uint64, Vals] {
 // Q21: suppliers who kept orders waiting: the sole late supplier of a
 // multi-supplier order.
 func Q21(c *Collections) dd.Collection[uint64, Vals] {
-	all := dd.Distinct(dd.Map(c.Items, func(ok uint64, l LineItem) (uint64, int64) {
+	// all and late are read through the arrangements their reduces
+	// maintain: counting or semi-joining a flattened copy would arrange it
+	// again.
+	all := dd.DistinctCore(dd.Arrange(dd.Map(c.Items, func(ok uint64, l LineItem) (uint64, int64) {
 		return ok, int64(l.SuppKey)
-	}), fnI64())
-	late := dd.Distinct(dd.Map(
+	}), fnI64(), "q21-all"))
+	late := dd.DistinctCore(dd.Arrange(dd.Map(
 		dd.Filter(c.Items, func(_ uint64, l LineItem) bool { return l.ReceiptDate > l.CommitDate }),
-		func(ok uint64, l LineItem) (uint64, int64) { return ok, int64(l.SuppKey) }), fnI64())
-	nAll := dd.Count(all, fnI64())
-	nLate := dd.Count(late, fnI64())
+		func(ok uint64, l LineItem) (uint64, int64) { return ok, int64(l.SuppKey) }), fnI64(), "q21-late"))
+	nAll := dd.CountCore(all)
+	nLate := dd.CountCore(late)
 	ordersF := dd.Map(
 		dd.Filter(c.Orders, func(_ uint64, o Order) bool { return o.Status == 0 }),
 		func(k uint64, _ Order) (uint64, core.Unit) { return k, core.Unit{} })
-	cand := dd.SemiJoin(late, fnI64(), ordersF, fnUnit())
+	cand := dd.JoinCore(late, distinctKeys(ordersF, "q21-orders"), "q21-cand",
+		func(ok uint64, sk int64, _ core.Unit) (uint64, int64) { return ok, sk })
 	j1 := dd.Join(cand, fnI64(), nAll, fnI64(), "q21-all",
 		func(ok uint64, sk, n int64) (uint64, [2]int64) { return ok, [2]int64{sk, n} })
 	j2 := dd.Join(j1, fnT2(), nLate, fnI64(), "q21-late",
@@ -289,6 +297,12 @@ func Q21(c *Collections) dd.Collection[uint64, Vals] {
 	return sumBy(final, func(sk uint64, _ core.Unit) (uint64, Vals) {
 		return sk, Vals{1, 0, 0, 0, 0, 0}
 	})
+}
+
+// distinctKeys is the key side of dd.SemiJoin: keys, arranged and made
+// distinct, for a JoinCore against an arrangement already at hand.
+func distinctKeys(keys dd.Collection[uint64, core.Unit], name string) *core.Arranged[uint64, core.Unit] {
+	return dd.DistinctCore(dd.Arrange(keys, fnUnit(), name))
 }
 
 // Q22: global sales opportunity: well-funded customers in target country
