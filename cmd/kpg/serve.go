@@ -51,7 +51,7 @@ func (c *serveConfig) register(fs *flag.FlagSet) {
 	fs.IntVar(&c.groupMs, "group-commit-ms", 0, "serve: group-commit interval in milliseconds for WAL fsyncs — one fsync per dirty log per interval instead of per append (requires -fsync; 0 syncs every append)")
 	fs.Int64Var(&c.ckptBytes, "checkpoint-bytes", 0, "serve: additionally checkpoint whenever the batch log exceeds this many bytes (requires -data-dir; 0 disables)")
 	fs.Uint64Var(&c.maxLag, "max-lag", 0, "serve: adaptive batching bound — pending epochs coalesce into one physical seal while completion lags this many seals behind (one process, with -listen or -data-dir; 0 = default)")
-	fs.IntVar(&c.subLag, "sub-lag", 0, "serve: pinned-delta backlog bound per subscriber before snapshot-reset (requires -listen; 0 = default, negative = unbounded)")
+	fs.IntVar(&c.subLag, "sub-lag", 0, "serve: undelivered live result deltas one subscriber may hold before it is reset onto a fresh snapshot (requires -listen; 0 = default, negative = unbounded)")
 	fs.Int64Var(&c.spillBytes, "spill-bytes", 0, "serve: per-worker resident budget for the edges arrangement — older runs spill to block files under the shard directory when resident bytes exceed this (one process, requires -data-dir; 0 disables)")
 	fs.StringVar(&c.peers, "peers", "", "serve: comma-separated mesh address of every process in rank order; runs the cluster scenario")
 	fs.IntVar(&c.process, "process", 0, "serve: this process's rank within -peers (0-based)")

@@ -62,8 +62,9 @@
 //     a relational plan over registered sources), stream
 //     source updates, seal epochs, and subscribe to per-epoch result
 //     deltas over TCP. Frames reuse the WAL's CRC32-C record format and
-//     codecs; per-query hubs tie backpressure to the epoch cycle, so a
-//     slow subscriber lags only its own stream, never the workers.
+//     codecs; every query's result is an arrangement and a subscription
+//     imports it, so a slow subscriber lags only its own stream, never the
+//     workers.
 //   - workload substrates (internal/tpch, graphs, interactive with its live
 //     installation wiring, and datalog and graspan: the paper's programs as
 //     Datalog text for internal/plan), which the examples and bench/ drive.

@@ -8,10 +8,10 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/dd"
-	"repro/internal/lattice"
 	"repro/internal/plan"
 	"repro/internal/server"
 	"repro/internal/timely"
@@ -20,9 +20,10 @@ import (
 
 // Frontend exposes a server.Server over the wire protocol: remote clients
 // install named queries as relational plans and uninstall them, send source
-// updates, seal epochs, and subscribe to per-epoch result deltas. All
-// methods are also callable in-process (the CLI serve path and tests drive
-// them directly).
+// updates, seal epochs, and subscribe to per-epoch result deltas. Every
+// installed query's result is an arrangement, and a subscription is an
+// import of it (subscribe.go). All methods are also callable in-process (the
+// CLI serve path and tests drive them directly).
 type Frontend struct {
 	srv *server.Server
 	opt FrontendOptions // SubscriberMaxLag has its default applied
@@ -38,16 +39,22 @@ type Frontend struct {
 	// becomes a refcounted derived arrangement keyed by its canonical form
 	// (plan.Node.Key), so a second query containing the same sub-plan — from
 	// any client, in any surface syntax — imports the existing arrangement
-	// instead of building its own. instMu serializes installs and uninstalls
-	// end to end: concurrent installs of the same sub-plan must observe each
-	// other, not race to build it twice.
+	// instead of building its own. instMu serializes installs and reference
+	// releases: concurrent installs of the same sub-plan must observe each
+	// other, not race to build it twice. Draining a released part waits for
+	// its dataflow and runs after instMu is let go.
 	instMu      sync.Mutex
 	shared      map[string]*sharedEntry
 	sharedOrder []*sharedEntry // install order: children strictly before parents
 	installs    int            // derived arrangements built
 	hits        int            // sub-plan resolutions served from the registry
 
-	wg sync.WaitGroup // accept loop, connection handlers, query pumps
+	imports atomic.Uint64 // subscription imports installed, naming each
+	// drainHook, when set, runs before each released part drains (a
+	// test-only seam).
+	drainHook func()
+
+	wg sync.WaitGroup // accept loop, connection handlers
 }
 
 // sharedEntry is one installed shared sub-plan: a derived arrangement plus
@@ -61,11 +68,11 @@ type sharedEntry struct {
 // FrontendOptions tunes the frontend's ingestion control loop and its
 // subscriber lag policy.
 type FrontendOptions struct {
-	// SubscriberMaxLag bounds the completed-but-undelivered result deltas a
-	// single subscriber may pin in a query's hub. A subscriber past the bound
-	// is reset: its backlog is dropped and its next event is a streamResync
-	// carrying the consolidated collection. Zero means the default (1<<20
-	// deltas); negative disables the bound.
+	// SubscriberMaxLag bounds the live result deltas a single subscriber's
+	// feed may hold undelivered. A subscriber past the bound is reset: its
+	// feed is dropped, and its next event is a streamResync carrying the
+	// consolidated collection from a fresh import. Zero means the default
+	// (1<<20 deltas); negative disables the bound.
 	SubscriberMaxLag int
 	// BatchMaxLag is the adaptive batcher's bound on sealed-but-incomplete
 	// epochs per registered source (server.BatcherOptions.MaxLag). Zero
@@ -73,18 +80,35 @@ type FrontendOptions struct {
 	BatchMaxLag uint64
 }
 
-// DefaultSubscriberMaxLag is the pinned-backlog bound applied when
+// DefaultSubscriberMaxLag is the per-subscriber backlog bound applied when
 // FrontendOptions.SubscriberMaxLag is zero.
 const DefaultSubscriberMaxLag = 1 << 20
 
-// netQuery is one query installed through the frontend: the server-side
-// dataflow plus the hub its result sink feeds and the pump publishing
-// completed epochs into it.
+// netQuery is one query installed through the frontend: the arrangement of
+// its result and the subscriptions importing it. A stateful root's result is
+// its registry part; any other root gets an arrangement of its own (own),
+// outside the registry.
 type netQuery struct {
 	name, text string
-	q          *server.Query
-	hub        *hub
-	held       []*sharedEntry // registry references released at uninstall
+	root       *server.Derived[uint64, uint64]
+	own        *server.Derived[uint64, uint64] // nil when root is a registry part
+	held       []*sharedEntry                  // registry references released at uninstall
+
+	mu     sync.Mutex
+	subs   map[*subscription]struct{}
+	closed bool // uninstalled: no subscription attaches any more
+}
+
+// close ends every subscription of the query at the epochs its import had
+// completed and uninstalls the imports: after it, nothing reads the root.
+func (nq *netQuery) close() {
+	nq.mu.Lock()
+	defer nq.mu.Unlock()
+	nq.closed = true
+	for s := range nq.subs {
+		s.stop()
+		s.uninstallLocked()
+	}
 }
 
 // ErrFrontendClosed reports an operation against a closed frontend.
@@ -132,9 +156,9 @@ func (fe *Frontend) RegisterSource(src *server.Source[uint64, uint64]) error {
 
 // InstallPlan installs a relational plan under the given name: its stateful
 // sub-plans are materialized as shared derived arrangements (reusing any
-// already installed by other queries), the remaining stateless glue is built
-// as the query's own dataflow over snapshot imports, and its per-epoch result
-// deltas begin collecting for subscribers. The text is only for listings.
+// already installed by other queries), and a root that is not one of them
+// gets an arrangement of its own, built over snapshot imports of those.
+// Subscribers import the result arrangement. The text is only for listings.
 func (fe *Frontend) InstallPlan(name, text string, root *plan.Node) error {
 	if name == "" {
 		return fmt.Errorf("net: query name must be non-empty")
@@ -143,64 +167,61 @@ func (fe *Frontend) InstallPlan(name, text string, root *plan.Node) error {
 		return err
 	}
 	fe.instMu.Lock()
-	defer fe.instMu.Unlock()
-
-	fe.mu.Lock()
-	if fe.closed {
+	nq, err := fe.installLocked(name, text, root)
+	fe.instMu.Unlock()
+	if err == nil {
+		fe.mu.Lock()
+		if err = ErrFrontendClosed; !fe.closed {
+			fe.queries[name], err = nq, nil
+		}
 		fe.mu.Unlock()
-		return ErrFrontendClosed
 	}
+	if err != nil {
+		fe.uninstall(nq)
+	}
+	return err
+}
+
+// installLocked builds a query's result arrangement; on error, what it
+// built is still in the query, for uninstall. Caller holds instMu.
+func (fe *Frontend) installLocked(name, text string, root *plan.Node) (*netQuery, error) {
+	nq := &netQuery{name: name, text: text, subs: make(map[*subscription]struct{})}
+	fe.mu.Lock()
+	closed, dup := fe.closed, fe.queries[name] != nil
 	srcs := make(map[string]*server.Source[uint64, uint64], len(fe.batchers))
 	for n, b := range fe.batchers {
 		srcs[n] = b.Source()
 	}
 	fe.mu.Unlock()
+	switch {
+	case closed:
+		return nq, ErrFrontendClosed
+	case dup:
+		return nq, fmt.Errorf("net: query %q already installed", name)
+	}
 	for _, s := range root.Sources() {
 		if srcs[s] == nil {
-			return fmt.Errorf("net: query %q reads unknown source %q", name, s)
+			return nq, fmt.Errorf("net: query %q reads unknown source %q", name, s)
 		}
 	}
-
 	// Materialize the plan's stateful sub-plans bottom-up: each resolves to
 	// an existing registry entry or installs a new derived arrangement whose
 	// own build imports the entries below it.
-	var held []*sharedEntry
 	for _, p := range plan.SharedParts(root) {
 		e, err := fe.ensurePart(p, srcs)
 		if err != nil {
-			fe.releaseLocked(held)
-			return err
+			return nq, err
 		}
-		held = append(held, e)
+		nq.held = append(nq.held, e)
 	}
-	build, check := planBuild(fe, root, srcs, plan.Build, emptyCollection)
-	h := newHub(fe.opt.SubscriberMaxLag)
-	q, err := fe.srv.Install(name, func(w *timely.Worker, g *timely.Graph) server.Built {
-		out, teardown := build(w, g)
-		dd.Inspect(out, func(k, v uint64, t lattice.Time, d core.Diff) {
-			h.add(t.Epoch(), k, v, int64(d))
-		})
-		return server.Built{Probe: dd.Probe(out), Teardown: teardown}
-	})
-	if err = check(err, func() { q.Uninstall() }); err != nil {
-		fe.releaseLocked(held)
-		return err
+	if e := fe.shared[root.Key()]; e != nil {
+		nq.root = e.d
+		return nq, nil
 	}
-	nq := &netQuery{name: name, text: text, q: q, hub: h, held: held}
-
-	fe.mu.Lock()
-	if fe.closed {
-		fe.mu.Unlock()
-		h.close()
-		q.Uninstall()
-		fe.releaseLocked(held)
-		return ErrFrontendClosed
-	}
-	fe.queries[name] = nq
-	fe.wg.Add(1)
-	fe.mu.Unlock()
-	go fe.pump(nq)
-	return nil
+	var err error
+	nq.own, err = fe.installArranged(name, root, srcs)
+	nq.root = nq.own
+	return nq, err
 }
 
 // ensurePart resolves one stateful sub-plan to its registry entry, taking a
@@ -215,9 +236,8 @@ func (fe *Frontend) ensurePart(p *plan.Node, srcs map[string]*server.Source[uint
 		fe.hits++
 		return e, nil
 	}
-	build, check := planBuild(fe, p, srcs, plan.BuildArranged, emptyArranged)
-	d, err := server.InstallDerived(fe.srv, partName(key), build)
-	if err = check(err, func() { d.Uninstall() }); err != nil {
+	d, err := fe.installArranged(partName(key, fe.installs), p, srcs)
+	if err != nil {
 		return nil, err
 	}
 	e := &sharedEntry{key: key, d: d, refs: 1}
@@ -227,77 +247,66 @@ func (fe *Frontend) ensurePart(p *plan.Node, srcs map[string]*server.Source[uint
 	return e, nil
 }
 
-// planBuild returns one install's build of root in the given form
-// (plan.Build or plan.BuildArranged), run on every worker, and the check to
-// run once the install returns: it returns the install's error, or else the
-// workers' build errors joined, uninstalling what was installed if there are
-// any. A worker whose build fails outputs empty of a closed, empty input.
-// Caller holds instMu.
-func planBuild[T any](fe *Frontend, root *plan.Node, srcs map[string]*server.Source[uint64, uint64],
-	form func(*plan.Node, plan.Env) (T, error), empty func(dd.Collection[uint64, uint64]) T) (
-	build func(*timely.Worker, *timely.Graph) (T, func()),
-	check func(err error, uninstall func()) error) {
+// installArranged installs root's arranged output (plan.BuildArranged) as
+// a derived arrangement, its leaves resolved against the sources and the
+// registry. A worker whose build fails arranges a closed, empty input, so
+// the dataflow stays well-formed while the error propagates; the workers'
+// errors then undo the install. Caller holds instMu.
+func (fe *Frontend) installArranged(name string, root *plan.Node,
+	srcs map[string]*server.Source[uint64, uint64]) (*server.Derived[uint64, uint64], error) {
 
-	resolve := fe.resolveSnapshot()
-	errs := make([]error, fe.srv.Workers())
-	build = func(w *timely.Worker, g *timely.Graph) (T, func()) {
-		env, teardown := buildEnv(g, srcs, resolve)
-		out, err := form(root, env)
-		if err != nil {
-			// A validated plan with resolvable sources never gets here; a
-			// network-facing server still degrades rather than panics, so
-			// the dataflow stays well-formed while the error propagates.
-			in, c := dd.NewInput[uint64, uint64](g)
-			in.Close()
-			out = empty(c)
-		}
-		errs[w.Index()] = err
-		return out, teardown
-	}
-	check = func(err error, uninstall func()) error {
-		if err == nil {
-			if err = errors.Join(errs...); err != nil {
-				uninstall()
-			}
-		}
-		return err
-	}
-	return build, check
-}
-
-// emptyCollection and emptyArranged give planBuild's empty output in each
-// form.
-func emptyCollection(c dd.Collection[uint64, uint64]) dd.Collection[uint64, uint64] { return c }
-
-func emptyArranged(c dd.Collection[uint64, uint64]) *core.Arranged[uint64, uint64] {
-	return dd.Arrange(c, core.U64(), "plan-empty")
-}
-
-// resolveSnapshot captures the registry for use inside build closures (which
-// run on worker goroutines while instMu is held by the installer).
-func (fe *Frontend) resolveSnapshot() map[string]*server.Derived[uint64, uint64] {
+	// Build closures run on worker goroutines: they read a copy.
 	resolve := make(map[string]*server.Derived[uint64, uint64], len(fe.shared))
 	for k, e := range fe.shared {
 		resolve[k] = e.d
 	}
-	return resolve
+	errs := make([]error, fe.srv.Workers())
+	d, err := server.InstallDerived(fe.srv, name,
+		func(w *timely.Worker, g *timely.Graph) (*core.Arranged[uint64, uint64], func()) {
+			env, teardown := buildEnv(g, srcs, resolve)
+			out, err := plan.BuildArranged(root, env)
+			if err != nil {
+				in, c := dd.NewInput[uint64, uint64](g)
+				in.Close()
+				out = dd.Arrange(c, core.U64(), "plan-empty")
+			}
+			errs[w.Index()] = err
+			return out, teardown
+		})
+	if err != nil {
+		return nil, err
+	}
+	if err = errors.Join(errs...); err != nil {
+		d.Uninstall()
+		return nil, err
+	}
+	return d, nil
 }
 
-// releaseLocked drops one reference from each held entry, then uninstalls
-// every zero-reference entry in reverse install order — parents before the
-// children they import, so no live dataflow loses a producer. Caller holds
-// instMu.
-func (fe *Frontend) releaseLocked(held []*sharedEntry) {
+// release drops one reference from each held entry and uninstalls every
+// entry left with none, in reverse install order — parents before the
+// children they import, so no live dataflow loses a producer. Entries leave
+// the registry under instMu and drain (each uninstall waits for its dataflow
+// to quiesce) after it is let go, so installs of other queries never wait
+// on a drain.
+func (fe *Frontend) release(held []*sharedEntry) {
+	var dead []*sharedEntry
+	fe.instMu.Lock()
 	for _, e := range held {
 		e.refs--
 	}
 	for i := len(fe.sharedOrder) - 1; i >= 0; i-- {
-		e := fe.sharedOrder[i]
-		if e.refs > 0 {
-			continue
+		if e := fe.sharedOrder[i]; e.refs == 0 {
+			delete(fe.shared, e.key)
+			fe.sharedOrder = append(fe.sharedOrder[:i], fe.sharedOrder[i+1:]...)
+			dead = append(dead, e)
 		}
-		delete(fe.shared, e.key)
-		fe.sharedOrder = append(fe.sharedOrder[:i], fe.sharedOrder[i+1:]...)
+	}
+	fe.instMu.Unlock()
+	for _, e := range dead {
+		if fe.drainHook != nil {
+			fe.drainHook()
+		}
 		e.d.Uninstall()
 	}
 }
@@ -339,11 +348,12 @@ func buildEnv(g *timely.Graph,
 }
 
 // partName derives the server-side query name for a shared sub-plan from its
-// canonical key.
-func partName(key string) string {
+// canonical key and the registry's install count, so a part installed while
+// an earlier one of the same key still drains does not collide with it.
+func partName(key string, seq int) string {
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	return fmt.Sprintf("plan-%016x", h.Sum64())
+	return fmt.Sprintf("plan-%016x-%d", h.Sum64(), seq)
 }
 
 // SharedStats reports the shared sub-plan registry's state: live entries,
@@ -364,11 +374,11 @@ func (fe *Frontend) SharedStats() SharedStats {
 	return SharedStats{Entries: len(fe.shared), Installs: fe.installs, Hits: fe.hits}
 }
 
-// WaitComplete blocks until the named query's results reflect every sealed
-// epoch up to and including epoch on all workers, returning false if the
-// query is not installed or the server closes first. In-process callers
-// (benchmarks, the serve path) use it to time install-to-complete without a
-// network subscription.
+// WaitComplete blocks until the named query's result arrangement reflects
+// every sealed epoch up to and including epoch on all workers, returning
+// false if the query is not installed or the server closes first. In-process
+// callers (benchmarks, the serve path) use it to time install-to-complete
+// without a network subscription.
 func (fe *Frontend) WaitComplete(query string, epoch uint64) bool {
 	fe.mu.Lock()
 	nq := fe.queries[query]
@@ -376,31 +386,12 @@ func (fe *Frontend) WaitComplete(query string, epoch uint64) bool {
 	if nq == nil {
 		return false
 	}
-	return fe.srv.WaitFor(func() bool { return nq.q.Done(epoch) })
+	return fe.srv.WaitFor(func() bool { return nq.root.Query().Done(epoch) })
 }
 
-// pump publishes epochs to the query's hub as the probe passes them. It is
-// the only goroutine parked against the cluster per query: subscribers wait
-// on the hub, not on the workers, so any number of them cost the epoch
-// cycle nothing.
-func (fe *Frontend) pump(nq *netQuery) {
-	defer fe.wg.Done()
-	e := uint64(0)
-	for {
-		if !fe.srv.WaitFor(func() bool { return nq.hub.isClosed() || nq.q.Done(e) }) {
-			nq.hub.close() // server closed; deliver what was published, then end streams
-			return
-		}
-		if nq.hub.isClosed() {
-			return
-		}
-		e++
-		nq.hub.complete(e)
-	}
-}
-
-// Uninstall tears a query down: subscribers receive what was already
-// published, then their streams end; the dataflow leaves the workers.
+// Uninstall tears a query down: its subscribers receive the epochs their
+// imports had completed, then their streams end; then its own arrangement
+// leaves the workers and its registry references are released.
 func (fe *Frontend) Uninstall(name string) error {
 	fe.mu.Lock()
 	nq := fe.queries[name]
@@ -410,13 +401,19 @@ func (fe *Frontend) Uninstall(name string) error {
 	}
 	delete(fe.queries, name)
 	fe.mu.Unlock()
-	nq.hub.close()
-	fe.srv.Wake() // unpark the pump
-	nq.q.Uninstall()
-	fe.instMu.Lock()
-	fe.releaseLocked(nq.held)
-	fe.instMu.Unlock()
+	fe.uninstall(nq)
 	return nil
+}
+
+// uninstall ends a query's subscriptions, then releases its result
+// arrangement.
+func (fe *Frontend) uninstall(nq *netQuery) {
+	nq.close()
+	fe.srv.Wake() // streams parked on their probes see the end
+	if nq.own != nil {
+		nq.own.Uninstall()
+	}
+	fe.release(nq.held)
 }
 
 func (fe *Frontend) lookupBatcher(name string) (*server.Batcher[uint64, uint64], error) {
@@ -551,21 +548,10 @@ func (fe *Frontend) Close() {
 	for _, c := range conns {
 		c.Close()
 	}
+	// The last query's release drains the registry.
 	for _, nq := range queries {
-		nq.hub.close()
+		fe.uninstall(nq)
 	}
-	fe.srv.Wake()
-	for _, nq := range queries {
-		nq.q.Uninstall()
-	}
-	// With every shell query gone, drain the registry parents-first.
-	fe.instMu.Lock()
-	for i := len(fe.sharedOrder) - 1; i >= 0; i-- {
-		fe.sharedOrder[i].d.Uninstall()
-	}
-	fe.shared = make(map[string]*sharedEntry)
-	fe.sharedOrder = nil
-	fe.instMu.Unlock()
 	for _, b := range batchers {
 		b.Flush() // seal anything coalesced so nothing is silently pending
 		b.Close()
@@ -669,6 +655,7 @@ func (fe *Frontend) handleConn(conn net.Conn) {
 			}
 		case reqSubscribe:
 			fe.mu.Lock()
+			maxLag := fe.opt.SubscriberMaxLag
 			nqs := make([]*netQuery, 0, len(req.names))
 			var missing string
 			for _, n := range req.names {
@@ -689,9 +676,8 @@ func (fe *Frontend) handleConn(conn net.Conn) {
 				return
 			}
 			for _, nq := range nqs {
-				sub, snap, start := nq.hub.subscribe()
 				streams.Add(1)
-				go streamTo(nq, sub, snap, start, write, &streams)
+				go streamTo(&subscription{fe: fe, nq: nq, maxLag: maxLag}, write, &streams)
 			}
 		}
 	}
@@ -704,56 +690,6 @@ func (fe *Frontend) reply(write func([]byte) error, value uint64, err error) err
 		return write(encodeErr(err.Error()))
 	}
 	return write(encodeOK(value))
-}
-
-// streamTo is one subscription: the consolidated snapshot, then completed
-// epochs as they publish, at the pace of this connection alone. A write
-// error (slow-reader socket torn down, client killed) detaches the
-// subscription; nothing upstream notices.
-func streamTo(nq *netQuery, sub *subscriber, snap []Delta, start uint64,
-	write func([]byte) error, streams *sync.WaitGroup) {
-
-	defer streams.Done()
-	defer nq.hub.unsubscribe(sub)
-	err := write(encodeEvent(Event{Kind: streamSnapshot, Query: nq.name, Epoch: start, Upds: snap}))
-	if err != nil {
-		return
-	}
-	// The snapshot consolidates every epoch below start, so completion
-	// through start-1 is already established: announce it rather than
-	// leaving a quiescent stream frontier-less until the next epoch seals.
-	if start > 0 {
-		if write(encodeEvent(Event{Kind: streamFrontier, Query: nq.name, Epoch: start - 1})) != nil {
-			return
-		}
-	}
-	for {
-		ev, ok := sub.next()
-		if !ok {
-			// Query uninstalled or server closing: tell the client its
-			// stream is over rather than leaving it blocked on a read.
-			write(encodeEvent(Event{Kind: streamEnd, Query: nq.name, Reason: EndReasonClosed}))
-			return
-		}
-		if ev.resync {
-			// The hub reset this subscriber: the deltas it was pinning are
-			// gone, so replace its state wholesale with the consolidated
-			// collection below ev.start.
-			re := Event{Kind: streamResync, Query: nq.name, Epoch: ev.start, Upds: ev.snapshot}
-			if write(encodeEvent(re)) != nil {
-				return
-			}
-		}
-		for _, d := range ev.ds {
-			de := Event{Kind: streamDelta, Query: nq.name, Epoch: d.epoch, Upds: d.upds}
-			if write(encodeEvent(de)) != nil {
-				return
-			}
-		}
-		if write(encodeEvent(Event{Kind: streamFrontier, Query: nq.name, Epoch: ev.frontier})) != nil {
-			return
-		}
-	}
 }
 
 // sortListing orders a listing deterministically.

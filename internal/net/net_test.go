@@ -43,8 +43,9 @@ func startFrontendOpts(t *testing.T, workers int, opt FrontendOptions) (*Fronten
 	return fe, srv, ln.Addr().String()
 }
 
-// testHub digs a query's hub out of a frontend (same-package test hook).
-func testHub(t *testing.T, fe *Frontend, query string) *hub {
+// testQuery digs an installed query out of a frontend (same-package test
+// hook).
+func testQuery(t *testing.T, fe *Frontend, query string) *netQuery {
 	t.Helper()
 	fe.mu.Lock()
 	defer fe.mu.Unlock()
@@ -52,23 +53,7 @@ func testHub(t *testing.T, fe *Frontend, query string) *hub {
 	if nq == nil {
 		t.Fatalf("query %q is not installed", query)
 	}
-	return nq.hub
-}
-
-// waitHubBase blocks until the hub has folded every epoch below want into
-// its base (pump caught up, nothing pinned). It parks on the hub's cond —
-// complete broadcasts — so there is no polling interval to tune.
-func waitHubBase(t *testing.T, fe *Frontend, query string, want uint64) {
-	t.Helper()
-	h := testHub(t, fe, query)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for h.baseEpoch < want && !h.closed {
-		h.cond.Wait()
-	}
-	if h.baseEpoch < want {
-		t.Fatalf("hub closed at base epoch %d, want %d", h.baseEpoch, want)
-	}
+	return nq
 }
 
 // state folds stream events into a net collection, tracking the frontier.
@@ -361,11 +346,13 @@ func TestLateSubscriberSnapshot(t *testing.T) {
 		t.Fatalf("sync: %v", err)
 	}
 
-	// Wait for the pump to publish through epoch 9 and the hub to fold the
-	// history into its base (no subscribers are pinning buckets). Not
-	// required for correctness — a late pump just means a smaller snapshot
-	// and more live deltas — but it is the consolidation this test is about.
-	waitHubBase(t, fe, "all", 10)
+	// Wait for the result arrangement to hold epoch 9, so the late import's
+	// history carries all ten epochs. Not required for correctness — a
+	// lagging arrangement just means a smaller snapshot and more live deltas
+	// — but it is the consolidation this test is about.
+	if !fe.WaitComplete("all", 9) {
+		t.Fatal("server stopped before epoch 9 was complete")
+	}
 
 	late, err := Dial(addr)
 	if err != nil {
@@ -477,8 +464,7 @@ func TestSlowSubscriberDoesNotBlockEpochCycle(t *testing.T) {
 }
 
 // TestSubscriberLagResetReconverges: a subscriber that stops reading while
-// updates pour in is reset by the hub once its pinned backlog breaches the
-// bound. When it finally reads again it observes a resync event — the
+// updates pour in is reset once its feed's backlog breaches the bound. When it finally reads again it observes a resync event — the
 // consolidated collection replacing everything it missed — and its folded
 // state re-converges exactly to the brute-force oracle.
 func TestSubscriberLagResetReconverges(t *testing.T) {
@@ -501,7 +487,7 @@ func TestSubscriberLagResetReconverges(t *testing.T) {
 		t.Fatalf("subscribe: %v", err)
 	}
 	// The victim stops reading here: its socket fills, its server-side
-	// stream blocks, and its hub backlog starts pinning buckets.
+	// stream blocks, and its feed's backlog starts to grow.
 
 	orc := newOracle()
 	var sealed uint64
@@ -518,22 +504,22 @@ func TestSubscriberLagResetReconverges(t *testing.T) {
 			t.Fatalf("advance: %v", err)
 		}
 	}
+	nq := testQuery(t, fe, "all")
 	resyncPending := func() bool {
-		h := testHub(t, fe, "all")
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		for s := range h.subs {
-			if s.resync {
+		nq.mu.Lock()
+		defer nq.mu.Unlock()
+		for s := range nq.subs {
+			if _, dropped := s.fd.held(); dropped {
 				return true
 			}
 		}
 		return false
 	}
 
-	// Push until the enforcement sweep resets the victim (the rounds it
-	// takes depend on socket buffering; the cap is a safety net only). The
-	// mark is looked at once per round and the sighting kept: the victim's
-	// stream goroutine clears it whenever its blocked write gets through, so
+	// Push until the bound drops the victim's feed (the rounds it takes
+	// depend on socket buffering; the cap is a safety net only). The mark is
+	// looked at once per round and the sighting kept: the victim's stream
+	// goroutine replaces the feed whenever its blocked write gets through, so
 	// a second look may find it gone.
 	rounds, reset := 0, false
 	for ; rounds < 300 && !reset; rounds++ {

@@ -12,15 +12,16 @@
 // helpers and decoded with the bounds-checked wal.Dec, so malformed bytes
 // yield typed errors, never panics.
 //
-// Backpressure is tied to the epoch cycle: worker-side sinks only append
-// deltas to an in-memory hub (never blocking), and each subscriber streams
-// completed epochs at the pace of its own connection. A slow subscriber
-// therefore lags and pins only its own backlog; it never blocks the workers
-// or other subscribers. That backlog is itself bounded
-// (FrontendOptions.SubscriberMaxLag): a subscriber pinning more completed
-// deltas than the bound is reset — its stream continues with a streamResync
-// frame carrying the consolidated collection, exactly what a fresh
-// subscriber would receive. Remote epoch seals route through per-source
+// Backpressure is tied to the epoch cycle: a subscription imports the
+// query's result arrangement, its worker-side sink only appends batches to
+// the subscriber's in-memory feed (never blocking), and the subscriber
+// streams completed epochs at the pace of its own connection. A slow
+// subscriber therefore lags and holds only its own backlog; it never blocks
+// the workers or other subscribers. That backlog is itself bounded
+// (FrontendOptions.SubscriberMaxLag): a subscriber holding more live deltas
+// than the bound is reset — its stream continues with a streamResync frame
+// carrying the consolidated collection of a fresh import, exactly what a
+// fresh subscriber would receive. Remote epoch seals route through per-source
 // server.Batchers (FrontendOptions.BatchMaxLag), so a client hammering
 // advance cannot queue unbounded per-update epochs either.
 //
@@ -89,9 +90,9 @@ const (
 	// this query will follow. Its Reason says why.
 	streamEnd
 	// streamResync replaces the subscriber's accumulated state wholesale:
-	// the hub reset a subscriber whose pinned backlog exceeded its bound,
-	// and re-feeds the consolidated net collection below Epoch (the folded
-	// base) instead of the per-epoch deltas it dropped.
+	// the subscriber's backlog exceeded its bound, so its feed was dropped
+	// and a fresh import re-feeds the consolidated net collection below
+	// Epoch instead of the per-epoch deltas it dropped.
 	streamResync
 )
 
@@ -137,7 +138,7 @@ func (e Event) Frontier() bool { return e.Kind == streamFrontier }
 func (e Event) End() bool { return e.Kind == streamEnd }
 
 // Resync reports whether the event replaces all accumulated state for its
-// query: the subscriber lagged past the hub's bound and was reset onto the
+// query: the subscriber lagged past its bound and was reset onto the
 // consolidated collection below Epoch.
 func (e Event) Resync() bool { return e.Kind == streamResync }
 

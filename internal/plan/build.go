@@ -44,9 +44,9 @@ func Build(root *Node, env Env) (dd.Collection[uint64, uint64], error) {
 }
 
 // BuildArranged is Build returning root's output as an arrangement: the one
-// root's own operator maintains — a Distinct's reduce output, a base
-// relation's or shared sub-plan's import — and a fresh one only for a root
-// that has none (a join, count or fixpoint). Sharing that arrangement shares
+// root's own operator maintains — a Distinct's or Count's reduce output, a
+// base relation's or shared sub-plan's import — and a fresh one only for a
+// root that has none (a join or fixpoint). Sharing that arrangement shares
 // the only copy of the output there is.
 func BuildArranged(root *Node, env Env) (*core.Arranged[uint64, uint64], error) {
 	s, err := newScope(root, env)
@@ -157,8 +157,8 @@ func (s *scope) resident(n *Node) (*core.Arranged[uint64, uint64], error) {
 
 // arranged returns an arrangement of n's output, preferring (in order) one
 // already at hand, the enclosing scope's, a shared installation or source
-// import, the arranged output a Distinct reduce produces, and only then
-// arranging afresh.
+// import, the arranged output a Distinct or Count reduce produces, and only
+// then arranging afresh.
 func (s *scope) arranged(n *Node) (*core.Arranged[uint64, uint64], error) {
 	key := n.Key()
 	if a, ok := s.arrs[key]; ok {
@@ -177,13 +177,23 @@ func (s *scope) arranged(n *Node) (*core.Arranged[uint64, uint64], error) {
 	if err != nil || a != nil {
 		return a, err
 	}
-	if n.Op == OpDistinct {
+	switch n.Op {
+	case OpDistinct:
 		ia, err := s.arranged(n.In)
 		if err != nil {
 			return nil, err
 		}
 		a = dd.DistinctCore(ia)
-	} else {
+	case OpCount:
+		if s.parent != nil {
+			return nil, buildErrf("%s on a recursive path", n.Op)
+		}
+		ia, err := s.arranged(n.In)
+		if err != nil {
+			return nil, err
+		}
+		a = dd.ReduceCore(ia, core.U64(), nodeName("plan-count", n), count)
+	default:
 		c, err := s.build(n)
 		if err != nil {
 			return nil, err
@@ -194,9 +204,19 @@ func (s *scope) arranged(n *Node) (*core.Arranged[uint64, uint64], error) {
 	return a, nil
 }
 
+// count is a Count node's reducer: each key with the total multiplicity of
+// its records, as dd.CountCore computes it.
+func count(_ uint64, in []dd.ValDiff[uint64], out *[]dd.ValDiff[uint64]) {
+	var total core.Diff
+	for _, e := range in {
+		total += e.Diff
+	}
+	*out = append(*out, dd.ValDiff[uint64]{Val: uint64(total), Diff: 1})
+}
+
 func (s *scope) buildOp(n *Node) (dd.Collection[uint64, uint64], error) {
 	var zero dd.Collection[uint64, uint64]
-	if s.parent != nil && (n.Op == OpCount || n.Op == OpFixpoint) {
+	if s.parent != nil && n.Op == OpFixpoint {
 		return zero, buildErrf("%s on a recursive path", n.Op)
 	}
 	switch n.Op {
@@ -253,14 +273,7 @@ func (s *scope) buildOp(n *Node) (dd.Collection[uint64, uint64], error) {
 			return zero, err
 		}
 		return joinNode(la, ra, n), nil
-	case OpCount:
-		ia, err := s.arranged(n.In)
-		if err != nil {
-			return zero, err
-		}
-		cnt := dd.CountCore(ia)
-		return dd.Map(cnt, func(k uint64, c int64) (uint64, uint64) { return k, uint64(c) }), nil
-	case OpDistinct:
+	case OpCount, OpDistinct:
 		a, err := s.arranged(n)
 		if err != nil {
 			return zero, err

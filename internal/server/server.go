@@ -1068,8 +1068,8 @@ func (q *Query) WaitDone(t lattice.Time) bool {
 }
 
 // Done reports (without blocking) whether the query's results through the
-// given epoch are complete on every worker. Subscription pumps poll it from
-// WaitFor conditions to learn when an epoch's deltas may be published.
+// given epoch are complete on every worker. Front-ends poll it from WaitFor
+// conditions to learn when a query's results through an epoch are in.
 func (q *Query) Done(epoch uint64) bool { return q.probe.Done(lattice.Ts(epoch)) }
 
 // WaitFor parks the caller until cond reports true, re-evaluating whenever

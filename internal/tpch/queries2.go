@@ -28,15 +28,20 @@ func Q12(c *Collections) dd.Collection[uint64, Vals] {
 }
 
 // Q13: customer distribution by order count (including zero-order
-// customers via anti-join).
+// customers via anti-join). The orders are arranged once: their count reads
+// that arrangement, and so does the distinct key set the anti-join
+// subtracts.
 func Q13(c *Collections) dd.Collection[uint64, Vals] {
-	orders := dd.Map(
+	orders := dd.Arrange(dd.Map(
 		dd.Filter(c.Orders, func(_ uint64, o Order) bool { return !o.SpecialRequest }),
-		func(_ uint64, o Order) (uint64, core.Unit) { return o.CustKey, core.Unit{} })
-	perCust := dd.Count(orders, fnUnit()) // (custkey, count)
+		func(_ uint64, o Order) (uint64, core.Unit) { return o.CustKey, core.Unit{} }), fnUnit(), "q13-orders")
+	perCust := dd.CountCore(orders) // (custkey, count)
 	allCust := dd.Map(c.Customer, func(k uint64, _ Customer) (uint64, core.Unit) { return k, core.Unit{} })
-	zeros := dd.Map(
-		dd.AntiJoin(allCust, fnUnit(), orders, fnUnit()),
+	// AntiJoin's body, with the orders' distinct keys taken from their
+	// arrangement instead of arranging them again.
+	ordering := dd.JoinCore(dd.Arrange(allCust, fnUnit(), "q13-customers"), dd.DistinctCore(orders), "q13-ordering",
+		func(k uint64, _, _ core.Unit) (uint64, core.Unit) { return k, core.Unit{} })
+	zeros := dd.Map(dd.Concat(allCust, dd.Negate(ordering)),
 		func(k uint64, _ core.Unit) (uint64, int64) { return k, 0 })
 	counts := dd.Concat(perCust, zeros)
 	return sumBy(counts, func(_ uint64, n int64) (uint64, Vals) {

@@ -78,9 +78,25 @@ func TestAllQueriesMatchOracle(t *testing.T) {
 
 func TestSelectedQueriesMultiWorker(t *testing.T) {
 	d := Generate(0.002, 43)
-	for _, q := range []int{1, 3, 5, 9, 13, 15, 18, 21, 22} {
+	for _, q := range []int{1, 3, 5, 9, 13, 15, 18, 20, 21, 22} {
 		got := runQuery(t, 3, d, Queries[q])
 		compare(t, q, got, Oracle(q, d))
+	}
+}
+
+// TestSparseQueriesNonEmpty holds Q20 and Q21 to answers that have rows:
+// at the seed the other tests use their oracles are empty, which a plan
+// that drops right answers also matches. Seed 45 gives each one row.
+func TestSparseQueriesNonEmpty(t *testing.T) {
+	d := Generate(0.002, 45)
+	for _, q := range []int{20, 21} {
+		want := Oracle(q, d)
+		if len(want) == 0 {
+			t.Fatalf("Q%d: the oracle has no rows at this seed; the test holds nothing", q)
+		}
+		for _, workers := range []int{1, 3} {
+			compare(t, q, runQuery(t, workers, d, Queries[q]), want)
+		}
 	}
 }
 
