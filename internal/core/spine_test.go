@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/lattice"
+	"repro/internal/timely"
 )
 
 // accumulate sums diffs for (k, v) at times ≤ t across a set of updates.
@@ -74,6 +76,63 @@ func TestSpineMergesBoundBatchCount(t *testing.T) {
 	}
 	if n := s.BatchCount(); n > 12 {
 		t.Fatalf("eager spine kept %d batches for 200 inserts (want O(log n))", n)
+	}
+}
+
+// TestSpineMergeWorkIsLogarithmic: merging amortizes to a constant factor
+// per update per level. One worker arranges 2¹⁶ one-tuple seals, spending
+// the arrangement's own maintenance fuel, with a reader's handle following
+// each seal; at every power of two N, the tuples the spine's merges have
+// written per tuple sealed stay within log₂N + 2, the runs a cursor reads
+// within ⌈log₂N⌉ + 2, and both counts repeat exactly on a second run. A
+// spine that merged each seal into its largest run would write about N/2
+// tuples per seal.
+func TestSpineMergeWorkIsLogarithmic(t *testing.T) {
+	type reading struct{ merged, runs int }
+	run := func() []reading {
+		var out []reading
+		timely.Execute(1, func(w *timely.Worker) {
+			var input *timely.Input[Update[uint64, uint64]]
+			var probe *timely.Probe
+			var arr *Arranged[uint64, uint64]
+			w.Dataflow(func(g *timely.Graph) {
+				in, s := timely.NewInput[Update[uint64, uint64]](g)
+				input = in
+				arr = Arrange(s, U64(), "arrange", ArrangeOptions[uint64, uint64]{})
+				probe = timely.NewProbe(arr.Stream)
+			})
+			h := arr.Agent.NewHandle()
+			spine := arr.Agent.Spine()
+			for i := uint64(1); i <= 1<<16; i++ {
+				input.Send(u64upd(i, i, lattice.Ts(i-1), 1))
+				input.AdvanceTo(i)
+				w.StepUntil(func() bool { return probe.Done(lattice.Ts(i - 1)) })
+				upper := lattice.NewFrontier(lattice.Ts(i))
+				h.SetLogical(upper)
+				h.SetPhysical(upper)
+				if i&(i-1) == 0 {
+					out = append(out, reading{spine.UpdatesMerged, spine.BatchCount()})
+				}
+			}
+			input.Close()
+			h.Drop()
+			w.Drain()
+		})
+		return out
+	}
+	first := run()
+	for lg, r := range first {
+		n := 1 << lg
+		t.Logf("N=%d: %d tuples merged (%.2f per seal), %d runs", n, r.merged, float64(r.merged)/float64(n), r.runs)
+		if r.merged > (lg+2)*n {
+			t.Errorf("after %d seals the merges wrote %d tuples, want ≤ (log₂N + 2)·N = %d", n, r.merged, (lg+2)*n)
+		}
+		if r.runs > lg+2 {
+			t.Errorf("after %d seals a cursor reads %d runs, want ≤ ⌈log₂N⌉ + 2 = %d", n, r.runs, lg+2)
+		}
+	}
+	if second := run(); !slices.Equal(first, second) {
+		t.Errorf("two identical runs counted differently:\n%v\n%v", first, second)
 	}
 }
 

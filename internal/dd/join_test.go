@@ -1,6 +1,7 @@
 package dd
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -186,4 +187,51 @@ func BenchmarkJoinCore(b *testing.B) {
 		})
 	}
 	b.ReportMetric(float64(pairs)/b.Elapsed().Seconds(), "pairs/s")
+}
+
+// TestJoinComparisonsFollowDelta: matching a delta of d keys against a
+// trace of n keys gallops both ways (§5.3.1), so its key comparisons grow
+// as d·log(n/d), not as n. The delta's keys are spread evenly over the
+// trace's, each found there; the count covers matchBatch alone, not
+// building either side. A trace cursor that stepped key by key would
+// compare about n times at every d.
+func TestJoinComparisonsFollowDelta(t *testing.T) {
+	var calls int
+	counted := core.U64()
+	counted.LessK = func(a, b uint64) bool { calls++; return a < b }
+	for _, n := range []int{10_000, 1_000_000} {
+		var traceUpds []core.Update[uint64, uint64]
+		for i := range n {
+			traceUpds = append(traceUpds, core.Update[uint64, uint64]{Key: 2 * uint64(i), Val: 1, Time: lattice.Ts(0), Diff: 1})
+		}
+		spine := core.NewSpine(counted, core.MergeDefault)
+		h := spine.NewHandle()
+		spine.Append(core.BuildBatch(core.U64(), traceUpds, lattice.MinFrontier(1),
+			lattice.NewFrontier(lattice.Ts(1)), lattice.MinFrontier(1)))
+		for _, d := range []int{1, 10, 100} {
+			var deltaUpds []core.Update[uint64, uint64]
+			for j := range d {
+				k := 2 * uint64(j*(n/d)+n/(2*d))
+				deltaUpds = append(deltaUpds, core.Update[uint64, uint64]{Key: k, Val: 2, Time: lattice.Ts(1), Diff: 1})
+			}
+			task := &joinTask[uint64, uint64]{
+				batch: core.BuildBatch(core.U64(), deltaUpds, lattice.NewFrontier(lattice.Ts(1)),
+					lattice.NewFrontier(lattice.Ts(2)), lattice.MinFrontier(1)),
+				snap: lattice.NewFrontier(lattice.Ts(1)),
+			}
+			pairs := 0
+			calls = 0
+			matchBatch(counted, counted, task, h, 0, 0, 1<<30, nil,
+				func(uint64, uint64, lattice.Time, core.Diff, uint64, lattice.Time, core.Diff) { pairs++ })
+			if pairs != d {
+				t.Fatalf("n=%d d=%d: %d pairs, want %d", n, d, pairs, d)
+			}
+			bound := 4 * d * (bits.Len(uint(n/d)) + 1)
+			t.Logf("n=%d d=%d: %d key comparisons (bound %d)", n, d, calls, bound)
+			if calls > bound {
+				t.Errorf("a %d-key delta against a %d-key trace compared keys %d times, want ≤ 4·d·(⌊log₂(n/d)⌋+2) = %d",
+					d, n, calls, bound)
+			}
+		}
+	}
 }

@@ -3,6 +3,7 @@ package timely
 import (
 	"fmt"
 	"reflect"
+	goruntime "runtime"
 	"slices"
 	"sync/atomic"
 
@@ -21,6 +22,9 @@ type Worker struct {
 
 	actions []func(w *Worker) // posted, not yet started; guarded by rt.mu
 	queued  atomic.Int32      // len(actions), read without rt.mu by Step
+
+	handoff  bool // this Step published progress while a WaitUntil was parked
+	handoffs int  // yields StepUntil made for handoff (read by tests)
 }
 
 // Index returns this worker's index in 0..Peers()-1.
@@ -42,6 +46,7 @@ func (w *Worker) Dataflow(build func(g *Graph)) *Graph {
 // operator shard it owns once, and reports whether an action ran or an
 // operator did work.
 func (w *Worker) Step() bool {
+	w.handoff = false
 	active := w.runActions()
 	for _, g := range w.graphs {
 		for _, op := range g.ops {
@@ -55,10 +60,21 @@ func (w *Worker) Step() bool {
 
 // StepUntil steps the worker until cond returns true, parking the goroutine
 // when no local work is available.
+//
+// After a step that published progress while a driver was parked in
+// WaitUntil, the worker yields its core once. The wake put that driver in
+// this goroutine's run-next slot, and a worker with owed merge fuel keeps
+// stepping: without the yield the driver runs only when a worker parks or
+// the scheduler preempts one, up to 10 ms later.
 func (w *Worker) StepUntil(cond func() bool) {
 	for !cond() {
 		gen := w.rt.activityGen()
-		if w.Step() {
+		active := w.Step()
+		if w.handoff {
+			w.handoffs++
+			goruntime.Gosched()
+		}
+		if active {
 			continue
 		}
 		if cond() {
@@ -254,6 +270,10 @@ func (o *opState) schedule() bool {
 	o.flushers = o.flushers[:0]
 	if !o.batch.empty() {
 		o.g.tracker.apply(&o.batch)
+		// Read before the wake: the driver it rouses stops counting itself.
+		if o.g.w.rt.waiters.Load() > 0 {
+			o.g.w.handoff = true
+		}
 		o.g.w.rt.wake()
 	}
 	return o.activity

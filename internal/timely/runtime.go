@@ -32,7 +32,8 @@ type runtime struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	activity uint64 // bumped whenever anything happens; wakes idle workers
+	activity uint64       // bumped whenever anything happens; wakes idle workers
+	waiters  atomic.Int32 // goroutines parked in Cluster.WaitUntil
 
 	trackers  []*tracker // per dataflow sequence number
 	scratchMu sync.Mutex
