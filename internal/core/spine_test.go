@@ -120,7 +120,13 @@ func TestSpineMergeWorkIsLogarithmic(t *testing.T) {
 		})
 		return out
 	}
+	// The runs share nothing, so the second goes beside the first: under
+	// -race the pair costs one run's wall time wherever GOMAXPROCS ≥ 2.
+	var second []reading
+	done := make(chan struct{})
+	go func() { second = run(); close(done) }()
 	first := run()
+	<-done
 	for lg, r := range first {
 		n := 1 << lg
 		t.Logf("N=%d: %d tuples merged (%.2f per seal), %d runs", n, r.merged, float64(r.merged)/float64(n), r.runs)
@@ -131,7 +137,7 @@ func TestSpineMergeWorkIsLogarithmic(t *testing.T) {
 			t.Errorf("after %d seals a cursor reads %d runs, want ≤ ⌈log₂N⌉ + 2 = %d", n, r.runs, lg+2)
 		}
 	}
-	if second := run(); !slices.Equal(first, second) {
+	if !slices.Equal(first, second) {
 		t.Errorf("two identical runs counted differently:\n%v\n%v", first, second)
 	}
 }

@@ -23,7 +23,7 @@ type Worker struct {
 	actions []func(w *Worker) // posted, not yet started; guarded by rt.mu
 	queued  atomic.Int32      // len(actions), read without rt.mu by Step
 
-	handoff  bool // this Step published progress while a WaitUntil was parked
+	handoff  bool // this Step published progress
 	handoffs int  // yields StepUntil made for handoff (read by tests)
 }
 
@@ -61,11 +61,13 @@ func (w *Worker) Step() bool {
 // StepUntil steps the worker until cond returns true, parking the goroutine
 // when no local work is available.
 //
-// After a step that published progress while a driver was parked in
-// WaitUntil, the worker yields its core once. The wake put that driver in
-// this goroutine's run-next slot, and a worker with owed merge fuel keeps
-// stepping: without the yield the driver runs only when a worker parks or
-// the scheduler preempts one, up to 10 ms later.
+// After a step that published progress, the worker yields its core once.
+// The wake put any driver parked in WaitUntil in this goroutine's run-next
+// slot, and a worker with owed merge fuel keeps stepping: without the yield
+// that driver runs only when a worker parks or the scheduler preempts one,
+// up to 10 ms later. The yield does not ask whether a driver is parked: a
+// server running a Batcher always has one (its drainer), and where none is
+// the yield measured free.
 func (w *Worker) StepUntil(cond func() bool) {
 	for !cond() {
 		gen := w.rt.activityGen()
@@ -270,10 +272,7 @@ func (o *opState) schedule() bool {
 	o.flushers = o.flushers[:0]
 	if !o.batch.empty() {
 		o.g.tracker.apply(&o.batch)
-		// Read before the wake: the driver it rouses stops counting itself.
-		if o.g.w.rt.waiters.Load() > 0 {
-			o.g.w.handoff = true
-		}
+		o.g.w.handoff = true
 		o.g.w.rt.wake()
 	}
 	return o.activity

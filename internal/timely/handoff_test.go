@@ -1,7 +1,6 @@
 package timely
 
 import (
-	goruntime "runtime"
 	"slices"
 	"testing"
 	"time"
@@ -10,13 +9,12 @@ import (
 )
 
 // TestWorkerHandsOffToParkedWaiter: a worker yields its core once after a
-// step that published progress while a driver was parked in WaitUntil, and
-// never when nobody waits. The first half parks a driver on a probe behind
-// a pass-through operator and counts the yields of the step that moves the
-// probe; the second steps an operator that re-activates itself and
-// downgrades its capability every schedule, with no driver parked.
+// step that published progress, and never after a step that did not. The
+// first half parks a driver on a probe behind a pass-through operator and
+// counts the yields of the step that moves the probe; the second steps an
+// operator that re-activates itself every schedule and publishes nothing.
 func TestWorkerHandsOffToParkedWaiter(t *testing.T) {
-	t.Run("parked", func(t *testing.T) {
+	t.Run("progress", func(t *testing.T) {
 		c := StartCluster(NewLocalFabric(1))
 		defer c.Shutdown()
 		var input *Input[int]
@@ -32,44 +30,32 @@ func TestWorkerHandsOffToParkedWaiter(t *testing.T) {
 			probe = NewProbe(pass)
 		}).Wait()
 
-		// The worker sends epoch 0's record and closes the epoch, then holds
-		// its step until the driver has parked: nothing wakes the driver
-		// before the step's operators move the record to the probe.
-		ready := make(chan struct{})
 		var before, after int
-		p := c.PostEach(func(w *Worker) {
+		c.PostEach(func(w *Worker) {
 			before = w.handoffs
 			input.Send(1)
 			input.AdvanceTo(1)
-			close(ready)
-			for c.rt.waiters.Load() == 0 {
-				goruntime.Gosched()
-			}
 		})
-		<-ready
 		if !c.WaitUntil(func() bool { return probe.Done(lattice.Ts(0)) }) {
 			t.Fatal("cluster stopped before the probe passed epoch 0")
 		}
-		p.Wait()
 		c.PostEach(func(w *Worker) { after = w.handoffs }).Wait()
 		if got := after - before; got != 1 {
-			t.Errorf("the step that moved a parked driver's probe yielded %d times, want 1", got)
+			t.Errorf("the step that moved the probe yielded %d times, want 1", got)
 		}
 		c.PostEach(func(w *Worker) { input.Close() }).Wait()
 	})
 
-	t.Run("unparked", func(t *testing.T) {
+	t.Run("quiet", func(t *testing.T) {
 		const steps = 1000
 		Execute(1, func(w *Worker) {
-			var epoch uint64
+			done := false
 			w.Dataflow(func(g *Graph) {
 				s := Source[int](g, "busy", 1, lattice.Ts(0), func(ctx *Ctx, out *Out[int]) {
-					if epoch <= steps {
-						epoch++
-						out.Caps().Downgrade(lattice.NewFrontier(lattice.Ts(epoch)))
-						ctx.Activate()
-					} else {
+					if done {
 						out.Caps().Downgrade(lattice.Frontier{})
+					} else {
+						ctx.Activate()
 					}
 				})
 				Sink(s, "sink", nil, func(ctx *Ctx, in *In[int]) {})
@@ -78,8 +64,9 @@ func TestWorkerHandsOffToParkedWaiter(t *testing.T) {
 			n := 0
 			w.StepUntil(func() bool { n++; return n > steps })
 			if got := w.handoffs - before; got != 0 {
-				t.Errorf("%d steps with nobody parked yielded %d times, want 0", steps, got)
+				t.Errorf("%d active steps that published no progress yielded %d times, want 0", steps, got)
 			}
+			done = true
 			w.Drain()
 		})
 	})

@@ -216,9 +216,9 @@ func (c *Cluster) Install(build func(w *Worker, g *Graph)) *Installed {
 
 // WaitUntil parks the calling (driver) goroutine until cond reports true,
 // waking on worker activity. It returns false if the cluster shut down while
-// waiting (cond may still be false then). While it is parked, a worker that
-// publishes progress yields its core once after that step (StepUntil), so
-// the woken driver runs at once rather than at the next preemption.
+// waiting (cond may still be false then). A worker that publishes progress
+// yields its core once after that step (StepUntil), so a driver it woke
+// runs at once rather than at the next preemption.
 func (c *Cluster) WaitUntil(cond func() bool) bool {
 	for {
 		gen := c.rt.activityGen()
@@ -228,9 +228,7 @@ func (c *Cluster) WaitUntil(cond func() bool) bool {
 		if c.rt.stopped.Load() {
 			return cond()
 		}
-		c.rt.waiters.Add(1)
 		c.rt.waitActivity(gen)
-		c.rt.waiters.Add(-1)
 	}
 }
 

@@ -32,8 +32,7 @@ type runtime struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	activity uint64       // bumped whenever anything happens; wakes idle workers
-	waiters  atomic.Int32 // goroutines parked in Cluster.WaitUntil
+	activity uint64 // bumped whenever anything happens; wakes idle workers
 
 	trackers  []*tracker // per dataflow sequence number
 	scratchMu sync.Mutex
