@@ -28,21 +28,19 @@
 //     reference, presented as of the compaction frontier (an as-of view
 //     over the run's own columns), then the live batches — installing it
 //     copies nothing and costs what the query reads, not what the
-//     arrangement holds. Batch value storage is pluggable (ValStore):
-//     row-major slices by default, or column-major uint64 word columns for
-//     types implementing Columnar — merges then compare in place, copy
-//     column-by-column only for histories that survive consolidation, and
-//     assemble merged batches directly without materializing wide tuples.
+//     arrangement holds. A batch's values are one slice ([]V): merges
+//     assemble merged batches directly, and copy a value only when its
+//     history survives consolidation.
 //   - internal/dd — differential dataflow operators (map, filter, concat,
 //     join, reduce/count/distinct, sum, iterate with mutually recursive
 //     Variables) built as thin shells over arrangements; join and reduce
 //     gallop over sorted batch and trace runs rather than scanning, join
 //     products suspend at value boundaries under fuel (resuming via
-//     SeekVal), and reduce accumulates through borrow-free (store, index)
-//     cursor views. Sum is the linear aggregate: outside iteration it adds
-//     each epoch's updates into the accumulator row its own output trace
-//     holds, so an epoch costs its delta, not the group; FlattenKey reads
-//     one key of an arrangement with a seek per batch.
+//     SeekVal), and reduce accumulates through cursor pointers into the
+//     trace's immutable runs. Sum is the linear aggregate: outside
+//     iteration it adds each epoch's updates into the accumulator row its
+//     own output trace holds, so an epoch costs its delta, not the group;
+//     FlattenKey reads one key of an arrangement with a seek per batch.
 //   - internal/wal — durability: per-worker append-only logs of sealed
 //     batches (length-prefixed, CRC-checksummed records with
 //     lower/upper/since framing, one codec encoding per key and value)

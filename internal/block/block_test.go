@@ -1,7 +1,6 @@
 package block
 
 import (
-	"bytes"
 	"cmp"
 	"errors"
 	"math/rand"
@@ -13,9 +12,8 @@ import (
 	"repro/internal/wal"
 )
 
-// tup is the test value type: mixed-signedness, implementing core.Columnar
-// so the same histories run under both in-memory value layouts. On disk both
-// are tupCodec bytes.
+// tup is the test value type: mixed signedness, four words wide, written
+// on disk as tupCodec bytes.
 type tup struct {
 	A uint64
 	B int64
@@ -34,36 +32,6 @@ func lessTup(a, b tup) bool {
 		return a.C < b.C
 	}
 	return a.D < b.D
-}
-
-func (tup) ColWidth() int { return 4 }
-
-func (v tup) AppendWords(dst []uint64) []uint64 {
-	return append(dst, v.A, uint64(v.B), v.C, uint64(v.D))
-}
-
-func (tup) FromWords(w []uint64) tup {
-	return tup{A: w[0], B: int64(w[1]), C: w[2], D: int64(w[3])}
-}
-
-func (tup) CmpCols(a [][]uint64, i int, b [][]uint64, j int) int {
-	for c := 0; c < 4; c++ {
-		x, y := a[c][i], b[c][j]
-		if x == y {
-			continue
-		}
-		if c == 0 || c == 2 {
-			if x < y {
-				return -1
-			}
-			return 1
-		}
-		if int64(x) < int64(y) {
-			return -1
-		}
-		return 1
-	}
-	return 0
 }
 
 // tupCodec is the value codec every test store writes tup with.
@@ -98,16 +66,12 @@ func (tupCodec) Read(src []byte) (tup, int, error) {
 	return v, 32, nil
 }
 
-func fnTup(columnar bool) core.Funcs[uint64, tup] {
-	f := core.Funcs[uint64, tup]{
+func fnTup() core.Funcs[uint64, tup] {
+	return core.Funcs[uint64, tup]{
 		LessK: func(a, b uint64) bool { return a < b },
 		LessV: lessTup,
 		HashK: core.Mix64,
 	}
-	if columnar {
-		f.NewStore = core.NewColumnarStore[tup]()
-	}
-	return f
 }
 
 func randTup(r *rand.Rand) tup {
@@ -242,55 +206,46 @@ func collectReader(r core.BatchReader[uint64, tup]) []upd {
 }
 
 // TestRoundTrip: encode → decode must reproduce the batch exactly — tuples,
-// frontiers and MinTimes — from both in-memory value layouts, at block sizes
-// that force many blocks, and at time depths 1 and 2 (the decoder reads
-// times at the file's depth). The file's bytes do not depend on the layout
-// the batch was held in.
+// frontiers and MinTimes — at block sizes that force many blocks, and at
+// time depths 1 and 2 (the decoder reads times at the file's depth).
 func TestRoundTrip(t *testing.T) {
-	images := map[[2]int][]byte{} // by depth and block size
-	for _, columnar := range []bool{true, false} {
-		for _, depth := range []int{1, 2} {
-			r := rand.New(rand.NewSource(7))
-			fn := fnTup(columnar)
-			cfg, err := newCodecs[uint64, tup](fn, nil, tupCodec{})
+	for _, depth := range []int{1, 2} {
+		r := rand.New(rand.NewSource(7))
+		fn := fnTup()
+		cfg, err := newCodecs[uint64, tup](fn, nil, tupCodec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		antichain := false
+		for _, blockUpdates := range []int{1, 7, 100000} {
+			b := randBatchAt(r, fn, depth, 0, 4, 300, 40)
+			antichain = antichain || len(b.MinTimes()) > 1
+			img, err := encodeImage(cfg, b, blockUpdates)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("depth=%d encode: %v", depth, err)
 			}
-			antichain := false
-			for _, blockUpdates := range []int{1, 7, 100000} {
-				b := randBatchAt(r, fn, depth, 0, 4, 300, 40)
-				antichain = antichain || len(b.MinTimes()) > 1
-				img, err := encodeImage(cfg, b, blockUpdates)
-				if err != nil {
-					t.Fatalf("columnar=%v depth=%d encode: %v", columnar, depth, err)
-				}
-				if prev, ok := images[[2]int{depth, blockUpdates}]; ok && !bytes.Equal(prev, img) {
-					t.Fatalf("depth=%d blockUpdates=%d: the two in-memory layouts encode to different files", depth, blockUpdates)
-				}
-				images[[2]int{depth, blockUpdates}] = img
-				got, err := decodeImage[uint64, tup](fn, nil, tupCodec{}, img)
-				if err != nil {
-					t.Fatalf("columnar=%v depth=%d blockUpdates=%d decode: %v", columnar, depth, blockUpdates, err)
-				}
-				want, have := collectReader(b), collectReader(got)
-				if len(want) != len(have) {
-					t.Fatalf("columnar=%v depth=%d: %d tuples round-tripped to %d", columnar, depth, len(want), len(have))
-				}
-				for i := range want {
-					if want[i] != have[i] {
-						t.Fatalf("columnar=%v depth=%d tuple %d: %+v became %+v", columnar, depth, i, want[i], have[i])
-					}
-				}
-				if !got.Lower.Equal(b.Lower) || !got.Upper.Equal(b.Upper) || !got.Since.Equal(b.Since) {
-					t.Fatalf("columnar=%v depth=%d: frontiers drifted in round trip", columnar, depth)
-				}
-				if w, h := lattice.NewFrontier(b.MinTimes()...), lattice.NewFrontier(got.MinTimes()...); !w.Equal(h) {
-					t.Fatalf("columnar=%v depth=%d: MinTimes %v became %v", columnar, depth, w, h)
+			got, err := decodeImage[uint64, tup](fn, nil, tupCodec{}, img)
+			if err != nil {
+				t.Fatalf("depth=%d blockUpdates=%d decode: %v", depth, blockUpdates, err)
+			}
+			want, have := collectReader(b), collectReader(got)
+			if len(want) != len(have) {
+				t.Fatalf("depth=%d: %d tuples round-tripped to %d", depth, len(want), len(have))
+			}
+			for i := range want {
+				if want[i] != have[i] {
+					t.Fatalf("depth=%d tuple %d: %+v became %+v", depth, i, want[i], have[i])
 				}
 			}
-			if depth == 2 && !antichain {
-				t.Fatalf("columnar=%v: no depth-2 batch had more than one minimal time", columnar)
+			if !got.Lower.Equal(b.Lower) || !got.Upper.Equal(b.Upper) || !got.Since.Equal(b.Since) {
+				t.Fatalf("depth=%d: frontiers drifted in round trip", depth)
 			}
+			if w, h := lattice.NewFrontier(b.MinTimes()...), lattice.NewFrontier(got.MinTimes()...); !w.Equal(h) {
+				t.Fatalf("depth=%d: MinTimes %v became %v", depth, w, h)
+			}
+		}
+		if depth == 2 && !antichain {
+			t.Fatal("no depth-2 batch had more than one minimal time")
 		}
 	}
 }
@@ -362,94 +317,91 @@ func TestRoundTripCodecKeys(t *testing.T) {
 // tiny, and asserts they stay observationally identical: same runs and
 // tuples in the same order, same cursor walks, seeks and accumulations,
 // same batch/update counts. Spilling must change where bytes live and
-// nothing else. Under the columnar layout, runs read back from disk are
-// row-major, so its merges mix layouts. And the spilled spine's resident bytes never exceed the
+// nothing else. And the spilled spine's resident bytes never exceed the
 // budget by more than one block per merge input plus one output block:
 // merges read cold inputs, and write output bound for disk, a block at a
 // time.
 func TestOutOfCoreSpineOracle(t *testing.T) {
 	const budget = 64 // nearly everything completed must spill
-	for _, columnar := range []bool{true, false} {
-		for trial := 0; trial < 12; trial++ {
-			r := rand.New(rand.NewSource(int64(400 + trial)))
-			coef := []int{core.MergeLazy, core.MergeDefault, core.MergeEager}[trial%3]
-			fn := fnTup(columnar)
-			mem := core.NewSpine[uint64, tup](fn, coef)
-			ooc := core.NewSpine[uint64, tup](fn, coef)
-			st, err := Open[uint64, tup](t.TempDir(), fn, nil, tupCodec{}, StoreOptions{
-				BlockUpdates: 4,
-				CacheBytes:   512,
-				Mmap:         trial%2 == 0,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ooc.SetSpill(st, budget)
-			hm := mem.NewHandle()
-			ho := ooc.NewHandle()
-			var observeAfter uint64
-			for epoch := uint64(0); epoch < 24; epoch++ {
-				var upds []upd
-				for n := 0; n < r.Intn(12); n++ {
-					u := upd{
-						Key: uint64(r.Intn(6)), Val: randTup(r),
-						Time: lattice.Ts(epoch), Diff: int64(r.Intn(5) - 2),
-					}
-					if u.Diff == 0 {
-						continue
-					}
-					upds = append(upds, u)
-				}
-				lower := lattice.NewFrontier(lattice.Ts(epoch))
-				if epoch == 0 {
-					lower = lattice.MinFrontier(1)
-				}
-				upper := lattice.NewFrontier(lattice.Ts(epoch + 1))
-				mupds := append([]upd(nil), upds...)
-				mem.Append(core.BuildBatch(fn, mupds, lower.Clone(), upper.Clone(), hm.Logical().Clone()))
-				ooc.Append(core.BuildBatch(fn, upds, lower.Clone(), upper.Clone(), ho.Logical().Clone()))
-				switch r.Intn(4) {
-				case 0, 3:
-					fuel := r.Intn(300)
-					mem.Work(fuel)
-					ooc.Work(fuel)
-				case 1:
-					if epoch > observeAfter {
-						observeAfter = epoch
-						f := lattice.NewFrontier(lattice.Ts(epoch))
-						hm.SetLogical(f)
-						ho.SetLogical(f)
-					}
-				case 2:
-					mem.Recompact()
-					ooc.Recompact()
-				}
-				if bytes, inputs, block := ooc.Residency(); bytes > budget+int64(inputs+1)*block {
-					t.Fatalf("columnar=%v trial %d epoch %d: %d resident bytes, over %d + (%d inputs + 1) × %d-byte blocks",
-						columnar, trial, epoch, bytes, budget, inputs, block)
-				}
-				if mem.BatchCount() != ooc.BatchCount() || mem.UpdateCount() != ooc.UpdateCount() {
-					t.Fatalf("columnar=%v trial %d epoch %d: counts diverge (%d/%d batches, %d/%d updates)",
-						columnar, trial, epoch, mem.BatchCount(), ooc.BatchCount(),
-						mem.UpdateCount(), ooc.UpdateCount())
-				}
-				gm, gc := collectRuns(t, mem), collectRuns(t, ooc)
-				if len(gm) != len(gc) {
-					t.Fatalf("columnar=%v trial %d epoch %d: %d vs %d tuples",
-						columnar, trial, epoch, len(gm), len(gc))
-				}
-				for i := range gm {
-					if gm[i] != gc[i] {
-						t.Fatalf("columnar=%v trial %d epoch %d tuple %d: %+v vs %+v",
-							columnar, trial, epoch, i, gm[i], gc[i])
-					}
-				}
-			}
-			if st.Spills == 0 {
-				t.Fatalf("columnar=%v trial %d: history never spilled; oracle is vacuous", columnar, trial)
-			}
-			compareCursors(t, fn, hm, ho, columnar, trial)
+	for trial := 0; trial < 12; trial++ {
+		r := rand.New(rand.NewSource(int64(400 + trial)))
+		coef := []int{core.MergeLazy, core.MergeDefault, core.MergeEager}[trial%3]
+		fn := fnTup()
+		mem := core.NewSpine[uint64, tup](fn, coef)
+		ooc := core.NewSpine[uint64, tup](fn, coef)
+		st, err := Open[uint64, tup](t.TempDir(), fn, nil, tupCodec{}, StoreOptions{
+			BlockUpdates: 4,
+			CacheBytes:   512,
+			Mmap:         trial%2 == 0,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		ooc.SetSpill(st, budget)
+		hm := mem.NewHandle()
+		ho := ooc.NewHandle()
+		var observeAfter uint64
+		for epoch := uint64(0); epoch < 24; epoch++ {
+			var upds []upd
+			for n := 0; n < r.Intn(12); n++ {
+				u := upd{
+					Key: uint64(r.Intn(6)), Val: randTup(r),
+					Time: lattice.Ts(epoch), Diff: int64(r.Intn(5) - 2),
+				}
+				if u.Diff == 0 {
+					continue
+				}
+				upds = append(upds, u)
+			}
+			lower := lattice.NewFrontier(lattice.Ts(epoch))
+			if epoch == 0 {
+				lower = lattice.MinFrontier(1)
+			}
+			upper := lattice.NewFrontier(lattice.Ts(epoch + 1))
+			mupds := append([]upd(nil), upds...)
+			mem.Append(core.BuildBatch(fn, mupds, lower.Clone(), upper.Clone(), hm.Logical().Clone()))
+			ooc.Append(core.BuildBatch(fn, upds, lower.Clone(), upper.Clone(), ho.Logical().Clone()))
+			switch r.Intn(4) {
+			case 0, 3:
+				fuel := r.Intn(300)
+				mem.Work(fuel)
+				ooc.Work(fuel)
+			case 1:
+				if epoch > observeAfter {
+					observeAfter = epoch
+					f := lattice.NewFrontier(lattice.Ts(epoch))
+					hm.SetLogical(f)
+					ho.SetLogical(f)
+				}
+			case 2:
+				mem.Recompact()
+				ooc.Recompact()
+			}
+			if bytes, inputs, block := ooc.Residency(); bytes > budget+int64(inputs+1)*block {
+				t.Fatalf("trial %d epoch %d: %d resident bytes, over %d + (%d inputs + 1) × %d-byte blocks",
+					trial, epoch, bytes, budget, inputs, block)
+			}
+			if mem.BatchCount() != ooc.BatchCount() || mem.UpdateCount() != ooc.UpdateCount() {
+				t.Fatalf("trial %d epoch %d: counts diverge (%d/%d batches, %d/%d updates)",
+					trial, epoch, mem.BatchCount(), ooc.BatchCount(),
+					mem.UpdateCount(), ooc.UpdateCount())
+			}
+			gm, gc := collectRuns(t, mem), collectRuns(t, ooc)
+			if len(gm) != len(gc) {
+				t.Fatalf("trial %d epoch %d: %d vs %d tuples",
+					trial, epoch, len(gm), len(gc))
+			}
+			for i := range gm {
+				if gm[i] != gc[i] {
+					t.Fatalf("trial %d epoch %d tuple %d: %+v vs %+v",
+						trial, epoch, i, gm[i], gc[i])
+				}
+			}
+		}
+		if st.Spills == 0 {
+			t.Fatalf("trial %d: history never spilled; oracle is vacuous", trial)
+		}
+		compareCursors(t, fn, hm, ho, trial)
 	}
 }
 
@@ -469,34 +421,34 @@ func collectRuns(t *testing.T, s *core.Spine[uint64, tup]) []upd {
 // and block-boundary keys and one past the end, each seek checked for its
 // result, the key it lands on and the key's updates.
 func compareCursors(t *testing.T, fn core.Funcs[uint64, tup],
-	hm, ho *core.Handle[uint64, tup], columnar bool, trial int) {
+	hm, ho *core.Handle[uint64, tup], trial int) {
 	t.Helper()
 	cm, co := hm.Cursor(), ho.Cursor()
 	for {
 		km, okm := cm.PeekKey()
 		ko, oko := co.PeekKey()
 		if okm != oko || (okm && km != ko) {
-			t.Fatalf("columnar=%v trial %d: PeekKey (%v,%v) vs (%v,%v)",
-				columnar, trial, km, okm, ko, oko)
+			t.Fatalf("trial %d: PeekKey (%v,%v) vs (%v,%v)",
+				trial, km, okm, ko, oko)
 		}
 		if !okm {
 			break
 		}
 		var wm, wo []vtd
-		cm.ForUpdatesOrderedView(km, func(s *core.ValStore[tup], vi int, tm lattice.Time, d core.Diff) {
-			wm = append(wm, vtd{s.At(vi), tm, d})
+		cm.ForUpdatesOrderedView(km, func(v *tup, tm lattice.Time, d core.Diff) {
+			wm = append(wm, vtd{*v, tm, d})
 		})
-		co.ForUpdatesOrderedView(ko, func(s *core.ValStore[tup], vi int, tm lattice.Time, d core.Diff) {
-			wo = append(wo, vtd{s.At(vi), tm, d})
+		co.ForUpdatesOrderedView(ko, func(v *tup, tm lattice.Time, d core.Diff) {
+			wo = append(wo, vtd{*v, tm, d})
 		})
 		if len(wm) != len(wo) {
-			t.Fatalf("columnar=%v trial %d key %d: walk lengths %d vs %d",
-				columnar, trial, km, len(wm), len(wo))
+			t.Fatalf("trial %d key %d: walk lengths %d vs %d",
+				trial, km, len(wm), len(wo))
 		}
 		for i := range wm {
 			if wm[i] != wo[i] {
-				t.Fatalf("columnar=%v trial %d key %d pos %d: %+v vs %+v",
-					columnar, trial, km, i, wm[i], wo[i])
+				t.Fatalf("trial %d key %d pos %d: %+v vs %+v",
+					trial, km, i, wm[i], wo[i])
 			}
 		}
 		cm.SeekKey(km + 1)
@@ -507,14 +459,14 @@ func compareCursors(t *testing.T, fn core.Funcs[uint64, tup],
 		cm, co = hm.Cursor(), ho.Cursor()
 		fm, fo := cm.SeekKey(k), co.SeekKey(k)
 		if fm != fo {
-			t.Fatalf("columnar=%v trial %d: SeekKey(%d) %v vs %v", columnar, trial, k, fm, fo)
+			t.Fatalf("trial %d: SeekKey(%d) %v vs %v", trial, k, fm, fo)
 		}
 		if !fm {
 			continue
 		}
 		if um, uo := sortedUpdates(cm, k), sortedUpdates(co, k); !slices.Equal(um, uo) {
-			t.Fatalf("columnar=%v trial %d key %d: ForUpdates %+v vs %+v",
-				columnar, trial, k, um, uo)
+			t.Fatalf("trial %d key %d: ForUpdates %+v vs %+v",
+				trial, k, um, uo)
 		}
 	}
 	// One forward-only ascending sequence: every block's first and last
@@ -538,12 +490,12 @@ func compareCursors(t *testing.T, fn core.Funcs[uint64, tup],
 		pm, okm := cm.PeekKey()
 		po, oko := co.PeekKey()
 		if fm != fo || okm != oko || pm != po {
-			t.Fatalf("columnar=%v trial %d: ascending SeekKey(%d) found %v, at (%d,%v) vs found %v, at (%d,%v)",
-				columnar, trial, k, fm, pm, okm, fo, po, oko)
+			t.Fatalf("trial %d: ascending SeekKey(%d) found %v, at (%d,%v) vs found %v, at (%d,%v)",
+				trial, k, fm, pm, okm, fo, po, oko)
 		}
 		if um, uo := sortedUpdates(cm, k), sortedUpdates(co, k); !slices.Equal(um, uo) {
-			t.Fatalf("columnar=%v trial %d: ascending seek to %d: ForUpdates %+v vs %+v",
-				columnar, trial, k, um, uo)
+			t.Fatalf("trial %d: ascending seek to %d: ForUpdates %+v vs %+v",
+				trial, k, um, uo)
 		}
 	}
 }
@@ -580,7 +532,7 @@ func sortedUpdates(c *core.TraceCursor[uint64, tup], k uint64) []vtd {
 // TestBlockSkipping: point lookups over a fully spilled spine must decode
 // only blocks whose resident min/max key stats straddle the probed keys.
 func TestBlockSkipping(t *testing.T) {
-	fn := fnTup(true)
+	fn := fnTup()
 	st, err := Open[uint64, tup](t.TempDir(), fn, nil, tupCodec{}, StoreOptions{
 		BlockUpdates: 4, // many small blocks
 		CacheBytes:   1 << 20,
@@ -673,7 +625,7 @@ func TestBlockSkipping(t *testing.T) {
 // and after unspilling (the antichain the decoder folds, SetMinTimes).
 func TestMinTimesReload(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
-	fn := fnTup(true)
+	fn := fnTup()
 	st, err := Open[uint64, tup](t.TempDir(), fn, nil, tupCodec{}, StoreOptions{BlockUpdates: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -709,7 +661,7 @@ func TestMinTimesReload(t *testing.T) {
 // GCDead under a manifest), and recovery GC removes unreferenced files.
 func TestRetireAndGC(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	fn := fnTup(true)
+	fn := fnTup()
 	dir := t.TempDir()
 	st, err := Open[uint64, tup](dir, fn, nil, tupCodec{}, StoreOptions{Manifest: true})
 	if err != nil {

@@ -168,7 +168,7 @@ func withColWidth(img []byte, lower, upper, since lattice.Frontier, w byte) []by
 // claiming word columns — a nonzero column width — is a *CorruptError, never
 // a panic or a misread. Width zero, the same file, decodes.
 func TestLayoutMismatchIsCorrupt(t *testing.T) {
-	fn := fnTup(false)
+	fn := fnTup()
 	cfg, err := newCodecs[uint64, tup](fn, nil, tupCodec{})
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestLayoutMismatchIsCorrupt(t *testing.T) {
 // TestDescendingValuesAreCorrupt: a block whose key holds its values out
 // of order is a *CorruptError, as a repeated key is.
 func TestDescendingValuesAreCorrupt(t *testing.T) {
-	fn := fnTup(false)
+	fn := fnTup()
 	cfg, err := newCodecs[uint64, tup](fn, nil, tupCodec{})
 	if err != nil {
 		t.Fatal(err)

@@ -71,8 +71,8 @@
 // allocation exceeds a small multiple of the file. Times are read in place
 // at the file's depth without allocating, and the same pass folds them
 // into the run's minimal-time antichain, which must equal the index's
-// stored MinTimes. Values decode row-major; a columnar arrangement merges
-// them through ValStore.AppendRange's mixed-layout path. Decoding a run
+// stored MinTimes. Values decode straight into the batch's value slice,
+// the one layout a resident batch has. Decoding a run
 // allocates a fixed number of objects whatever its length.
 //
 // The Store wires the format to the spine: Spill writes a batch as a block

@@ -79,7 +79,7 @@ func frameBlockClaiming(data []byte, nKeys, nVals, nUpds uint32) []byte {
 // a decoded batch or a typed *CorruptError — never a panic, never silently
 // wrong counts.
 func decodeChecked(t *testing.T, data []byte) {
-	fn := fnTup(false)
+	fn := fnTup()
 	got, err := decodeImage[uint64, tup](fn, nil, tupCodec{}, data)
 	if err != nil {
 		if _, ok := err.(*CorruptError); !ok {
@@ -89,8 +89,8 @@ func decodeChecked(t *testing.T, data []byte) {
 	}
 	// Structural validity: the offset tables must agree with the arrays
 	// (wrong counts here mean the decoder lied about what it read).
-	if len(got.KeyOff) != len(got.Keys)+1 || len(got.ValOff) != got.Vals.Len()+1 ||
-		int(got.KeyOff[len(got.KeyOff)-1]) != got.Vals.Len() ||
+	if len(got.KeyOff) != len(got.Keys)+1 || len(got.ValOff) != len(got.Vals)+1 ||
+		int(got.KeyOff[len(got.KeyOff)-1]) != len(got.Vals) ||
 		int(got.ValOff[len(got.ValOff)-1]) != len(got.Diffs) ||
 		len(got.Times) != 0 && len(got.Times) != len(got.Diffs) {
 		t.Fatal("decoded batch structurally inconsistent")
@@ -139,7 +139,7 @@ func decodeChecked(t *testing.T, data []byte) {
 func wideLoopImage(f *testing.F, cfg *codecs[uint64, tup]) []byte {
 	const mark = 0x5eed5eed
 	lower := lattice.NewFrontier(lattice.Ts(0, 0, 0))
-	b := core.BuildBatch(fnTup(false), []upd{
+	b := core.BuildBatch(fnTup(), []upd{
 		{Key: 1, Time: lattice.Ts(1, 0, 0), Diff: 1},
 		{Key: 2, Time: lattice.Ts(2, mark, 0), Diff: 1},
 	}, lower, lattice.NewFrontier(lattice.Ts(3, 0, 0)), lower.Clone())
@@ -170,7 +170,7 @@ func resealAt(img []byte, at int) []byte {
 // values descend.
 func swappedValuesImage(tb testing.TB, cfg *codecs[uint64, tup]) []byte {
 	lo, hi := tup{A: 1, C: 0x5eed}, tup{A: 2, C: 0x5eed}
-	b := core.BuildBatch(fnTup(false), []upd{
+	b := core.BuildBatch(fnTup(), []upd{
 		{Key: 1, Val: lo, Time: lattice.Ts(0), Diff: 1},
 		{Key: 1, Val: hi, Time: lattice.Ts(0), Diff: 1},
 	}, lattice.MinFrontier(1), lattice.NewFrontier(lattice.Ts(1)), lattice.MinFrontier(1))
@@ -190,7 +190,7 @@ func swappedValuesImage(tb testing.TB, cfg *codecs[uint64, tup]) []byte {
 // never silently wrong counts.
 func FuzzBlockDecode(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
-	fn := fnTup(false)
+	fn := fnTup()
 	cfg, err := newCodecs[uint64, tup](fn, nil, tupCodec{})
 	if err != nil {
 		f.Fatal(err)

@@ -35,8 +35,8 @@ func checkDecodedForm(t *testing.T, what string, b *core.Batch[uint64, uint64], 
 		t.Fatalf("%s holds %d times for %d diffs", what, len(b.Times), len(b.Diffs))
 	case (len(b.Times) == 0) != oneTime && len(got) > 0:
 		t.Fatalf("%s stores %d times, presents one time: %v", what, len(b.Times), oneTime)
-	case oneTime && b.Vals.Len() != b.Len():
-		t.Fatalf("%s is one-time with %d updates for %d values", what, b.Len(), b.Vals.Len())
+	case oneTime && len(b.Vals) != b.Len():
+		t.Fatalf("%s is one-time with %d updates for %d values", what, b.Len(), len(b.Vals))
 	}
 }
 

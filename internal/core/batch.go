@@ -40,9 +40,9 @@ type Batch[K, V any] struct {
 	AsOf                lattice.Frontier
 
 	Keys   []K
-	KeyOff []int32     // len(Keys)+1; value range of key i is Vals[KeyOff[i]:KeyOff[i+1]]
-	Vals   ValStore[V] // pluggable layout: row-major slice or columnar words
-	ValOff []int32     // len(Vals)+1; history of value j is Diffs[ValOff[j]:ValOff[j+1]]
+	KeyOff []int32 // len(Keys)+1; value range of key i is Vals[KeyOff[i]:KeyOff[i+1]]
+	Vals   []V
+	ValOff []int32 // len(Vals)+1; history of value j is Diffs[ValOff[j]:ValOff[j+1]]
 	Diffs  []Diff
 	Times  []lattice.Time // len(Diffs), or empty when every update is at Time
 	Time   lattice.Time
@@ -72,44 +72,46 @@ func (b *Batch[K, V]) UpdRange(vi int) (int, int) {
 	return int(b.ValOff[vi]), int(b.ValOff[vi+1])
 }
 
-// SeekKey returns the index of the first key ≥ k at or after index from.
-// The search gallops: it probes exponentially growing steps from the current
-// position before binary-searching the final window, so a forward-only
-// cursor pays O(log distance) per seek rather than O(log remaining) — the
-// access pattern of merge joins over sorted immutable runs.
+// SeekKey returns the index of the first key ≥ k at or after index from:
+// a gallop over the keys.
 func (b *Batch[K, V]) SeekKey(fn Funcs[K, V], k K, from int) int {
-	n := len(b.Keys)
-	if from >= n || !fn.LessK(b.Keys[from], k) {
+	return gallop(b.Keys, fn.LessK, k, from)
+}
+
+// SeekVal returns the index of the first value ≥ v within the half-open
+// value index range [from, hi) — typically one key's ValRange: a gallop
+// over the values, as SeekKey is over the keys.
+func (b *Batch[K, V]) SeekVal(fn Funcs[K, V], v V, from, hi int) int {
+	return gallop(b.Vals[:hi], fn.LessV, v, from)
+}
+
+// gallop returns the index of the first element of the sorted s that is
+// ≥ x at or after index from. It probes exponentially growing steps from
+// from before binary-searching the final window, so a forward-only cursor
+// pays O(log distance) per seek rather than O(log remaining) — the access
+// pattern of merge joins over sorted immutable runs.
+func gallop[T any](s []T, less func(a, b T) bool, x T, from int) int {
+	n := len(s)
+	if from >= n || !less(s[from], x) {
 		return from
 	}
-	// Invariant: Keys[from+bound/2] < k. Grow bound until the probe lands at
-	// or beyond k (or past the end).
+	// Invariant: s[from+bound/2] < x. Grow bound until the probe lands at
+	// or beyond x (or past the end).
 	bound := 1
-	for from+bound < n && fn.LessK(b.Keys[from+bound], k) {
+	for from+bound < n && less(s[from+bound], x) {
 		bound <<= 1
 	}
 	lo := from + bound/2 + 1
-	hi := from + bound + 1
-	if hi > n {
-		hi = n
-	}
+	hi := min(from+bound+1, n)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if fn.LessK(b.Keys[mid], k) {
+		if less(s[mid], x) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	return lo
-}
-
-// SeekVal returns the index of the first value ≥ v within the half-open
-// value index range [from, hi) — typically one key's ValRange — mirroring
-// SeekKey's gallop: forward-only cursors pay O(log distance) per seek, and
-// columnar stores compare in place without materializing candidates.
-func (b *Batch[K, V]) SeekVal(fn Funcs[K, V], v V, from, hi int) int {
-	return b.Vals.SeekGE(fn.LessV, v, from, hi)
 }
 
 // ForKey invokes f for every (val, time, diff) of key k, if present, with the
@@ -121,7 +123,7 @@ func (b *Batch[K, V]) ForKey(fn Funcs[K, V], k K, f func(v V, t lattice.Time, d 
 	}
 	lo, hi := b.ValRange(ki)
 	for vi := lo; vi < hi; vi++ {
-		v := b.Vals.At(vi)
+		v := b.Vals[vi]
 		ul, uh := b.UpdRange(vi)
 		for ui := ul; ui < uh; ui++ {
 			f(v, b.UpdTime(ui), b.Diffs[ui])
@@ -130,12 +132,12 @@ func (b *Batch[K, V]) ForKey(fn Funcs[K, V], k K, f func(v V, t lattice.Time, d 
 }
 
 // ForEach invokes f for every update triple in the batch, in (key, val,
-// time) order. Values materialize once per value group, not once per update.
+// time) order.
 func (b *Batch[K, V]) ForEach(f func(k K, v V, t lattice.Time, d Diff)) {
 	for ki, k := range b.Keys {
 		lo, hi := b.ValRange(ki)
 		for vi := lo; vi < hi; vi++ {
-			v := b.Vals.At(vi)
+			v := b.Vals[vi]
 			ul, uh := b.UpdRange(vi)
 			for ui := ul; ui < uh; ui++ {
 				f(k, v, b.UpdTime(ui), b.Diffs[ui])
@@ -338,12 +340,12 @@ func coalesceSorted[K, V any](fn Funcs[K, V], upds []Update[K, V]) []Update[K, V
 }
 
 // BuildBatch consolidates updates (sorting them in place) and assembles the
-// columnar representation. The updates must all be at times in advance of
+// batch's columns. The updates must all be at times in advance of
 // lower and not in advance of upper; this is checked.
 //
 // A counting pass over the sorted updates finds the distinct keys and
 // values first, so every column is made once at its exact size instead of
-// doubling its way up (one arena for a columnar value store).
+// doubling its way up.
 func BuildBatch[K, V any](fn Funcs[K, V], upds []Update[K, V],
 	lower, upper, since lattice.Frontier) *Batch[K, V] {
 
@@ -375,7 +377,7 @@ func BuildBatch[K, V any](fn Funcs[K, V], upds []Update[K, V],
 		Lower: lower, Upper: upper, Since: since,
 		Keys:   make([]K, 0, nk),
 		KeyOff: make([]int32, 1, nk+1),
-		Vals:   fn.newStore(nv),
+		Vals:   make([]V, 0, nv),
 		ValOff: make([]int32, 1, nv+1),
 		Diffs:  make([]Diff, 0, len(upds)),
 	}
@@ -397,7 +399,7 @@ func BuildBatch[K, V any](fn Funcs[K, V], upds []Update[K, V],
 			b.KeyOff = append(b.KeyOff, b.KeyOff[len(b.KeyOff)-1])
 		}
 		if opened > 0 {
-			b.Vals.Append(u.Val)
+			b.Vals = append(b.Vals, u.Val)
 			b.ValOff = append(b.ValOff, b.ValOff[len(b.ValOff)-1])
 			b.KeyOff[len(b.KeyOff)-1]++
 		}
@@ -455,7 +457,7 @@ func (c *tupleCursor[K, V]) next() {
 // skipEmpty advances ki/vi so they enclose ui, skipping keys or values whose
 // ranges are empty (possible only for malformed batches, but cheap to guard).
 func (c *tupleCursor[K, V]) skipEmpty() {
-	for c.vi < c.b.Vals.Len() && int(c.b.ValOff[c.vi+1]) <= c.ui {
+	for c.vi < len(c.b.Vals) && int(c.b.ValOff[c.vi+1]) <= c.ui {
 		c.vi++
 	}
 	for c.ki < len(c.b.Keys) && int(c.b.KeyOff[c.ki+1]) <= c.vi {

@@ -41,8 +41,8 @@ func TestBuildBatchBasics(t *testing.T) {
 	}
 	// key 1 has vals 10 (two times) and 11.
 	lo, hi := b.ValRange(0)
-	if hi-lo != 2 || b.Vals.At(lo) != 10 || b.Vals.At(lo+1) != 11 {
-		t.Fatalf("vals of key 1: %v, %v", b.Vals.At(lo), b.Vals.At(lo+1))
+	if hi-lo != 2 || b.Vals[lo] != 10 || b.Vals[lo+1] != 11 {
+		t.Fatalf("vals of key 1: %v, %v", b.Vals[lo], b.Vals[lo+1])
 	}
 	ul, uh := b.UpdRange(lo)
 	if uh-ul != 2 {
@@ -68,32 +68,137 @@ func TestBuildBatchCoalesces(t *testing.T) {
 	}
 }
 
+// wideVal is a mixed-signedness six-field struct standing in for the
+// TPC-H tuples: a value type with no kernels, compared through LessV.
+type wideVal struct {
+	A uint64
+	B int64
+	C bool
+	D int64
+	E int64
+	F int64
+}
+
+func lessWide(a, b wideVal) bool {
+	if a.A != b.A {
+		return a.A < b.A
+	}
+	if a.B != b.B {
+		return a.B < b.B
+	}
+	if a.C != b.C {
+		return !a.C
+	}
+	if a.D != b.D {
+		return a.D < b.D
+	}
+	if a.E != b.E {
+		return a.E < b.E
+	}
+	return a.F < b.F
+}
+
+func fnWide() Funcs[uint64, wideVal] {
+	return Funcs[uint64, wideVal]{
+		LessK: func(a, b uint64) bool { return a < b },
+		LessV: lessWide,
+		HashK: Mix64,
+	}
+}
+
+func randWide(r *rand.Rand) wideVal {
+	return wideVal{
+		A: uint64(r.Intn(4)),
+		B: int64(r.Intn(5) - 2),
+		C: r.Intn(2) == 1,
+		D: int64(r.Intn(3) - 1),
+		E: int64(r.Intn(100) - 50),
+		F: int64(r.Int63()) - (1 << 62),
+	}
+}
+
 // TestBuildBatchAllocsIndependentOfSize: BuildBatch counts its keys and
 // values before it builds, so each column is made once at its exact size,
-// whatever the batch's size, in the row layout and the columnar one alike.
-// Growing the columns by append allocates once per doubling: 52 objects at
-// 1 000 updates and 116 at 100 000 in the row layout, 100 and 228 columnar.
+// whatever the batch's size. Growing the columns by append allocates once
+// per doubling: 52 objects at 1 000 updates and 116 at 100 000.
 func TestBuildBatchAllocsIndependentOfSize(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		fn := fnWide(columnar)
-		var allocs [2]float64
-		for i, n := range []int{1_000, 100_000} {
-			upds := make([]Update[uint64, wideVal], n)
-			for j := range upds {
-				// Four updates per value, three values per key.
-				k, v := uint64(j/12), uint64(j/4%3)
-				upds[j] = Update[uint64, wideVal]{Key: k, Val: wideVal{A: v, B: int64(k)}, Time: lattice.Ts(uint64(j % 4)), Diff: 1}
-			}
-			var b *Batch[uint64, wideVal]
-			allocs[i] = testing.AllocsPerRun(3, func() {
-				b = BuildBatch(fn, upds, lattice.MinFrontier(1), lattice.NewFrontier(lattice.Ts(4)), lattice.MinFrontier(1))
-			})
-			if b.Len() != n || b.NumKeys() != (n+11)/12 || b.Vals.Len() != (n+3)/4 {
-				t.Fatalf("columnar=%v n=%d: built %d updates, %d keys, %d values", columnar, n, b.Len(), b.NumKeys(), b.Vals.Len())
+	fn := fnWide()
+	var allocs [2]float64
+	for i, n := range []int{1_000, 100_000} {
+		upds := make([]Update[uint64, wideVal], n)
+		for j := range upds {
+			// Four updates per value, three values per key.
+			k, v := uint64(j/12), uint64(j/4%3)
+			upds[j] = Update[uint64, wideVal]{Key: k, Val: wideVal{A: v, B: int64(k)}, Time: lattice.Ts(uint64(j % 4)), Diff: 1}
+		}
+		var b *Batch[uint64, wideVal]
+		allocs[i] = testing.AllocsPerRun(3, func() {
+			b = BuildBatch(fn, upds, lattice.MinFrontier(1), lattice.NewFrontier(lattice.Ts(4)), lattice.MinFrontier(1))
+		})
+		if b.Len() != n || b.NumKeys() != (n+11)/12 || len(b.Vals) != (n+3)/4 {
+			t.Fatalf("n=%d: built %d updates, %d keys, %d values", n, b.Len(), b.NumKeys(), len(b.Vals))
+		}
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("BuildBatch allocates %v objects at 1 000 updates, %v at 100 000", allocs[0], allocs[1])
+	}
+}
+
+// TestBatchSeekKey: SeekKey's gallop lands where a linear scan of the keys
+// does, for probes between, on and beyond the keys, from every start.
+func TestBatchSeekKey(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	fn := U64()
+	var upds []Update[uint64, uint64]
+	for i := 0; i < 120; i++ {
+		upds = append(upds, u64upd(uint64(r.Intn(1000)), 0, lattice.Ts(0), 1))
+	}
+	b := BuildBatch(fn, upds, lattice.MinFrontier(1), lattice.NewFrontier(lattice.Ts(1)), lattice.MinFrontier(1))
+	for n := 0; n < 300; n++ {
+		probe := uint64(r.Intn(1010))
+		if r.Intn(2) == 0 {
+			probe = b.Keys[r.Intn(len(b.Keys))] // exact hits too
+		}
+		first := 0
+		for first < len(b.Keys) && b.Keys[first] < probe {
+			first++
+		}
+		for from := 0; from <= len(b.Keys); from++ {
+			if got, want := b.SeekKey(fn, probe, from), max(from, first); got != want {
+				t.Fatalf("SeekKey(%d, from=%d) = %d, want %d", probe, from, got, want)
 			}
 		}
-		if allocs[0] != allocs[1] {
-			t.Errorf("columnar=%v: BuildBatch allocates %v objects at 1 000 updates, %v at 100 000", columnar, allocs[0], allocs[1])
+	}
+}
+
+// TestBatchSeekVal: SeekVal's gallop, within one key's value range, lands
+// where a linear scan of the values does, for probes between and on the
+// values, from every start in the range.
+func TestBatchSeekVal(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	fn := fnWide()
+	var upds []Update[uint64, wideVal]
+	for k := uint64(0); k < 3; k++ {
+		for i := 0; i < 120; i++ {
+			upds = append(upds, Update[uint64, wideVal]{Key: k, Val: randWide(r), Time: lattice.Ts(0), Diff: 1})
+		}
+	}
+	b := BuildBatch(fn, upds, lattice.MinFrontier(1),
+		lattice.NewFrontier(lattice.Ts(1)), lattice.MinFrontier(1))
+	lo, hi := b.ValRange(b.SeekKey(fn, 1, 0))
+	for n := 0; n < 300; n++ {
+		probe := randWide(r)
+		if r.Intn(2) == 0 {
+			probe = b.Vals[lo+r.Intn(hi-lo)] // exact hits too
+		}
+		first := lo
+		for first < hi && lessWide(b.Vals[first], probe) {
+			first++
+		}
+		for from := lo; from <= hi; from++ {
+			if got, want := b.SeekVal(fn, probe, from, hi), max(from, first); got != want {
+				t.Fatalf("SeekVal(%+v, from=%d) in [%d, %d) = %d, want %d", probe, from, lo, hi, got, want)
+			}
 		}
 	}
 }
@@ -289,7 +394,7 @@ func TestTupleCursorRoundTrip(t *testing.T) {
 	for c.valid() {
 		got = append(got, Update[uint64, uint64]{
 			Key:  b.Keys[c.ki],
-			Val:  b.Vals.At(c.vi),
+			Val:  b.Vals[c.vi],
 			Time: b.UpdTime(c.ui),
 			Diff: b.Diffs[c.ui],
 		})

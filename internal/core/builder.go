@@ -7,21 +7,20 @@ import (
 	"repro/internal/lattice"
 )
 
-// batchBuilder assembles a batch directly in its columnar representation from
-// update tuples arriving in (key, val, time-total-order) order — the emission
-// order of k-way merges over sorted batches. Spine merges feed it one tuple
-// at a time and it groups, coalesces, and bulk-copies in place, replacing the
+// batchBuilder assembles a batch directly in its columns from update tuples
+// arriving in (key, val, time-total-order) order — the emission order of
+// k-way merges over sorted batches. Spine merges feed it one tuple at a
+// time and it groups, coalesces, and copies in place, replacing the
 // old materialize-into-[]Update-then-BuildBatch path that copied every wide
 // tuple twice and re-sorted an already sorted sequence.
 //
-// Values copy lazily: an open group holds only a (store, index) reference
-// into its source batch, and the value moves — through ValStore.AppendRange,
-// column-by-column for columnar layouts — only once its coalesced history
-// turns out non-empty. Churn that cancels below the compaction frontier is
-// compared and dropped without ever copying the wide tuple.
+// Values copy lazily: an open group holds only a (values, index) reference
+// into its source batch, and the value moves only once its coalesced
+// history turns out non-empty. Churn that cancels below the compaction
+// frontier is compared and dropped without ever copying the wide tuple.
 //
 // The merge order also makes group detection one-sided: the open group's key
-// and value are ≤ every later tuple's, so a single LessK/Less decides "same
+// and value are ≤ every later tuple's, so a single LessK/LessV decides "same
 // group or new" (equality needs no second compare).
 //
 // A builder with an output writer streams: each time a closed key brings the
@@ -41,11 +40,11 @@ type batchBuilder[K, V any] struct {
 
 	openKey  bool
 	openVal  bool
-	keyVals  int          // value groups kept under the open key
-	srcVals  *ValStore[V] // pending value: source store ...
-	srcVi    int          // ... and index (copied only if the group survives)
-	tds      []TimeDiff   // pending history of the open value
-	unsorted bool         // compaction reordered the pending history
+	keyVals  int        // value groups kept under the open key
+	srcVals  []V        // pending value: source values ...
+	srcVi    int        // ... and index (copied only if the group survives)
+	tds      []TimeDiff // pending history of the open value
+	unsorted bool       // compaction reordered the pending history
 }
 
 // newBatchBuilder starts the output of a merge framed by (lower, upper,
@@ -63,8 +62,8 @@ func newBatchBuilder[K, V any](fn Funcs[K, V], lower, upper, since lattice.Front
 		KeyOff: []int32{0},
 		ValOff: []int32{0},
 	}
-	b.Vals = fn.newStore(capHint)
 	if capHint > 0 {
+		b.Vals = make([]V, 0, capHint)
 		b.Diffs = make([]Diff, 0, capHint)
 	}
 	bl.b = b
@@ -92,7 +91,7 @@ func (bl *batchBuilder[K, V]) push(src *Batch[K, V], ki, vi int, td TimeDiff) {
 		bl.closeVal()
 	}
 	if !bl.openVal {
-		bl.srcVals, bl.srcVi = &src.Vals, vi
+		bl.srcVals, bl.srcVi = src.Vals, vi
 		bl.openVal = true
 	}
 	if len(bl.tds) > 0 && td.Time.TotalLess(bl.tds[len(bl.tds)-1].Time) {
@@ -103,12 +102,12 @@ func (bl *batchBuilder[K, V]) push(src *Batch[K, V], ki, vi int, td TimeDiff) {
 
 // opens reports what the tuple at key ki and value vi of src opens: a key
 // (2), a value of the open key (1) or neither (0). The open key and value
-// are ≤ the tuple's, so one Less decides each.
+// are ≤ the tuple's, so one LessK or LessV decides each.
 func (bl *batchBuilder[K, V]) opens(src *Batch[K, V], ki, vi int) int {
 	switch {
 	case !bl.openKey || bl.fn.LessK(bl.b.Keys[len(bl.b.Keys)-1], src.Keys[ki]):
 		return 2
-	case bl.openVal && bl.srcVals.Less(bl.fn.LessV, bl.srcVi, &src.Vals, vi):
+	case bl.openVal && bl.fn.LessV(bl.srcVals[bl.srcVi], src.Vals[vi]):
 		return 1
 	}
 	return 0
@@ -116,7 +115,7 @@ func (bl *batchBuilder[K, V]) opens(src *Batch[K, V], ki, vi int) int {
 
 // closeVal seals the open value group: sort the history if compaction
 // disturbed it, coalesce equal times, drop zeros, and copy the value from
-// its source store only when something survives.
+// its source batch only when something survives.
 func (bl *batchBuilder[K, V]) closeVal() {
 	if !bl.openVal {
 		return
@@ -146,7 +145,7 @@ func (bl *batchBuilder[K, V]) closeVal() {
 	if len(b.Diffs) == before {
 		return // the history cancelled entirely: the value never copies
 	}
-	b.Vals.AppendRange(bl.srcVals, bl.srcVi, bl.srcVi+1)
+	b.Vals = append(b.Vals, bl.srcVals[bl.srcVi])
 	b.ValOff = append(b.ValOff, int32(len(b.Diffs)))
 	bl.keyVals++
 }
@@ -163,7 +162,7 @@ func (bl *batchBuilder[K, V]) closeKey() {
 		b.Keys = b.Keys[:len(b.Keys)-1]
 		return
 	}
-	b.KeyOff = append(b.KeyOff, int32(b.Vals.Len()))
+	b.KeyOff = append(b.KeyOff, int32(len(b.Vals)))
 	bl.keyVals = 0
 	if bl.out != nil && len(b.Diffs) >= bl.flushAt {
 		bl.flush()
@@ -182,7 +181,7 @@ func (bl *batchBuilder[K, V]) flush() {
 	bl.flushed = true
 	b.Keys = b.Keys[:0]
 	b.KeyOff = b.KeyOff[:1]
-	b.Vals.Reset()
+	b.Vals = b.Vals[:0]
 	b.ValOff = b.ValOff[:1]
 	b.Diffs = b.Diffs[:0]
 	b.Times = b.Times[:0]

@@ -105,7 +105,7 @@ func TestImportSharesColumns(t *testing.T) {
 				if v == run {
 					t.Fatalf("snapshot import stamped run %d in place", i)
 				}
-				if &v.Keys[0] != &run.Keys[0] || &v.Vals.rows[0] != &run.Vals.rows[0] ||
+				if &v.Keys[0] != &run.Keys[0] || &v.Vals[0] != &run.Vals[0] ||
 					&v.Diffs[0] != &run.Diffs[0] || &v.KeyOff[0] != &run.KeyOff[0] || &v.ValOff[0] != &run.ValOff[0] {
 					t.Errorf("view %d does not alias its run's columns", i)
 				}

@@ -29,8 +29,7 @@ import (
 // A kernel computes exactly what the closure path computes from the same
 // order (TestOrderedKernelsMatchGeneric holds the two side by side), so it
 // applies only while the Funcs still describes that order: LessK and LessV
-// are the constructor's own closures, and values use the row layout the
-// kernels read in place.
+// are the constructor's own closures.
 
 // kernels are the natural-order loops of one key and value type.
 type kernels[K, V any] interface {
@@ -75,11 +74,10 @@ func OrderedKey[K cmp.Ordered](hashK func(K) uint64) Funcs[K, Unit] {
 }
 
 // kernels returns f's kernels, or nil when the closure path must run: f
-// was not built by Ordered or OrderedKey, its LessK or LessV has since been
-// replaced (a counting closure in a test, say), or it stores values in a
-// layout other than rows.
+// was not built by Ordered or OrderedKey, or its LessK or LessV has since
+// been replaced (a counting closure in a test, say).
 func (f Funcs[K, V]) kernels() kernels[K, V] {
-	if o := f.ord; o != nil && f.NewStore == nil && sameFunc(f.LessK, o.lessK) && sameFunc(f.LessV, o.lessV) {
+	if o := f.ord; o != nil && sameFunc(f.LessK, o.lessK) && sameFunc(f.LessV, o.lessV) {
 		return o.k
 	}
 	return nil
@@ -226,7 +224,7 @@ func (natural[K, V]) minCursor(cs []tupleCursor[K, V]) int {
 				if k > mk {
 					continue
 				}
-			} else if v, mv := c.b.Vals.rows[c.vi], mc.b.Vals.rows[mc.vi]; v != mv {
+			} else if v, mv := c.b.Vals[c.vi], mc.b.Vals[mc.vi]; v != mv {
 				if v > mv {
 					continue
 				}
@@ -243,7 +241,7 @@ func (natural[K, V]) opens(bl *batchBuilder[K, V], src *Batch[K, V], ki, vi int)
 	switch {
 	case !bl.openKey || bl.b.Keys[len(bl.b.Keys)-1] != src.Keys[ki]:
 		return 2
-	case bl.openVal && bl.srcVals.rows[bl.srcVi] != src.Vals.rows[vi]:
+	case bl.openVal && bl.srcVals[bl.srcVi] != src.Vals[vi]:
 		return 1
 	}
 	return 0

@@ -100,7 +100,7 @@ func kernelRun[V any](t *testing.T, fn core.Funcs[uint64, V], vc wal.Codec[V], d
 		sorted = append(sorted, core.SortUpdates(fn, slices.Clone(upds)))
 		b := core.BuildBatch(fn, upds, frontierAt(depth, e), frontierAt(depth, e+1), lattice.MinFrontier(depth))
 		built = append(built, b)
-		rec := wal.AppendHead(nil, b.Lower, b.Upper, b.Since, b.NumKeys(), b.Vals.Len(), b.Len())
+		rec := wal.AppendHead(nil, b.Lower, b.Upper, b.Since, b.NumKeys(), len(b.Vals), b.Len())
 		h.Write(bc.AppendPayload(rec, b, 0, b.NumKeys()))
 		spill(b)
 		if e >= 2 {
@@ -215,8 +215,8 @@ func checkWordDecode(t *testing.T, c kernelCase[uint64], depth int) {
 			t.Fatal(err)
 		}
 		ps[i] = bc.AppendPayload(nil, b, 0, b.NumKeys())
-		got[i] = wal.SizedBatch[uint64, uint64](b.NumKeys(), b.Vals.Len(), b.Len())
-		if err := bc.DecodePayload(ps[i], got[i], b.NumKeys(), b.Vals.Len(), b.Len(), depth, nil); err != nil {
+		got[i] = wal.SizedBatch[uint64, uint64](b.NumKeys(), len(b.Vals), b.Len())
+		if err := bc.DecodePayload(ps[i], got[i], b.NumKeys(), len(b.Vals), b.Len(), depth, nil); err != nil {
 			t.Fatalf("codec %d: %v", i, err)
 		}
 	}

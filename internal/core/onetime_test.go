@@ -95,8 +95,8 @@ func checkForm(t *testing.T, what string, b *Batch[uint64, uint64], want []Updat
 		t.Fatalf("%s stores one time but presents several: %v", what, got)
 	case consolidated && len(b.Times) > 0 && oneTime:
 		t.Fatalf("%s stores %d copies of its one time %v", what, len(b.Times), got[0].Time)
-	case consolidated && len(b.Times) == 0 && b.Vals.Len() != b.Len():
-		t.Fatalf("%s is one-time with %d updates for %d values", what, b.Len(), b.Vals.Len())
+	case consolidated && len(b.Times) == 0 && len(b.Vals) != b.Len():
+		t.Fatalf("%s is one-time with %d updates for %d values", what, b.Len(), len(b.Vals))
 	}
 }
 

@@ -81,7 +81,7 @@ func TestQuickBatchSorted(t *testing.T) {
 		for ki := 0; ki < b.NumKeys(); ki++ {
 			lo, hi := b.ValRange(ki)
 			for vi := lo + 1; vi < hi; vi++ {
-				if !b.Vals.Less(fn.LessV, vi-1, &b.Vals, vi) {
+				if !fn.LessV(b.Vals[vi-1], b.Vals[vi]) {
 					return false
 				}
 			}

@@ -55,13 +55,8 @@ func (b *Batch[K, V]) ApproxBytes() int64 {
 	n += int64(len(b.KeyOff)+len(b.ValOff)) * 4
 	n += int64(len(b.Diffs))*int64(unsafe.Sizeof(Diff(0))) +
 		int64(len(b.Times))*int64(unsafe.Sizeof(lattice.Time{}))
-	if cols := b.Vals.Columns(); cols != nil {
-		n += int64(len(cols)) * int64(b.Vals.Len()) * 8
-	} else {
-		var v V
-		n += int64(b.Vals.Len()) * int64(unsafe.Sizeof(v))
-	}
-	return n
+	var v V
+	return n + int64(len(b.Vals))*int64(unsafe.Sizeof(v))
 }
 
 // approxBytes is ApproxBytes for any run: exact for a resident batch and,

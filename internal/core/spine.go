@@ -10,8 +10,13 @@ import (
 
 // Merge effort coefficients for the paper's Figure 6e configurations. The
 // coefficient multiplies the size of each inserted batch to produce the fuel
-// applied to in-progress merges. Two is the constant the paper proves
-// sufficient for merges to complete before their results are required.
+// Append applies to in-progress merges. That fuel alone does not keep a
+// spine's runs logarithmic: Work spends one budget on the merges oldest
+// first, so a spine driven only by Append falls behind under a stream of
+// small seals. The arrange operator adds its per-schedule maintenance fuel
+// (TraceAgent.Work) and is re-scheduled while merges are owed, which keeps
+// the runs a cursor reads logarithmic in the updates sealed
+// (TestSpineMergeWorkIsLogarithmic).
 const (
 	MergeLazy    = 1
 	MergeDefault = 2
@@ -252,10 +257,7 @@ func (s *Spine[K, V]) advanceMerge(idx, fuel int) int {
 	return fuel
 }
 
-// cursorLess orders two tuple cursors by their current (key, val, time)
-// without materializing value copies: the store comparison reads columns in
-// place, so wide tuples are never copied just to be compared (the merge inner
-// loop runs once per tuple per round; that copying dominated).
+// cursorLess orders two tuple cursors by their current (key, val, time).
 func (s *Spine[K, V]) cursorLess(a, b *tupleCursor[K, V]) bool {
 	ka, kb := a.b.Keys[a.ki], b.b.Keys[b.ki]
 	if s.fn.LessK(ka, kb) {
@@ -264,8 +266,12 @@ func (s *Spine[K, V]) cursorLess(a, b *tupleCursor[K, V]) bool {
 	if s.fn.LessK(kb, ka) {
 		return false
 	}
-	if c := a.b.Vals.Cmp(s.fn.LessV, a.vi, &b.b.Vals, b.vi); c != 0 {
-		return c < 0
+	va, vb := a.b.Vals[a.vi], b.b.Vals[b.vi]
+	if s.fn.LessV(va, vb) {
+		return true
+	}
+	if s.fn.LessV(vb, va) {
+		return false
 	}
 	return a.b.UpdTime(a.ui).TotalLess(b.b.UpdTime(b.ui))
 }
@@ -713,8 +719,7 @@ func (c *TraceCursor[K, V]) SeekKey(k K) bool {
 }
 
 // ForUpdates invokes f with every (val, time, diff) of key k across all
-// runs. The cursor must be positioned at k via SeekKey. Values materialize
-// once per value group, not once per update.
+// runs. The cursor must be positioned at k via SeekKey.
 func (c *TraceCursor[K, V]) ForUpdates(k K, f func(v V, t lattice.Time, d Diff)) {
 	for i := range c.runs {
 		r := &c.runs[i]
@@ -723,7 +728,7 @@ func (c *TraceCursor[K, V]) ForUpdates(k K, f func(v V, t lattice.Time, d Diff))
 		}
 		b := r.load()
 		for vi := b.KeyOff[r.pos]; vi < b.KeyOff[r.pos+1]; vi++ {
-			v := b.Vals.At(int(vi))
+			v := b.Vals[vi]
 			for ui := b.ValOff[vi]; ui < b.ValOff[vi+1]; ui++ {
 				f(v, b.UpdTime(int(ui)), b.Diffs[ui])
 			}
@@ -732,18 +737,17 @@ func (c *TraceCursor[K, V]) ForUpdates(k K, f func(v V, t lattice.Time, d Diff))
 }
 
 // ForUpdatesOrderedView invokes f with every (val, time, diff) of key k like
-// ForUpdates, but in ascending value order, each value as a borrow-free
-// (store, index) view instead of a materialized copy. The per-run value
-// runs are already sorted, so a k-way merge yields globally ordered values
-// (equal values from different runs adjacent) without collecting and
-// re-sorting — the galloping-merge analogue for a key's value histories —
-// and it compares stores in place. Consumers can therefore accumulate with
-// a running (value, sum) pair and never pay a wide struct copy per update:
-// they call s.At(vi) once per value group, if at all. Views stay valid as
-// long as the segments they point into, which are immutable, so a consumer
-// may hold one across callbacks as its running group.
+// ForUpdates, but in ascending value order, each value as a pointer into
+// its run instead of a copy. The per-run value runs are already sorted, so
+// a k-way merge yields globally ordered values (equal values from different
+// runs adjacent) without collecting and re-sorting — the galloping-merge
+// analogue for a key's value histories. Consumers can therefore accumulate
+// with a running (value, sum) pair and never pay a wide struct copy per
+// update: they copy *v once per value group, if at all. A pointer stays
+// valid as long as the segment it points into, which is immutable, so a
+// consumer may hold one across callbacks as its running group.
 func (c *TraceCursor[K, V]) ForUpdatesOrderedView(k K,
-	f func(s *ValStore[V], vi int, t lattice.Time, d Diff)) {
+	f func(v *V, t lattice.Time, d Diff)) {
 
 	c.rngs = c.rngs[:0]
 	for i := range c.runs {
@@ -758,7 +762,7 @@ func (c *TraceCursor[K, V]) ForUpdatesOrderedView(k K,
 		min := -1
 		for i := range c.rngs {
 			r := &c.rngs[i]
-			if r.vi < r.hi && (min < 0 || r.b.Vals.Less(c.fn.LessV, r.vi, &c.rngs[min].b.Vals, c.rngs[min].vi)) {
+			if r.vi < r.hi && (min < 0 || c.fn.LessV(r.b.Vals[r.vi], c.rngs[min].b.Vals[c.rngs[min].vi])) {
 				min = i
 			}
 		}
@@ -767,7 +771,7 @@ func (c *TraceCursor[K, V]) ForUpdatesOrderedView(k K,
 		}
 		r := &c.rngs[min]
 		for ui := r.b.ValOff[r.vi]; ui < r.b.ValOff[r.vi+1]; ui++ {
-			f(&r.b.Vals, r.vi, r.b.UpdTime(int(ui)), r.b.Diffs[ui])
+			f(&r.b.Vals[r.vi], r.b.UpdTime(int(ui)), r.b.Diffs[ui])
 		}
 		r.vi++
 	}

@@ -57,24 +57,8 @@ type Funcs[K, V any] struct {
 	LessK func(a, b K) bool
 	LessV func(a, b V) bool
 	HashK func(K) uint64
-	// NewStore, when non-nil, supplies the value-storage layout for batches
-	// built under these Funcs (typically NewColumnarStore for wide tuple
-	// types). Nil means the default row-major slice store.
-	NewStore func(capHint int) ValStore[V]
 
 	ord *ordered[K, V] // set by Ordered and OrderedKey
-}
-
-// newStore builds a value store of the configured layout.
-func (f Funcs[K, V]) newStore(capHint int) ValStore[V] {
-	if f.NewStore != nil {
-		return f.NewStore(capHint)
-	}
-	var s ValStore[V]
-	if capHint > 0 {
-		s.rows = make([]V, 0, capHint)
-	}
-	return s
 }
 
 // EqK reports key equality, derived from the strict order.

@@ -255,11 +255,11 @@ func matchBatch[K, VX, VY any](fnX core.Funcs[K, VX], fnY core.Funcs[K, VY],
 				if fuel <= 0 {
 					// Suspend at a value boundary: each value's product is
 					// emitted exactly once, so resuming at this value is safe.
-					task.resume = bt.Vals.At(vi)
+					task.resume = bt.Vals[vi]
 					task.resumed = true
 					return fuel, scratch
 				}
-				vx := bt.Vals.At(vi)
+				vx := bt.Vals[vi]
 				ul, uh := bt.UpdRange(vi)
 				for ui := ul; ui < uh; ui++ {
 					tx := core.ShiftTime(bt.UpdTime(ui), shiftX)

@@ -297,34 +297,34 @@ func (st *reduceState[K, V, V2]) evaluate(caps *timely.CapSet, frontier lattice.
 // readAsOf appends to vals key k's collection as of time t, read through
 // cur (which it seeks to k): the sum of k's updates at times ≤ t, sorted by
 // value under less, each value once with its non-zero diff. The cursor's
-// ordered value merge brings equal values adjacent, so a running (view, sum)
-// group replaces collect-and-sort: it compares stores in place, and a wide
-// value materializes once per group, never per update. Every update at a
-// time not ≤ t goes to later, when it is non-nil.
+// ordered value merge brings equal values adjacent, so a running (value,
+// sum) group replaces collect-and-sort: the group holds a pointer into the
+// trace's immutable run, and a wide value is copied once per group, never
+// per update. Every update at a time not ≤ t goes to later, when it is
+// non-nil.
 func readAsOf[K, V any](cur *core.TraceCursor[K, V], less func(a, b V) bool, k K, t lattice.Time,
 	vals []ValDiff[V], later func(ut lattice.Time)) []ValDiff[V] {
 
 	if !cur.SeekKey(k) {
 		return vals
 	}
-	var s *core.ValStore[V]
-	var vi int
+	var v *V
 	var sum core.Diff
 	flush := func() {
 		if sum != 0 {
-			vals = append(vals, ValDiff[V]{s.At(vi), sum})
+			vals = append(vals, ValDiff[V]{*v, sum})
 		}
 	}
-	cur.ForUpdatesOrderedView(k, func(us *core.ValStore[V], ui int, ut lattice.Time, d core.Diff) {
+	cur.ForUpdatesOrderedView(k, func(uv *V, ut lattice.Time, d core.Diff) {
 		if !ut.LessEqual(t) {
 			if later != nil {
 				later(ut)
 			}
 			return
 		}
-		if s == nil || s.Less(less, vi, us, ui) {
+		if v == nil || less(*v, *uv) {
 			flush()
-			s, vi, sum = us, ui, 0
+			v, sum = uv, 0
 		}
 		sum += d
 	})

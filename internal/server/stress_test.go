@@ -279,13 +279,17 @@ func TestInstallAgainstCompactedArrangement(t *testing.T) {
 			}
 			// Every reader is gone again: nothing may be left holding the
 			// shared trace's compaction back, so it is the size of the live
-			// collection, not of the three hundred epochs behind it.
+			// collection, not of the three hundred epochs behind it, once
+			// the merges still owed to it have run.
 			if err := edges.Sync(); err != nil {
 				t.Fatal(err)
 			}
 			var held atomic.Int64
 			s.c.PostEach(func(w *timely.Worker) {
-				held.Add(int64(edges.arr[w.Index()].Agent.Spine().UpdateCount()))
+				sp := edges.arr[w.Index()].Agent.Spine()
+				for sp.Work(1 << 30) {
+				}
+				held.Add(int64(sp.UpdateCount()))
 			}).Wait()
 			if bound := int64(4*len(live) + 256); held.Load() > bound {
 				t.Fatalf("shared trace holds %d updates for %d live records (bound %d)", held.Load(), len(live), bound)

@@ -151,20 +151,15 @@ func lessLineItem(a, b LineItem) bool {
 	return a.ShipMode < b.ShipMode
 }
 
-// The customer and partsupp Funcs carry columnar store factories
-// (columnar.go): Q22's and Q2's arrangements of them store their tuples
-// column-major.
+func fnCustomer() core.Funcs[uint64, Customer] { return fnU64T(lessCustomer) }
+func fnPartSupp() core.Funcs[uint64, PartSupp] { return fnU64T(lessPartSupp) }
 
-func fnCustomer() core.Funcs[uint64, Customer] {
-	f := fnU64T(lessCustomer)
-	f.NewStore = customerStore
-	return f
-}
-
-func fnPartSupp() core.Funcs[uint64, PartSupp] {
-	f := fnU64T(lessPartSupp)
-	f.NewStore = partSuppStore
-	return f
+// LineItemFuncs returns the lineitem arrangement Funcs. The argument is
+// ignored: a batch has one value layout, a []LineItem, and the Funcs are
+// the same for either value. It stays only because the benchmark's
+// per-layer probes call it both ways; ROADMAP item 23 drops it.
+func LineItemFuncs(columnar bool) core.Funcs[uint64, LineItem] {
+	return fnU64T(lessLineItem)
 }
 
 // Inputs is one worker's update handles for the six mutable relations

@@ -78,8 +78,7 @@ func NewBatchCodec[K, V any](kc Codec[K], vc Codec[V]) (*BatchCodec[K, V], error
 
 // AppendPayload encodes keys [kLo, kHi) of b, with every value and update
 // under them, as one payload onto dst. The value section is one codec
-// encoding per value, whatever the store's in-memory layout, so the bytes
-// are deterministic. A one-time batch's time is encoded once and copied.
+// encoding per value. A one-time batch's time is encoded once and copied.
 func (c *BatchCodec[K, V]) AppendPayload(dst []byte, b *core.Batch[K, V], kLo, kHi int) []byte {
 	if kLo == kHi {
 		return dst
@@ -100,12 +99,12 @@ func (c *BatchCodec[K, V]) AppendPayload(dst []byte, b *core.Batch[K, V], kLo, k
 		dst = AppendUvarint(dst, uint64(b.KeyOff[ki+1]-b.KeyOff[ki]))
 	}
 	if c.u64Vals {
-		for _, v := range any(b.Vals.Rows()[vLo:vHi]).([]uint64) {
+		for _, v := range any(b.Vals[vLo:vHi]).([]uint64) {
 			dst = AppendU64(dst, v)
 		}
 	} else {
-		for vi := vLo; vi < vHi; vi++ {
-			dst = c.VC.Append(dst, b.Vals.At(vi))
+		for _, v := range b.Vals[vLo:vHi] {
+			dst = c.VC.Append(dst, v)
 		}
 	}
 	for vi := vLo; vi < vHi; vi++ {
@@ -144,19 +143,16 @@ func CheckCounts(nKeys, nVals, nUpds int, n int64) error {
 // one block's worth for a block cache or a merge, a whole run's for a WAL
 // record or an unspill. Updates append through core.Batch.AppendUpd into
 // Diffs' full capacity, which keeps the batch one-time while its times
-// agree and otherwise makes the time column once. Values decode into the
-// row layout whatever the store's Funcs: a columnar arrangement merges them
-// through ValStore.AppendRange's mixed-layout path. The counts must have
+// agree and otherwise makes the time column once. The counts must have
 // passed CheckCounts. Framing is left unset.
 func SizedBatch[K, V any](nKeys, nVals, nUpds int) *core.Batch[K, V] {
-	b := &core.Batch[K, V]{
+	return &core.Batch[K, V]{
 		Keys:   make([]K, 0, nKeys),
 		KeyOff: make([]int32, 1, nKeys+1),
+		Vals:   make([]V, 0, nVals),
 		ValOff: make([]int32, 1, nVals+1),
 		Diffs:  make([]core.Diff, 0, nUpds),
 	}
-	b.Vals.Grow(nVals)
-	return b
 }
 
 // DecodePayload is the decode kernel: one pass over p, which must be one
@@ -168,7 +164,7 @@ func SizedBatch[K, V any](nKeys, nVals, nUpds int) *core.Batch[K, V] {
 // non-nil it also folds every update time into that antichain of minimal
 // times. The caller names the record or block in the error.
 func (c *BatchCodec[K, V]) DecodePayload(p []byte, dst *core.Batch[K, V], nKeys, nVals, nUpds, depth int, mins *lattice.Frontier) error {
-	k0, v0, u0 := len(dst.Keys), dst.Vals.Len(), len(dst.Diffs)
+	k0, v0, u0 := len(dst.Keys), len(dst.Vals), len(dst.Diffs)
 	dst.Keys = dst.Keys[:k0+nKeys]
 	keys := dst.Keys[k0:]
 	pos := 0
@@ -218,7 +214,8 @@ func (c *BatchCodec[K, V]) DecodePayload(p []byte, dst *core.Batch[K, V], nKeys,
 		if len(p)-pos < 8*nVals {
 			return fmt.Errorf("values: %d words truncated at byte %d", nVals, pos)
 		}
-		vs := any(dst.Vals.Extend(nVals)).([]uint64)
+		dst.Vals = slices.Grow(dst.Vals, nVals)[:v0+nVals]
+		vs := any(dst.Vals[v0:]).([]uint64)
 		vi := 0
 		for ki := 1; ki < len(keyOff); ki++ {
 			end := int(keyOff[ki]) - v0
@@ -247,7 +244,7 @@ func (c *BatchCodec[K, V]) DecodePayload(p []byte, dst *core.Batch[K, V], nKeys,
 				if !first && c.LessV != nil && !c.LessV(prev, v) {
 					return fmt.Errorf("value %d does not ascend within its key", vi)
 				}
-				dst.Vals.Append(v)
+				dst.Vals = append(dst.Vals, v)
 				prev = v
 			}
 		}
@@ -429,7 +426,7 @@ func (d *Dec) Elems() (int, error) {
 // encodeBatch encodes a batch record's body: b's head, then b as one
 // payload.
 func (c *BatchCodec[K, V]) encodeBatch(dst []byte, b *core.Batch[K, V]) []byte {
-	dst = AppendHead(dst, b.Lower, b.Upper, b.Since, len(b.Keys), b.Vals.Len(), b.Len())
+	dst = AppendHead(dst, b.Lower, b.Upper, b.Since, len(b.Keys), len(b.Vals), b.Len())
 	return c.AppendPayload(dst, b, 0, len(b.Keys))
 }
 

@@ -84,8 +84,8 @@ func FuzzWALReplay(f *testing.F) {
 		for i, b := range st.Batches {
 			// Structural validity: decode re-checked these, so a failure
 			// here means replay handed back wrong counts.
-			if len(b.KeyOff) != len(b.Keys)+1 || len(b.ValOff) != b.Vals.Len()+1 ||
-				int(b.KeyOff[len(b.KeyOff)-1]) != b.Vals.Len() ||
+			if len(b.KeyOff) != len(b.Keys)+1 || len(b.ValOff) != len(b.Vals)+1 ||
+				int(b.KeyOff[len(b.KeyOff)-1]) != len(b.Vals) ||
 				int(b.ValOff[len(b.ValOff)-1]) != len(b.Diffs) ||
 				len(b.Times) != 0 && len(b.Times) != len(b.Diffs) {
 				t.Fatalf("batch %d structurally inconsistent", i)

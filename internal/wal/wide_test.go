@@ -9,9 +9,9 @@ import (
 	"repro/internal/tpch"
 )
 
-// liBatch builds a LineItem batch with the given store layout from
-// (orderKey, lineNumber, epoch, diff) quads.
-func liBatch(columnar bool, lo, hi uint64, quads ...[4]int64) *core.Batch[uint64, tpch.LineItem] {
+// liBatch builds a LineItem batch from (orderKey, lineNumber, epoch, diff)
+// quads.
+func liBatch(lo, hi uint64, quads ...[4]int64) *core.Batch[uint64, tpch.LineItem] {
 	var upds []core.Update[uint64, tpch.LineItem]
 	for _, q := range quads {
 		upds = append(upds, core.Update[uint64, tpch.LineItem]{
@@ -26,34 +26,41 @@ func liBatch(columnar bool, lo, hi uint64, quads ...[4]int64) *core.Batch[uint64
 			Time: lattice.Ts(uint64(q[2])), Diff: q[3],
 		})
 	}
-	return core.BuildBatch(tpch.LineItemFuncs(columnar), upds,
+	return core.BuildBatch(tpch.LineItemFuncs(false), upds,
 		lattice.NewFrontier(lattice.Ts(lo)), lattice.NewFrontier(lattice.Ts(hi)),
 		lattice.MinFrontier(1))
 }
 
-// wordsCodec is a per-value codec for a Columnar type: its words as
-// fixed-width little-endian u64s.
-type wordsCodec[V core.Columnar[V]] struct{}
+// liCodec is a per-value codec for tpch.LineItem: its fifteen fields as
+// fixed-width little-endian words, in declaration order.
+type liCodec struct{}
 
-func (wordsCodec[V]) Append(dst []byte, v V) []byte {
-	for _, w := range v.AppendWords(nil) {
+func (liCodec) Append(dst []byte, v tpch.LineItem) []byte {
+	for _, w := range [15]uint64{v.OrderKey, v.PartKey, v.SuppKey, uint64(v.LineNumber),
+		uint64(v.Quantity), uint64(v.ExtendedPrice), uint64(v.Discount), uint64(v.Tax),
+		uint64(v.ReturnFlag), uint64(v.LineStatus), uint64(v.ShipDate), uint64(v.CommitDate),
+		uint64(v.ReceiptDate), uint64(v.ShipInstruct), uint64(v.ShipMode)} {
 		dst = AppendU64(dst, w)
 	}
 	return dst
 }
 
-func (wordsCodec[V]) Read(src []byte) (V, int, error) {
-	var z V
-	words := make([]uint64, z.ColWidth())
+func (liCodec) Read(src []byte) (tpch.LineItem, int, error) {
+	var w [15]uint64
 	d := NewDec(src)
-	for i := range words {
-		w, err := d.U64()
+	for i := range w {
+		x, err := d.U64()
 		if err != nil {
-			return z, 0, err
+			return tpch.LineItem{}, 0, err
 		}
-		words[i] = w
+		w[i] = x
 	}
-	return z.FromWords(words), d.off, nil
+	return tpch.LineItem{
+		OrderKey: w[0], PartKey: w[1], SuppKey: w[2], LineNumber: int64(w[3]),
+		Quantity: int64(w[4]), ExtendedPrice: int64(w[5]), Discount: int64(w[6]), Tax: int64(w[7]),
+		ReturnFlag: int64(w[8]), LineStatus: int64(w[9]), ShipDate: int64(w[10]), CommitDate: int64(w[11]),
+		ReceiptDate: int64(w[12]), ShipInstruct: int64(w[13]), ShipMode: int64(w[14]),
+	}, d.off, nil
 }
 
 type liTuple struct {
@@ -71,33 +78,23 @@ func liTuples(b *core.Batch[uint64, tpch.LineItem]) []liTuple {
 	return out
 }
 
-// TestColumnarBatchRoundTrip: a batch held column-major in memory encodes,
-// value by value through its codec, to the same bytes as the row-store
-// batch of the same contents, and decodes back row-major to an
-// observationally identical batch whose re-encode is byte-identical.
-func TestColumnarBatchRoundTrip(t *testing.T) {
-	vc := wordsCodec[tpch.LineItem]{}
+// TestWideBatchRoundTrip: a batch of wide values encodes value by value
+// through its codec and decodes back to an observationally identical batch
+// whose re-encode is byte-identical.
+func TestWideBatchRoundTrip(t *testing.T) {
 	quads := [][4]int64{}
 	for i := int64(0); i < 40; i++ {
 		quads = append(quads, [4]int64{i % 7, i, i % 3, 1 + i%2})
 	}
-	bc := liBatch(true, 0, 3, quads...)
-	br := liBatch(false, 0, 3, quads...)
-	if bc.Vals.Columns() == nil || br.Vals.Columns() != nil {
-		t.Fatal("store layouts not as constructed")
-	}
+	b := liBatch(0, 3, quads...)
 
-	lc, err := NewBatchCodec[uint64, tpch.LineItem](U64Codec(), vc)
+	lc, err := NewBatchCodec[uint64, tpch.LineItem](U64Codec(), liCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	encC := lc.encodeBatch(nil, bc)
-	encR := lc.encodeBatch(nil, br)
-	if !bytes.Equal(encC, encR) {
-		t.Fatal("the two store layouts of one batch encode to different bytes")
-	}
+	enc := lc.encodeBatch(nil, b)
 
-	d := NewDec(encC)
+	d := NewDec(enc)
 	dec, err := lc.readBatch(d)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -105,10 +102,7 @@ func TestColumnarBatchRoundTrip(t *testing.T) {
 	if d.Remaining() != 0 {
 		t.Fatalf("decode left %d bytes", d.Remaining())
 	}
-	if dec.Vals.Columns() != nil {
-		t.Fatal("decoded batch must carry a row store")
-	}
-	got, want := liTuples(dec), liTuples(bc)
+	got, want := liTuples(dec), liTuples(b)
 	if len(got) != len(want) {
 		t.Fatalf("decoded %d tuples, want %d", len(got), len(want))
 	}
@@ -117,18 +111,18 @@ func TestColumnarBatchRoundTrip(t *testing.T) {
 			t.Fatalf("tuple %d: %+v vs %+v", i, got[i], want[i])
 		}
 	}
-	if !dec.Lower.Equal(bc.Lower) || !dec.Upper.Equal(bc.Upper) || !dec.Since.Equal(bc.Since) {
+	if !dec.Lower.Equal(b.Lower) || !dec.Upper.Equal(b.Upper) || !dec.Since.Equal(b.Since) {
 		t.Fatal("framing frontiers differ after round trip")
 	}
 
 	// Re-encode determinism (replay idempotence relies on it).
-	if again := lc.encodeBatch(nil, dec); !bytes.Equal(again, encC) {
+	if again := lc.encodeBatch(nil, dec); !bytes.Equal(again, enc) {
 		t.Fatal("re-encode of decoded batch differs")
 	}
 
 	// Truncations anywhere in the value section must error, never panic.
-	for cut := len(encC) - 1; cut > len(encC)-washWords(bc); cut -= 7 {
-		cc := NewDec(encC[:cut])
+	for cut := len(enc) - 1; cut > len(enc)-washWords(b); cut -= 7 {
+		cc := NewDec(enc[:cut])
 		if _, err := lc.readBatch(cc); err == nil {
 			t.Fatalf("decode of %d-byte truncation succeeded", cut)
 		}
@@ -137,19 +131,19 @@ func TestColumnarBatchRoundTrip(t *testing.T) {
 
 // washWords bounds how deep the truncation sweep reaches into the record.
 func washWords(b *core.Batch[uint64, tpch.LineItem]) int {
-	n := b.Vals.Len() * 15 * 8
+	n := len(b.Vals) * 15 * 8
 	if n > 600 {
 		n = 600
 	}
 	return n
 }
 
-// TestColumnarShardLogRecovery: a shard log of batches held column-major in
-// memory recovers through the full OpenShard path — generation files, CRC
-// framing, torn-tail truncation — to row-major batches of the same tuples.
-func TestColumnarShardLogRecovery(t *testing.T) {
+// TestWideShardLogRecovery: a shard log of batches of wide values recovers
+// through the full OpenShard path — generation files, CRC framing,
+// torn-tail truncation — to batches of the same tuples.
+func TestWideShardLogRecovery(t *testing.T) {
 	dir := t.TempDir()
-	vc := wordsCodec[tpch.LineItem]{}
+	vc := liCodec{}
 	lg, st, err := OpenShard[uint64, tpch.LineItem](dir, U64Codec(), vc, Options{})
 	if err != nil {
 		t.Fatalf("OpenShard: %v", err)
@@ -157,8 +151,8 @@ func TestColumnarShardLogRecovery(t *testing.T) {
 	if len(st.Batches) != 0 {
 		t.Fatalf("fresh log not empty")
 	}
-	b1 := liBatch(true, 0, 1, [4]int64{1, 10, 0, 1}, [4]int64{2, 20, 0, 2})
-	b2 := liBatch(true, 1, 3, [4]int64{1, 10, 1, -1}, [4]int64{3, 30, 2, 1})
+	b1 := liBatch(0, 1, [4]int64{1, 10, 0, 1}, [4]int64{2, 20, 0, 2})
+	b2 := liBatch(1, 3, [4]int64{1, 10, 1, -1}, [4]int64{3, 30, 2, 1})
 	if err := lg.AppendBatch(b1); err != nil {
 		t.Fatalf("AppendBatch: %v", err)
 	}
@@ -177,9 +171,6 @@ func TestColumnarShardLogRecovery(t *testing.T) {
 	}
 	for i, want := range []*core.Batch[uint64, tpch.LineItem]{b1, b2} {
 		got := st2.Batches[i]
-		if got.Vals.Columns() != nil {
-			t.Fatalf("batch %d recovered with a columnar store", i)
-		}
 		g, w := liTuples(got), liTuples(want)
 		if len(g) != len(w) {
 			t.Fatalf("batch %d: %d tuples, want %d", i, len(g), len(w))
